@@ -1,8 +1,12 @@
 //! Criterion benches for the GF(2^8) slice kernels — the inner loop every
-//! helper runs when combining partial slices during a repair.
+//! helper runs when combining partial slices during a repair — and for the
+//! CRC-32 kernels that checksum every chunk of those slices on a
+//! checksummed store.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gf256::Gf256;
+use ecc::stripe::BlockId;
+use ecpipe::{BlockStore, ChecksummedStore, MemoryStore};
+use gf256::{Gf256, KernelPath, Kernels};
 
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("gf_kernels");
@@ -23,9 +27,76 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The one-table, byte-at-a-time CRC-32 the integrity layer used before
+/// the dispatched kernels; kept here as the yardstick row.
+fn crc32_bytewise(table: &[u32; 256], data: &[u8]) -> u32 {
+    !data.iter().fold(!0u32, |c, &b| {
+        table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+    })
+}
+
+fn crc32_byte_table() -> [u32; 256] {
+    std::array::from_fn(|i| {
+        (0..8).fold(i as u32, |c, _| {
+            if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            }
+        })
+    })
+}
+
+/// `crc32/{oracle,portable,active}/{512,32768}`: the bytewise yardstick, the
+/// slicing-by-16 kernel every host has, and whatever this process
+/// dispatched to (PCLMUL folding on x86 with `pclmulqdq`), at the checksum
+/// chunk size and the repair slice size.
+fn bench_crc32(c: &mut Criterion) {
+    let portable = Kernels::for_path(KernelPath::Scalar).expect("scalar is always supported");
+    let table = crc32_byte_table();
+    let mut group = c.benchmark_group("crc32");
+    for size in [512usize, 32 * 1024] {
+        let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::new("oracle", size), &size, |b, _| {
+            b.iter(|| crc32_bytewise(&table, &data));
+        });
+        group.bench_with_input(BenchmarkId::new("portable", size), &size, |b, _| {
+            b.iter(|| portable.crc32(&data));
+        });
+        group.bench_with_input(BenchmarkId::new("active", size), &size, |b, _| {
+            b.iter(|| gf256::crc32(&data));
+        });
+    }
+    group.finish();
+}
+
+/// `checksummed_get_range/mem/32768`: the helper hot path — one verified
+/// 32 KiB slice read (64 chunk checksums) from a checksummed memory store,
+/// so the row is CRC plus bookkeeping with no disk in it.
+fn bench_checksummed_get_range(c: &mut Criterion) {
+    const BLOCK: usize = 1024 * 1024;
+    const SLICE: usize = 32 * 1024;
+    let store = ChecksummedStore::new(MemoryStore::new());
+    let block = BlockId::new(0, 0);
+    let data: Vec<u8> = (0..BLOCK).map(|i| (i % 251) as u8).collect();
+    store.put(block, data.into()).expect("memory put");
+    let mut group = c.benchmark_group("checksummed_get_range");
+    group.throughput(Throughput::Bytes(SLICE as u64));
+    let mut offset = 0;
+    group.bench_with_input(BenchmarkId::new("mem", SLICE), &SLICE, |b, _| {
+        b.iter(|| {
+            let slice = store.get_range(block, offset..offset + SLICE);
+            offset = (offset + SLICE) % BLOCK;
+            slice
+        });
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_kernels
+    targets = bench_kernels, bench_crc32, bench_checksummed_get_range
 }
 criterion_main!(benches);

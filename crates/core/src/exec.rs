@@ -53,28 +53,18 @@ pub enum ExecStrategy {
     BlockPipeline,
 }
 
-impl ExecStrategy {
-    /// A short label matching the paper's figures.
-    #[deprecated(since = "0.2.0", note = "use the `Display` impl instead")]
-    pub fn label(&self) -> &'static str {
-        match self {
-            ExecStrategy::Conventional => "Conv.",
-            ExecStrategy::Ppr => "PPR",
-            ExecStrategy::RepairPipelining => "RP",
-            ExecStrategy::BlockPipeline => "Pipe-B",
-        }
-    }
-}
-
 impl std::fmt::Display for ExecStrategy {
     /// Formats as the short label used in the paper's figures (`Conv.`,
     /// `PPR`, `RP`, `Pipe-B`), so strategy names are uniform across reports
     /// and benches.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // One string table: the deprecated alias keeps serving it until it
-        // is removed. `pad` honors width/alignment options in table output.
-        #[allow(deprecated)]
-        f.pad(self.label())
+        // `pad` honors width/alignment options in table output.
+        f.pad(match self {
+            ExecStrategy::Conventional => "Conv.",
+            ExecStrategy::Ppr => "PPR",
+            ExecStrategy::RepairPipelining => "RP",
+            ExecStrategy::BlockPipeline => "Pipe-B",
+        })
     }
 }
 

@@ -44,7 +44,7 @@ use crate::lock_order;
 
 use ecc::stripe::BlockId;
 
-use crate::store::BlockStore;
+use crate::store::{check_range, BlockStore};
 use crate::{EcPipeError, Result};
 
 /// Default checksum chunk size in bytes: one CRC-32 per 512-byte chunk,
@@ -55,35 +55,14 @@ pub const DEFAULT_CHUNK_SIZE: usize = 512;
 /// Magic + version prefix of a `.crc` sidecar file.
 const SIDECAR_MAGIC: &[u8; 4] = b"ECC\x01";
 
-const CRC_TABLE: [u32; 256] = crc32_table();
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
 /// CRC-32 (IEEE 802.3 polynomial, the `cksum`/zlib variant) of `data`.
+///
+/// Computed by [`gf256::crc32`] — slicing-by-16 tables, or `pclmulqdq`
+/// folding where the host has it — behind the same once-per-process kernel
+/// dispatch as the GF(2^8) slice kernels; the values are those of the
+/// classic one-table bytewise loop, so `.crc` sidecars stay valid.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    gf256::crc32(data)
 }
 
 /// The integrity metadata of one block: its length and one CRC-32 per
@@ -362,14 +341,7 @@ impl<S: BlockStore> BlockStore for ChecksummedStore<S> {
             // only happens for legacy blocks that were never whole-read.)
             return self.inner.get_range(block, range);
         };
-        if range.end > sums.block_len() {
-            return Err(EcPipeError::InvalidRequest {
-                reason: format!(
-                    "range {range:?} out of bounds for block {block} of {} bytes",
-                    sums.block_len()
-                ),
-            });
-        }
+        check_range(block, &range, sums.block_len())?;
         // Read and verify only the chunk-aligned span covering the range —
         // slice reads stay O(slice), not O(block).
         let (span, first_chunk) = sums.chunk_span(&range);
@@ -438,6 +410,76 @@ mod tests {
         // The IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The block the golden sidecar below describes.
+    fn golden_block() -> Vec<u8> {
+        (0..2000u32).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// `BlockChecksums::compute(&golden_block(), 512).to_bytes()` as written
+    /// by commit 957218b, whose `crc32` was the one-table bytewise loop.
+    /// Sidecars like this one are on disk; the dispatched kernels must keep
+    /// reading and reproducing them bit for bit.
+    const GOLDEN_SIDECAR: [u8; 36] = [
+        0x45, 0x43, 0x43, 0x01, // "ECC\x01"
+        0x00, 0x02, 0, 0, 0, 0, 0, 0, // chunk size 512
+        0xd0, 0x07, 0, 0, 0, 0, 0, 0, // block length 2000
+        0x20, 0x22, 0x29, 0x7d, 0x40, 0xc9, 0xc1, 0x4e, // chunks 0, 1
+        0xa5, 0xfa, 0x47, 0xc2, 0xbd, 0x3b, 0x11, 0x96, // chunks 2, 3
+    ];
+
+    #[test]
+    fn golden_sidecar_still_parses_and_verifies() {
+        let sums = BlockChecksums::from_bytes(&GOLDEN_SIDECAR).expect("golden sidecar parses");
+        assert_eq!((sums.chunk_size(), sums.block_len()), (512, 2000));
+        assert!(sums.verify(&golden_block()).is_ok());
+        // Today's writer emits the same bytes.
+        assert_eq!(
+            BlockChecksums::compute(&golden_block(), 512).to_bytes(),
+            GOLDEN_SIDECAR
+        );
+    }
+
+    #[test]
+    fn block_and_sidecar_written_before_the_kernels_reopen_clean() {
+        let dir = std::env::temp_dir().join(format!("ecpipe-golden-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Lay the pair down as the old code left it: raw files, no store.
+        let id = block(11, 3);
+        std::fs::write(dir.join(id.to_string()), golden_block()).unwrap();
+        std::fs::write(dir.join(format!("{id}.crc")), GOLDEN_SIDECAR).unwrap();
+
+        let store = FileStore::open_checksummed(&dir).unwrap();
+        assert_eq!(store.get(id).unwrap(), golden_block());
+        assert_eq!(
+            store.get_range(id, 1000..1600).unwrap(),
+            golden_block()[1000..1600]
+        );
+        // Bit-rot in chunk 2 is convicted at chunk 2, by the old checksums.
+        store.corrupt(id, 1500).unwrap();
+        assert!(matches!(
+            store.get(id),
+            Err(EcPipeError::CorruptBlock { chunk: 2, .. })
+        ));
+        assert!(matches!(
+            store.get_range(id, 1000..1600),
+            Err(EcPipeError::CorruptBlock { chunk: 2, .. })
+        ));
+        assert!(store.get_range(id, 0..1024).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    proptest::proptest! {
+        // The metadata WAL frames its records with its own small CRC-32
+        // (`ecpipe-meta` does not link `gf256`); this pins both planes to
+        // one dialect so neither can drift.
+        #[test]
+        fn wal_and_block_checksums_are_one_dialect(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048),
+        ) {
+            proptest::prop_assert_eq!(ecpipe_meta::wal::crc32(&data), crc32(&data));
+        }
     }
 
     #[test]

@@ -52,24 +52,16 @@ impl RepairPriority {
             _ => RepairPriority::Background,
         }
     }
-
-    /// A short label for reports and logs.
-    #[deprecated(since = "0.2.0", note = "use the `Display` impl instead")]
-    pub fn label(&self) -> &'static str {
-        match self {
-            RepairPriority::DegradedRead => "degraded-read",
-            RepairPriority::Corruption => "corruption",
-            RepairPriority::Background => "background",
-        }
-    }
 }
 
 impl std::fmt::Display for RepairPriority {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // One string table: the deprecated alias keeps serving it until it
-        // is removed. `pad` honors width/alignment options in table output.
-        #[allow(deprecated)]
-        f.pad(self.label())
+        // `pad` honors width/alignment options in table output.
+        f.pad(match self {
+            RepairPriority::DegradedRead => "degraded-read",
+            RepairPriority::Corruption => "corruption",
+            RepairPriority::Background => "background",
+        })
     }
 }
 

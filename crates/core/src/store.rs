@@ -177,6 +177,22 @@ impl fmt::Debug for StoreBackend {
     }
 }
 
+/// The one range rule every store's `get_range` applies: `range` must run
+/// forwards and end within the block's `len` bytes. A violation is the
+/// caller's error, never a panic in `Bytes::slice` or a silent empty read.
+pub(crate) fn check_range(
+    block: BlockId,
+    range: &std::ops::Range<usize>,
+    len: usize,
+) -> Result<()> {
+    if range.start > range.end || range.end > len {
+        return Err(EcPipeError::InvalidRequest {
+            reason: format!("range {range:?} out of bounds for block {block} of {len} bytes"),
+        });
+    }
+    Ok(())
+}
+
 /// A node-local store of erasure-coded blocks.
 ///
 /// ```
@@ -202,16 +218,11 @@ pub trait BlockStore: Send + Sync {
     fn get(&self, block: BlockId) -> Result<Bytes>;
 
     /// Reads a byte range of a block (used for slice-granular disk reads).
+    /// A reversed range, or one that ends past the block, is
+    /// [`EcPipeError::InvalidRequest`] on every store.
     fn get_range(&self, block: BlockId, range: std::ops::Range<usize>) -> Result<Bytes> {
         let whole = self.get(block)?;
-        if range.end > whole.len() {
-            return Err(EcPipeError::InvalidRequest {
-                reason: format!(
-                    "range {range:?} out of bounds for block {block} of {} bytes",
-                    whole.len()
-                ),
-            });
-        }
+        check_range(block, &range, whole.len())?;
         Ok(whole.slice(range))
     }
 
@@ -385,11 +396,7 @@ impl BlockStore for FileStore {
             Err(e) => return Err(e.into()),
         };
         let len = file.metadata()?.len();
-        if range.end as u64 > len {
-            return Err(EcPipeError::InvalidRequest {
-                reason: format!("range {range:?} out of bounds for block {block} of {len} bytes"),
-            });
-        }
+        check_range(block, &range, usize::try_from(len).unwrap_or(usize::MAX))?;
         file.seek(SeekFrom::Start(range.start as u64))?;
         let mut data = vec![0u8; range.len()];
         file.read_exact(&mut data)?;
@@ -478,6 +485,60 @@ mod tests {
             Bytes::from_static(b"234")
         );
         assert!(store.get_range(block(2, 3), 5..20).is_err());
+    }
+
+    #[test]
+    // Reversed ranges are the point: they are what a buggy caller passes.
+    #[allow(clippy::reversed_empty_ranges)]
+    fn get_range_agrees_on_every_backend() {
+        let root = std::env::temp_dir().join(format!("ecpipe-ranges-{}", std::process::id()));
+        let backends = [
+            StoreBackend::memory(1),
+            StoreBackend::memory_checksummed(1),
+            StoreBackend::file(root.join("plain"), 1),
+            StoreBackend::file_checksummed(root.join("crc"), 1),
+        ];
+        // 2000 bytes = three whole 512-byte checksum chunks and a short one.
+        let data: Vec<u8> = (0..2000u32).map(|i| (i % 251) as u8).collect();
+        let ok = |r: std::ops::Range<usize>| Ok(data[r].to_vec());
+        let cases = [
+            // Reversed: the caller's error, not a panic or an empty read.
+            (5..3, Err("invalid")),
+            (1999..0, Err("invalid")),
+            (3000..10, Err("invalid")),
+            // Empty, at the start, inside a chunk, on a chunk edge, at the end.
+            (0..0, ok(0..0)),
+            (700..700, ok(0..0)),
+            (1024..1024, ok(0..0)),
+            (2000..2000, ok(0..0)),
+            // Within one chunk, straddling chunks, the short tail, the whole.
+            (10..20, ok(10..20)),
+            (500..1030, ok(500..1030)),
+            (1500..2000, ok(1500..2000)),
+            (0..2000, ok(0..2000)),
+            // Past the end.
+            (1990..2001, Err("invalid")),
+            (2001..2001, Err("invalid")),
+            (4096..8192, Err("invalid")),
+        ];
+        for backend in backends {
+            let name = format!("{backend:?}");
+            let store = backend.build().unwrap().remove(0);
+            store.put(block(4, 1), Bytes::from(data.clone())).unwrap();
+            for (range, expected) in &cases {
+                let got = match store.get_range(block(4, 1), range.clone()) {
+                    Ok(bytes) => Ok(bytes.to_vec()),
+                    Err(EcPipeError::InvalidRequest { .. }) => Err("invalid"),
+                    Err(other) => panic!("{name} {range:?}: unexpected {other:?}"),
+                };
+                assert_eq!(&got, expected, "{name} {range:?}");
+            }
+            assert!(matches!(
+                store.get_range(block(9, 9), 0..1),
+                Err(EcPipeError::BlockNotFound { .. })
+            ));
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -34,26 +34,16 @@ pub enum RepairVariant {
     RepairPipeliningEcPipe,
 }
 
-impl RepairVariant {
-    /// Label used in the figure output.
-    #[deprecated(since = "0.2.0", note = "use the `Display` impl instead")]
-    pub fn label(&self) -> &'static str {
-        match self {
-            RepairVariant::Original => "Original",
-            RepairVariant::ConventionalEcPipe => "Conv.@ECPipe",
-            RepairVariant::RepairPipeliningEcPipe => "RP@ECPipe",
-        }
-    }
-}
-
 impl std::fmt::Display for RepairVariant {
     /// Formats as the label used in the figure output (`Original`,
     /// `Conv.@ECPipe`, `RP@ECPipe`), uniform across reports and benches.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // One string table: the deprecated alias keeps serving it until it
-        // is removed. `pad` honors width/alignment options in table output.
-        #[allow(deprecated)]
-        f.pad(self.label())
+        // `pad` honors width/alignment options in table output.
+        f.pad(match self {
+            RepairVariant::Original => "Original",
+            RepairVariant::ConventionalEcPipe => "Conv.@ECPipe",
+            RepairVariant::RepairPipeliningEcPipe => "RP@ECPipe",
+        })
     }
 }
 

@@ -5,6 +5,9 @@
 //! `partial += a_i * B_i`. These kernels are the byte-level inner loops for
 //! that operation, working on whole slices at a time.
 //!
+//! [`crc32`] is the checksum the integrity layer puts on every chunk of those
+//! slices; it rides the same dispatch.
+//!
 //! Each call delegates to the process-wide kernel selection made by
 //! [`crate::simd::Kernels::active`] — vectorized split-table loops where the
 //! host supports them, the portable scalar loops otherwise. See the
@@ -44,6 +47,16 @@ pub fn add_slice(src: &[u8], dst: &mut [u8]) {
 /// Scales a slice in place: `data[j] = coeff * data[j]`.
 pub fn scale_slice_in_place(coeff: Gf256, data: &mut [u8]) {
     Kernels::active().scale_slice_in_place(coeff, data);
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, the zlib/`cksum` dialect) of `data`.
+///
+/// ```
+/// assert_eq!(gf256::crc32(b"123456789"), 0xCBF4_3926);
+/// assert_eq!(gf256::crc32(b""), 0);
+/// ```
+pub fn crc32(data: &[u8]) -> u32 {
+    Kernels::active().crc32(data)
 }
 
 #[cfg(test)]

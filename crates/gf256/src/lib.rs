@@ -9,6 +9,8 @@
 //! * Bulk slice kernels ([`mul_slice`], [`mul_add_slice`], [`add_slice`]) —
 //!   the inner loops every helper node runs when combining slices during a
 //!   repair (`a_i * B_i` accumulated into a partial sum).
+//! * [`crc32`] — the CRC-32 (IEEE) block-integrity checksum: polynomial
+//!   division over GF(2), dispatched with the slice kernels.
 //! * [`Matrix`] — a dense matrix over GF(2^8) with Gauss-Jordan inversion,
 //!   used to derive encoding matrices and single-block repair coefficients.
 //!
@@ -40,7 +42,7 @@ pub mod simd;
 mod tables;
 
 pub use field::Gf256;
-pub use kernels::{add_slice, mul_add_slice, mul_slice, scale_slice_in_place};
+pub use kernels::{add_slice, crc32, mul_add_slice, mul_slice, scale_slice_in_place};
 pub use matrix::Matrix;
 pub use simd::{active_path, KernelPath, Kernels};
 

@@ -23,6 +23,15 @@
 //! believes it tested a path it did not. Tests can instead address every
 //! supported path directly through [`Kernels::for_path`].
 //!
+//! The same selection carries the block-integrity checksum,
+//! [`Kernels::crc32`]: CRC-32 is polynomial division over GF(2) and
+//! carry-less multiply is its kernel, so it lives beside the other ISA code.
+//! There are two implementations: a portable slicing-by-16 table kernel
+//! (the `Scalar` and `Neon` paths, and every input shorter than 64 bytes),
+//! and 4×128-bit `pclmulqdq` folding on the `Ssse3`/`Avx2` paths when the
+//! host has that instruction. The force names a GF path, not a CRC one:
+//! `ssse3`/`avx2` forced on a host without `pclmulqdq` checksum portably.
+//!
 //! All `unsafe` in this crate lives in the per-ISA submodules of this
 //! module (`simd/x86.rs`, `simd/neon.rs`); `cargo run -p xtask -- lint`
 //! rejects `unsafe` anywhere else in the workspace and requires a
@@ -112,7 +121,7 @@ impl std::fmt::Display for KernelPath {
     }
 }
 
-/// One implementation of the four slice kernels.
+/// One implementation of the four slice kernels and the CRC-32 checksum.
 ///
 /// The bulk entry points ([`crate::mul_slice`] and friends) delegate to
 /// [`Kernels::active`]; tests address a specific path through
@@ -126,6 +135,9 @@ pub struct Kernels {
     mul: fn(u8, &[u8], &mut [u8]),
     mul_add: fn(u8, &[u8], &mut [u8]),
     add: fn(&[u8], &mut [u8]),
+    // Raw CRC-32 state update (no pre/post inversion), so a vector body and
+    // a portable tail compose.
+    crc: fn(u32, &[u8]) -> u32,
 }
 
 static SCALAR: Kernels = Kernels {
@@ -133,6 +145,7 @@ static SCALAR: Kernels = Kernels {
     mul: scalar::mul,
     mul_add: scalar::mul_add,
     add: scalar::add,
+    crc: scalar::crc32,
 };
 
 static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
@@ -255,6 +268,13 @@ impl Kernels {
         (self.add)(src, dst);
     }
 
+    /// CRC-32 (IEEE 802.3, the zlib/`cksum -o 3` dialect: reflected
+    /// polynomial `0xEDB88320`, initial state and final XOR `0xFFFFFFFF`) of
+    /// `data`.
+    pub fn crc32(&self, data: &[u8]) -> u32 {
+        !(self.crc)(!0, data)
+    }
+
     /// `data[j] = coeff * data[j]` in place.
     pub fn scale_slice_in_place(&self, coeff: Gf256, data: &mut [u8]) {
         if coeff == Gf256::ONE {
@@ -287,6 +307,21 @@ impl Kernels {
 /// this is the first kernel use).
 pub fn active_path() -> KernelPath {
     Kernels::active().path()
+}
+
+/// How many times this process has entered the `pclmulqdq` CRC kernel, or
+/// `None` where that is not counted (release builds, non-x86 targets). Test
+/// instrumentation: lets a forced-`scalar` process prove it never got there.
+#[doc(hidden)]
+pub fn crc32_pclmul_calls() -> Option<usize> {
+    #[cfg(all(debug_assertions, any(target_arch = "x86", target_arch = "x86_64")))]
+    {
+        Some(x86::CRC_PCLMUL_CALLS.load(std::sync::atomic::Ordering::Relaxed))
+    }
+    #[cfg(not(all(debug_assertions, any(target_arch = "x86", target_arch = "x86_64"))))]
+    {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@ pub(super) static NEON: Kernels = Kernels {
     mul: mul_neon,
     mul_add: mul_add_neon,
     add: add_neon,
+    crc: scalar::crc32,
 };
 
 fn mul_neon(coeff: u8, src: &[u8], dst: &mut [u8]) {

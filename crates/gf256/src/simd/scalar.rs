@@ -5,7 +5,7 @@
 //! methods on [`super::Kernels`]) have already peeled off the 0 and 1
 //! coefficient fast paths, so `coeff` here is always a general element.
 
-use crate::tables::mul_table;
+use crate::tables::{mul_table, CRC32_TABLES};
 
 pub(super) fn mul(coeff: u8, src: &[u8], dst: &mut [u8]) {
     let row = &mul_table()[coeff as usize];
@@ -38,4 +38,42 @@ pub(super) fn add(src: &[u8], dst: &mut [u8]) {
     {
         *d ^= *s;
     }
+}
+
+/// Slicing-by-16 CRC-32 state update: advances the raw (un-inverted) CRC
+/// state over `data`. Sixteen bytes per step, each through its own table,
+/// so the lookups of one step are independent of each other; the sub-16-byte
+/// tail goes one byte at a time through table 0. Words are read
+/// little-endian explicitly, so the result does not depend on the host's
+/// byte order.
+pub(super) fn crc32(mut state: u32, data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let word = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().expect("4-byte word"));
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        let a = word(&block[0..4]) ^ state;
+        let b = word(&block[4..8]);
+        let c = word(&block[8..12]);
+        let d = word(&block[12..16]);
+        state = t[15][(a & 0xff) as usize]
+            ^ t[14][((a >> 8) & 0xff) as usize]
+            ^ t[13][((a >> 16) & 0xff) as usize]
+            ^ t[12][(a >> 24) as usize]
+            ^ t[11][(b & 0xff) as usize]
+            ^ t[10][((b >> 8) & 0xff) as usize]
+            ^ t[9][((b >> 16) & 0xff) as usize]
+            ^ t[8][(b >> 24) as usize]
+            ^ t[7][(c & 0xff) as usize]
+            ^ t[6][((c >> 8) & 0xff) as usize]
+            ^ t[5][((c >> 16) & 0xff) as usize]
+            ^ t[4][(c >> 24) as usize]
+            ^ t[3][(d & 0xff) as usize]
+            ^ t[2][((d >> 8) & 0xff) as usize]
+            ^ t[1][((d >> 16) & 0xff) as usize]
+            ^ t[0][(d >> 24) as usize];
+    }
+    for &byte in blocks.remainder() {
+        state = t[0][((state ^ byte as u32) & 0xff) as usize] ^ (state >> 8);
+    }
+    state
 }

@@ -15,6 +15,10 @@
 //! whole-lane lengths. This module is the designated home for `unsafe` in
 //! this crate (with `simd/neon.rs`); the workspace lint enforces that and
 //! the `// SAFETY:` comments below.
+//!
+//! Both paths also share one CRC-32 kernel: CRC is polynomial division over
+//! GF(2), and `pclmulqdq` (carry-less multiply) folds 64 input bytes into
+//! four 128-bit accumulators per iteration. See [`crc32_x86`].
 
 #![allow(unsafe_code)]
 
@@ -24,13 +28,14 @@ use core::arch::x86::*;
 use core::arch::x86_64::*;
 
 use super::{scalar, KernelPath, Kernels};
-use crate::tables::{MUL_HI, MUL_LO};
+use crate::tables::{crc32_mul_x, MUL_HI, MUL_LO};
 
 pub(super) static SSSE3: Kernels = Kernels {
     path: KernelPath::Ssse3,
     mul: mul_ssse3,
     mul_add: mul_add_ssse3,
     add: add_ssse3,
+    crc: crc32_x86,
 };
 
 pub(super) static AVX2: Kernels = Kernels {
@@ -38,6 +43,7 @@ pub(super) static AVX2: Kernels = Kernels {
     mul: mul_avx2,
     mul_add: mul_add_avx2,
     add: add_avx2,
+    crc: crc32_x86,
 };
 
 // ---------------------------------------------------------------- SSSE3 --
@@ -234,5 +240,120 @@ unsafe fn add_avx2_body(src: &[u8], dst: &mut [u8]) {
         let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
         _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_xor_si256(d, s));
         i += 32;
+    }
+}
+
+// --------------------------------------------------------------- CRC-32 --
+
+/// Bytes consumed per iteration of the folding loop: four 128-bit lanes.
+/// Inputs shorter than this, and the tail past the last whole stride, go to
+/// the portable kernel.
+const CRC_STRIDE: usize = 64;
+
+/// How many times this process entered [`crc32_pclmul_body`]; debug builds
+/// only, so the test that a forced-scalar process never reaches the PCLMUL
+/// kernel observes it rather than trusts the dispatch table.
+#[cfg(debug_assertions)]
+pub(super) static CRC_PCLMUL_CALLS: std::sync::atomic::AtomicUsize =
+    std::sync::atomic::AtomicUsize::new(0);
+
+/// `x^n mod P` as a fold multiplier: the bit-reflected remainder, shifted
+/// left once because the carry-less product of two reflected 64-bit
+/// operands lands one bit short of reflected alignment.
+const fn fold_by(n: u32) -> i64 {
+    ((crc32_mul_x(0x8000_0000, n) as u64) << 1) as i64
+}
+
+/// Multipliers that move a 128-bit lane `distance` bits forward in the
+/// message, as `(low, high)` qwords: the lane's low qword holds the earlier
+/// (higher-degree) 64 bits and is multiplied by `x^(distance+32)`, its high
+/// qword by `x^(distance-32)`.
+const fn fold_pair(distance: u32) -> (i64, i64) {
+    (fold_by(distance + 32), fold_by(distance - 32))
+}
+
+/// One stride of the four-lane loop ahead.
+const FOLD_STRIDE: (i64, i64) = fold_pair(8 * CRC_STRIDE as u32);
+/// The next lane over, for collapsing four lanes into one.
+const FOLD_LANE: (i64, i64) = fold_pair(128);
+
+/// CRC-32 state update for both x86 paths: whole 64-byte strides through
+/// `pclmulqdq` when the host has it, everything else through the portable
+/// slicing-by-16 kernel. `ECPIPE_GF_FORCE` names a GF path, not a CRC one,
+/// so a forced SSSE3/AVX2 process on a host without `pclmulqdq` quietly
+/// computes its checksums portably.
+fn crc32_x86(state: u32, data: &[u8]) -> u32 {
+    let split = data.len() - data.len() % CRC_STRIDE;
+    if split == 0 || !std::arch::is_x86_feature_detected!("pclmulqdq") {
+        return scalar::crc32(state, data);
+    }
+    #[cfg(debug_assertions)]
+    CRC_PCLMUL_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    // SAFETY: `pclmulqdq` was detected on the line above (it implies the
+    // SSE2 loads/stores the body uses), and `split` is a non-zero multiple
+    // of `CRC_STRIDE`, the body's length contract.
+    let state = unsafe { crc32_pclmul_body(state, &data[..split]) };
+    scalar::crc32(state, &data[split..])
+}
+
+/// `lane` moved forward by the distance `k` encodes, plus `next` — the data
+/// (or accumulator) already sitting at that position.
+#[inline]
+#[target_feature(enable = "pclmulqdq")]
+fn fold(lane: __m128i, k: __m128i, next: __m128i) -> __m128i {
+    let lo = _mm_clmulepi64_si128::<0x00>(lane, k);
+    let hi = _mm_clmulepi64_si128::<0x11>(lane, k);
+    _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+}
+
+/// 4x128-bit folding (Gopal et al., "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ Instruction"). `data.len()` must be a
+/// non-zero multiple of [`CRC_STRIDE`]; caller must have verified
+/// `pclmulqdq` support.
+///
+/// The four accumulators always hold 64 bytes that are CRC-equivalent to
+/// everything consumed so far (the incoming state is XORed into the first
+/// four bytes, which is what a non-zero initial state means), so the final
+/// reduction needs no Barrett constants: collapse the lanes into one and
+/// feed its 16 bytes through the portable kernel from state 0.
+// SAFETY: every load is `loadu` (no alignment requirement) at an offset
+// `i + 16 * lane + 16 <= len`, because `i` advances in whole strides of 64
+// over a length that is a multiple of 64; the one store targets a local
+// 16-byte array.
+#[target_feature(enable = "pclmulqdq")]
+unsafe fn crc32_pclmul_body(state: u32, data: &[u8]) -> u32 {
+    debug_assert!(!data.is_empty());
+    debug_assert_eq!(data.len() % CRC_STRIDE, 0);
+    let p = data.as_ptr();
+    let mut x0 = _mm_xor_si128(_mm_loadu_si128(p.cast()), _mm_cvtsi32_si128(state as i32));
+    let mut x1 = _mm_loadu_si128(p.add(16).cast());
+    let mut x2 = _mm_loadu_si128(p.add(32).cast());
+    let mut x3 = _mm_loadu_si128(p.add(48).cast());
+    let k = _mm_set_epi64x(FOLD_STRIDE.1, FOLD_STRIDE.0);
+    let mut i = CRC_STRIDE;
+    while i < data.len() {
+        x0 = fold(x0, k, _mm_loadu_si128(p.add(i).cast()));
+        x1 = fold(x1, k, _mm_loadu_si128(p.add(i + 16).cast()));
+        x2 = fold(x2, k, _mm_loadu_si128(p.add(i + 32).cast()));
+        x3 = fold(x3, k, _mm_loadu_si128(p.add(i + 48).cast()));
+        i += CRC_STRIDE;
+    }
+    let k = _mm_set_epi64x(FOLD_LANE.1, FOLD_LANE.0);
+    let x = fold(fold(fold(x0, k, x1), k, x2), k, x3);
+    let mut folded = [0u8; 16];
+    _mm_storeu_si128(folded.as_mut_ptr().cast(), x);
+    scalar::crc32(0, &folded)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn derived_fold_constants_match_the_published_ones() {
+        // k1..k4 of the Intel white paper for the reflected IEEE polynomial
+        // (also pinned in zlib's and the Linux kernel's crc32 PCLMUL code).
+        assert_eq!(FOLD_STRIDE, (0x1_5444_2bd4, 0x1_c6e4_1596));
+        assert_eq!(FOLD_LANE, (0x1_7519_97d0, 0x0_ccaa_009e));
     }
 }

@@ -1,4 +1,6 @@
-//! Compile-time generated exp/log tables for GF(2^8).
+//! Compile-time generated tables: exp/log and split-nibble products for
+//! GF(2^8), and the slicing-by-16 tables for CRC-32 (polynomial division
+//! over GF(2)).
 
 use crate::POLYNOMIAL;
 
@@ -68,6 +70,53 @@ const fn generate_nibble_table(high: bool) -> [[u8; 16]; 256] {
         c += 1;
     }
     table
+}
+
+/// The bit-reflected CRC-32 (IEEE 802.3) generator polynomial: bit `31 - i`
+/// holds the coefficient of `x^i`, so "multiply by x" is a right shift.
+pub const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-16 CRC-32 tables: `CRC32_TABLES[0]` is the classic one-byte
+/// table (`T0[b]` = the CRC state after feeding byte `b` into state 0), and
+/// `CRC32_TABLES[k][b]` is `T0[b]` advanced through `k` further zero bytes.
+/// Sixteen input bytes then fold into the state with sixteen independent
+/// lookups instead of a sixteen-long dependency chain. A `static`, not a
+/// `const`: 16 KiB that every use site must share.
+pub static CRC32_TABLES: [[u32; 256]; 16] = generate_crc32_tables();
+
+const fn generate_crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        tables[0][b] = crc32_mul_x(b as u32, 8);
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut b = 0;
+        while b < 256 {
+            tables[k][b] = crc32_mul_x(tables[k - 1][b], 8);
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// `value * x^n mod P` over GF(2) in the bit-reflected representation of
+/// [`CRC32_POLY`]. Derives the byte tables above and the PCLMULQDQ fold
+/// constants (`x^n mod P` is `crc32_mul_x(0x8000_0000, n)`).
+pub const fn crc32_mul_x(mut value: u32, n: u32) -> u32 {
+    let mut i = 0;
+    while i < n {
+        value = if value & 1 != 0 {
+            (value >> 1) ^ CRC32_POLY
+        } else {
+            value >> 1
+        };
+        i += 1;
+    }
+    value
 }
 
 /// Full 256x256 multiplication table. Looked up by the bulk kernels so the
@@ -158,6 +207,24 @@ mod tests {
                     MUL_LO[c as usize][(b & 0x0f) as usize] ^ MUL_HI[c as usize][(b >> 4) as usize],
                     raw_mul(c, b),
                     "c={c} b={b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_tables_extend_the_byte_table_by_zero_bytes() {
+        // The first table is the classic bitwise-derived byte table...
+        assert_eq!(CRC32_TABLES[0][0], 0);
+        assert_eq!(CRC32_TABLES[0][1], 0x7707_3096);
+        assert_eq!(CRC32_TABLES[0][255], 0x2D02_EF8D);
+        // ...and table k is table 0 pushed through k more zero bytes.
+        for (k, table) in CRC32_TABLES.iter().enumerate().skip(1) {
+            for (b, &entry) in table.iter().enumerate() {
+                assert_eq!(
+                    entry,
+                    crc32_mul_x(CRC32_TABLES[0][b], 8 * k as u32),
+                    "k={k} b={b}"
                 );
             }
         }

@@ -6,6 +6,11 @@
 //! base pointers, lengths that straddle the vector width (full lanes plus a
 //! scalar tail), empty slices, and all 256 coefficients including the 0 and
 //! 1 fast paths.
+//!
+//! The CRC-32 kernels get the same treatment against a bytewise oracle: the
+//! portable slicing-by-16 kernel and, where the host has `pclmulqdq`, the
+//! folding kernel, across every length around their 16- and 64-byte strides
+//! and every source misalignment.
 
 use gf256::{Gf256, KernelPath, Kernels};
 use proptest::prelude::*;
@@ -152,5 +157,112 @@ proptest! {
                 prop_assert_eq!(&got, &expected, "path={} coeff={}", kernels.path(), coeff);
             }
         }
+    }
+}
+
+// ------------------------------------------------------------- CRC-32 --
+
+/// The byte-at-a-time table CRC-32 the integrity layer shipped with before
+/// the dispatched kernels: the oracle both of them must reproduce exactly,
+/// because its values are on disk in every `.crc` sidecar.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        std::array::from_fn(|i| {
+            (0..8).fold(i as u32, |c, _| {
+                if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                }
+            })
+        })
+    });
+    !data.iter().fold(!0u32, |c, &b| {
+        table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+    })
+}
+
+/// Every CRC-32 entry point this host can execute: each supported path's
+/// kernel (scalar = portable; the x86 paths = PCLMUL where detected) and
+/// the process-wide `gf256::crc32`.
+fn crc32_everywhere(data: &[u8]) -> Vec<(&'static str, u32)> {
+    let mut out: Vec<(&'static str, u32)> = KernelPath::supported_paths()
+        .into_iter()
+        .map(|p| {
+            let kernels = Kernels::for_path(p).expect("listed as supported");
+            (p.name(), kernels.crc32(data))
+        })
+        .collect();
+    out.push(("active", gf256::crc32(data)));
+    out
+}
+
+#[test]
+fn crc32_check_values_on_every_path() {
+    for (path, got) in crc32_everywhere(b"123456789") {
+        assert_eq!(got, 0xCBF4_3926, "IEEE check value, path={path}");
+    }
+    for (path, got) in crc32_everywhere(b"") {
+        assert_eq!(got, 0, "empty input, path={path}");
+    }
+}
+
+proptest! {
+    // Two cases: each draws a fresh 1 MiB buffer and sweeps ~5 000 shapes.
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    fn crc32_matches_bytewise_oracle_at_every_length_and_misalignment(
+        buf in proptest::collection::vec(any::<u8>(), (1 << 20) + 16..(1 << 20) + 17),
+    ) {
+        // 0..=300 crosses the 16-byte slicing step and the 64-byte folding
+        // stride several times over; 512 is the checksum chunk, 32 KiB the
+        // repair slice, 1 MiB the block.
+        let lengths = (0..=300).chain([512, 32 << 10, 1 << 20]);
+        for offset in 0..16 {
+            for len in lengths.clone() {
+                let data = &buf[offset..offset + len];
+                let expected = crc32_bytewise(data);
+                for (path, got) in crc32_everywhere(data) {
+                    prop_assert_eq!(got, expected, "path={} len={} offset={}", path, len, offset);
+                }
+            }
+        }
+    }
+}
+
+/// `ECPIPE_GF_FORCE=scalar` must pin the portable CRC too. The check needs a
+/// process of its own — the selection is made once per process, and the
+/// tests above drive the PCLMUL kernel directly through `for_path` — so the
+/// test re-runs itself, alone and forced, as a child.
+#[test]
+fn forced_scalar_process_never_reaches_pclmul() {
+    const CHILD_MARKER: &str = "GF256_TEST_FORCED_SCALAR_CHILD";
+    const NAME: &str = "forced_scalar_process_never_reaches_pclmul";
+    if std::env::var_os(CHILD_MARKER).is_none() {
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", NAME, "--test-threads=1"])
+            .env("ECPIPE_GF_FORCE", "scalar")
+            .env(CHILD_MARKER, "1")
+            .output()
+            .expect("spawn forced-scalar child");
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(
+            child.status.success() && stdout.contains("1 passed"),
+            "forced-scalar child failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&child.stderr)
+        );
+        return;
+    }
+    assert_eq!(gf256::active_path(), KernelPath::Scalar);
+    let buf = pattern(1 << 20, 11);
+    for len in [0, 63, 64, 65, 512, 32 << 10, 1 << 20] {
+        assert_eq!(gf256::crc32(&buf[..len]), crc32_bytewise(&buf[..len]));
+    }
+    // Counted in debug builds on x86 only; elsewhere there is nothing to
+    // reach or nothing counting.
+    if let Some(calls) = gf256::simd::crc32_pclmul_calls() {
+        assert_eq!(calls, 0, "forced scalar entered the PCLMUL kernel");
     }
 }

@@ -62,17 +62,6 @@ pub enum Scheme {
 }
 
 impl Scheme {
-    /// A short label matching the paper's figures.
-    #[deprecated(since = "0.2.0", note = "use the `Display` impl instead")]
-    pub fn label(&self) -> &'static str {
-        match self {
-            Scheme::Conventional => "Conv.",
-            Scheme::Ppr => "PPR",
-            Scheme::RepairPipelining => "RP",
-            Scheme::CyclicRepairPipelining => "RP-cyclic",
-        }
-    }
-
     /// Builds the slice-level schedule of this scheme for a single-block
     /// repair job.
     pub fn schedule(&self, job: &SingleRepairJob) -> Schedule {
@@ -89,9 +78,12 @@ impl std::fmt::Display for Scheme {
     /// Formats as the short label used in the paper's figures (`Conv.`,
     /// `PPR`, `RP`, `RP-cyclic`), uniform across reports and benches.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // One string table: the deprecated alias keeps serving it until it
-        // is removed. `pad` honors width/alignment options in table output.
-        #[allow(deprecated)]
-        f.pad(self.label())
+        // `pad` honors width/alignment options in table output.
+        f.pad(match self {
+            Scheme::Conventional => "Conv.",
+            Scheme::Ppr => "PPR",
+            Scheme::RepairPipelining => "RP",
+            Scheme::CyclicRepairPipelining => "RP-cyclic",
+        })
     }
 }
