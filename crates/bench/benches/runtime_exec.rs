@@ -8,14 +8,14 @@ use ecc::slice::SliceLayout;
 use ecc::ReedSolomon;
 use ecpipe::exec::{execute_single, ExecStrategy};
 use ecpipe::transport::ChannelTransport;
-use ecpipe::{Cluster, Coordinator, SelectionPolicy, StoreBackend};
+use ecpipe::{Cluster, Coordinator, StoreBackend};
 
 const BLOCK: usize = 4 * 1024 * 1024;
 
 fn bench_runtime(c: &mut Criterion) {
     let code = Arc::new(ReedSolomon::new(14, 10).unwrap());
     let layout = SliceLayout::new(BLOCK, 32 * 1024);
-    let mut coordinator = Coordinator::new(code, layout);
+    let coordinator = Coordinator::new(code, layout);
     let cluster = Cluster::new(StoreBackend::memory(16)).unwrap();
     let data: Vec<Vec<u8>> = (0..10)
         .map(|i| {
@@ -24,10 +24,10 @@ fn bench_runtime(c: &mut Criterion) {
                 .collect()
         })
         .collect();
-    let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+    let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
     cluster.erase_block(stripe, 0);
     let directive = coordinator
-        .plan_single_repair(stripe, 0, 15, &[], SelectionPolicy::CodeDefault)
+        .plan_single_repair(cluster.meta(), stripe, 0, 15)
         .unwrap();
 
     let mut group = c.benchmark_group("runtime_exec");

@@ -1,6 +1,7 @@
 //! Criterion bench for full-node recovery through the ECPipe runtime:
-//! sequential `full_node_recovery_over` versus the repair manager's
-//! 4-worker pool, on rate-limited links of both transport backends.
+//! the repair manager's one-worker sequential baseline
+//! (`ManagerConfig::sequential`) versus its 4-worker pool, on rate-limited
+//! links of both transport backends.
 //!
 //! Every link is token-bucket throttled so the repairs are network-bound
 //! (the paper's testbed setting); the manager's concurrency then shows up
@@ -13,7 +14,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use ecc::slice::SliceLayout;
 use ecc::ReedSolomon;
 use ecpipe::manager::{recover_node, ManagerConfig};
-use ecpipe::recovery::full_node_recovery_over;
 use ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
 use ecpipe::{Cluster, Coordinator, ExecStrategy, StoreBackend};
 
@@ -29,7 +29,7 @@ const LINK_RATE: u64 = 4 * 1024 * 1024;
 
 fn setup() -> (Coordinator, Cluster) {
     let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
-    let mut coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
+    let coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
     let cluster = Cluster::new(StoreBackend::memory(STORAGE_NODES + 2)).unwrap();
     for s in 0..STRIPES {
         let data: Vec<Vec<u8>> = (0..4)
@@ -41,7 +41,7 @@ fn setup() -> (Coordinator, Cluster) {
             .collect();
         let placement: Vec<usize> = (0..6).map(|i| (s as usize + i) % STORAGE_NODES).collect();
         cluster
-            .write_stripe_with_placement(&mut coordinator, s, &data, placement)
+            .write_stripe_with_placement(coordinator.code(), s, &data, placement)
             .unwrap();
     }
     cluster.kill_node(FAILED_NODE);
@@ -53,40 +53,35 @@ fn bench_backend<T: Transport>(
     label: &str,
     make: impl Fn() -> T,
 ) {
-    let transport = make();
-    let (mut coordinator, cluster) = setup();
-    group.bench_function(BenchmarkId::new("full_node_sequential", label), |b| {
-        b.iter(|| {
-            full_node_recovery_over(
-                &mut coordinator,
-                &cluster,
-                FAILED_NODE,
-                &REQUESTORS,
-                ExecStrategy::RepairPipelining,
-                &transport,
-            )
-            .unwrap()
+    let configs = [
+        (
+            "full_node_sequential",
+            ManagerConfig::sequential(ExecStrategy::RepairPipelining),
+        ),
+        (
+            "full_node_manager_4w",
+            ManagerConfig::default()
+                .with_workers(4)
+                .with_inflight_cap(3),
+        ),
+    ];
+    for (row, config) in configs {
+        let transport = make();
+        let (coordinator, cluster) = setup();
+        group.bench_function(BenchmarkId::new(row, label), |b| {
+            b.iter(|| {
+                recover_node(
+                    &coordinator,
+                    &cluster,
+                    &transport,
+                    FAILED_NODE,
+                    &REQUESTORS,
+                    &config,
+                )
+                .unwrap()
+            });
         });
-    });
-
-    let transport = make();
-    let (mut coordinator, cluster) = setup();
-    let config = ManagerConfig::default()
-        .with_workers(4)
-        .with_inflight_cap(3);
-    group.bench_function(BenchmarkId::new("full_node_manager_4w", label), |b| {
-        b.iter(|| {
-            recover_node(
-                &mut coordinator,
-                &cluster,
-                &transport,
-                FAILED_NODE,
-                &REQUESTORS,
-                &config,
-            )
-            .unwrap()
-        });
-    });
+    }
 }
 
 fn bench_recovery(c: &mut Criterion) {

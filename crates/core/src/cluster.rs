@@ -1,39 +1,34 @@
 //! A cluster of storage nodes with node-local block stores.
 //!
 //! [`Cluster`] is the piece of the storage system ECPipe sits next to: a set
-//! of nodes, each with its own [`BlockStore`](crate::BlockStore), plus the
-//! block placement of every stripe. It supports writing encoded stripes,
-//! injecting failures (erasing blocks, killing nodes) and running repairs
-//! through the ECPipe executor.
+//! of nodes, each with its own [`BlockStore`](crate::BlockStore). It holds
+//! no placement of its own — which node stores block `i` of a stripe is a
+//! fact of the deployment's [`MetaRouter`], and the by-index helpers here
+//! (`read_block`, `erase_block`, …) resolve it there on every call. The
+//! cluster supports writing encoded stripes, injecting failures (erasing
+//! blocks, killing nodes) and running repairs through the ECPipe executor.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use ecpipe_sync::RwLock;
-
-use crate::lock_order;
 
 use ecc::stripe::{BlockId, StripeId};
+use ecpipe_meta::{MetaConfig, MetaRouter};
 use simnet::{NodeId, Topology};
 
 use ecc::ErasureCode;
 
-use crate::coordinator::SelectionPolicy;
 use crate::exec::{self, ExecStrategy};
 use crate::store::{BlockStore, StoreBackend};
 use crate::transport::{ChannelTransport, Transport};
 use crate::{Coordinator, EcPipeError, Result};
 
-/// A cluster of storage nodes.
-///
-/// Stripe placements live behind a lock, so stripes can be written through a
-/// shared `&Cluster` — which is how the [`EcPipe`](crate::EcPipe) façade
-/// keeps accepting `put`s while the repair manager owns the cluster.
+/// A cluster of storage nodes: the stores, the handle to the deployment's
+/// metadata router, and the network topology when one is modeled.
 pub struct Cluster {
     stores: Vec<Arc<dyn BlockStore>>,
-    /// Lock class: `cluster.placements` ([`lock_order::CLUSTER_PLACEMENTS`]).
-    placements: RwLock<HashMap<StripeId, Vec<NodeId>>>,
+    /// The one owner of stripe → node placement for this deployment.
+    meta: Arc<MetaRouter>,
     /// The network topology the nodes live in, when one is modeled. Set
     /// before the cluster is handed to a manager and immutable afterwards;
     /// repair planning consults it for rack-aware and weighted path
@@ -42,13 +37,27 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Creates a cluster whose nodes store blocks as `backend` describes.
+    /// Creates a cluster whose nodes store blocks as `backend` describes,
+    /// over a fresh ephemeral metadata router.
     pub fn new(backend: StoreBackend) -> Result<Self> {
+        let meta = MetaRouter::open(MetaConfig::ephemeral())?;
+        Cluster::with_meta(backend, Arc::new(meta))
+    }
+
+    /// Creates a cluster over an existing (possibly durable, possibly
+    /// recovered) metadata router.
+    pub fn with_meta(backend: StoreBackend, meta: Arc<MetaRouter>) -> Result<Self> {
         Ok(Cluster {
             stores: backend.build()?,
-            placements: RwLock::new(&lock_order::CLUSTER_PLACEMENTS, HashMap::new()),
+            meta,
             topology: None,
         })
+    }
+
+    /// The metadata router this cluster resolves placements through: the
+    /// namespace of objects, stripe placements, epochs and pending repairs.
+    pub fn meta(&self) -> &Arc<MetaRouter> {
+        &self.meta
     }
 
     /// Attaches a network topology (racks, link bandwidths) to the cluster,
@@ -86,23 +95,24 @@ impl Cluster {
         &self.stores[node]
     }
 
-    /// The placement (block index to node) of a stripe.
+    /// The placement (block index to node) of a stripe, as the router
+    /// records it now.
     pub fn placement(&self, stripe: StripeId) -> Option<Vec<NodeId>> {
-        self.placements.read().get(&stripe).cloned()
+        self.meta.stripe(stripe).map(|record| record.locations)
     }
 
-    /// Encodes `data` with the coordinator's code and writes the stripe with
-    /// the default placement: block `i` goes to node `(stripe_id + i) mod
-    /// num_nodes`.
+    /// Encodes `data` with `code`, writes the stripe with the default
+    /// placement — block `i` goes to node `(stripe_id + i) mod num_nodes` —
+    /// and registers it with the router.
     ///
     /// Returns the stripe id.
     pub fn write_stripe(
         &self,
-        coordinator: &mut Coordinator,
+        code: &Arc<dyn ErasureCode>,
         stripe_id: u64,
         data: &[Vec<u8>],
     ) -> Result<StripeId> {
-        let n = coordinator.code().n();
+        let n = code.n();
         if self.num_nodes() < n {
             return Err(EcPipeError::InvalidRequest {
                 reason: format!("cluster has {} nodes, stripe needs {n}", self.num_nodes()),
@@ -111,28 +121,31 @@ impl Cluster {
         let placement: Vec<NodeId> = (0..n)
             .map(|i| (stripe_id as usize + i) % self.num_nodes())
             .collect();
-        self.write_stripe_with_placement(coordinator, stripe_id, data, placement)
+        self.write_stripe_with_placement(code, stripe_id, data, placement)
     }
 
-    /// Encodes and writes a stripe with an explicit placement.
+    /// Encodes and writes a stripe with an explicit placement, and registers
+    /// it with the router. A stripe whose registration fails leaves no
+    /// blocks behind.
     pub fn write_stripe_with_placement(
         &self,
-        coordinator: &mut Coordinator,
+        code: &Arc<dyn ErasureCode>,
         stripe_id: u64,
         data: &[Vec<u8>],
         placement: Vec<NodeId>,
     ) -> Result<StripeId> {
-        let code = coordinator.code().clone();
-        let id = self.write_stripe_blocks(&code, stripe_id, data, placement.clone())?;
-        coordinator.register_stripe(id, placement);
+        let id = self.write_stripe_blocks(code, stripe_id, data, placement.clone())?;
+        if let Err(error) = self.meta.register_stripe(id, placement.clone()) {
+            self.delete_blocks(id, &placement);
+            return Err(error.into());
+        }
         Ok(id)
     }
 
     /// Encodes and writes a stripe's blocks *without* registering the stripe
-    /// with a coordinator — the caller registers it afterwards. This lets
-    /// [`EcPipe::put`](crate::EcPipe::put) run the expensive encode and the
-    /// block writes outside the coordinator lock, so repairs keep planning
-    /// while a large object is written.
+    /// — the caller registers the placement afterwards. This lets
+    /// [`EcPipe::put`](crate::EcPipe::put) write every stripe of an object
+    /// before any of it becomes visible in the namespace.
     pub fn write_stripe_blocks(
         &self,
         code: &Arc<dyn ErasureCode>,
@@ -164,62 +177,38 @@ impl Cluster {
             {
                 // Clean up the blocks already written for this stripe — a
                 // half-written, never-registered stripe would leak storage.
-                for (i, &n) in placement.iter().enumerate().take(index) {
-                    let _ = self.stores[n].delete(BlockId {
-                        stripe: id,
-                        index: i,
-                    });
-                }
+                self.delete_blocks(id, &placement[..index]);
                 return Err(error);
             }
         }
-        self.placements.write().insert(id, placement);
         Ok(id)
     }
 
-    /// Updates the stored placement of one block (e.g. after a repair
-    /// reconstructed it onto another node), keeping the cluster's view in
-    /// step with [`Coordinator::relocate_block`]. Returns an error for an
-    /// unknown stripe or an out-of-range index.
-    pub fn relocate(&self, stripe: StripeId, index: usize, node: NodeId) -> Result<()> {
-        let mut placements = self.placements.write();
-        let placement = placements
-            .get_mut(&stripe)
-            .ok_or(EcPipeError::UnknownStripe { stripe: stripe.0 })?;
-        if index >= placement.len() {
-            return Err(EcPipeError::InvalidRequest {
-                reason: format!("block index {index} out of range"),
-            });
-        }
-        placement[index] = node;
-        Ok(())
-    }
-
-    /// Reinstates a stripe's placement without writing any blocks — used
-    /// when a durable metadata plane is reopened over stores whose blocks
-    /// already exist on disk. The blocks themselves are not checked here; a
-    /// missing one surfaces as a degraded read later.
-    pub(crate) fn restore_placement(&self, stripe: StripeId, placement: Vec<NodeId>) {
-        self.placements.write().insert(stripe, placement);
-    }
-
-    /// Deletes every block of a stripe and drops its placement (e.g. when
-    /// the object owning the stripe is deleted). Returns whether the stripe
-    /// was known.
-    pub fn delete_stripe(&self, stripe: StripeId) -> bool {
-        let Some(placement) = self.placements.write().remove(&stripe) else {
-            return false;
-        };
+    /// Deletes block `i` of `stripe` from node `placement[i]` — the undo of
+    /// `write_stripe_blocks` for a stripe the router does not (or no longer) know.
+    pub(crate) fn delete_blocks(&self, stripe: StripeId, placement: &[NodeId]) {
         for (index, &node) in placement.iter().enumerate() {
             let _ = self.stores[node].delete(BlockId { stripe, index });
         }
-        true
+    }
+
+    /// Forgets a stripe's placement and deletes its blocks (e.g. when the
+    /// object owning the stripe is deleted). Returns whether the stripe was
+    /// known; when the router cannot record the removal, nothing is deleted.
+    pub fn delete_stripe(&self, stripe: StripeId) -> Result<bool> {
+        let Some(placement) = self.placement(stripe) else {
+            return Ok(false);
+        };
+        self.meta.forget_stripe(stripe)?;
+        self.delete_blocks(stripe, &placement);
+        Ok(true)
     }
 
     /// Erases one block of a stripe (simulating a lost or unavailable block).
-    /// Returns whether the block was present.
+    /// Returns whether the block was present — `false` for an unknown stripe
+    /// or an out-of-range index.
     pub fn erase_block(&self, stripe: StripeId, index: usize) -> bool {
-        let Some(node) = self.placements.read().get(&stripe).map(|p| p[index]) else {
+        let Ok(node) = self.node_of(stripe, index) else {
             return false;
         };
         self.stores[node]
@@ -244,24 +233,15 @@ impl Cluster {
         self.stores[node].verify(BlockId { stripe, index })
     }
 
-    /// The node a block currently lives on, per the stored placement.
+    /// The node a block currently lives on, per the router's placement.
     pub fn node_of(&self, stripe: StripeId, index: usize) -> Result<NodeId> {
-        let placements = self.placements.read();
-        let placement = placements
-            .get(&stripe)
-            .ok_or(EcPipeError::UnknownStripe { stripe: stripe.0 })?;
-        placement
-            .get(index)
-            .copied()
-            .ok_or_else(|| EcPipeError::InvalidRequest {
-                reason: format!("block index {index} out of range"),
-            })
+        Ok(self.meta.node_of(stripe, index)?)
     }
 
     /// Scans every node's store for a copy of `block`, returning the first
     /// holder. A repaired block can land on a node the placement cannot
-    /// name (the coordinator refuses to co-locate two blocks of a stripe);
-    /// this finds such stray copies so reads can still serve them.
+    /// name (the router refuses to co-locate two blocks of a stripe); this
+    /// finds such stray copies so reads can still serve them.
     pub fn find_block(&self, block: BlockId) -> Option<NodeId> {
         (0..self.stores.len()).find(|&n| self.stores[n].contains(block))
     }
@@ -285,7 +265,7 @@ impl Cluster {
     /// (e.g. TCP sockets).
     pub fn repair(
         &self,
-        coordinator: &mut Coordinator,
+        coordinator: &Coordinator,
         stripe: StripeId,
         failed: usize,
         requestor: NodeId,
@@ -306,20 +286,14 @@ impl Cluster {
     /// content.
     pub fn repair_over<T: Transport + ?Sized>(
         &self,
-        coordinator: &mut Coordinator,
+        coordinator: &Coordinator,
         stripe: StripeId,
         failed: usize,
         requestor: NodeId,
         strategy: ExecStrategy,
         transport: &T,
     ) -> Result<Vec<u8>> {
-        let directive = coordinator.plan_single_repair(
-            stripe,
-            failed,
-            requestor,
-            &[],
-            SelectionPolicy::CodeDefault,
-        )?;
+        let directive = coordinator.plan_single_repair(&self.meta, stripe, failed, requestor)?;
         let repaired = exec::execute_single(&directive, self, transport, strategy)?;
         self.stores[requestor].put(
             BlockId {
@@ -367,8 +341,8 @@ mod tests {
 
     #[test]
     fn write_stripe_places_blocks_on_distinct_nodes() {
-        let (cluster, mut coordinator, data) = setup();
-        let stripe = cluster.write_stripe(&mut coordinator, 5, &data).unwrap();
+        let (cluster, coordinator, data) = setup();
+        let stripe = cluster.write_stripe(coordinator.code(), 5, &data).unwrap();
         let placement = cluster.placement(stripe).unwrap();
         assert_eq!(placement.len(), 6);
         let mut sorted = placement.clone();
@@ -386,37 +360,39 @@ mod tests {
 
     #[test]
     fn erase_and_kill_remove_blocks() {
-        let (cluster, mut coordinator, data) = setup();
-        let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+        let (cluster, coordinator, data) = setup();
+        let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
         assert!(cluster.erase_block(stripe, 1));
         assert!(!cluster.erase_block(stripe, 1));
         assert!(cluster.read_block(stripe, 1).is_err());
+        // Out-of-range indices and unknown stripes erase nothing.
+        assert!(!cluster.erase_block(stripe, 6));
+        assert!(!cluster.erase_block(StripeId(99), 0));
         let node = cluster.placement(stripe).unwrap()[2];
         let erased = cluster.kill_node(node);
         assert!(erased.contains(&BlockId { stripe, index: 2 }));
     }
 
     #[test]
-    fn relocate_updates_placement_view() {
-        let (cluster, mut coordinator, data) = setup();
-        let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
-        let original = cluster.node_of(stripe, 1).unwrap();
-        cluster.relocate(stripe, 1, 7).unwrap();
+    fn by_index_helpers_follow_the_router() {
+        let (cluster, coordinator, data) = setup();
+        let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
+        assert_ne!(cluster.node_of(stripe, 1).unwrap(), 7);
+        // Record a move in the router (the bytes stay put): every by-index
+        // helper now looks on node 7, with no second view to update.
+        cluster.meta().relocate(stripe, 1, 7, None).unwrap();
         assert_eq!(cluster.node_of(stripe, 1).unwrap(), 7);
-        assert_ne!(original, 7);
-        assert!(cluster.relocate(StripeId(99), 0, 0).is_err());
-        assert!(cluster.relocate(stripe, 9, 0).is_err());
+        assert!(cluster.read_block(stripe, 1).is_err());
         assert!(cluster.node_of(StripeId(99), 0).is_err());
         assert!(cluster.node_of(stripe, 9).is_err());
+        assert!(cluster.delete_stripe(stripe).unwrap());
+        assert!(!cluster.delete_stripe(stripe).unwrap());
     }
 
     #[test]
     fn backend_constructors_build_working_clusters() {
-        let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
-        let mut coordinator = Coordinator::new(code, SliceLayout::new(4096, 512));
-        let cluster = Cluster::new(StoreBackend::memory(8)).unwrap();
-        let data: Vec<Vec<u8>> = (0..4).map(|i| vec![(i * 17 + 3) as u8; 4096]).collect();
-        let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+        let (cluster, coordinator, data) = setup();
+        let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
         assert_eq!(cluster.read_block(stripe, 0).unwrap(), data[0]);
         let checksummed = Cluster::new(StoreBackend::memory_checksummed(3)).unwrap();
         assert_eq!(checksummed.num_nodes(), 3);
@@ -427,10 +403,10 @@ mod tests {
     #[test]
     fn checksummed_cluster_detects_injected_corruption() {
         let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
-        let mut coordinator = Coordinator::new(code, SliceLayout::new(4096, 512));
+        let coordinator = Coordinator::new(code, SliceLayout::new(4096, 512));
         let cluster = Cluster::new(StoreBackend::memory_checksummed(8)).unwrap();
         let data: Vec<Vec<u8>> = (0..4).map(|i| vec![(i * 11 + 1) as u8; 4096]).collect();
-        let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+        let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
         assert!(cluster.verify_block(stripe, 2).is_ok());
         cluster.corrupt_block(stripe, 2, 777).unwrap();
         assert!(matches!(
@@ -442,7 +418,7 @@ mod tests {
         // Repairing through the cluster overwrites the rot and re-checksums.
         let repaired = cluster
             .repair(
-                &mut coordinator,
+                &coordinator,
                 stripe,
                 2,
                 cluster.placement(stripe).unwrap()[2],
@@ -455,18 +431,21 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_placement() {
-        let (cluster, mut coordinator, data) = setup();
-        let err =
-            cluster.write_stripe_with_placement(&mut coordinator, 0, &data, vec![0, 1, 2, 3, 4, 4]);
+        let (cluster, coordinator, data) = setup();
+        let err = cluster.write_stripe_with_placement(
+            coordinator.code(),
+            0,
+            &data,
+            vec![0, 1, 2, 3, 4, 4],
+        );
         assert!(err.is_err());
     }
 
     #[test]
     fn rejects_small_cluster() {
-        let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
-        let mut coordinator = Coordinator::new(code, SliceLayout::new(1024, 512));
+        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
         let cluster = Cluster::new(StoreBackend::memory(3)).unwrap();
         let data: Vec<Vec<u8>> = (0..4).map(|_| vec![0u8; 1024]).collect();
-        assert!(cluster.write_stripe(&mut coordinator, 0, &data).is_err());
+        assert!(cluster.write_stripe(&code, 0, &data).is_err());
     }
 }

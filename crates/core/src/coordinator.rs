@@ -1,15 +1,16 @@
-//! The ECPipe coordinator.
+//! The ECPipe coordinator: repair planning.
 //!
 //! The coordinator (one per deployment, Figure 7) answers repair requests
 //! by selecting helpers and deriving the decoding coefficients, and
 //! implements the greedy least-recently-selected helper scheduling used
 //! during full-node recovery (§3.3).
 //!
-//! Since the metadata plane landed, the coordinator no longer *owns* the
-//! object/stripe namespace: it is a compatibility wrapper over a shared
-//! [`MetaRouter`] (the sharded, WAL-durable store in `ecpipe-meta`).
-//! Planning state that is not metadata — the helper-selection clock — still
-//! lives here, which is why planning methods take `&mut self`. Every
+//! It owns no metadata. Where a stripe's blocks live is a fact of the
+//! deployment's [`MetaRouter`] alone; planning reads one [`StripeRecord`]
+//! from it and turns it into a directive. What *is* the coordinator's own
+//! is the code, the slice layout and the helper-selection clock, kept
+//! behind a leaf lock so planning takes `&self` and concurrent repairs
+//! plan without queueing behind each other's metadata reads. Every
 //! placement carries a monotonic epoch; directives record the epoch they
 //! were planned at so a completion can be rejected as
 //! [`EcPipeError::StaleRepair`] if the block moved in the meantime.
@@ -20,82 +21,17 @@ use std::sync::Arc;
 use ecc::slice::SliceLayout;
 use ecc::stripe::{BlockId, StripeId};
 use ecc::{ErasureCode, MultiRepairPlan, RepairPlan};
-use ecpipe_meta::{MetaConfig, MetaRouter, ObjectRecord, RelocateOutcome, StripeRecord};
+use ecpipe_meta::{MetaRouter, StripeRecord};
+use ecpipe_sync::Mutex;
 use simnet::NodeId;
 
+use crate::lock_order;
 use crate::{EcPipeError, Result};
-
-/// Metadata of one stripe: where each of its `n` blocks lives, and the
-/// placement epoch that location vector corresponds to.
-#[derive(Debug, Clone)]
-pub struct StripeMeta {
-    /// The stripe id.
-    pub id: StripeId,
-    /// `locations[i]` is the node storing block `i` of the stripe.
-    pub locations: Vec<NodeId>,
-    /// The stripe's placement epoch: 0 at registration, bumped by every
-    /// accepted relocation.
-    pub epoch: u64,
-}
-
-impl StripeMeta {
-    /// The node storing a given block index.
-    pub fn node_of(&self, index: usize) -> NodeId {
-        self.locations[index]
-    }
-
-    /// The block id of a given index within this stripe.
-    pub fn block_id(&self, index: usize) -> BlockId {
-        BlockId {
-            stripe: self.id,
-            index,
-        }
-    }
-}
-
-impl From<StripeRecord> for StripeMeta {
-    fn from(r: StripeRecord) -> Self {
-        StripeMeta {
-            id: r.id,
-            locations: r.locations,
-            epoch: r.epoch,
-        }
-    }
-}
 
 /// Metadata of one named object stored through the
 /// [`EcPipe`](crate::EcPipe) façade: its true byte length and the stripes
 /// that hold its (zero-padded) blocks, in order.
-#[derive(Debug, Clone)]
-pub struct ObjectMeta {
-    /// Object name.
-    pub name: String,
-    /// Original size in bytes (before padding to whole blocks).
-    pub size: usize,
-    /// The stripes storing the object, in offset order. Each stripe holds
-    /// `k` data blocks of the object.
-    pub stripes: Vec<StripeId>,
-}
-
-impl From<ObjectRecord> for ObjectMeta {
-    fn from(r: ObjectRecord) -> Self {
-        ObjectMeta {
-            name: r.name,
-            size: r.size,
-            stripes: r.stripes,
-        }
-    }
-}
-
-impl From<ObjectMeta> for ObjectRecord {
-    fn from(m: ObjectMeta) -> Self {
-        ObjectRecord {
-            name: m.name,
-            size: m.size,
-            stripes: m.stripes,
-        }
-    }
-}
+pub use ecpipe_meta::ObjectRecord as ObjectMeta;
 
 /// How the coordinator picks helpers when more are available than needed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,9 +60,8 @@ pub struct RepairDirective {
     /// Block/slice layout.
     pub layout: SliceLayout,
     /// The stripe's placement epoch when the repair was planned. Completing
-    /// the repair through
-    /// [`relocate_block_at`](Coordinator::relocate_block_at) with this
-    /// epoch rejects the completion if the block relocated in the meantime.
+    /// the repair through [`MetaRouter::relocate`] with this epoch rejects
+    /// the completion if the block relocated in the meantime.
     pub epoch: u64,
 }
 
@@ -192,37 +127,35 @@ impl MultiRepairDirective {
     }
 }
 
-/// The ECPipe coordinator: planning logic over the shared metadata plane.
+/// Helper-selection state of the least-recently-selected policy (§3.3):
+/// a logical clock and the tick at which each node last served as a helper.
+#[derive(Default)]
+struct SelectionClock {
+    last_selected: HashMap<NodeId, u64>,
+    now: u64,
+}
+
+/// The ECPipe coordinator: the erasure code, the slice layout and the
+/// helper-selection clock. Plans against whichever [`MetaRouter`] (or
+/// [`StripeRecord`]) the caller hands it.
 pub struct Coordinator {
     code: Arc<dyn ErasureCode>,
     layout: SliceLayout,
-    meta: Arc<MetaRouter>,
-    last_selected: HashMap<NodeId, u64>,
-    clock: u64,
+    /// Lock class: `coordinator.selection`
+    /// ([`lock_order::COORDINATOR_SELECTION`]).
+    selection: Mutex<SelectionClock>,
 }
 
 impl Coordinator {
-    /// Creates a coordinator for a given code and slice layout, backed by a
-    /// fresh ephemeral metadata router (the historical behavior).
+    /// Creates a coordinator for a given code and slice layout.
     pub fn new(code: Arc<dyn ErasureCode>, layout: SliceLayout) -> Self {
-        let meta = MetaRouter::open(MetaConfig::ephemeral())
-            .expect("opening an ephemeral metadata router performs no I/O");
-        Coordinator::with_meta(code, layout, Arc::new(meta))
-    }
-
-    /// Creates a coordinator over an existing (possibly durable, possibly
-    /// recovered) metadata router.
-    pub fn with_meta(
-        code: Arc<dyn ErasureCode>,
-        layout: SliceLayout,
-        meta: Arc<MetaRouter>,
-    ) -> Self {
         Coordinator {
             code,
             layout,
-            meta,
-            last_selected: HashMap::new(),
-            clock: 0,
+            selection: Mutex::new(
+                &lock_order::COORDINATOR_SELECTION,
+                SelectionClock::default(),
+            ),
         }
     }
 
@@ -231,256 +164,98 @@ impl Coordinator {
         &self.code
     }
 
-    /// The block/slice layout in use.
-    pub fn layout(&self) -> SliceLayout {
-        self.layout
-    }
-
-    /// The metadata router this coordinator plans against.
-    pub fn meta(&self) -> &Arc<MetaRouter> {
-        &self.meta
-    }
-
-    /// Registers a stripe's block locations. Re-registering an existing
-    /// stripe rewrites its placement and bumps its epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of locations differs from the code's `n`, or if
-    /// the durable metadata WAL cannot be appended.
-    pub fn register_stripe(&mut self, id: StripeId, locations: Vec<NodeId>) {
-        assert_eq!(
-            locations.len(),
-            self.code.n(),
-            "stripe must have one location per coded block"
-        );
-        self.meta
-            .register_stripe(id, locations)
-            .expect("metadata WAL append");
-    }
-
-    /// Hands out the next unused stripe id. Ids registered through
-    /// [`register_stripe`](Self::register_stripe) are never re-issued, so
-    /// façade `put`s and hand-registered stripes can share one namespace.
-    pub fn allocate_stripe_id(&mut self) -> u64 {
-        self.meta.allocate_stripe_id().0
-    }
-
-    /// Records a named object and the stripes that store it. Replaces any
-    /// previous object of the same name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the durable metadata WAL cannot be appended.
-    pub fn register_object(&mut self, meta: ObjectMeta) {
-        self.meta
-            .register_object(meta.into())
-            .expect("metadata WAL append");
-    }
-
-    /// Looks up a named object.
-    pub fn object(&self, name: &str) -> Result<ObjectMeta> {
-        self.meta
-            .object(name)
-            .map(ObjectMeta::from)
-            .ok_or_else(|| EcPipeError::InvalidRequest {
-                reason: format!("no such object: {name}"),
-            })
-    }
-
-    /// Whether an object of this name is registered.
-    pub fn has_object(&self, name: &str) -> bool {
-        self.meta.has_object(name)
-    }
-
-    /// All registered objects, ordered by name. Clones the whole namespace
-    /// — prefer [`for_each_object`](Self::for_each_object) or
-    /// [`object_count`](Self::object_count) when iterating at scale.
-    pub fn objects(&self) -> Vec<ObjectMeta> {
-        let mut metas = Vec::with_capacity(self.meta.object_count());
-        self.meta
-            .for_each_object(|o| metas.push(ObjectMeta::from(o.clone())));
-        metas.sort_by(|a, b| a.name.cmp(&b.name));
-        metas
-    }
-
-    /// Visits every registered object without cloning the namespace. Shard
-    /// order, not name order; `f` must not call back into this coordinator
-    /// or its router.
-    pub fn for_each_object(&self, mut f: impl FnMut(&ObjectRecord)) {
-        self.meta.for_each_object(&mut f);
-    }
-
-    /// Number of registered objects.
-    pub fn object_count(&self) -> usize {
-        self.meta.object_count()
-    }
-
-    /// Unregisters a named object, returning its metadata. The object's
-    /// stripes stay registered until [`forget_stripe`](Self::forget_stripe).
-    pub fn remove_object(&mut self, name: &str) -> Option<ObjectMeta> {
-        self.meta
-            .remove_object(name)
-            .expect("metadata WAL append")
-            .map(ObjectMeta::from)
-    }
-
-    /// Drops a stripe's metadata (e.g. when its object is deleted). The id
-    /// is not re-issued. Returns whether the stripe was registered.
-    pub fn forget_stripe(&mut self, id: StripeId) -> bool {
-        self.meta.forget_stripe(id).expect("metadata WAL append")
-    }
-
-    /// Looks up a stripe's metadata.
-    pub fn stripe(&self, id: StripeId) -> Result<StripeMeta> {
-        self.meta
-            .stripe(id)
-            .map(StripeMeta::from)
-            .ok_or(EcPipeError::UnknownStripe { stripe: id.0 })
-    }
-
-    /// The current placement epoch of a stripe.
-    pub fn epoch_of(&self, id: StripeId) -> Result<u64> {
-        Ok(self.meta.epoch_of(id)?)
-    }
-
-    /// All registered stripes, ordered by id. Clones the whole namespace —
-    /// prefer [`for_each_stripe`](Self::for_each_stripe) or
-    /// [`stripe_count`](Self::stripe_count) when iterating at scale.
-    pub fn stripes(&self) -> Vec<StripeMeta> {
-        let mut metas = Vec::with_capacity(self.meta.stripe_count());
-        self.meta
-            .for_each_stripe(|s| metas.push(StripeMeta::from(s.clone())));
-        metas.sort_by_key(|m| m.id);
-        metas
-    }
-
-    /// Visits every registered stripe without cloning the namespace. Shard
-    /// order, not id order; `f` must not call back into this coordinator or
-    /// its router.
-    pub fn for_each_stripe(&self, mut f: impl FnMut(&StripeRecord)) {
-        self.meta.for_each_stripe(&mut f);
-    }
-
-    /// Number of registered stripes.
-    pub fn stripe_count(&self) -> usize {
-        self.meta.stripe_count()
-    }
-
-    /// The stripes that stored a block on `node` (the ones affected by that
-    /// node's failure), with the index of the lost block.
-    pub fn stripes_on_node(&self, node: NodeId) -> Vec<(StripeId, usize)> {
-        self.meta.stripes_on_node(node)
-    }
-
-    /// Records that a block now lives on `node` (e.g. after the repair
-    /// manager reconstructed it onto a requestor), so later repair plans for
-    /// the stripe treat that copy as available again. Bumps the stripe's
-    /// placement epoch.
-    ///
-    /// Returns `Ok(false)` — leaving the mapping unchanged — when `node`
-    /// already holds another block of the stripe: a stripe's blocks must
-    /// stay on distinct nodes (the same invariant the write path enforces),
-    /// and the stored copy remains readable from the node's store either
-    /// way. The caller is responsible for the block actually being present
-    /// in `node`'s store; the coordinator only tracks metadata.
-    pub fn relocate_block(&mut self, stripe: StripeId, index: usize, node: NodeId) -> Result<bool> {
-        match self.meta.relocate(stripe, index, node, None)? {
-            RelocateOutcome::Moved { .. } => Ok(true),
-            RelocateOutcome::Refused => Ok(false),
-        }
-    }
-
-    /// Like [`relocate_block`](Self::relocate_block), but only if the
-    /// stripe is still at `planned_epoch` — the completion path of an
-    /// epoch-carrying [`RepairDirective`]. Returns
-    /// [`EcPipeError::StaleRepair`] when the block relocated after the
-    /// directive was planned, so a stale repair is rejected instead of
-    /// silently double-healing.
-    pub fn relocate_block_at(
-        &mut self,
-        stripe: StripeId,
-        index: usize,
-        node: NodeId,
-        planned_epoch: u64,
-    ) -> Result<bool> {
-        match self
-            .meta
-            .relocate(stripe, index, node, Some(planned_epoch))?
-        {
-            RelocateOutcome::Moved { .. } => Ok(true),
-            RelocateOutcome::Refused => Ok(false),
-        }
-    }
-
-    /// Plans a single-block repair: the failed block of `stripe` is
-    /// reconstructed at `requestor`.
-    ///
-    /// `unavailable` lists additional block indices that must not be used as
-    /// helpers (e.g. blocks on other failed nodes).
+    /// Plans a single-block repair: the failed block of `stripe`, as `meta`
+    /// places it now, is reconstructed at `requestor`, from the helpers the
+    /// code picks by default among all other blocks.
     pub fn plan_single_repair(
-        &mut self,
+        &self,
+        meta: &MetaRouter,
         stripe: StripeId,
+        failed: usize,
+        requestor: NodeId,
+    ) -> Result<RepairDirective> {
+        let record = meta
+            .stripe(stripe)
+            .ok_or(EcPipeError::UnknownStripe { stripe: stripe.0 })?;
+        self.plan_single_repair_of(
+            &record,
+            failed,
+            requestor,
+            &[],
+            SelectionPolicy::CodeDefault,
+        )
+    }
+
+    /// Plans a single-block repair over a placement the caller already
+    /// read, with full control: `unavailable` lists block indices that must
+    /// not be used as helpers (e.g. blocks on other failed nodes), and
+    /// `policy` picks among the rest. The repair manager chooses helpers
+    /// from the same record it plans with, so both see one snapshot.
+    pub fn plan_single_repair_of(
+        &self,
+        record: &StripeRecord,
         failed: usize,
         requestor: NodeId,
         unavailable: &[usize],
         policy: SelectionPolicy,
     ) -> Result<RepairDirective> {
-        let meta = self.stripe(stripe)?;
+        self.check_placement(record)?;
         if failed >= self.code.n() {
             return Err(EcPipeError::InvalidRequest {
                 reason: format!("block index {failed} out of range"),
             });
         }
         let mut available: Vec<usize> = (0..self.code.n())
-            .filter(|&i| i != failed && !unavailable.contains(&i) && meta.node_of(i) != requestor)
+            .filter(|&i| i != failed && !unavailable.contains(&i) && record.node_of(i) != requestor)
             .collect();
+        // Choosing by the clock and stamping the chosen helpers is one step:
+        // concurrent planners must not all pick the same idle nodes.
+        let mut selection = self.selection.lock();
         if policy == SelectionPolicy::LeastRecentlyUsed && available.len() > self.code.k() {
             // Order candidates by how recently their node served as a helper
             // and keep the k least recently used.
             available.sort_by_key(|&i| {
-                (
-                    self.last_selected
-                        .get(&meta.node_of(i))
-                        .copied()
-                        .unwrap_or(0),
-                    i,
-                )
+                let last = selection.last_selected.get(&record.node_of(i));
+                (last.copied().unwrap_or(0), i)
             });
             available.truncate(self.code.k());
             available.sort_unstable();
         }
         let plan = self.code.repair_plan(failed, &available)?;
         for src in &plan.sources {
-            self.clock += 1;
-            self.last_selected
-                .insert(meta.node_of(src.block_index), self.clock);
+            selection.now += 1;
+            let now = selection.now;
+            selection
+                .last_selected
+                .insert(record.node_of(src.block_index), now);
         }
+        drop(selection);
         let path: Vec<(NodeId, BlockId, u8)> = plan
             .sources
             .iter()
             .map(|src| {
                 (
-                    meta.node_of(src.block_index),
-                    meta.block_id(src.block_index),
+                    record.node_of(src.block_index),
+                    BlockId::new(record.id.0, src.block_index),
                     src.coefficient,
                 )
             })
             .collect();
         Ok(RepairDirective {
-            stripe,
+            stripe: record.id,
             plan,
             path,
             requestor,
             layout: self.layout,
-            epoch: meta.epoch,
+            epoch: record.epoch,
         })
     }
 
     /// Plans a multi-block repair (§4.4): every index in `failed` is
     /// reconstructed, one requestor per failed block.
     pub fn plan_multi_repair(
-        &mut self,
+        &self,
+        meta: &MetaRouter,
         stripe: StripeId,
         failed: &[usize],
         requestors: &[NodeId],
@@ -490,15 +265,18 @@ impl Coordinator {
                 reason: "one requestor per failed block required".to_string(),
             });
         }
-        let meta = self.stripe(stripe)?;
+        let record = meta
+            .stripe(stripe)
+            .ok_or(EcPipeError::UnknownStripe { stripe: stripe.0 })?;
+        self.check_placement(&record)?;
         let available: Vec<usize> = (0..self.code.n())
-            .filter(|i| !failed.contains(i) && !requestors.contains(&meta.node_of(*i)))
+            .filter(|i| !failed.contains(i) && !requestors.contains(&record.node_of(*i)))
             .collect();
         let plan = self.code.multi_repair_plan(failed, &available)?;
         let path: Vec<(NodeId, BlockId)> = plan
             .helpers
             .iter()
-            .map(|&i| (meta.node_of(i), meta.block_id(i)))
+            .map(|&i| (record.node_of(i), BlockId::new(record.id.0, i)))
             .collect();
         // Requestors ordered to match plan.failed (which is sorted).
         let mut requestor_of: HashMap<usize, NodeId> = failed
@@ -517,7 +295,21 @@ impl Coordinator {
             path,
             requestors: ordered_requestors,
             layout: self.layout,
-            epoch: meta.epoch,
+            epoch: record.epoch,
+        })
+    }
+
+    /// A stripe registered with a block count other than the code's `n`
+    /// cannot be planned (and would be indexed out of range above) — e.g. a
+    /// durable namespace written under a different code.
+    pub(crate) fn check_placement(&self, record: &StripeRecord) -> Result<()> {
+        let (blocks, n) = (record.locations.len(), self.code.n());
+        if blocks == n {
+            return Ok(());
+        }
+        let stripe = record.id.0;
+        Err(EcPipeError::InvalidRequest {
+            reason: format!("stripe {stripe} has {blocks} blocks but the code has n = {n}"),
         })
     }
 }
@@ -526,84 +318,28 @@ impl Coordinator {
 mod tests {
     use super::*;
     use ecc::ReedSolomon;
+    use ecpipe_meta::MetaConfig;
 
-    fn coordinator() -> Coordinator {
-        let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
-        Coordinator::new(code, SliceLayout::new(4096, 1024))
-    }
+    const S1: StripeId = StripeId(1);
 
-    #[test]
-    fn register_and_lookup_stripes() {
-        let mut c = coordinator();
-        c.register_stripe(StripeId(1), vec![0, 1, 2, 3, 4, 5]);
-        c.register_stripe(StripeId(2), vec![5, 4, 3, 2, 1, 0]);
-        assert_eq!(c.stripe(StripeId(1)).unwrap().node_of(2), 2);
-        assert_eq!(c.stripe(StripeId(2)).unwrap().node_of(0), 5);
-        assert!(c.stripe(StripeId(9)).is_err());
-        assert_eq!(c.stripes().len(), 2);
-        assert_eq!(c.stripe_count(), 2);
-    }
-
-    #[test]
-    fn object_namespace_and_stripe_allocation() {
-        let mut c = coordinator();
-        // Hand-registered stripes push the allocator past their ids.
-        c.register_stripe(StripeId(4), vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(c.allocate_stripe_id(), 5);
-        assert_eq!(c.allocate_stripe_id(), 6);
-        assert!(!c.has_object("/a"));
-        assert!(c.object("/a").is_err());
-        c.register_object(ObjectMeta {
-            name: "/a".to_string(),
-            size: 123,
-            stripes: vec![StripeId(5), StripeId(6)],
-        });
-        c.register_object(ObjectMeta {
-            name: "/b".to_string(),
-            size: 7,
-            stripes: vec![StripeId(4)],
-        });
-        assert!(c.has_object("/a"));
-        assert_eq!(c.object("/a").unwrap().size, 123);
-        let names: Vec<String> = c.objects().into_iter().map(|o| o.name).collect();
-        assert_eq!(names, vec!["/a", "/b"]);
-        assert_eq!(c.object_count(), 2);
-        let mut seen = 0;
-        c.for_each_object(|_| seen += 1);
-        assert_eq!(seen, 2);
-    }
-
-    #[test]
-    fn relocate_block_updates_metadata() {
-        let mut c = coordinator();
-        c.register_stripe(StripeId(1), vec![0, 1, 2, 3, 4, 5]);
-        assert!(c.relocate_block(StripeId(1), 2, 9).unwrap());
-        assert_eq!(c.stripe(StripeId(1)).unwrap().node_of(2), 9);
-        assert_eq!(c.stripes_on_node(9), vec![(StripeId(1), 2)]);
-        assert!(c.relocate_block(StripeId(7), 0, 9).is_err());
-        assert!(c.relocate_block(StripeId(1), 6, 9).is_err());
-        // Relocating a second block of the stripe onto node 9 would break
-        // the distinct-nodes invariant: refused, mapping unchanged.
-        assert!(!c.relocate_block(StripeId(1), 4, 9).unwrap());
-        assert_eq!(c.stripe(StripeId(1)).unwrap().node_of(4), 4);
-        // Re-relocating the same block to the same node is a no-op success.
-        assert!(c.relocate_block(StripeId(1), 2, 9).unwrap());
+    /// A coordinator for an `(n, 4)` code and an ephemeral router with
+    /// stripe 1 placed on nodes `0..n`.
+    fn setup(n: usize) -> (Coordinator, MetaRouter) {
+        let code = Arc::new(ReedSolomon::new(n, 4).unwrap());
+        let meta = MetaRouter::open(MetaConfig::ephemeral()).unwrap();
+        meta.register_stripe(S1, (0..n).collect()).unwrap();
+        (Coordinator::new(code, SliceLayout::new(4096, 1024)), meta)
     }
 
     #[test]
     fn epochs_version_placements_and_reject_stale_completions() {
-        let mut c = coordinator();
-        c.register_stripe(StripeId(1), vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(c.epoch_of(StripeId(1)).unwrap(), 0);
-        let d = c
-            .plan_single_repair(StripeId(1), 2, 9, &[], SelectionPolicy::CodeDefault)
-            .unwrap();
+        let (c, meta) = setup(6);
+        let d = c.plan_single_repair(&meta, S1, 2, 9).unwrap();
         assert_eq!(d.epoch, 0);
         // The placement moves underneath the directive...
-        assert!(c.relocate_block(StripeId(1), 2, 8).unwrap());
-        assert_eq!(c.epoch_of(StripeId(1)).unwrap(), 1);
+        meta.relocate(S1, 2, 8, None).unwrap();
         // ...so completing it at the planned epoch is rejected.
-        match c.relocate_block_at(StripeId(1), 2, 9, d.epoch) {
+        match meta.relocate(S1, 2, 9, Some(d.epoch)).map_err(Into::into) {
             Err(EcPipeError::StaleRepair {
                 planned: 0,
                 current: 1,
@@ -611,54 +347,59 @@ mod tests {
             }) => {}
             other => panic!("expected StaleRepair, got {other:?}"),
         }
-        assert_eq!(c.stripe(StripeId(1)).unwrap().node_of(2), 8);
-        // A completion planned at the current epoch goes through.
-        assert!(c.relocate_block_at(StripeId(1), 2, 9, 1).unwrap());
-        assert_eq!(c.epoch_of(StripeId(1)).unwrap(), 2);
-    }
-
-    #[test]
-    fn stripes_on_node_finds_affected() {
-        let mut c = coordinator();
-        c.register_stripe(StripeId(1), vec![0, 1, 2, 3, 4, 5]);
-        c.register_stripe(StripeId(2), vec![6, 1, 2, 3, 4, 5]);
-        assert_eq!(c.stripes_on_node(0), vec![(StripeId(1), 0)]);
-        assert_eq!(
-            c.stripes_on_node(1),
-            vec![(StripeId(1), 1), (StripeId(2), 1)]
-        );
-        assert!(c.stripes_on_node(99).is_empty());
+        assert_eq!(meta.node_of(S1, 2).unwrap(), 8);
+        // A directive planned now carries the current epoch and completes.
+        let d = c.plan_single_repair(&meta, S1, 2, 9).unwrap();
+        assert_eq!(d.epoch, 1);
+        meta.relocate(S1, 2, 9, Some(d.epoch)).unwrap();
+        assert_eq!(meta.epoch_of(S1).unwrap(), 2);
     }
 
     #[test]
     fn single_repair_directive_excludes_requestor_node() {
-        let mut c = coordinator();
-        c.register_stripe(StripeId(1), vec![0, 1, 2, 3, 4, 5]);
-        let d = c
-            .plan_single_repair(StripeId(1), 0, 3, &[], SelectionPolicy::CodeDefault)
-            .unwrap();
+        let (c, meta) = setup(6);
+        let d = c.plan_single_repair(&meta, S1, 0, 3).unwrap();
         assert_eq!(d.plan.failed, 0);
         assert_eq!(d.path.len(), 4);
         assert!(d.helper_nodes().iter().all(|&n| n != 3 && n != 0));
     }
 
     #[test]
+    fn planning_rejects_unknown_stripes_and_indices() {
+        let (c, meta) = setup(6);
+        assert!(matches!(
+            c.plan_single_repair(&meta, StripeId(9), 0, 7),
+            Err(EcPipeError::UnknownStripe { stripe: 9 })
+        ));
+        assert!(c.plan_single_repair(&meta, S1, 6, 7).is_err());
+    }
+
+    /// A placement registered with the wrong block count is an error, not an
+    /// out-of-range index.
+    #[test]
+    fn planning_rejects_a_placement_of_the_wrong_length() {
+        let (c, meta) = setup(6);
+        meta.register_stripe(StripeId(2), vec![0, 1, 2]).unwrap();
+        assert!(c.plan_single_repair(&meta, StripeId(2), 0, 7).is_err());
+        assert!(c.plan_multi_repair(&meta, StripeId(2), &[0], &[7]).is_err());
+    }
+
+    #[test]
     fn greedy_policy_rotates_helpers_across_repairs() {
-        // Two stripes over 8 nodes: k = 4 helpers each, 7 candidates per
+        // Two repairs over 8 nodes: k = 4 helpers each, 7 candidates per
         // repair, so the second repair must use the 3 nodes the first one did
         // not touch and only one previously-used node.
-        let code = Arc::new(ReedSolomon::new(8, 4).unwrap());
-        let mut c = Coordinator::new(code, SliceLayout::new(4096, 1024));
-        c.register_stripe(StripeId(1), vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        c.register_stripe(StripeId(2), vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        let d1 = c
-            .plan_single_repair(StripeId(1), 0, 100, &[], SelectionPolicy::LeastRecentlyUsed)
-            .unwrap();
-        let d2 = c
-            .plan_single_repair(StripeId(2), 0, 100, &[], SelectionPolicy::LeastRecentlyUsed)
-            .unwrap();
-        let h1 = d1.helper_nodes();
-        let h2 = d2.helper_nodes();
+        let (c, meta) = setup(8);
+        let record = meta.stripe(S1).unwrap();
+        let lru = SelectionPolicy::LeastRecentlyUsed;
+        let h1 = c
+            .plan_single_repair_of(&record, 0, 100, &[], lru)
+            .unwrap()
+            .helper_nodes();
+        let h2 = c
+            .plan_single_repair_of(&record, 0, 100, &[], lru)
+            .unwrap()
+            .helper_nodes();
         let overlap = h2.iter().filter(|n| h1.contains(n)).count();
         assert!(overlap <= 1, "h1 {h1:?} h2 {h2:?}");
         for unused in [5, 6, 7] {
@@ -671,11 +412,8 @@ mod tests {
 
     #[test]
     fn path_reordering_preserves_entries() {
-        let mut c = coordinator();
-        c.register_stripe(StripeId(1), vec![0, 1, 2, 3, 4, 5]);
-        let d = c
-            .plan_single_repair(StripeId(1), 5, 0, &[], SelectionPolicy::CodeDefault)
-            .unwrap();
+        let (c, meta) = setup(6);
+        let d = c.plan_single_repair(&meta, S1, 5, 0).unwrap();
         let mut order = d.helper_nodes();
         order.reverse();
         let reordered = d.clone().with_path_order(&order);
@@ -688,11 +426,8 @@ mod tests {
 
     #[test]
     fn multi_repair_directive_matches_failures() {
-        let mut c = coordinator();
-        c.register_stripe(StripeId(1), vec![0, 1, 2, 3, 4, 5]);
-        let d = c
-            .plan_multi_repair(StripeId(1), &[5, 1], &[10, 11])
-            .unwrap();
+        let (c, meta) = setup(6);
+        let d = c.plan_multi_repair(&meta, S1, &[5, 1], &[10, 11]).unwrap();
         assert_eq!(d.plan.failed, vec![1, 5]);
         assert_eq!(d.requestors, vec![11, 10]);
         assert_eq!(d.path.len(), 4);
@@ -701,18 +436,16 @@ mod tests {
 
     #[test]
     fn unavailable_blocks_are_not_helpers() {
-        let mut c = coordinator();
-        c.register_stripe(StripeId(1), vec![0, 1, 2, 3, 4, 5]);
-        let d = c
-            .plan_single_repair(StripeId(1), 0, 9, &[1], SelectionPolicy::CodeDefault)
-            .unwrap();
-        let helper_indices = d.plan.helper_indices();
+        let (c, meta) = setup(6);
+        let record = meta.stripe(S1).unwrap();
+        let plan = |unavailable: &[usize]| {
+            c.plan_single_repair_of(&record, 0, 9, unavailable, SelectionPolicy::CodeDefault)
+        };
+        let helper_indices = plan(&[1]).unwrap().plan.helper_indices();
         assert!(!helper_indices.contains(&1));
         assert_eq!(helper_indices.len(), 4);
         // Excluding one more block leaves fewer than k helpers, which is an
         // error.
-        assert!(c
-            .plan_single_repair(StripeId(1), 0, 9, &[1, 2], SelectionPolicy::CodeDefault)
-            .is_err());
+        assert!(plan(&[1, 2]).is_err());
     }
 }

@@ -531,7 +531,6 @@ fn join_all(handles: Vec<std::thread::ScopedJoinHandle<'_, Result<()>>>) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coordinator::SelectionPolicy;
     use crate::transport::ChannelTransport;
     use crate::{Cluster, Coordinator};
     use ecc::stripe::StripeId;
@@ -553,10 +552,10 @@ mod tests {
     fn setup(code: Arc<dyn ErasureCode>) -> (Cluster, Coordinator, Vec<Vec<u8>>, StripeId) {
         let k = code.k();
         let n = code.n();
-        let mut coordinator = Coordinator::new(code, ecc::slice::SliceLayout::new(BLOCK, 1024));
+        let coordinator = Coordinator::new(code, ecc::slice::SliceLayout::new(BLOCK, 1024));
         let cluster = Cluster::new(crate::StoreBackend::memory(n + 2)).unwrap();
         let data = make_data(k, 3);
-        let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+        let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
         (cluster, coordinator, data, stripe)
     }
 
@@ -569,10 +568,10 @@ mod tests {
             ExecStrategy::BlockPipeline,
         ] {
             let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
-            let (cluster, mut coordinator, data, stripe) = setup(code);
+            let (cluster, coordinator, data, stripe) = setup(code);
             cluster.erase_block(stripe, 3);
             let repaired = cluster
-                .repair(&mut coordinator, stripe, 3, 15, strategy)
+                .repair(&coordinator, stripe, 3, 15, strategy)
                 .unwrap();
             assert_eq!(repaired, data[3], "strategy {:?}", strategy);
         }
@@ -587,11 +586,11 @@ mod tests {
             ExecStrategy::RepairPipelining,
             ExecStrategy::BlockPipeline,
         ] {
-            let (cluster, mut coordinator, data, stripe) = setup(code.clone());
+            let (cluster, coordinator, data, stripe) = setup(code.clone());
             let expected = code.encode(&data).unwrap()[7].clone();
             cluster.erase_block(stripe, 7);
             let repaired = cluster
-                .repair(&mut coordinator, stripe, 7, 10, strategy)
+                .repair(&coordinator, stripe, 7, 10, strategy)
                 .unwrap();
             assert_eq!(repaired, expected, "strategy {:?}", strategy);
         }
@@ -600,10 +599,10 @@ mod tests {
     #[test]
     fn rp_traffic_is_balanced_across_links() {
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
-        let (cluster, mut coordinator, _data, stripe) = setup(code);
+        let (cluster, coordinator, _data, stripe) = setup(code);
         cluster.erase_block(stripe, 0);
         let directive = coordinator
-            .plan_single_repair(stripe, 0, 15, &[], SelectionPolicy::CodeDefault)
+            .plan_single_repair(cluster.meta(), stripe, 0, 15)
             .unwrap();
         let transport = ChannelTransport::new();
         execute_single(
@@ -622,10 +621,10 @@ mod tests {
     #[test]
     fn conventional_traffic_funnels_into_the_requestor() {
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
-        let (cluster, mut coordinator, _data, stripe) = setup(code);
+        let (cluster, coordinator, _data, stripe) = setup(code);
         cluster.erase_block(stripe, 0);
         let directive = coordinator
-            .plan_single_repair(stripe, 0, 15, &[], SelectionPolicy::CodeDefault)
+            .plan_single_repair(cluster.meta(), stripe, 0, 15)
             .unwrap();
         let transport = ChannelTransport::new();
         execute_single(&directive, &cluster, &transport, ExecStrategy::Conventional).unwrap();
@@ -639,10 +638,10 @@ mod tests {
     #[test]
     fn lrc_repair_reads_only_the_local_group() {
         let code: Arc<dyn ErasureCode> = Arc::new(Lrc::new(12, 2, 2).unwrap());
-        let (cluster, mut coordinator, data, stripe) = setup(code);
+        let (cluster, coordinator, data, stripe) = setup(code);
         cluster.erase_block(stripe, 4);
         let directive = coordinator
-            .plan_single_repair(stripe, 4, 17, &[], SelectionPolicy::CodeDefault)
+            .plan_single_repair(cluster.meta(), stripe, 4, 17)
             .unwrap();
         assert_eq!(directive.path.len(), 6);
         let transport = ChannelTransport::new();
@@ -660,10 +659,10 @@ mod tests {
     #[test]
     fn reordered_path_still_reconstructs() {
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(9, 6).unwrap());
-        let (cluster, mut coordinator, data, stripe) = setup(code);
+        let (cluster, coordinator, data, stripe) = setup(code);
         cluster.erase_block(stripe, 2);
         let directive = coordinator
-            .plan_single_repair(stripe, 2, 10, &[], SelectionPolicy::CodeDefault)
+            .plan_single_repair(cluster.meta(), stripe, 2, 10)
             .unwrap();
         let mut order = directive.helper_nodes();
         order.reverse();
@@ -682,11 +681,11 @@ mod tests {
     #[test]
     fn missing_helper_block_surfaces_as_error() {
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
-        let (cluster, mut coordinator, _data, stripe) = setup(code);
+        let (cluster, coordinator, _data, stripe) = setup(code);
         cluster.erase_block(stripe, 0);
         // Also erase a block that will be used as a helper, *after* planning.
         let directive = coordinator
-            .plan_single_repair(stripe, 0, 7, &[], SelectionPolicy::CodeDefault)
+            .plan_single_repair(cluster.meta(), stripe, 0, 7)
             .unwrap();
         let helper_index = directive.plan.sources[0].block_index;
         cluster.erase_block(stripe, helper_index);
@@ -709,10 +708,10 @@ mod tests {
             ExecStrategy::BlockPipeline,
         ] {
             let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
-            let (cluster, mut coordinator, _data, stripe) = setup(code);
+            let (cluster, coordinator, _data, stripe) = setup(code);
             cluster.erase_block(stripe, 1);
             let directive = coordinator
-                .plan_single_repair(stripe, 1, 7, &[], SelectionPolicy::CodeDefault)
+                .plan_single_repair(cluster.meta(), stripe, 1, 7)
                 .unwrap();
             let transport = ChannelTransport::new();
             let cancel = OnceFlag::new();
@@ -733,14 +732,14 @@ mod tests {
     #[test]
     fn multi_block_repair_reconstructs_all_failures() {
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
-        let (cluster, mut coordinator, data, stripe) = setup(code.clone());
+        let (cluster, coordinator, data, stripe) = setup(code.clone());
         let coded = code.encode(&data).unwrap();
         let failed = vec![1, 6, 12];
         for &f in &failed {
             cluster.erase_block(stripe, f);
         }
         let directive = coordinator
-            .plan_multi_repair(stripe, &failed, &[14, 15, 14])
+            .plan_multi_repair(cluster.meta(), stripe, &failed, &[14, 15, 14])
             .unwrap();
         let transport = ChannelTransport::new();
         let repaired = execute_multi(&directive, &cluster, &transport).unwrap();

@@ -20,10 +20,10 @@
 //!   [`EcPipe::scrub`], [`EcPipe::shutdown`]) expose the machinery
 //!   underneath without any extra wiring.
 //!
-//! The coordinator, executors and [`RepairManager`] remain reachable
-//! (through [`EcPipe::manager`] and [`EcPipe::with_coordinator`]) for code
-//! that needs the lower layers; they are implementation details of the data
-//! path, not the entry point.
+//! The metadata router, cluster and [`RepairManager`] remain reachable
+//! (through [`EcPipe::meta`], [`EcPipe::cluster`] and [`EcPipe::manager`])
+//! for code that needs the lower layers; they are implementation details of
+//! the data path, not the entry point.
 //!
 //! ```
 //! use ecpipe::{EcPipeBuilder, StoreBackend};
@@ -279,7 +279,23 @@ impl EcPipeBuilder {
                 ),
             });
         }
-        let mut cluster = Cluster::new(backend)?;
+        let meta = Arc::new(MetaRouter::open(
+            MetaConfig::new(self.meta_backend).with_shards(self.meta_shards),
+        )?);
+        // A recovered namespace (a fresh or ephemeral router holds nothing)
+        // is validated against the configured code — a durable directory
+        // from a different deployment must not silently half-work.
+        let coordinator = Coordinator::new(code.clone(), layout);
+        let mut mismatch = None;
+        meta.for_each_stripe(|s| {
+            if mismatch.is_none() {
+                mismatch = coordinator.check_placement(s).err();
+            }
+        });
+        if let Some(error) = mismatch {
+            return Err(error);
+        }
+        let mut cluster = Cluster::with_meta(backend, meta.clone())?;
         let topology = match self.topology {
             Some(topology) => {
                 let topology = Arc::new(topology);
@@ -288,30 +304,6 @@ impl EcPipeBuilder {
             }
             None => None,
         };
-        let meta = Arc::new(MetaRouter::open(
-            MetaConfig::new(self.meta_backend).with_shards(self.meta_shards),
-        )?);
-        // Recovery half 1: reinstate the cluster's in-memory placements from
-        // the recovered namespace (a fresh or ephemeral router yields
-        // nothing here). Placements are validated against the configured
-        // code — a durable directory from a different deployment must not
-        // silently half-work.
-        let mut recovered: Vec<(StripeId, Vec<NodeId>)> = Vec::new();
-        meta.for_each_stripe(|s| recovered.push((s.id, s.locations.clone())));
-        for (id, placement) in recovered {
-            if placement.len() != code.n() {
-                return Err(EcPipeError::InvalidRequest {
-                    reason: format!(
-                        "recovered stripe {} has {} blocks but the configured code has n = {}",
-                        id.0,
-                        placement.len(),
-                        code.n()
-                    ),
-                });
-            }
-            cluster.restore_placement(id, placement);
-        }
-        let coordinator = Coordinator::with_meta(code.clone(), layout, meta.clone());
         let mut config = self.manager;
         // The data path depends on repaired blocks being findable again and
         // on node failures being recoverable without extra wiring.
@@ -345,8 +337,8 @@ impl EcPipeBuilder {
             (TransportChoice::Reactor, None, None) => AnyTransport::from(ReactorTransport::new()),
         };
         let manager = RepairManager::start(coordinator, cluster, transport, config);
-        // Recovery half 2: re-drive the repairs a previous process had
-        // queued or in flight. A directive whose epoch trails its stripe's
+        // Recovery: re-drive the repairs a previous process had queued or in
+        // flight. A directive whose epoch trails its stripe's
         // current epoch is *stale* — the block relocated after the
         // directive was journaled (typically: the repair completed and
         // crashed before resolving) — and is rejected here instead of
@@ -370,6 +362,12 @@ impl EcPipeBuilder {
             code,
             layout,
         })
+    }
+}
+
+fn no_such_object(name: &str) -> EcPipeError {
+    EcPipeError::InvalidRequest {
+        reason: format!("no such object: {name}"),
     }
 }
 
@@ -417,10 +415,9 @@ pub fn chunk_into_stripes(data: &[u8], k: usize, block_size: usize) -> Vec<Vec<V
 /// be shared across client threads.
 pub struct EcPipe {
     manager: RepairManager<AnyTransport>,
-    /// The erasure code, cached so the hot read/write paths never take the
-    /// coordinator lock just to learn `n`/`k` (immutable after build).
+    /// The erasure code (immutable after build).
     code: Arc<dyn ErasureCode>,
-    /// The block/slice layout, cached for the same reason.
+    /// The block/slice layout (immutable after build).
     layout: SliceLayout,
 }
 
@@ -432,18 +429,41 @@ impl EcPipe {
     /// Encodes `data` into one or more stripes, places the blocks across
     /// the nodes (skipping nodes known dead), and registers the object.
     ///
-    /// The expensive work — erasure encoding and writing `n` blocks per
-    /// stripe — runs *outside* the coordinator lock, so repairs keep
-    /// planning and other clients keep reading while a large object lands;
-    /// the lock is taken only to reserve stripe ids and to publish the
-    /// metadata at the end.
+    /// Every stripe is encoded and written before any of it is registered;
+    /// the namespace is touched only to reserve stripe ids and to publish
+    /// the finished placements and the object record, one router shard at a
+    /// time — repairs keep planning and other clients keep reading while a
+    /// large object lands.
     ///
     /// Fails with [`EcPipeError::InvalidRequest`] if an object of this name
-    /// already exists.
+    /// already exists, and with the router's error if the metadata cannot
+    /// be recorded; either way no block of the attempt is left behind.
     pub fn put(&self, name: &str, data: &[u8]) -> Result<ObjectMeta> {
+        let mut written = Vec::new();
+        let published = self.write_and_publish(name, data, &mut written);
+        if published.is_err() {
+            // Roll back: unregistered stripes would leak storage forever
+            // (a stripe whose own write failed cleaned itself up).
+            for (stripe, placement) in &written {
+                let _ = self.cluster().meta().forget_stripe(*stripe);
+                self.cluster().delete_blocks(*stripe, placement);
+            }
+        }
+        published
+    }
+
+    /// The body of [`put`](Self::put). Every stripe whose blocks are on the
+    /// stores is pushed onto `written` with the placement it was written
+    /// at, so the caller can undo the attempt if a later step fails.
+    fn write_and_publish(
+        &self,
+        name: &str,
+        data: &[u8],
+        written: &mut Vec<(StripeId, Vec<NodeId>)>,
+    ) -> Result<ObjectMeta> {
         let (n, k) = (self.code.n(), self.code.k());
-        let nodes = self.cluster().num_nodes();
-        let live: Vec<NodeId> = (0..nodes)
+        let (cluster, meta) = (self.cluster(), self.cluster().meta());
+        let live: Vec<NodeId> = (0..cluster.num_nodes())
             .filter(|&node| self.manager.node_health(node) != NodeHealth::Dead)
             .collect();
         if live.len() < n {
@@ -451,73 +471,37 @@ impl EcPipe {
                 reason: format!("only {} live nodes, a stripe needs {n}", live.len()),
             });
         }
+        let exists = || EcPipeError::InvalidRequest {
+            reason: format!("object {name} already exists"),
+        };
+        if meta.has_object(name) {
+            return Err(exists());
+        }
         let block_size = self.layout.block_size;
-        let count = stripe_count(data.len(), k, block_size);
-        // Reserve stripe ids under the lock; encode and write without it,
-        // one stripe at a time so peak memory stays at object + stripe.
-        let ids = self.manager.with_coordinator(|c| {
-            if c.has_object(name) {
-                return Err(EcPipeError::InvalidRequest {
-                    reason: format!("object {name} already exists"),
-                });
-            }
-            Ok((0..count)
-                .map(|_| c.allocate_stripe_id())
-                .collect::<Vec<u64>>())
-        })?;
-        let mut stripes = Vec::with_capacity(count);
-        for (s, id) in ids.into_iter().enumerate() {
-            let blocks = chunk_stripe(data, k, block_size, s);
+        // One stripe at a time, so peak memory stays at object + stripe.
+        for s in 0..stripe_count(data.len(), k, block_size) {
+            let id = meta.allocate_stripe_id().0;
             let placement: Vec<NodeId> = (0..n)
                 .map(|i| live[(id as usize + i) % live.len()])
                 .collect();
-            match self
-                .cluster()
-                .write_stripe_blocks(&self.code, id, &blocks, placement)
-            {
-                Ok(stripe) => stripes.push(stripe),
-                Err(error) => {
-                    // Roll back: stripes written so far are unregistered and
-                    // would otherwise leak storage forever (the failed
-                    // stripe cleans itself up in `write_stripe_blocks`).
-                    for &stripe in &stripes {
-                        self.cluster().delete_stripe(stripe);
-                    }
-                    return Err(error);
-                }
-            }
+            let blocks = chunk_stripe(data, k, block_size, s);
+            let stripe = cluster.write_stripe_blocks(&self.code, id, &blocks, placement.clone())?;
+            written.push((stripe, placement));
         }
-        let meta = ObjectMeta {
+        // Publish: the placements just computed, then the object record. A
+        // concurrent put of the same name loses at `insert_object`.
+        for (stripe, placement) in written.iter() {
+            meta.register_stripe(*stripe, placement.clone())?;
+        }
+        let record = ObjectMeta {
             name: name.to_string(),
             size: data.len(),
-            stripes: stripes.clone(),
+            stripes: written.iter().map(|&(stripe, _)| stripe).collect(),
         };
-        // Publish: register the stripes and the object in one critical
-        // section. A concurrent put of the same name loses the race and is
-        // rolled back.
-        let published = self.manager.with_coordinator(|c| {
-            if c.has_object(name) {
-                return false;
-            }
-            for &stripe in &stripes {
-                let placement = self
-                    .cluster()
-                    .placement(stripe)
-                    .expect("placement was just written");
-                c.register_stripe(stripe, placement);
-            }
-            c.register_object(meta.clone());
-            true
-        });
-        if !published {
-            for &stripe in &stripes {
-                self.cluster().delete_stripe(stripe);
-            }
-            return Err(EcPipeError::InvalidRequest {
-                reason: format!("object {name} already exists"),
-            });
+        if !meta.insert_object(record.clone())? {
+            return Err(exists());
         }
-        Ok(meta)
+        Ok(record)
     }
 
     /// Reads a whole object back, byte-exact. Missing or corrupt blocks are
@@ -545,8 +529,8 @@ impl EcPipe {
         self.read_object_range(&meta, range)
     }
 
-    /// The shared read path: walks the blocks `range` overlaps, using the
-    /// cached code/layout so no coordinator lock is needed on a clean read.
+    /// The shared read path: walks the blocks `range` overlaps, resolving
+    /// each block's node with one non-cloning router lookup.
     fn read_object_range(&self, meta: &ObjectMeta, range: Range<usize>) -> Result<Vec<u8>> {
         let block_size = self.layout.block_size;
         let stripe_bytes = self.code.k() * block_size;
@@ -651,31 +635,23 @@ impl EcPipe {
     /// erases their blocks. Repairs already queued for those stripes fail
     /// harmlessly (the stripe is gone) and show up in the shutdown report.
     pub fn delete(&self, name: &str) -> Result<ObjectMeta> {
-        let meta = self.manager.with_coordinator(|c| {
-            let meta = c
-                .remove_object(name)
-                .ok_or_else(|| EcPipeError::InvalidRequest {
-                    reason: format!("no such object: {name}"),
-                })?;
-            for &stripe in &meta.stripes {
-                c.forget_stripe(stripe);
-            }
-            Ok::<_, EcPipeError>(meta)
-        })?;
-        for &stripe in &meta.stripes {
-            self.cluster().delete_stripe(stripe);
+        let record = self
+            .cluster()
+            .meta()
+            .remove_object(name)?
+            .ok_or_else(|| no_such_object(name))?;
+        for &stripe in &record.stripes {
+            self.cluster().delete_stripe(stripe)?;
         }
-        Ok(meta)
+        Ok(record)
     }
 
     /// Metadata of a stored object.
     pub fn object_meta(&self, name: &str) -> Result<ObjectMeta> {
-        self.manager.with_coordinator(|c| c.object(name))
-    }
-
-    /// All stored objects, ordered by name.
-    pub fn objects(&self) -> Vec<ObjectMeta> {
-        self.manager.with_coordinator(|c| c.objects())
+        self.cluster()
+            .meta()
+            .object(name)
+            .ok_or_else(|| no_such_object(name))
     }
 
     // ------------------------------------------------------------------
@@ -690,8 +666,8 @@ impl EcPipe {
         self.cluster().kill_node(node)
     }
 
-    /// Erases one block of a stripe (a lost or unavailable block). Returns
-    /// whether the block was present.
+    /// Erases one block of a stripe (a lost or unavailable block) from the
+    /// node the router places it on. Returns whether the block was present.
     pub fn erase_block(&self, stripe: StripeId, index: usize) -> bool {
         self.cluster().erase_block(stripe, index)
     }
@@ -738,7 +714,7 @@ impl EcPipe {
         self.manager.queued()
     }
 
-    /// The cluster underneath (stores, placements).
+    /// The cluster underneath (the node stores).
     pub fn cluster(&self) -> &Cluster {
         self.manager.cluster()
     }
@@ -754,16 +730,12 @@ impl EcPipe {
         &self.manager
     }
 
-    /// Runs `f` with exclusive access to the coordinator (stripe and object
-    /// metadata, repair planning).
-    pub fn with_coordinator<R>(&self, f: impl FnOnce(&mut Coordinator) -> R) -> R {
-        self.manager.with_coordinator(f)
-    }
-
     /// The metadata plane underneath: the sharded, WAL-durable namespace of
-    /// objects, stripe placements and pending repair directives.
+    /// objects, stripe placements and pending repair directives — the only
+    /// record of where blocks live, so a placement changed here (an
+    /// operator move) is what every read, repair and fault hook sees next.
     pub fn meta(&self) -> Arc<MetaRouter> {
-        self.manager.with_coordinator(|c| c.meta().clone())
+        self.cluster().meta().clone()
     }
 
     /// Graceful shutdown: drains the repair queue, stops the workers and
@@ -814,7 +786,7 @@ mod tests {
         for range in [0..1, 4000..4200, 16000..17000, data.len() - 5..data.len()] {
             assert_eq!(pipe.get_range("/obj", range.clone()).unwrap(), &data[range]);
         }
-        assert_eq!(pipe.objects().len(), 1);
+        assert_eq!(pipe.meta().object_count(), 1);
         pipe.shutdown();
     }
 
@@ -876,6 +848,45 @@ mod tests {
         let report = pipe.shutdown();
         assert_eq!(report.blocks_repaired, 1);
         assert_eq!(report.degraded_wait.count, 1);
+    }
+
+    #[test]
+    fn operator_relocation_is_honoured_by_erase_and_get() {
+        let pipe = EcPipeBuilder::new()
+            .block_size(4096)
+            .slice_size(512)
+            .store(StoreBackend::memory(8))
+            .build()
+            .unwrap();
+        let data = pattern(4 * 4096, 13);
+        let stripe = pipe.put("/moved", &data).unwrap().stripes[0];
+        let placement = pipe.cluster().placement(stripe).unwrap();
+        let spare = (0..8).find(|n| !placement.contains(n)).unwrap();
+        // An operator physically moves block 1 to a spare node and records
+        // the move in the namespace.
+        let block = ecc::stripe::BlockId { stripe, index: 1 };
+        let bytes = pipe.cluster().store(placement[1]).get(block).unwrap();
+        pipe.cluster().store(spare).put(block, bytes).unwrap();
+        pipe.cluster().store(placement[1]).delete(block).unwrap();
+        pipe.meta().relocate(stripe, 1, spare, None).unwrap();
+        // The fault hook and the read path both look where the namespace
+        // says the block is: there is no second placement view to go stale.
+        assert!(pipe.erase_block(stripe, 1));
+        assert!(!pipe.cluster().store(spare).contains(block));
+        assert_eq!(pipe.get("/moved").unwrap(), data);
+        assert!(pipe.cluster().store(spare).contains(block));
+        let report = pipe.shutdown();
+        assert_eq!(report.blocks_repaired, 1);
+        assert_eq!(report.failed_repairs, 0);
+    }
+
+    #[test]
+    fn erase_block_tolerates_unknown_stripes_and_indices() {
+        let pipe = EcPipeBuilder::new().build().unwrap();
+        let stripe = pipe.put("/a", &pattern(100, 1)).unwrap().stripes[0];
+        assert!(!pipe.erase_block(stripe, 6));
+        assert!(!pipe.erase_block(StripeId(99), 0));
+        pipe.shutdown();
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! ECPipe runs alongside a distributed storage system and performs repairs on
 //! its behalf. The architecture mirrors the paper's Figure 7:
 //!
-//! * a [`Coordinator`] holds stripe metadata (block-to-node locations and the
-//!   erasure code), selects helpers — including the greedy
+//! * one [`MetaRouter`] per deployment (the `ecpipe-meta` crate) is the only
+//!   holder of object records, stripe → node placements and their epochs;
+//!   [`Cluster`], the set of node stores, resolves block indices through it;
+//! * a [`Coordinator`] plans against that router: it holds the erasure code
+//!   and the helper-selection clock, selects helpers — including the greedy
 //!   least-recently-used scheduling of §3.3 — and turns a repair request into
 //!   a [`RepairDirective`];
 //! * each storage node hosts a helper that reads blocks directly from its
@@ -33,8 +36,8 @@
 //! node that keeps failing its helper reads is declared dead and its
 //! stripes auto-enqueued), a paced [scrubber](manager::Scrubber) that turns
 //! silent bit-rot into queued repairs, and a structured [`ManagerReport`].
-//! [`recovery::full_node_recovery_over`] is a thin sequential wrapper over
-//! the same engine.
+//! [`manager::recover_node`] with [`ManagerConfig::sequential`] is the
+//! one-repair-at-a-time baseline on the same engine.
 //!
 //! The [`integrity`] module supplies the detection layer the scrubber and
 //! the helpers rely on: [`ChecksummedStore`] pairs every block with
@@ -88,7 +91,6 @@ mod facade;
 pub mod integrity;
 pub mod lock_order;
 pub mod manager;
-pub mod recovery;
 mod store;
 pub mod telemetry;
 pub mod transport;
@@ -96,7 +98,7 @@ pub mod transport;
 pub use buf::{BufPool, PooledBuf};
 pub use cluster::Cluster;
 pub use coordinator::{
-    Coordinator, MultiRepairDirective, ObjectMeta, RepairDirective, SelectionPolicy, StripeMeta,
+    Coordinator, MultiRepairDirective, ObjectMeta, RepairDirective, SelectionPolicy,
 };
 pub use ecpipe_meta::{
     MetaBackend, MetaConfig, MetaError, MetaRouter, ObjectRecord, RepairRecord, StripeRecord,

@@ -19,20 +19,6 @@
 use ecpipe_sync::lock_class;
 
 lock_class!(
-    /// [`Coordinator`](crate::Coordinator) metadata behind the manager's
-    /// daemon mutex: stripe map, object namespace, helper-selection state.
-    /// Outermost lock of the repair path — planning closures run under it
-    /// and consult liveness and placements.
-    pub COORDINATOR = ("manager.coordinator", rank = 10)
-);
-
-lock_class!(
-    /// [`Cluster`](crate::Cluster) stripe→node placement map. Taken inside
-    /// the coordinator lock on the put/publish path.
-    pub CLUSTER_PLACEMENTS = ("cluster.placements", rank = 20)
-);
-
-lock_class!(
     /// `EngineState::scheduled` — keys of repairs queued or in flight;
     /// `wait_for` blocks on its condvar.
     pub ENGINE_SCHEDULED = ("engine.scheduled", rank = 30)
@@ -70,15 +56,13 @@ lock_class!(
 );
 
 lock_class!(
-    /// `Liveness` per-node health map. Read by
-    /// planning closures under the coordinator lock.
+    /// `Liveness` per-node health map.
     pub MANAGER_LIVENESS = ("manager.liveness", rank = 44)
 );
 
 lock_class!(
     /// [`LinkTelemetry`](crate::telemetry::LinkTelemetry) per-pair EWMA
-    /// throughput state. Consulted by planning closures under the
-    /// coordinator lock; `observe` holds it while snapshotting transport
+    /// throughput state. `observe` holds it while snapshotting transport
     /// counters, so it precedes [`TRANSPORT_STATS`].
     pub MANAGER_TELEMETRY = ("manager.telemetry", rank = 46)
 );
@@ -170,6 +154,13 @@ lock_class!(
 lock_class!(
     /// [`MemoryStore`](crate::MemoryStore) block map. Leaf.
     pub STORE_MEMORY = ("store.memory", rank = 72)
+);
+
+lock_class!(
+    /// [`Coordinator`](crate::Coordinator) helper-selection clock: when each
+    /// node last served as a helper (§3.3). Leaf: held while choosing and
+    /// stamping one plan's helpers, which touches no other lock.
+    pub COORDINATOR_SELECTION = ("coordinator.selection", rank = 74)
 );
 
 lock_class!(

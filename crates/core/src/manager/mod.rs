@@ -20,8 +20,8 @@
 //! * a [liveness view](NodeHealth) fed by repair outcomes — a helper that
 //!   fails mid-flight earns strikes, a node crossing the threshold is
 //!   declared dead and its remaining stripes are auto-enqueued — with
-//!   mid-flight re-planning around the lost block (generalizing
-//!   [`degraded_read_with_retry`](crate::recovery::degraded_read_with_retry));
+//!   mid-flight re-planning around the lost block (§3.2 straggler
+//!   handling);
 //! * a [scrubber](Scrubber) that walks the cluster's stores at a paced rate,
 //!   verifies block checksums (see [`ChecksummedStore`](crate::ChecksummedStore)),
 //!   enqueues corrupt blocks as in-place [`RepairPriority::Corruption`]
@@ -32,12 +32,12 @@
 //!   outcomes, scrub-cycle summaries, wall time and network bytes.
 //!
 //! Two entry points share the same engine. [`run_batch`] executes a fixed
-//! set of requests to completion on scoped worker threads (this is what
-//! [`full_node_recovery_over`](crate::recovery::full_node_recovery_over)
-//! wraps — with one worker it preserves the sequential semantics exactly).
-//! [`RepairManager`] is the long-running daemon: it owns the coordinator,
-//! cluster and transport, accepts work while running, and reports on
-//! shutdown.
+//! set of requests to completion on scoped worker threads — with
+//! [`ManagerConfig::sequential`] it is the one-repair-at-a-time baseline the
+//! concurrent configurations are measured against. [`RepairManager`] is the
+//! long-running daemon: it owns the coordinator, cluster and transport,
+//! accepts work while running, and reports on shutdown. Every plan,
+//! relocation and node-failure scan reads the cluster's [`MetaRouter`].
 
 mod liveness;
 mod metrics;
@@ -57,12 +57,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ecpipe_sync::Mutex;
+use ecpipe_meta::MetaRouter;
 use simnet::NodeId;
 
 use crate::cluster::Cluster;
 use crate::exec::ExecStrategy;
-use crate::lock_order;
 use crate::telemetry::TelemetryConfig;
 use crate::transport::{LinkSnapshot, Transport};
 use crate::{Coordinator, EcPipeError, Result};
@@ -160,9 +159,10 @@ pub struct ManagerConfig {
     /// Requestor pool (round-robin) for repairs the manager enqueues on its
     /// own when a node dies. Empty disables auto-enqueueing.
     pub auto_requestors: Vec<NodeId>,
-    /// Update the coordinator's block location after a successful repair, so
-    /// later plans treat the reconstructed copy as available. Off by
-    /// default, matching the historical recovery loop.
+    /// Relocate the block to its requestor in the metadata router after a
+    /// successful repair, so later plans and reads treat the reconstructed
+    /// copy as the block. Off by default, matching the historical recovery
+    /// loop.
     pub relocate_on_success: bool,
     /// How helpers are picked and ordered. The topology-aware policies need
     /// a topology on the cluster; without one (or with too few candidates)
@@ -238,18 +238,13 @@ impl ManagerConfig {
 /// *fail-fast*: the first repair that fails (after its re-plans) aborts the
 /// run and is returned as the error; repairs already finished stay stored.
 pub fn run_batch<T: Transport + ?Sized>(
-    coordinator: &mut Coordinator,
+    coordinator: &Coordinator,
     cluster: &Cluster,
     transport: &T,
     config: &ManagerConfig,
     requests: Vec<RepairRequest>,
 ) -> Result<ManagerReport> {
-    let engine = EngineState::new(
-        config,
-        true,
-        coordinator.meta().clone(),
-        cluster.topology().cloned(),
-    );
+    let engine = EngineState::new(config, true, cluster);
     for request in requests {
         // The queue cannot be closed yet, so only duplicates are dropped.
         let _ = engine.submit(request)?;
@@ -257,10 +252,9 @@ pub fn run_batch<T: Transport + ?Sized>(
     engine.queue.close();
     let baseline = transport.stats().snapshot();
     let started = Instant::now();
-    let coordinator = Mutex::new(&lock_order::COORDINATOR, coordinator);
     std::thread::scope(|scope| {
         for _ in 0..config.workers.max(1) {
-            scope.spawn(|| worker_loop(&engine, &coordinator, cluster, transport, config));
+            scope.spawn(|| worker_loop(&engine, coordinator, cluster, transport, config));
         }
     });
     if let Some(error) = engine.take_error() {
@@ -276,7 +270,7 @@ pub fn run_batch<T: Transport + ?Sized>(
 /// `failed_node` held, spreading requestors round-robin (the §3.3 enqueue
 /// order: stripes sorted by id, one single-block repair each).
 pub fn node_recovery_requests(
-    coordinator: &Coordinator,
+    meta: &MetaRouter,
     failed_node: NodeId,
     requestors: &[NodeId],
 ) -> Result<Vec<RepairRequest>> {
@@ -290,7 +284,7 @@ pub fn node_recovery_requests(
             reason: "the failed node cannot be a requestor".to_string(),
         });
     }
-    Ok(coordinator
+    Ok(meta
         .stripes_on_node(failed_node)
         .into_iter()
         .enumerate()
@@ -307,14 +301,14 @@ pub fn node_recovery_requests(
 /// per-stripe requests, marks the node dead for helper selection, and runs
 /// them on the configured worker pool.
 pub fn recover_node<T: Transport + ?Sized>(
-    coordinator: &mut Coordinator,
+    coordinator: &Coordinator,
     cluster: &Cluster,
     transport: &T,
     failed_node: NodeId,
     requestors: &[NodeId],
     config: &ManagerConfig,
 ) -> Result<ManagerReport> {
-    let requests = node_recovery_requests(coordinator, failed_node, requestors)?;
+    let requests = node_recovery_requests(cluster.meta(), failed_node, requestors)?;
     let mut config = config.clone();
     if !config.known_dead.contains(&failed_node) {
         config.known_dead.push(failed_node);
@@ -324,8 +318,7 @@ pub fn recover_node<T: Transport + ?Sized>(
 
 struct DaemonShared<T> {
     engine: EngineState,
-    /// Lock class: `manager.coordinator` ([`lock_order::COORDINATOR`]).
-    coordinator: Mutex<Coordinator>,
+    coordinator: Coordinator,
     cluster: Cluster,
     transport: T,
     config: ManagerConfig,
@@ -344,11 +337,11 @@ struct DaemonShared<T> {
 /// use ecpipe::{Cluster, Coordinator, StoreBackend};
 ///
 /// let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
-/// let mut coordinator = Coordinator::new(code, SliceLayout::new(4096, 1024));
+/// let coordinator = Coordinator::new(code, SliceLayout::new(4096, 1024));
 /// let cluster = Cluster::new(StoreBackend::memory(10)).unwrap();
 /// let data: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8 + 1; 4096]).collect();
 /// for s in 0..4 {
-///     cluster.write_stripe(&mut coordinator, s, &data).unwrap();
+///     cluster.write_stripe(coordinator.code(), s, &data).unwrap();
 /// }
 /// let config = ManagerConfig {
 ///     auto_requestors: vec![8, 9],
@@ -377,11 +370,9 @@ impl<T: Transport + Send + Sync + 'static> RepairManager<T> {
         config: ManagerConfig,
     ) -> Self {
         let baseline = transport.stats().snapshot();
-        let meta = coordinator.meta().clone();
-        let topology = cluster.topology().cloned();
         let shared = Arc::new(DaemonShared {
-            engine: EngineState::new(&config, false, meta, topology),
-            coordinator: Mutex::new(&lock_order::COORDINATOR, coordinator),
+            engine: EngineState::new(&config, false, &cluster),
+            coordinator,
             cluster,
             transport,
             config,
@@ -447,9 +438,7 @@ impl<T: Transport + Send + Sync + 'static> RepairManager<T> {
     /// queued.
     pub fn report_node_failure(&self, node: NodeId) -> usize {
         self.shared.engine.liveness.mark_dead(node);
-        self.shared
-            .engine
-            .enqueue_node_recovery(&self.shared.coordinator, node)
+        self.shared.engine.enqueue_node_recovery(node)
     }
 
     /// The current health of a node, as inferred from repair outcomes and
@@ -481,14 +470,6 @@ impl<T: Transport + Send + Sync + 'static> RepairManager<T> {
         self.shared.engine.wait_for((stripe.0, failed));
     }
 
-    /// Runs `f` with exclusive access to the daemon's coordinator — how the
-    /// [`EcPipe`](crate::EcPipe) façade registers new stripes and objects
-    /// while repairs are running.
-    pub fn with_coordinator<R>(&self, f: impl FnOnce(&mut Coordinator) -> R) -> R {
-        let mut guard = self.shared.coordinator.lock();
-        f(&mut guard)
-    }
-
     /// The cluster the manager repairs into (e.g. to read reconstructed
     /// blocks back).
     pub fn cluster(&self) -> &Cluster {
@@ -507,13 +488,7 @@ impl<T: Transport + Send + Sync + 'static> RepairManager<T> {
     /// re-verifies. The cycle is also folded into the shutdown report's
     /// [`scrub_cycles`](ManagerReport::scrub_cycles).
     pub fn scrub(&self, config: &ScrubConfig) -> ScrubCycle {
-        scrub::scrub_once(
-            &self.shared.engine,
-            &self.shared.coordinator,
-            &self.shared.cluster,
-            config,
-            None,
-        )
+        scrub::scrub_once(&self.shared.engine, &self.shared.cluster, config, None)
     }
 
     /// Starts a background scrubber thread running [`scrub`](Self::scrub)
@@ -525,13 +500,7 @@ impl<T: Transport + Send + Sync + 'static> RepairManager<T> {
         let shared = self.shared.clone();
         let interval = config.interval;
         Scrubber::spawn("scrubber", interval, move |stop| {
-            scrub::scrub_once(
-                &shared.engine,
-                &shared.coordinator,
-                &shared.cluster,
-                &config,
-                Some(stop),
-            );
+            scrub::scrub_once(&shared.engine, &shared.cluster, &config, Some(stop));
         })
     }
 
@@ -574,7 +543,7 @@ mod tests {
 
     fn setup(stripes: u64, nodes: usize) -> (Cluster, Coordinator, Vec<Vec<Vec<u8>>>) {
         let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
-        let mut coordinator = Coordinator::new(code, SliceLayout::new(2048, 256));
+        let coordinator = Coordinator::new(code, SliceLayout::new(2048, 256));
         let cluster = Cluster::new(crate::StoreBackend::memory(nodes)).unwrap();
         let mut all = Vec::new();
         for s in 0..stripes {
@@ -585,39 +554,83 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            cluster.write_stripe(&mut coordinator, s, &data).unwrap();
+            cluster.write_stripe(coordinator.code(), s, &data).unwrap();
             all.push(data);
         }
         (cluster, coordinator, all)
     }
 
+    /// Full-node recovery under the one-worker sequential baseline and the
+    /// concurrent pool: same blocks, same accounting, different overlap.
     #[test]
-    fn batch_recovers_a_node_concurrently() {
-        let (cluster, mut coordinator, _) = setup(12, 10);
-        let lost = cluster.kill_node(3);
-        let transport = ChannelTransport::new();
-        let config = ManagerConfig::default()
+    fn batch_recovers_a_node_sequentially_and_concurrently() {
+        let concurrent = ManagerConfig::default()
             .with_workers(4)
             .with_inflight_cap(3);
-        let report =
-            recover_node(&mut coordinator, &cluster, &transport, 3, &[8, 9], &config).unwrap();
-        assert_eq!(report.blocks_repaired, lost.len());
-        assert!(report.max_inflight() <= 3);
-        assert_eq!(report.outcomes.len(), lost.len());
-        assert!(report.network_bytes > 0);
-        for block in lost {
-            assert!(
-                [8usize, 9]
+        let sequential = ManagerConfig::sequential(ExecStrategy::RepairPipelining);
+        for (config, max_inflight) in [(sequential, 1), (concurrent, 3)] {
+            let (cluster, coordinator, _) = setup(12, 10);
+            let lost = cluster.kill_node(3);
+            assert!(!lost.is_empty());
+            let transport = ChannelTransport::new();
+            let report =
+                recover_node(&coordinator, &cluster, &transport, 3, &[8, 9], &config).unwrap();
+            assert_eq!(report.blocks_repaired, lost.len());
+            assert_eq!(report.bytes_repaired, lost.len() * 2048);
+            assert!(report.max_inflight() <= max_inflight);
+            // Repaired blocks land on the requestors, spread round-robin.
+            assert_eq!(report.per_requestor.values().sum::<usize>(), lost.len());
+            assert!(report.per_requestor.len() <= 2);
+            assert!(report.network_bytes > 0);
+            // Elapsed-time accounting: a wall time, one duration per stripe.
+            assert_eq!(report.outcomes.len(), lost.len());
+            assert!(report
+                .outcomes
+                .iter()
+                .all(|o| o.duration <= report.wall_time));
+            for block in lost {
+                let found = [8usize, 9]
                     .iter()
-                    .any(|&r| cluster.store(r).contains(block)),
-                "block {block} missing"
-            );
+                    .any(|&r| cluster.store(r).contains(block));
+                assert!(found, "block {block} missing");
+            }
         }
+    }
+
+    /// A degraded read re-plans around a helper that lost its block (§3.2
+    /// straggler handling) and fails once fewer than `k` blocks survive.
+    #[test]
+    fn degraded_read_replans_around_a_straggler() {
+        let (cluster, coordinator, data) = setup(1, 10);
+        let read_block_0 = || {
+            let request = RepairRequest {
+                stripe: StripeId(0),
+                failed: 0,
+                requestor: 9,
+                priority: RepairPriority::DegradedRead,
+            };
+            let (transport, config) = (ChannelTransport::new(), ManagerConfig::default());
+            run_batch(&coordinator, &cluster, &transport, &config, vec![request])
+        };
+        // Erase the block being read and one of the helpers the plan uses.
+        cluster.erase_block(StripeId(0), 0);
+        cluster.erase_block(StripeId(0), 1);
+        let report = read_block_0().unwrap();
+        assert_eq!(report.replans_because(ReplanReason::HelperLost), 1);
+        let repaired = cluster.store(9).get(ecc::stripe::BlockId::new(0, 0));
+        assert_eq!(repaired.unwrap(), bytes::Bytes::from(data[0][0].clone()));
+        // Three of six blocks gone: no plan has k = 4 helpers left.
+        cluster
+            .store(9)
+            .delete(ecc::stripe::BlockId::new(0, 0))
+            .unwrap();
+        cluster.erase_block(StripeId(0), 2);
+        assert!(read_block_0().is_err());
     }
 
     #[test]
     fn batch_drops_duplicate_requests() {
-        let (cluster, mut coordinator, data) = setup(1, 10);
+        let (cluster, coordinator, data) = setup(1, 10);
         cluster.erase_block(StripeId(0), 0);
         let request = RepairRequest {
             stripe: StripeId(0),
@@ -627,7 +640,7 @@ mod tests {
         };
         let transport = ChannelTransport::new();
         let report = run_batch(
-            &mut coordinator,
+            &coordinator,
             &cluster,
             &transport,
             &ManagerConfig::default(),
@@ -646,11 +659,11 @@ mod tests {
 
     #[test]
     fn recover_node_validates_requestors() {
-        let (cluster, mut coordinator, _) = setup(1, 10);
+        let (cluster, coordinator, _) = setup(1, 10);
         let transport = ChannelTransport::new();
         let config = ManagerConfig::default();
-        assert!(recover_node(&mut coordinator, &cluster, &transport, 0, &[], &config).is_err());
-        assert!(recover_node(&mut coordinator, &cluster, &transport, 0, &[0], &config).is_err());
+        assert!(recover_node(&coordinator, &cluster, &transport, 0, &[], &config).is_err());
+        assert!(recover_node(&coordinator, &cluster, &transport, 0, &[0], &config).is_err());
     }
 
     #[test]

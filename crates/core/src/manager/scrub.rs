@@ -30,7 +30,7 @@ use crate::transport::TokenBucket;
 use crate::EcPipeError;
 
 use super::metrics::ScrubCycle;
-use super::workers::{CoordHandle, EngineState};
+use super::workers::EngineState;
 
 /// Pacing and cadence knobs for scrubbing.
 #[derive(Debug, Clone)]
@@ -68,9 +68,8 @@ impl ScrubConfig {
 /// so a paced cycle over a large cluster abandons the scan promptly instead
 /// of holding a joining thread for the cycle's full token-bucket time;
 /// repairs already enqueued still drain on the worker pool.
-pub(crate) fn scrub_once<C: CoordHandle>(
+pub(crate) fn scrub_once(
     engine: &EngineState,
-    coord: &C,
     cluster: &Cluster,
     config: &ScrubConfig,
     stop: Option<&OnceFlag>,
@@ -117,11 +116,9 @@ pub(crate) fn scrub_once<C: CoordHandle>(
         // cannot re-verify its repairs is just a detector.
         engine.wait_idle();
         for &block in &cycle.corrupt {
-            // Verify wherever the coordinator maps the block now — a repair
+            // Verify wherever the placement maps the block now — a repair
             // may have relocated it.
-            let holder = coord.with(|c| c.stripe(block.stripe).map(|m| m.node_of(block.index)));
-            let healed = matches!(holder, Ok(node) if cluster.store(node).verify(block).is_ok());
-            if healed {
+            if cluster.verify_block(block.stripe, block.index).is_ok() {
                 cycle.reverified_clean += 1;
             } else {
                 cycle.still_corrupt.push(block);

@@ -9,8 +9,7 @@
 //! the runtime enforcement of the paper's "no overloaded helper"
 //! scheduling), execute, and store the reconstructed block. A helper whose
 //! block vanishes mid-flight earns a liveness strike and the repair is
-//! re-planned with the survivors, generalizing
-//! [`degraded_read_with_retry`](crate::recovery::degraded_read_with_retry);
+//! re-planned with the survivors (§3.2 straggler handling);
 //! with a [`LinkWatchConfig`] set, a path link measured below its nominal
 //! bandwidth is handled the same way, minus the strike.
 
@@ -22,11 +21,11 @@ use std::time::Instant;
 use bytes::Bytes;
 
 use ecc::stripe::BlockId;
-use ecpipe_meta::{MetaRouter, RepairRecord};
+use ecpipe_meta::{MetaError, MetaRouter, RepairRecord};
 use ecpipe_sync::{Condvar, Mutex, OnceFlag};
 use repair::rack_aware;
 use repair::weighted_path::optimal_path;
-use simnet::{NodeId, Topology};
+use simnet::NodeId;
 
 use crate::cluster::Cluster;
 use crate::coordinator::{RepairDirective, SelectionPolicy};
@@ -40,27 +39,6 @@ use super::liveness::Liveness;
 use super::metrics::{FailedRepair, MetricsCollector, ReplanEvent, ReplanReason, SuccessRecord};
 use super::queue::{QueuedRepair, RepairQueue, RepairRequest};
 use super::{ManagerConfig, PathPolicy};
-
-/// Shared access to the coordinator: the batch engine borrows the caller's
-/// `&mut Coordinator`, the daemon owns one — both behind a lock.
-pub(crate) trait CoordHandle: Sync {
-    /// Runs `f` with exclusive access to the coordinator.
-    fn with<R>(&self, f: impl FnOnce(&mut Coordinator) -> R) -> R;
-}
-
-impl CoordHandle for Mutex<Coordinator> {
-    fn with<R>(&self, f: impl FnOnce(&mut Coordinator) -> R) -> R {
-        let mut guard = self.lock();
-        f(&mut guard)
-    }
-}
-
-impl CoordHandle for Mutex<&mut Coordinator> {
-    fn with<R>(&self, f: impl FnOnce(&mut Coordinator) -> R) -> R {
-        let mut guard = self.lock();
-        f(&mut guard)
-    }
-}
 
 /// Per-node in-flight caps: a repair may only start once every node it
 /// involves (helpers and requestor) is below the cap, and it holds one slot
@@ -163,10 +141,11 @@ pub(crate) struct EngineState {
     /// Round-robin requestor pool for auto-enqueued node recovery.
     auto_requestors: Vec<NodeId>,
     auto_rr: AtomicUsize,
-    /// The metadata plane: accepted requests are journaled as pending
-    /// repairs here (and resolved on completion), so a durable deployment
-    /// re-enqueues whatever a crash interrupted.
-    meta: Arc<MetaRouter>,
+    /// The cluster's metadata router: planning reads placements from it, a
+    /// successful repair relocates the block in it, and accepted requests
+    /// are journaled in it as pending repairs (resolved on completion), so
+    /// a durable deployment re-enqueues whatever a crash interrupted.
+    pub(crate) meta: Arc<MetaRouter>,
     /// Live link telemetry, present when the cluster has a topology
     /// attached. Topology-aware planning and the link watchdog consult it;
     /// without it both degrade to the flat behavior.
@@ -178,12 +157,8 @@ pub(crate) struct EngineState {
 }
 
 impl EngineState {
-    pub(crate) fn new(
-        config: &ManagerConfig,
-        fail_fast: bool,
-        meta: Arc<MetaRouter>,
-        topology: Option<Arc<Topology>>,
-    ) -> Self {
+    pub(crate) fn new(config: &ManagerConfig, fail_fast: bool, cluster: &Cluster) -> Self {
+        let topology = cluster.topology().cloned();
         EngineState {
             telemetry: topology.map(|t| LinkTelemetry::new(t, config.telemetry)),
             queue: RepairQueue::new(),
@@ -199,7 +174,7 @@ impl EngineState {
             scheduled_changed: Condvar::new(),
             auto_requestors: config.auto_requestors.clone(),
             auto_rr: AtomicUsize::new(0),
-            meta,
+            meta: cluster.meta().clone(),
             crashed: OnceFlag::new(),
         }
     }
@@ -348,13 +323,12 @@ impl EngineState {
     /// Enqueues a background repair for every stripe still mapping a block
     /// to `node` (called when a node is declared dead). Returns how many
     /// repairs were queued.
-    pub(crate) fn enqueue_node_recovery<C: CoordHandle>(&self, coord: &C, node: NodeId) -> usize {
+    pub(crate) fn enqueue_node_recovery(&self, node: NodeId) -> usize {
         if self.auto_requestors.is_empty() {
             return 0;
         }
-        let affected = coord.with(|c| c.stripes_on_node(node));
         let mut queued = 0;
-        for (stripe, failed) in affected {
+        for (stripe, failed) in self.meta.stripes_on_node(node) {
             let Some(requestor) = self.next_auto_requestor() else {
                 break;
             };
@@ -394,24 +368,21 @@ struct RepairFailure {
 
 /// Records a liveness strike against `node`; if this pushes it over the
 /// death threshold, recovery of everything else it held is queued.
-fn strike<C: CoordHandle>(engine: &EngineState, coord: &C, node: NodeId) {
+fn strike(engine: &EngineState, node: NodeId) {
     if engine.liveness.record_miss(node) {
-        engine.enqueue_node_recovery(coord, node);
+        engine.enqueue_node_recovery(node);
     }
 }
 
 /// The body of one worker thread: drains the queue until it is closed and
 /// empty.
-pub(crate) fn worker_loop<C, T>(
+pub(crate) fn worker_loop<T: Transport + ?Sized>(
     engine: &EngineState,
-    coord: &C,
+    coord: &Coordinator,
     cluster: &Cluster,
     transport: &T,
     config: &ManagerConfig,
-) where
-    C: CoordHandle,
-    T: Transport + ?Sized,
-{
+) {
     while let Some(job) = engine.queue.pop() {
         let key = (job.request.stripe.0, job.request.failed);
         if engine.aborted() || engine.crashed() {
@@ -482,45 +453,49 @@ struct PlannedRepair {
 /// over the engine's live telemetry — then pin the coordinator's plan to
 /// exactly that set by marking every other index unavailable (so the LRU
 /// truncation never reorders the choice) and applying the path order.
-fn plan_repair<C: CoordHandle>(
+fn plan_repair(
     engine: &EngineState,
-    coord: &C,
+    coord: &Coordinator,
     config: &ManagerConfig,
     request: &RepairRequest,
     requestor: NodeId,
     excluded: &[usize],
 ) -> Result<PlannedRepair> {
-    coord.with(|c| {
-        let locations = c.stripe(request.stripe)?.locations.clone();
-        let mut unavailable = excluded.to_vec();
-        for (index, &node) in locations.iter().enumerate() {
-            if index != request.failed
-                && !unavailable.contains(&index)
-                && engine.liveness.is_dead(node)
-            {
-                unavailable.push(index);
-            }
+    // One placement snapshot serves helper choice and planning, so the
+    // chosen path order always matches the directive's helper set.
+    let record = engine
+        .meta
+        .stripe(request.stripe)
+        .ok_or(EcPipeError::UnknownStripe {
+            stripe: request.stripe.0,
+        })?;
+    let locations = &record.locations;
+    let mut unavailable = excluded.to_vec();
+    for (index, &node) in locations.iter().enumerate() {
+        if index != request.failed && !unavailable.contains(&index) && engine.liveness.is_dead(node)
+        {
+            unavailable.push(index);
         }
-        let mut bottleneck = None;
-        let mut fell_back = false;
-        let chosen: Option<Vec<NodeId>> = match (config.path_policy, &engine.telemetry) {
-            (PathPolicy::Lru, _) | (_, None) => None,
-            (policy, Some(telemetry)) => {
-                let k = c.code().k();
-                // Candidate helpers, mirroring plan_single_repair's filter:
-                // not the failed block, not excluded/dead, not a block the
-                // requestor already holds.
-                let candidates: Vec<NodeId> = locations
-                    .iter()
-                    .enumerate()
-                    .filter(|&(index, &node)| {
-                        index != request.failed
-                            && !unavailable.contains(&index)
-                            && node != requestor
-                    })
-                    .map(|(_, &node)| node)
-                    .collect();
-                let selection = match policy {
+    }
+    let mut bottleneck = None;
+    let mut fell_back = false;
+    let chosen: Option<Vec<NodeId>> = match (config.path_policy, &engine.telemetry) {
+        (PathPolicy::Lru, _) | (_, None) => None,
+        (policy, Some(telemetry)) => {
+            let k = coord.code().k();
+            // Candidate helpers, mirroring plan_single_repair's filter:
+            // not the failed block, not excluded/dead, not a block the
+            // requestor already holds.
+            let candidates: Vec<NodeId> = locations
+                .iter()
+                .enumerate()
+                .filter(|&(index, &node)| {
+                    index != request.failed && !unavailable.contains(&index) && node != requestor
+                })
+                .map(|(_, &node)| node)
+                .collect();
+            let selection =
+                match policy {
                     PathPolicy::RackAware if candidates.len() >= k => Some(
                         rack_aware::select_path(telemetry.topology(), requestor, &candidates, k),
                     ),
@@ -532,54 +507,48 @@ fn plan_repair<C: CoordHandle>(
                     }
                     _ => None,
                 };
-                fell_back = selection.is_none();
-                selection
-            }
-        };
-        if let Some(order) = &chosen {
-            // Pin the plan to exactly the chosen helpers: every other index
-            // becomes unavailable, leaving plan_single_repair a helper set
-            // of size k in which LRU has nothing left to decide.
-            for (index, node) in locations.iter().enumerate() {
-                if index != request.failed && !unavailable.contains(&index) && !order.contains(node)
-                {
-                    unavailable.push(index);
-                }
+            fell_back = selection.is_none();
+            selection
+        }
+    };
+    if let Some(order) = &chosen {
+        // Pin the plan to exactly the chosen helpers: every other index
+        // becomes unavailable, leaving plan_single_repair a helper set
+        // of size k in which LRU has nothing left to decide.
+        for (index, node) in locations.iter().enumerate() {
+            if index != request.failed && !unavailable.contains(&index) && !order.contains(node) {
+                unavailable.push(index);
             }
         }
-        let directive = c.plan_single_repair(
-            request.stripe,
-            request.failed,
-            requestor,
-            &unavailable,
-            SelectionPolicy::LeastRecentlyUsed,
-        )?;
-        let directive = match chosen {
-            Some(order) => directive.with_path_order(&order),
-            None => directive,
-        };
-        Ok(PlannedRepair {
-            directive,
-            bottleneck,
-            fell_back,
-        })
+    }
+    let directive = coord.plan_single_repair_of(
+        &record,
+        request.failed,
+        requestor,
+        &unavailable,
+        SelectionPolicy::LeastRecentlyUsed,
+    )?;
+    let directive = match chosen {
+        Some(order) => directive.with_path_order(&order),
+        None => directive,
+    };
+    Ok(PlannedRepair {
+        directive,
+        bottleneck,
+        fell_back,
     })
 }
 
 /// Executes one request end to end, re-planning around helpers that die
 /// mid-flight (up to `config.max_replans` times).
-fn run_one<C, T>(
+fn run_one<T: Transport + ?Sized>(
     engine: &EngineState,
-    coord: &C,
+    coord: &Coordinator,
     cluster: &Cluster,
     transport: &T,
     config: &ManagerConfig,
     job: &QueuedRepair,
-) -> std::result::Result<Done, RepairFailure>
-where
-    C: CoordHandle,
-    T: Transport + ?Sized,
-{
+) -> std::result::Result<Done, RepairFailure> {
     let request = &job.request;
     // Requestor candidates: the requested node first, then the
     // auto-recovery pool as fallbacks. A requestor that already holds
@@ -596,13 +565,11 @@ where
     if config.relocate_on_success {
         // When the repaired copy must take over the block's placement,
         // prefer requestors holding no *other* block of the stripe: the
-        // coordinator refuses relocations that would co-locate two blocks,
+        // router refuses relocations that would co-locate two blocks,
         // which would leave the copy unplaceable and force a second repair
         // on the next read. Stable sort keeps the requested node first
         // among equally suitable candidates.
-        let holders = coord
-            .with(|c| c.stripe(request.stripe).map(|m| m.locations.clone()))
-            .unwrap_or_default();
+        let holders = cluster.placement(request.stripe).unwrap_or_default();
         requestors.sort_by_key(|r| {
             holders
                 .iter()
@@ -683,47 +650,38 @@ where
                 }
                 engine.liveness.record_success(&directive.helper_nodes());
                 if config.relocate_on_success {
-                    // Keep the coordinator's and the cluster's placement
-                    // views in step; the coordinator refuses relocations
-                    // that would put two blocks of a stripe on one node, in
-                    // which case the cluster mapping must not move either.
-                    // The completion is pinned to the epoch the directive
-                    // was planned at: if the placement moved while this
-                    // repair was in flight, the relocation is rejected as
-                    // stale instead of double-healing the block.
-                    match coord.with(|c| {
-                        c.relocate_block_at(
-                            request.stripe,
-                            request.failed,
-                            requestor,
-                            directive.epoch,
-                        )
-                    }) {
-                        Ok(true) => {
-                            if let Err(error) =
-                                cluster.relocate(request.stripe, request.failed, requestor)
-                            {
-                                return Err(RepairFailure { error, replans });
-                            }
-                        }
-                        Ok(false) => {}
-                        Err(error @ EcPipeError::StaleRepair { .. }) => {
+                    // Publish the repaired copy as the block's placement.
+                    // The router refuses a move that would put two blocks
+                    // of a stripe on one node (the stray copy stays
+                    // readable from the requestor's store), and pins the
+                    // completion to the epoch the directive was planned
+                    // at: if the placement moved while this repair was in
+                    // flight, the relocation is rejected as stale instead
+                    // of double-healing the block.
+                    let moved = engine.meta.relocate(
+                        request.stripe,
+                        request.failed,
+                        requestor,
+                        Some(directive.epoch),
+                    );
+                    if let Err(error) = moved {
+                        if matches!(error, MetaError::StaleEpoch { .. }) {
                             // Another repair (or an operator move) won the
                             // race. The copy just stored is redundant —
                             // drop it, unless the winning placement put the
                             // block on this very node.
-                            let holder = coord.with(|c| {
-                                c.stripe(request.stripe).map(|m| m.node_of(request.failed))
-                            });
+                            let holder = cluster.node_of(request.stripe, request.failed);
                             if !matches!(holder, Ok(h) if h == requestor) {
                                 let _ = cluster.store(requestor).delete(BlockId {
                                     stripe: request.stripe,
                                     index: request.failed,
                                 });
                             }
-                            return Err(RepairFailure { error, replans });
                         }
-                        Err(error) => return Err(RepairFailure { error, replans }),
+                        return Err(RepairFailure {
+                            error: error.into(),
+                            replans,
+                        });
                     }
                 }
                 return Ok(Done {
@@ -752,7 +710,7 @@ where
                         reason: ReplanReason::HelperLost,
                         node: Some(node),
                     });
-                    strike(engine, coord, node);
+                    strike(engine, node);
                 }
             }
             Err(EcPipeError::CorruptBlock { block, .. })
@@ -766,8 +724,7 @@ where
                 // corruption-class repair to scrub the rot out.
                 replans += 1;
                 excluded.push(block.index);
-                let holder = coord.with(|c| c.stripe(block.stripe).map(|m| m.node_of(block.index)));
-                if let Ok(holder) = holder {
+                if let Ok(holder) = cluster.node_of(block.stripe, block.index) {
                     engine.metrics.record_replan(ReplanEvent {
                         stripe: request.stripe,
                         failed: request.failed,
@@ -827,7 +784,7 @@ where
                         reason: ReplanReason::HelperLost,
                         node: Some(node),
                     });
-                    strike(engine, coord, node);
+                    strike(engine, node);
                 }
             }
             Err(error) => return Err(RepairFailure { error, replans }),

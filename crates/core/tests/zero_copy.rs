@@ -66,15 +66,15 @@ fn every_exec_strategy_repairs_without_bytes_deep_copies() {
         ExecStrategy::RepairPipelining,
         ExecStrategy::BlockPipeline,
     ] {
-        let mut coordinator = Coordinator::new(code.clone(), layout);
+        let coordinator = Coordinator::new(code.clone(), layout);
         let cluster = Cluster::new(StoreBackend::memory(8)).unwrap();
         let data: Vec<Vec<u8>> = (0..4).map(|i| pattern(16 * 1024, i)).collect();
-        let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+        let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
         cluster.erase_block(stripe, 2);
 
         let before = bytes::shim_metrics::deep_copy_bytes();
         let repaired = cluster
-            .repair(&mut coordinator, stripe, 2, 7, strategy)
+            .repair(&coordinator, stripe, 2, 7, strategy)
             .unwrap();
         assert_eq!(repaired, data[2], "strategy {strategy}");
         assert_eq!(

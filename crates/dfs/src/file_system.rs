@@ -28,23 +28,17 @@ use bytes::Bytes;
 use ecc::stripe::{BlockId, StripeId};
 use ecc::{ErasureCode, Lrc, ReedSolomon};
 use ecpipe::exec::ExecStrategy;
+use ecpipe::manager::{recover_node, ManagerConfig};
+use ecpipe::transport::ChannelTransport;
 use ecpipe::{Cluster, Coordinator, EcPipeError};
 use simnet::NodeId;
 
 use crate::profile::{EncodingMode, SystemProfile};
 use crate::Result;
 
-/// Metadata of one file: its original size and the stripes that store it.
-#[derive(Debug, Clone)]
-pub struct FileMeta {
-    /// File name.
-    pub name: String,
-    /// Original size in bytes (before padding).
-    pub size: usize,
-    /// The stripes storing the file, in order. Each stripe holds `k` data
-    /// blocks of the file.
-    pub stripes: Vec<StripeId>,
-}
+/// Metadata of one file: its name, its original size (before padding) and
+/// the stripes that store it, in order — the runtime's object record.
+pub use ecpipe::ObjectMeta as FileMeta;
 
 /// Which repair path a degraded read or recovery uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +57,6 @@ pub struct SimulatedDfs {
     cluster: Cluster,
     coordinator: Coordinator,
     files: HashMap<String, FileMeta>,
-    next_stripe: u64,
     /// Stripes written but not yet encoded (offline mode only): the parity
     /// blocks are missing until the RaidNode runs.
     pending_encoding: Vec<StripeId>,
@@ -108,7 +101,6 @@ impl SimulatedDfs {
             cluster: Cluster::new(ecpipe::StoreBackend::memory(nodes))?,
             coordinator,
             files: HashMap::new(),
-            next_stripe: 0,
             pending_encoding: Vec::new(),
             routine_reads: 0,
             native_reads: 0,
@@ -151,13 +143,12 @@ impl SimulatedDfs {
         let chunked = ecpipe::chunk_into_stripes(data, k, block_size);
         let mut stripes = Vec::with_capacity(chunked.len());
         for blocks in chunked {
-            let stripe_id = self.next_stripe;
-            self.next_stripe += 1;
+            let stripe_id = self.cluster.meta().allocate_stripe_id().0;
             let placement: Vec<NodeId> = (0..self.coordinator.code().n())
                 .map(|i| (stripe_id as usize + i) % self.cluster.num_nodes())
                 .collect();
             let id = self.cluster.write_stripe_with_placement(
-                &mut self.coordinator,
+                self.coordinator.code(),
                 stripe_id,
                 &blocks,
                 placement,
@@ -246,14 +237,10 @@ impl SimulatedDfs {
                 strategy
             }
         };
-        let directive = self.coordinator.plan_single_repair(
-            stripe,
-            index,
-            requestor,
-            &[],
-            ecpipe::SelectionPolicy::CodeDefault,
-        )?;
-        let transport = ecpipe::transport::ChannelTransport::new();
+        let directive =
+            self.coordinator
+                .plan_single_repair(self.cluster.meta(), stripe, index, requestor)?;
+        let transport = ChannelTransport::new();
         ecpipe::exec::execute_single(&directive, &self.cluster, &transport, strategy)
     }
 
@@ -261,18 +248,17 @@ impl SimulatedDfs {
     /// report / NameNode scrub).
     pub fn block_report(&self) -> Vec<BlockId> {
         let mut missing = Vec::new();
-        for meta in self.coordinator.stripes() {
-            for index in 0..meta.locations.len() {
-                let node = meta.locations[index];
+        self.cluster.meta().for_each_stripe(|record| {
+            for (index, &node) in record.locations.iter().enumerate() {
                 let id = BlockId {
-                    stripe: meta.id,
+                    stripe: record.id,
                     index,
                 };
                 if !self.cluster.store(node).contains(id) {
                     missing.push(id);
                 }
             }
-        }
+        });
         missing.sort_unstable();
         missing
     }
@@ -299,7 +285,7 @@ impl SimulatedDfs {
             RepairPath::Original => ExecStrategy::Conventional,
             RepairPath::EcPipe(strategy) => strategy,
         };
-        let affected = self.coordinator.stripes_on_node(failed_node).len();
+        let affected = self.cluster.meta().stripes_on_node(failed_node).len();
         match path {
             RepairPath::Original => {
                 self.routine_reads += affected * self.coordinator.code().k();
@@ -308,12 +294,15 @@ impl SimulatedDfs {
                 self.native_reads += affected * self.coordinator.code().k();
             }
         }
-        let report = ecpipe::recovery::full_node_recovery(
-            &mut self.coordinator,
+        // One repair at a time, as the storage system's own recovery loop
+        // walks the affected stripes.
+        let report = recover_node(
+            &self.coordinator,
             &self.cluster,
+            &ChannelTransport::new(),
             failed_node,
             replacements,
-            strategy,
+            &ManagerConfig::sequential(strategy),
         )?;
         Ok(report.blocks_repaired)
     }

@@ -1,10 +1,9 @@
 //! The ECPipe metadata plane: a sharded, WAL-durable object/stripe
 //! namespace with epoch-versioned placements.
 //!
-//! The runtime's `Coordinator` used to keep every object→stripe→placement
-//! fact in one in-memory map: a serialization bottleneck at scale and a
-//! single point of total metadata loss on restart. This crate is the
-//! subsystem underneath it:
+//! This crate is the single owner of every object→stripe→placement fact of
+//! a deployment — the runtime's `Cluster`, repair planner and façade all
+//! resolve placements through one shared [`MetaRouter`]:
 //!
 //! * [`MetaRouter`] — a thin router over `shards` independent shards. Keys
 //!   (object names, stripe ids) are placed on a consistent-hash ring, so
@@ -48,8 +47,8 @@ pub type Result<T> = std::result::Result<T, MetaError>;
 /// Where the metadata plane keeps its state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetaBackend {
-    /// In-memory only: nothing survives the handle. The historical
-    /// coordinator behavior, and the right choice for tests and benches.
+    /// In-memory only: nothing survives the handle. The right choice for
+    /// tests and benches.
     Ephemeral,
     /// WAL + snapshot files under this root directory; a reopened router
     /// recovers the namespace byte-exactly.

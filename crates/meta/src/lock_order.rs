@@ -3,9 +3,9 @@
 //! These slot into the workspace-wide hierarchy maintained in
 //! `crates/core/src/lock_order.rs` (and mirrored in docs/ARCHITECTURE.md):
 //! ranks are globally unique — `cargo run -p xtask -- lint` rejects
-//! collisions across crates — and this crate's locks sit between the
-//! coordinator lock (rank 10), under which planning closures consult the
-//! shards, and everything the repair engine takes afterwards.
+//! collisions across crates — and this crate's lock has the lowest rank in
+//! use: a shard is locked with nothing held and released before the repair
+//! engine takes anything else.
 
 use ecpipe_sync::lock_class;
 
@@ -14,7 +14,7 @@ lock_class!(
     /// directives and WAL appender. All shards share this class, so a
     /// thread may hold at most one shard at a time — cross-shard iteration
     /// visits shards sequentially, releasing each before locking the next.
-    /// Taken under the coordinator lock (rank 10) by planning and publish
+    /// Taken with nothing held by the planning, publish and client read
     /// paths; never held while acquiring anything else.
     pub META_SHARD = ("meta.shard", rank = 12)
 );

@@ -163,7 +163,19 @@ impl MetaRouter {
     /// Registers (or overwrites) an object.
     pub fn register_object(&self, record: ObjectRecord) -> Result<()> {
         self.shard_for_object(&record.name)
-            .commit(Record::PutObject(record))
+            .commit_with(|_| Ok((Some(Record::PutObject(record)), ())))
+    }
+
+    /// Registers an object unless one of that name already exists. Returns
+    /// whether it was registered: of two concurrent writers of one name,
+    /// exactly one gets `true`.
+    pub fn insert_object(&self, record: ObjectRecord) -> Result<bool> {
+        self.shard_for_object(&record.name).commit_with(|s| {
+            Ok(match s.object(&record.name) {
+                Some(_) => (None, false),
+                None => (Some(Record::PutObject(record)), true),
+            })
+        })
     }
 
     /// Looks up an object by name.
@@ -180,14 +192,13 @@ impl MetaRouter {
 
     /// Removes an object, returning its record if it existed.
     pub fn remove_object(&self, name: &str) -> Result<Option<ObjectRecord>> {
-        let shard = self.shard_for_object(name);
-        let existing = shard.with(|s| s.object(name).cloned());
-        if existing.is_some() {
-            shard.commit(Record::DeleteObject {
+        self.shard_for_object(name).commit_with(|s| {
+            let existing = s.object(name).cloned();
+            let record = existing.as_ref().map(|_| Record::DeleteObject {
                 name: name.to_string(),
-            })?;
-        }
-        Ok(existing)
+            });
+            Ok((record, existing))
+        })
     }
 
     /// Visits every object, shard by shard. Each shard's lock is released
@@ -226,19 +237,35 @@ impl MetaRouter {
     pub fn register_stripe(&self, id: StripeId, locations: Vec<NodeId>) -> Result<u64> {
         // Keep the allocator ahead of externally-chosen ids.
         self.next_stripe.fetch_max(id.0 + 1, Ordering::Relaxed);
-        let shard = self.shard_for_stripe(id);
-        let epoch = shard.with(|s| s.stripe(id).map_or(0, |r| r.epoch + 1));
-        shard.commit(Record::PutStripe(StripeRecord {
-            id,
-            locations,
-            epoch,
-        }))?;
-        Ok(epoch)
+        self.shard_for_stripe(id).commit_with(|s| {
+            let epoch = s.stripe(id).map_or(0, |r| r.epoch + 1);
+            let record = Record::PutStripe(StripeRecord {
+                id,
+                locations,
+                epoch,
+            });
+            Ok((Some(record), epoch))
+        })
     }
 
     /// Looks up a stripe.
     pub fn stripe(&self, id: StripeId) -> Option<StripeRecord> {
         self.shard_for_stripe(id).with(|s| s.stripe(id).cloned())
+    }
+
+    /// The node storing block `index` of a stripe, without cloning the
+    /// placement — the per-block lookup of the client read path.
+    pub fn node_of(&self, id: StripeId, index: usize) -> Result<NodeId> {
+        self.shard_for_stripe(id).with(|s| {
+            let record = s
+                .stripe(id)
+                .ok_or(MetaError::UnknownStripe { stripe: id.0 })?;
+            record
+                .locations
+                .get(index)
+                .copied()
+                .ok_or_else(|| index_out_of_range(record, index))
+        })
     }
 
     /// The current placement epoch of a stripe.
@@ -250,12 +277,13 @@ impl MetaRouter {
 
     /// Forgets a stripe. Returns whether it existed.
     pub fn forget_stripe(&self, id: StripeId) -> Result<bool> {
-        let shard = self.shard_for_stripe(id);
-        let existed = shard.with(|s| s.stripe(id).is_some());
-        if existed {
-            shard.commit(Record::ForgetStripe { stripe: id })?;
-        }
-        Ok(existed)
+        self.shard_for_stripe(id).commit_with(|s| {
+            let existed = s.stripe(id).is_some();
+            Ok((
+                existed.then_some(Record::ForgetStripe { stripe: id }),
+                existed,
+            ))
+        })
     }
 
     /// Visits every stripe, shard by shard (same locking contract as
@@ -307,22 +335,14 @@ impl MetaRouter {
         node: NodeId,
         expected_epoch: Option<u64>,
     ) -> Result<RelocateOutcome> {
-        let shard = self.shard_for_stripe(stripe);
-        // Decide under the shard lock, write the WAL record after: the
-        // coordinator lock above us serializes metadata writers, so the
-        // decision cannot go stale between the two steps.
-        let decision = shard.with(|s| {
+        // The epoch check and the append are one critical section: of two
+        // completions planned at the same epoch, exactly one moves the block.
+        self.shard_for_stripe(stripe).commit_with(|s| {
             let Some(rec) = s.stripe(stripe) else {
                 return Err(MetaError::UnknownStripe { stripe: stripe.0 });
             };
             if index >= rec.locations.len() {
-                return Err(MetaError::InvalidRequest {
-                    reason: format!(
-                        "block index {index} out of range for stripe {} ({} blocks)",
-                        stripe.0,
-                        rec.locations.len()
-                    ),
-                });
+                return Err(index_out_of_range(rec, index));
             }
             if let Some(expected) = expected_epoch {
                 if rec.epoch != expected {
@@ -340,22 +360,17 @@ impl MetaRouter {
                 .enumerate()
                 .any(|(i, &n)| i != index && n == node);
             if colocated {
-                return Ok(None);
+                return Ok((None, RelocateOutcome::Refused));
             }
-            Ok(Some(rec.epoch + 1))
-        })?;
-        match decision {
-            None => Ok(RelocateOutcome::Refused),
-            Some(epoch) => {
-                shard.commit(Record::Relocate {
-                    stripe,
-                    index,
-                    node,
-                    epoch,
-                })?;
-                Ok(RelocateOutcome::Moved { epoch })
-            }
-        }
+            let epoch = rec.epoch + 1;
+            let record = Record::Relocate {
+                stripe,
+                index,
+                node,
+                epoch,
+            };
+            Ok((Some(record), RelocateOutcome::Moved { epoch }))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -367,26 +382,20 @@ impl MetaRouter {
     /// re-enqueues pending repairs, and re-journaling them must not grow
     /// the WAL.
     pub fn record_repair(&self, record: RepairRecord) -> Result<bool> {
-        let shard = self.shard_for_stripe(record.stripe);
-        let duplicate =
-            shard.with(|s| s.pending_repair(record.stripe, record.index) == Some(&record));
-        if duplicate {
-            return Ok(false);
-        }
-        shard.commit(Record::PutRepair(record))?;
-        Ok(true)
+        self.shard_for_stripe(record.stripe).commit_with(|s| {
+            let fresh = s.pending_repair(record.stripe, record.index) != Some(&record);
+            Ok((fresh.then_some(Record::PutRepair(record)), fresh))
+        })
     }
 
     /// Marks a pending repair resolved (completed, failed terminally, or
     /// rejected as stale). Returns whether a record was pending.
     pub fn resolve_repair(&self, stripe: StripeId, index: usize) -> Result<bool> {
-        let shard = self.shard_for_stripe(stripe);
-        let pending = shard.with(|s| s.pending_repair(stripe, index).is_some());
-        if !pending {
-            return Ok(false);
-        }
-        shard.commit(Record::ResolveRepair { stripe, index })?;
-        Ok(true)
+        self.shard_for_stripe(stripe).commit_with(|s| {
+            let pending = s.pending_repair(stripe, index).is_some();
+            let record = pending.then_some(Record::ResolveRepair { stripe, index });
+            Ok((record, pending))
+        })
     }
 
     /// Every pending repair directive, sorted by `(stripe, block index)`.
@@ -397,6 +406,16 @@ impl MetaRouter {
         }
         out.sort_unstable_by_key(|r| (r.stripe.0, r.index));
         out
+    }
+}
+
+fn index_out_of_range(record: &StripeRecord, index: usize) -> MetaError {
+    MetaError::InvalidRequest {
+        reason: format!(
+            "block index {index} out of range for stripe {} ({} blocks)",
+            record.id.0,
+            record.locations.len()
+        ),
     }
 }
 
@@ -495,6 +514,55 @@ mod tests {
         assert_eq!(router.epoch_of(id).unwrap(), 1);
         // Re-registration is a placement rewrite: epoch keeps rising.
         assert_eq!(router.register_stripe(id, nodes(&[5, 6, 7])).unwrap(), 2);
+    }
+
+    #[test]
+    fn namespace_lookups_follow_registrations_and_relocations() {
+        let router = MetaRouter::open(MetaConfig::ephemeral()).unwrap();
+        let (s1, s2) = (StripeId(1), StripeId(2));
+        router.register_stripe(s1, nodes(&[0, 1, 2, 3])).unwrap();
+        router.register_stripe(s2, nodes(&[6, 1, 2, 3])).unwrap();
+        // Hand-registered stripes push the allocator past their ids.
+        assert_eq!(router.allocate_stripe_id(), StripeId(3));
+        assert_eq!(router.stripes_on_node(0), vec![(s1, 0)]);
+        assert_eq!(router.stripes_on_node(1), vec![(s1, 1), (s2, 1)]);
+        assert!(router.stripes_on_node(99).is_empty());
+        router.relocate(s1, 2, 9, None).unwrap();
+        assert_eq!(router.node_of(s1, 2).unwrap(), 9);
+        assert_eq!(router.stripes_on_node(9), vec![(s1, 2)]);
+        // Unknown stripes and out-of-range indices are errors, not panics.
+        assert!(matches!(
+            router.node_of(StripeId(7), 0),
+            Err(MetaError::UnknownStripe { stripe: 7 })
+        ));
+        assert!(router.node_of(s1, 4).is_err());
+        assert!(router.relocate(StripeId(7), 0, 9, None).is_err());
+        assert!(router.relocate(s1, 4, 9, None).is_err());
+        assert!(router.forget_stripe(s2).unwrap());
+        assert!(!router.forget_stripe(s2).unwrap());
+        assert_eq!(router.stripe_count(), 1);
+    }
+
+    #[test]
+    fn object_names_are_first_writer_wins() {
+        let router = MetaRouter::open(MetaConfig::ephemeral()).unwrap();
+        let a = ObjectRecord {
+            name: "/a".into(),
+            size: 123,
+            stripes: vec![StripeId(1)],
+        };
+        assert!(!router.has_object("/a"));
+        assert!(router.insert_object(a.clone()).unwrap());
+        // A second writer of the name loses; the first record stands.
+        let late = ObjectRecord {
+            size: 9,
+            ..a.clone()
+        };
+        assert!(!router.insert_object(late).unwrap());
+        assert_eq!(router.object("/a"), Some(a.clone()));
+        assert_eq!(router.remove_object("/a").unwrap(), Some(a));
+        assert_eq!(router.remove_object("/a").unwrap(), None);
+        assert_eq!(router.object_count(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! One metadata shard: its in-memory maps, WAL appender and snapshots.
 //!
 //! A shard is the unit of locking and of durability. Mutations go through
-//! [`Shard::commit`]: the record is appended to the WAL *first* (WAL-then-
+//! [`Shard::commit_with`]: the record is appended to the WAL *first* (WAL-then-
 //! apply — an append failure leaves memory untouched), then applied to the
 //! maps; after [`snapshot_every`](crate::MetaConfig::snapshot_every)
 //! appends the shard serializes its full state to `snapshot.tmp`, renames
@@ -123,13 +123,26 @@ impl Shard {
         })
     }
 
-    /// Appends `record` to the WAL (durable shards), applies it, and
-    /// snapshots when the cadence says so.
-    pub(crate) fn commit(&self, record: Record) -> Result<()> {
+    /// A mutation in one critical section: `decide` inspects the state
+    /// under the shard lock and returns the record to commit (`None` commits
+    /// nothing) plus a value for the caller; the record is appended to the
+    /// WAL (durable shards), applied, and the shard snapshots when the
+    /// cadence says so. No lock above the shards serializes metadata
+    /// writers, so a decision and the append it leads to must not be
+    /// separated by an unlock — two repairs completing against the same
+    /// epoch would otherwise both pass the stale check.
+    pub(crate) fn commit_with<R>(
+        &self,
+        decide: impl FnOnce(&ShardState) -> Result<(Option<Record>, R)>,
+    ) -> Result<R> {
         let mut state = self.state.lock();
-        state.append(&record)?;
-        state.apply(&record);
-        state.maybe_snapshot()
+        let (record, out) = decide(&state)?;
+        if let Some(record) = record {
+            state.append(&record)?;
+            state.apply(&record);
+            state.maybe_snapshot()?;
+        }
+        Ok(out)
     }
 
     /// Runs `f` over the shard's state under its lock.

@@ -18,7 +18,6 @@
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::ReedSolomon;
 use repair_pipelining::ecpipe::manager::{recover_node, ManagerConfig};
-use repair_pipelining::ecpipe::recovery::full_node_recovery_over;
 use repair_pipelining::ecpipe::transport::ChannelTransport;
 use repair_pipelining::ecpipe::{
     Cluster, Coordinator, EcPipeBuilder, ExecStrategy, NodeHealth, ScrubConfig, StoreBackend,
@@ -197,38 +196,32 @@ fn main() {
         println!("    node {node:>2}: {}", "#".repeat(count));
     }
 
-    // --- The same node failure: sequential loop vs concurrent manager -----
+    // --- The same node failure: one worker vs the concurrent pool ---------
     // This comparison needs two identical fresh clusters, so it drops to
     // the engine-level API the façade wraps.
-    let (mut coordinator, cluster) = stripes_for_comparison();
-    cluster.kill_node(failed_node);
-    let sequential = full_node_recovery_over(
-        &mut coordinator,
-        &cluster,
-        failed_node,
-        &[12, 13],
-        ExecStrategy::RepairPipelining,
-        &ChannelTransport::with_rate_limit(LINK_RATE),
-    )
-    .expect("sequential recovery succeeds");
-
-    let (mut coordinator, cluster) = stripes_for_comparison();
-    cluster.kill_node(failed_node);
-    let concurrent = recover_node(
-        &mut coordinator,
-        &cluster,
-        &ChannelTransport::with_rate_limit(LINK_RATE),
-        failed_node,
-        &[12, 13],
+    let recover = |config: &ManagerConfig| {
+        let (coordinator, cluster) = stripes_for_comparison();
+        cluster.kill_node(failed_node);
+        recover_node(
+            &coordinator,
+            &cluster,
+            &ChannelTransport::with_rate_limit(LINK_RATE),
+            failed_node,
+            &[12, 13],
+            config,
+        )
+        .expect("recovery succeeds")
+    };
+    let sequential = recover(&ManagerConfig::sequential(ExecStrategy::RepairPipelining));
+    let concurrent = recover(
         &ManagerConfig::default()
             .with_workers(4)
             .with_inflight_cap(3),
-    )
-    .expect("concurrent recovery succeeds");
+    );
     println!(
         "\nrecovering node {failed_node} again on a fresh cluster, same throttled transport:\n\
-         \x20 sequential full_node_recovery_over: {} blocks in {:.3}s\n\
-         \x20 manager with 4 workers (cap 3):     {} blocks in {:.3}s  ({:.1}x faster)",
+         \x20 manager, sequential config (1 worker): {} blocks in {:.3}s\n\
+         \x20 manager with 4 workers (cap 3):        {} blocks in {:.3}s  ({:.1}x faster)",
         sequential.blocks_repaired,
         sequential.wall_time.as_secs_f64(),
         concurrent.blocks_repaired,
@@ -242,7 +235,7 @@ fn main() {
 /// confined to nodes 0..12 so nodes 12 and 13 can act as replacements.
 fn stripes_for_comparison() -> (Coordinator, Cluster) {
     let code = Arc::new(ReedSolomon::new(6, 4).expect("valid parameters"));
-    let mut coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
+    let coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
     let cluster = Cluster::new(StoreBackend::memory(NODES)).expect("cluster builds");
     for s in 0..24u64 {
         let data: Vec<Vec<u8>> = (0..4)
@@ -254,7 +247,7 @@ fn stripes_for_comparison() -> (Coordinator, Cluster) {
             .collect();
         let placement: Vec<usize> = (0..6).map(|i| (s as usize + i) % 12).collect();
         cluster
-            .write_stripe_with_placement(&mut coordinator, s, &data, placement)
+            .write_stripe_with_placement(coordinator.code(), s, &data, placement)
             .expect("stripe written");
     }
     (coordinator, cluster)

@@ -12,21 +12,24 @@
 //!
 //! Run with `cargo run --release --example tcp_repair`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
+use repair_pipelining::ecc::slice::SliceLayout;
+use repair_pipelining::ecc::ReedSolomon;
 use repair_pipelining::ecpipe::transport::Transport;
 use repair_pipelining::ecpipe::{
-    EcPipeBuilder, ExecStrategy, SelectionPolicy, StoreBackend, TcpTransport, TransportChoice,
+    Coordinator, EcPipeBuilder, ExecStrategy, StoreBackend, TcpTransport, TransportChoice,
 };
 
 fn main() {
     // Facebook's (14,10) code; 1 MiB blocks in 64 KiB slices keep the
     // example quick while still pushing 10 MiB through sockets per repair.
     const BLOCK: usize = 1024 * 1024;
+    let layout = SliceLayout::new(BLOCK, 64 * 1024);
     let pipe = EcPipeBuilder::new()
         .code(14, 10)
-        .block_size(BLOCK)
-        .slice_size(64 * 1024)
+        .layout(layout)
         .store(StoreBackend::memory(16))
         .transport(TransportChoice::Tcp)
         .strategy(ExecStrategy::RepairPipelining)
@@ -55,17 +58,14 @@ fn main() {
     // time should sit near 1 + (k-1)/s timeslots (§3.2), far below the k
     // timeslots a block-by-block relay would need. This drops below the
     // façade to the exec layer, which stays reachable for exactly this kind
-    // of experiment.
+    // of experiment: a coordinator of its own plans against the deployment's
+    // metadata router, the one record of where the stripe's blocks live.
     const RATE: u64 = 8 * 1024 * 1024;
     pipe.erase_block(meta.stripes[0], 3);
-    let (directive, slice_count) = pipe.with_coordinator(|c| {
-        let layout = c.layout();
-        (
-            c.plan_single_repair(meta.stripes[0], 3, 15, &[], SelectionPolicy::CodeDefault)
-                .expect("plan repair"),
-            layout.slice_count(),
-        )
-    });
+    let code = Arc::new(ReedSolomon::new(14, 10).expect("valid parameters"));
+    let directive = Coordinator::new(code, layout)
+        .plan_single_repair(&pipe.meta(), meta.stripes[0], 3, 15)
+        .expect("plan repair");
     let throttled = TcpTransport::with_rate_limit(RATE);
     let start = Instant::now();
     let repaired = repair_pipelining::ecpipe::exec::execute_single(
@@ -79,7 +79,7 @@ fn main() {
     let elapsed = start.elapsed().as_secs_f64();
     let timeslot = BLOCK as f64 / RATE as f64;
     let k = directive.path.len() as f64;
-    let s = slice_count as f64;
+    let s = layout.slice_count() as f64;
     println!(
         "throttled to 8 MiB/s per link: repair took {elapsed:.3}s \
          (one-block timeslot {timeslot:.3}s, paper predicts ~{:.3}s, \

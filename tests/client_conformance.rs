@@ -188,7 +188,7 @@ fn range_reads_heal_corrupt_chunks_on_both_backends() {
 
 /// On a cluster with no spare nodes (`nodes == n`), a repaired block cannot
 /// take over its placement (every live node already holds a block of the
-/// stripe, and the coordinator refuses to co-locate two). Reads must still
+/// stripe, and the router refuses to co-locate two). Reads must still
 /// serve the repaired copy — found by scanning — instead of failing or
 /// re-repairing forever.
 #[test]

@@ -26,9 +26,9 @@ fn k1_repair_through_every_strategy() {
     let coded = code.encode(&data).unwrap();
 
     for failed in [0usize, 1] {
-        let mut coordinator = Coordinator::new(code.clone(), layout);
+        let coordinator = Coordinator::new(code.clone(), layout);
         let cluster = Cluster::new(StoreBackend::memory(4)).unwrap();
-        let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+        let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
         cluster.erase_block(stripe, failed);
         for strategy in [
             ExecStrategy::Conventional,
@@ -37,7 +37,7 @@ fn k1_repair_through_every_strategy() {
             ExecStrategy::BlockPipeline,
         ] {
             let repaired = cluster
-                .repair(&mut coordinator, stripe, failed, 3, strategy)
+                .repair(&coordinator, stripe, failed, 3, strategy)
                 .unwrap();
             assert_eq!(repaired, coded[failed], "failed={failed} {strategy:?}");
         }
@@ -81,18 +81,12 @@ fn one_byte_block_repair() {
 
     let data = vec![vec![7u8], vec![11u8], vec![13u8]];
     let coded = code.encode(&data).unwrap();
-    let mut coordinator = Coordinator::new(code.clone(), layout);
+    let coordinator = Coordinator::new(code.clone(), layout);
     let cluster = Cluster::new(StoreBackend::memory(7)).unwrap();
-    let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+    let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
     cluster.erase_block(stripe, 2);
     let repaired = cluster
-        .repair(
-            &mut coordinator,
-            stripe,
-            2,
-            6,
-            ExecStrategy::RepairPipelining,
-        )
+        .repair(&coordinator, stripe, 2, 6, ExecStrategy::RepairPipelining)
         .unwrap();
     assert_eq!(repaired, coded[2]);
 }
@@ -203,17 +197,17 @@ fn lrc_local_repair_with_minimal_availability() {
 fn multi_repair_of_all_parity_blocks() {
     let code = Arc::new(ReedSolomon::new(14, 10).unwrap());
     let layout = SliceLayout::new(4096, 1024);
-    let mut coordinator = Coordinator::new(code.clone(), layout);
+    let coordinator = Coordinator::new(code.clone(), layout);
     let cluster = Cluster::new(StoreBackend::memory(20)).unwrap();
     let data: Vec<Vec<u8>> = (0..10).map(|i| vec![i as u8; 4096]).collect();
     let coded = code.encode(&data).unwrap();
-    let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+    let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
     let failed = vec![10, 11, 12, 13];
     for &f in &failed {
         cluster.erase_block(stripe, f);
     }
     let directive = coordinator
-        .plan_multi_repair(stripe, &failed, &[16, 17, 18, 19])
+        .plan_multi_repair(cluster.meta(), stripe, &failed, &[16, 17, 18, 19])
         .unwrap();
     let transport = ChannelTransport::new();
     let repaired = execute_multi(&directive, &cluster, &transport).unwrap();

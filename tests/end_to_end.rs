@@ -7,9 +7,9 @@ use repair_pipelining::dfs::{RepairPath, SimulatedDfs, SystemProfile};
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::{ErasureCode, Lrc, ReedSolomon};
 use repair_pipelining::ecpipe::exec::{execute_multi, execute_single, ExecStrategy};
-use repair_pipelining::ecpipe::recovery::full_node_recovery;
+use repair_pipelining::ecpipe::manager::{recover_node, ManagerConfig};
 use repair_pipelining::ecpipe::transport::{ChannelTransport, Transport};
-use repair_pipelining::ecpipe::{Cluster, Coordinator, SelectionPolicy, StoreBackend};
+use repair_pipelining::ecpipe::{Cluster, Coordinator, StoreBackend};
 
 const BLOCK: usize = 64 * 1024;
 
@@ -41,9 +41,9 @@ fn every_strategy_and_code_reconstructs_exact_bytes() {
 
         for failed in [0, k - 1, n - 1] {
             // A fresh cluster per failure so every helper block is in place.
-            let mut coordinator = Coordinator::new(code.clone(), layout);
+            let coordinator = Coordinator::new(code.clone(), layout);
             let cluster = Cluster::new(StoreBackend::memory(n + 2)).unwrap();
-            let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+            let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
             cluster.erase_block(stripe, failed);
             for strategy in [
                 ExecStrategy::Conventional,
@@ -52,7 +52,7 @@ fn every_strategy_and_code_reconstructs_exact_bytes() {
                 ExecStrategy::BlockPipeline,
             ] {
                 let repaired = cluster
-                    .repair(&mut coordinator, stripe, failed, n + 1, strategy)
+                    .repair(&coordinator, stripe, failed, n + 1, strategy)
                     .unwrap();
                 assert_eq!(repaired, coded[failed], "{} {:?}", code.name(), strategy);
             }
@@ -66,10 +66,10 @@ fn every_strategy_and_code_reconstructs_exact_bytes() {
 fn multi_block_repair_end_to_end() {
     let code = Arc::new(ReedSolomon::new(14, 10).unwrap());
     let layout = SliceLayout::new(BLOCK, 4 * 1024);
-    let mut coordinator = Coordinator::new(code.clone(), layout);
+    let coordinator = Coordinator::new(code.clone(), layout);
     let cluster = Cluster::new(StoreBackend::memory(20)).unwrap();
     let data = stripe_data(10, 11);
-    let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+    let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
     let coded = code.encode(&data).unwrap();
 
     let failed = vec![0, 5, 11, 13];
@@ -77,7 +77,7 @@ fn multi_block_repair_end_to_end() {
         cluster.erase_block(stripe, f);
     }
     let directive = coordinator
-        .plan_multi_repair(stripe, &failed, &[16, 17, 18, 19])
+        .plan_multi_repair(cluster.meta(), stripe, &failed, &[16, 17, 18, 19])
         .unwrap();
     let transport = ChannelTransport::new();
     let repaired = execute_multi(&directive, &cluster, &transport).unwrap();
@@ -96,24 +96,25 @@ fn multi_block_repair_end_to_end() {
 fn full_node_recovery_end_to_end() {
     let code = Arc::new(ReedSolomon::new(9, 6).unwrap());
     let layout = SliceLayout::new(BLOCK, 16 * 1024);
-    let mut coordinator = Coordinator::new(code.clone(), layout);
+    let coordinator = Coordinator::new(code.clone(), layout);
     let cluster = Cluster::new(StoreBackend::memory(14)).unwrap();
     let mut all_coded = Vec::new();
     for s in 0..12u64 {
         let data = stripe_data(6, s);
         all_coded.push(code.encode(&data).unwrap());
-        cluster.write_stripe(&mut coordinator, s, &data).unwrap();
+        cluster.write_stripe(coordinator.code(), s, &data).unwrap();
     }
 
     let failed_node = 3;
     let lost = cluster.kill_node(failed_node);
     assert!(!lost.is_empty());
-    let report = full_node_recovery(
-        &mut coordinator,
+    let report = recover_node(
+        &coordinator,
         &cluster,
+        &ChannelTransport::new(),
         failed_node,
         &[12, 13],
-        ExecStrategy::RepairPipelining,
+        &ManagerConfig::sequential(ExecStrategy::RepairPipelining),
     )
     .unwrap();
     assert_eq!(report.blocks_repaired, lost.len());
@@ -137,15 +138,15 @@ fn full_node_recovery_end_to_end() {
 fn plan_runtime_agreement() {
     let code = Arc::new(ReedSolomon::new(14, 10).unwrap());
     let layout = SliceLayout::new(BLOCK, 8 * 1024);
-    let mut coordinator = Coordinator::new(code.clone(), layout);
+    let coordinator = Coordinator::new(code.clone(), layout);
     let cluster = Cluster::new(StoreBackend::memory(16)).unwrap();
     let data = stripe_data(10, 21);
-    let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+    let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
     let coded = code.encode(&data).unwrap();
 
     cluster.erase_block(stripe, 12);
     let directive = coordinator
-        .plan_single_repair(stripe, 12, 15, &[], SelectionPolicy::CodeDefault)
+        .plan_single_repair(cluster.meta(), stripe, 12, 15)
         .unwrap();
 
     // Algebraic evaluation of the same plan.

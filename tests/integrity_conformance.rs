@@ -28,8 +28,7 @@ use repair_pipelining::ecpipe::transport::{
     ChannelTransport, ReactorTransport, TcpTransport, Transport,
 };
 use repair_pipelining::ecpipe::{
-    BlockStore, Cluster, Coordinator, EcPipeError, ExecStrategy, FileStore, SelectionPolicy,
-    StoreBackend,
+    BlockStore, Cluster, Coordinator, EcPipeError, ExecStrategy, FileStore, StoreBackend,
 };
 
 const BLOCK: usize = 16 * 1024;
@@ -43,7 +42,7 @@ const STRIPES: u64 = 24;
 /// A 14-node cluster of checksum-verifying stores holding 24 (6,4) stripes.
 fn build_cluster() -> (Coordinator, Cluster, Vec<Vec<Vec<u8>>>) {
     let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
-    let mut coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
+    let coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
     let cluster = Cluster::new(StoreBackend::memory_checksummed(NODES)).unwrap();
     let mut originals = Vec::new();
     for s in 0..STRIPES {
@@ -56,7 +55,7 @@ fn build_cluster() -> (Coordinator, Cluster, Vec<Vec<Vec<u8>>>) {
             .collect();
         let placement: Vec<usize> = (0..6).map(|i| (s as usize + i) % STORAGE_NODES).collect();
         cluster
-            .write_stripe_with_placement(&mut coordinator, s, &data, placement)
+            .write_stripe_with_placement(coordinator.code(), s, &data, placement)
             .unwrap();
         originals.push(data);
     }
@@ -189,15 +188,15 @@ fn case_exec_surfaces_corrupt_block<T: Transport + Send + Sync>(transport: &T) {
         ExecStrategy::BlockPipeline,
     ] {
         let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
-        let mut coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
+        let coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
         let cluster = Cluster::new(StoreBackend::memory_checksummed(8)).unwrap();
         let data: Vec<Vec<u8>> = (0..4)
             .map(|i| (0..BLOCK).map(|b| ((b * 7 + i * 31) % 250) as u8).collect())
             .collect();
-        let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+        let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
         cluster.erase_block(stripe, 2);
         let directive = coordinator
-            .plan_single_repair(stripe, 2, 7, &[], SelectionPolicy::CodeDefault)
+            .plan_single_repair(cluster.meta(), stripe, 2, 7)
             .unwrap();
         // Rot one of the helpers the plan uses (block 1 is always in the
         // CodeDefault helper set {0, 1, 3, 4}).
@@ -243,7 +242,7 @@ integrity_suite!(reactor, ReactorTransport::new());
 /// (single worker makes the completion order fully deterministic).
 #[test]
 fn corruption_priority_sits_between_degraded_and_background() {
-    let (mut coordinator, cluster, originals) = build_cluster();
+    let (coordinator, cluster, originals) = build_cluster();
     let mut requests = Vec::new();
     for s in 0..4u64 {
         cluster.erase_block(StripeId(s), 0);
@@ -276,7 +275,7 @@ fn corruption_priority_sits_between_degraded_and_background() {
     }
     let transport = ChannelTransport::new();
     let config = ManagerConfig::default().with_workers(1);
-    let report = run_batch(&mut coordinator, &cluster, &transport, &config, requests).unwrap();
+    let report = run_batch(&coordinator, &cluster, &transport, &config, requests).unwrap();
     assert_eq!(report.blocks_repaired, 8);
     let seq_of = |p: RepairPriority| {
         report
@@ -314,11 +313,11 @@ fn corruption_priority_sits_between_degraded_and_background() {
 #[test]
 fn scrub_pacing_throttles_the_scan() {
     let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
-    let mut coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
+    let coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
     let cluster = Cluster::new(StoreBackend::memory_checksummed(8)).unwrap();
     let data: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8 + 1; BLOCK]).collect();
     for s in 0..16u64 {
-        cluster.write_stripe(&mut coordinator, s, &data).unwrap();
+        cluster.write_stripe(coordinator.code(), s, &data).unwrap();
     }
     let manager = RepairManager::start(
         coordinator,
@@ -366,12 +365,12 @@ fn file_backed_scrub_survives_on_disk_tampering() {
         })
         .collect();
     let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
-    let mut coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
+    let coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
     let cluster = Cluster::new(StoreBackend::custom(stores)).unwrap();
     let data: Vec<Vec<u8>> = (0..4)
         .map(|i| (0..BLOCK).map(|b| ((b * 13 + i * 7) % 240) as u8).collect())
         .collect();
-    let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+    let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
     let victim_node = cluster.placement(stripe).unwrap()[1];
 
     // Tamper with the block file behind the store's back, as bit-rot would.

@@ -6,8 +6,8 @@
 //! a full-node recovery executed by many workers at once must reconstruct
 //! every block byte-exact, never exceed the per-node in-flight cap, and
 //! (on rate-limited links, where repair is network-bound like the paper's
-//! testbed) finish measurably faster than the sequential
-//! `full_node_recovery_over` loop. Channel-only cases pin the scheduling
+//! testbed) finish measurably faster than the one-worker
+//! `ManagerConfig::sequential` baseline. Channel-only cases pin the scheduling
 //! semantics: a cap of 1 reproduces the sequential results byte-for-byte,
 //! degraded reads finish before queued background work, helpers that die
 //! mid-flight are re-planned around, and a silently dead node is detected
@@ -22,7 +22,6 @@ use repair_pipelining::ecpipe::manager::{
     recover_node, run_batch, ManagerConfig, NodeHealth, RepairManager, RepairPriority,
     RepairRequest,
 };
-use repair_pipelining::ecpipe::recovery::full_node_recovery_over;
 use repair_pipelining::ecpipe::transport::{
     ChannelTransport, ReactorTransport, TcpTransport, Transport,
 };
@@ -43,7 +42,7 @@ const LINK_RATE: u64 = 4 * 1024 * 1024;
 
 fn build_cluster() -> (Coordinator, Cluster, Vec<Vec<Vec<u8>>>) {
     let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
-    let mut coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
+    let coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
     let cluster = Cluster::new(StoreBackend::memory(NODES)).unwrap();
     let mut originals = Vec::new();
     for s in 0..STRIPES {
@@ -56,7 +55,7 @@ fn build_cluster() -> (Coordinator, Cluster, Vec<Vec<Vec<u8>>>) {
             .collect();
         let placement: Vec<usize> = (0..6).map(|i| (s as usize + i) % STORAGE_NODES).collect();
         cluster
-            .write_stripe_with_placement(&mut coordinator, s, &data, placement)
+            .write_stripe_with_placement(coordinator.code(), s, &data, placement)
             .unwrap();
         originals.push(data);
     }
@@ -78,14 +77,14 @@ fn expected_block(originals: &[Vec<Vec<u8>>], block: BlockId) -> Vec<u8> {
 /// Runs a 4-worker full-node recovery and checks byte-exact reconstruction
 /// plus the admission cap.
 fn case_concurrent_recovery_byte_exact<T: Transport>(transport: &T) {
-    let (mut coordinator, cluster, originals) = build_cluster();
+    let (coordinator, cluster, originals) = build_cluster();
     let lost = cluster.kill_node(FAILED_NODE);
     assert!(lost.len() >= 10);
     let config = ManagerConfig::default()
         .with_workers(4)
         .with_inflight_cap(3);
     let report = recover_node(
-        &mut coordinator,
+        &coordinator,
         &cluster,
         transport,
         FAILED_NODE,
@@ -115,26 +114,26 @@ fn case_concurrent_recovery_byte_exact<T: Transport>(transport: &T) {
 /// holding 20+ stripes is measurably faster than the sequential loop on an
 /// equally-throttled transport of the same backend.
 fn case_manager_beats_sequential<T: Transport>(sequential_t: &T, concurrent_t: &T) {
-    let (mut coordinator, cluster, _) = build_cluster();
+    let (coordinator, cluster, _) = build_cluster();
     let lost = cluster.kill_node(FAILED_NODE);
     assert!(lost.len() >= 20 / 2); // 12 stripes on the failed node
-    let sequential = full_node_recovery_over(
-        &mut coordinator,
+    let sequential = recover_node(
+        &coordinator,
         &cluster,
+        sequential_t,
         FAILED_NODE,
         &REQUESTORS,
-        ExecStrategy::RepairPipelining,
-        sequential_t,
+        &ManagerConfig::sequential(ExecStrategy::RepairPipelining),
     )
     .unwrap();
 
-    let (mut coordinator, cluster, _) = build_cluster();
+    let (coordinator, cluster, _) = build_cluster();
     cluster.kill_node(FAILED_NODE);
     let config = ManagerConfig::default()
         .with_workers(4)
         .with_inflight_cap(3);
     let concurrent = recover_node(
-        &mut coordinator,
+        &coordinator,
         &cluster,
         concurrent_t,
         FAILED_NODE,
@@ -193,25 +192,25 @@ manager_suite!(
 /// for block and store for store.
 #[test]
 fn cap_one_reproduces_sequential_results() {
-    let (mut coordinator, cluster, _) = build_cluster();
+    let (coordinator, cluster, _) = build_cluster();
     let lost = cluster.kill_node(FAILED_NODE);
-    full_node_recovery_over(
-        &mut coordinator,
+    recover_node(
+        &coordinator,
         &cluster,
+        &ChannelTransport::new(),
         FAILED_NODE,
         &REQUESTORS,
-        ExecStrategy::RepairPipelining,
-        &ChannelTransport::new(),
+        &ManagerConfig::sequential(ExecStrategy::RepairPipelining),
     )
     .unwrap();
 
-    let (mut coordinator2, cluster2, _) = build_cluster();
+    let (coordinator2, cluster2, _) = build_cluster();
     cluster2.kill_node(FAILED_NODE);
     let config = ManagerConfig::default()
         .with_workers(4)
         .with_inflight_cap(1);
     let report = recover_node(
-        &mut coordinator2,
+        &coordinator2,
         &cluster2,
         &ChannelTransport::new(),
         FAILED_NODE,
@@ -240,7 +239,7 @@ fn cap_one_reproduces_sequential_results() {
 /// of them (single worker makes the pop order fully deterministic).
 #[test]
 fn degraded_reads_finish_before_queued_background_work() {
-    let (mut coordinator, cluster, originals) = build_cluster();
+    let (coordinator, cluster, originals) = build_cluster();
     let mut requests = Vec::new();
     for s in 0..6u64 {
         cluster.erase_block(StripeId(s), 0);
@@ -262,7 +261,7 @@ fn degraded_reads_finish_before_queued_background_work() {
     }
     let transport = ChannelTransport::new();
     let config = ManagerConfig::default().with_workers(1);
-    let report = run_batch(&mut coordinator, &cluster, &transport, &config, requests).unwrap();
+    let report = run_batch(&coordinator, &cluster, &transport, &config, requests).unwrap();
     assert_eq!(report.blocks_repaired, 8);
     let max_degraded = report
         .outcomes
@@ -334,7 +333,7 @@ fn daemon_degraded_read_preempts_backlog() {
 /// re-planned with the survivors.
 #[test]
 fn replans_around_a_lost_helper() {
-    let (mut coordinator, cluster, originals) = build_cluster();
+    let (coordinator, cluster, originals) = build_cluster();
     cluster.erase_block(StripeId(0), 0);
     // The first LRU plan for stripe 0 picks the lowest-index helpers
     // {1, 2, 3, 4}; erasing block 1 forces a mid-flight re-plan.
@@ -342,7 +341,7 @@ fn replans_around_a_lost_helper() {
     let transport = ChannelTransport::new();
     let config = ManagerConfig::default().with_workers(1);
     let report = run_batch(
-        &mut coordinator,
+        &coordinator,
         &cluster,
         &transport,
         &config,

@@ -9,9 +9,10 @@
 
 use std::path::{Path, PathBuf};
 
+use repair_pipelining::ecc::stripe::StripeId;
 use repair_pipelining::ecpipe::{
-    EcPipeBuilder, MetaBackend, MetaConfig, MetaRouter, ObjectRecord, RepairPriority, RepairRecord,
-    RepairRequest, StoreBackend, StripeRecord,
+    EcPipeBuilder, EcPipeError, MetaBackend, MetaConfig, MetaRouter, ObjectRecord, RepairPriority,
+    RepairRecord, RepairRequest, StoreBackend, StripeRecord,
 };
 
 const NODES: usize = 6;
@@ -203,7 +204,10 @@ fn ephemeral_backend_forgets_across_handles() {
 }
 
 /// Reopening a durable namespace with no crash and no pending repairs is a
-/// plain byte-exact restore: every object readable, every placement intact.
+/// plain byte-exact restore: the recovered router is the only record of where
+/// blocks live, so every object reads back with no repair — including a block
+/// that moved before the restart — and a directory written under another code
+/// is refused.
 #[test]
 fn clean_restart_restores_reads_without_repairs() {
     let root = fresh_dir("clean");
@@ -216,19 +220,76 @@ fn clean_restart_restores_reads_without_repairs() {
             (name, bytes)
         })
         .collect();
-    {
+    let (moved, spare) = {
         let pipe = builder(&root).build().unwrap();
         for (name, bytes) in &objects {
             pipe.put(name, bytes).unwrap();
         }
-        pipe.shutdown();
-    }
+        // Rebuild one block onto a spare node: the repair relocates it.
+        let stripe = pipe.object_meta(&objects[0].0).unwrap().stripes[0];
+        let spare = spare_node(&pipe.meta().stripe(stripe).unwrap());
+        assert!(pipe.erase_block(stripe, 0));
+        pipe.manager()
+            .enqueue(RepairRequest {
+                stripe,
+                failed: 0,
+                requestor: spare,
+                priority: RepairPriority::Background,
+            })
+            .unwrap();
+        pipe.wait_idle();
+        assert_eq!(pipe.shutdown().blocks_repaired, 1);
+        (stripe, spare)
+    };
     let pipe = builder(&root).build().unwrap();
     assert_eq!(pipe.meta().object_count(), objects.len());
+    assert_eq!(pipe.cluster().node_of(moved, 0).unwrap(), spare);
     for (name, bytes) in &objects {
         assert_eq!(&pipe.get(name).unwrap(), bytes, "{name}");
     }
     assert!(pipe.meta().pending_repairs().is_empty());
+    let report = pipe.shutdown();
+    assert_eq!(report.blocks_repaired + report.failed_repairs, 0);
+
+    // The recovered stripes have 4 blocks each; a (6, 4) deployment must
+    // not half-work over them.
+    assert!(matches!(
+        builder(&root).code(6, 4).build(),
+        Err(EcPipeError::InvalidRequest { .. })
+    ));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A metadata I/O error reaches the caller as an error, not a panic, and a
+/// `put` that cannot publish leaves no blocks behind.
+#[test]
+fn metadata_io_errors_fail_put_and_delete_cleanly() {
+    let root = fresh_dir("wal-error");
+    let pipe = builder(&root).meta_shards(1).build().unwrap();
+    let data = vec![5u8; 3 * BLOCK];
+    pipe.put("/kept", &data).unwrap();
+    // Bring the single shard to one record short of its snapshot cadence,
+    // then pull its directory out from under it: the WAL handle stays
+    // writable, but the next commit is due a snapshot and cannot create
+    // the snapshot file.
+    let meta = pipe.meta();
+    let committed = 3; // "/kept": two stripes and the object record
+    for i in committed..MetaConfig::DEFAULT_SNAPSHOT_EVERY - 1 {
+        meta.register_stripe(StripeId(1_000_000 + i as u64), vec![0, 1, 2, 3])
+            .unwrap();
+    }
+    std::fs::remove_dir_all(root.join("meta").join("shard-000")).unwrap();
+
+    let stored = || -> usize {
+        (0..NODES)
+            .map(|n| pipe.cluster().store(n).list().len())
+            .sum()
+    };
+    let before = stored();
+    assert!(matches!(pipe.put("/lost", &data), Err(EcPipeError::Io(_))));
+    assert!(pipe.get("/lost").is_err());
+    assert_eq!(stored(), before, "the failed put leaked blocks");
+    assert!(matches!(pipe.delete("/kept"), Err(EcPipeError::Io(_))));
     pipe.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

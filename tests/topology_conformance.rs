@@ -19,8 +19,8 @@ use repair_pipelining::ecpipe::transport::{
     ChannelTransport, ReactorTransport, TcpTransport, Transport,
 };
 use repair_pipelining::ecpipe::{
-    Cluster, Coordinator, EcPipeBuilder, LinkWatchConfig, PathPolicy, ReplanReason,
-    SelectionPolicy, StoreBackend, Topology, TransportChoice,
+    Cluster, Coordinator, EcPipeBuilder, LinkWatchConfig, PathPolicy, ReplanReason, StoreBackend,
+    Topology, TransportChoice,
 };
 use repair_pipelining::repair::rack_aware;
 use repair_pipelining::simnet::NodeId;
@@ -199,13 +199,13 @@ fn case_counters_match_slice_math<T: Transport>(transport: &T) {
 
     let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
     let k = code.k();
-    let mut coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
+    let coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
     let cluster = Cluster::new(StoreBackend::memory(8)).unwrap();
     let data: Vec<Vec<u8>> = (0..k).map(|i| pattern(BLOCK, i as u8)).collect();
-    let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+    let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
     cluster.erase_block(stripe, 1);
     let directive = coordinator
-        .plan_single_repair(stripe, 1, 7, &[], SelectionPolicy::CodeDefault)
+        .plan_single_repair(cluster.meta(), stripe, 1, 7)
         .unwrap();
     let helpers = directive.helper_nodes();
     let hops: Vec<(NodeId, NodeId)> = helpers

@@ -25,7 +25,7 @@ use repair_pipelining::ecpipe::exec::{
 use repair_pipelining::ecpipe::transport::{
     ChannelTransport, ReactorTransport, SliceMsg, TcpTransport, Transport,
 };
-use repair_pipelining::ecpipe::{Cluster, Coordinator, SelectionPolicy, StoreBackend};
+use repair_pipelining::ecpipe::{Cluster, Coordinator, StoreBackend};
 
 const BLOCK: usize = 16 * 1024;
 const SLICE: usize = 2 * 1024;
@@ -43,10 +43,10 @@ fn stripe_data(k: usize) -> Vec<Vec<u8>> {
 fn setup(code: Arc<dyn ErasureCode>) -> (Cluster, Coordinator, Vec<Vec<u8>>, StripeId) {
     let k = code.k();
     let n = code.n();
-    let mut coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
+    let coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
     let cluster = Cluster::new(StoreBackend::memory(n + 2)).unwrap();
     let data = stripe_data(k);
-    let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+    let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
     (cluster, coordinator, data, stripe)
 }
 
@@ -124,10 +124,10 @@ fn case_dropped_sender_ends_stream<T: Transport>(transport: &T) {
 
 fn case_one_block_per_link_accounting<T: Transport>(transport: &T) {
     let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
-    let (cluster, mut coordinator, data, stripe) = setup(code);
+    let (cluster, coordinator, data, stripe) = setup(code);
     cluster.erase_block(stripe, 0);
     let directive = coordinator
-        .plan_single_repair(stripe, 0, 15, &[], SelectionPolicy::CodeDefault)
+        .plan_single_repair(cluster.meta(), stripe, 0, 15)
         .unwrap();
     let repaired = execute_single(
         &directive,
@@ -154,10 +154,10 @@ fn case_all_strategies_byte_exact<T: Transport>(transport: &T) {
         ExecStrategy::BlockPipeline,
     ] {
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
-        let (cluster, mut coordinator, data, stripe) = setup(code);
+        let (cluster, coordinator, data, stripe) = setup(code);
         cluster.erase_block(stripe, 3);
         let directive = coordinator
-            .plan_single_repair(stripe, 3, 15, &[], SelectionPolicy::CodeDefault)
+            .plan_single_repair(cluster.meta(), stripe, 3, 15)
             .unwrap();
         let repaired = execute_single(&directive, &cluster, transport, strategy).unwrap();
         assert_eq!(repaired, data[3], "strategy {:?}", strategy);
@@ -166,13 +166,13 @@ fn case_all_strategies_byte_exact<T: Transport>(transport: &T) {
 
 fn case_multi_repair_byte_exact<T: Transport>(transport: &T) {
     let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(9, 6).unwrap());
-    let (cluster, mut coordinator, data, stripe) = setup(code.clone());
+    let (cluster, coordinator, data, stripe) = setup(code.clone());
     let coded = code.encode(&data).unwrap();
     for &f in &[1usize, 7] {
         cluster.erase_block(stripe, f);
     }
     let directive = coordinator
-        .plan_multi_repair(stripe, &[1, 7], &[9, 10])
+        .plan_multi_repair(cluster.meta(), stripe, &[1, 7], &[9, 10])
         .unwrap();
     let repaired = execute_multi(&directive, &cluster, transport).unwrap();
     for (j, &f) in directive.plan.failed.iter().enumerate() {
@@ -241,13 +241,13 @@ fn throttled_tcp_matches_paper_timing_shape() {
     let timeslot = TBLOCK as f64 / RATE as f64; // ≈ 0.25 s
 
     let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
-    let mut coordinator = Coordinator::new(code, SliceLayout::new(TBLOCK, TSLICE));
+    let coordinator = Coordinator::new(code, SliceLayout::new(TBLOCK, TSLICE));
     let cluster = Cluster::new(StoreBackend::memory(8)).unwrap();
     let data: Vec<Vec<u8>> = (0..k).map(|i| vec![i as u8 + 1; TBLOCK]).collect();
-    let stripe = cluster.write_stripe(&mut coordinator, 0, &data).unwrap();
+    let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
     cluster.erase_block(stripe, 2);
     let directive = coordinator
-        .plan_single_repair(stripe, 2, 7, &[], SelectionPolicy::CodeDefault)
+        .plan_single_repair(cluster.meta(), stripe, 2, 7)
         .unwrap();
 
     let rp_transport = TcpTransport::with_rate_limit(RATE);
