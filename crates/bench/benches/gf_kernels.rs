@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ecc::stripe::BlockId;
 use ecpipe::{BlockStore, ChecksummedStore, MemoryStore};
-use gf256::{Gf256, KernelPath, Kernels};
+use gf256::{Gf256, KernelPath, Kernels, Matrix};
 
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("gf_kernels");
@@ -23,6 +23,37 @@ fn bench_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("mul_slice", size), &size, |b, _| {
             b.iter(|| gf256::mul_slice(Gf256::new(0x57), &src, &mut dst));
         });
+    }
+    group.finish();
+}
+
+/// `gf_kernels/dot_prod/{10x4,10x1,1x3}/{32768,1048576}`: the fused
+/// multi-row dot product at the shapes the runtime gives it — sources ×
+/// outputs: a (14,10) stripe's four parities, a single repair plan's one
+/// block, and a helper adding its block into three partial sums of a
+/// multi-block repair. Throughput counts source bytes, so `10x4` reads
+/// directly against `ecc_encode/rs_14_10` in the `codes` bench.
+fn bench_dot_prod(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gf_kernels");
+    for (srcs, rows) in [(10usize, 4usize), (10, 1), (1, 3)] {
+        let coeffs: Vec<u8> = (0..rows * srcs).map(|i| (i * 29 + 3) as u8 | 2).collect();
+        let coeffs = Matrix::from_bytes(rows, srcs, &coeffs);
+        for size in [32 * 1024usize, 1024 * 1024] {
+            let sources: Vec<Vec<u8>> = (0..srcs)
+                .map(|j| (0..size).map(|i| ((i + 7 * j) % 251) as u8).collect())
+                .collect();
+            let sources: Vec<&[u8]> = sources.iter().map(Vec::as_slice).collect();
+            let mut outputs = vec![vec![0u8; size]; rows];
+            group.throughput(Throughput::Bytes((srcs * size) as u64));
+            let id = BenchmarkId::new(format!("dot_prod/{srcs}x{rows}"), size);
+            group.bench_with_input(id, &size, |b, _| {
+                b.iter(|| {
+                    let mut dsts: Vec<&mut [u8]> =
+                        outputs.iter_mut().map(Vec::as_mut_slice).collect();
+                    gf256::dot_prod(&coeffs, &sources, &mut dsts, false);
+                });
+            });
+        }
     }
     group.finish();
 }
@@ -97,6 +128,6 @@ fn bench_checksummed_get_range(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_kernels, bench_crc32, bench_checksummed_get_range
+    targets = bench_kernels, bench_dot_prod, bench_crc32, bench_checksummed_get_range
 }
 criterion_main!(benches);

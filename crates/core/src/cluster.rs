@@ -106,12 +106,15 @@ impl Cluster {
     /// and registers it with the router.
     ///
     /// Returns the stripe id.
-    pub fn write_stripe(
+    pub fn write_stripe<B>(
         &self,
         code: &Arc<dyn ErasureCode>,
         stripe_id: u64,
-        data: &[Vec<u8>],
-    ) -> Result<StripeId> {
+        data: &[B],
+    ) -> Result<StripeId>
+    where
+        B: AsRef<[u8]> + Clone + Into<Bytes>,
+    {
         let n = code.n();
         if self.num_nodes() < n {
             return Err(EcPipeError::InvalidRequest {
@@ -127,13 +130,16 @@ impl Cluster {
     /// Encodes and writes a stripe with an explicit placement, and registers
     /// it with the router. A stripe whose registration fails leaves no
     /// blocks behind.
-    pub fn write_stripe_with_placement(
+    pub fn write_stripe_with_placement<B>(
         &self,
         code: &Arc<dyn ErasureCode>,
         stripe_id: u64,
-        data: &[Vec<u8>],
+        data: &[B],
         placement: Vec<NodeId>,
-    ) -> Result<StripeId> {
+    ) -> Result<StripeId>
+    where
+        B: AsRef<[u8]> + Clone + Into<Bytes>,
+    {
         let id = self.write_stripe_blocks(code, stripe_id, data, placement.clone())?;
         if let Err(error) = self.meta.register_stripe(id, placement.clone()) {
             self.delete_blocks(id, &placement);
@@ -146,13 +152,22 @@ impl Cluster {
     /// — the caller registers the placement afterwards. This lets
     /// [`EcPipe::put`](crate::EcPipe::put) write every stripe of an object
     /// before any of it becomes visible in the namespace.
-    pub fn write_stripe_blocks(
+    ///
+    /// The data blocks are borrowed for the parity computation and cloned
+    /// into the stores: a deep copy for `Vec<u8>` blocks, a reference count
+    /// for [`Bytes`] ones, which is how `put` hands over blocks it has
+    /// already copied out of the caller's object. The parity blocks move in
+    /// without a copy either way.
+    pub fn write_stripe_blocks<B>(
         &self,
         code: &Arc<dyn ErasureCode>,
         stripe_id: u64,
-        data: &[Vec<u8>],
+        data: &[B],
         placement: Vec<NodeId>,
-    ) -> Result<StripeId> {
+    ) -> Result<StripeId>
+    where
+        B: AsRef<[u8]> + Clone + Into<Bytes>,
+    {
         if placement.len() != code.n() {
             return Err(EcPipeError::InvalidRequest {
                 reason: "placement must assign a node to every coded block".to_string(),
@@ -168,13 +183,16 @@ impl Cluster {
                 });
             }
         }
-        let coded = code.encode(data)?;
+        let borrowed: Vec<&[u8]> = data.iter().map(AsRef::as_ref).collect();
+        let parity = code.encode_parity(&borrowed)?;
+        let coded = data
+            .iter()
+            .map(|block| block.clone().into())
+            .chain(parity.into_iter().map(Bytes::from));
         let id = StripeId(stripe_id);
-        for (index, block) in coded.into_iter().enumerate() {
+        for (index, block) in coded.enumerate() {
             let node = placement[index];
-            if let Err(error) =
-                self.stores[node].put(BlockId { stripe: id, index }, Bytes::from(block))
-            {
+            if let Err(error) = self.stores[node].put(BlockId { stripe: id, index }, block) {
                 // Clean up the blocks already written for this stripe — a
                 // half-written, never-registered stripe would leak storage.
                 self.delete_blocks(id, &placement[..index]);

@@ -419,12 +419,15 @@ pub fn execute_multi<T: Transport + ?Sized>(
         let mut delivery_senders = Some(delivery_senders);
         for (i, &(node, block)) in path.iter().enumerate() {
             let is_last = i + 1 == path.len();
+            // This helper's column of the coefficient matrix: one fused
+            // kernel call per slice adds its block into all `f` partial sums.
             let coeffs: Vec<u8> = directive
                 .plan
                 .coefficients
                 .iter()
                 .map(|row| row[i])
                 .collect();
+            let coeffs = gf256::Matrix::from_bytes(f, 1, &coeffs);
             let store = cluster.store(node).clone();
             let incoming = prev_rx.take();
             let forward = if !is_last {
@@ -450,13 +453,9 @@ pub fn execute_multi<T: Transport + ?Sized>(
                             .ok_or_else(|| execution_error("upstream helper stopped early"))?;
                         bundle.copy_from_slice(&msg.data);
                     }
-                    for (row, &coeff) in coeffs.iter().enumerate() {
-                        gf256::mul_add_slice(
-                            Gf256::new(coeff),
-                            &local,
-                            &mut bundle[row * local.len()..(row + 1) * local.len()],
-                        );
-                    }
+                    let mut partials: Vec<&mut [u8]> =
+                        bundle.chunks_exact_mut(local.len()).collect();
+                    gf256::dot_prod(&coeffs, &[&local], &mut partials, true);
                     let bundle = bundle.freeze();
                     if let Some(tx) = &forward {
                         tx.send(SliceMsg::new(j, bundle).tagged(stripe, repair))?;

@@ -50,6 +50,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use ecc::slice::SliceLayout;
 use ecc::stripe::StripeId;
 use ecc::{ErasureCode, ReedSolomon};
@@ -378,21 +379,22 @@ pub fn stripe_count(len: usize, k: usize, block_size: usize) -> usize {
 }
 
 /// The `k` data blocks of stripe `index` of an object, zero-padded to
-/// `block_size`. Chunking one stripe at a time keeps a large `put`'s peak
-/// memory at the object plus a single stripe.
-pub fn chunk_stripe(data: &[u8], k: usize, block_size: usize, index: usize) -> Vec<Vec<u8>> {
+/// `block_size`: the one copy [`EcPipe::put`] makes of an object's bytes —
+/// the stores then share these blocks by reference. Chunking one stripe at a
+/// time keeps a large `put`'s peak memory at the object plus a single stripe.
+pub fn chunk_stripe(data: &[u8], k: usize, block_size: usize, index: usize) -> Vec<Bytes> {
     let stripe_bytes = k * block_size;
     (0..k)
         .map(|b| {
-            let start = index * stripe_bytes + b * block_size;
+            let start = (index * stripe_bytes + b * block_size).min(data.len());
             let end = (start + block_size).min(data.len());
-            let mut block = if start < data.len() {
-                data[start..end].to_vec()
-            } else {
-                Vec::new()
-            };
+            if end - start == block_size {
+                return Bytes::copy_from_slice(&data[start..end]);
+            }
+            let mut block = Vec::with_capacity(block_size);
+            block.extend_from_slice(&data[start..end]);
             block.resize(block_size, 0);
-            block
+            Bytes::from(block)
         })
         .collect()
 }
@@ -401,7 +403,7 @@ pub fn chunk_stripe(data: &[u8], k: usize, block_size: usize, index: usize) -> V
 /// `block_size` per stripe, the tail zero-padded. Shared by the façade's
 /// [`EcPipe::put`] and the `dfs` crate's `SimulatedDfs::write_file`, so the
 /// runtime and simulation write paths cannot drift apart.
-pub fn chunk_into_stripes(data: &[u8], k: usize, block_size: usize) -> Vec<Vec<Vec<u8>>> {
+pub fn chunk_into_stripes(data: &[u8], k: usize, block_size: usize) -> Vec<Vec<Bytes>> {
     (0..stripe_count(data.len(), k, block_size))
         .map(|s| chunk_stripe(data, k, block_size, s))
         .collect()
@@ -787,6 +789,20 @@ mod tests {
             assert_eq!(pipe.get_range("/obj", range.clone()).unwrap(), &data[range]);
         }
         assert_eq!(pipe.meta().object_count(), 1);
+        // The last stripe as stored: 1234 object bytes, then zeros to the end
+        // of the tail block and in the blocks after it, and parity over that.
+        let stored: Vec<Vec<u8>> = (0..6)
+            .map(|i| {
+                pipe.cluster()
+                    .read_block(meta.stripes[2], i)
+                    .unwrap()
+                    .to_vec()
+            })
+            .collect();
+        assert_eq!(&stored[0][..1234], &data[2 * 4 * 4096..]);
+        assert!(stored[0][1234..].iter().all(|&b| b == 0));
+        assert!(stored[1..4].iter().all(|block| block == &vec![0u8; 4096]));
+        assert_eq!(pipe.code.encode(&stored[..4]).unwrap(), stored);
         pipe.shutdown();
     }
 
@@ -943,7 +959,7 @@ mod tests {
         assert!(chunks.iter().all(|s| s.len() == 2));
         assert!(chunks.iter().flatten().all(|b| b.len() == 4));
         assert_eq!(&chunks[1][0][..2], &pattern(10, 0)[8..10]);
-        assert_eq!(&chunks[1][1], &[0u8; 4]);
+        assert_eq!(&chunks[1][1][..], &[0u8; 4]);
         // Empty data still produces one (all-zero) stripe.
         assert_eq!(chunk_into_stripes(&[], 3, 8).len(), 1);
     }

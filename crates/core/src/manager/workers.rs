@@ -639,12 +639,13 @@ fn run_one<T: Transport + ?Sized>(
         };
         match outcome {
             Ok(block) => {
+                let bytes = block.len();
                 if let Err(error) = cluster.store(requestor).put(
                     BlockId {
                         stripe: request.stripe,
                         index: request.failed,
                     },
-                    Bytes::from(block.clone()),
+                    Bytes::from(block),
                 ) {
                     return Err(RepairFailure { error, replans });
                 }
@@ -685,7 +686,7 @@ fn run_one<T: Transport + ?Sized>(
                     }
                 }
                 return Ok(Done {
-                    bytes: block.len(),
+                    bytes,
                     replans,
                     requestor,
                     path: directive.helper_nodes(),

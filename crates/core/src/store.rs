@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -385,29 +385,50 @@ impl BlockStore for FileStore {
         }
     }
 
-    /// Seek-based range read: only the requested bytes travel from disk,
-    /// rather than the whole block the default implementation would load.
+    /// Positional range read: only the requested bytes travel from disk,
+    /// rather than the whole block the default implementation would load,
+    /// and in one `pread` — the file is not sized first. Only a range that
+    /// cannot be read that way (empty, reversed, or ending past the file) is
+    /// held against the file's length, by the rule every store shares.
     fn get_range(&self, block: BlockId, range: std::ops::Range<usize>) -> Result<Bytes> {
-        let mut file = match std::fs::File::open(self.path_of(block)) {
+        let file = match std::fs::File::open(self.path_of(block)) {
             Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Err(EcPipeError::BlockNotFound { block })
             }
             Err(e) => return Err(e.into()),
         };
-        let len = file.metadata()?.len();
-        check_range(block, &range, usize::try_from(len).unwrap_or(usize::MAX))?;
-        file.seek(SeekFrom::Start(range.start as u64))?;
         let mut data = vec![0u8; range.len()];
-        file.read_exact(&mut data)?;
+        let read = |data: &mut [u8]| file.read_exact_at(data, range.start as u64);
+        if data.is_empty() || read(&mut data).is_err() {
+            let len = file.metadata()?.len();
+            check_range(block, &range, usize::try_from(len).unwrap_or(usize::MAX))?;
+            // In bounds after all: nothing to read, or an error to report.
+            read(&mut data)?;
+        }
         self.bytes_read
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         Ok(Bytes::from(data))
     }
 
+    /// Writes the block under a temporary name and renames it into place, so
+    /// a concurrent reader sees the old block, the new one or none — never a
+    /// prefix of the new bytes over a tail of the old, which an unchecksummed
+    /// store would serve as data.
     fn put(&self, block: BlockId, data: Bytes) -> Result<()> {
-        std::fs::write(self.path_of(block), &data)?;
-        Ok(())
+        // Process-wide, so two stores opened on one directory cannot collide.
+        static PUTS: AtomicU64 = AtomicU64::new(0);
+        let path = self.path_of(block);
+        // `list` skips the name: the suffix makes the index unparsable.
+        let tmp = self.dir.join(format!(
+            "{block}.tmp{}",
+            PUTS.fetch_add(1, Ordering::Relaxed)
+        ));
+        let written = std::fs::write(&tmp, &data).and_then(|()| std::fs::rename(&tmp, &path));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        Ok(written?)
     }
 
     fn delete(&self, block: BlockId) -> Result<bool> {
@@ -588,6 +609,54 @@ mod tests {
     }
 
     #[test]
+    fn file_store_readers_never_see_a_torn_block() {
+        // A reader racing overwrites of one block sees one whole pattern or
+        // the other (or, on another store, nothing) — never a mix. The
+        // barrier starts both sides together; the writer's last act is the
+        // flag, so the reader keeps reading across every overwrite.
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        let dir = std::env::temp_dir().join(format!("ecpipe-torn-{}", std::process::id()));
+        let store = FileStore::open(&dir).unwrap();
+        const BLOCK: usize = 1 << 20;
+        let patterns = [
+            Bytes::from(vec![0x11; BLOCK]),
+            Bytes::from(vec![0xEE; BLOCK]),
+        ];
+        store.put(block(3, 1), patterns[0].clone()).unwrap();
+        let (start, done) = (Barrier::new(2), AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for round in 1..=200 {
+                    store.put(block(3, 1), patterns[round % 2].clone()).unwrap();
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            start.wait();
+            let mut reads = 0;
+            while !done.load(Ordering::SeqCst) || reads == 0 {
+                match store.get(block(3, 1)) {
+                    Ok(data) => assert!(
+                        patterns.contains(&data),
+                        "torn block after {reads} reads: {} bytes, from {:?} to {:?}",
+                        data.len(),
+                        data.first(),
+                        data.last()
+                    ),
+                    Err(EcPipeError::BlockNotFound { .. }) => {}
+                    Err(other) => panic!("unexpected {other:?}"),
+                }
+                reads += 1;
+            }
+        });
+        // The temporary names are gone, and were never blocks.
+        assert_eq!(store.list(), vec![block(3, 1)]);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn default_verify_and_corrupt_hooks() {
         let store = MemoryStore::new();
         store
@@ -611,5 +680,7 @@ mod tests {
         assert_eq!(parse_block_name("s12b3"), Some(BlockId::new(12, 3)));
         assert_eq!(parse_block_name("garbage"), None);
         assert_eq!(parse_block_name("s1x2"), None);
+        // The temporary name of a `FileStore::put` in flight.
+        assert_eq!(parse_block_name("s12b3.tmp7"), None);
     }
 }

@@ -21,7 +21,7 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
 }
 
 #[test]
-fn put_and_degraded_get_perform_no_bytes_deep_copies() {
+fn degraded_get_performs_no_bytes_deep_copies() {
     let pipe = EcPipeBuilder::new()
         .code(6, 4)
         .block_size(16 * 1024)
@@ -31,13 +31,9 @@ fn put_and_degraded_get_perform_no_bytes_deep_copies() {
         .unwrap();
     let data = pattern(4 * 16 * 1024, 11);
 
-    let before = bytes::shim_metrics::deep_copy_bytes();
+    // `put` makes its one copy of the object at the `Bytes` layer; the exact
+    // count needs the counter to itself and is pinned in `put_one_copy.rs`.
     let meta = pipe.put("/pin", &data).unwrap();
-    assert_eq!(
-        bytes::shim_metrics::deep_copy_bytes(),
-        before,
-        "put must not deep-copy at the Bytes layer"
-    );
 
     // Degraded read: the erased block is reconstructed through the full
     // encode → helper chain → store → transport framing path.

@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod linear;
 mod lrc;
 mod plan;
 mod rotated;

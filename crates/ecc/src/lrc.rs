@@ -10,7 +10,7 @@ use gf256::{Gf256, Matrix};
 
 use crate::plan::{MultiRepairPlan, RepairPlan, RepairSource};
 use crate::traits::ErasureCode;
-use crate::{CodeError, Result};
+use crate::{linear, CodeError, Result};
 
 /// A Local Reconstruction Code LRC(k, l, g).
 ///
@@ -196,28 +196,8 @@ impl ErasureCode for Lrc {
         )
     }
 
-    fn encode(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        if data.len() != self.k {
-            return Err(CodeError::InvalidBlockSize {
-                reason: format!("expected {} data blocks, got {}", self.k, data.len()),
-            });
-        }
-        let len = data[0].len();
-        if data.iter().any(|b| b.len() != len) {
-            return Err(CodeError::InvalidBlockSize {
-                reason: "data blocks must all have the same length".to_string(),
-            });
-        }
-        let mut coded: Vec<Vec<u8>> = Vec::with_capacity(self.n());
-        coded.extend(data.iter().cloned());
-        for row in self.k..self.n() {
-            let mut parity = vec![0u8; len];
-            for (j, block) in data.iter().enumerate() {
-                gf256::mul_add_slice(self.generator.get(row, j), block, &mut parity);
-            }
-            coded.push(parity);
-        }
-        Ok(coded)
+    fn encode_parity(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>> {
+        linear::encode_parity(&self.generator, data)
     }
 
     fn decode(&self, available: &[(usize, Vec<u8>)]) -> Result<Vec<Vec<u8>>> {
@@ -227,27 +207,26 @@ impl ErasureCode for Lrc {
                 available: available.len(),
             });
         }
-        let len = available[0].1.len();
         let indices: Vec<usize> = available.iter().map(|(i, _)| *i).collect();
         let chosen = self.independent_rows(&indices)?;
         let sub = self.generator.select_rows(&chosen);
         let decode = sub.invert().ok_or(CodeError::SingularMatrix)?;
-        let lookup = |idx: usize| -> &Vec<u8> {
-            &available
-                .iter()
-                .find(|(i, _)| *i == idx)
-                .expect("chosen index must be available")
-                .1
-        };
-        let mut data = Vec::with_capacity(self.k);
-        for j in 0..self.k {
-            let mut out = vec![0u8; len];
-            for (i, &idx) in chosen.iter().enumerate() {
-                gf256::mul_add_slice(decode.get(j, i), lookup(idx), &mut out);
-            }
-            data.push(out);
+        let blocks: Vec<&[u8]> = chosen
+            .iter()
+            .map(|idx| {
+                let (_, block) = available
+                    .iter()
+                    .find(|(i, _)| i == idx)
+                    .expect("chosen index must be available");
+                block.as_slice()
+            })
+            .collect();
+        if blocks.iter().any(|b| b.len() != blocks[0].len()) {
+            return Err(CodeError::InvalidBlockSize {
+                reason: "available blocks must all have the same length".to_string(),
+            });
         }
-        Ok(data)
+        Ok(linear::combine(&decode, &blocks))
     }
 
     fn repair_plan(&self, failed: usize, available: &[usize]) -> Result<RepairPlan> {
@@ -334,6 +313,7 @@ impl ErasureCode for Lrc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::prelude::*;
 
     fn random_data(k: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -443,6 +423,76 @@ mod tests {
             .map(|i| (i, coded[i].clone()))
             .collect();
         assert_eq!(lrc.decode(&available).unwrap(), data);
+    }
+
+    #[test]
+    fn decode_roundtrips_from_every_tolerated_erasure_pattern() {
+        // LRC(4,2,2): every way of losing up to g + 1 = 3 of the 8 blocks.
+        let lrc = Lrc::new(4, 2, 2).unwrap();
+        let data = random_data(4, 100, 9);
+        let coded = lrc.encode(&data).unwrap();
+        for mask in 0u32..1 << 8 {
+            if mask.count_ones() > 3 {
+                continue;
+            }
+            let available: Vec<(usize, Vec<u8>)> = (0..8)
+                .filter(|i| mask & (1 << i) == 0)
+                .map(|i| (i, coded[i].clone()))
+                .collect();
+            assert_eq!(lrc.decode(&available).unwrap(), data, "lost {mask:#010b}");
+        }
+    }
+
+    #[test]
+    fn wrong_block_counts_and_lengths_are_errors_not_panics() {
+        let lrc = Lrc::new(4, 2, 2).unwrap();
+        let mut data = random_data(4, 16, 10);
+        let coded = lrc.encode(&data).unwrap();
+        assert!(matches!(
+            lrc.encode(&data[..3]),
+            Err(CodeError::InvalidBlockSize { reason }) if reason == "expected 4 data blocks, got 3"
+        ));
+        data[1].push(0);
+        assert!(matches!(
+            lrc.encode(&data),
+            Err(CodeError::InvalidBlockSize { reason }) if reason == "data blocks must all have the same length"
+        ));
+        let mut available: Vec<(usize, Vec<u8>)> = (0..3).map(|i| (i, coded[i].clone())).collect();
+        assert!(matches!(
+            lrc.decode(&available),
+            Err(CodeError::NotEnoughBlocks {
+                needed: 4,
+                available: 3
+            })
+        ));
+        available.push((7, coded[7][..15].to_vec()));
+        assert!(matches!(
+            lrc.decode(&available),
+            Err(CodeError::InvalidBlockSize { .. })
+        ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn encode_is_data_then_row_by_row_parity(
+            seed in any::<u64>(),
+            groups in 1usize..4,
+            group_size in 1usize..5,
+            globals in 1usize..4,
+            len in 0usize..700,
+        ) {
+            let k = groups * group_size;
+            let lrc = Lrc::new(k, groups, globals).unwrap();
+            let data = random_data(k, len, seed);
+            let blocks: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+            let parity = lrc.encode_parity(&blocks).unwrap();
+            prop_assert_eq!(&parity, &linear::row_by_row_parity(&lrc.generator, &data));
+            let coded = lrc.encode(&data).unwrap();
+            prop_assert_eq!(&coded[..k], &data[..]);
+            prop_assert_eq!(&coded[k..], &parity[..]);
+        }
     }
 
     #[test]

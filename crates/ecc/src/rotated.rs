@@ -16,7 +16,7 @@
 //! schedule planner itself is exact about which sub-symbols a given repair
 //! touches.
 
-use gf256::Gf256;
+use gf256::{Gf256, Matrix};
 
 use crate::{CodeError, Result};
 
@@ -122,22 +122,29 @@ impl RotatedRs {
             });
         }
         let row_len = len / self.rows;
-        let mut coded: Vec<Vec<u8>> = Vec::with_capacity(self.n);
-        coded.extend(data.iter().cloned());
-        for p in 0..self.parities() {
-            let mut parity = vec![0u8; len];
-            for i in 0..self.rows {
-                // Parity row i of parity block p.
-                let dst = &mut parity[i * row_len..(i + 1) * row_len];
-                for (l, block) in data.iter().enumerate() {
+        // Parity row i of every parity block combines the same rotated data
+        // rows, so each row index is one fused product.
+        let coeffs: Vec<u8> = (0..self.parities())
+            .flat_map(|p| (0..self.k).map(move |l| self.coefficient(p, l).value()))
+            .collect();
+        let coeffs = Matrix::from_bytes(self.parities(), self.k, &coeffs);
+        let mut parity: Vec<Vec<u8>> = (0..self.parities()).map(|_| vec![0u8; len]).collect();
+        for i in 0..self.rows {
+            let srcs: Vec<&[u8]> = data
+                .iter()
+                .enumerate()
+                .map(|(l, block)| {
                     let src_row = (i + self.rotation(l)) % self.rows;
-                    let src = &block[src_row * row_len..(src_row + 1) * row_len];
-                    gf256::mul_add_slice(self.coefficient(p, l), src, dst);
-                }
-            }
-            coded.push(parity);
+                    &block[src_row * row_len..(src_row + 1) * row_len]
+                })
+                .collect();
+            let mut dsts: Vec<&mut [u8]> = parity
+                .iter_mut()
+                .map(|block| &mut block[i * row_len..(i + 1) * row_len])
+                .collect();
+            gf256::dot_prod(&coeffs, &srcs, &mut dsts, false);
         }
-        Ok(coded)
+        Ok(data.iter().cloned().chain(parity).collect())
     }
 
     /// Plans the recovery of a single failed data or parity block, choosing

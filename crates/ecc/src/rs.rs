@@ -4,7 +4,7 @@ use gf256::Matrix;
 
 use crate::plan::{MultiRepairPlan, RepairPlan, RepairSource};
 use crate::traits::ErasureCode;
-use crate::{CodeError, Result};
+use crate::{linear, CodeError, Result};
 
 /// A systematic `(n, k)` Reed-Solomon code over GF(2^8).
 ///
@@ -121,28 +121,8 @@ impl ErasureCode for ReedSolomon {
         format!("RS({},{})", self.n, self.k)
     }
 
-    fn encode(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        if data.len() != self.k {
-            return Err(CodeError::InvalidBlockSize {
-                reason: format!("expected {} data blocks, got {}", self.k, data.len()),
-            });
-        }
-        let len = data[0].len();
-        if data.iter().any(|b| b.len() != len) {
-            return Err(CodeError::InvalidBlockSize {
-                reason: "data blocks must all have the same length".to_string(),
-            });
-        }
-        let mut coded: Vec<Vec<u8>> = Vec::with_capacity(self.n);
-        coded.extend(data.iter().cloned());
-        for row in self.k..self.n {
-            let mut parity = vec![0u8; len];
-            for (j, block) in data.iter().enumerate() {
-                gf256::mul_add_slice(self.generator.get(row, j), block, &mut parity);
-            }
-            coded.push(parity);
-        }
-        Ok(coded)
+    fn encode_parity(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>> {
+        linear::encode_parity(&self.generator, data)
     }
 
     fn decode(&self, available: &[(usize, Vec<u8>)]) -> Result<Vec<Vec<u8>>> {
@@ -165,16 +145,9 @@ impl ErasureCode for ReedSolomon {
         let indices: Vec<usize> = chosen.iter().map(|(i, _)| *i).collect();
         let sub = self.generator.select_rows(&indices);
         let decode = sub.invert().ok_or(CodeError::SingularMatrix)?;
-        // data_j = sum_i decode[j][i] * chosen_i, evaluated with bulk kernels.
-        let mut data = Vec::with_capacity(self.k);
-        for j in 0..self.k {
-            let mut out = vec![0u8; len];
-            for (i, (_, block)) in chosen.iter().enumerate() {
-                gf256::mul_add_slice(decode.get(j, i), block, &mut out);
-            }
-            data.push(out);
-        }
-        Ok(data)
+        // data_j = sum_i decode[j][i] * chosen_i.
+        let blocks: Vec<&[u8]> = chosen.iter().map(|(_, b)| b.as_slice()).collect();
+        Ok(linear::combine(&decode, &blocks))
     }
 
     fn repair_plan(&self, failed: usize, available: &[usize]) -> Result<RepairPlan> {
@@ -285,6 +258,97 @@ mod tests {
     }
 
     #[test]
+    fn wrong_block_counts_and_lengths_are_errors_not_panics() {
+        let rs = ReedSolomon::new(6, 4).unwrap();
+        let mut data = random_data(4, 16, 8);
+        let coded = rs.encode(&data).unwrap();
+        let count = |r: Result<Vec<Vec<u8>>>| matches!(r, Err(CodeError::InvalidBlockSize { reason }) if reason == "expected 4 data blocks, got 3");
+        assert!(count(rs.encode(&data[..3])));
+        let borrowed: Vec<&[u8]> = data[..3].iter().map(Vec::as_slice).collect();
+        assert!(count(rs.encode_parity(&borrowed)));
+        data[2].pop();
+        let length = |r: Result<Vec<Vec<u8>>>| matches!(r, Err(CodeError::InvalidBlockSize { reason }) if reason == "data blocks must all have the same length");
+        assert!(length(rs.encode(&data)));
+        let borrowed: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        assert!(length(rs.encode_parity(&borrowed)));
+        let mut available: Vec<(usize, Vec<u8>)> = (1..5).map(|i| (i, coded[i].clone())).collect();
+        available[3].1.push(0);
+        assert!(matches!(
+            rs.decode(&available),
+            Err(CodeError::InvalidBlockSize { reason }) if reason == "available blocks must all have the same length"
+        ));
+        available[0].0 = 6;
+        assert!(matches!(
+            rs.decode(&available),
+            Err(CodeError::InvalidBlockIndex { index: 6, n: 6 })
+        ));
+    }
+
+    #[test]
+    fn decode_roundtrips_from_every_k_subset() {
+        let rs = ReedSolomon::new(7, 4).unwrap();
+        let data = random_data(4, 100, 9);
+        let coded = rs.encode(&data).unwrap();
+        let mut subsets = 0;
+        for mask in 0u32..1 << 7 {
+            if mask.count_ones() != 4 {
+                continue;
+            }
+            // Descending order, so the chosen rows are not sorted either.
+            let available: Vec<(usize, Vec<u8>)> = (0..7)
+                .rev()
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| (i, coded[i].clone()))
+                .collect();
+            assert_eq!(rs.decode(&available).unwrap(), data, "subset {mask:#09b}");
+            subsets += 1;
+        }
+        assert_eq!(subsets, 35);
+    }
+
+    /// SplitMix64 output as bytes: the golden stripe must not depend on any
+    /// crate's generator.
+    fn seeded_block(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            out.extend_from_slice(&z.to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn parity_of_the_golden_stripe_is_bit_identical() {
+        // CRC-32 of the four parity blocks of a (14,10) stripe of 1 MiB (and
+        // of 1000-byte) blocks, block j = SplitMix64 from seed 0xEC00 + j,
+        // as the row-by-row `encode` of commit 6b90720 produced them.
+        let rs = ReedSolomon::new(14, 10).unwrap();
+        for (len, golden) in [
+            (
+                1 << 20,
+                [0xde1f_d4ed, 0x07c6_4e0c, 0x0bd1_019d, 0xd121_ac98],
+            ),
+            (1000, [0x12d7_23fa, 0x0b46_6d59, 0x80d3_da64, 0x0f27_abaa]),
+        ] {
+            let data: Vec<Vec<u8>> = (0..10).map(|j| seeded_block(0xEC00 + j, len)).collect();
+            let blocks: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+            let digests: Vec<u32> = rs
+                .encode_parity(&blocks)
+                .unwrap()
+                .iter()
+                .map(|parity| gf256::crc32(parity))
+                .collect();
+            assert_eq!(digests, golden, "block length {len}");
+        }
+    }
+
+    #[test]
     fn repair_plan_reconstructs_data_block() {
         let rs = ReedSolomon::new(14, 10).unwrap();
         let data = random_data(10, 128, 4);
@@ -375,6 +439,23 @@ mod tests {
             let available: Vec<(usize, Vec<u8>)> =
                 indices.iter().map(|&i| (i, coded[i].clone())).collect();
             prop_assert_eq!(rs.decode(&available).unwrap(), data);
+        }
+
+        #[test]
+        fn encode_is_data_then_row_by_row_parity(
+            seed in any::<u64>(),
+            n in 2usize..20,
+            len in 0usize..700,
+        ) {
+            let k = (seed as usize % (n - 1)) + 1;
+            let rs = ReedSolomon::new(n, k).unwrap();
+            let data = random_data(k, len, seed);
+            let blocks: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+            let parity = rs.encode_parity(&blocks).unwrap();
+            prop_assert_eq!(&parity, &linear::row_by_row_parity(&rs.generator, &data));
+            let coded = rs.encode(&data).unwrap();
+            prop_assert_eq!(&coded[..k], &data[..]);
+            prop_assert_eq!(&coded[k..], &parity[..]);
         }
 
         #[test]

@@ -19,11 +19,21 @@ pub trait ErasureCode: Send + Sync {
     /// A short human-readable name (e.g. `"RS(14,10)"`).
     fn name(&self) -> String;
 
-    /// Encodes `k` data blocks into `n` coded blocks.
+    /// Computes the `n - k` parity blocks of `k` borrowed data blocks, in
+    /// stripe order (coded blocks `k..n`), without touching the data.
     ///
-    /// All data blocks must have the same length. The returned vector has
-    /// length `n`; the first `k` entries equal the inputs (systematic form).
-    fn encode(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>>;
+    /// All data blocks must have the same length.
+    fn encode_parity(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>>;
+
+    /// Encodes `k` data blocks into `n` coded blocks: copies of the inputs
+    /// (systematic form) followed by [`encode_parity`](Self::encode_parity)
+    /// of them. A caller that already owns its data blocks should call
+    /// `encode_parity` and skip the copies.
+    fn encode(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
+        let blocks: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let parity = self.encode_parity(&blocks)?;
+        Ok(data.iter().cloned().chain(parity).collect())
+    }
 
     /// Decodes the original `k` data blocks from at least `k` available
     /// coded blocks, given as `(block_index, content)` pairs.

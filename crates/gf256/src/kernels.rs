@@ -15,7 +15,7 @@
 //! `ECPIPE_GF_FORCE` override.
 
 use crate::simd::Kernels;
-use crate::Gf256;
+use crate::{Gf256, Matrix};
 
 /// Computes `dst[j] = coeff * src[j]` for every byte.
 ///
@@ -42,6 +42,28 @@ pub fn mul_add_slice(coeff: Gf256, src: &[u8], dst: &mut [u8]) {
 /// Panics if `dst` and `src` have different lengths.
 pub fn add_slice(src: &[u8], dst: &mut [u8]) {
     Kernels::active().add_slice(src, dst);
+}
+
+/// The fused multi-row dot product `dsts[r] = Σ_j coeffs[r][j] · srcs[j]`
+/// (`dsts[r] ^= …` when `accumulate` is set): every output of a matrix
+/// times a vector of equal-length blocks in one pass over the sources.
+///
+/// ```
+/// use gf256::Matrix;
+/// let coeffs = Matrix::from_bytes(2, 2, &[1, 1, 1, 2]);
+/// let (a, b) = ([1u8, 2, 3], [4u8, 5, 6]);
+/// let (mut p, mut q) = ([0u8; 3], [0u8; 3]);
+/// gf256::dot_prod(&coeffs, &[&a, &b], &mut [&mut p, &mut q], false);
+/// assert_eq!(p, [1 ^ 4, 2 ^ 5, 3 ^ 6]);
+/// assert_eq!(q, [1 ^ 8, 2 ^ 10, 3 ^ 12]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `coeffs` is not `dsts.len()` × `srcs.len()`, or if the sources
+/// and outputs are not all of one length.
+pub fn dot_prod(coeffs: &Matrix, srcs: &[&[u8]], dsts: &mut [&mut [u8]], accumulate: bool) {
+    Kernels::active().dot_prod(coeffs, srcs, dsts, accumulate);
 }
 
 /// Scales a slice in place: `data[j] = coeff * data[j]`.

@@ -8,7 +8,10 @@
 //!   `x^8 + x^4 + x^3 + x^2 + 1`, i.e. `0x11d`).
 //! * Bulk slice kernels ([`mul_slice`], [`mul_add_slice`], [`add_slice`]) —
 //!   the inner loops every helper node runs when combining slices during a
-//!   repair (`a_i * B_i` accumulated into a partial sum).
+//!   repair (`a_i * B_i` accumulated into a partial sum) — and [`dot_prod`],
+//!   the fused matrix-times-blocks form of the same sum that encoding,
+//!   decoding and multi-block repair use: several outputs from one pass
+//!   over the sources.
 //! * [`crc32`] — the CRC-32 (IEEE) block-integrity checksum: polynomial
 //!   division over GF(2), dispatched with the slice kernels.
 //! * [`Matrix`] — a dense matrix over GF(2^8) with Gauss-Jordan inversion,
@@ -42,7 +45,7 @@ pub mod simd;
 mod tables;
 
 pub use field::Gf256;
-pub use kernels::{add_slice, crc32, mul_add_slice, mul_slice, scale_slice_in_place};
+pub use kernels::{add_slice, crc32, dot_prod, mul_add_slice, mul_slice, scale_slice_in_place};
 pub use matrix::Matrix;
 pub use simd::{active_path, KernelPath, Kernels};
 

@@ -117,6 +117,11 @@ impl Matrix {
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
+    /// Every entry, row-major.
+    pub(crate) fn elements(&self) -> &[Gf256] {
+        &self.data
+    }
+
     /// Returns a new matrix containing only the selected rows, in order.
     pub fn select_rows(&self, rows: &[usize]) -> Matrix {
         let mut m = Matrix::zero(rows.len(), self.cols);

@@ -8,6 +8,12 @@
 //! shuffle (`pshufb` on x86, `vtbl` on aarch64) computes 16–32 products per
 //! instruction.
 //!
+//! Encoding, decoding and multi-block repair compute several such sums over
+//! the same slices at once. [`Kernels::dot_prod`] fuses them: it splits each
+//! source vector into nibbles once, keeps up to four outputs' accumulators in
+//! registers across all the sources and stores each output once, instead of
+//! one pass over memory per coefficient (ISA-L's `gf_Nvect_dot_prod`).
+//!
 //! The kernel path is selected once per process, on first use:
 //!
 //! | ISA      | path                         | selected when                |
@@ -37,9 +43,12 @@
 //! rejects `unsafe` anywhere else in the workspace and requires a
 //! `// SAFETY:` comment on every block here.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
-use crate::Gf256;
+#[cfg(any(target_arch = "x86", target_arch = "x86_64", target_arch = "aarch64"))]
+use crate::tables::{MUL_HI, MUL_LO};
+use crate::{Gf256, Matrix};
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86;
@@ -121,7 +130,8 @@ impl std::fmt::Display for KernelPath {
     }
 }
 
-/// One implementation of the four slice kernels and the CRC-32 checksum.
+/// One implementation of the four slice kernels, the fused dot product and
+/// the CRC-32 checksum.
 ///
 /// The bulk entry points ([`crate::mul_slice`] and friends) delegate to
 /// [`Kernels::active`]; tests address a specific path through
@@ -135,18 +145,91 @@ pub struct Kernels {
     mul: fn(u8, &[u8], &mut [u8]),
     mul_add: fn(u8, &[u8], &mut [u8]),
     add: fn(&[u8], &mut [u8]),
+    dot: DotFn,
     // Raw CRC-32 state update (no pre/post inversion), so a vector body and
     // a portable tail compose.
     crc: fn(u32, &[u8]) -> u32,
 }
+
+/// The fused dot product over one row group (at most [`DOT_ROWS`] outputs,
+/// coefficients row-major) and one column range; the flag selects accumulate
+/// over overwrite. No coefficient fast paths: 0 and 1 are ordinary table
+/// rows.
+type DotFn = fn(&[Gf256], &[&[u8]], &mut [&mut [u8]], Range<usize>, bool);
 
 static SCALAR: Kernels = Kernels {
     path: KernelPath::Scalar,
     mul: scalar::mul,
     mul_add: scalar::mul_add,
     add: scalar::add,
+    dot: scalar::dot,
     crc: scalar::crc32,
 };
+
+/// Output rows one fused pass computes. Each source vector is loaded and
+/// nibble-split once per pass and feeds every row's accumulator, so the
+/// accumulators, the two nibble vectors, the mask and a pair of tables in
+/// flight must all stay in vector registers: four rows is the most that
+/// fits the sixteen of SSSE3/AVX2 (ISA-L stops at the same width), and it
+/// is the parity count of the paper's (14,10) code.
+const DOT_ROWS: usize = 4;
+
+/// Sources one vector pass takes; a longer dot product continues as
+/// accumulating passes over the same columns. Bounds the packed tables
+/// [`dot_whole_lanes`] keeps on the stack (`DOT_ROWS` × this × 32 bytes).
+const DOT_SOURCES: usize = 16;
+
+/// One coefficient's low- and high-nibble product tables, side by side.
+type NibbleTables = [u8; 32];
+
+/// Columns handled before the next row group starts over on the same
+/// sources. More than `DOT_ROWS` outputs take several passes; cutting the
+/// block into strips lets every pass after the first read its sources from
+/// cache rather than DRAM (sixteen sources of one strip are 64 KiB).
+const DOT_STRIP: usize = 4096;
+
+/// The part of a vector path's `dot` that is not vector code: runs `body` on
+/// the whole `lane`-byte vectors of `cols`, at most [`DOT_SOURCES`] sources
+/// at a time, and leaves the sub-lane tail to the scalar loop.
+///
+/// `body` gets the nibble tables of the coefficients it needs packed in the
+/// order it reads them — source-major, a table per output row for each
+/// source — so its inner loop walks one short array instead of looking each
+/// coefficient up in the 8 KiB of [`MUL_LO`] and [`MUL_HI`].
+#[cfg(any(target_arch = "x86", target_arch = "x86_64", target_arch = "aarch64"))]
+fn dot_whole_lanes(
+    lane: usize,
+    coeffs: &[Gf256],
+    srcs: &[&[u8]],
+    dsts: &mut [&mut [u8]],
+    cols: Range<usize>,
+    accumulate: bool,
+    body: impl Fn(&[NibbleTables], &[&[u8]], &mut [&mut [u8]], Range<usize>, bool),
+) {
+    let (rows, n) = (dsts.len(), srcs.len());
+    assert!(rows <= DOT_ROWS && coeffs.len() == rows * n);
+    let split = cols.end - cols.len() % lane;
+    let mut tables = [[0u8; 32]; DOT_ROWS * DOT_SOURCES];
+    for (pass, pass_srcs) in srcs.chunks(DOT_SOURCES).enumerate() {
+        let first = pass * DOT_SOURCES;
+        let tables = &mut tables[..rows * pass_srcs.len()];
+        for (j, of_source) in tables.chunks_exact_mut(rows).enumerate() {
+            for (r, table) in of_source.iter_mut().enumerate() {
+                let coeff = coeffs[r * n + first + j].0 as usize;
+                table[..16].copy_from_slice(&MUL_LO[coeff]);
+                table[16..].copy_from_slice(&MUL_HI[coeff]);
+            }
+        }
+        body(
+            tables,
+            pass_srcs,
+            dsts,
+            cols.start..split,
+            accumulate || pass > 0,
+        );
+    }
+    scalar::dot(coeffs, srcs, dsts, split..cols.end, accumulate);
+}
 
 static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
 
@@ -266,6 +349,45 @@ impl Kernels {
             "add_slice: src and dst must have equal length"
         );
         (self.add)(src, dst);
+    }
+
+    /// The fused multi-row dot product, a matrix times a vector of blocks:
+    /// `dsts[r][i] = Σ_j coeffs[r][j] · srcs[j][i]`, or `dsts[r][i] ^= …`
+    /// when `accumulate` is set. All of a stripe's parities (encode), all of
+    /// its lost blocks (decode) or all the partial sums a helper forwards
+    /// (multi-block repair) come out of one pass over the sources, where a
+    /// [`mul_add_slice`](Kernels::mul_add_slice) per coefficient would
+    /// stream every source once per output and read-modify-write every
+    /// output once per source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coeffs` is not `dsts.len()` × `srcs.len()`, or if the
+    /// sources and outputs are not all of one length.
+    pub fn dot_prod(
+        &self,
+        coeffs: &Matrix,
+        srcs: &[&[u8]],
+        dsts: &mut [&mut [u8]],
+        accumulate: bool,
+    ) {
+        assert_eq!(
+            (coeffs.rows(), coeffs.cols()),
+            (dsts.len(), srcs.len()),
+            "dot_prod: coeffs must have a row per output and a column per source"
+        );
+        let len = srcs[0].len();
+        assert!(
+            srcs.iter().all(|s| s.len() == len) && dsts.iter().all(|d| d.len() == len),
+            "dot_prod: sources and outputs must have equal length"
+        );
+        let group_coeffs = coeffs.elements().chunks(DOT_ROWS * srcs.len());
+        for start in (0..len).step_by(DOT_STRIP) {
+            let cols = start..len.min(start + DOT_STRIP);
+            for (group, rows) in dsts.chunks_mut(DOT_ROWS).zip(group_coeffs.clone()) {
+                (self.dot)(rows, srcs, group, cols.clone(), accumulate);
+            }
+        }
     }
 
     /// CRC-32 (IEEE 802.3, the zlib/`cksum -o 3` dialect: reflected

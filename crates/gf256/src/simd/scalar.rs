@@ -5,7 +5,10 @@
 //! methods on [`super::Kernels`]) have already peeled off the 0 and 1
 //! coefficient fast paths, so `coeff` here is always a general element.
 
+use std::ops::Range;
+
 use crate::tables::{mul_table, CRC32_TABLES};
+use crate::Gf256;
 
 pub(super) fn mul(coeff: u8, src: &[u8], dst: &mut [u8]) {
     let row = &mul_table()[coeff as usize];
@@ -37,6 +40,32 @@ pub(super) fn add(src: &[u8], dst: &mut [u8]) {
         .zip(s_words.remainder().iter())
     {
         *d ^= *s;
+    }
+}
+
+/// Fused dot product over columns `cols` of one row group:
+/// `dsts[r][i] (=|^=) Σ_j coeffs[r * srcs.len() + j] · srcs[j][i]`. One
+/// table lookup per byte, a source at a time; the vector paths finish their
+/// sub-lane tails here, and their proptests hold them to it.
+pub(super) fn dot(
+    coeffs: &[Gf256],
+    srcs: &[&[u8]],
+    dsts: &mut [&mut [u8]],
+    cols: Range<usize>,
+    accumulate: bool,
+) {
+    let table = mul_table();
+    for (dst, row) in dsts.iter_mut().zip(coeffs.chunks_exact(srcs.len())) {
+        let dst = &mut dst[cols.clone()];
+        if !accumulate {
+            dst.fill(0);
+        }
+        for (src, coeff) in srcs.iter().zip(row) {
+            let products = &table[coeff.0 as usize];
+            for (d, s) in dst.iter_mut().zip(&src[cols.clone()]) {
+                *d ^= products[*s as usize];
+            }
+        }
     }
 }
 

@@ -10,6 +10,12 @@
 //! prod = shuffle(lo_tbl, src & 0x0f) ^ shuffle(hi_tbl, (src >> 4) & 0x0f)
 //! ```
 //!
+//! The fused dot product (`dot_*_body`, const-generic over one to four
+//! output rows) is the same lookup with the loops turned inside out: per
+//! vector of columns, each source is loaded and nibble-split once and
+//! shuffled against every row's tables, which the caller has packed in
+//! reading order, while the rows' accumulators stay in registers.
+//!
 //! The safe wrappers split the input at the last full vector and hand the
 //! remainder to the scalar loops, so the vector bodies only ever see
 //! whole-lane lengths. This module is the designated home for `unsafe` in
@@ -27,14 +33,18 @@ use core::arch::x86::*;
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 
-use super::{scalar, KernelPath, Kernels};
+use std::ops::Range;
+
+use super::{scalar, KernelPath, Kernels, NibbleTables};
 use crate::tables::{crc32_mul_x, MUL_HI, MUL_LO};
+use crate::Gf256;
 
 pub(super) static SSSE3: Kernels = Kernels {
     path: KernelPath::Ssse3,
     mul: mul_ssse3,
     mul_add: mul_add_ssse3,
     add: add_ssse3,
+    dot: dot_ssse3,
     crc: crc32_x86,
 };
 
@@ -43,6 +53,7 @@ pub(super) static AVX2: Kernels = Kernels {
     mul: mul_avx2,
     mul_add: mul_add_avx2,
     add: add_avx2,
+    dot: dot_avx2,
     crc: crc32_x86,
 };
 
@@ -138,6 +149,91 @@ unsafe fn add_sse2_body(src: &[u8], dst: &mut [u8]) {
         let s = _mm_loadu_si128(src.as_ptr().add(i).cast());
         let d = _mm_loadu_si128(dst.as_ptr().add(i).cast());
         _mm_storeu_si128(dst.as_mut_ptr().add(i).cast(), _mm_xor_si128(d, s));
+        i += 16;
+    }
+}
+
+fn dot_ssse3(
+    coeffs: &[Gf256],
+    srcs: &[&[u8]],
+    dsts: &mut [&mut [u8]],
+    cols: Range<usize>,
+    accumulate: bool,
+) {
+    let body = match dsts.len() {
+        1 => dot_ssse3_body::<1>,
+        2 => dot_ssse3_body::<2>,
+        3 => dot_ssse3_body::<3>,
+        4 => dot_ssse3_body::<4>,
+        rows => panic!("dot: a row group holds 1 to 4 outputs, got {rows}"),
+    };
+    super::dot_whole_lanes(
+        16,
+        coeffs,
+        srcs,
+        dsts,
+        cols,
+        accumulate,
+        |tables, srcs, dsts, cols, accumulate| {
+            // SAFETY: reachable only when runtime detection confirmed SSSE3
+            // (see `Kernels::for_path`); the body checks its own bounds.
+            unsafe { body(tables, srcs, dsts, cols, accumulate) }
+        },
+    );
+}
+
+/// Fused dot product, 16 columns per iteration: each source vector is loaded
+/// and nibble-split once and feeds all `R` accumulators, which stay in
+/// registers across the sources and are stored once. `tables` holds the
+/// coefficients' nibble tables source-major, `R` per source (see
+/// [`super::dot_whole_lanes`]).
+///
+/// Caller must have verified SSSE3 support. Everything else the accesses
+/// rely on is asserted on entry: `R` outputs, `R` tables per source, `cols`
+/// a whole number of vectors, every source and output reaching `cols.end`.
+// SAFETY: all loads and stores are unaligned 16-byte accesses at offsets
+// `i` with `i + 16 <= cols.end <=` the length of the slice accessed (the
+// entry asserts); the output pointers come from distinct `&mut` slices, so
+// they alias neither each other nor a source; a table is `[u8; 32]` read as
+// two 16-byte halves.
+#[target_feature(enable = "ssse3")]
+unsafe fn dot_ssse3_body<const R: usize>(
+    tables: &[NibbleTables],
+    srcs: &[&[u8]],
+    dsts: &mut [&mut [u8]],
+    cols: Range<usize>,
+    accumulate: bool,
+) {
+    assert!(dsts.len() == R && tables.len() == R * srcs.len());
+    assert!(cols.start <= cols.end && cols.len().is_multiple_of(16));
+    assert!(srcs.iter().all(|s| s.len() >= cols.end) && dsts.iter().all(|d| d.len() >= cols.end));
+    let out: [*mut u8; R] = std::array::from_fn(|r| dsts[r].as_mut_ptr());
+    let mask = _mm_set1_epi8(0x0f);
+    let mut i = cols.start;
+    while i < cols.end {
+        let mut acc = [_mm_setzero_si128(); R];
+        if accumulate {
+            for r in 0..R {
+                acc[r] = _mm_loadu_si128(out[r].add(i).cast());
+            }
+        }
+        for (src, tables) in srcs.iter().zip(tables.chunks_exact(R)) {
+            let s = _mm_loadu_si128(src.as_ptr().add(i).cast());
+            let lo_n = _mm_and_si128(s, mask);
+            let hi_n = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
+            for r in 0..R {
+                let lo_tbl = _mm_loadu_si128(tables[r].as_ptr().cast());
+                let hi_tbl = _mm_loadu_si128(tables[r].as_ptr().add(16).cast());
+                let prod = _mm_xor_si128(
+                    _mm_shuffle_epi8(lo_tbl, lo_n),
+                    _mm_shuffle_epi8(hi_tbl, hi_n),
+                );
+                acc[r] = _mm_xor_si128(acc[r], prod);
+            }
+        }
+        for r in 0..R {
+            _mm_storeu_si128(out[r].add(i).cast(), acc[r]);
+        }
         i += 16;
     }
 }
@@ -239,6 +335,83 @@ unsafe fn add_avx2_body(src: &[u8], dst: &mut [u8]) {
         let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
         let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
         _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_xor_si256(d, s));
+        i += 32;
+    }
+}
+
+fn dot_avx2(
+    coeffs: &[Gf256],
+    srcs: &[&[u8]],
+    dsts: &mut [&mut [u8]],
+    cols: Range<usize>,
+    accumulate: bool,
+) {
+    let body = match dsts.len() {
+        1 => dot_avx2_body::<1>,
+        2 => dot_avx2_body::<2>,
+        3 => dot_avx2_body::<3>,
+        4 => dot_avx2_body::<4>,
+        rows => panic!("dot: a row group holds 1 to 4 outputs, got {rows}"),
+    };
+    super::dot_whole_lanes(
+        32,
+        coeffs,
+        srcs,
+        dsts,
+        cols,
+        accumulate,
+        |tables, srcs, dsts, cols, accumulate| {
+            // SAFETY: reachable only when runtime detection confirmed AVX2
+            // (see `Kernels::for_path`); the body checks its own bounds.
+            unsafe { body(tables, srcs, dsts, cols, accumulate) }
+        },
+    );
+}
+
+/// Fused dot product, 32 columns per iteration; [`dot_ssse3_body`] at twice
+/// the width, with each 16-entry table broadcast to both lanes (see
+/// [`mul_avx2_body`]). Same contract, with AVX2 verified.
+// SAFETY: same bounds and aliasing argument as `dot_ssse3_body`, with
+// 32-byte accesses at offsets `i` with `i + 32 <= cols.end`.
+#[target_feature(enable = "avx2")]
+unsafe fn dot_avx2_body<const R: usize>(
+    tables: &[NibbleTables],
+    srcs: &[&[u8]],
+    dsts: &mut [&mut [u8]],
+    cols: Range<usize>,
+    accumulate: bool,
+) {
+    assert!(dsts.len() == R && tables.len() == R * srcs.len());
+    assert!(cols.start <= cols.end && cols.len().is_multiple_of(32));
+    assert!(srcs.iter().all(|s| s.len() >= cols.end) && dsts.iter().all(|d| d.len() >= cols.end));
+    let out: [*mut u8; R] = std::array::from_fn(|r| dsts[r].as_mut_ptr());
+    let mask = _mm256_set1_epi8(0x0f);
+    let mut i = cols.start;
+    while i < cols.end {
+        let mut acc = [_mm256_setzero_si256(); R];
+        if accumulate {
+            for r in 0..R {
+                acc[r] = _mm256_loadu_si256(out[r].add(i).cast());
+            }
+        }
+        for (src, tables) in srcs.iter().zip(tables.chunks_exact(R)) {
+            let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
+            let lo_n = _mm256_and_si256(s, mask);
+            let hi_n = _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask);
+            for r in 0..R {
+                let halves: *const __m128i = tables[r].as_ptr().cast();
+                let lo_tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(halves));
+                let hi_tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(halves.add(1)));
+                let prod = _mm256_xor_si256(
+                    _mm256_shuffle_epi8(lo_tbl, lo_n),
+                    _mm256_shuffle_epi8(hi_tbl, hi_n),
+                );
+                acc[r] = _mm256_xor_si256(acc[r], prod);
+            }
+        }
+        for r in 0..R {
+            _mm256_storeu_si256(out[r].add(i).cast(), acc[r]);
+        }
         i += 32;
     }
 }

@@ -11,8 +11,14 @@
 //! portable slicing-by-16 kernel and, where the host has `pclmulqdq`, the
 //! folding kernel, across every length around their 16- and 64-byte strides
 //! and every source misalignment.
+//!
+//! The fused dot product (`Kernels::dot_prod`) is held to a bytewise oracle
+//! built from `Gf256` multiplication on every path, scalar included, in both
+//! its overwrite and its accumulate form: one to six output rows (a full row
+//! group, and a second partial one), one to twelve sources, every length
+//! around the vector widths and the strip size, every misalignment.
 
-use gf256::{Gf256, KernelPath, Kernels};
+use gf256::{Gf256, KernelPath, Kernels, Matrix};
 use proptest::prelude::*;
 
 /// The widest vector width any path uses (AVX2: 32 bytes).
@@ -158,6 +164,157 @@ proptest! {
             }
         }
     }
+}
+
+// -------------------------------------------------- fused dot product --
+
+/// Source `j` starts this many bytes after source `j - 1` in the shared
+/// random buffer (odd, so neighbouring sources never share an alignment).
+const DOT_SRC_STEP: usize = 37;
+/// Bytes kept in front of and behind every output, which must stay as they
+/// were.
+const DOT_PAD: usize = 16;
+
+/// `table[c][b] = c · b`, from the field arithmetic rather than from the
+/// crate's kernel tables.
+fn product_table() -> &'static Vec<[u8; 256]> {
+    static TABLE: std::sync::OnceLock<Vec<[u8; 256]>> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| {
+        (0..=255u8)
+            .map(|c| std::array::from_fn(|b| (Gf256::new(c) * Gf256::new(b as u8)).value()))
+            .collect()
+    })
+}
+
+/// Checks one shape on every supported path: `rows` outputs over `srcs`
+/// sources of `len` bytes cut from `buf`, the first source `offset` bytes
+/// past a 16-byte boundary and every output at a different misalignment,
+/// overwriting and accumulating.
+fn check_dot(coeffs: &[u8], rows: usize, srcs: usize, buf: &[u8], len: usize, offset: usize) {
+    let matrix = Matrix::from_bytes(rows, srcs, coeffs);
+    let sources: Vec<&[u8]> = (0..srcs)
+        .map(|j| &buf[offset + j * DOT_SRC_STEP..][..len])
+        .collect();
+    let table = product_table();
+    let products: Vec<Vec<u8>> = (0..rows)
+        .map(|r| {
+            let mut out = vec![0u8; len];
+            for (j, src) in sources.iter().enumerate() {
+                let row = &table[coeffs[r * srcs + j] as usize];
+                for (o, s) in out.iter_mut().zip(src.iter()) {
+                    *o ^= row[*s as usize];
+                }
+            }
+            out
+        })
+        .collect();
+    let starts: Vec<usize> = (0..rows).map(|r| DOT_PAD + (offset + 5 * r) % 16).collect();
+    let initial: Vec<Vec<u8>> = (0..rows)
+        .map(|r| pattern(starts[r] + len + DOT_PAD, 7 + r))
+        .collect();
+    for path in KernelPath::supported_paths() {
+        let kernels = Kernels::for_path(path).expect("listed as supported");
+        for accumulate in [false, true] {
+            let mut outputs = initial.clone();
+            let mut dsts: Vec<&mut [u8]> = outputs
+                .iter_mut()
+                .zip(&starts)
+                .map(|(out, &start)| &mut out[start..start + len])
+                .collect();
+            kernels.dot_prod(&matrix, &sources, &mut dsts, accumulate);
+            for r in 0..rows {
+                let mut expected = initial[r].clone();
+                for (e, p) in expected[starts[r]..].iter_mut().zip(&products[r]) {
+                    *e = if accumulate { *e ^ p } else { *p };
+                }
+                assert!(
+                    outputs[r] == expected,
+                    "path={path} accumulate={accumulate} rows={rows} srcs={srcs} \
+                     len={len} offset={offset} row={r}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    // One case — a fresh 1 MiB buffer and coefficient matrix over some
+    // 15 000 shapes; the time goes to the bytewise oracle and the scalar
+    // path, which run unoptimized here.
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    #[test]
+    fn dot_prod_matches_bytewise_oracle_on_every_path(
+        buf in proptest::collection::vec(any::<u8>(), (1 << 20) + 1024..(1 << 20) + 1025),
+        drawn in proptest::collection::vec(any::<u8>(), 72..73),
+    ) {
+        // Plant the coefficients the single-coefficient kernels special-case.
+        let coeffs_of = |rows: usize, srcs: usize| -> Vec<u8> {
+            (0..rows * srcs)
+                .map(|i| match (i / srcs + 2 * (i % srcs)) % 7 {
+                    0 => 0,
+                    3 => 1,
+                    _ => drawn[i % drawn.len()],
+                })
+                .collect()
+        };
+        // 0..=300 crosses the 16- and 32-byte vectors several times over; 512
+        // is the checksum chunk.
+        let short = (0..=300).chain([512]);
+        // One to six rows (a row group and a half) by one to twelve sources,
+        // at the lengths next to a vector edge.
+        for rows in 1..=6 {
+            for srcs in 1..=12 {
+                let coeffs = coeffs_of(rows, srcs);
+                for len in short.clone().filter(|len| [0, 1, 15].contains(&(len % 16))) {
+                    check_dot(&coeffs, rows, srcs, &buf, len, (len + rows + srcs) % 16);
+                }
+            }
+        }
+        // The shapes the runtime uses — (14,10) parity, a helper's step in a
+        // 3-failure repair — at every short length and misalignment, then
+        // at the strip edge (4 KiB ± 1), the 32 KiB repair slice and the
+        // 1 MiB block.
+        for (rows, srcs, longest) in [(4, 10, 32 << 10), (3, 1, 1 << 20)] {
+            let coeffs = coeffs_of(rows, srcs);
+            for offset in 0..16 {
+                for len in short.clone() {
+                    check_dot(&coeffs, rows, srcs, &buf, len, offset);
+                }
+            }
+            for len in [4095, 4096, 4097, longest] {
+                check_dot(&coeffs, rows, srcs, &buf, len, len % 13);
+            }
+        }
+        // A second, partial row group, and more sources than one pass takes.
+        for (rows, srcs) in [(5, 3), (2, 17), (1, 33)] {
+            let coeffs = coeffs_of(rows, srcs);
+            for len in short.clone().chain([4097]) {
+                check_dot(&coeffs, rows, srcs, &buf, len, (len + 3) % 16);
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "equal length")]
+fn dot_prod_rejects_unequal_lengths() {
+    let (a, b) = ([0u8; 8], [0u8; 7]);
+    let mut out = [0u8; 8];
+    gf256::dot_prod(
+        &Matrix::identity(2).select_rows(&[0]),
+        &[&a, &b],
+        &mut [&mut out],
+        false,
+    );
+}
+
+#[test]
+#[should_panic(expected = "a row per output")]
+fn dot_prod_rejects_a_misshapen_matrix() {
+    let a = [0u8; 8];
+    let mut out = [0u8; 8];
+    gf256::dot_prod(&Matrix::identity(2), &[&a], &mut [&mut out], false);
 }
 
 // ------------------------------------------------------------- CRC-32 --
