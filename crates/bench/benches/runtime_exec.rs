@@ -1,5 +1,7 @@
 //! Criterion bench for the ECPipe runtime: end-to-end single-block repair
-//! throughput of the execution strategies on an in-memory cluster.
+//! throughput of the execution strategies on an in-memory cluster, over
+//! in-process channels (`single_block_repair/*`) and over the two socket
+//! backends (`RP/{tcp,reactor}/*`).
 
 use std::sync::Arc;
 
@@ -7,19 +9,24 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use ecc::slice::SliceLayout;
 use ecc::ReedSolomon;
 use ecpipe::exec::{execute_single, ExecStrategy};
-use ecpipe::transport::ChannelTransport;
-use ecpipe::{Cluster, Coordinator, StoreBackend};
+use ecpipe::transport::{ChannelTransport, ReactorTransport, TcpTransport, Transport};
+use ecpipe::{Cluster, Coordinator, RepairDirective, StoreBackend};
 
 const BLOCK: usize = 4 * 1024 * 1024;
+/// The socket rows repair the benchmark crate's block size, so they read
+/// next to its `exec.rp.{tcp,reactor}.ms`.
+const SOCKET_BLOCK: usize = 1024 * 1024;
 
-fn bench_runtime(c: &mut Criterion) {
+/// A 16-node memory cluster holding one RS(14,10) stripe of `block`-byte
+/// blocks with block 0 erased, and the directive that rebuilds it on node 15.
+fn fixture(block: usize) -> (Cluster, RepairDirective) {
     let code = Arc::new(ReedSolomon::new(14, 10).unwrap());
-    let layout = SliceLayout::new(BLOCK, 32 * 1024);
+    let layout = SliceLayout::new(block, 32 * 1024);
     let coordinator = Coordinator::new(code, layout);
     let cluster = Cluster::new(StoreBackend::memory(16)).unwrap();
     let data: Vec<Vec<u8>> = (0..10)
         .map(|i| {
-            (0..BLOCK)
+            (0..block)
                 .map(|b| ((b * 13 + i * 31) % 251) as u8)
                 .collect()
         })
@@ -29,6 +36,11 @@ fn bench_runtime(c: &mut Criterion) {
     let directive = coordinator
         .plan_single_repair(cluster.meta(), stripe, 0, 15)
         .unwrap();
+    (cluster, directive)
+}
+
+fn bench_runtime(c: &mut Criterion) {
+    let (cluster, directive) = fixture(BLOCK);
 
     let mut group = c.benchmark_group("runtime_exec");
     group.throughput(Throughput::Bytes(BLOCK as u64));
@@ -48,6 +60,31 @@ fn bench_runtime(c: &mut Criterion) {
                 });
             },
         );
+    }
+    group.finish();
+
+    // The socket data plane. One transport per row, alive across every
+    // iteration: what is timed is a repair over connections that are already
+    // up (pooled for TCP, cached for the reactor), not the dials.
+    let (cluster, directive) = fixture(SOCKET_BLOCK);
+    let mut group = c.benchmark_group("runtime_exec/RP");
+    group.throughput(Throughput::Bytes(SOCKET_BLOCK as u64));
+    let backends: [(&str, Box<dyn Transport>); 2] = [
+        ("tcp", Box::new(TcpTransport::new())),
+        ("reactor", Box::new(ReactorTransport::new())),
+    ];
+    for (name, transport) in &backends {
+        group.bench_function(BenchmarkId::new(*name, SOCKET_BLOCK), |b| {
+            b.iter(|| {
+                execute_single(
+                    &directive,
+                    &cluster,
+                    transport.as_ref(),
+                    ExecStrategy::RepairPipelining,
+                )
+                .unwrap()
+            });
+        });
     }
     group.finish();
 }

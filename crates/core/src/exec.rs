@@ -238,6 +238,9 @@ fn run_conventional<T: Transport + ?Sized>(
             }));
         }
 
+        // Draining the links one after the other is safe: every helper sends
+        // from a thread of its own, so the ones not being read yet just wait
+        // at their credit window.
         let mut out = vec![0u8; layout.block_size];
         let mut stalled = false;
         'links: for (rx, coeff) in receivers {
@@ -402,14 +405,12 @@ pub fn execute_multi<T: Transport + ?Sized>(
         }
     }
 
-    // Delivery links from the last helper to each requestor. The channel
-    // capacity covers the whole block so the last helper never blocks on a
-    // requestor that is collected later.
+    // Delivery links from the last helper to each requestor.
     let last_helper = path.last().expect("path checked non-empty").0;
     let (delivery_senders, delivery_receivers): (Vec<_>, Vec<_>) = directive
         .requestors
         .iter()
-        .map(|&r| transport.link(last_helper, r, slices.max(PIPELINE_DEPTH)))
+        .map(|&r| transport.link(last_helper, r, PIPELINE_DEPTH))
         .unzip();
 
     let pool = BufPool::new();
@@ -472,18 +473,26 @@ pub fn execute_multi<T: Transport + ?Sized>(
             }));
         }
 
-        // Collect each requestor's block.
+        // Collect the requestors' blocks in the order the last helper sends
+        // them — slice by slice, row by row. One thread drains all `f`
+        // links here, and that helper blocks once `PIPELINE_DEPTH` slices
+        // are unread on any of them, so collecting a whole row at a time
+        // would deadlock as soon as a block has more slices than a link has
+        // credits.
         let mut outputs = vec![vec![0u8; layout.block_size]; f];
         let mut stalled = false;
-        'rows: for (row, rx) in delivery_receivers.into_iter().enumerate() {
-            for _ in 0..slices {
+        'slices: for _ in 0..slices {
+            for (rx, output) in delivery_receivers.iter().zip(&mut outputs) {
                 let Some(msg) = rx.recv() else {
                     stalled = true;
-                    break 'rows;
+                    break 'slices;
                 };
-                outputs[row][layout.slice_range(msg.index)].copy_from_slice(&msg.data);
+                output[layout.slice_range(msg.index)].copy_from_slice(&msg.data);
             }
         }
+        // After a stall this is what fails the last helper's sends, so the
+        // join below returns.
+        drop(delivery_receivers);
         join_all(handles)?;
         if stalled {
             return Err(execution_error("delivery ended before block was complete"));

@@ -77,8 +77,8 @@ pub enum TransportChoice {
     /// Real localhost TCP sockets with the framed wire format.
     Tcp,
     /// Localhost TCP sockets multiplexed over a fixed epoll thread pool —
-    /// the same wire format as [`Tcp`](TransportChoice::Tcp) without a
-    /// thread per connection.
+    /// the same wire format as [`Tcp`](TransportChoice::Tcp) with one
+    /// shared connection per node pair instead of one per open link.
     Reactor,
 }
 

@@ -81,7 +81,8 @@ lock_class!(
 );
 
 lock_class!(
-    /// TCP transport listener table.
+    /// TCP transport listener table; held across a dial and the `accept`
+    /// that pairs with it (no other lock is taken meanwhile).
     pub TCP_LISTENERS = ("tcp.listeners", rank = 52)
 );
 
@@ -94,20 +95,28 @@ lock_class!(
 );
 
 lock_class!(
-    /// TCP transport connection cache; held while writing the handshake
-    /// frame, so it precedes [`TCP_WRITER`].
+    /// TCP transport connection pool (idle connections per directed pair
+    /// plus the registry of every open one); taken for a push/pop only.
     pub TCP_CONNS = ("tcp.conns", rank = 54)
 );
 
 lock_class!(
-    /// Live-link table shared by the socket transports; held while closing
-    /// per-link state, so it precedes [`FRAMED_LINK_STATE`].
+    /// Reactor transport live-link table; held while closing per-link
+    /// state, so it precedes [`FRAMED_LINK_STATE`].
     pub FRAMED_LINKS = ("framed.links", rank = 56)
 );
 
 lock_class!(
-    /// Connection→links index used for teardown, shared by the socket
-    /// transports.
+    /// TCP per-connection credit window of the link riding it; senders out
+    /// of credits block on its condvar. A sender passes it (and releases
+    /// it) before taking [`TCP_WRITER`]; a receiver returns its credit only
+    /// after releasing [`TCP_READER`] — it is never held with either.
+    pub TCP_WINDOW = ("tcp.window", rank = 57)
+);
+
+lock_class!(
+    /// Reactor transport connection-generation → links index used for
+    /// teardown.
     pub FRAMED_CONN_LINKS = ("framed.conn_links", rank = 58)
 );
 
@@ -122,8 +131,8 @@ lock_class!(
 );
 
 lock_class!(
-    /// Per-link queue/credit state shared by the socket transports; senders
-    /// and receivers block on its condvars.
+    /// Reactor transport per-link queue/credit state; senders and receivers
+    /// block on its condvars.
     pub FRAMED_LINK_STATE = ("framed.link_state", rank = 60)
 );
 
@@ -136,13 +145,15 @@ lock_class!(
 );
 
 lock_class!(
-    /// Per-connection socket writer.
+    /// TCP per-connection write side: held by the owning link's sender for
+    /// one frame (a blocking socket write). Leaf.
     pub TCP_WRITER = ("tcp.writer", rank = 62)
 );
 
 lock_class!(
-    /// Reader-thread join handles, taken at shutdown.
-    pub TCP_READER_THREADS = ("tcp.reader_threads", rank = 64)
+    /// TCP per-connection read side (frame buffer + stream progress): held
+    /// by the owning link's receiver while it blocks in `read`. Leaf.
+    pub TCP_READER = ("tcp.reader", rank = 64)
 );
 
 lock_class!(

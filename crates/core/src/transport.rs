@@ -14,9 +14,13 @@
 //!   [`manager`](crate::manager) measurably faster than the sequential
 //!   loop even on a single-core host;
 //! * [`TcpTransport`] — real localhost TCP sockets with a length-prefixed
-//!   wire format, connection reuse and the same optional token-bucket
-//!   bandwidth throttle, so the timing claims of §3.2 can be measured on
-//!   sockets rather than only in `simnet`.
+//!   wire format, pooled connections (a link owns one and its receiver
+//!   reads it directly — no transport threads) and the same optional
+//!   token-bucket bandwidth throttle, so the timing claims of §3.2 can be
+//!   measured on sockets rather than only in `simnet`;
+//! * [`ReactorTransport`] — the same wire format over one shared
+//!   nonblocking connection per node pair, multiplexed on a fixed pool of
+//!   epoll threads.
 //!
 //! Every backend keeps per-link byte counters ([`LinkStats`]) so tests can
 //! check the traffic-distribution claims of the paper (e.g. repair
@@ -44,6 +48,11 @@ mod wire;
 
 pub use reactor::ReactorTransport;
 pub use tcp::TcpTransport;
+
+/// How long senders and receivers blocked on a socket backend's condvars
+/// sleep between re-checks; a backstop so a lost wakeup degrades to latency
+/// rather than a deadlock.
+const WAIT_TICK: Duration = Duration::from_millis(50);
 
 /// The mutable half of a [`TokenBucket`]: the fill level plus the rate,
 /// which can change at runtime ([`TokenBucket::set_rate`]) to model a link
@@ -590,7 +599,7 @@ impl Transport for ChannelTransport {
 pub enum AnyTransport {
     /// In-process bounded channels ([`ChannelTransport`]).
     Channel(ChannelTransport),
-    /// Localhost TCP sockets, one thread per listener/connection
+    /// Localhost TCP sockets, one pooled blocking connection per open link
     /// ([`TcpTransport`]).
     Tcp(TcpTransport),
     /// Localhost TCP sockets multiplexed over a fixed epoll thread pool

@@ -1,32 +1,27 @@
-//! Link-level flow control shared by the socket-backed transports.
+//! Link-level flow control for the reactor transport.
 //!
-//! Both [`TcpTransport`](super::TcpTransport) and
-//! [`ReactorTransport`](super::ReactorTransport) multiplex many logical
-//! links over one connection per directed node pair, and both enforce a
-//! link's `capacity` with sender-side credits: a sender consumes one credit
-//! per slice and blocks at zero; the receiver returns a credit each time it
-//! pops a slice. Credits are process-local control state (these backends
-//! run all nodes in one process over localhost); the data plane — every
-//! slice payload — always crosses a real socket. The per-link queue/credit
-//! state ([`LinkState`]) and the registry tying link ids to their carrying
-//! connection ([`LinkTable`]) live here so the two backends stay
-//! byte-for-byte interchangeable.
+//! [`ReactorTransport`](super::ReactorTransport) multiplexes many logical
+//! links over one connection per directed node pair and enforces a link's
+//! `capacity` with sender-side credits: a sender consumes one credit per
+//! slice and blocks at zero; the receiver returns a credit each time it
+//! pops a slice. Credits are process-local control state (the backend runs
+//! all nodes in one process over localhost); the data plane — every slice
+//! payload — always crosses a real socket. The per-link queue/credit state
+//! ([`LinkState`]) and the registry tying link ids to the connection that
+//! carries them ([`LinkTable`]) live here.
+//! ([`TcpTransport`](super::TcpTransport) keeps the same credit rule but
+//! needs neither: a link there owns its connection and its receiver reads
+//! the socket itself.)
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
 
 use ecpipe_sync::{Condvar, Mutex};
-use simnet::NodeId;
 
 use crate::lock_order;
 
 use super::wire::{Frame, OP_DATA, OP_EOS};
-use super::{SliceMsg, SliceRx};
-
-/// How long blocked senders/receivers sleep between re-checks; a backstop so
-/// a lost wakeup degrades to latency rather than a deadlock.
-pub(super) const WAIT_TICK: Duration = Duration::from_millis(50);
+use super::{SliceMsg, SliceRx, WAIT_TICK};
 
 /// Shared state of one logical link (queue on the receive side, credits on
 /// the send side).
@@ -78,16 +73,18 @@ impl LinkState {
     }
 }
 
-/// The registry of live links and of which directed connection carries each
-/// one, so a connection teardown can close exactly the receive queues it
-/// fed.
+/// The registry of live links and of which connection carries each one, so
+/// a connection teardown can close exactly the receive queues it fed. A
+/// connection is named by its *generation* — unique per dial, never by its
+/// node pair — so the late end-of-file of a severed connection cannot close
+/// links opened over its replacement.
 pub(super) struct LinkTable {
     /// Lock class: `framed.links` ([`lock_order::FRAMED_LINKS`]).
     pub(super) links: Mutex<HashMap<u64, Arc<LinkState>>>,
-    /// Links riding each directed connection.
+    /// Links riding each connection, by connection generation.
     ///
     /// Lock class: `framed.conn_links` ([`lock_order::FRAMED_CONN_LINKS`]).
-    pub(super) conn_links: Mutex<HashMap<(NodeId, NodeId), Vec<u64>>>,
+    pub(super) conn_links: Mutex<HashMap<u64, Vec<u64>>>,
 }
 
 impl Default for LinkTable {
@@ -100,12 +97,13 @@ impl Default for LinkTable {
 }
 
 impl LinkTable {
-    /// Registers a freshly-opened link as riding the `pair` connection.
-    pub(super) fn register(&self, pair: (NodeId, NodeId), link_id: u64, link: Arc<LinkState>) {
+    /// Registers a freshly-opened link as riding the connection of
+    /// generation `conn`.
+    pub(super) fn register(&self, conn: u64, link_id: u64, link: Arc<LinkState>) {
         self.links.lock().insert(link_id, link);
         self.conn_links
             .lock()
-            .entry(pair)
+            .entry(conn)
             .or_default()
             .push(link_id);
     }
@@ -113,13 +111,7 @@ impl LinkTable {
     /// Records that one local half of a link was dropped; once both halves
     /// are gone the registry entries are reclaimed, so a long-lived
     /// transport does not accumulate state for finished repairs.
-    pub(super) fn release_link_half(
-        &self,
-        pair: (NodeId, NodeId),
-        link_id: u64,
-        link: &LinkState,
-        tx: bool,
-    ) {
+    pub(super) fn release_link_half(&self, conn: u64, link_id: u64, link: &LinkState, tx: bool) {
         let both_dropped = {
             let mut inner = link.inner.lock();
             if tx {
@@ -131,19 +123,23 @@ impl LinkTable {
         };
         if both_dropped {
             self.links.lock().remove(&link_id);
-            if let Some(ids) = self.conn_links.lock().get_mut(&pair) {
+            let mut conn_links = self.conn_links.lock();
+            if let Some(ids) = conn_links.get_mut(&conn) {
                 ids.retain(|&id| id != link_id);
+                if ids.is_empty() {
+                    conn_links.remove(&conn);
+                }
             }
         }
     }
 
-    /// Marks every link fed by the `(src, dst)` connection as
+    /// Marks every link fed by the connection of generation `conn` as
     /// sender-closed: the connection is gone, no more slices can arrive.
-    pub(super) fn close_conn_links(&self, src: NodeId, dst: NodeId) {
+    pub(super) fn close_conn_links(&self, conn: u64) {
         let ids = self
             .conn_links
             .lock()
-            .get(&(src, dst))
+            .get(&conn)
             .cloned()
             .unwrap_or_default();
         let links = self.links.lock();
@@ -195,12 +191,11 @@ impl LinkTable {
     }
 }
 
-/// The receiving half of a socket-transport link: pops slices pushed by the
-/// backend's frame-dispatch path, returning credits as it drains. Shared by
-/// both socket backends — receive semantics are identical once frames reach
-/// the link queue.
+/// The receiving half of a reactor-transport link: pops slices pushed by
+/// the frame-dispatch path, returning credits as it drains.
 pub(super) struct FramedRx {
-    pub(super) pair: (NodeId, NodeId),
+    /// Generation of the connection that carries the link.
+    pub(super) conn: u64,
     pub(super) link_id: u64,
     pub(super) link: Arc<LinkState>,
     pub(super) table: Arc<LinkTable>,
@@ -224,6 +219,6 @@ impl Drop for FramedRx {
     fn drop(&mut self) {
         self.link.close_receiver();
         self.table
-            .release_link_half(self.pair, self.link_id, &self.link, false);
+            .release_link_half(self.conn, self.link_id, &self.link, false);
     }
 }

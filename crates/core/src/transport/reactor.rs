@@ -2,15 +2,15 @@
 //! sockets multiplexed by a fixed pool of epoll threads (`ecpipe-reactor`).
 //!
 //! Byte-for-byte the same protocol as [`TcpTransport`](super::TcpTransport)
-//! — the wire format lives in [`wire`](super::wire), the credit-based link
-//! flow control in [`framed`](super::framed), and the conformance suites
-//! run over both — but the threading model is inverted. Where the TCP
-//! backend parks one accept thread per listener and one reader thread per
-//! accepted connection, this backend registers every socket (listeners and
+//! — the wire format lives in [`wire`](super::wire) and the conformance
+//! suites run over both — but a different connection and threading model.
+//! Where a TCP link owns a pooled blocking connection that its own
+//! receiver reads, this backend shares one connection per directed node
+//! pair among all links between the pair (credits and per-link queues in
+//! [`framed`](super::framed)) and registers every socket (listeners and
 //! connections alike) with one [`Reactor`]: a handful of poll threads serve
-//! arbitrarily many nodes and connections, which is what lets a load
-//! harness push thousands of concurrent client operations without thread
-//! counts growing with the cluster.
+//! arbitrarily many nodes and connections, so neither threads nor sockets
+//! grow with the number of concurrent links.
 //!
 //! # Data flow
 //!
@@ -30,8 +30,10 @@
 //! the reactor reads until `WouldBlock`, feeds an incremental
 //! [`FrameDecoder`](super::wire::FrameDecoder), and dispatches the complete
 //! frames to their link queues — where [`FramedRx`] receivers (caller
-//! threads) pop them exactly as they do for the TCP backend. On EOF the
-//! connection deregisters itself and every link it fed is sender-closed.
+//! threads) pop them. On EOF — or a frame the decoder rejects — the
+//! connection deregisters itself and every link it fed (the links
+//! registered under its generation, not every link of the pair) is
+//! sender-closed.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -46,11 +48,13 @@ use simnet::{NodeId, Topology};
 
 use crate::lock_order;
 
-use super::framed::{FramedRx, LinkState, LinkTable, WAIT_TICK};
-use super::wire::{encode_header, FrameDecoder, HEADER_LEN, OP_DATA, OP_EOS, OP_HELLO};
+use super::framed::{FramedRx, LinkState, LinkTable};
+use super::wire::{
+    encode_header, payload_len, FrameDecoder, HEADER_LEN, OP_DATA, OP_EOS, OP_HELLO,
+};
 use super::{
     Shaper, SliceMsg, SliceReceiver, SliceSender, SliceTx, StatsRegistry, TokenBucket, Transport,
-    TransportError,
+    TransportError, WAIT_TICK,
 };
 
 /// Poll threads per transport unless overridden — deliberately small: the
@@ -84,6 +88,9 @@ impl OutboundState {
 /// (and sender thread) between the pair.
 struct OutboundConn {
     pair: (NodeId, NodeId),
+    /// Unique per dial; announced in the `HELLO` frame so the accepting
+    /// side closes exactly the links this connection carried.
+    generation: u64,
     stream: TcpStream,
     /// Lock class: `rtransport.conn` ([`lock_order::RTRANSPORT_CONN`]).
     state: Mutex<OutboundState>,
@@ -241,8 +248,8 @@ impl Source for FlushSource {
 /// Parser state of one accepted (inbound) connection.
 struct InboundState {
     decoder: FrameDecoder,
-    /// The `(src, dst)` pair announced by the HELLO frame.
-    pair: Option<(NodeId, NodeId)>,
+    /// The connection generation announced by the HELLO frame.
+    generation: Option<u64>,
     finished: bool,
 }
 
@@ -260,7 +267,7 @@ impl Source for InboundConn {
     fn on_ready(&self, readiness: Readiness) {
         let mut frames = Vec::new();
         let finished;
-        let pair;
+        let generation;
         {
             let mut state = self.state.lock();
             if state.finished {
@@ -286,15 +293,23 @@ impl Source for InboundConn {
             } else if readiness.closed {
                 state.finished = true;
             }
-            while let Some(frame) = state.decoder.next_frame() {
-                if frame.opcode == OP_HELLO {
-                    state.pair = Some((frame.link as NodeId, frame.index as NodeId));
-                } else {
-                    frames.push(frame);
+            loop {
+                match state.decoder.next_frame() {
+                    Ok(Some(frame)) if frame.opcode == OP_HELLO => {
+                        state.generation = Some(frame.stripe);
+                    }
+                    Ok(Some(frame)) => frames.push(frame),
+                    Ok(None) => break,
+                    // A garbled header: the stream position is lost, so the
+                    // connection (and the links it carries) is finished.
+                    Err(_) => {
+                        state.finished = true;
+                        break;
+                    }
                 }
             }
             finished = state.finished;
-            pair = state.pair;
+            generation = state.generation;
         }
         // Dispatch outside the connection lock: pushing into link queues
         // takes the (higher-ranked) link locks and wakes receivers.
@@ -308,8 +323,8 @@ impl Source for InboundConn {
                 conns.lock().inbound.remove(&self.id);
             }
             let _ = self.stream.shutdown(Shutdown::Both);
-            if let Some((src, dst)) = pair {
-                self.table.close_conn_links(src, dst);
+            if let Some(generation) = generation {
+                self.table.close_conn_links(generation);
             }
         }
     }
@@ -351,7 +366,7 @@ impl Source for AcceptSource {
                     &lock_order::RTRANSPORT_CONN,
                     InboundState {
                         decoder: FrameDecoder::default(),
-                        pair: None,
+                        generation: None,
                         finished: false,
                     },
                 ),
@@ -413,7 +428,8 @@ struct ReactorTx {
     /// The shared connection, or the socket-setup failure that prevented
     /// it (surfaced per-send, mirroring the TCP backend).
     conn: Result<Arc<OutboundConn>, String>,
-    pair: (NodeId, NodeId),
+    /// The generation the link is registered under (see `link`).
+    generation: u64,
     link_id: u64,
     link: Arc<LinkState>,
     table: Arc<LinkTable>,
@@ -426,6 +442,7 @@ impl SliceTx for ReactorTx {
             .conn
             .as_ref()
             .map_err(|reason| TransportError::Io(std::io::Error::other(reason.clone())))?;
+        let len = payload_len(&msg.data).map_err(TransportError::Io)?;
         // Credit gate: block until the receiver has drained below capacity.
         {
             let inner = self.link.inner.lock();
@@ -447,7 +464,7 @@ impl SliceTx for ReactorTx {
             msg.index as u64,
             msg.stripe,
             msg.repair,
-            msg.data.len() as u32,
+            len,
         );
         conn.write_frame(&header, &msg.data)
             .map_err(TransportError::Io)
@@ -463,15 +480,15 @@ impl Drop for ReactorTx {
             let _ = conn.write_frame(&header, &[]);
         }
         self.table
-            .release_link_half(self.pair, self.link_id, &self.link, true);
+            .release_link_half(self.generation, self.link_id, &self.link, true);
     }
 }
 
 /// The event-driven socket backend: the same framed protocol, credit
 /// backpressure and token-bucket shaping as
-/// [`TcpTransport`](super::TcpTransport), served by a
-/// fixed pool of epoll threads instead of a thread per listener and
-/// connection. See the module docs for the data flow.
+/// [`TcpTransport`](super::TcpTransport), with one shared connection per
+/// directed node pair served by a fixed pool of epoll threads. See the
+/// module docs for the data flow.
 pub struct ReactorTransport {
     stats: StatsRegistry,
     table: Arc<LinkTable>,
@@ -481,6 +498,7 @@ pub struct ReactorTransport {
     /// Lock class: `rtransport.conns` ([`lock_order::RTRANSPORT_CONNS`]).
     conns: Arc<Mutex<ConnTable>>,
     next_link_id: AtomicU64,
+    next_generation: AtomicU64,
     shaper: Shaper,
     /// Declared last: registrations in the tables above must drop before
     /// the pool they point into (transport `Drop` also tears down
@@ -531,6 +549,7 @@ impl ReactorTransport {
                 },
             )),
             next_link_id: AtomicU64::new(1),
+            next_generation: AtomicU64::new(1),
             shaper: Shaper::default(),
             reactor,
         }
@@ -624,8 +643,10 @@ impl ReactorTransport {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         stream.set_nonblocking(true)?;
+        let generation = self.next_generation.fetch_add(1, Ordering::Relaxed);
         let conn = Arc::new(OutboundConn {
             pair: (src, dst),
+            generation,
             stream,
             state: Mutex::new(
                 &lock_order::RTRANSPORT_CONN,
@@ -653,7 +674,7 @@ impl ReactorTransport {
             }),
         )?;
         *conn.registration.lock() = Some(registration);
-        let hello = encode_header(OP_HELLO, src as u64, dst as u64, 0, 0, 0);
+        let hello = encode_header(OP_HELLO, src as u64, dst as u64, generation, 0, 0);
         conn.write_frame(&hello, &[])?;
         conns.outbound.insert((src, dst), conn.clone());
         Ok(conn)
@@ -673,13 +694,22 @@ impl Transport for ReactorTransport {
             // let the sender report the setup failure on first use.
             link.close_sender();
         }
-        self.table.register((src, dst), link_id, link.clone());
+        // Its connection's generation, or 0 (never issued to a connection)
+        // when the connection could not be set up.
+        let generation = conn.as_ref().map_or(0, |conn| conn.generation);
+        self.table.register(generation, link_id, link.clone());
+        // A connection severed between the cache lookup and the registration
+        // may already have run its teardown, which would have missed this
+        // link: nothing can be sent on it, so end its stream here.
+        if conn.as_ref().is_ok_and(|conn| conn.state.lock().closed) {
+            link.close_sender();
+        }
         let bucket = self.shaper.bucket(src, dst);
         (
             SliceSender {
                 inner: Box::new(ReactorTx {
                     conn,
-                    pair: (src, dst),
+                    generation,
                     link_id,
                     link: link.clone(),
                     table: self.table.clone(),
@@ -689,7 +719,7 @@ impl Transport for ReactorTransport {
             },
             SliceReceiver {
                 inner: Box::new(FramedRx {
-                    pair: (src, dst),
+                    conn: generation,
                     link_id,
                     link,
                     table: self.table.clone(),
@@ -861,17 +891,14 @@ mod tests {
             }
         }
         assert!(failed, "sends on a severed connection must start failing");
-        // The old receiver sees end-of-stream. Waiting for it also orders
-        // this test: the severed connection's inbound teardown closes every
-        // link registered for the pair at that moment, so a link opened
-        // before it has run can be closed with the old ones (a known race,
-        // see ROADMAP item 5).
-        assert!(rx.recv().is_none(), "old receiver must see end-of-stream");
-        // A fresh link transparently reconnects.
+        // A fresh link transparently reconnects — opened while the severed
+        // connection's inbound teardown may still be pending: that teardown
+        // closes the links of its own generation only.
         let (tx2, rx2) = transport.link(0, 1, 4);
         tx2.send(SliceMsg::new(9, Bytes::from_static(b"post")))
             .unwrap();
         assert_eq!(rx2.recv().unwrap().data, Bytes::from_static(b"post"));
+        assert!(rx.recv().is_none(), "old receiver must see end-of-stream");
     }
 
     #[test]

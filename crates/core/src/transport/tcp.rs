@@ -2,19 +2,46 @@
 //!
 //! Mirrors the extended evaluation of the paper (arXiv:1908.01527), where
 //! helpers exchange slices over direct TCP connections instead of Redis.
-//! One listener thread per node accepts connections; one TCP connection is
-//! established per directed `(src, dst)` node pair and reused by every link
-//! (and therefore every slice and every repair) between those nodes, with
-//! frames demultiplexed by link id.
+//!
+//! # Connection model
+//!
+//! A link *owns* a connection for as long as either of its halves lives.
+//! [`Transport::link`] checks an idle connection out of a pool kept per
+//! directed `(src, dst)` node pair, dialing a new one only when the pool is
+//! empty, so a pair holds as many connections as it ever had links open at
+//! once. Both ends of a connection live in this process: the sender writes
+//! the dialed end — header and payload in one vectored write — and the
+//! link's receiver reads the accepted end itself, through a small buffered
+//! frame reader that belongs to the connection. One hand-off per slice hop,
+//! and **no background threads at all**: no accept thread (a dial and its
+//! `accept` happen back to back under the listener lock), no reader thread,
+//! no queue between the socket and [`SliceReceiver::recv`].
 //!
 //! The wire format is shared with [`ReactorTransport`](super::ReactorTransport)
-//! and documented in [`wire`](super::wire); the credit-based flow control
-//! (a link's `capacity` enforced with sender-side credits) is shared too
-//! and lives in [`framed`](super::framed). What distinguishes this backend
-//! is its threading model: blocking sockets, one accept thread per
-//! listener and one reader thread per accepted connection — simple and
-//! fine at a handful of nodes, superseded by the reactor backend when
-//! connection counts grow.
+//! and documented in [`wire`](super::wire). A link's `capacity` is enforced
+//! with sender-side credits (process-local, like every node here): `send`
+//! takes a credit and blocks at zero, `recv` returns one per slice.
+//!
+//! # Returning a connection to the pool
+//!
+//! When both halves of a link are gone the connection goes back to its
+//! pair's pool, unless the stream can no longer be trusted:
+//!
+//! * either half saw an I/O error, end-of-file or a malformed frame;
+//! * the receiver was dropped with slices still in flight (`credits <
+//!   capacity`) — the sender may be blocked mid-`write` on a socket nobody
+//!   will drain, so the receiver shuts the connection down, which also
+//!   fails that sender;
+//! * the receiver was dropped before it read a single frame of its own, so
+//!   it cannot vouch for what is still buffered ahead of it;
+//! * the transport was dropped (every open socket is shut down, which
+//!   unblocks every sender and receiver).
+//!
+//! A receiver that leaves after its last slice but before the sender's
+//! `EOS` is the normal case — a repair helper returns once it has forwarded
+//! its final slice. That leaves at most one 37-byte `EOS` frame unread on a
+//! pooled connection; the next link's receiver discards frames whose link
+//! id is not its own, and link ids never repeat within a transport.
 //!
 //! # Throttling
 //!
@@ -24,143 +51,263 @@
 //! under repair pipelining should take about `1 + (k-1)/s` times a direct
 //! block send (§3.2), which the conformance tests measure.
 
-use std::collections::HashMap;
-use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::hash_map::{Entry, HashMap};
+use std::io::{self, ErrorKind};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use ecpipe_sync::{Mutex, OnceFlag};
+use ecpipe_sync::{Condvar, Mutex};
 use simnet::{NodeId, Topology};
 
 use crate::lock_order;
 
-use super::framed::{FramedRx, LinkState, LinkTable, WAIT_TICK};
-use super::wire::{encode_header, read_frame, OP_DATA, OP_EOS, OP_HELLO};
+use super::wire::{
+    encode_header, payload_len, write_frame, FrameReader, HEADER_LEN, OP_DATA, OP_EOS, OP_HELLO,
+};
 use super::{
-    Shaper, SliceMsg, SliceReceiver, SliceSender, SliceTx, StatsRegistry, TokenBucket, Transport,
-    TransportError,
+    Shaper, SliceMsg, SliceReceiver, SliceRx, SliceSender, SliceTx, StatsRegistry, TokenBucket,
+    Transport, TransportError, WAIT_TICK,
 };
 
-/// One reusable TCP connection for a directed node pair. All links between
-/// the pair share the writer; frames carry the link id for demultiplexing.
+/// The credit window of the link currently riding a connection.
+struct Window {
+    credits: usize,
+    capacity: usize,
+    receiver_gone: bool,
+}
+
+/// The read side of a connection: the frame buffer (which outlives links —
+/// bytes read ahead of one link's last frame are the next link's first) and
+/// the progress of the link currently reading it.
+struct ReadHalf {
+    frames: FrameReader,
+    /// The current link has read a frame of its own, so everything older is
+    /// consumed and what remains buffered is at most its own `EOS`.
+    synced: bool,
+    /// The current link's stream is over (`EOS`, or the connection failed).
+    ended: bool,
+}
+
+/// One pooled connection, both ends in this process.
 struct Conn {
+    /// Dial number, unique within the transport.
+    id: u64,
+    pair: (NodeId, NodeId),
+    /// The end the sender writes.
+    dialed: TcpStream,
+    /// The end the receiver reads.
+    accepted: TcpStream,
+    /// Lock class: `tcp.window` ([`lock_order::TCP_WINDOW`]).
+    window: Mutex<Window>,
+    /// Senders out of credits park here.
+    writable: Condvar,
+    /// Makes a frame atomic against another `send` on the same sender; the
+    /// stream itself is written through `&TcpStream`, which is what lets
+    /// [`Conn::sever`] shut it down under a blocked writer.
+    ///
     /// Lock class: `tcp.writer` ([`lock_order::TCP_WRITER`]).
-    writer: Mutex<TcpStream>,
-    /// Clone used to interrupt blocked I/O at shutdown.
-    stream: TcpStream,
+    writer: Mutex<()>,
+    /// Lock class: `tcp.reader` ([`lock_order::TCP_READER`]).
+    reader: Mutex<ReadHalf>,
+    /// The byte stream can no longer be trusted: never pooled again.
+    broken: AtomicBool,
 }
 
 impl Conn {
-    fn write_frame(
-        &self,
-        opcode: u8,
-        link: u64,
-        index: u64,
-        stripe: u64,
-        repair: u64,
-        payload: &[u8],
-    ) -> std::io::Result<()> {
-        let header = encode_header(opcode, link, index, stripe, repair, payload.len() as u32);
-        let mut writer = self.writer.lock();
-        writer.write_all(&header)?;
-        writer.write_all(payload)
+    /// Shuts both sockets down — failing a sender blocked in `write` and a
+    /// receiver blocked in `read` — wakes a sender parked at the credit
+    /// gate, and bars the connection from the pool.
+    fn sever(&self) {
+        self.broken.store(true, Ordering::SeqCst);
+        let _ = self.dialed.shutdown(Shutdown::Both);
+        let _ = self.accepted.shutdown(Shutdown::Both);
+        // Taken so the wake-up cannot slip between a parked sender's check
+        // of `broken` and its wait.
+        drop(self.window.lock());
+        self.writable.notify_all();
     }
 }
 
-struct ListenerHandle {
-    addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
+/// Every connection the transport has open.
+#[derive(Default)]
+struct Pool {
+    /// Idle or leased, by id — what the transport's `Drop` shuts down.
+    open: HashMap<u64, Arc<Conn>>,
+    /// Idle, per directed pair.
+    idle: HashMap<(NodeId, NodeId), Vec<Arc<Conn>>>,
 }
 
-struct Shared {
-    table: Arc<LinkTable>,
-    shutdown: OnceFlag,
-    /// Lock class: `tcp.reader_threads` ([`lock_order::TCP_READER_THREADS`]).
-    reader_threads: Mutex<Vec<JoinHandle<()>>>,
+/// A link's hold on its connection, shared by the two halves: when the last
+/// of them is dropped the connection returns to the pool, or is closed.
+struct Lease {
+    conn: Arc<Conn>,
+    pool: Arc<Mutex<Pool>>,
 }
 
-impl Default for Shared {
-    fn default() -> Self {
-        Shared {
-            table: Arc::new(LinkTable::default()),
-            shutdown: OnceFlag::new(),
-            reader_threads: Mutex::new(&lock_order::TCP_READER_THREADS, Vec::new()),
+impl Drop for Lease {
+    fn drop(&mut self) {
+        let mut pool = self.pool.lock();
+        if self.conn.broken.load(Ordering::SeqCst) {
+            pool.open.remove(&self.conn.id);
+        } else {
+            pool.idle
+                .entry(self.conn.pair)
+                .or_default()
+                .push(self.conn.clone());
         }
     }
 }
 
 struct TcpTx {
-    /// The shared connection, or the socket-setup failure that prevented
+    /// The link's connection, or the socket-setup failure that prevented
     /// it: setup errors surface per-send as `TransportError::Io` (failing
     /// the repair) instead of panicking inside the executor.
-    conn: Result<Arc<Conn>, String>,
-    pair: (NodeId, NodeId),
+    lease: Result<Arc<Lease>, String>,
     link_id: u64,
-    link: Arc<LinkState>,
-    shared: Arc<Shared>,
     bucket: Option<Arc<TokenBucket>>,
 }
 
 impl SliceTx for TcpTx {
     fn send(&self, msg: SliceMsg) -> Result<(), TransportError> {
-        let conn = self
-            .conn
-            .as_ref()
-            .map_err(|reason| TransportError::Io(std::io::Error::other(reason.clone())))?;
+        let conn = match &self.lease {
+            Ok(lease) => &lease.conn,
+            Err(reason) => return Err(TransportError::Io(io::Error::other(reason.clone()))),
+        };
+        let len = payload_len(&msg.data).map_err(TransportError::Io)?;
         // Credit gate: block until the receiver has drained below capacity.
         {
-            let inner = self.link.inner.lock();
-            let mut inner = self
-                .link
-                .writable
-                .wait_while_tick(inner, WAIT_TICK, |s| !s.receiver_closed && s.credits == 0);
-            if inner.receiver_closed {
+            let window = conn.window.lock();
+            let mut window = conn.writable.wait_while_tick(window, WAIT_TICK, |w| {
+                !w.receiver_gone && w.credits == 0 && !conn.broken.load(Ordering::SeqCst)
+            });
+            if window.receiver_gone {
                 return Err(TransportError::Disconnected);
             }
-            inner.credits -= 1;
+            if window.credits == 0 {
+                return Err(TransportError::Io(ErrorKind::BrokenPipe.into()));
+            }
+            window.credits -= 1;
         }
         if let Some(bucket) = &self.bucket {
-            bucket.take(super::wire::HEADER_LEN + msg.data.len());
+            bucket.take(HEADER_LEN + msg.data.len());
         }
-        conn.write_frame(
+        let header = encode_header(
             OP_DATA,
             self.link_id,
             msg.index as u64,
             msg.stripe,
             msg.repair,
-            &msg.data,
-        )
-        .map_err(TransportError::Io)
+            len,
+        );
+        let _frame = conn.writer.lock();
+        write_frame(&conn.dialed, &header, &msg.data).map_err(|e| {
+            conn.broken.store(true, Ordering::SeqCst);
+            TransportError::Io(e)
+        })
     }
 }
 
 impl Drop for TcpTx {
     fn drop(&mut self) {
-        // Graceful end-of-stream: queued DATA frames arrive first (same
-        // socket, FIFO), then the receiver sees the close.
-        if let Ok(conn) = &self.conn {
-            let _ = conn.write_frame(OP_EOS, self.link_id, 0, 0, 0, &[]);
+        let Ok(lease) = &self.lease else { return };
+        let conn = &lease.conn;
+        // Graceful end-of-stream, behind the DATA frames on the same socket
+        // — unless the receiver is already gone and nobody would read it.
+        if conn.window.lock().receiver_gone {
+            return;
         }
-        self.shared
-            .table
-            .release_link_half(self.pair, self.link_id, &self.link, true);
+        let header = encode_header(OP_EOS, self.link_id, 0, 0, 0, 0);
+        let _frame = conn.writer.lock();
+        if write_frame(&conn.dialed, &header, &[]).is_err() {
+            conn.broken.store(true, Ordering::SeqCst);
+        }
     }
 }
 
-/// The localhost TCP backend: framed slices over reused per-node-pair
-/// connections, credit-based backpressure at link capacity, and an optional
-/// per-link token-bucket throttle (see the `wire` module source for the
-/// wire format).
+struct TcpRx {
+    /// `None` when the connection could not be set up: the stream is empty.
+    lease: Option<Arc<Lease>>,
+    link_id: u64,
+}
+
+impl SliceRx for TcpRx {
+    fn recv(&self) -> Option<SliceMsg> {
+        let conn = &self.lease.as_ref()?.conn;
+        let frame = {
+            let mut half = conn.reader.lock();
+            if half.ended {
+                return None;
+            }
+            loop {
+                match half.frames.read_frame(&conn.accepted) {
+                    // Left unread by an earlier link on this connection.
+                    Ok(frame) if frame.opcode == OP_HELLO || frame.link != self.link_id => {}
+                    Ok(frame) => {
+                        half.synced = true;
+                        if frame.opcode == OP_DATA {
+                            break frame;
+                        }
+                        half.ended = true;
+                        return None;
+                    }
+                    // End-of-file, a reset or a malformed frame: the link is
+                    // over and the connection is not reusable.
+                    Err(_) => {
+                        half.ended = true;
+                        conn.broken.store(true, Ordering::SeqCst);
+                        return None;
+                    }
+                }
+            }
+        };
+        conn.window.lock().credits += 1;
+        conn.writable.notify_one();
+        Some(SliceMsg {
+            index: frame.index as usize,
+            stripe: frame.stripe,
+            repair: frame.repair,
+            data: frame.payload.into(),
+        })
+    }
+}
+
+impl Drop for TcpRx {
+    fn drop(&mut self) {
+        let Some(lease) = &self.lease else { return };
+        let conn = &lease.conn;
+        let in_flight = {
+            let mut window = conn.window.lock();
+            window.receiver_gone = true;
+            window.credits < window.capacity
+        };
+        conn.writable.notify_all();
+        // With nothing in flight the sender's only remaining write is the
+        // 37-byte EOS, which cannot block, and the next link skips it.
+        // Otherwise (see the module docs) the stream is abandoned.
+        if in_flight || !conn.reader.lock().synced {
+            conn.sever();
+        }
+    }
+}
+
+/// The localhost TCP backend: framed slices over pooled per-node-pair
+/// connections, each owned by one link at a time and read by that link's
+/// receiver; credit-based backpressure at link capacity, and an optional
+/// per-link token-bucket throttle. See the module docs for the connection
+/// model and the `wire` module source for the wire format.
 pub struct TcpTransport {
     stats: StatsRegistry,
-    shared: Arc<Shared>,
+    /// One listener per destination node, bound on first use. Held across a
+    /// dial and its `accept`, which is what pairs the two sockets.
+    ///
     /// Lock class: `tcp.listeners` ([`lock_order::TCP_LISTENERS`]).
-    listeners: Mutex<HashMap<NodeId, ListenerHandle>>,
+    listeners: Mutex<HashMap<NodeId, TcpListener>>,
     /// Lock class: `tcp.conns` ([`lock_order::TCP_CONNS`]).
-    conns: Mutex<HashMap<(NodeId, NodeId), Arc<Conn>>>,
+    pool: Arc<Mutex<Pool>>,
     next_link_id: AtomicU64,
+    /// Connections dialed so far; the next one's id.
+    dials: AtomicU64,
     shaper: Shaper,
 }
 
@@ -176,10 +323,10 @@ impl TcpTransport {
     pub fn new() -> Self {
         TcpTransport {
             stats: StatsRegistry::default(),
-            shared: Arc::new(Shared::default()),
             listeners: Mutex::new(&lock_order::TCP_LISTENERS, HashMap::new()),
-            conns: Mutex::new(&lock_order::TCP_CONNS, HashMap::new()),
+            pool: Arc::new(Mutex::new(&lock_order::TCP_CONNS, Pool::default())),
             next_link_id: AtomicU64::new(1),
+            dials: AtomicU64::new(0),
             shaper: Shaper::default(),
         }
     }
@@ -196,8 +343,8 @@ impl TcpTransport {
     /// Creates a transport whose links are shaped per directed node pair by
     /// the topology's bandwidth model ([`Topology::bandwidth`]), so a
     /// heterogeneous cluster is reproduced on loopback sockets. All links
-    /// over one pair share one bucket — matching the connection reuse, which
-    /// also keys by directed pair.
+    /// over one pair share one bucket, however many pooled connections
+    /// carry them.
     pub fn with_topology(topology: Arc<Topology>) -> Self {
         let mut transport = TcpTransport::new();
         transport.shaper = Shaper::topology(topology);
@@ -213,48 +360,99 @@ impl TcpTransport {
         self.shaper.set_link_rate(src, dst, bytes_per_sec)
     }
 
-    /// The loopback address a node's listener is bound to (binding it first
-    /// if needed).
-    fn listener_addr(&self, node: NodeId) -> std::io::Result<SocketAddr> {
-        let mut listeners = self.listeners.lock();
-        if let Some(handle) = listeners.get(&node) {
-            return Ok(handle.addr);
-        }
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let shared = self.shared.clone();
-        let accept_thread = std::thread::spawn(move || accept_loop(listener, shared));
-        listeners.insert(
-            node,
-            ListenerHandle {
-                addr,
-                accept_thread: Some(accept_thread),
-            },
-        );
-        Ok(addr)
+    /// `(connections dialed so far, connections open now)` — for the tests
+    /// that pin pool reuse and the absence of leaks.
+    #[doc(hidden)]
+    pub fn connection_counts(&self) -> (u64, usize) {
+        (
+            self.dials.load(Ordering::Relaxed),
+            self.pool.lock().open.len(),
+        )
     }
 
-    /// The reusable connection for a directed node pair (established on
-    /// first use; every later link between the pair shares it).
-    fn conn(&self, src: NodeId, dst: NodeId) -> std::io::Result<Arc<Conn>> {
-        if let Some(conn) = self.conns.lock().get(&(src, dst)) {
-            return Ok(conn.clone());
-        }
-        let addr = self.listener_addr(dst)?;
-        let mut conns = self.conns.lock();
-        // Double-checked: another thread may have connected meanwhile.
-        if let Some(conn) = conns.get(&(src, dst)) {
-            return Ok(conn.clone());
-        }
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
+    /// Dials a new `src -> dst` connection and accepts it on `dst`'s
+    /// listener (binding that first if needed).
+    fn dial(&self, src: NodeId, dst: NodeId) -> io::Result<Arc<Conn>> {
+        let (dialed, accepted) = {
+            let mut listeners = self.listeners.lock();
+            let listener = match listeners.entry(dst) {
+                Entry::Occupied(entry) => entry.into_mut(),
+                Entry::Vacant(entry) => entry.insert(TcpListener::bind("127.0.0.1:0")?),
+            };
+            // `connect` returns once the kernel has queued the connection on
+            // the listener, so the `accept` below finds it without a thread
+            // waiting there. The lock keeps other dials out of the queue;
+            // anything else in it is a stranger to be dropped.
+            let dialed = TcpStream::connect(listener.local_addr()?)?;
+            let local = dialed.local_addr()?;
+            let accepted = loop {
+                let (stream, peer) = listener.accept()?;
+                if peer == local {
+                    break stream;
+                }
+            };
+            (dialed, accepted)
+        };
+        dialed.set_nodelay(true).ok();
+        let id = self.dials.fetch_add(1, Ordering::Relaxed) + 1;
+        let hello = encode_header(OP_HELLO, src as u64, dst as u64, id, 0, 0);
+        write_frame(&dialed, &hello, &[])?;
         let conn = Arc::new(Conn {
-            writer: Mutex::new(&lock_order::TCP_WRITER, stream.try_clone()?),
-            stream,
+            id,
+            pair: (src, dst),
+            dialed,
+            accepted,
+            window: Mutex::new(
+                &lock_order::TCP_WINDOW,
+                Window {
+                    credits: 0,
+                    capacity: 0,
+                    receiver_gone: false,
+                },
+            ),
+            writable: Condvar::new(),
+            writer: Mutex::new(&lock_order::TCP_WRITER, ()),
+            reader: Mutex::new(
+                &lock_order::TCP_READER,
+                ReadHalf {
+                    frames: FrameReader::new(),
+                    synced: false,
+                    ended: false,
+                },
+            ),
+            broken: AtomicBool::new(false),
         });
-        conn.write_frame(OP_HELLO, src as u64, dst as u64, 0, 0, &[])?;
-        conns.insert((src, dst), conn.clone());
+        self.pool.lock().open.insert(id, conn.clone());
         Ok(conn)
+    }
+
+    /// Checks a connection for `src -> dst` out of the pool (dialing on a
+    /// miss) and resets its per-link state for a link of `capacity` slices.
+    fn checkout(&self, src: NodeId, dst: NodeId, capacity: usize) -> io::Result<Arc<Lease>> {
+        let idle = self
+            .pool
+            .lock()
+            .idle
+            .get_mut(&(src, dst))
+            .and_then(Vec::pop);
+        let conn = match idle {
+            Some(conn) => conn,
+            None => self.dial(src, dst)?,
+        };
+        *conn.window.lock() = Window {
+            credits: capacity,
+            capacity,
+            receiver_gone: false,
+        };
+        {
+            let mut half = conn.reader.lock();
+            half.synced = false;
+            half.ended = false;
+        }
+        Ok(Arc::new(Lease {
+            conn,
+            pool: self.pool.clone(),
+        }))
     }
 }
 
@@ -262,37 +460,25 @@ impl Transport for TcpTransport {
     fn link(&self, src: NodeId, dst: NodeId, capacity: usize) -> (SliceSender, SliceReceiver) {
         let stats = self.stats.register(src, dst);
         let link_id = self.next_link_id.fetch_add(1, Ordering::Relaxed);
-        let link = Arc::new(LinkState::new(capacity));
-        let conn = self
-            .conn(src, dst)
+        // On a setup failure no data can ever arrive: the receiver's stream
+        // is empty and the sender reports the failure on first use.
+        let lease = self
+            .checkout(src, dst, capacity.max(1))
             .map_err(|e| format!("tcp transport setup for link {src}->{dst} failed: {e}"));
-        if conn.is_err() {
-            // No data can ever arrive; unblock the receiver immediately and
-            // let the sender report the setup failure on first use.
-            link.close_sender();
-        }
-        self.shared
-            .table
-            .register((src, dst), link_id, link.clone());
         let bucket = self.shaper.bucket(src, dst);
         (
             SliceSender {
                 inner: Box::new(TcpTx {
-                    conn,
-                    pair: (src, dst),
+                    lease: lease.clone(),
                     link_id,
-                    link: link.clone(),
-                    shared: self.shared.clone(),
                     bucket,
                 }),
                 stats,
             },
             SliceReceiver {
-                inner: Box::new(FramedRx {
-                    pair: (src, dst),
+                inner: Box::new(TcpRx {
+                    lease: lease.ok(),
                     link_id,
-                    link,
-                    table: self.shared.table.clone(),
                 }),
             },
         )
@@ -305,57 +491,17 @@ impl Transport for TcpTransport {
 
 impl Drop for TcpTransport {
     fn drop(&mut self) {
-        self.shared.shutdown.set();
-        // Unblock any straggling senders/receivers.
-        self.shared.table.close_all();
-        // Tear down connections; reader threads wake with EOF/error.
-        for conn in self.conns.lock().values() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
+        // Shut every socket down, leased or idle: blocked senders and
+        // receivers return, surviving senders fail from now on, and leases
+        // still out find their connection broken and close it.
+        let open = {
+            let mut pool = self.pool.lock();
+            pool.idle.clear();
+            std::mem::take(&mut pool.open)
+        };
+        for conn in open.values() {
+            conn.sever();
         }
-        // Wake each accept loop with a throwaway connection, then join.
-        let mut listeners = self.listeners.lock();
-        for handle in listeners.values_mut() {
-            let _ = TcpStream::connect(handle.addr);
-            if let Some(t) = handle.accept_thread.take() {
-                let _ = t.join();
-            }
-        }
-        let readers = std::mem::take(&mut *self.shared.reader_threads.lock());
-        for t in readers {
-            let _ = t.join();
-        }
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while let Ok((stream, _)) = listener.accept() {
-        if shared.shutdown.is_set() {
-            break;
-        }
-        stream.set_nodelay(true).ok();
-        let shared_for_reader = shared.clone();
-        let reader = std::thread::spawn(move || reader_loop(stream, shared_for_reader));
-        shared.reader_threads.lock().push(reader);
-    }
-}
-
-/// Consumes frames from one accepted connection and routes them to the
-/// in-process link queues.
-fn reader_loop(mut stream: TcpStream, shared: Arc<Shared>) {
-    let mut pair: Option<(NodeId, NodeId)> = None;
-    // Ends on EOF or a reset: the peer (or the transport's Drop) tore the
-    // connection down; every link it fed is finished.
-    while let Ok(frame) = read_frame(&mut stream) {
-        match frame.opcode {
-            OP_HELLO => {
-                pair = Some((frame.link as NodeId, frame.index as NodeId));
-            }
-            OP_DATA | OP_EOS => shared.table.dispatch(frame),
-            _ => break,
-        }
-    }
-    if let Some((src, dst)) = pair {
-        shared.table.close_conn_links(src, dst);
     }
 }
 
@@ -379,12 +525,14 @@ mod tests {
         assert_eq!(rx.recv().unwrap().data, Bytes::from_static(b"world"));
         drop(tx);
         assert!(rx.recv().is_none());
+        assert!(rx.recv().is_none(), "end-of-stream is sticky");
         assert_eq!(transport.link_bytes(0, 1), 10);
     }
 
     #[test]
     fn connections_are_reused_across_links() {
         let transport = TcpTransport::new();
+        // Two links open at once need two connections ...
         let (tx1, rx1) = transport.link(2, 3, 2);
         let (tx2, rx2) = transport.link(2, 3, 2);
         tx1.send(SliceMsg::new(0, Bytes::from_static(b"a")))
@@ -393,7 +541,21 @@ mod tests {
             .unwrap();
         assert_eq!(rx1.recv().unwrap().data, Bytes::from_static(b"a"));
         assert_eq!(rx2.recv().unwrap().data, Bytes::from_static(b"b"));
-        assert_eq!(transport.conns.lock().len(), 1);
+        assert_eq!(transport.connection_counts(), (2, 2));
+        drop((tx1, rx1, tx2, rx2));
+        // ... which the next two reuse instead of dialing.
+        let (tx3, rx3) = transport.link(2, 3, 2);
+        let (tx4, rx4) = transport.link(2, 3, 2);
+        tx3.send(SliceMsg::new(7, Bytes::from_static(b"c")))
+            .unwrap();
+        tx4.send(SliceMsg::new(8, Bytes::from_static(b"d")))
+            .unwrap();
+        assert_eq!(rx3.recv().unwrap().index, 7);
+        assert_eq!(rx4.recv().unwrap().index, 8);
+        assert_eq!(transport.connection_counts(), (2, 2));
+        // A different pair has a pool of its own.
+        let _other = transport.link(3, 2, 2);
+        assert_eq!(transport.connection_counts(), (3, 3));
     }
 
     #[test]
@@ -416,15 +578,50 @@ mod tests {
             rx.recv().unwrap();
             drop((tx, rx));
         }
-        // Both halves gone → no per-link state left behind.
-        assert!(transport.shared.table.links.lock().is_empty());
-        assert!(transport
-            .shared
-            .table
-            .conn_links
-            .lock()
-            .values()
-            .all(|ids| ids.is_empty()));
+        // Both halves gone → the one connection they all rode is idle
+        // again, and nothing else was left behind.
+        assert_eq!(transport.connection_counts(), (1, 1));
+        assert_eq!(transport.pool.lock().idle[&(0, 1)].len(), 1);
+    }
+
+    #[test]
+    fn unused_and_abandoned_connections_are_closed_not_pooled() {
+        let transport = TcpTransport::new();
+        // A receiver that never read cannot vouch for the stream.
+        drop(transport.link(0, 1, 2));
+        assert_eq!(transport.connection_counts(), (1, 0));
+        // A receiver that leaves slices unread abandons the connection.
+        let (tx, rx) = transport.link(0, 1, 2);
+        tx.send(SliceMsg::new(0, Bytes::from_static(b"read")))
+            .unwrap();
+        tx.send(SliceMsg::new(1, Bytes::from_static(b"unread")))
+            .unwrap();
+        rx.recv().unwrap();
+        drop(rx);
+        assert!(tx.send(SliceMsg::new(2, Bytes::new())).is_err());
+        drop(tx);
+        assert_eq!(transport.connection_counts(), (2, 0));
+    }
+
+    #[test]
+    fn a_garbled_frame_fails_the_link_and_discards_the_connection() {
+        let transport = TcpTransport::new();
+        let (tx, rx) = transport.link(0, 1, 2);
+        tx.send(SliceMsg::new(0, Bytes::from_static(b"fine")))
+            .unwrap();
+        assert_eq!(rx.recv().unwrap().data, Bytes::from_static(b"fine"));
+        // Corrupt the stream behind the sender's back: a 4 GiB length.
+        let conn = transport.pool.lock().open[&1].clone();
+        let garbage = encode_header(OP_DATA, 1, 0, 0, 0, u32::MAX);
+        write_frame(&conn.dialed, &garbage, &[]).unwrap();
+        assert!(rx.recv().is_none(), "the link ends instead of allocating");
+        drop((tx, rx, conn));
+        assert_eq!(transport.connection_counts(), (1, 0));
+        // The pair itself is fine: the next link dials afresh.
+        let (tx, rx) = transport.link(0, 1, 2);
+        tx.send(SliceMsg::new(5, Bytes::from_static(b"next")))
+            .unwrap();
+        assert_eq!(rx.recv().unwrap().index, 5);
     }
 
     #[test]

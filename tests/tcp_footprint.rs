@@ -1,0 +1,117 @@
+//! The `TcpTransport` resource budget: it runs no threads of its own and
+//! holds one connection per link a pair ever had open at once, so a long run
+//! of repairs leaves the process where it started.
+//!
+//! The one test lives in a binary of its own because it reads process-wide
+//! counters (`/proc/self/status`, `/proc/self/fd`) that tests running beside
+//! it would disturb.
+#![cfg(target_os = "linux")]
+
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
+use repair_pipelining::ecc::slice::SliceLayout;
+use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
+use repair_pipelining::ecpipe::exec::{execute_single, ExecStrategy};
+use repair_pipelining::ecpipe::transport::{TcpTransport, Transport};
+use repair_pipelining::ecpipe::{Cluster, Coordinator, StoreBackend};
+
+const NODES: usize = 22;
+const BLOCK: usize = 64 * 1024;
+
+fn threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+    line["Threads:".len()..].trim().parse().unwrap()
+}
+
+fn open_sockets() -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|entry| std::fs::read_link(entry.ok()?.path()).ok())
+        .filter(|target| target.to_string_lossy().starts_with("socket:"))
+        .count()
+}
+
+#[test]
+fn two_hundred_repairs_leave_no_threads_and_a_bounded_number_of_sockets() {
+    // A hang (a link that never ends) must fail the test, not the CI job.
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        two_hundred_repairs();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("200 repairs did not finish (or failed) within 120 s");
+}
+
+fn two_hundred_repairs() {
+    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
+    let coordinator = Coordinator::new(code.clone(), SliceLayout::new(BLOCK, 8 * 1024));
+    let cluster = Cluster::new(StoreBackend::memory(NODES)).unwrap();
+    // Stripe `s` occupies nodes `s .. s + 14 (mod 22)`: every node helps.
+    let mut coded = Vec::new();
+    for s in 0..NODES as u64 {
+        let data: Vec<Vec<u8>> = (0..10u64)
+            .map(|i| {
+                (0..BLOCK as u64)
+                    .map(|b| ((b * 31 + i * 7 + s * 3) % 251) as u8)
+                    .collect()
+            })
+            .collect();
+        coded.push(code.encode(&data).unwrap());
+        cluster.write_stripe(&code, s, &data).unwrap();
+    }
+
+    let sockets_before = open_sockets();
+    let transport = TcpTransport::new();
+    let repair = |round: usize| {
+        let s = round % NODES;
+        let failed = round % 14;
+        let requestor = (s + 14 + round % (NODES - 14)) % NODES;
+        let stripe = repair_pipelining::ecc::stripe::StripeId(s as u64);
+        let directive = coordinator
+            .plan_single_repair(cluster.meta(), stripe, failed, requestor)
+            .unwrap();
+        let repaired = execute_single(
+            &directive,
+            &cluster,
+            &transport,
+            ExecStrategy::RepairPipelining,
+        )
+        .unwrap();
+        assert!(repaired == coded[s][failed], "round {round}");
+    };
+
+    // One repair first, so the baseline includes whatever is lazily set up.
+    repair(0);
+    let threads_before = threads();
+    for round in 1..200 {
+        repair(round);
+    }
+    assert_eq!(
+        threads(),
+        threads_before,
+        "the transport must not leave threads behind"
+    );
+
+    // Repairs ran one at a time, so no pair ever had two links open: one
+    // connection (two sockets) per pair that carried traffic, plus at most
+    // one listener per node.
+    let pairs = transport.links_used();
+    let (dials, open) = transport.connection_counts();
+    assert_eq!(
+        dials as usize, open,
+        "healthy links never discard a connection"
+    );
+    assert!(open <= pairs, "{open} connections for {pairs} pairs");
+    let sockets = open_sockets() - sockets_before;
+    assert!(
+        sockets <= 2 * pairs + NODES,
+        "{sockets} sockets open for {pairs} pairs on {NODES} nodes"
+    );
+
+    drop(transport);
+    assert_eq!(open_sockets(), sockets_before, "drop closes every socket");
+}

@@ -3,9 +3,10 @@
 //!
 //! Each case is written once, generically over the [`Transport`] trait, and
 //! instantiated for [`ChannelTransport`] (in-process channels),
-//! [`TcpTransport`] (real localhost sockets, a thread per connection) and
-//! [`ReactorTransport`] (the same sockets multiplexed over a fixed epoll
-//! thread pool): slice ordering, backpressure
+//! [`TcpTransport`] (real localhost sockets, a pooled connection per open
+//! link, read by the link's receiver) and [`ReactorTransport`] (the same
+//! wire format multiplexed over a fixed epoll thread pool): slice ordering,
+//! backpressure
 //! at [`PIPELINE_DEPTH`], dropped-peer error propagation, the paper's
 //! one-block-per-link traffic claim, and byte-exact repairs under all four
 //! execution strategies. A TCP-only case measures the §3.2 timing claim
