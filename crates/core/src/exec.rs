@@ -1,20 +1,26 @@
-//! Repair executors: real threads moving real bytes.
+//! The repair executor: real threads moving real bytes.
 //!
-//! Each strategy wires helper worker threads together with bounded channels
-//! and runs the repair end to end against the cluster's block stores, so the
-//! reconstructed block can be checked byte-for-byte against the erased one.
+//! Every repair the paper describes is one fold — a helper reads a slice of
+//! its block, scales it by the block's decode coefficients, adds the
+//! partial sums it received and forwards — over a different shape, and the
+//! shape is data: a [`RepairDag`]. One walker (`Walk::run`) runs any of
+//! them, one thread per helper stage and the calling thread as the
+//! requestor, against the cluster's block stores, so the reconstructed block
+//! can be checked byte-for-byte against the erased one.
 //!
-//! * [`ExecStrategy::Conventional`] — every helper streams its whole block to
-//!   the requestor, which performs the decoding combination (§2.2).
-//! * [`ExecStrategy::Ppr`] — partial-parallel repair: helpers combine
-//!   pairwise along a binary aggregation tree (§2.2).
-//! * [`ExecStrategy::RepairPipelining`] — the paper's contribution: slices
-//!   flow along the linear helper path, each helper adding `a_i * B_i` (§3.2).
+//! * [`ExecStrategy::Conventional`] — a star: every helper streams its raw
+//!   block to the requestor, which performs the decoding combination (§2.2).
+//! * [`ExecStrategy::Ppr`] — partial-parallel repair: a binary aggregation
+//!   tree whose nodes forward only once their children are folded (§2.2).
+//! * [`ExecStrategy::RepairPipelining`] — the paper's contribution: a chain;
+//!   slices flow along the helper path, each helper adding `a_i * B_i`
+//!   (§3.2).
 //! * [`ExecStrategy::BlockPipeline`] — the `Pipe-B` baseline of §6.4: the
-//!   same path but at whole-block granularity.
+//!   same chain with one slice per block.
+//! * [`execute_multi`] — the chain carrying `f` rows of partial sums (§4.4).
 //!
-//! The executors are generic over the [`Transport`] trait: the same
-//! strategies run over in-process channels
+//! The walker is generic over the [`Transport`] trait: the same plans run
+//! over in-process channels
 //! ([`ChannelTransport`](crate::transport::ChannelTransport), no bandwidth
 //! limits, used for correctness tests and throughput microbenches) or real
 //! localhost sockets ([`TcpTransport`](crate::transport::TcpTransport),
@@ -22,16 +28,19 @@
 //! wire). Timing-shape experiments at scale still run on the `simnet`
 //! simulator.
 
+use std::ops::Range;
+
 use bytes::Bytes;
 use ecpipe_sync::OnceFlag;
 use gf256::Gf256;
+use repair::dag::{Output, RepairDag, Stage};
 
 use ecc::slice::SliceLayout;
 
-use crate::buf::BufPool;
+use crate::buf::{BufPool, PooledBuf};
 use crate::cluster::Cluster;
 use crate::coordinator::{MultiRepairDirective, RepairDirective};
-use crate::transport::{SliceMsg, Transport};
+use crate::transport::{SliceMsg, SliceReceiver, SliceSender, Transport};
 use crate::{EcPipeError, Result};
 
 /// The number of slices that may be buffered between two pipeline stages.
@@ -74,6 +83,38 @@ fn execution_error(reason: impl Into<String>) -> EcPipeError {
     }
 }
 
+/// The shape `strategy` gives a single-block repair.
+pub fn single_dag(directive: &RepairDirective, strategy: ExecStrategy) -> RepairDag {
+    let (path, requestor, layout) = (&directive.path, directive.requestor, directive.layout);
+    let columns = path
+        .iter()
+        .map(|&(node, block, coeff)| (node, block, vec![coeff]));
+    match strategy {
+        ExecStrategy::Conventional => RepairDag::star(path, requestor, layout),
+        ExecStrategy::Ppr => RepairDag::tree(path, requestor, layout),
+        ExecStrategy::RepairPipelining => RepairDag::chain(columns, &[requestor], layout),
+        ExecStrategy::BlockPipeline => {
+            let whole = SliceLayout::new(layout.block_size, layout.block_size);
+            RepairDag::chain(columns, &[requestor], whole)
+        }
+    }
+}
+
+/// The shape of a multi-block repair: the helper path carrying one row of
+/// partial sums per failed block, helper `i` holding column `i` of the
+/// plan's coefficient matrix.
+pub fn multi_dag(directive: &MultiRepairDirective) -> RepairDag {
+    let columns = directive
+        .path
+        .iter()
+        .enumerate()
+        .map(|(i, &(node, block))| {
+            let column = directive.plan.coefficients.iter().map(|row| row[i]);
+            (node, block, column.collect())
+        });
+    RepairDag::chain(columns, &directive.requestors, directive.layout)
+}
+
 /// Executes a single-block repair and returns the reconstructed block.
 pub fn execute_single<T: Transport + ?Sized>(
     directive: &RepairDirective,
@@ -99,406 +140,224 @@ pub fn execute_single_cancellable<T: Transport + ?Sized>(
     strategy: ExecStrategy,
     cancel: &OnceFlag,
 ) -> Result<Vec<u8>> {
-    // Pre-flight: every helper block must still be present. A block that
-    // disappeared after planning surfaces as `BlockNotFound`, which lets the
-    // caller restart with a different helper set (§3.2).
-    for &(node, block, _) in &directive.path {
-        if !cluster.store(node).contains(block) {
-            return Err(EcPipeError::BlockNotFound { block });
-        }
-    }
-    match strategy {
-        ExecStrategy::Conventional => run_conventional(directive, cluster, transport, cancel),
-        ExecStrategy::Ppr => run_ppr(directive, cluster, transport, cancel),
-        ExecStrategy::RepairPipelining => {
-            run_pipeline(directive, cluster, transport, directive.layout, cancel)
-        }
-        ExecStrategy::BlockPipeline => {
-            let block_layout =
-                SliceLayout::new(directive.layout.block_size, directive.layout.block_size);
-            run_pipeline(directive, cluster, transport, block_layout, cancel)
-        }
-    }
-}
-
-fn cancelled_error() -> EcPipeError {
-    execution_error("repair cancelled mid-stream")
-}
-
-/// Slice-level (or block-level) pipelining along the helper path.
-fn run_pipeline<T: Transport + ?Sized>(
-    directive: &RepairDirective,
-    cluster: &Cluster,
-    transport: &T,
-    layout: SliceLayout,
-    cancel: &OnceFlag,
-) -> Result<Vec<u8>> {
-    let slices = layout.slice_count();
-    let path = &directive.path;
-    if path.is_empty() {
-        return Err(execution_error("repair path has no helpers"));
-    }
-    let (stripe, repair) = (directive.stripe.0, directive.repair_id());
-
-    // One pool serves the whole path: a partial buffer freed by the
-    // downstream consumer is reused for a later slice, so the steady state
-    // allocates nothing per slice.
-    let pool = BufPool::new();
-    std::thread::scope(|scope| -> Result<Vec<u8>> {
-        let mut handles = Vec::new();
-        let mut prev_rx = None;
-        for (i, &(node, block, coeff)) in path.iter().enumerate() {
-            let next_node = if i + 1 < path.len() {
-                path[i + 1].0
-            } else {
-                directive.requestor
-            };
-            let (tx, rx) = transport.link(node, next_node, PIPELINE_DEPTH);
-            let store = cluster.store(node).clone();
-            let incoming = prev_rx.replace(rx);
-            let pool = pool.clone();
-            handles.push(scope.spawn(move || -> Result<()> {
-                for j in 0..slices {
-                    if cancel.is_set() {
-                        return Err(cancelled_error());
-                    }
-                    let local = store.get_range(block, layout.slice_range(j))?;
-                    let mut partial = pool.take(local.len());
-                    gf256::mul_slice(Gf256::new(coeff), &local, &mut partial);
-                    if let Some(rx) = &incoming {
-                        let msg = rx
-                            .recv()
-                            .ok_or_else(|| execution_error("upstream helper stopped early"))?;
-                        gf256::add_slice(&msg.data, &mut partial);
-                    }
-                    tx.send(SliceMsg::new(j, partial.freeze()).tagged(stripe, repair))?;
-                }
-                Ok(())
-            }));
-        }
-
-        // The requestor assembles the repaired block.
-        let rx = prev_rx.expect("path has at least one helper");
-        let mut out = vec![0u8; layout.block_size];
-        let mut stalled = false;
-        for _ in 0..slices {
-            if cancel.is_set() {
-                stalled = true;
-                break;
-            }
-            match rx.recv() {
-                Some(msg) => out[layout.slice_range(msg.index)].copy_from_slice(&msg.data),
-                None => {
-                    stalled = true;
-                    break;
-                }
-            }
-        }
-        drop(rx);
-        // Join the helpers before reporting a stall: a helper that failed a
-        // local read (a vanished or checksum-corrupt block) carries the
-        // specific error; the requestor only saw the stream end early.
-        join_all(handles)?;
-        if stalled {
-            return Err(execution_error(
-                "pipeline ended before the block was complete",
-            ));
-        }
-        Ok(out)
-    })
-}
-
-/// Conventional repair: the requestor pulls every helper block and decodes.
-fn run_conventional<T: Transport + ?Sized>(
-    directive: &RepairDirective,
-    cluster: &Cluster,
-    transport: &T,
-    cancel: &OnceFlag,
-) -> Result<Vec<u8>> {
-    let layout = directive.layout;
-    let slices = layout.slice_count();
-    let (stripe, repair) = (directive.stripe.0, directive.repair_id());
-
-    std::thread::scope(|scope| -> Result<Vec<u8>> {
-        let mut handles = Vec::new();
-        let mut receivers = Vec::new();
-        for &(node, block, coeff) in &directive.path {
-            let (tx, rx) = transport.link(node, directive.requestor, PIPELINE_DEPTH);
-            receivers.push((rx, coeff));
-            let store = cluster.store(node).clone();
-            handles.push(scope.spawn(move || -> Result<()> {
-                for j in 0..slices {
-                    if cancel.is_set() {
-                        return Err(cancelled_error());
-                    }
-                    let local = store.get_range(block, layout.slice_range(j))?;
-                    tx.send(SliceMsg::new(j, local).tagged(stripe, repair))?;
-                }
-                Ok(())
-            }));
-        }
-
-        // Draining the links one after the other is safe: every helper sends
-        // from a thread of its own, so the ones not being read yet just wait
-        // at their credit window.
-        let mut out = vec![0u8; layout.block_size];
-        let mut stalled = false;
-        'links: for (rx, coeff) in receivers {
-            for _ in 0..slices {
-                if cancel.is_set() {
-                    stalled = true;
-                    break 'links;
-                }
-                let Some(msg) = rx.recv() else {
-                    stalled = true;
-                    // Breaking drops the remaining receivers, so the other
-                    // helpers fail their sends and terminate.
-                    break 'links;
-                };
-                gf256::mul_add_slice(
-                    Gf256::new(coeff),
-                    &msg.data,
-                    &mut out[layout.slice_range(msg.index)],
-                );
-            }
-        }
-        join_all(handles)?;
-        if stalled {
-            return Err(execution_error("helper stopped before sending its block"));
-        }
-        Ok(out)
-    })
-}
-
-/// Partial-parallel repair: pairwise aggregation along a binary tree.
-fn run_ppr<T: Transport + ?Sized>(
-    directive: &RepairDirective,
-    cluster: &Cluster,
-    transport: &T,
-    cancel: &OnceFlag,
-) -> Result<Vec<u8>> {
-    let layout = directive.layout;
-    let slices = layout.slice_count();
-    let (stripe, repair) = (directive.stripe.0, directive.repair_id());
-
-    // Initial partials: every helper scales its local block by its
-    // coefficient (in parallel).
-    let mut partials: std::collections::HashMap<simnet::NodeId, Vec<u8>> =
-        std::thread::scope(|scope| -> Result<_> {
-            let handles: Vec<_> = directive
-                .path
-                .iter()
-                .map(|&(node, block, coeff)| {
-                    let store = cluster.store(node).clone();
-                    scope.spawn(move || -> Result<(simnet::NodeId, Vec<u8>)> {
-                        let local = store.get(block)?;
-                        let mut partial = vec![0u8; local.len()];
-                        gf256::mul_slice(Gf256::new(coeff), &local, &mut partial);
-                        Ok((node, partial))
-                    })
-                })
-                .collect();
-            let mut map = std::collections::HashMap::new();
-            for h in handles {
-                let (node, partial) = h
-                    .join()
-                    .map_err(|_| execution_error("helper thread panicked"))??;
-                map.insert(node, partial);
-            }
-            Ok(map)
-        })?;
-    // The requestor starts with an all-zero partial.
-    partials.insert(directive.requestor, vec![0u8; layout.block_size]);
-
-    let rounds = repair::ppr::aggregation_rounds(&directive.helper_nodes(), directive.requestor);
-    for round in rounds {
-        // All pairs of a round run in parallel; senders stream their partial
-        // to receivers slice by slice.
-        let mut work = Vec::new();
-        for (sender, receiver) in round {
-            let sender_partial = partials
-                .remove(&sender)
-                .ok_or_else(|| execution_error("sender has no partial result"))?;
-            let receiver_partial = partials
-                .remove(&receiver)
-                .ok_or_else(|| execution_error("receiver has no partial result"))?;
-            work.push((sender, receiver, sender_partial, receiver_partial));
-        }
-        let results = std::thread::scope(|scope| -> Result<Vec<(simnet::NodeId, Vec<u8>)>> {
-            let handles: Vec<_> = work
-                .into_iter()
-                .map(|(sender, receiver, sender_partial, mut receiver_partial)| {
-                    let (tx, rx) = transport.link(sender, receiver, PIPELINE_DEPTH);
-                    let send_handle = scope.spawn(move || -> Result<()> {
-                        // Freeze the whole partial once; each slice message
-                        // is a view into the same allocation.
-                        let sender_bytes = Bytes::from(sender_partial);
-                        for j in 0..slices {
-                            if cancel.is_set() {
-                                return Err(cancelled_error());
-                            }
-                            let data = sender_bytes.slice(layout.slice_range(j));
-                            tx.send(SliceMsg::new(j, data).tagged(stripe, repair))?;
-                        }
-                        Ok(())
-                    });
-                    let recv_handle = scope.spawn(move || -> Result<(simnet::NodeId, Vec<u8>)> {
-                        for _ in 0..slices {
-                            if cancel.is_set() {
-                                return Err(cancelled_error());
-                            }
-                            let msg = rx
-                                .recv()
-                                .ok_or_else(|| execution_error("sender stopped early"))?;
-                            gf256::add_slice(
-                                &msg.data,
-                                &mut receiver_partial[layout.slice_range(msg.index)],
-                            );
-                        }
-                        Ok((receiver, receiver_partial))
-                    });
-                    (send_handle, recv_handle)
-                })
-                .collect();
-            let mut results = Vec::new();
-            for (send_handle, recv_handle) in handles {
-                send_handle
-                    .join()
-                    .map_err(|_| execution_error("sender thread panicked"))??;
-                results.push(
-                    recv_handle
-                        .join()
-                        .map_err(|_| execution_error("receiver thread panicked"))??,
-                );
-            }
-            Ok(results)
-        })?;
-        for (node, partial) in results {
-            partials.insert(node, partial);
-        }
-    }
-
-    partials
-        .remove(&directive.requestor)
-        .ok_or_else(|| execution_error("aggregation did not reach the requestor"))
+    let dag = single_dag(directive, strategy);
+    let tags = (directive.stripe.0, directive.repair_id());
+    let walk = Walk {
+        dag: &dag,
+        tags,
+        cluster,
+        cancel,
+    };
+    Ok(walk.run(transport)?.remove(0))
 }
 
 /// Executes a multi-block repair (§4.4): each helper reads its block once and
 /// forwards a bundle of `f` partial slices per offset; the last helper
-/// delivers each reconstructed slice to its requestor.
+/// delivers each reconstructed slice to its requestor. Returns the blocks in
+/// `plan.failed` order.
 pub fn execute_multi<T: Transport + ?Sized>(
     directive: &MultiRepairDirective,
     cluster: &Cluster,
     transport: &T,
 ) -> Result<Vec<Vec<u8>>> {
-    let layout = directive.layout;
-    let slices = layout.slice_count();
-    let (stripe, repair) = (directive.stripe.0, directive.repair_id());
-    let f = directive.plan.failure_count();
-    let path = &directive.path;
-    if path.is_empty() {
-        return Err(execution_error("repair path has no helpers"));
+    let dag = multi_dag(directive);
+    let tags = (directive.stripe.0, directive.repair_id());
+    let cancel = &OnceFlag::new();
+    Walk {
+        dag: &dag,
+        tags,
+        cluster,
+        cancel,
     }
-    for &(node, block) in path {
-        if !cluster.store(node).contains(block) {
-            return Err(EcPipeError::BlockNotFound { block });
+    .run(transport)
+}
+
+/// One repair in progress: the plan, and what all of its stages share.
+struct Walk<'a> {
+    dag: &'a RepairDag,
+    /// The stripe and repair ids that label the repair's slices on the wire.
+    tags: (u64, u64),
+    cluster: &'a Cluster,
+    cancel: &'a OnceFlag,
+}
+
+impl Walk<'_> {
+    /// Visits the slices of `window` in order. Every pass over slices — a
+    /// helper's and the requestors' alike — goes through here, which makes
+    /// this the one place a repair notices that it was cancelled.
+    fn each_slice(
+        &self,
+        window: Range<usize>,
+        mut step: impl FnMut(usize) -> Result<()>,
+    ) -> Result<()> {
+        for j in window {
+            if self.cancel.is_set() {
+                return Err(execution_error("repair cancelled mid-stream"));
+            }
+            step(j)?;
         }
+        Ok(())
     }
 
-    // Delivery links from the last helper to each requestor.
-    let last_helper = path.last().expect("path checked non-empty").0;
-    let (delivery_senders, delivery_receivers): (Vec<_>, Vec<_>) = directive
-        .requestors
-        .iter()
-        .map(|&r| transport.link(last_helper, r, PIPELINE_DEPTH))
-        .unzip();
-
-    let pool = BufPool::new();
-    std::thread::scope(|scope| -> Result<Vec<Vec<u8>>> {
-        let mut handles = Vec::new();
-        let mut prev_rx = None;
-        let mut delivery_senders = Some(delivery_senders);
-        for (i, &(node, block)) in path.iter().enumerate() {
-            let is_last = i + 1 == path.len();
-            // This helper's column of the coefficient matrix: one fused
-            // kernel call per slice adds its block into all `f` partial sums.
-            let coeffs: Vec<u8> = directive
-                .plan
-                .coefficients
-                .iter()
-                .map(|row| row[i])
-                .collect();
-            let coeffs = gf256::Matrix::from_bytes(f, 1, &coeffs);
-            let store = cluster.store(node).clone();
-            let incoming = prev_rx.take();
-            let forward = if !is_last {
-                let (tx, rx) = transport.link(node, path[i + 1].0, PIPELINE_DEPTH);
-                prev_rx = Some(rx);
-                Some(tx)
-            } else {
-                None
-            };
-            let delivery = if is_last {
-                delivery_senders.take()
-            } else {
-                None
-            };
-            let pool = pool.clone();
-            handles.push(scope.spawn(move || -> Result<()> {
-                for j in 0..slices {
-                    let local = store.get_range(block, layout.slice_range(j))?;
-                    let mut bundle = pool.take(f * local.len());
-                    if let Some(rx) = &incoming {
-                        let msg = rx
-                            .recv()
-                            .ok_or_else(|| execution_error("upstream helper stopped early"))?;
-                        bundle.copy_from_slice(&msg.data);
-                    }
-                    let mut partials: Vec<&mut [u8]> =
-                        bundle.chunks_exact_mut(local.len()).collect();
-                    gf256::dot_prod(&coeffs, &[&local], &mut partials, true);
-                    let bundle = bundle.freeze();
-                    if let Some(tx) = &forward {
-                        tx.send(SliceMsg::new(j, bundle).tagged(stripe, repair))?;
-                    } else if let Some(delivery) = &delivery {
-                        // Each requestor receives a view into the shared
-                        // bundle, not its own copy.
-                        for (row, tx) in delivery.iter().enumerate() {
-                            let slice = bundle.slice(row * local.len()..(row + 1) * local.len());
-                            tx.send(SliceMsg::new(j, slice).tagged(stripe, repair))?;
-                        }
-                    }
-                }
-                Ok(())
-            }));
+    /// Runs the plan end to end and returns one reconstructed block per
+    /// requestor: a thread per helper stage, the calling thread as the
+    /// requestors, one [`PIPELINE_DEPTH`]-slice link per edge of the plan.
+    fn run<T: Transport + ?Sized>(&self, transport: &T) -> Result<Vec<Vec<u8>>> {
+        let dag = self.dag;
+        if dag.stages().is_empty() {
+            return Err(execution_error("repair path has no helpers"));
         }
-
-        // Collect the requestors' blocks in the order the last helper sends
-        // them — slice by slice, row by row. One thread drains all `f`
-        // links here, and that helper blocks once `PIPELINE_DEPTH` slices
-        // are unread on any of them, so collecting a whole row at a time
-        // would deadlock as soon as a block has more slices than a link has
-        // credits.
-        let mut outputs = vec![vec![0u8; layout.block_size]; f];
-        let mut stalled = false;
-        'slices: for _ in 0..slices {
-            for (rx, output) in delivery_receivers.iter().zip(&mut outputs) {
-                let Some(msg) = rx.recv() else {
-                    stalled = true;
-                    break 'slices;
-                };
-                output[layout.slice_range(msg.index)].copy_from_slice(&msg.data);
+        // Pre-flight: every helper block must still be present. A block that
+        // disappeared after planning surfaces as `BlockNotFound`, which lets
+        // the caller restart with a different helper set (§3.2).
+        for stage in dag.stages() {
+            if !self.cluster.store(stage.node).contains(stage.block) {
+                return Err(EcPipeError::BlockNotFound { block: stage.block });
             }
         }
-        // After a stall this is what fails the last helper's sends, so the
-        // join below returns.
-        drop(delivery_receivers);
-        join_all(handles)?;
-        if stalled {
-            return Err(execution_error("delivery ended before block was complete"));
+        let layout = dag.layout();
+
+        // One pool serves the whole plan: a partial buffer freed by the
+        // downstream consumer is reused for a later slice, so the steady
+        // state allocates nothing per slice.
+        let pool = &BufPool::new();
+        std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            // The receiving ends of the links opened so far, by sending
+            // stage, until the stage (or requestor side) that reads them
+            // picks them up.
+            let mut open: Vec<Vec<SliceReceiver>> = Vec::new();
+            for (index, stage) in dag.stages().iter().enumerate() {
+                let (outputs, receivers): (Vec<_>, Vec<_>) = dag
+                    .destinations(index)
+                    .into_iter()
+                    .map(|dst| transport.link(stage.node, dst, PIPELINE_DEPTH))
+                    .unzip();
+                open.push(receivers);
+                let inputs: Vec<SliceReceiver> = stage
+                    .upstream
+                    .iter()
+                    .flat_map(|&up| std::mem::take(&mut open[up]))
+                    .collect();
+                handles.push(scope.spawn(move || self.run_stage(stage, &inputs, &outputs, pool)));
+            }
+
+            // The requestors fold what is delivered to them, one delivering
+            // stage after the other. Every stage sends from a thread of its
+            // own, so the ones not being read yet just wait at their credit
+            // window — and on shaped links that link-by-link drain is what
+            // makes a star cost `k` timeslots. Within a stage the rows are
+            // collected slice by slice, in its send order: one thread drains
+            // all its links here, and it blocks once `PIPELINE_DEPTH` slices
+            // are unread on any.
+            let mut blocks = vec![vec![0u8; layout.block_size]; dag.rows()];
+            let folded = dag.deliveries().iter().try_for_each(|&from| {
+                let stage = &dag.stages()[from];
+                self.each_slice(0..layout.slice_count(), |_| {
+                    for (row, rx) in open[from].iter().enumerate() {
+                        let msg = rx.recv().ok_or_else(|| {
+                            execution_error("delivery ended before the block was complete")
+                        })?;
+                        let coeff = match stage.output {
+                            Output::RawToRequestors => stage.coeffs[row],
+                            _ => 1,
+                        };
+                        gf256::mul_add_slice(
+                            Gf256::new(coeff),
+                            &msg.data,
+                            &mut blocks[row][layout.slice_range(msg.index)],
+                        );
+                    }
+                    Ok(())
+                })
+            });
+            // After a failed fold this is what fails the delivering stages'
+            // sends, so the join below returns.
+            drop(open);
+            // Join the helpers before reporting that failure: a helper that
+            // failed a local read (a vanished or checksum-corrupt block)
+            // carries the specific error; the requestors only saw the stream
+            // end early.
+            join_all(handles)?;
+            folded?;
+            Ok(blocks)
+        })
+    }
+
+    /// One helper stage: folds and forwards its block a window of slices at
+    /// a time — the local slices scaled into fresh partial sums, then each
+    /// input added in fold order, then the window sent on. A cut-through
+    /// stage's window is one slice, so it works on slice `j` while its
+    /// downstream stage works on `j - 1`; a store-and-forward stage's window
+    /// is the whole block — unless it has no inputs to wait for.
+    fn run_stage(
+        &self,
+        stage: &Stage,
+        inputs: &[SliceReceiver],
+        outputs: &[SliceSender],
+        pool: &BufPool,
+    ) -> Result<()> {
+        let (layout, store) = (self.dag.layout(), self.cluster.store(stage.node));
+        let slices = layout.slice_count();
+        if stage.output == Output::RawToRequestors {
+            return self.each_slice(0..slices, |j| {
+                let local = store.get_range(stage.block, layout.slice_range(j))?;
+                self.send(j, local, outputs)
+            });
         }
-        Ok(outputs)
-    })
+        // Slice `j` of the local block scaled by the stage's coefficients:
+        // the stage's own term of every row, rows back to back.
+        let coeffs = gf256::Matrix::from_bytes(self.dag.rows(), 1, &stage.coeffs);
+        let local_partial = |j: usize| -> Result<PooledBuf> {
+            let local = store.get_range(stage.block, layout.slice_range(j))?;
+            let mut partial = pool.take(coeffs.rows() * local.len());
+            if let [coeff] = stage.coeffs[..] {
+                gf256::mul_slice(Gf256::new(coeff), &local, &mut partial);
+            } else {
+                // One fused kernel call scales the slice into all rows.
+                let mut rows: Vec<&mut [u8]> = partial.chunks_exact_mut(local.len()).collect();
+                gf256::dot_prod(&coeffs, &[&local], &mut rows, false);
+            }
+            Ok(partial)
+        };
+        let per_slice = stage.cut_through || inputs.is_empty();
+        let width = if per_slice { 1 } else { slices };
+        let mut held = Vec::with_capacity(width);
+        for start in (0..slices).step_by(width) {
+            let window = start..slices.min(start + width);
+            self.each_slice(window.clone(), |j| {
+                held.push(local_partial(j)?);
+                Ok(())
+            })?;
+            for rx in inputs {
+                self.each_slice(window.clone(), |j| {
+                    let msg = rx
+                        .recv()
+                        .ok_or_else(|| execution_error("upstream helper stopped early"))?;
+                    gf256::add_slice(&msg.data, &mut held[j - start]);
+                    Ok(())
+                })?;
+            }
+            let mut folded = held.drain(..);
+            self.each_slice(window, |j| {
+                let partial = folded.next().expect("one partial per slice of the window");
+                self.send(j, partial.freeze(), outputs)
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Sends slice `j` on: whole to a downstream stage, or cut into one row
+    /// per requestor — each a view into the shared buffer, not its own copy.
+    fn send(&self, j: usize, data: Bytes, outputs: &[SliceSender]) -> Result<()> {
+        let (stripe, repair) = self.tags;
+        let row = data.len() / outputs.len();
+        for (r, tx) in outputs.iter().enumerate() {
+            let view = data.slice(r * row..(r + 1) * row);
+            tx.send(SliceMsg::new(j, view).tagged(stripe, repair))?;
+        }
+        Ok(())
+    }
 }
 
 /// Joins every helper thread. When several failed, the most *specific* error
@@ -543,6 +402,8 @@ mod tests {
     use crate::{Cluster, Coordinator};
     use ecc::stripe::StripeId;
     use ecc::{ErasureCode, Lrc, ReedSolomon};
+    use simnet::NodeId;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     const BLOCK: usize = 8192;
@@ -709,32 +570,106 @@ mod tests {
 
     #[test]
     fn cancelled_execution_fails_without_storing_anything() {
-        for strategy in [
-            ExecStrategy::Conventional,
-            ExecStrategy::Ppr,
-            ExecStrategy::RepairPipelining,
-            ExecStrategy::BlockPipeline,
+        // `None` is the multi-block plan, which is cancelled like the rest.
+        for shape in [
+            Some(ExecStrategy::Conventional),
+            Some(ExecStrategy::Ppr),
+            Some(ExecStrategy::RepairPipelining),
+            Some(ExecStrategy::BlockPipeline),
+            None,
         ] {
             let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
             let (cluster, coordinator, _data, stripe) = setup(code);
             cluster.erase_block(stripe, 1);
-            let directive = coordinator
-                .plan_single_repair(cluster.meta(), stripe, 1, 7)
-                .unwrap();
             let transport = ChannelTransport::new();
             let cancel = OnceFlag::new();
             cancel.set();
-            let result =
-                execute_single_cancellable(&directive, &cluster, &transport, strategy, &cancel);
+            let result = match shape {
+                Some(strategy) => {
+                    let directive = coordinator
+                        .plan_single_repair(cluster.meta(), stripe, 1, 7)
+                        .unwrap();
+                    execute_single_cancellable(&directive, &cluster, &transport, strategy, &cancel)
+                        .map(|block| vec![block])
+                }
+                None => {
+                    cluster.erase_block(stripe, 4);
+                    let directive = coordinator
+                        .plan_multi_repair(cluster.meta(), stripe, &[1, 4], &[7, 6])
+                        .unwrap();
+                    let walk = Walk {
+                        dag: &multi_dag(&directive),
+                        tags: (directive.stripe.0, directive.repair_id()),
+                        cluster: &cluster,
+                        cancel: &cancel,
+                    };
+                    walk.run(&transport)
+                }
+            };
             assert!(
                 matches!(result, Err(EcPipeError::Execution { .. })),
-                "strategy {strategy:?} must fail once cancelled"
+                "shape {shape:?} must fail once cancelled"
             );
             assert!(
                 !cluster.store(7).contains(ecc::stripe::BlockId::new(0, 1)),
                 "a cancelled repair must leave no partial block"
             );
         }
+    }
+
+    /// The plan is the traffic: on a fresh transport, the links that moved
+    /// bytes are exactly the plan's `links()`, each with its declared load.
+    /// The manager's link watchdog samples `links()`, so a shape that sent
+    /// over an undeclared link would go unwatched.
+    #[test]
+    fn every_shape_loads_exactly_the_links_its_plan_declares() {
+        fn assert_moved_as_declared(dag: &RepairDag, transport: &ChannelTransport) {
+            let declared: HashMap<(NodeId, NodeId), u64> = dag
+                .links()
+                .iter()
+                .map(|link| ((link.src, link.dst), link.bytes))
+                .collect();
+            let moved: HashMap<(NodeId, NodeId), u64> = transport
+                .stats()
+                .snapshot()
+                .into_iter()
+                .filter(|(_, link)| link.bytes > 0)
+                .map(|(pair, link)| (pair, link.bytes))
+                .collect();
+            assert_eq!(moved, declared);
+        }
+        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
+        for strategy in [
+            ExecStrategy::Conventional,
+            ExecStrategy::Ppr,
+            ExecStrategy::RepairPipelining,
+            ExecStrategy::BlockPipeline,
+        ] {
+            let (cluster, coordinator, _data, stripe) = setup(code.clone());
+            cluster.erase_block(stripe, 0);
+            let directive = coordinator
+                .plan_single_repair(cluster.meta(), stripe, 0, 15)
+                .unwrap();
+            let transport = ChannelTransport::new();
+            execute_single(&directive, &cluster, &transport, strategy).unwrap();
+            let dag = single_dag(&directive, strategy);
+            assert_eq!(dag.links().len(), 10, "strategy {strategy:?}");
+            assert_moved_as_declared(&dag, &transport);
+        }
+        let (cluster, coordinator, _data, stripe) = setup(code);
+        let failed = [1, 6, 12];
+        for &f in &failed {
+            cluster.erase_block(stripe, f);
+        }
+        // Two requestors on one node: their delivery edges are one link.
+        let directive = coordinator
+            .plan_multi_repair(cluster.meta(), stripe, &failed, &[14, 15, 14])
+            .unwrap();
+        let transport = ChannelTransport::new();
+        execute_multi(&directive, &cluster, &transport).unwrap();
+        let dag = multi_dag(&directive);
+        assert_eq!(dag.links().len(), 9 + 2);
+        assert_moved_as_declared(&dag, &transport);
     }
 
     #[test]

@@ -825,16 +825,11 @@ where
         );
     };
     let topology = telemetry.topology();
-    // The directed links the repair streams over: helper-to-helper hops in
-    // pipeline order, then the last hop into the requestor.
-    let helpers = directive.helper_nodes();
-    let mut hops: Vec<(NodeId, NodeId)> = helpers.windows(2).map(|w| (w[0], w[1])).collect();
-    if let Some(&last) = helpers.last() {
-        hops.push((last, directive.requestor));
-    }
+    // The directed links the repair streams over, whatever its shape.
+    let hops = exec::single_dag(directive, config.strategy).links();
     let baseline: Vec<u64> = hops
         .iter()
-        .map(|&(src, dst)| transport.link_bytes(src, dst))
+        .map(|hop| transport.link_bytes(hop.src, hop.dst))
         .collect();
     let cancel = OnceFlag::new();
     // A hop is judged from the moment it first moves bytes, not from the
@@ -857,13 +852,23 @@ where
             )
         });
         while !execution.is_finished() {
+            let asleep = Instant::now();
             std::thread::sleep(watch.tick);
+            let now = Instant::now();
+            // Whatever made this sleep return late (a loaded host, a stopped
+            // process) kept the senders off the CPU too: that time is not
+            // the links', so every hop's clock starts that much later.
+            let overslept = now.duration_since(asleep).saturating_sub(watch.tick);
+            for first in first_seen.iter_mut().flatten() {
+                *first += overslept;
+            }
             if cancel.is_set() {
                 continue;
             }
-            let now = Instant::now();
-            for (i, &(src, dst)) in hops.iter().enumerate() {
-                let moved = transport.link_bytes(src, dst).saturating_sub(baseline[i]);
+            for (i, hop) in hops.iter().enumerate() {
+                let moved = transport
+                    .link_bytes(hop.src, hop.dst)
+                    .saturating_sub(baseline[i]);
                 if moved == 0 {
                     continue;
                 }
@@ -878,8 +883,8 @@ where
                     continue;
                 }
                 let observed = moved as f64 / since.as_secs_f64();
-                if observed < watch.degraded_below * topology.bandwidth(src, dst) {
-                    slow = Some((src, dst));
+                if observed < watch.degraded_below * topology.bandwidth(hop.src, hop.dst) {
+                    slow = Some((hop.src, hop.dst));
                     cancel.set();
                     break;
                 }

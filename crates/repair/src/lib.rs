@@ -3,11 +3,15 @@
 //! This crate implements every repair scheme the paper designs or compares
 //! against, as *planners*: given which nodes hold the helper blocks, where
 //! the requestor(s) sit, and the slice layout, each scheme produces a
-//! [`simnet::Schedule`] — the DAG of slice-level transfers, disk reads and
-//! compute steps that the repair performs. The schedule can then be timed on
-//! the [`simnet`] simulator or executed for real by the `ecpipe` runtime.
+//! [`simnet::Schedule`] — the slice-level transfers, disk reads and compute
+//! steps of the repair — to be timed on the [`simnet`] simulator. What the
+//! `ecpipe` runtime executes for real is the scheme's [`RepairDag`]: the
+//! same shape one level up, helpers and the links between them.
 //!
 //! Schemes:
+//!
+//! * [`dag`] — the plan value the runtime walks: chain, star, tree and the
+//!   `f`-row chain as one type.
 //!
 //! * [`conventional`] — the requestor fetches `k` whole blocks (§2.2),
 //!   `O(k)` timeslots.
@@ -34,6 +38,7 @@
 pub mod analysis;
 pub mod conventional;
 pub mod cyclic;
+pub mod dag;
 pub mod fullnode;
 pub mod multiblock;
 pub mod ppr;
@@ -43,6 +48,7 @@ pub mod weighted_path;
 
 mod job;
 
+pub use dag::RepairDag;
 pub use job::{MultiRepairJob, SingleRepairJob};
 
 use simnet::Schedule;

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::stripe::{BlockId, StripeId};
 use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
-use repair_pipelining::ecpipe::exec::execute_single;
+use repair_pipelining::ecpipe::exec::{execute_multi, execute_single};
 use repair_pipelining::ecpipe::manager::{
     run_batch, ManagerConfig, NodeHealth, RepairManager, RepairPriority, RepairRequest, ScrubConfig,
 };
@@ -178,14 +178,15 @@ fn case_corrupt_helper_replans_and_autoheals<T: Transport + Send + Sync + 'stati
 }
 
 /// The executor surfaces `CorruptBlock` naming the rotten helper block — not
-/// a generic stream error — under every strategy, so callers can re-plan
-/// around the actual culprit.
+/// a generic stream error — under every strategy and for a multi-block plan
+/// (`None`), so callers can re-plan around the actual culprit.
 fn case_exec_surfaces_corrupt_block<T: Transport + Send + Sync>(transport: &T) {
-    for strategy in [
-        ExecStrategy::Conventional,
-        ExecStrategy::Ppr,
-        ExecStrategy::RepairPipelining,
-        ExecStrategy::BlockPipeline,
+    for shape in [
+        Some(ExecStrategy::Conventional),
+        Some(ExecStrategy::Ppr),
+        Some(ExecStrategy::RepairPipelining),
+        Some(ExecStrategy::BlockPipeline),
+        None,
     ] {
         let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
         let coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));
@@ -195,18 +196,30 @@ fn case_exec_surfaces_corrupt_block<T: Transport + Send + Sync>(transport: &T) {
             .collect();
         let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
         cluster.erase_block(stripe, 2);
-        let directive = coordinator
-            .plan_single_repair(cluster.meta(), stripe, 2, 7)
-            .unwrap();
         // Rot one of the helpers the plan uses (block 1 is always in the
-        // CodeDefault helper set {0, 1, 3, 4}).
+        // CodeDefault helper set {0, 1, 3, 4}, which is also all that is
+        // left once blocks 2 and 5 are both lost).
         cluster.corrupt_block(stripe, 1, BLOCK - 1).unwrap();
-        let result = execute_single(&directive, &cluster, transport, strategy);
+        let result = match shape {
+            Some(strategy) => {
+                let directive = coordinator
+                    .plan_single_repair(cluster.meta(), stripe, 2, 7)
+                    .unwrap();
+                execute_single(&directive, &cluster, transport, strategy).map(|block| vec![block])
+            }
+            None => {
+                cluster.erase_block(stripe, 5);
+                let directive = coordinator
+                    .plan_multi_repair(cluster.meta(), stripe, &[2, 5], &[7, 6])
+                    .unwrap();
+                execute_multi(&directive, &cluster, transport)
+            }
+        };
         match result {
             Err(EcPipeError::CorruptBlock { block, .. }) => {
-                assert_eq!(block, BlockId::new(0, 1), "strategy {strategy:?}")
+                assert_eq!(block, BlockId::new(0, 1), "shape {shape:?}")
             }
-            other => panic!("strategy {strategy:?}: expected CorruptBlock, got {other:?}"),
+            other => panic!("shape {shape:?}: expected CorruptBlock, got {other:?}"),
         }
     }
 }
