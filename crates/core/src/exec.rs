@@ -402,7 +402,7 @@ mod tests {
     use crate::{Cluster, Coordinator};
     use ecc::stripe::StripeId;
     use ecc::{ErasureCode, Lrc, ReedSolomon};
-    use simnet::NodeId;
+    use simnet::{CostModel, NodeId, Simulator, Topology, GBIT};
     use std::collections::HashMap;
     use std::sync::Arc;
 
@@ -620,7 +620,9 @@ mod tests {
     /// The plan is the traffic: on a fresh transport, the links that moved
     /// bytes are exactly the plan's `links()`, each with its declared load.
     /// The manager's link watchdog samples `links()`, so a shape that sent
-    /// over an undeclared link would go unwatched.
+    /// over an undeclared link would go unwatched. The simulator times the
+    /// same plan value (`RepairDag::schedule`), so its per-link bytes are the
+    /// third side of the same equation: model ≡ plan ≡ runtime.
     #[test]
     fn every_shape_loads_exactly_the_links_its_plan_declares() {
         fn assert_moved_as_declared(dag: &RepairDag, transport: &ChannelTransport) {
@@ -629,6 +631,10 @@ mod tests {
                 .iter()
                 .map(|link| ((link.src, link.dst), link.bytes))
                 .collect();
+            let simulated = Simulator::new(Topology::flat(16, GBIT), CostModel::network_only())
+                .run(&dag.schedule())
+                .link_bytes;
+            assert_eq!(simulated, declared);
             let moved: HashMap<(NodeId, NodeId), u64> = transport
                 .stats()
                 .snapshot()

@@ -10,10 +10,13 @@
 //! 3. connection setup to `k` DataNodes, which the original repair pays per
 //!    stripe and which grows with `k`.
 //!
-//! The builders here attach those overheads to the repair schedules produced
-//! by the `repair` crate and time everything on the paper's local-cluster
-//! topology (1 Gb/s links, the `CostModel::paper_local_cluster` disk and CPU
-//! rates).
+//! The ECPipe variants are the `repair` crate's schedules (a `RepairDag`,
+//! lowered). The original repair is written out by hand in
+//! [`original_repair_schedule`]: its connection setups and its ingest through
+//! the storage routine are costs of the storage system's code path, which a
+//! plan shape does not carry. Everything is timed on the paper's
+//! local-cluster topology (1 Gb/s links, the
+//! `CostModel::paper_local_cluster` disk and CPU rates).
 
 use ecc::slice::SliceLayout;
 use repair::fullnode::{self, AffectedStripe, HelperSelection};

@@ -4,43 +4,20 @@
 //! decodes locally. All `k` block transmissions converge on one link, so the
 //! repair takes `k` timeslots and the bandwidth usage is highly skewed.
 
-use simnet::{Schedule, TaskId};
+use simnet::Schedule;
 
-use crate::SingleRepairJob;
+use crate::{RepairDag, SingleRepairJob};
 
-/// Builds the conventional-repair schedule for a single-block repair.
+/// Builds the conventional-repair schedule for a single-block repair: the
+/// job as a [`RepairDag::star`], lowered by [`RepairDag::schedule`].
 ///
 /// For fairness with repair pipelining (as in the paper's evaluation, §6.1),
 /// blocks are transmitted in slices, which lets the requestor overlap its
 /// decoding computation with the remaining transfers; the repair time is
 /// still dominated by the `k` block transmissions over the requestor's
 /// downlink.
-#[allow(clippy::needless_range_loop)] // slice-major loops index disk[i][j]
 pub fn schedule(job: &SingleRepairJob) -> Schedule {
-    let mut s = Schedule::new();
-    let slices = job.slice_count();
-    let k = job.k();
-    // Per-helper disk reads, per slice.
-    let mut disk: Vec<Vec<TaskId>> = Vec::with_capacity(k);
-    for &h in &job.helpers {
-        let reads: Vec<TaskId> = (0..slices)
-            .map(|j| s.disk_read(h, job.layout.slice_len(j) as u64, &[]))
-            .collect();
-        disk.push(reads);
-    }
-    // Slice-major transfers: for each slice offset, every helper ships its
-    // slice to the requestor; the requestor combines the k slices once they
-    // have all arrived.
-    for j in 0..slices {
-        let slice_len = job.layout.slice_len(j) as u64;
-        let mut arrivals: Vec<TaskId> = Vec::with_capacity(k);
-        for (i, &h) in job.helpers.iter().enumerate() {
-            let t = s.transfer(h, job.requestor, slice_len, &[disk[i][j]]);
-            arrivals.push(t);
-        }
-        s.compute(job.requestor, slice_len * k as u64, &arrivals);
-    }
-    s
+    RepairDag::star(&job.path(), job.requestor, job.layout).schedule()
 }
 
 #[cfg(test)]

@@ -10,6 +10,10 @@
 //! path then delivers the repaired slice to the requestor. The requestor
 //! therefore reads from `k - 1` helpers in parallel, and the delivery of one
 //! group overlaps with the repair of the next.
+//!
+//! The schedule is written out by hand: a path that differs from slice to
+//! slice is not a [`RepairDag`](crate::RepairDag) shape, and the runtime has
+//! no cyclic executor for one to be shared with yet.
 
 use simnet::{Schedule, TaskId};
 

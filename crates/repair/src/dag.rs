@@ -6,14 +6,17 @@
 //! schemes differ only in the *shape* those forwards draw — a star into the
 //! requestor is conventional repair (§2.2), a binary tree is PPR, a chain is
 //! repair pipelining (§3.2), a chain carrying `f` rows of partial sums is
-//! multi-block repair (§4.4). A [`RepairDag`] is that shape as a value; the
-//! `ecpipe` runtime executes any of them with one walker, and
-//! [`RepairDag::links`] tells an observer which links the repair will load
-//! and by how much before a byte has moved.
+//! multi-block repair (§4.4). A [`RepairDag`] is that shape as a value, and
+//! it has two consumers: the `ecpipe` runtime executes any of them with one
+//! walker, and [`RepairDag::schedule`] lowers any of them to the slice-level
+//! tasks the [`simnet`] simulator times — the only place in this crate that
+//! turns a chain, star or tree into simulator tasks. [`RepairDag::links`]
+//! tells an observer which links the repair will load and by how much before
+//! a byte has moved.
 
 use ecc::slice::SliceLayout;
 use ecc::stripe::BlockId;
-use simnet::NodeId;
+use simnet::{NodeId, Schedule, TaskId};
 
 use crate::ppr::aggregation_rounds;
 
@@ -232,6 +235,105 @@ impl RepairDag {
         }
         links
     }
+
+    /// The plan as simulator tasks: what the runtime's walker does, slice by
+    /// slice, for a [`simnet::Simulator`] to time.
+    ///
+    /// Per stage and slice there is one disk read, one fold (a compute over
+    /// `rows × slice` bytes that waits for the read and for every upstream
+    /// stage's transfer of that slice) and one transfer per destination:
+    /// all rows bundled to a downstream stage, one slice to each requestor.
+    /// An [`Output::RawToRequestors`] stage ships its read unscaled, and each
+    /// requestor decodes a slice once every such stage's copy of it is in. A
+    /// store-and-forward stage with upstream stages sends nothing before its
+    /// whole block is folded, as [`Stage::cut_through`] defines.
+    ///
+    /// The simulator serves every resource in submission order, so the order
+    /// of the tasks is part of the lowering. The reads come first: nothing
+    /// holds them back, so a disk runs ahead of the network. The rest follows
+    /// in the order a lock-step execution would run it, every hop one step:
+    /// a cut-through stage (and a stage with nothing upstream, which has
+    /// nothing to wait for) takes slice `j` one step after its upstream
+    /// stages did, which makes a chain a wavefront; a store-and-forward stage
+    /// takes its block a block's worth of steps after them, which makes a
+    /// tree run round by round. Within a step the oldest slice goes first.
+    /// (In plain stage order a tree would queue a first-round transfer behind
+    /// a second-round one on a downlink the two share.)
+    pub fn schedule(&self) -> Schedule {
+        let slices = self.layout.slice_count();
+        let len = |slice| self.layout.slice_len(slice) as u64;
+        let rows = self.rows() as u64;
+        let raw = |stage: &Stage| stage.output == Output::RawToRequestors;
+        let raw_stages = self.stages.iter().filter(|s| raw(s)).count();
+        // The slices a stage takes in one step, as in the runtime's walker.
+        let window_len = |stage: &Stage| {
+            if stage.cut_through || stage.upstream.is_empty() {
+                1
+            } else {
+                slices
+            }
+        };
+        // Every (step, first slice of the window, stage) of the lock-step run.
+        let mut start = vec![0; self.stages.len()];
+        let mut visits = Vec::new();
+        for (index, stage) in self.stages.iter().enumerate() {
+            let ready = stage
+                .upstream
+                .iter()
+                .map(|&up| start[up] + window_len(stage));
+            start[index] = ready.max().unwrap_or(0);
+            let firsts = (0..slices).step_by(window_len(stage));
+            visits.extend(firsts.map(|first| (start[index] + first, first, index)));
+        }
+        visits.sort_unstable();
+
+        let mut schedule = Schedule::new();
+        // reads[stage][slice]: the disk read of the stage's local slice.
+        let mut reads: Vec<Vec<TaskId>> = Vec::new();
+        for stage in &self.stages {
+            let block = (0..slices).map(|slice| schedule.disk_read(stage.node, len(slice), &[]));
+            reads.push(block.collect());
+        }
+        // sent[stage][slice]: the transfer of the slice to the next stage.
+        let mut sent: Vec<Vec<TaskId>> = vec![Vec::new(); self.stages.len()];
+        // arrived[slice][row]: the raw copies of the slice sent to a requestor.
+        let mut arrived = vec![vec![Vec::new(); self.requestors.len()]; slices];
+        for (_, first, index) in visits {
+            let stage = &self.stages[index];
+            let window = first..(first + window_len(stage)).min(slices);
+            let fold = |slice| {
+                if raw(stage) {
+                    return reads[index][slice];
+                }
+                let inputs = stage.upstream.iter().map(|&up| sent[up][slice]);
+                let deps: Vec<TaskId> = inputs.chain([reads[index][slice]]).collect();
+                schedule.compute(stage.node, rows * len(slice), &deps)
+            };
+            let folded: Vec<TaskId> = window.clone().map(fold).collect();
+            // A window of several slices leaves only once all are folded.
+            let all_folded = (folded.len() > 1).then(|| schedule.compute(stage.node, 0, &folded));
+            for (slice, &sum) in window.zip(&folded) {
+                let deps: Vec<TaskId> = all_folded.into_iter().chain([sum]).collect();
+                if let Output::Stage(next) = stage.output {
+                    let (from, to) = (stage.node, self.stages[next].node);
+                    sent[index].push(schedule.transfer(from, to, rows * len(slice), &deps));
+                    continue;
+                }
+                for (row, &requestor) in self.requestors.iter().enumerate() {
+                    let arrival = schedule.transfer(stage.node, requestor, len(slice), &deps);
+                    if !raw(stage) {
+                        continue;
+                    }
+                    let copies = &mut arrived[slice][row];
+                    copies.push(arrival);
+                    if copies.len() == raw_stages {
+                        schedule.compute(requestor, raw_stages as u64 * len(slice), copies);
+                    }
+                }
+            }
+        }
+        schedule
+    }
 }
 
 #[cfg(test)]
@@ -337,5 +439,52 @@ mod tests {
     fn no_helpers_means_no_stages_and_no_links() {
         let dag = RepairDag::chain([], &[0], layout());
         assert!(dag.stages().is_empty() && dag.links().is_empty() && dag.deliveries().is_empty());
+        assert!(dag.schedule().is_empty());
+    }
+
+    /// The lowering over constructor × `k` × slices per block × `f`: the
+    /// tasks are in dependency order, the simulator moves the bytes `links()`
+    /// declares, and on a flat network it takes the paper's closed-form time.
+    #[test]
+    fn schedule_moves_the_declared_bytes_in_the_closed_form_time() {
+        use crate::analysis;
+        use simnet::{CostModel, Simulator, Topology, GBIT};
+
+        let sim = Simulator::new(Topology::flat(16, GBIT), CostModel::network_only());
+        let timeslot = analysis::timeslot_seconds(BLOCK, GBIT);
+        for k in [1, 2, 3, 10] {
+            // 3 slices do not divide the block: the last one is shorter.
+            for slices in [1, 3, 32] {
+                let layout = SliceLayout::new(BLOCK, BLOCK.div_ceil(slices));
+                let single = helpers(1..=k);
+                let star = RepairDag::star(&single, 11, layout);
+                let tree = RepairDag::tree(&single, 11, layout);
+                let mut cases = vec![
+                    ("star", star, analysis::conventional_single(k)),
+                    ("tree", tree, analysis::ppr_single(k)),
+                ];
+                for f in [1, 3] {
+                    let columns = columns(1..=k, f as u8);
+                    let chain = RepairDag::chain(columns, &[11, 12, 13][..f], layout);
+                    cases.push(("chain", chain, analysis::rp_multi(k, slices, f)));
+                }
+                for (shape, dag, timeslots) in cases {
+                    let case = format!("{shape}, k = {k}, {slices} slices, f = {}", dag.rows());
+                    let schedule = dag.schedule();
+                    for task in schedule.tasks() {
+                        assert!(task.deps.iter().all(|&dep| dep < task.id), "{case}");
+                    }
+                    let report = sim.run(&schedule);
+                    let declared = dag.links().into_iter().map(|l| ((l.src, l.dst), l.bytes));
+                    assert_eq!(report.link_bytes, declared.collect(), "{case}");
+                    let expected = timeslots * timeslot;
+                    assert!(
+                        (report.makespan - expected).abs() / expected < 0.01,
+                        "{case}: {} s, expected {expected} s",
+                        report.makespan
+                    );
+                }
+            }
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! in parallel — but a helper chosen by many stripes becomes the straggler.
 //! The paper's greedy scheduler tracks when each node was last selected as a
 //! helper and picks, per stripe, the `k` least-recently-selected helpers
-//! (found with quickselect in `O(n)` time). The reconstructed blocks are
-//! spread over a configurable set of requestors.
+//! (an `O(n)` selection, the paper's quickselect). The reconstructed blocks
+//! are spread over a configurable set of requestors.
 
 use std::fmt;
 
@@ -128,7 +128,11 @@ pub fn plan_recovery(
                         .iter()
                         .map(|&n| (last_selected.get(&n).copied().unwrap_or(0), n))
                         .collect();
-                    quickselect_k_smallest(&mut keyed, k);
+                    // The keys are pairwise distinct, so the k smallest are
+                    // one set whatever the selection algorithm.
+                    if k < keyed.len() {
+                        keyed.select_nth_unstable(k - 1);
+                    }
                     let mut chosen: Vec<NodeId> = keyed[..k].iter().map(|&(_, n)| n).collect();
                     chosen.sort_unstable();
                     chosen
@@ -145,53 +149,6 @@ pub fn plan_recovery(
             Ok(SingleRepairJob::new(helpers, requestor, layout))
         })
         .collect()
-}
-
-/// Partially sorts `items` so that the `k` smallest elements (by the tuple
-/// order, i.e. primarily the timestamp) occupy the first `k` positions.
-/// This is Hoare's quickselect, the `O(n)` selection the paper cites for the
-/// greedy scheduler.
-fn quickselect_k_smallest(items: &mut [(u64, NodeId)], k: usize) {
-    if k == 0 || k >= items.len() {
-        return;
-    }
-    let mut lo = 0usize;
-    let mut hi = items.len() - 1;
-    loop {
-        if lo >= hi {
-            return;
-        }
-        // Median-of-first pivot is fine for the small n here.
-        let pivot = items[(lo + hi) / 2];
-        let mut i = lo;
-        let mut j = hi;
-        while i <= j {
-            while items[i] < pivot {
-                i += 1;
-            }
-            while items[j] > pivot {
-                if j == 0 {
-                    break;
-                }
-                j -= 1;
-            }
-            if i <= j {
-                items.swap(i, j);
-                i += 1;
-                if j == 0 {
-                    break;
-                }
-                j -= 1;
-            }
-        }
-        if k <= j + 1 {
-            hi = j;
-        } else if k >= i {
-            lo = i;
-        } else {
-            return;
-        }
-    }
 }
 
 /// Builds the combined schedule of a full-node recovery: one per-stripe
@@ -248,29 +205,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    #[test]
-    fn quickselect_finds_k_smallest() {
-        let mut items: Vec<(u64, NodeId)> = vec![(5, 0), (1, 1), (9, 2), (3, 3), (7, 4), (2, 5)];
-        quickselect_k_smallest(&mut items, 3);
-        let mut front: Vec<u64> = items[..3].iter().map(|&(t, _)| t).collect();
-        front.sort_unstable();
-        assert_eq!(front, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn quickselect_handles_edge_cases() {
-        let mut empty: Vec<(u64, NodeId)> = vec![];
-        quickselect_k_smallest(&mut empty, 0);
-        let mut single = vec![(1, 7)];
-        quickselect_k_smallest(&mut single, 1);
-        assert_eq!(single, vec![(1, 7)]);
-        let mut dupes = vec![(2, 0), (2, 1), (2, 2), (1, 3)];
-        quickselect_k_smallest(&mut dupes, 2);
-        let mut front: Vec<u64> = dupes[..2].iter().map(|&(t, _)| t).collect();
-        front.sort_unstable();
-        assert_eq!(front, vec![1, 2]);
     }
 
     #[test]

@@ -1,7 +1,18 @@
 //! Repair job descriptions shared by all schemes.
 
 use ecc::slice::SliceLayout;
+use ecc::stripe::BlockId;
 use simnet::NodeId;
+
+use crate::RepairDag;
+
+/// Panics if a helper node is listed twice.
+fn assert_distinct(helpers: &[NodeId]) {
+    let mut sorted = helpers.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    assert_eq!(sorted.len(), helpers.len(), "duplicate helper node");
+}
 
 /// A single-block repair job: which nodes act as helpers, where the repaired
 /// block is delivered, and how the block is sliced.
@@ -33,10 +44,7 @@ impl SingleRepairJob {
             !helpers.contains(&requestor),
             "the requestor cannot also be a helper"
         );
-        let mut sorted = helpers.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), helpers.len(), "duplicate helper node");
+        assert_distinct(&helpers);
         SingleRepairJob {
             helpers,
             requestor,
@@ -71,6 +79,16 @@ impl SingleRepairJob {
             layout: self.layout,
         }
     }
+
+    /// The helpers as the `(node, block, coefficient)` path that
+    /// [`RepairDag::star`] and [`RepairDag::tree`] take (the chain is
+    /// [`MultiRepairJob::dag`] with one requestor). A job names nodes, not
+    /// blocks or a code, so the block ids are placeholders and every
+    /// coefficient is 1; timing a plan reads neither.
+    pub(crate) fn path(&self) -> Vec<(NodeId, BlockId, u8)> {
+        let helpers = self.helpers.iter().enumerate();
+        helpers.map(|(i, &n)| (n, BlockId::new(0, i), 1)).collect()
+    }
 }
 
 /// A multi-block repair job (§4.4): `f` failed blocks of one stripe repaired
@@ -90,11 +108,12 @@ impl MultiRepairJob {
     ///
     /// # Panics
     ///
-    /// Panics if there are no helpers or no requestors, or if a requestor is
-    /// also a helper.
+    /// Panics if there are no helpers or no requestors, if a requestor is
+    /// also a helper, or if a helper appears twice.
     pub fn new(helpers: Vec<NodeId>, requestors: Vec<NodeId>, layout: SliceLayout) -> Self {
         assert!(!helpers.is_empty(), "at least one helper required");
         assert!(!requestors.is_empty(), "at least one requestor required");
+        assert_distinct(&helpers);
         for r in &requestors {
             assert!(
                 !helpers.contains(r),
@@ -116,6 +135,15 @@ impl MultiRepairJob {
     /// The number of helpers.
     pub fn k(&self) -> usize {
         self.helpers.len()
+    }
+
+    /// The job as a [`RepairDag`]: the chain of its helpers carrying one row
+    /// of partial sums per requestor (§4.4), with placeholder block ids and
+    /// unit coefficients as in [`SingleRepairJob::path`].
+    pub(crate) fn dag(&self) -> RepairDag {
+        let helpers = self.helpers.iter().enumerate();
+        let columns = helpers.map(|(i, &n)| (n, BlockId::new(0, i), vec![1; self.f()]));
+        RepairDag::chain(columns, &self.requestors, self.layout)
     }
 }
 
@@ -171,5 +199,11 @@ mod tests {
     #[should_panic(expected = "cannot also be a helper")]
     fn multi_job_requestor_overlap_panics() {
         MultiRepairJob::new(vec![1, 2, 3], vec![2], layout());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate helper node")]
+    fn multi_job_duplicate_helper_panics() {
+        MultiRepairJob::new(vec![1, 1], vec![9], layout());
     }
 }

@@ -2,16 +2,22 @@
 //!
 //! This crate implements every repair scheme the paper designs or compares
 //! against, as *planners*: given which nodes hold the helper blocks, where
-//! the requestor(s) sit, and the slice layout, each scheme produces a
-//! [`simnet::Schedule`] — the slice-level transfers, disk reads and compute
-//! steps of the repair — to be timed on the [`simnet`] simulator. What the
-//! `ecpipe` runtime executes for real is the scheme's [`RepairDag`]: the
-//! same shape one level up, helpers and the links between them.
+//! the requestor(s) sit, and the slice layout, each scheme is a
+//! [`RepairDag`] — helpers, and the links their partial sums travel. The
+//! plan has two consumers: [`RepairDag::schedule`] times it (it lowers the
+//! plan to a [`simnet::Schedule`], the slice-level disk reads, compute steps
+//! and transfers the [`simnet`] simulator runs), and the `ecpipe` runtime's
+//! executor walks it for real. Each scheme's `schedule(job)` function is
+//! therefore the job's plan followed by `.schedule()`. What is still
+//! written out task by task is what no plan shape says — `Pipe-S`
+//! ([`rp::schedule_pipe_s`]), the cyclic extension ([`cyclic`]) and
+//! two-phase conventional multi-block repair
+//! ([`multiblock::schedule_conventional`]) — and each module says why.
 //!
 //! Schemes:
 //!
-//! * [`dag`] — the plan value the runtime walks: chain, star, tree and the
-//!   `f`-row chain as one type.
+//! * [`dag`] — the plan value: chain, star, tree and the `f`-row chain as
+//!   one type, and its lowering to simulator tasks.
 //!
 //! * [`conventional`] — the requestor fetches `k` whole blocks (§2.2),
 //!   `O(k)` timeslots.
@@ -69,7 +75,8 @@ pub enum Scheme {
 
 impl Scheme {
     /// Builds the slice-level schedule of this scheme for a single-block
-    /// repair job.
+    /// repair job: the job's [`RepairDag`], lowered (the cyclic scheme, which
+    /// has no plan shape yet, is written out by hand).
     pub fn schedule(&self, job: &SingleRepairJob) -> Schedule {
         match self {
             Scheme::Conventional => conventional::schedule(job),

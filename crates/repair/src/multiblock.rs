@@ -6,58 +6,21 @@
 //! helper reconstructs the `f` slices and delivers each to its requestor.
 //! The repair time approaches `f` timeslots, always better than conventional
 //! repair's `k + f - 1`.
+//!
+//! The pipelined schedules are the job's [`RepairDag`](crate::RepairDag)
+//! (the `f`-row chain), lowered by
+//! [`RepairDag::schedule`](crate::RepairDag::schedule). The conventional one
+//! is written out here by hand: its second phase, the dedicated requestor
+//! redistributing `f - 1` decoded blocks, is a hop no `RepairDag` shape has.
 
+use ecc::slice::SliceLayout;
 use simnet::{Schedule, TaskId};
 
 use crate::MultiRepairJob;
 
 /// Builds the repair-pipelining multi-block schedule (§4.4, Figure 6).
-#[allow(clippy::needless_range_loop)] // slice/helper loops index disk[i][j]
 pub fn schedule_rp(job: &MultiRepairJob) -> Schedule {
-    let mut s = Schedule::new();
-    let slices = job.layout.slice_count();
-    let k = job.k();
-    let f = job.f();
-
-    // Each helper reads its local block once (slice by slice).
-    let disk: Vec<Vec<TaskId>> = job
-        .helpers
-        .iter()
-        .map(|&h| {
-            (0..slices)
-                .map(|j| s.disk_read(h, job.layout.slice_len(j) as u64, &[]))
-                .collect()
-        })
-        .collect();
-
-    for j in 0..slices {
-        let slice_len = job.layout.slice_len(j) as u64;
-        // The bundle of f partial slices travelling down the path for this
-        // offset.
-        let mut incoming: Option<TaskId> = None;
-        for i in 0..k {
-            let node = job.helpers[i];
-            let mut deps = vec![disk[i][j]];
-            if let Some(inc) = incoming {
-                deps.push(inc);
-            }
-            // The helper updates all f partial slices from its one local
-            // slice.
-            let combine = s.compute(node, f as u64 * slice_len, &deps);
-            if i + 1 < k {
-                let next = job.helpers[i + 1];
-                let t = s.transfer(node, next, f as u64 * slice_len, &[combine]);
-                incoming = Some(t);
-            } else {
-                // The last helper delivers each reconstructed slice to its
-                // requestor.
-                for &r in &job.requestors {
-                    s.transfer(node, r, slice_len, &[combine]);
-                }
-            }
-        }
-    }
-    s
+    job.dag().schedule()
 }
 
 /// Builds the conventional multi-block schedule (§2.2): one dedicated
@@ -107,33 +70,16 @@ pub fn schedule_conventional(job: &MultiRepairJob) -> Schedule {
 }
 
 /// Builds the naive block-level multi-block pipeline of §4.4 (no slicing):
-/// each helper forwards a bundle of `f` whole partial blocks, taking `f * k`
-/// timeslots — worse than conventional repair, kept as the cautionary
-/// baseline the paper describes.
+/// each helper forwards a bundle of `f` whole partial blocks — the chain
+/// with one slice per block — taking `f * k` timeslots, worse than
+/// conventional repair; kept as the cautionary baseline the paper describes.
 pub fn schedule_naive_pipeline(job: &MultiRepairJob) -> Schedule {
-    let mut s = Schedule::new();
-    let block = job.layout.block_size as u64;
-    let k = job.k();
-    let f = job.f() as u64;
-    let mut incoming: Option<TaskId> = None;
-    for i in 0..k {
-        let node = job.helpers[i];
-        let read = s.disk_read(node, block, &[]);
-        let deps: Vec<TaskId> = match incoming {
-            Some(t) => vec![t, read],
-            None => vec![read],
-        };
-        let combine = s.compute(node, f * block, &deps);
-        if i + 1 < k {
-            let t = s.transfer(node, job.helpers[i + 1], f * block, &[combine]);
-            incoming = Some(t);
-        } else {
-            for &r in &job.requestors {
-                s.transfer(node, r, block, &[combine]);
-            }
-        }
-    }
-    s
+    let block = job.layout.block_size;
+    let whole_blocks = MultiRepairJob {
+        layout: SliceLayout::new(block, block),
+        ..job.clone()
+    };
+    whole_blocks.dag().schedule()
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! it has received and combined the whole incoming block, which is why PPR
 //! does not reach the single-timeslot repair time of repair pipelining.
 
-use simnet::{NodeId, Schedule, TaskId};
+use simnet::{NodeId, Schedule};
 
-use crate::SingleRepairJob;
+use crate::{RepairDag, SingleRepairJob};
 
 /// The pairwise aggregation rounds of PPR for a given helper list and
 /// requestor: each round is a list of `(sender, receiver)` pairs over
@@ -38,56 +38,12 @@ pub fn aggregation_rounds(helpers: &[NodeId], requestor: NodeId) -> Vec<Vec<(Nod
     rounds
 }
 
-/// Builds the PPR schedule for a single-block repair.
+/// Builds the PPR schedule for a single-block repair: the job as a
+/// [`RepairDag::tree`], lowered by [`RepairDag::schedule`]. A leaf streams
+/// its block slice by slice; every other node sends only once its whole
+/// partial block is folded.
 pub fn schedule(job: &SingleRepairJob) -> Schedule {
-    let mut s = Schedule::new();
-    let slices = job.slice_count();
-    let k = job.k();
-
-    // Every helper reads its local block slice by slice.
-    // ready[node] holds, per slice, the task after which the node's current
-    // partial result for that slice is up to date.
-    let mut ready: std::collections::HashMap<NodeId, Vec<TaskId>> =
-        std::collections::HashMap::new();
-    for &h in &job.helpers {
-        let reads: Vec<TaskId> = (0..slices)
-            .map(|j| s.disk_read(h, job.layout.slice_len(j) as u64, &[]))
-            .collect();
-        ready.insert(h, reads);
-    }
-
-    let rounds = aggregation_rounds(&job.helpers, job.requestor);
-    for round in rounds {
-        let mut new_ready: Vec<(NodeId, Vec<TaskId>)> = Vec::new();
-        for (sender, receiver) in round {
-            let sender_ready = ready
-                .get(&sender)
-                .expect("sender must hold a partial result")
-                .clone();
-            // Block-synchronous round: the sender starts transmitting only
-            // after its whole partial block is ready.
-            let barrier = s.compute(sender, 0, &sender_ready);
-            let mut received: Vec<TaskId> = Vec::with_capacity(slices);
-            for j in 0..slices {
-                let slice_len = job.layout.slice_len(j) as u64;
-                let t = s.transfer(sender, receiver, slice_len, &[barrier, sender_ready[j]]);
-                // Combine with the receiver's current partial result (or its
-                // own block read) if it has one.
-                let mut deps = vec![t];
-                if let Some(r) = ready.get(&receiver) {
-                    deps.push(r[j]);
-                }
-                let c = s.compute(receiver, 2 * slice_len, &deps);
-                received.push(c);
-            }
-            new_ready.push((receiver, received));
-        }
-        for (node, tasks) in new_ready {
-            ready.insert(node, tasks);
-        }
-    }
-    let _ = k;
-    s
+    RepairDag::tree(&job.path(), job.requestor, job.layout).schedule()
 }
 
 #[cfg(test)]

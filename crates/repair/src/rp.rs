@@ -7,38 +7,37 @@
 //! receives with its own slice and forwards the new partial slice downstream.
 //! Transfers of different slices over different links proceed in parallel, so
 //! the repair time approaches a single timeslot (`1 + (k-1)/s`).
+//!
+//! `RP` and `Pipe-B` are the job's [`RepairDag::chain`](crate::RepairDag::chain),
+//! lowered by [`RepairDag::schedule`](crate::RepairDag::schedule). `Pipe-S`
+//! is written out here by hand: it is the same chain run by a serialised
+//! *helper implementation*, which is a property of the helper's code and not
+//! of the plan's shape, so no `RepairDag` says it.
 
+use ecc::slice::SliceLayout;
 use simnet::{Schedule, TaskId};
 
-use crate::SingleRepairJob;
+use crate::{MultiRepairJob, RepairDag, SingleRepairJob};
 
 /// Builds the repair-pipelining schedule (the paper's `RP` implementation,
 /// with receive / read / compute / send fully parallelised inside each
 /// helper).
 pub fn schedule(job: &SingleRepairJob) -> Schedule {
-    build(job, Variant::Parallel)
+    chain(job, job.layout).schedule()
 }
 
 /// Builds the block-level pipelining baseline (`Pipe-B`): the same linear
-/// path, but each helper forwards a whole partially-repaired block, so only
-/// one link is active at a time and the repair takes `k` timeslots.
+/// path, but each helper forwards a whole partially-repaired block — the
+/// chain with one slice per block — so only one link is active at a time and
+/// the repair takes `k` timeslots.
 pub fn schedule_pipe_b(job: &SingleRepairJob) -> Schedule {
-    let mut s = Schedule::new();
-    let block = job.layout.block_size as u64;
-    let path = path_nodes(job);
-    let mut prev: Option<TaskId> = None;
-    for w in path.windows(2) {
-        let (src, dst) = (w[0], w[1]);
-        let read = s.disk_read(src, block, &[]);
-        let deps: Vec<TaskId> = match prev {
-            Some(p) => vec![p, read],
-            None => vec![read],
-        };
-        let combine = s.compute(src, block, &deps);
-        let t = s.transfer(src, dst, block, &[combine]);
-        prev = Some(t);
-    }
-    s
+    let block = job.layout.block_size;
+    chain(job, SliceLayout::new(block, block)).schedule()
+}
+
+/// The job's helper path as a one-row chain with the given slicing.
+fn chain(job: &SingleRepairJob, layout: SliceLayout) -> RepairDag {
+    MultiRepairJob::new(job.helpers.clone(), vec![job.requestor], layout).dag()
 }
 
 /// Builds the serialised slice-level baseline (`Pipe-S`): slices are
@@ -46,22 +45,6 @@ pub fn schedule_pipe_b(job: &SingleRepairJob) -> Schedule {
 /// sub-operations (receive, read, compute, send) strictly one after another,
 /// so receiving slice `j+1` cannot overlap with sending slice `j`.
 pub fn schedule_pipe_s(job: &SingleRepairJob) -> Schedule {
-    build(job, Variant::Serialised)
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Variant {
-    Parallel,
-    Serialised,
-}
-
-fn path_nodes(job: &SingleRepairJob) -> Vec<simnet::NodeId> {
-    let mut path = job.helpers.clone();
-    path.push(job.requestor);
-    path
-}
-
-fn build(job: &SingleRepairJob, variant: Variant) -> Schedule {
     let mut s = Schedule::new();
     let slices = job.slice_count();
     let k = job.k();
@@ -77,18 +60,15 @@ fn build(job: &SingleRepairJob, variant: Variant) -> Schedule {
         .collect();
 
     // outgoing[i][j]: the transfer of slice j from helper i to the next node.
-    // Used to chain the pipeline and, in the serialised variant, to force the
-    // per-helper handshake.
+    // Used to chain the pipeline and to force the per-helper handshake.
     let mut outgoing: Vec<Vec<Option<TaskId>>> = vec![vec![None; slices]; k];
 
     // Tasks are emitted in wavefront order (diagonal d = slice index + hop
     // index), which is the order a full pipeline actually executes them.
-    // This keeps the submission-order simulator from idling shared links
-    // when many of these schedules are interleaved (full-node recovery).
     for d in 0..(slices + k - 1) {
         // Within a wave, hops are emitted in descending order so that the
-        // serialised variant's handshake partner (hop i+1 of the previous
-        // slice, which shares this wave) already exists.
+        // handshake partner (hop i+1 of the previous slice, which shares
+        // this wave) already exists.
         for i in (0..k).rev() {
             let Some(j) = d.checked_sub(i) else { continue };
             if j >= slices {
@@ -110,11 +90,10 @@ fn build(job: &SingleRepairJob, variant: Variant) -> Schedule {
             }
             let combine = s.compute(node, slice_len, &deps);
             let mut transfer_deps = vec![combine];
-            if variant == Variant::Serialised && j > 0 && i + 1 < k {
+            if j > 0 && i + 1 < k {
                 // The downstream helper runs its per-slice sub-operations
                 // strictly in series, so it only accepts slice j after it has
-                // finished forwarding slice j-1 (the Pipe-S baseline of
-                // §6.4).
+                // finished forwarding slice j-1.
                 if let Some(downstream_prev) = outgoing[i + 1][j - 1] {
                     transfer_deps.push(downstream_prev);
                 }
