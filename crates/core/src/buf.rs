@@ -3,11 +3,11 @@
 //! The repair executors allocate one partial-sum buffer per slice per
 //! helper; at the paper's slice sizes (tens of KiB) and pipeline depths
 //! that is thousands of short-lived allocations per repaired block. A
-//! [`BufPool`] recycles them: [`BufPool::take`] hands out a zeroed
-//! [`PooledBuf`] to accumulate into, [`PooledBuf::freeze`] turns it into an
-//! immutable [`Bytes`] view that flows through transport framing and store
-//! writes without copying, and when the last view drops, the underlying
-//! allocation returns to the pool for the next slice.
+//! [`BufPool`] recycles them: [`BufPool::take`] hands out a [`PooledBuf`] to
+//! build a partial sum in, [`PooledBuf::freeze`] turns it into an immutable
+//! [`Bytes`] view that flows through transport framing and store writes
+//! without copying, and when the last view drops, the underlying allocation
+//! returns to the pool for the next slice.
 //!
 //! The pool is deliberately simple — a bounded free-list, not a slab with
 //! size classes — because repair traffic is monoculture: within one repair
@@ -71,15 +71,15 @@ impl BufPool {
         }
     }
 
-    /// Takes a zero-filled buffer of exactly `len` bytes, reusing a
-    /// previously returned allocation when one is available.
+    /// Takes a buffer of exactly `len` bytes, reusing a previously returned
+    /// allocation when one is available. Contents unspecified, the caller
+    /// overwrites: a recycled buffer keeps the bytes of its last use (only
+    /// what it grows by is zeroed), because clearing 32 KiB per slice per
+    /// stage that the GF kernel then writes over is `memset` for nothing.
     pub fn take(&self, len: usize) -> PooledBuf {
         let recycled = self.inner.free.lock().pop();
         let data = match recycled {
             Some(mut vec) => {
-                // Zero whatever prefix survives and extend with zeros; the
-                // result is indistinguishable from a fresh `vec![0; len]`.
-                vec.clear();
                 vec.resize(len, 0);
                 vec
             }
@@ -199,14 +199,21 @@ mod tests {
     }
 
     #[test]
-    fn recycled_buffers_grow_and_are_fully_zeroed() {
+    fn recycled_buffers_are_resized_not_cleared() {
         let pool = BufPool::new();
         let mut buf = pool.take(16);
         buf.copy_from_slice(&[0xAA; 16]);
         drop(buf);
+        // Grown: the exact length asked for; what was added is zeroed, what
+        // was there is the caller's to overwrite.
         let grown = pool.take(64);
         assert_eq!(grown.len(), 64);
-        assert!(grown.iter().all(|&b| b == 0), "no stale bytes survive");
+        assert!(grown[16..].iter().all(|&b| b == 0));
+        drop(grown);
+        // Shrunk, then grown again within the capacity already paid for.
+        assert_eq!(pool.take(8).len(), 8);
+        assert_eq!(pool.take(64).len(), 64);
+        assert_eq!(pool.retained(), 1, "every take reused the one buffer");
     }
 
     #[test]

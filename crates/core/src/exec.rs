@@ -40,6 +40,7 @@ use ecc::slice::SliceLayout;
 use crate::buf::{BufPool, PooledBuf};
 use crate::cluster::Cluster;
 use crate::coordinator::{MultiRepairDirective, RepairDirective};
+use crate::store::BlockReader;
 use crate::transport::{SliceMsg, SliceReceiver, SliceSender, Transport};
 use crate::{EcPipeError, Result};
 
@@ -207,14 +208,15 @@ impl Walk<'_> {
         if dag.stages().is_empty() {
             return Err(execution_error("repair path has no helpers"));
         }
-        // Pre-flight: every helper block must still be present. A block that
-        // disappeared after planning surfaces as `BlockNotFound`, which lets
-        // the caller restart with a different helper set (§3.2).
-        for stage in dag.stages() {
-            if !self.cluster.store(stage.node).contains(stage.block) {
-                return Err(EcPipeError::BlockNotFound { block: stage.block });
-            }
-        }
+        // Pre-flight: every helper opens its block, once for all its slices,
+        // before any link or thread exists. A block that disappeared after
+        // planning surfaces as `BlockNotFound`, which lets the caller restart
+        // with a different helper set (§3.2).
+        let readers = dag
+            .stages()
+            .iter()
+            .map(|stage| self.cluster.store(stage.node).reader(stage.block))
+            .collect::<Result<Vec<_>>>()?;
         let layout = dag.layout();
 
         // One pool serves the whole plan: a partial buffer freed by the
@@ -227,7 +229,7 @@ impl Walk<'_> {
             // stage, until the stage (or requestor side) that reads them
             // picks them up.
             let mut open: Vec<Vec<SliceReceiver>> = Vec::new();
-            for (index, stage) in dag.stages().iter().enumerate() {
+            for (index, (stage, reader)) in dag.stages().iter().zip(readers).enumerate() {
                 let (outputs, receivers): (Vec<_>, Vec<_>) = dag
                     .destinations(index)
                     .into_iter()
@@ -239,7 +241,9 @@ impl Walk<'_> {
                     .iter()
                     .flat_map(|&up| std::mem::take(&mut open[up]))
                     .collect();
-                handles.push(scope.spawn(move || self.run_stage(stage, &inputs, &outputs, pool)));
+                handles.push(
+                    scope.spawn(move || self.run_stage(stage, &*reader, &inputs, &outputs, pool)),
+                );
             }
 
             // The requestors fold what is delivered to them, one delivering
@@ -293,23 +297,23 @@ impl Walk<'_> {
     fn run_stage(
         &self,
         stage: &Stage,
+        block: &dyn BlockReader,
         inputs: &[SliceReceiver],
         outputs: &[SliceSender],
         pool: &BufPool,
     ) -> Result<()> {
-        let (layout, store) = (self.dag.layout(), self.cluster.store(stage.node));
+        let layout = self.dag.layout();
         let slices = layout.slice_count();
         if stage.output == Output::RawToRequestors {
             return self.each_slice(0..slices, |j| {
-                let local = store.get_range(stage.block, layout.slice_range(j))?;
-                self.send(j, local, outputs)
+                self.send(j, block.read(layout.slice_range(j))?, outputs)
             });
         }
         // Slice `j` of the local block scaled by the stage's coefficients:
         // the stage's own term of every row, rows back to back.
         let coeffs = gf256::Matrix::from_bytes(self.dag.rows(), 1, &stage.coeffs);
         let local_partial = |j: usize| -> Result<PooledBuf> {
-            let local = store.get_range(stage.block, layout.slice_range(j))?;
+            let local = block.read(layout.slice_range(j))?;
             let mut partial = pool.take(coeffs.rows() * local.len());
             if let [coeff] = stage.coeffs[..] {
                 gf256::mul_slice(Gf256::new(coeff), &local, &mut partial);
@@ -399,7 +403,7 @@ fn join_all(handles: Vec<std::thread::ScopedJoinHandle<'_, Result<()>>>) -> Resu
 mod tests {
     use super::*;
     use crate::transport::ChannelTransport;
-    use crate::{Cluster, Coordinator};
+    use crate::{BlockStore, Cluster, Coordinator};
     use ecc::stripe::StripeId;
     use ecc::{ErasureCode, Lrc, ReedSolomon};
     use simnet::{CostModel, NodeId, Simulator, Topology, GBIT};
@@ -676,6 +680,77 @@ mod tests {
         let dag = multi_dag(&directive);
         assert_eq!(dag.links().len(), 9 + 2);
         assert_moved_as_declared(&dag, &transport);
+    }
+
+    /// A helper opens its block once and reads it once: whatever the shape,
+    /// each helper's file store sees one `open` and `BLOCK` bytes per
+    /// repair — not one `open` per slice — and the requestor's sees neither.
+    /// The stores are `StoreBackend::file_checksummed`'s, built by hand only
+    /// so that the test keeps typed handles to their counters.
+    #[test]
+    fn a_repair_opens_each_helper_block_once() {
+        let root = std::env::temp_dir().join(format!("ecpipe-opens-{}", std::process::id()));
+        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
+        let coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, 1024));
+        // `None` is the multi-block plan.
+        for (round, shape) in [
+            Some(ExecStrategy::Conventional),
+            Some(ExecStrategy::Ppr),
+            Some(ExecStrategy::RepairPipelining),
+            Some(ExecStrategy::BlockPipeline),
+            None,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let files: Vec<_> = (0..16)
+                .map(|node| {
+                    let dir = root.join(format!("round-{round}/node-{node}"));
+                    Arc::new(crate::FileStore::open_checksummed(dir).unwrap())
+                })
+                .collect();
+            let stores = files.iter().map(|s| s.clone() as Arc<dyn BlockStore>);
+            let cluster = Cluster::new(crate::StoreBackend::custom(stores.collect())).unwrap();
+            let stripe = cluster
+                .write_stripe(coordinator.code(), 0, &make_data(10, 3))
+                .unwrap();
+            let transport = ChannelTransport::new();
+            let counters = || -> Vec<(u64, u64)> {
+                let of = |s: &Arc<crate::ChecksummedStore<crate::FileStore>>| {
+                    (s.inner().opens(), s.inner().bytes_read())
+                };
+                files.iter().map(of).collect()
+            };
+            assert_eq!(counters(), [(0, 0); 16], "writing a stripe reads nothing");
+            cluster.erase_block(stripe, 1);
+            let helpers = match shape {
+                Some(strategy) => {
+                    let directive = coordinator
+                        .plan_single_repair(cluster.meta(), stripe, 1, 15)
+                        .unwrap();
+                    execute_single(&directive, &cluster, &transport, strategy).unwrap();
+                    directive.helper_nodes()
+                }
+                None => {
+                    cluster.erase_block(stripe, 6);
+                    let directive = coordinator
+                        .plan_multi_repair(cluster.meta(), stripe, &[1, 6], &[15, 14])
+                        .unwrap();
+                    execute_multi(&directive, &cluster, &transport).unwrap();
+                    directive.path.iter().map(|&(node, _)| node).collect()
+                }
+            };
+            assert_eq!(helpers.len(), 10);
+            for (node, seen) in counters().into_iter().enumerate() {
+                let expected = if helpers.contains(&node) {
+                    (1, BLOCK as u64)
+                } else {
+                    (0, 0)
+                };
+                assert_eq!(seen, expected, "shape {shape:?}, node {node}");
+            }
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

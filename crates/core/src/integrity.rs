@@ -44,7 +44,7 @@ use crate::lock_order;
 
 use ecc::stripe::BlockId;
 
-use crate::store::{check_range, BlockStore};
+use crate::store::{check_range, BlockReader, BlockStore};
 use crate::{EcPipeError, Result};
 
 /// Default checksum chunk size in bytes: one CRC-32 per 512-byte chunk,
@@ -284,8 +284,8 @@ impl<S: BlockStore> ChecksummedStore<S> {
     }
 
     /// The recorded checksums of `block`, reloading a persisted sidecar on a
-    /// memory miss. Returns a shared handle — the helper hot path calls this
-    /// per slice read, so the checksum vector is never copied.
+    /// memory miss. Returns a shared handle: a reader keeps it for as long
+    /// as it is open, so the checksum vector is never copied.
     fn checksums(&self, block: BlockId) -> Option<Arc<BlockChecksums>> {
         if let Some(sums) = self.sums.read().get(&block) {
             return Some(sums.clone());
@@ -317,6 +317,16 @@ impl<S: BlockStore> ChecksummedStore<S> {
     fn adopt(&self, block: BlockId, data: &[u8]) -> Result<()> {
         self.record(block, BlockChecksums::compute(data, self.chunk_size))
     }
+
+    /// Opens `block` in the inner store and fetches its checksums, once for
+    /// however many reads follow.
+    fn open_block(&self, block: BlockId) -> Result<ChecksummedReader<'_>> {
+        Ok(ChecksummedReader {
+            block,
+            inner: self.inner.reader(block)?,
+            sums: self.checksums(block),
+        })
+    }
 }
 
 impl<S: BlockStore> BlockStore for ChecksummedStore<S> {
@@ -335,34 +345,11 @@ impl<S: BlockStore> BlockStore for ChecksummedStore<S> {
     }
 
     fn get_range(&self, block: BlockId, range: std::ops::Range<usize>) -> Result<Bytes> {
-        let Some(sums) = self.checksums(block) else {
-            // No recorded checksums to verify against; serve the raw range.
-            // (All writes through this wrapper record checksums, so this
-            // only happens for legacy blocks that were never whole-read.)
-            return self.inner.get_range(block, range);
-        };
-        check_range(block, &range, sums.block_len())?;
-        // Read and verify only the chunk-aligned span covering the range —
-        // slice reads stay O(slice), not O(block).
-        let (span, first_chunk) = sums.chunk_span(&range);
-        let aligned = match self.inner.get_range(block, span.clone()) {
-            Ok(aligned) => aligned,
-            // The recorded checksums say these bytes exist; an inner store
-            // that cannot serve them holds a *truncated* block — that is
-            // corruption, not a bad request, so it must take the same
-            // re-plan-and-heal path a flipped byte does.
-            Err(EcPipeError::InvalidRequest { .. }) => {
-                return Err(EcPipeError::CorruptBlock {
-                    block,
-                    chunk: first_chunk,
-                })
-            }
-            Err(e) => return Err(e),
-        };
-        if let Err(chunk) = sums.verify_chunks(&aligned, first_chunk) {
-            return Err(EcPipeError::CorruptBlock { block, chunk });
-        }
-        Ok(aligned.slice(range.start - span.start..range.end - span.start))
+        self.open_block(block)?.read(range)
+    }
+
+    fn reader(&self, block: BlockId) -> Result<Box<dyn BlockReader + '_>> {
+        Ok(Box::new(self.open_block(block)?))
     }
 
     fn put(&self, block: BlockId, data: Bytes) -> Result<()> {
@@ -393,6 +380,49 @@ impl<S: BlockStore> BlockStore for ChecksummedStore<S> {
         // Flip the byte *through the inner store* so this wrapper's
         // recorded checksums go stale — that is what bit-rot looks like.
         self.inner.corrupt(block, offset)
+    }
+}
+
+/// A [`ChecksummedStore`] block held open: the inner store's reader and the
+/// checksums recorded for the bytes it reads, so every read is verified
+/// without a look-up.
+struct ChecksummedReader<'a> {
+    block: BlockId,
+    inner: Box<dyn BlockReader + 'a>,
+    /// `None` for a legacy block that was never whole-read (all writes
+    /// through the wrapper record checksums): nothing to verify against, so
+    /// its ranges are served raw.
+    sums: Option<Arc<BlockChecksums>>,
+}
+
+impl BlockReader for ChecksummedReader<'_> {
+    fn read(&self, range: std::ops::Range<usize>) -> Result<Bytes> {
+        let Some(sums) = &self.sums else {
+            return self.inner.read(range);
+        };
+        let block = self.block;
+        check_range(block, &range, sums.block_len())?;
+        // Read and verify only the chunk-aligned span covering the range —
+        // slice reads stay O(slice), not O(block).
+        let (span, first_chunk) = sums.chunk_span(&range);
+        let aligned = match self.inner.read(span.clone()) {
+            Ok(aligned) => aligned,
+            // The recorded checksums say these bytes exist; an inner store
+            // that cannot serve them holds a *truncated* block — that is
+            // corruption, not a bad request, so it must take the same
+            // re-plan-and-heal path a flipped byte does.
+            Err(EcPipeError::InvalidRequest { .. }) => {
+                return Err(EcPipeError::CorruptBlock {
+                    block,
+                    chunk: first_chunk,
+                })
+            }
+            Err(e) => return Err(e),
+        };
+        if let Err(chunk) = sums.verify_chunks(&aligned, first_chunk) {
+            return Err(EcPipeError::CorruptBlock { block, chunk });
+        }
+        Ok(aligned.slice(range.start - span.start..range.end - span.start))
     }
 }
 

@@ -114,7 +114,7 @@ pub use manager::{
     RepairOutcome, RepairPriority, RepairRequest, ReplanEvent, ReplanReason, ScrubConfig,
     ScrubCycle, Scrubber,
 };
-pub use store::{BlockStore, FileStore, MemoryStore, StoreBackend};
+pub use store::{BlockReader, BlockStore, FileStore, MemoryStore, StoreBackend};
 pub use telemetry::{LinkTelemetry, TelemetryConfig};
 pub use transport::{
     AnyTransport, ChannelTransport, ReactorTransport, TcpTransport, Transport, TransportError,

@@ -177,7 +177,7 @@ impl fmt::Debug for StoreBackend {
     }
 }
 
-/// The one range rule every store's `get_range` applies: `range` must run
+/// The one range rule every store's range read applies: `range` must run
 /// forwards and end within the block's `len` bytes. A violation is the
 /// caller's error, never a panic in `Bytes::slice` or a silent empty read.
 pub(crate) fn check_range(
@@ -191,6 +191,42 @@ pub(crate) fn check_range(
         });
     }
     Ok(())
+}
+
+/// `range` of a block held whole in memory: a view, not a copy.
+fn slice_of(block: BlockId, whole: &Bytes, range: std::ops::Range<usize>) -> Result<Bytes> {
+    check_range(block, &range, whole.len())?;
+    Ok(whole.slice(range))
+}
+
+/// One stored block, opened once for the many range reads of one repair
+/// ([`BlockStore::reader`]): whatever a store pays per *block* — a path, an
+/// `open`, a checksum look-up — it pays when the reader is made, and
+/// [`read`](BlockReader::read) pays only for the bytes.
+///
+/// A reader is a snapshot. A block healed ([`BlockStore::put`]) or erased
+/// ([`BlockStore::delete`]) while a repair is running keeps serving that
+/// repair the bytes its plan was made against, verified by the checksums
+/// fetched with them; the next reader sees the new state. (The trait's
+/// default reader, for custom stores, is only as stable as the store's
+/// `get_range`.)
+pub trait BlockReader: Send {
+    /// Reads a byte range of the block, by the rules of
+    /// [`BlockStore::get_range`].
+    fn read(&self, range: std::ops::Range<usize>) -> Result<Bytes>;
+}
+
+/// The default [`BlockStore::reader`]: the presence check was made when it
+/// was opened, every read goes back through the store.
+struct RangeReader<'a, S: ?Sized> {
+    store: &'a S,
+    block: BlockId,
+}
+
+impl<S: BlockStore + ?Sized> BlockReader for RangeReader<'_, S> {
+    fn read(&self, range: std::ops::Range<usize>) -> Result<Bytes> {
+        self.store.get_range(self.block, range)
+    }
 }
 
 /// A node-local store of erasure-coded blocks.
@@ -221,9 +257,17 @@ pub trait BlockStore: Send + Sync {
     /// A reversed range, or one that ends past the block, is
     /// [`EcPipeError::InvalidRequest`] on every store.
     fn get_range(&self, block: BlockId, range: std::ops::Range<usize>) -> Result<Bytes> {
-        let whole = self.get(block)?;
-        check_range(block, &range, whole.len())?;
-        Ok(whole.slice(range))
+        slice_of(block, &self.get(block)?, range)
+    }
+
+    /// Opens a block for repeated range reads — what a helper does with the
+    /// block it serves, one read per slice. A missing block is
+    /// [`EcPipeError::BlockNotFound`] here, not at the first read.
+    fn reader(&self, block: BlockId) -> Result<Box<dyn BlockReader + '_>> {
+        if !self.contains(block) {
+            return Err(EcPipeError::BlockNotFound { block });
+        }
+        Ok(Box::new(RangeReader { store: self, block }))
     }
 
     /// Writes (or overwrites) a block.
@@ -308,6 +352,13 @@ impl BlockStore for MemoryStore {
             .ok_or(EcPipeError::BlockNotFound { block })
     }
 
+    fn reader(&self, block: BlockId) -> Result<Box<dyn BlockReader + '_>> {
+        Ok(Box::new(MemoryReader {
+            block,
+            whole: self.get(block)?,
+        }))
+    }
+
     fn put(&self, block: BlockId, data: Bytes) -> Result<()> {
         self.blocks.write().insert(block, data);
         Ok(())
@@ -328,6 +379,18 @@ impl BlockStore for MemoryStore {
     }
 }
 
+/// A [`MemoryStore`] block: the reader holds the bytes themselves.
+struct MemoryReader {
+    block: BlockId,
+    whole: Bytes,
+}
+
+impl BlockReader for MemoryReader {
+    fn read(&self, range: std::ops::Range<usize>) -> Result<Bytes> {
+        slice_of(self.block, &self.whole, range)
+    }
+}
+
 /// A file-backed block store: each block is a plain file named
 /// `s<stripe>b<index>` inside the store directory, mirroring how HDFS and QFS
 /// lay out blocks in the native file system.
@@ -338,6 +401,9 @@ pub struct FileStore {
     /// so tests can pin that slice reads do slice-sized — not block-sized —
     /// I/O.
     bytes_read: AtomicU64,
+    /// Block files opened for reading so far, so tests can pin that a repair
+    /// opens a helper's block once — not once per slice.
+    opens: AtomicU64,
 }
 
 impl FileStore {
@@ -348,6 +414,7 @@ impl FileStore {
         Ok(FileStore {
             dir,
             bytes_read: AtomicU64::new(0),
+            opens: AtomicU64::new(0),
         })
     }
 
@@ -365,50 +432,49 @@ impl FileStore {
         self.bytes_read.load(Ordering::Relaxed)
     }
 
+    /// How many times this store has opened a block file for reading.
+    pub fn opens(&self) -> u64 {
+        self.opens.load(Ordering::Relaxed)
+    }
+
     fn path_of(&self, block: BlockId) -> PathBuf {
         self.dir.join(block.to_string())
+    }
+
+    /// Opens `block`'s file: the path is built and the descriptor obtained
+    /// here, once for however many reads follow.
+    fn open_block(&self, block: BlockId) -> Result<FileReader<'_>> {
+        self.opens.fetch_add(1, Ordering::Relaxed);
+        match std::fs::File::open(self.path_of(block)) {
+            Ok(file) => Ok(FileReader {
+                store: self,
+                block,
+                file,
+            }),
+            Err(e) => Err(open_error(block, e)),
+        }
     }
 }
 
 impl BlockStore for FileStore {
     fn get(&self, block: BlockId) -> Result<Bytes> {
+        self.opens.fetch_add(1, Ordering::Relaxed);
         match std::fs::read(self.path_of(block)) {
             Ok(data) => {
                 self.bytes_read
                     .fetch_add(data.len() as u64, Ordering::Relaxed);
                 Ok(Bytes::from(data))
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Err(EcPipeError::BlockNotFound { block })
-            }
-            Err(e) => Err(e.into()),
+            Err(e) => Err(open_error(block, e)),
         }
     }
 
-    /// Positional range read: only the requested bytes travel from disk,
-    /// rather than the whole block the default implementation would load,
-    /// and in one `pread` — the file is not sized first. Only a range that
-    /// cannot be read that way (empty, reversed, or ending past the file) is
-    /// held against the file's length, by the rule every store shares.
     fn get_range(&self, block: BlockId, range: std::ops::Range<usize>) -> Result<Bytes> {
-        let file = match std::fs::File::open(self.path_of(block)) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(EcPipeError::BlockNotFound { block })
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let mut data = vec![0u8; range.len()];
-        let read = |data: &mut [u8]| file.read_exact_at(data, range.start as u64);
-        if data.is_empty() || read(&mut data).is_err() {
-            let len = file.metadata()?.len();
-            check_range(block, &range, usize::try_from(len).unwrap_or(usize::MAX))?;
-            // In bounds after all: nothing to read, or an error to report.
-            read(&mut data)?;
-        }
-        self.bytes_read
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        Ok(Bytes::from(data))
+        self.open_block(block)?.read(range)
+    }
+
+    fn reader(&self, block: BlockId) -> Result<Box<dyn BlockReader + '_>> {
+        Ok(Box::new(self.open_block(block)?))
     }
 
     /// Writes the block under a temporary name and renames it into place, so
@@ -456,6 +522,47 @@ impl BlockStore for FileStore {
         }
         ids.sort_unstable();
         ids
+    }
+}
+
+/// A [`FileStore`] block held open. The descriptor names the file as it was
+/// when opened: `put` renames a new file over the name and `delete` unlinks
+/// it, and neither changes what this reader reads.
+struct FileReader<'a> {
+    store: &'a FileStore,
+    block: BlockId,
+    file: std::fs::File,
+}
+
+impl BlockReader for FileReader<'_> {
+    /// Positional range read: only the requested bytes travel from disk,
+    /// rather than the whole block the default implementation would load,
+    /// and in one `pread` — the file is not sized first. Only a range that
+    /// cannot be read that way (empty, reversed, or ending past the file) is
+    /// held against the file's length, by the rule every store shares.
+    fn read(&self, range: std::ops::Range<usize>) -> Result<Bytes> {
+        let mut data = vec![0u8; range.len()];
+        let read = |data: &mut [u8]| self.file.read_exact_at(data, range.start as u64);
+        if data.is_empty() || read(&mut data).is_err() {
+            let len = self.file.metadata()?.len();
+            let len = usize::try_from(len).unwrap_or(usize::MAX);
+            check_range(self.block, &range, len)?;
+            // In bounds after all: nothing to read, or an error to report.
+            read(&mut data)?;
+        }
+        self.store
+            .bytes_read
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        Ok(Bytes::from(data))
+    }
+}
+
+/// Why `block`'s file could not be opened: it is not there, or I/O failed.
+fn open_error(block: BlockId, e: std::io::Error) -> EcPipeError {
+    if e.kind() == std::io::ErrorKind::NotFound {
+        EcPipeError::BlockNotFound { block }
+    } else {
+        e.into()
     }
 }
 
@@ -546,18 +653,43 @@ mod tests {
             let name = format!("{backend:?}");
             let store = backend.build().unwrap().remove(0);
             store.put(block(4, 1), Bytes::from(data.clone())).unwrap();
+            // Both ways in: a one-off `get_range`, and one reader opened for
+            // the whole table.
+            let reader = store.reader(block(4, 1)).unwrap();
             for (range, expected) in &cases {
-                let got = match store.get_range(block(4, 1), range.clone()) {
-                    Ok(bytes) => Ok(bytes.to_vec()),
-                    Err(EcPipeError::InvalidRequest { .. }) => Err("invalid"),
-                    Err(other) => panic!("{name} {range:?}: unexpected {other:?}"),
-                };
-                assert_eq!(&got, expected, "{name} {range:?}");
+                for (way, read) in [
+                    ("get_range", store.get_range(block(4, 1), range.clone())),
+                    ("reader", reader.read(range.clone())),
+                ] {
+                    let got = match read {
+                        Ok(bytes) => Ok(bytes.to_vec()),
+                        Err(EcPipeError::InvalidRequest { .. }) => Err("invalid"),
+                        Err(other) => panic!("{name} {way} {range:?}: unexpected {other:?}"),
+                    };
+                    assert_eq!(&got, expected, "{name} {way} {range:?}");
+                }
             }
             assert!(matches!(
                 store.get_range(block(9, 9), 0..1),
                 Err(EcPipeError::BlockNotFound { .. })
             ));
+            assert!(matches!(
+                store.reader(block(9, 9)).map(drop),
+                Err(EcPipeError::BlockNotFound { .. })
+            ));
+            // A reader is a snapshot: overwritten or deleted under it, the
+            // block it opened is the block it serves (on the checksummed
+            // stores, still verified — by the checksums it opened with).
+            let rewritten: Vec<u8> = data.iter().map(|b| !b).collect();
+            store
+                .put(block(4, 1), Bytes::from(rewritten.clone()))
+                .unwrap();
+            assert_eq!(reader.read(500..1030).unwrap(), data[500..1030], "{name}");
+            let reopened = store.reader(block(4, 1)).unwrap();
+            assert!(store.delete(block(4, 1)).unwrap());
+            assert_eq!(reader.read(0..2000).unwrap(), data, "{name}");
+            assert_eq!(reopened.read(0..2000).unwrap(), rewritten, "{name}");
+            assert!(store.reader(block(4, 1)).is_err(), "{name}");
         }
         std::fs::remove_dir_all(&root).ok();
     }

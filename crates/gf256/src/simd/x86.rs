@@ -36,7 +36,7 @@ use core::arch::x86_64::*;
 use std::ops::Range;
 
 use super::{scalar, KernelPath, Kernels, NibbleTables};
-use crate::tables::{crc32_mul_x, MUL_HI, MUL_LO};
+use crate::tables::{crc32_mul_x, CRC32_POLY, MUL_HI, MUL_LO};
 use crate::Gf256;
 
 pub(super) static SSSE3: Kernels = Kernels {
@@ -449,6 +449,23 @@ const fn fold_pair(distance: u32) -> (i64, i64) {
 const FOLD_STRIDE: (i64, i64) = fold_pair(8 * CRC_STRIDE as u32);
 /// The next lane over, for collapsing four lanes into one.
 const FOLD_LANE: (i64, i64) = fold_pair(128);
+/// `x^64 mod P`: moves the leading 32 of 96 bits onto the 64 behind them.
+const FOLD_64: i64 = fold_by(64);
+/// The generator with its `x^32` term, bit-reflected over 33 bits.
+const BARRETT_POLY: i64 = (((CRC32_POLY as u64) << 1) | 1) as i64;
+/// `floor(x^64 / P)`, bit-reflected over its 33 coefficients: what turns
+/// the last 64 bits into the quotient whose multiple of `P` cancels them.
+const BARRETT_MU: i64 = {
+    // Long division, one power of `x` per step: the remainder is
+    // `crc32_mul_x`'s, and a quotient bit is set each time that reduces.
+    let (mut quotient, mut remainder, mut i) = (0u64, 0x8000_0000u32, 0);
+    while i < 64 {
+        quotient = (quotient >> 1) | (((remainder & 1) as u64) << 32);
+        remainder = crc32_mul_x(remainder, 1);
+        i += 1;
+    }
+    quotient as i64
+};
 
 /// CRC-32 state update for both x86 paths: whole 64-byte strides through
 /// `pclmulqdq` when the host has it, everything else through the portable
@@ -486,13 +503,14 @@ fn fold(lane: __m128i, k: __m128i, next: __m128i) -> __m128i {
 ///
 /// The four accumulators always hold 64 bytes that are CRC-equivalent to
 /// everything consumed so far (the incoming state is XORed into the first
-/// four bytes, which is what a non-zero initial state means), so the final
-/// reduction needs no Barrett constants: collapse the lanes into one and
-/// feed its 16 bytes through the portable kernel from state 0.
+/// four bytes, which is what a non-zero initial state means). The end stays
+/// in registers — on 512-byte checksum chunks it is paid once per eight
+/// strides, so a pass through the byte tables there would cost as much as
+/// the folding: collapse the lanes into one, fold its 128 bits to 96 and to
+/// 64, and Barrett-reduce those to the 32-bit state.
 // SAFETY: every load is `loadu` (no alignment requirement) at an offset
 // `i + 16 * lane + 16 <= len`, because `i` advances in whole strides of 64
-// over a length that is a multiple of 64; the one store targets a local
-// 16-byte array.
+// over a length that is a multiple of 64; nothing is stored.
 #[target_feature(enable = "pclmulqdq")]
 unsafe fn crc32_pclmul_body(state: u32, data: &[u8]) -> u32 {
     debug_assert!(!data.is_empty());
@@ -513,9 +531,21 @@ unsafe fn crc32_pclmul_body(state: u32, data: &[u8]) -> u32 {
     }
     let k = _mm_set_epi64x(FOLD_LANE.1, FOLD_LANE.0);
     let x = fold(fold(fold(x0, k, x1), k, x2), k, x3);
-    let mut folded = [0u8; 16];
-    _mm_storeu_si128(folded.as_mut_ptr().cast(), x);
-    scalar::crc32(0, &folded)
+    // 128 -> 96 bits: the low qword (the earlier bytes) moves 64 bits
+    // forward, onto the high qword.
+    let x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, k), _mm_srli_si128::<8>(x));
+    // 96 -> 64 bits: the low dword moves 32 bits forward.
+    let low_dwords = _mm_set_epi32(0, -1, 0, -1);
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low_dwords), _mm_set_epi64x(0, FOLD_64)),
+        _mm_srli_si128::<4>(x),
+    );
+    // Barrett: q = low32(low32(x) * mu), then x + q * P has the remainder
+    // in its second dword.
+    let mu_poly = _mm_set_epi64x(BARRETT_MU, BARRETT_POLY);
+    let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low_dwords), mu_poly);
+    let q_poly = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low_dwords), mu_poly);
+    _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(x, q_poly))) as u32
 }
 
 #[cfg(test)]
@@ -528,5 +558,9 @@ mod tests {
         // (also pinned in zlib's and the Linux kernel's crc32 PCLMUL code).
         assert_eq!(FOLD_STRIDE, (0x1_5444_2bd4, 0x1_c6e4_1596));
         assert_eq!(FOLD_LANE, (0x1_7519_97d0, 0x0_ccaa_009e));
+        // k5, and the Barrett pair: P' and mu.
+        assert_eq!(FOLD_64, 0x1_63cd_6124);
+        assert_eq!(BARRETT_POLY, 0x1_db71_0641);
+        assert_eq!(BARRETT_MU, 0x1_f701_1641);
     }
 }
