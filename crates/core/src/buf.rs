@@ -1,6 +1,6 @@
 //! Pooled, reference-counted slice buffers.
 //!
-//! The repair executors allocate one partial-sum buffer per slice per
+//! The repair executor allocates one partial-sum buffer per slice per
 //! helper; at the paper's slice sizes (tens of KiB) and pipeline depths
 //! that is thousands of short-lived allocations per repaired block. A
 //! [`BufPool`] recycles them: [`BufPool::take`] hands out a [`PooledBuf`] to
@@ -23,9 +23,13 @@ use ecpipe_sync::Mutex;
 use crate::lock_order;
 
 /// How many returned buffers a pool retains before letting extras drop.
-/// One pipeline's worth of slices in flight plus headroom for the
-/// requestor-side copies; beyond that, holding memory costs more than the
-/// malloc it saves.
+/// A repair is walked by one thread that takes the most-downstream step
+/// first, so in steady state a chain holds about one partial per stage
+/// (`k` ≤ 32 of them), plus what waits in an in-process link — at most
+/// [`PIPELINE_DEPTH`](crate::exec::PIPELINE_DEPTH) per link, and usually
+/// one. A PPR round's store-and-forward window (a whole block of slices)
+/// is the one transient burst beyond that, and it costs a malloc per slice
+/// rather than keeping a block's worth of memory parked per repair.
 const DEFAULT_MAX_RETAINED: usize = 32;
 
 struct PoolInner {
@@ -34,7 +38,7 @@ struct PoolInner {
     max_retained: usize,
 }
 
-/// A bounded free-list of slice buffers shared by the threads of a repair.
+/// A bounded free-list of slice buffers shared by the stages of a repair.
 ///
 /// Cloning the pool is cheap (it is an `Arc` handle); every clone feeds the
 /// same free-list.
@@ -191,10 +195,11 @@ mod tests {
         drop(view);
         assert_eq!(pool.retained(), 1, "last view returns the buffer");
 
-        // The next take reuses the same allocation.
+        // The next take reuses the same allocation, at the length asked for
+        // (its contents are the caller's to overwrite).
         let again = pool.take(512);
         assert_eq!(again.as_ref().as_ptr() as usize, ptr);
-        assert!(again.iter().all(|&b| b == 0), "recycled buffers are zeroed");
+        assert_eq!(again.len(), 512);
         assert_eq!(pool.retained(), 0);
     }
 

@@ -1,12 +1,11 @@
-//! The repair executor: real threads moving real bytes.
+//! The repair executor: one thread walks a whole repair, moving real bytes.
 //!
 //! Every repair the paper describes is one fold — a helper reads a slice of
 //! its block, scales it by the block's decode coefficients, adds the
 //! partial sums it received and forwards — over a different shape, and the
 //! shape is data: a [`RepairDag`]. One walker (`Walk::run`) runs any of
-//! them, one thread per helper stage and the calling thread as the
-//! requestor, against the cluster's block stores, so the reconstructed block
-//! can be checked byte-for-byte against the erased one.
+//! them against the cluster's block stores, so the reconstructed block can
+//! be checked byte-for-byte against the erased one.
 //!
 //! * [`ExecStrategy::Conventional`] — a star: every helper streams its raw
 //!   block to the requestor, which performs the decoding combination (§2.2).
@@ -19,6 +18,26 @@
 //!   same chain with one slice per block.
 //! * [`execute_multi`] — the chain carrying `f` rows of partial sums (§4.4).
 //!
+//! # One thread, every stage
+//!
+//! §3.2's pipeline has every helper working on a different slice in the
+//! same timeslot. The walker gets that overlap without a thread per helper:
+//! the calling thread holds both halves of every link of the plan and a
+//! cursor per stage (which slice it is on, and whether it folds an input or
+//! sends next), and repeatedly takes the most-downstream step that cannot
+//! wait on another thread — the requestors first, then the stages from the
+//! last. A fold takes a slice only from a link that already holds a frame
+//! this walker sent; a send goes only into a free credit of its link
+//! ([`PIPELINE_DEPTH`] per link) and only once the link's token bucket has
+//! paid for it, polled without blocking. When no step can run, the walker
+//! sleeps until the earliest pacing deadline, so shaped links pace in
+//! parallel as they would on separate machines. In an unshaped chain a
+//! slice travels the whole path before the next one is read. (Over
+//! [`ReactorTransport`](crate::transport::ReactorTransport) a sent frame
+//! reaches its link's queue through an epoll thread; a fold or requestor
+//! receive that would wait for that delivery is taken only when nothing
+//! else can run, so the stages upstream keep sending meanwhile.)
+//!
 //! The walker is generic over the [`Transport`] trait: the same plans run
 //! over in-process channels
 //! ([`ChannelTransport`](crate::transport::ChannelTransport), no bandwidth
@@ -28,7 +47,8 @@
 //! wire). Timing-shape experiments at scale still run on the `simnet`
 //! simulator.
 
-use std::ops::Range;
+use std::collections::VecDeque;
+use std::time::Instant;
 
 use bytes::Bytes;
 use ecpipe_sync::OnceFlag;
@@ -44,9 +64,8 @@ use crate::store::BlockReader;
 use crate::transport::{SliceMsg, SliceReceiver, SliceSender, Transport};
 use crate::{EcPipeError, Result};
 
-/// The number of slices that may be buffered between two pipeline stages.
-/// Senders block (backpressure) once this many slices are in flight on one
-/// link.
+/// The number of slices a stage may run ahead of the stage (or requestor)
+/// it sends to: the credit window of every link of a plan.
 pub const PIPELINE_DEPTH: usize = 8;
 
 /// How a single-block repair is executed.
@@ -123,29 +142,30 @@ pub fn execute_single<T: Transport + ?Sized>(
     transport: &T,
     strategy: ExecStrategy,
 ) -> Result<Vec<u8>> {
-    execute_single_cancellable(directive, cluster, transport, strategy, &OnceFlag::new())
+    let dag = single_dag(directive, strategy);
+    execute_single_cancellable(directive, &dag, cluster, transport, &OnceFlag::new())
 }
 
-/// [`execute_single`] with cooperative cancellation: once `cancel` is set,
-/// every stage bails out at its next slice boundary and the repair fails
-/// with an [`EcPipeError::Execution`] error instead of completing.
+/// Walks `dag` — the plan [`single_dag`] made for `directive` — with
+/// cooperative cancellation: once `cancel` is set, the walk stops before
+/// its next slice and the repair fails with an [`EcPipeError::Execution`]
+/// error instead of completing.
 ///
 /// The repair manager's link watchdog uses this to abandon a stream whose
-/// path crosses a degraded link, then re-plans the repair around it. A
-/// cancelled execution leaves no partial block in any store — only the
-/// requestor writes, and only on success.
+/// path crosses a degraded link, then re-plans the repair around it; it
+/// passes the plan in because it samples the same plan's
+/// [`links`](RepairDag::links). A cancelled execution leaves no partial
+/// block in any store — only the requestor writes, and only on success.
 pub fn execute_single_cancellable<T: Transport + ?Sized>(
     directive: &RepairDirective,
+    dag: &RepairDag,
     cluster: &Cluster,
     transport: &T,
-    strategy: ExecStrategy,
     cancel: &OnceFlag,
 ) -> Result<Vec<u8>> {
-    let dag = single_dag(directive, strategy);
-    let tags = (directive.stripe.0, directive.repair_id());
     let walk = Walk {
-        dag: &dag,
-        tags,
+        dag,
+        tags: (directive.stripe.0, directive.repair_id()),
         cluster,
         cancel,
     };
@@ -161,14 +181,11 @@ pub fn execute_multi<T: Transport + ?Sized>(
     cluster: &Cluster,
     transport: &T,
 ) -> Result<Vec<Vec<u8>>> {
-    let dag = multi_dag(directive);
-    let tags = (directive.stripe.0, directive.repair_id());
-    let cancel = &OnceFlag::new();
     Walk {
-        dag: &dag,
-        tags,
+        dag: &multi_dag(directive),
+        tags: (directive.stripe.0, directive.repair_id()),
         cluster,
-        cancel,
+        cancel: &OnceFlag::new(),
     }
     .run(transport)
 }
@@ -183,239 +200,438 @@ struct Walk<'a> {
 }
 
 impl Walk<'_> {
-    /// Visits the slices of `window` in order. Every pass over slices — a
-    /// helper's and the requestors' alike — goes through here, which makes
-    /// this the one place a repair notices that it was cancelled.
-    fn each_slice(
-        &self,
-        window: Range<usize>,
-        mut step: impl FnMut(usize) -> Result<()>,
-    ) -> Result<()> {
-        for j in window {
-            if self.cancel.is_set() {
-                return Err(execution_error("repair cancelled mid-stream"));
-            }
-            step(j)?;
-        }
-        Ok(())
-    }
-
-    /// Runs the plan end to end and returns one reconstructed block per
-    /// requestor: a thread per helper stage, the calling thread as the
-    /// requestors, one [`PIPELINE_DEPTH`]-slice link per edge of the plan.
+    /// Runs the plan end to end on the calling thread and returns one
+    /// reconstructed block per requestor: one [`PIPELINE_DEPTH`]-slice link
+    /// per edge of the plan, both of its halves held here, and the
+    /// most-downstream step that can run taken again and again.
     fn run<T: Transport + ?Sized>(&self, transport: &T) -> Result<Vec<Vec<u8>>> {
         let dag = self.dag;
         if dag.stages().is_empty() {
             return Err(execution_error("repair path has no helpers"));
         }
         // Pre-flight: every helper opens its block, once for all its slices,
-        // before any link or thread exists. A block that disappeared after
-        // planning surfaces as `BlockNotFound`, which lets the caller restart
-        // with a different helper set (§3.2).
+        // before any link exists. A block that disappeared after planning
+        // surfaces as `BlockNotFound`, which lets the caller restart with a
+        // different helper set (§3.2).
         let readers = dag
             .stages()
             .iter()
             .map(|stage| self.cluster.store(stage.node).reader(stage.block))
             .collect::<Result<Vec<_>>>()?;
-        let layout = dag.layout();
+
+        let mut links = Vec::new();
+        let mut stages: Vec<Cursor<'_>> = Vec::with_capacity(readers.len());
+        for (index, (stage, block)) in dag.stages().iter().zip(readers).enumerate() {
+            let outputs = dag
+                .destinations(index)
+                .into_iter()
+                .map(|dst| {
+                    let (tx, rx) = transport.link(stage.node, dst, PIPELINE_DEPTH);
+                    links.push(Link::new(tx, rx));
+                    links.len() - 1
+                })
+                .collect();
+            let inputs = stage
+                .upstream
+                .iter()
+                .flat_map(|&up| stages[up].outputs.clone())
+                .collect();
+            stages.push(Cursor::new(dag, stage, block, inputs, outputs));
+        }
+        let deliveries = dag
+            .deliveries()
+            .iter()
+            .map(|&from| (from, stages[from].outputs.clone()))
+            .collect();
+        let mut requestors = Requestors::new(dag, deliveries);
 
         // One pool serves the whole plan: a partial buffer freed by the
         // downstream consumer is reused for a later slice, so the steady
         // state allocates nothing per slice.
         let pool = &BufPool::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            // The receiving ends of the links opened so far, by sending
-            // stage, until the stage (or requestor side) that reads them
-            // picks them up.
-            let mut open: Vec<Vec<SliceReceiver>> = Vec::new();
-            for (index, (stage, reader)) in dag.stages().iter().zip(readers).enumerate() {
-                let (outputs, receivers): (Vec<_>, Vec<_>) = dag
-                    .destinations(index)
-                    .into_iter()
-                    .map(|dst| transport.link(stage.node, dst, PIPELINE_DEPTH))
-                    .unzip();
-                open.push(receivers);
-                let inputs: Vec<SliceReceiver> = stage
-                    .upstream
-                    .iter()
-                    .flat_map(|&up| std::mem::take(&mut open[up]))
-                    .collect();
-                handles.push(
-                    scope.spawn(move || self.run_stage(stage, &*reader, &inputs, &outputs, pool)),
-                );
+        while !requestors.done() {
+            // The one place a repair notices that it was cancelled: every
+            // step is one slice's worth of one stage's work.
+            if self.cancel.is_set() {
+                return Err(execution_error("repair cancelled mid-stream"));
             }
-
-            // The requestors fold what is delivered to them, one delivering
-            // stage after the other. Every stage sends from a thread of its
-            // own, so the ones not being read yet just wait at their credit
-            // window — and on shaped links that link-by-link drain is what
-            // makes a star cost `k` timeslots. Within a stage the rows are
-            // collected slice by slice, in its send order: one thread drains
-            // all its links here, and it blocks once `PIPELINE_DEPTH` slices
-            // are unread on any.
-            let mut blocks = vec![vec![0u8; layout.block_size]; dag.rows()];
-            let folded = dag.deliveries().iter().try_for_each(|&from| {
-                let stage = &dag.stages()[from];
-                self.each_slice(0..layout.slice_count(), |_| {
-                    for (row, rx) in open[from].iter().enumerate() {
-                        let msg = rx.recv().ok_or_else(|| {
-                            execution_error("delivery ended before the block was complete")
-                        })?;
-                        let coeff = match stage.output {
-                            Output::RawToRequestors => stage.coeffs[row],
-                            _ => 1,
-                        };
-                        gf256::mul_add_slice(
-                            Gf256::new(coeff),
-                            &msg.data,
-                            &mut blocks[row][layout.slice_range(msg.index)],
-                        );
-                    }
-                    Ok(())
-                })
-            });
-            // After a failed fold this is what fails the delivering stages'
-            // sends, so the join below returns.
-            drop(open);
-            // Join the helpers before reporting that failure: a helper that
-            // failed a local read (a vanished or checksum-corrupt block)
-            // carries the specific error; the requestors only saw the stream
-            // end early.
-            join_all(handles)?;
-            folded?;
-            Ok(blocks)
-        })
+            // A step that waits on no other thread; failing that, a receive
+            // of a frame still being delivered (an epoll thread of the
+            // reactor transport has it); failing that, every send left is
+            // waiting for its pacing.
+            let mut turn = Turn::Blocked(None);
+            for patient in [false, true] {
+                turn = self.step(&mut requestors, &mut stages, &mut links, pool, patient)?;
+                if let Turn::Took = turn {
+                    break;
+                }
+            }
+            if let Turn::Blocked(wake) = turn {
+                let at = wake.ok_or_else(|| execution_error("repair stalled: no step can run"))?;
+                std::thread::sleep(at.saturating_duration_since(Instant::now()));
+            }
+        }
+        Ok(requestors.blocks)
     }
 
-    /// One helper stage: folds and forwards its block a window of slices at
-    /// a time — the local slices scaled into fresh partial sums, then each
-    /// input added in fold order, then the window sent on. A cut-through
-    /// stage's window is one slice, so it works on slice `j` while its
-    /// downstream stage works on `j - 1`; a store-and-forward stage's window
-    /// is the whole block — unless it has no inputs to wait for.
-    fn run_stage(
+    /// Takes the most-downstream step that can run — the requestors', else
+    /// the stages' from the last — or reports the earliest pacing deadline
+    /// met on the way. A `patient` scan also takes a receive that has to
+    /// wait for its frame's delivery.
+    fn step(
         &self,
-        stage: &Stage,
-        block: &dyn BlockReader,
-        inputs: &[SliceReceiver],
-        outputs: &[SliceSender],
+        requestors: &mut Requestors<'_>,
+        stages: &mut [Cursor<'_>],
+        links: &mut [Link],
         pool: &BufPool,
-    ) -> Result<()> {
-        let layout = self.dag.layout();
-        let slices = layout.slice_count();
-        if stage.output == Output::RawToRequestors {
-            return self.each_slice(0..slices, |j| {
-                self.send(j, block.read(layout.slice_range(j))?, outputs)
-            });
-        }
-        // Slice `j` of the local block scaled by the stage's coefficients:
-        // the stage's own term of every row, rows back to back.
-        let coeffs = gf256::Matrix::from_bytes(self.dag.rows(), 1, &stage.coeffs);
-        let local_partial = |j: usize| -> Result<PooledBuf> {
-            let local = block.read(layout.slice_range(j))?;
-            let mut partial = pool.take(coeffs.rows() * local.len());
-            if let [coeff] = stage.coeffs[..] {
-                gf256::mul_slice(Gf256::new(coeff), &local, &mut partial);
-            } else {
-                // One fused kernel call scales the slice into all rows.
-                let mut rows: Vec<&mut [u8]> = partial.chunks_exact_mut(local.len()).collect();
-                gf256::dot_prod(&coeffs, &[&local], &mut rows, false);
+        patient: bool,
+    ) -> Result<Turn> {
+        let mut wake: Option<Instant> = None;
+        let mut turn = requestors.turn(links, patient)?;
+        let mut upstream = stages.iter_mut().rev();
+        while let Turn::Blocked(at) = turn {
+            wake = wake.into_iter().chain(at).min();
+            match upstream.next() {
+                Some(stage) => turn = stage.turn(self, links, pool, patient)?,
+                None => return Ok(Turn::Blocked(wake)),
             }
-            Ok(partial)
-        };
-        let per_slice = stage.cut_through || inputs.is_empty();
-        let width = if per_slice { 1 } else { slices };
-        let mut held = Vec::with_capacity(width);
-        for start in (0..slices).step_by(width) {
-            let window = start..slices.min(start + width);
-            self.each_slice(window.clone(), |j| {
-                held.push(local_partial(j)?);
-                Ok(())
-            })?;
-            for rx in inputs {
-                self.each_slice(window.clone(), |j| {
-                    let msg = rx
-                        .recv()
-                        .ok_or_else(|| execution_error("upstream helper stopped early"))?;
-                    gf256::add_slice(&msg.data, &mut held[j - start]);
-                    Ok(())
-                })?;
-            }
-            let mut folded = held.drain(..);
-            self.each_slice(window, |j| {
-                let partial = folded.next().expect("one partial per slice of the window");
-                self.send(j, partial.freeze(), outputs)
-            })?;
         }
-        Ok(())
+        Ok(Turn::Took)
     }
 
     /// Sends slice `j` on: whole to a downstream stage, or cut into one row
     /// per requestor — each a view into the shared buffer, not its own copy.
-    fn send(&self, j: usize, data: Bytes, outputs: &[SliceSender]) -> Result<()> {
+    fn send(&self, j: usize, data: Bytes, outputs: &[usize], links: &mut [Link]) -> Result<()> {
         let (stripe, repair) = self.tags;
         let row = data.len() / outputs.len();
-        for (r, tx) in outputs.iter().enumerate() {
+        for (r, &out) in outputs.iter().enumerate() {
             let view = data.slice(r * row..(r + 1) * row);
-            tx.send(SliceMsg::new(j, view).tagged(stripe, repair))?;
+            links[out].send(SliceMsg::new(j, view).tagged(stripe, repair))?;
         }
         Ok(())
     }
 }
 
-/// Joins every helper thread. When several failed, the most *specific* error
-/// wins: a local-read failure (a corrupt or vanished block) explains the
-/// repair's failure, while `Execution` errors are usually just the
-/// downstream echo of that same event ("peer gone", "upstream stopped
-/// early"). The manager relies on this to re-plan around the actual culprit
-/// instead of seeing a generic stream failure.
-fn join_all(handles: Vec<std::thread::ScopedJoinHandle<'_, Result<()>>>) -> Result<()> {
-    fn specificity(e: &EcPipeError) -> u8 {
-        match e {
-            EcPipeError::CorruptBlock { .. } | EcPipeError::BlockNotFound { .. } => 2,
-            EcPipeError::Execution { .. } => 0,
-            _ => 1,
+/// One edge of the plan, both halves held by the walker, and how many
+/// frames it has carried each way.
+struct Link {
+    /// Declared before `tx`, so the receiver goes first: a finished link's
+    /// sender then has nobody to tell that the stream ended (and over TCP
+    /// writes no end-of-stream frame).
+    rx: SliceReceiver,
+    tx: SliceSender,
+    sent: usize,
+    received: usize,
+}
+
+impl Link {
+    fn new(tx: SliceSender, rx: SliceReceiver) -> Self {
+        Link {
+            rx,
+            tx,
+            sent: 0,
+            received: 0,
         }
     }
-    let mut worst: Option<EcPipeError> = None;
-    for h in handles {
-        let outcome = match h.join() {
-            Ok(result) => result,
-            Err(_) => Err(execution_error("worker thread panicked")),
+
+    /// A frame this walker sent is waiting — delivered, so a receive
+    /// cannot wait on another thread, or (`patient`) at least sent.
+    fn holds_a_frame(&self, patient: bool) -> bool {
+        self.received < self.sent && (patient || self.rx.delivered())
+    }
+
+    /// A send cannot block on the credit window.
+    fn has_credit(&self) -> bool {
+        self.sent - self.received < PIPELINE_DEPTH
+    }
+
+    fn send(&mut self, msg: SliceMsg) -> Result<()> {
+        self.tx.send(msg)?;
+        self.sent += 1;
+        Ok(())
+    }
+
+    fn recv(&mut self) -> Result<SliceMsg> {
+        let msg = self
+            .rx
+            .recv()
+            .ok_or_else(|| execution_error("a link ended before a slice sent on it arrived"))?;
+        self.received += 1;
+        Ok(msg)
+    }
+}
+
+/// What a cursor did when its turn came.
+enum Turn {
+    /// It took one step.
+    Took,
+    /// It cannot step until the instant given (a link's pacing) or, with
+    /// `None`, until some other cursor steps.
+    Blocked(Option<Instant>),
+}
+
+/// A helper stage's next step.
+#[derive(Clone, Copy)]
+enum Step {
+    /// Fold slice `slice` of input `input` into the window's partial sums.
+    Fold {
+        input: usize,
+        slice: usize,
+    },
+    /// Send slice `slice` on.
+    Send {
+        slice: usize,
+    },
+    Done,
+}
+
+/// Where one helper stage is in its block. It works a window of slices at a
+/// time — each input's slices of the window folded in fold order, then the
+/// window sent on. A cut-through stage's window is one slice, so it works on
+/// slice `j` while its downstream stage works on `j - 1`; a store-and-forward
+/// stage's window is the whole block — unless it has no inputs to wait for.
+struct Cursor<'a> {
+    stage: &'a Stage,
+    block: Box<dyn BlockReader + 'a>,
+    /// The links it folds, in fold order, and the links it sends on (one per
+    /// destination), as indices into the walker's links.
+    inputs: Vec<usize>,
+    outputs: Vec<usize>,
+    /// The stage's column of the decode matrix, one coefficient per row.
+    coeffs: gf256::Matrix,
+    layout: SliceLayout,
+    /// Slices per window.
+    width: usize,
+    next: Step,
+    /// The window's partial sums, from its first slice on.
+    held: VecDeque<PooledBuf>,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(
+        dag: &RepairDag,
+        stage: &'a Stage,
+        block: Box<dyn BlockReader + 'a>,
+        inputs: Vec<usize>,
+        outputs: Vec<usize>,
+    ) -> Self {
+        let layout = dag.layout();
+        let per_slice = stage.cut_through || inputs.is_empty();
+        let mut cursor = Cursor {
+            stage,
+            block,
+            inputs,
+            outputs,
+            coeffs: gf256::Matrix::from_bytes(dag.rows(), 1, &stage.coeffs),
+            layout,
+            width: if per_slice { 1 } else { layout.slice_count() },
+            next: Step::Done,
+            held: VecDeque::new(),
         };
-        if let Err(e) = outcome {
-            if worst
-                .as_ref()
-                .is_none_or(|w| specificity(&e) > specificity(w))
-            {
-                worst = Some(e);
+        cursor.next = cursor.window_from(0);
+        cursor
+    }
+
+    /// The first step of the window that starts at `slice`.
+    fn window_from(&self, slice: usize) -> Step {
+        match (slice == self.layout.slice_count(), self.inputs.is_empty()) {
+            (true, _) => Step::Done,
+            (false, true) => Step::Send { slice },
+            (false, false) => Step::Fold { input: 0, slice },
+        }
+    }
+
+    /// The first slice of the window holding `slice`.
+    fn window_start(&self, slice: usize) -> usize {
+        slice - slice % self.width
+    }
+
+    /// The last slice of the window holding `slice`, plus one.
+    fn window_end(&self, slice: usize) -> usize {
+        (self.window_start(slice) + self.width).min(self.layout.slice_count())
+    }
+
+    /// Takes the stage's next step if nothing it needs is missing.
+    fn turn(
+        &mut self,
+        walk: &Walk<'_>,
+        links: &mut [Link],
+        pool: &BufPool,
+        patient: bool,
+    ) -> Result<Turn> {
+        match self.next {
+            Step::Done => Ok(Turn::Blocked(None)),
+            Step::Fold { input, slice } => {
+                let link = &mut links[self.inputs[input]];
+                if !link.holds_a_frame(patient) {
+                    return Ok(Turn::Blocked(None));
+                }
+                if input == 0 {
+                    let partial = self.local_partial(slice, pool)?;
+                    self.held.push_back(partial);
+                }
+                let msg = link.recv()?;
+                let held = slice - self.window_start(slice);
+                gf256::add_slice(&msg.data, &mut self.held[held]);
+                self.next = if slice + 1 < self.window_end(slice) {
+                    Step::Fold {
+                        input,
+                        slice: slice + 1,
+                    }
+                } else if input + 1 < self.inputs.len() {
+                    Step::Fold {
+                        input: input + 1,
+                        slice: self.window_start(slice),
+                    }
+                } else {
+                    Step::Send {
+                        slice: self.window_start(slice),
+                    }
+                };
+                Ok(Turn::Took)
+            }
+            Step::Send { slice } => {
+                if let Some(wait) = self.blocked_send(slice, links) {
+                    return Ok(Turn::Blocked(wait));
+                }
+                let raw = self.stage.output == Output::RawToRequestors;
+                let data = match self.held.pop_front() {
+                    Some(partial) => partial.freeze(),
+                    None if raw => self.block.read(self.layout.slice_range(slice))?,
+                    None => self.local_partial(slice, pool)?.freeze(),
+                };
+                walk.send(slice, data, &self.outputs, links)?;
+                self.next = if slice + 1 < self.window_end(slice) {
+                    Step::Send { slice: slice + 1 }
+                } else {
+                    self.window_from(slice + 1)
+                };
+                Ok(Turn::Took)
             }
         }
     }
-    match worst {
-        Some(e) => Err(e),
-        None => Ok(()),
+
+    /// Why slice `slice` cannot be sent yet, if it cannot: a link out of
+    /// credit (`Some(None)`), or links whose pacing has not paid for it
+    /// (`Some(Some(instant))`: when the first of them is worth polling
+    /// again). Every output's pacing is polled, so they all pay at once.
+    fn blocked_send(&self, slice: usize, links: &[Link]) -> Option<Option<Instant>> {
+        if !self.outputs.iter().all(|&out| links[out].has_credit()) {
+            return Some(None);
+        }
+        let slice_len = self.layout.slice_range(slice).len();
+        let payload = match self.stage.output {
+            Output::RawToRequestors => slice_len,
+            _ => self.coeffs.rows() * slice_len,
+        };
+        let per_output = payload / self.outputs.len();
+        self.outputs
+            .iter()
+            .filter_map(|&out| links[out].tx.poll_pacing(per_output))
+            .min()
+            .map(Some)
+    }
+
+    /// Slice `j` of the local block scaled by the stage's coefficients: the
+    /// stage's own term of every row, rows back to back.
+    fn local_partial(&self, j: usize, pool: &BufPool) -> Result<PooledBuf> {
+        let local = self.block.read(self.layout.slice_range(j))?;
+        let mut partial = pool.take(self.coeffs.rows() * local.len());
+        if let [coeff] = self.stage.coeffs[..] {
+            gf256::mul_slice(Gf256::new(coeff), &local, &mut partial);
+        } else {
+            // One fused kernel call scales the slice into all rows.
+            let mut rows: Vec<&mut [u8]> = partial.chunks_exact_mut(local.len()).collect();
+            gf256::dot_prod(&self.coeffs, &[&local], &mut rows, false);
+        }
+        Ok(partial)
+    }
+}
+
+/// The requestors' side: they fold what is delivered to them, one
+/// delivering stage after the other, and within a stage slice by slice in
+/// its send order, every row of a slice before the next slice. On shaped
+/// links that link-by-link drain is what makes a star cost `k` timeslots:
+/// the stages not being read yet stop at their credit window.
+struct Requestors<'a> {
+    dag: &'a RepairDag,
+    /// Per delivering stage, in fold order: the stage and its links, one
+    /// per requestor.
+    deliveries: Vec<(usize, Vec<usize>)>,
+    /// The next slice to fold: (delivery, slice, row); `None` once done.
+    next: Option<(usize, usize, usize)>,
+    blocks: Vec<Vec<u8>>,
+}
+
+impl<'a> Requestors<'a> {
+    fn new(dag: &'a RepairDag, deliveries: Vec<(usize, Vec<usize>)>) -> Self {
+        Requestors {
+            dag,
+            deliveries,
+            next: Some((0, 0, 0)),
+            blocks: vec![vec![0u8; dag.layout().block_size]; dag.rows()],
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.next.is_none()
+    }
+
+    fn turn(&mut self, links: &mut [Link], patient: bool) -> Result<Turn> {
+        let Some((delivery, slice, row)) = self.next else {
+            return Ok(Turn::Blocked(None));
+        };
+        let (from, ref delivered) = self.deliveries[delivery];
+        let link = &mut links[delivered[row]];
+        if !link.holds_a_frame(patient) {
+            return Ok(Turn::Blocked(None));
+        }
+        let msg = link.recv()?;
+        let stage = &self.dag.stages()[from];
+        let coeff = match stage.output {
+            Output::RawToRequestors => stage.coeffs[row],
+            _ => 1,
+        };
+        let layout = self.dag.layout();
+        gf256::mul_add_slice(
+            Gf256::new(coeff),
+            &msg.data,
+            &mut self.blocks[row][layout.slice_range(msg.index)],
+        );
+        self.next = if row + 1 < delivered.len() {
+            Some((delivery, slice, row + 1))
+        } else if slice + 1 < layout.slice_count() {
+            Some((delivery, slice + 1, 0))
+        } else if delivery + 1 < self.deliveries.len() {
+            Some((delivery + 1, 0, 0))
+        } else {
+            None
+        };
+        Ok(Turn::Took)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::ChannelTransport;
+    use crate::transport::{
+        ChannelTransport, LinkStats, ReactorTransport, SliceRx, SliceTx, StatsRegistry,
+        TcpTransport, TransportError,
+    };
     use crate::{BlockStore, Cluster, Coordinator};
     use ecc::stripe::StripeId;
     use ecc::{ErasureCode, Lrc, ReedSolomon};
     use simnet::{CostModel, NodeId, Simulator, Topology, GBIT};
     use std::collections::HashMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     const BLOCK: usize = 8192;
 
-    fn make_data(k: usize, seed: u64) -> Vec<Vec<u8>> {
+    fn make_data(k: usize, block: usize, seed: u64) -> Vec<Vec<u8>> {
         (0..k)
             .map(|i| {
-                (0..BLOCK)
+                (0..block)
                     .map(|b| ((b as u64 * 131 + i as u64 * 17 + seed * 7) % 253) as u8)
                     .collect()
             })
@@ -423,30 +639,116 @@ mod tests {
     }
 
     fn setup(code: Arc<dyn ErasureCode>) -> (Cluster, Coordinator, Vec<Vec<u8>>, StripeId) {
+        setup_sized(code, SliceLayout::new(BLOCK, 1024))
+    }
+
+    fn setup_sized(
+        code: Arc<dyn ErasureCode>,
+        layout: SliceLayout,
+    ) -> (Cluster, Coordinator, Vec<Vec<u8>>, StripeId) {
         let k = code.k();
         let n = code.n();
-        let coordinator = Coordinator::new(code, ecc::slice::SliceLayout::new(BLOCK, 1024));
+        let coordinator = Coordinator::new(code, layout);
         let cluster = Cluster::new(crate::StoreBackend::memory(n + 2)).unwrap();
-        let data = make_data(k, 3);
+        let data = make_data(k, layout.block_size, 3);
         let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
         (cluster, coordinator, data, stripe)
     }
 
+    /// A [`ChannelTransport`] whose links fail the test instead of
+    /// blocking: a `recv` that finds no frame, or a `send` that finds no free
+    /// credit, would wait on another thread — which the walker, the only
+    /// thread of a repair, must never need to.
+    #[derive(Default)]
+    struct NoWaitTransport(ChannelTransport);
+
+    /// Frames sent on a link and not yet received.
+    type InFlight = Arc<AtomicUsize>;
+
+    struct NoWaitTx(SliceSender, InFlight, usize);
+
+    impl SliceTx for NoWaitTx {
+        fn send(&self, msg: SliceMsg) -> std::result::Result<(), TransportError> {
+            let NoWaitTx(tx, in_flight, capacity) = self;
+            let sent = in_flight.fetch_add(1, Ordering::SeqCst);
+            assert!(
+                sent < *capacity,
+                "a send found no free credit: it would block"
+            );
+            tx.send(msg)
+        }
+    }
+
+    struct NoWaitRx(SliceReceiver, InFlight);
+
+    impl SliceRx for NoWaitRx {
+        fn recv(&self) -> Option<SliceMsg> {
+            let NoWaitRx(rx, in_flight) = self;
+            let waiting = in_flight.load(Ordering::SeqCst);
+            assert!(waiting > 0, "a recv found no frame: it would block");
+            in_flight.store(waiting - 1, Ordering::SeqCst);
+            rx.recv()
+        }
+    }
+
+    impl Transport for NoWaitTransport {
+        fn link(&self, src: NodeId, dst: NodeId, capacity: usize) -> (SliceSender, SliceReceiver) {
+            let (tx, rx) = self.0.link(src, dst, capacity);
+            let in_flight = InFlight::default();
+            // The inner link counts the traffic; this wrapper only watches.
+            (
+                SliceSender::new(
+                    NoWaitTx(tx, in_flight.clone(), capacity),
+                    Arc::new(LinkStats::default()),
+                    None,
+                    0,
+                ),
+                SliceReceiver::new(NoWaitRx(rx, in_flight)),
+            )
+        }
+
+        fn stats(&self) -> &StatsRegistry {
+            self.0.stats()
+        }
+    }
+
     #[test]
     fn every_strategy_reconstructs_a_data_block() {
-        for strategy in [
-            ExecStrategy::Conventional,
-            ExecStrategy::Ppr,
-            ExecStrategy::RepairPipelining,
-            ExecStrategy::BlockPipeline,
-        ] {
-            let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
-            let (cluster, coordinator, data, stripe) = setup(code);
-            cluster.erase_block(stripe, 3);
-            let repaired = cluster
-                .repair(&coordinator, stripe, 3, 15, strategy)
-                .unwrap();
-            assert_eq!(repaired, data[3], "strategy {:?}", strategy);
+        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
+        // Pipe-B at 4 MiB: every hop is one frame larger than a socket's
+        // buffers, written and then read by the one thread walking the plan.
+        let big_code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
+        let (big, big_coordinator, big_data, big_stripe) =
+            setup_sized(big_code, SliceLayout::new(4 << 20, 64 << 10));
+        big.erase_block(big_stripe, 2);
+        let big_directive = big_coordinator
+            .plan_single_repair(big.meta(), big_stripe, 2, 7)
+            .unwrap();
+        let (channel, tcp, reactor) = (
+            ChannelTransport::new(),
+            TcpTransport::new(),
+            ReactorTransport::new(),
+        );
+        let transports: [(&str, &dyn Transport); 3] =
+            [("channel", &channel), ("tcp", &tcp), ("reactor", &reactor)];
+        for (name, transport) in transports {
+            for strategy in [
+                ExecStrategy::Conventional,
+                ExecStrategy::Ppr,
+                ExecStrategy::RepairPipelining,
+                ExecStrategy::BlockPipeline,
+            ] {
+                let (cluster, coordinator, data, stripe) = setup(code.clone());
+                cluster.erase_block(stripe, 3);
+                let repaired = cluster
+                    .repair_over(&coordinator, stripe, 3, 15, strategy, transport)
+                    .unwrap();
+                assert_eq!(repaired, data[3], "strategy {strategy:?} over {name}");
+            }
+            let repaired =
+                execute_single(&big_directive, &big, transport, ExecStrategy::BlockPipeline)
+                    .unwrap();
+            assert!(repaired == big_data[2], "4 MiB Pipe-B over {name}");
         }
     }
 
@@ -593,7 +895,8 @@ mod tests {
                     let directive = coordinator
                         .plan_single_repair(cluster.meta(), stripe, 1, 7)
                         .unwrap();
-                    execute_single_cancellable(&directive, &cluster, &transport, strategy, &cancel)
+                    let dag = single_dag(&directive, strategy);
+                    execute_single_cancellable(&directive, &dag, &cluster, &transport, &cancel)
                         .map(|block| vec![block])
                 }
                 None => {
@@ -626,10 +929,12 @@ mod tests {
     /// The manager's link watchdog samples `links()`, so a shape that sent
     /// over an undeclared link would go unwatched. The simulator times the
     /// same plan value (`RepairDag::schedule`), so its per-link bytes are the
-    /// third side of the same equation: model ≡ plan ≡ runtime.
+    /// third side of the same equation: model ≡ plan ≡ runtime. Every shape
+    /// also runs over [`NoWaitTransport`], which fails the walk the moment a
+    /// step could wait on another thread.
     #[test]
     fn every_shape_loads_exactly_the_links_its_plan_declares() {
-        fn assert_moved_as_declared(dag: &RepairDag, transport: &ChannelTransport) {
+        fn assert_moved_as_declared(dag: &RepairDag, transport: &dyn Transport) {
             let declared: HashMap<(NodeId, NodeId), u64> = dag
                 .links()
                 .iter()
@@ -648,38 +953,44 @@ mod tests {
                 .collect();
             assert_eq!(moved, declared);
         }
+        let transports: [fn() -> Box<dyn Transport>; 2] = [
+            || Box::new(ChannelTransport::new()),
+            || Box::new(NoWaitTransport::default()),
+        ];
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
-        for strategy in [
-            ExecStrategy::Conventional,
-            ExecStrategy::Ppr,
-            ExecStrategy::RepairPipelining,
-            ExecStrategy::BlockPipeline,
-        ] {
+        for fresh in transports {
+            for strategy in [
+                ExecStrategy::Conventional,
+                ExecStrategy::Ppr,
+                ExecStrategy::RepairPipelining,
+                ExecStrategy::BlockPipeline,
+            ] {
+                let (cluster, coordinator, _data, stripe) = setup(code.clone());
+                cluster.erase_block(stripe, 0);
+                let directive = coordinator
+                    .plan_single_repair(cluster.meta(), stripe, 0, 15)
+                    .unwrap();
+                let transport = fresh();
+                execute_single(&directive, &cluster, &*transport, strategy).unwrap();
+                let dag = single_dag(&directive, strategy);
+                assert_eq!(dag.links().len(), 10, "strategy {strategy:?}");
+                assert_moved_as_declared(&dag, &*transport);
+            }
             let (cluster, coordinator, _data, stripe) = setup(code.clone());
-            cluster.erase_block(stripe, 0);
+            let failed = [1, 6, 12];
+            for &f in &failed {
+                cluster.erase_block(stripe, f);
+            }
+            // Two requestors on one node: their delivery edges are one link.
             let directive = coordinator
-                .plan_single_repair(cluster.meta(), stripe, 0, 15)
+                .plan_multi_repair(cluster.meta(), stripe, &failed, &[14, 15, 14])
                 .unwrap();
-            let transport = ChannelTransport::new();
-            execute_single(&directive, &cluster, &transport, strategy).unwrap();
-            let dag = single_dag(&directive, strategy);
-            assert_eq!(dag.links().len(), 10, "strategy {strategy:?}");
-            assert_moved_as_declared(&dag, &transport);
+            let transport = fresh();
+            execute_multi(&directive, &cluster, &*transport).unwrap();
+            let dag = multi_dag(&directive);
+            assert_eq!(dag.links().len(), 9 + 2);
+            assert_moved_as_declared(&dag, &*transport);
         }
-        let (cluster, coordinator, _data, stripe) = setup(code);
-        let failed = [1, 6, 12];
-        for &f in &failed {
-            cluster.erase_block(stripe, f);
-        }
-        // Two requestors on one node: their delivery edges are one link.
-        let directive = coordinator
-            .plan_multi_repair(cluster.meta(), stripe, &failed, &[14, 15, 14])
-            .unwrap();
-        let transport = ChannelTransport::new();
-        execute_multi(&directive, &cluster, &transport).unwrap();
-        let dag = multi_dag(&directive);
-        assert_eq!(dag.links().len(), 9 + 2);
-        assert_moved_as_declared(&dag, &transport);
     }
 
     /// A helper opens its block once and reads it once: whatever the shape,
@@ -712,7 +1023,7 @@ mod tests {
             let stores = files.iter().map(|s| s.clone() as Arc<dyn BlockStore>);
             let cluster = Cluster::new(crate::StoreBackend::custom(stores.collect())).unwrap();
             let stripe = cluster
-                .write_stripe(coordinator.code(), 0, &make_data(10, 3))
+                .write_stripe(coordinator.code(), 0, &make_data(10, BLOCK, 3))
                 .unwrap();
             let transport = ChannelTransport::new();
             let counters = || -> Vec<(u64, u64)> {

@@ -146,13 +146,17 @@ lock_class!(
 
 lock_class!(
     /// TCP per-connection write side: held by the owning link's sender for
-    /// one frame (a blocking socket write). Leaf.
+    /// one frame. When the socket is full the sender *tries* [`TCP_READER`]
+    /// under it (to move the waiting bytes into the read buffer), never
+    /// waiting for it.
     pub TCP_WRITER = ("tcp.writer", rank = 62)
 );
 
 lock_class!(
     /// TCP per-connection read side (frame buffer + stream progress): held
-    /// by the owning link's receiver while it blocks in `read`. Leaf.
+    /// by the owning link's receiver while it blocks in `read`, or —
+    /// tried, never waited for — by a sender holding [`TCP_WRITER`] whose
+    /// socket is full. Leaf.
     pub TCP_READER = ("tcp.reader", rank = 64)
 );
 
@@ -190,6 +194,15 @@ lock_class!(
 );
 
 lock_class!(
-    /// Token-bucket rate-limiter state. Leaf; taken with nothing held.
+    /// A [`SliceSender`](crate::transport::SliceSender)'s pacing of its next
+    /// frame (tokens banked so far, first poll). Held while drawing on the
+    /// link's bucket, so it precedes [`TRANSPORT_TOKEN_BUCKET`]; taken with
+    /// nothing else held.
+    pub TRANSPORT_PACER = ("transport.pacer", rank = 79)
+);
+
+lock_class!(
+    /// Token-bucket rate-limiter state. Leaf: drawn on under a
+    /// [`TRANSPORT_PACER`], re-rated under the [`TRANSPORT_SHAPER`].
     pub TRANSPORT_TOKEN_BUCKET = ("transport.token_bucket", rank = 80)
 );

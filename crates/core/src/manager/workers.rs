@@ -825,8 +825,10 @@ where
         );
     };
     let topology = telemetry.topology();
-    // The directed links the repair streams over, whatever its shape.
-    let hops = exec::single_dag(directive, config.strategy).links();
+    // The plan the watchdog samples is the one that runs: the directed
+    // links it streams over, whatever its shape.
+    let dag = exec::single_dag(directive, config.strategy);
+    let hops = dag.links();
     let baseline: Vec<u64> = hops
         .iter()
         .map(|hop| transport.link_bytes(hop.src, hop.dst))
@@ -843,13 +845,7 @@ where
     let mut slow = None;
     let outcome = std::thread::scope(|scope| {
         let execution = scope.spawn(|| {
-            exec::execute_single_cancellable(
-                directive,
-                cluster,
-                transport,
-                config.strategy,
-                &cancel,
-            )
+            exec::execute_single_cancellable(directive, &dag, cluster, transport, &cancel)
         });
         while !execution.is_finished() {
             let asleep = Instant::now();

@@ -64,9 +64,11 @@ struct BucketState {
     burst: f64,
 }
 
-/// A token bucket limiting one link to `rate` bytes per second. Shared by
-/// both backends: it shapes real socket writes in [`TcpTransport`] and
-/// simulates constrained links in [`ChannelTransport`].
+/// A token bucket limiting one link (or, under topology shaping, one
+/// directed node pair) to `rate` bytes per second. Every backend draws on it
+/// the same way, through the [`SliceSender`] in front of its links: it
+/// shapes real socket writes in [`TcpTransport`] and [`ReactorTransport`]
+/// and simulates constrained links in [`ChannelTransport`].
 pub(crate) struct TokenBucket {
     /// Lock class: `transport.token_bucket`
     /// ([`lock_order::TRANSPORT_TOKEN_BUCKET`]).
@@ -111,26 +113,73 @@ impl TokenBucket {
         state.tokens = state.tokens.min(state.burst);
     }
 
+    /// Grabs what the bucket holds towards `owed` tokens without waiting:
+    /// `None` once they are all paid, otherwise how long until the bucket
+    /// holds what is still owed (at most one burst's worth, so a rate
+    /// change is noticed within one burst).
+    fn poll(&self, owed: &mut f64, now: Instant) -> Option<Duration> {
+        if *owed <= 0.0 {
+            return None;
+        }
+        let mut state = self.state.lock();
+        let elapsed = now.saturating_duration_since(state.last).as_secs_f64();
+        state.tokens = (state.tokens + elapsed * state.rate).min(state.burst);
+        state.last = state.last.max(now);
+        let grab = owed.min(state.tokens);
+        state.tokens -= grab;
+        *owed -= grab;
+        (*owed > 0.0).then(|| Duration::from_secs_f64(owed.min(state.burst) / state.rate))
+    }
+
+    /// Pays `bytes` tokens, sleeping until the bucket holds them: the
+    /// blocking form of [`poll`](Self::poll), for the scrubber's pacing.
     pub(crate) fn take(&self, bytes: usize) {
-        let mut need = bytes as f64;
-        while need > 0.0 {
-            let wait;
-            {
-                let mut state = self.state.lock();
-                let now = Instant::now();
-                let elapsed = now.duration_since(state.last).as_secs_f64();
-                state.tokens = (state.tokens + elapsed * state.rate).min(state.burst);
-                state.last = now;
-                let grab = need.min(state.tokens);
-                state.tokens -= grab;
-                need -= grab;
-                if need <= 0.0 {
-                    return;
-                }
-                wait = Duration::from_secs_f64(need.min(state.burst) / state.rate);
-            }
+        let mut owed = bytes as f64;
+        while let Some(wait) = self.poll(&mut owed, Instant::now()) {
             std::thread::sleep(wait);
         }
+    }
+}
+
+/// One link's draw on its token bucket: the tokens grabbed so far towards
+/// the next frame, banked across polls, so that a frame larger than the
+/// bucket's burst is paid for a burst at a time while its sender does
+/// something else in between.
+struct Pacer {
+    bucket: Arc<TokenBucket>,
+    /// What a frame costs beyond its payload: the wire header on the socket
+    /// backends, nothing in process.
+    overhead: usize,
+    /// Lock class: `transport.pacer` ([`lock_order::TRANSPORT_PACER`]).
+    next: Mutex<NextFrame>,
+}
+
+/// The pacing of the frame a [`Pacer`] is paying for.
+#[derive(Default)]
+struct NextFrame {
+    /// The frame's first poll — where its busy time starts — or `None`
+    /// while no frame is being paid for.
+    since: Option<Instant>,
+    /// Tokens still to grab for it.
+    owed: f64,
+}
+
+impl Pacer {
+    /// Pays what the bucket holds towards the next frame (`len` payload
+    /// bytes): `None` once it is paid for, else when to poll again.
+    fn poll(&self, len: usize) -> Option<Instant> {
+        let mut next = self.next.lock();
+        let now = Instant::now();
+        if next.since.is_none() {
+            next.since = Some(now);
+            next.owed = (self.overhead + len) as f64;
+        }
+        self.bucket.poll(&mut next.owed, now).map(|wait| now + wait)
+    }
+
+    /// Ends the paid frame's pacing and returns when it began.
+    fn settle(&self) -> Option<Instant> {
+        std::mem::take(&mut *self.next.lock()).since
     }
 }
 
@@ -298,9 +347,11 @@ impl LinkStats {
         self.messages.load(Ordering::Relaxed)
     }
 
-    /// Total nanoseconds senders spent inside `send` on this link — queueing,
-    /// token-bucket pacing and socket writes included. Bytes over busy time
-    /// is the link's measured throughput, which is what
+    /// Total nanoseconds the link's slices spent being sent — each from its
+    /// first pacing poll to the end of its `send`, so token-bucket pacing,
+    /// backpressure and socket writes are all included, and pacing still
+    /// counts when the sender did other work between polls. Bytes over busy
+    /// time is the link's measured throughput, which is what
     /// [`LinkTelemetry`](crate::telemetry::LinkTelemetry) folds into its
     /// EWMA estimates.
     pub fn busy_nanos(&self) -> u64 {
@@ -316,41 +367,89 @@ pub struct LinkSnapshot {
     pub bytes: u64,
     /// Total messages (slices) sent over the link.
     pub messages: u64,
-    /// Total nanoseconds senders spent inside `send` on the link.
+    /// Total nanoseconds the link's slices spent being sent (see
+    /// [`LinkStats::busy_nanos`]).
     pub busy_nanos: u64,
 }
 
 /// The backend half of a [`SliceSender`]: moves one message to the peer.
-trait SliceTx: Send + Sync {
+pub(crate) trait SliceTx: Send + Sync {
     fn send(&self, msg: SliceMsg) -> Result<(), TransportError>;
 }
 
 /// The backend half of a [`SliceReceiver`]: yields the next message.
-trait SliceRx: Send + Sync {
+pub(crate) trait SliceRx: Send + Sync {
     fn recv(&self) -> Option<SliceMsg>;
+
+    /// See [`SliceReceiver::delivered`]. Backends whose `send` returns only
+    /// once the frame is where `recv` reads it keep this default.
+    fn delivered(&self) -> bool {
+        true
+    }
 }
 
-/// The sending half of a link; counts traffic as it sends.
+/// The sending half of a link; paces and counts traffic as it sends.
 pub struct SliceSender {
     inner: Box<dyn SliceTx>,
     stats: Arc<LinkStats>,
+    /// The link's token-bucket throttle, if the transport shapes it.
+    pacer: Option<Pacer>,
 }
 
 impl SliceSender {
-    /// Sends one slice, blocking if the link's buffer is full.
+    /// A sender over a backend's half, drawing on `bucket` (if the link is
+    /// shaped) for every frame's payload plus `overhead` bytes.
+    pub(crate) fn new(
+        inner: impl SliceTx + 'static,
+        stats: Arc<LinkStats>,
+        bucket: Option<Arc<TokenBucket>>,
+        overhead: usize,
+    ) -> Self {
+        SliceSender {
+            inner: Box::new(inner),
+            stats,
+            pacer: bucket.map(|bucket| Pacer {
+                bucket,
+                overhead,
+                next: Mutex::new(&lock_order::TRANSPORT_PACER, NextFrame::default()),
+            }),
+        }
+    }
+
+    /// Polls the link's pacing for the next slice, `len` payload bytes,
+    /// without blocking: `None` once the link's token bucket has paid for it
+    /// (an unshaped link always has), otherwise the instant worth polling
+    /// again at. Tokens grabbed stay banked for that slice across polls, and
+    /// its busy time ([`LinkStats::busy_nanos`]) runs from the first poll. A
+    /// caller driving many links from one thread polls here and sends only
+    /// paid slices, so one link's pacing never holds up the others.
+    pub(crate) fn poll_pacing(&self, len: usize) -> Option<Instant> {
+        self.pacer.as_ref()?.poll(len)
+    }
+
+    /// Sends one slice: first waits out the link's pacing (polling its
+    /// token bucket and sleeping in between), then blocks while the link's
+    /// buffer is full.
     ///
     /// Fails with [`TransportError::Disconnected`] once the receiving end has
     /// been dropped (a dead helper must fail the repair rather than silently
     /// truncate it), or [`TransportError::Io`] on a socket failure.
     pub fn send(&self, msg: SliceMsg) -> Result<(), TransportError> {
-        let bytes = msg.data.len() as u64;
-        let started = Instant::now();
+        let bytes = msg.data.len();
+        while let Some(at) = self.poll_pacing(bytes) {
+            std::thread::sleep(at.saturating_duration_since(Instant::now()));
+        }
+        let started = self
+            .pacer
+            .as_ref()
+            .and_then(Pacer::settle)
+            .unwrap_or_else(Instant::now);
         self.inner.send(msg)?;
         // Count only traffic the link actually accepted, so failed sends
         // don't inflate the byte accounting the tests assert on. The send
         // duration (pacing, backpressure, socket writes) is accumulated
         // alongside: bytes over busy time is the link's measured throughput.
-        self.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.stats.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         self.stats.messages.fetch_add(1, Ordering::Relaxed);
         self.stats
             .busy_nanos
@@ -365,10 +464,26 @@ pub struct SliceReceiver {
 }
 
 impl SliceReceiver {
+    /// A receiver over a backend's half.
+    pub(crate) fn new(inner: impl SliceRx + 'static) -> Self {
+        SliceReceiver {
+            inner: Box::new(inner),
+        }
+    }
+
     /// Receives the next slice, or `None` once the sender is dropped and the
     /// link is drained.
     pub fn recv(&self) -> Option<SliceMsg> {
         self.inner.recv()
+    }
+
+    /// Whether a slice already sent on this link can be received without
+    /// waiting for another thread to deliver it. In-process channels and
+    /// `TcpTransport` deliver within `send` (the frame is in the channel, or
+    /// in the kernel or the connection's read buffer); on `ReactorTransport`
+    /// an epoll thread moves it to the link's queue a moment later.
+    pub(crate) fn delivered(&self) -> bool {
+        self.inner.delivered()
     }
 }
 
@@ -501,14 +616,10 @@ pub trait Transport: Send + Sync {
 
 struct ChannelTx {
     inner: Sender<SliceMsg>,
-    bucket: Option<Arc<TokenBucket>>,
 }
 
 impl SliceTx for ChannelTx {
     fn send(&self, msg: SliceMsg) -> Result<(), TransportError> {
-        if let Some(bucket) = &self.bucket {
-            bucket.take(msg.data.len());
-        }
         self.inner
             .send(msg)
             .map_err(|_| TransportError::Disconnected)
@@ -575,15 +686,11 @@ impl Transport for ChannelTransport {
     fn link(&self, src: NodeId, dst: NodeId, capacity: usize) -> (SliceSender, SliceReceiver) {
         let stats = self.stats.register(src, dst);
         let (tx, rx) = bounded(capacity.max(1));
+        // In process, a frame is its payload: nothing else is charged.
         let bucket = self.shaper.bucket(src, dst);
         (
-            SliceSender {
-                inner: Box::new(ChannelTx { inner: tx, bucket }),
-                stats,
-            },
-            SliceReceiver {
-                inner: Box::new(ChannelRx { inner: rx }),
-            },
+            SliceSender::new(ChannelTx { inner: tx }, stats, bucket, 0),
+            SliceReceiver::new(ChannelRx { inner: rx }),
         )
     }
 
@@ -755,6 +862,38 @@ mod tests {
         bucket.take(20 * 1024);
         // 20 KiB at 100 KB/s needs ~200 ms (burst is only ~2 KiB).
         assert!(start.elapsed() >= Duration::from_millis(150));
+    }
+
+    #[test]
+    fn pacing_is_polled_without_blocking_and_banks_what_it_grabs() {
+        // 1 MB/s with a 2 KiB burst: a 20 KB slice is ten bursts, so no
+        // single poll can pay for it.
+        let transport = ChannelTransport::with_rate_limit(1_000_000);
+        let (tx, rx) = transport.link(0, 1, 4);
+        let start = Instant::now();
+        let mut polls = 0;
+        while let Some(at) = tx.poll_pacing(20_000) {
+            polls += 1;
+            let asked = Instant::now();
+            assert!(
+                at <= asked + Duration::from_millis(5),
+                "a poll waits at most a burst"
+            );
+            std::thread::sleep(at.saturating_duration_since(asked));
+        }
+        assert!(polls >= 5, "paid {polls} times: the grabs were not banked");
+        let paid = start.elapsed();
+        assert!(paid >= Duration::from_millis(18), "paid 20 KB in {paid:?}");
+        // Paid for, it stays paid until sent; its busy time runs from its
+        // first poll.
+        assert!(tx.poll_pacing(20_000).is_none());
+        tx.send(SliceMsg::new(0, Bytes::from(vec![0u8; 20_000])))
+            .unwrap();
+        assert_eq!(rx.recv().unwrap().data.len(), 20_000);
+        let busy = Duration::from_nanos(transport.stats().register(0, 1).busy_nanos());
+        assert!(busy >= Duration::from_millis(18), "busy {busy:?}");
+        // The next slice starts owing afresh.
+        assert!(tx.poll_pacing(20_000).is_some());
     }
 
     #[test]

@@ -213,6 +213,11 @@ impl SliceRx for FramedRx {
         self.link.writable.notify_one();
         Some(msg)
     }
+
+    fn delivered(&self) -> bool {
+        let inner = self.link.inner.lock();
+        !inner.queue.is_empty() || inner.sender_closed
+    }
 }
 
 impl Drop for FramedRx {

@@ -14,10 +14,11 @@
 //!
 //! # Data flow
 //!
-//! *Send path (caller threads).* A sender passes the link's credit gate,
-//! pays the token bucket, then locks the connection's outbound buffer: if
-//! the buffer is empty it writes directly to the nonblocking socket and
-//! queues only the remainder a full socket refuses (arming writable
+//! *Send path (caller threads).* A sender pays the link's token bucket (in
+//! [`SliceSender`], as on every backend), passes its credit gate, then
+//! locks the connection's outbound buffer: if the buffer is empty it
+//! writes directly to the nonblocking socket and queues only the
+//! remainder a full socket refuses (arming writable
 //! interest); otherwise it appends — FIFO order is preserved, so `EOS`
 //! always trails the data it follows. Senders block briefly on a high-water
 //! mark so an unbounded burst cannot balloon the buffer.
@@ -53,7 +54,7 @@ use super::wire::{
     encode_header, payload_len, FrameDecoder, HEADER_LEN, OP_DATA, OP_EOS, OP_HELLO,
 };
 use super::{
-    Shaper, SliceMsg, SliceReceiver, SliceSender, SliceTx, StatsRegistry, TokenBucket, Transport,
+    Shaper, SliceMsg, SliceReceiver, SliceSender, SliceTx, StatsRegistry, Transport,
     TransportError, WAIT_TICK,
 };
 
@@ -433,7 +434,6 @@ struct ReactorTx {
     link_id: u64,
     link: Arc<LinkState>,
     table: Arc<LinkTable>,
-    bucket: Option<Arc<TokenBucket>>,
 }
 
 impl SliceTx for ReactorTx {
@@ -454,9 +454,6 @@ impl SliceTx for ReactorTx {
                 return Err(TransportError::Disconnected);
             }
             inner.credits -= 1;
-        }
-        if let Some(bucket) = &self.bucket {
-            bucket.take(HEADER_LEN + msg.data.len());
         }
         let header = encode_header(
             OP_DATA,
@@ -704,27 +701,24 @@ impl Transport for ReactorTransport {
         if conn.as_ref().is_ok_and(|conn| conn.state.lock().closed) {
             link.close_sender();
         }
+        let tx = ReactorTx {
+            conn,
+            generation,
+            link_id,
+            link: link.clone(),
+            table: self.table.clone(),
+        };
+        let rx = FramedRx {
+            conn: generation,
+            link_id,
+            link,
+            table: self.table.clone(),
+        };
+        // The shaper charges the frame as it crosses the wire, header too.
         let bucket = self.shaper.bucket(src, dst);
         (
-            SliceSender {
-                inner: Box::new(ReactorTx {
-                    conn,
-                    generation,
-                    link_id,
-                    link: link.clone(),
-                    table: self.table.clone(),
-                    bucket,
-                }),
-                stats,
-            },
-            SliceReceiver {
-                inner: Box::new(FramedRx {
-                    conn: generation,
-                    link_id,
-                    link,
-                    table: self.table.clone(),
-                }),
-            },
+            SliceSender::new(tx, stats, bucket, HEADER_LEN),
+            SliceReceiver::new(rx),
         )
     }
 

@@ -11,11 +11,26 @@
 //! empty, so a pair holds as many connections as it ever had links open at
 //! once. Both ends of a connection live in this process: the sender writes
 //! the dialed end — header and payload in one vectored write — and the
-//! link's receiver reads the accepted end itself, through a small buffered
-//! frame reader that belongs to the connection. One hand-off per slice hop,
-//! and **no background threads at all**: no accept thread (a dial and its
+//! link's receiver reads the accepted end itself, through a buffered frame
+//! reader that belongs to the connection. One hand-off per slice hop, and
+//! **no background threads at all**: no accept thread (a dial and its
 //! `accept` happen back to back under the listener lock), no reader thread,
 //! no queue between the socket and [`SliceReceiver::recv`].
+//!
+//! # A sender may drain its own connection
+//!
+//! The thread that sends a frame may be the one that will read it — the
+//! repair executor drives every stage of a plan from one thread — so a
+//! send must finish without anybody else reading, whatever the frame's
+//! size. The dialed end is nonblocking: when the socket is full, the sender
+//! moves the bytes waiting at the accepted end into the connection's frame
+//! reader and writes on, and the receiver later finds them there before it
+//! reads the socket (the `EOS` frame goes the same way). The sender only
+//! *tries* the read side's lock (taking `tcp.writer` then `tcp.reader` is
+//! rank-legal): a receiver on another thread holds it while it waits for
+//! the rest of the very frame being written, so waiting for the lock
+//! would deadlock — instead the sender waits a tick for that receiver to
+//! drain the socket, and tries again.
 //!
 //! The wire format is shared with [`ReactorTransport`](super::ReactorTransport)
 //! and documented in [`wire`](super::wire). A link's `capacity` is enforced
@@ -29,7 +44,7 @@
 //!
 //! * either half saw an I/O error, end-of-file or a malformed frame;
 //! * the receiver was dropped with slices still in flight (`credits <
-//!   capacity`) — the sender may be blocked mid-`write` on a socket nobody
+//!   capacity`) — the sender may be waiting mid-frame on a socket nobody
 //!   will drain, so the receiver shuts the connection down, which also
 //!   fails that sender;
 //! * the receiver was dropped before it read a single frame of its own, so
@@ -38,25 +53,29 @@
 //!   unblocks every sender and receiver).
 //!
 //! A receiver that leaves after its last slice but before the sender's
-//! `EOS` is the normal case — a repair helper returns once it has forwarded
-//! its final slice. That leaves at most one 37-byte `EOS` frame unread on a
-//! pooled connection; the next link's receiver discards frames whose link
-//! id is not its own, and link ids never repeat within a transport.
+//! `EOS` is the normal case for a sender on another thread. That leaves at
+//! most one 37-byte `EOS` frame unread on a pooled connection; the next
+//! link's receiver discards frames whose link id is not its own, and link
+//! ids never repeat within a transport.
 //!
 //! # Throttling
 //!
 //! [`TcpTransport::with_rate_limit`] gives every link a token-bucket
-//! throttle, which is how the paper's 1 Gb/s testbed is approximated on a
-//! loopback device: with `rate` bytes/s per link, a single-block repair
-//! under repair pipelining should take about `1 + (k-1)/s` times a direct
-//! block send (§3.2), which the conformance tests measure.
+//! throttle — paid by the link's [`SliceSender`] before the frame reaches
+//! this backend, as on every backend — which is how the paper's 1 Gb/s
+//! testbed is approximated on a loopback device: with `rate` bytes/s per
+//! link, a single-block repair under repair pipelining should take about
+//! `1 + (k-1)/s` times a direct block send (§3.2), which the conformance
+//! tests measure.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::io::{self, ErrorKind};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use ecpipe_reactor::sys::{recv_now, wait_writable};
 use ecpipe_sync::{Condvar, Mutex};
 use simnet::{NodeId, Topology};
 
@@ -66,8 +85,8 @@ use super::wire::{
     encode_header, payload_len, write_frame, FrameReader, HEADER_LEN, OP_DATA, OP_EOS, OP_HELLO,
 };
 use super::{
-    Shaper, SliceMsg, SliceReceiver, SliceRx, SliceSender, SliceTx, StatsRegistry, TokenBucket,
-    Transport, TransportError, WAIT_TICK,
+    Shaper, SliceMsg, SliceReceiver, SliceRx, SliceSender, SliceTx, StatsRegistry, Transport,
+    TransportError, WAIT_TICK,
 };
 
 /// The credit window of the link currently riding a connection.
@@ -94,9 +113,10 @@ struct Conn {
     /// Dial number, unique within the transport.
     id: u64,
     pair: (NodeId, NodeId),
-    /// The end the sender writes.
+    /// The end the sender writes; nonblocking, so that a full socket sends
+    /// the sender to [`Conn::make_room`] instead of to sleep.
     dialed: TcpStream,
-    /// The end the receiver reads.
+    /// The end the receiver reads (blocking).
     accepted: TcpStream,
     /// Lock class: `tcp.window` ([`lock_order::TCP_WINDOW`]).
     window: Mutex<Window>,
@@ -104,10 +124,13 @@ struct Conn {
     writable: Condvar,
     /// Makes a frame atomic against another `send` on the same sender; the
     /// stream itself is written through `&TcpStream`, which is what lets
-    /// [`Conn::sever`] shut it down under a blocked writer.
+    /// [`Conn::sever`] shut it down under a waiting writer.
     ///
     /// Lock class: `tcp.writer` ([`lock_order::TCP_WRITER`]).
     writer: Mutex<()>,
+    /// Held by a receiver for one frame read, and tried (never waited for)
+    /// by a writer that found the socket full.
+    ///
     /// Lock class: `tcp.reader` ([`lock_order::TCP_READER`]).
     reader: Mutex<ReadHalf>,
     /// The byte stream can no longer be trusted: never pooled again.
@@ -115,7 +138,32 @@ struct Conn {
 }
 
 impl Conn {
-    /// Shuts both sockets down — failing a sender blocked in `write` and a
+    /// Writes one whole frame into the dialed end, never waiting on the
+    /// calling thread itself: a frame larger than the socket buffers goes
+    /// out even when the thread that will read it is this one.
+    fn write_frame(&self, header: &[u8; HEADER_LEN], payload: &[u8]) -> io::Result<()> {
+        let _frame = self.writer.lock();
+        write_frame(&self.dialed, header, payload, || self.make_room())
+    }
+
+    /// The dialed socket is full. If no receiver is reading the accepted end
+    /// right now, move what waits there into the read buffer, where the
+    /// link's receiver finds it before the socket. Otherwise the receiver
+    /// holding the read side is waiting for the rest of a frame this
+    /// sender is writing — blocking on that lock would deadlock, so wait a
+    /// tick for the socket to drain instead, and try again.
+    fn make_room(&self) -> io::Result<()> {
+        if let Some(mut half) = self.reader.try_lock() {
+            let fd = self.accepted.as_raw_fd();
+            if half.frames.fill(|buf| recv_now(fd, buf))? > 0 {
+                return Ok(());
+            }
+        }
+        let tick = WAIT_TICK.as_millis() as i32;
+        wait_writable(self.dialed.as_raw_fd(), tick).map(drop)
+    }
+
+    /// Shuts both sockets down — failing a sender waiting to write and a
     /// receiver blocked in `read` — wakes a sender parked at the credit
     /// gate, and bars the connection from the pool.
     fn sever(&self) {
@@ -165,7 +213,6 @@ struct TcpTx {
     /// the repair) instead of panicking inside the executor.
     lease: Result<Arc<Lease>, String>,
     link_id: u64,
-    bucket: Option<Arc<TokenBucket>>,
 }
 
 impl SliceTx for TcpTx {
@@ -189,9 +236,6 @@ impl SliceTx for TcpTx {
             }
             window.credits -= 1;
         }
-        if let Some(bucket) = &self.bucket {
-            bucket.take(HEADER_LEN + msg.data.len());
-        }
         let header = encode_header(
             OP_DATA,
             self.link_id,
@@ -200,8 +244,7 @@ impl SliceTx for TcpTx {
             msg.repair,
             len,
         );
-        let _frame = conn.writer.lock();
-        write_frame(&conn.dialed, &header, &msg.data).map_err(|e| {
+        conn.write_frame(&header, &msg.data).map_err(|e| {
             conn.broken.store(true, Ordering::SeqCst);
             TransportError::Io(e)
         })
@@ -218,8 +261,7 @@ impl Drop for TcpTx {
             return;
         }
         let header = encode_header(OP_EOS, self.link_id, 0, 0, 0, 0);
-        let _frame = conn.writer.lock();
-        if write_frame(&conn.dialed, &header, &[]).is_err() {
+        if conn.write_frame(&header, &[]).is_err() {
             conn.broken.store(true, Ordering::SeqCst);
         }
     }
@@ -394,9 +436,8 @@ impl TcpTransport {
             (dialed, accepted)
         };
         dialed.set_nodelay(true).ok();
+        dialed.set_nonblocking(true)?;
         let id = self.dials.fetch_add(1, Ordering::Relaxed) + 1;
-        let hello = encode_header(OP_HELLO, src as u64, dst as u64, id, 0, 0);
-        write_frame(&dialed, &hello, &[])?;
         let conn = Arc::new(Conn {
             id,
             pair: (src, dst),
@@ -422,6 +463,8 @@ impl TcpTransport {
             ),
             broken: AtomicBool::new(false),
         });
+        let hello = encode_header(OP_HELLO, src as u64, dst as u64, id, 0, 0);
+        conn.write_frame(&hello, &[])?;
         self.pool.lock().open.insert(id, conn.clone());
         Ok(conn)
     }
@@ -465,22 +508,19 @@ impl Transport for TcpTransport {
         let lease = self
             .checkout(src, dst, capacity.max(1))
             .map_err(|e| format!("tcp transport setup for link {src}->{dst} failed: {e}"));
+        let tx = TcpTx {
+            lease: lease.clone(),
+            link_id,
+        };
+        let rx = TcpRx {
+            lease: lease.ok(),
+            link_id,
+        };
+        // The shaper charges the frame as it crosses the wire, header too.
         let bucket = self.shaper.bucket(src, dst);
         (
-            SliceSender {
-                inner: Box::new(TcpTx {
-                    lease: lease.clone(),
-                    link_id,
-                    bucket,
-                }),
-                stats,
-            },
-            SliceReceiver {
-                inner: Box::new(TcpRx {
-                    lease: lease.ok(),
-                    link_id,
-                }),
-            },
+            SliceSender::new(tx, stats, bucket, HEADER_LEN),
+            SliceReceiver::new(rx),
         )
     }
 
@@ -527,6 +567,34 @@ mod tests {
         assert!(rx.recv().is_none());
         assert!(rx.recv().is_none(), "end-of-stream is sticky");
         assert_eq!(transport.link_bytes(0, 1), 10);
+    }
+
+    /// The repair executor sends and receives every hop on one thread, so a
+    /// frame must go out with nobody else reading — even one far larger than
+    /// the kernel's socket buffers. A hang here fails within the deadline
+    /// instead of wedging the suite.
+    #[test]
+    fn one_thread_sends_then_receives_a_frame_larger_than_the_socket_buffers() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let transport = TcpTransport::new();
+            let (tx, rx) = transport.link(0, 1, 2);
+            let payload: Bytes = (0..16u32 << 20)
+                .map(|i| (i * 7 + i / 4093) as u8)
+                .collect::<Vec<u8>>()
+                .into();
+            tx.send(SliceMsg::new(3, payload.clone()).tagged(1, 2))
+                .unwrap();
+            // The EOS goes the same way, behind the frame.
+            drop(tx);
+            let got = rx.recv().unwrap();
+            let ended = rx.recv().is_none();
+            let _ = done_tx.send((got.index, got.data == payload, ended));
+        });
+        let outcome = done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a 16 MiB frame sent and received on one thread did not finish");
+        assert_eq!(outcome, (3, true, true));
     }
 
     #[test]
@@ -613,7 +681,7 @@ mod tests {
         // Corrupt the stream behind the sender's back: a 4 GiB length.
         let conn = transport.pool.lock().open[&1].clone();
         let garbage = encode_header(OP_DATA, 1, 0, 0, 0, u32::MAX);
-        write_frame(&conn.dialed, &garbage, &[]).unwrap();
+        conn.write_frame(&garbage, &[]).unwrap();
         assert!(rx.recv().is_none(), "the link ends instead of allocating");
         drop((tx, rx, conn));
         assert_eq!(transport.connection_counts(), (1, 0));

@@ -83,13 +83,16 @@ pub(super) fn payload_len(payload: &[u8]) -> io::Result<u32> {
     Ok(payload.len() as u32)
 }
 
-/// Writes one frame to a blocking stream: header and payload leave in a
-/// single vectored write when the socket accepts them whole, and the
-/// remainder is retried until the frame is complete.
+/// Writes one frame: header and payload leave in a single vectored write
+/// when the stream accepts them whole, and the remainder is retried until
+/// the frame is complete. Whenever a nonblocking stream refuses bytes
+/// (`WouldBlock`), `make_room` runs before the next attempt — it is what
+/// empties the far end, or waits for someone else to.
 pub(super) fn write_frame<W: Write>(
     mut stream: W,
     header: &[u8; HEADER_LEN],
     payload: &[u8],
+    mut make_room: impl FnMut() -> io::Result<()>,
 ) -> io::Result<()> {
     let total = HEADER_LEN + payload.len();
     let mut written = 0;
@@ -103,6 +106,7 @@ pub(super) fn write_frame<W: Write>(
             Ok(0) => return Err(ErrorKind::WriteZero.into()),
             Ok(n) => written += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => make_room()?,
             Err(e) => return Err(e),
         }
     }
@@ -151,9 +155,12 @@ fn decode(header: &[u8; HEADER_LEN], payload: Vec<u8>) -> Frame {
 
 /// Buffered frame parser for blocking reads (the `TcpTransport` receive
 /// path). The buffer belongs to the connection, not to a link: bytes read
-/// ahead of one link's last frame are the next link's first.
+/// ahead of one link's last frame are the next link's first. It also takes
+/// whatever the connection's own sender moves into it ([`FrameReader::fill`])
+/// when the socket is full, and grows to hold it.
 pub(super) struct FrameReader {
-    buf: Box<[u8; READ_BUF]>,
+    /// Zero-initialised once; [`READ_BUF`] bytes unless a `fill` grew it.
+    buf: Vec<u8>,
     /// Unconsumed bytes are `buf[pos..filled]`.
     pos: usize,
     filled: usize,
@@ -162,25 +169,21 @@ pub(super) struct FrameReader {
 impl FrameReader {
     pub(super) fn new() -> Self {
         FrameReader {
-            buf: Box::new([0u8; READ_BUF]),
+            buf: vec![0u8; READ_BUF],
             pos: 0,
             filled: 0,
         }
     }
 
-    /// Blocks until one complete frame has been read from `src`. The
-    /// payload is allocated once, at its announced length, and the part not
-    /// already buffered is read straight into it without zero-filling it
-    /// first. End-of-stream — between frames or inside one — is
+    /// Blocks until one complete frame has been read from `src`, taking the
+    /// buffered bytes first. The payload is allocated once, at its
+    /// announced length, and the part not already buffered is read straight
+    /// into it. End-of-stream — between frames or inside one — is
     /// `UnexpectedEof`; a bad header is `InvalidData`, after which the
     /// stream position is meaningless and the reader must be discarded.
     pub(super) fn read_frame<R: Read>(&mut self, mut src: R) -> io::Result<Frame> {
         while self.filled - self.pos < HEADER_LEN {
-            if self.pos > 0 {
-                self.buf.copy_within(self.pos..self.filled, 0);
-                self.filled -= self.pos;
-                self.pos = 0;
-            }
+            self.compact();
             match src.read(&mut self.buf[self.filled..]) {
                 Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
                 Ok(n) => self.filled += n,
@@ -197,11 +200,63 @@ impl FrameReader {
         let buffered = len.min(self.filled - self.pos);
         payload.extend_from_slice(&self.buf[self.pos..self.pos + buffered]);
         self.pos += buffered;
-        let rest = len - buffered;
-        if rest > 0 && src.take(rest as u64).read_to_end(&mut payload)? < rest {
-            return Err(ErrorKind::UnexpectedEof.into());
+        if self.pos == self.filled {
+            self.clear();
         }
+        // Zero-filled so the rest can go in with one `read` once the frame is
+        // complete in the socket — as it always is when the thread that sent
+        // it reads it — instead of `read_to_end`'s growing probes.
+        payload.resize(len, 0);
+        src.read_exact(&mut payload[buffered..])?;
         Ok(decode(&header, payload))
+    }
+
+    /// Moves every byte `recv_now` can hand over without waiting into the
+    /// buffer, doubling it as often as that takes, and returns how many it
+    /// moved. `recv_now` must not block: it reports an empty source as
+    /// `WouldBlock`, which ends the fill. End-of-stream is `UnexpectedEof`
+    /// (what was moved before it stays buffered).
+    pub(super) fn fill(
+        &mut self,
+        mut recv_now: impl FnMut(&mut [u8]) -> io::Result<usize>,
+    ) -> io::Result<usize> {
+        self.compact();
+        let mut moved = 0;
+        loop {
+            if self.filled == self.buf.len() {
+                let doubled = 2 * self.buf.len();
+                self.buf.resize(doubled, 0);
+            }
+            match recv_now(&mut self.buf[self.filled..]) {
+                Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+                Ok(n) => {
+                    self.filled += n;
+                    moved += n;
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(moved),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Moves the unconsumed bytes to the front of the buffer.
+    fn compact(&mut self) {
+        if self.pos > 0 {
+            self.buf.copy_within(self.pos..self.filled, 0);
+            self.filled -= self.pos;
+            self.pos = 0;
+        }
+    }
+
+    /// Empties the buffer; one that a `fill` grew is given back, so a
+    /// pooled connection does not keep the largest backlog it ever held.
+    fn clear(&mut self) {
+        self.pos = 0;
+        self.filled = 0;
+        if self.buf.len() > READ_BUF {
+            self.buf = vec![0u8; READ_BUF];
+        }
     }
 }
 
@@ -341,6 +396,54 @@ mod tests {
         }
     }
 
+    /// What a sender moves out of a full socket is read before the socket:
+    /// the stream decodes the same wherever the backlog ends, even inside a
+    /// header or a payload larger than the reader's own buffer.
+    #[test]
+    fn a_filled_backlog_is_read_before_the_source() {
+        let (wire, expected) = sample_stream();
+        for cut in [
+            0,
+            1,
+            HEADER_LEN,
+            100,
+            READ_BUF + 1,
+            wire.len() - 1,
+            wire.len(),
+        ] {
+            let mut reader = FrameReader::new();
+            let mut backlog = &wire[..cut];
+            let moved = reader
+                .fill(|buf| {
+                    if backlog.is_empty() {
+                        return Err(ErrorKind::WouldBlock.into());
+                    }
+                    let n = buf.len().min(backlog.len()).min(1000);
+                    buf[..n].copy_from_slice(&backlog[..n]);
+                    backlog = &backlog[n..];
+                    Ok(n)
+                })
+                .unwrap();
+            assert_eq!(moved, cut);
+            let mut src = Chunked {
+                data: &wire[cut..],
+                chunk: 64,
+            };
+            let mut frames = Vec::new();
+            let end = loop {
+                match reader.read_frame(&mut src) {
+                    Ok(f) => frames.push(seen(f)),
+                    Err(e) => break e,
+                }
+            };
+            assert_eq!(frames, expected, "cut {cut}");
+            assert_eq!(end.kind(), ErrorKind::UnexpectedEof);
+        }
+        let mut reader = FrameReader::new();
+        let eof = reader.fill(|_| Ok(0)).unwrap_err();
+        assert_eq!(eof.kind(), ErrorKind::UnexpectedEof);
+    }
+
     #[test]
     fn decoder_roundtrips_metadata() {
         let mut wire = encode_header(OP_DATA, 11, 22, 33, 44, 2).to_vec();
@@ -440,7 +543,7 @@ mod tests {
                 limit,
                 calls: 0,
             };
-            write_frame(&mut sink, &header, &payload).unwrap();
+            write_frame(&mut sink, &header, &payload, || unreachable!("never full")).unwrap();
             assert_eq!(sink.out, expected, "limit {limit}");
             if limit >= expected.len() {
                 assert_eq!(sink.calls, 1, "a frame the sink takes whole is one write");

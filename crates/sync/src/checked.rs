@@ -48,6 +48,19 @@ impl<T: ?Sized> Mutex<T> {
         }
     }
 
+    /// Acquires the lock only if no other guard holds it. An acquisition
+    /// that succeeds is checked and recorded like [`Mutex::lock`]'s; one
+    /// that fails leaves no trace, since it cannot wait.
+    #[track_caller]
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        let raw = self.inner.try_lock()?;
+        held::on_acquire(self.class, Location::caller());
+        Some(MutexGuard {
+            class: self.class,
+            inner: Some(raw),
+        })
+    }
+
     /// Mutable access without locking.
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut()

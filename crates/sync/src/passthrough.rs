@@ -43,6 +43,14 @@ impl<T: ?Sized> Mutex<T> {
         }
     }
 
+    /// Acquires the lock only if no other guard holds it.
+    #[inline]
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        Some(MutexGuard {
+            inner: self.inner.try_lock()?,
+        })
+    }
+
     /// Mutable access without locking.
     #[inline]
     pub fn get_mut(&mut self) -> &mut T {

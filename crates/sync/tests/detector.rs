@@ -130,6 +130,26 @@ mod checked {
     }
 
     #[test]
+    fn try_lock_is_ranked_when_it_succeeds_and_traceless_when_it_fails() {
+        let low = Mutex::new(&LOW, ());
+        let high = Mutex::new(&HIGH, ());
+        // A failed attempt holds nothing, so it cannot count as nesting.
+        let held = high.lock();
+        assert!(high.try_lock().is_none());
+        drop(held);
+        let _l = low.lock();
+        let _h = high.try_lock().expect("free lock");
+        drop(_h);
+        drop(_l);
+        // A successful one is held like `lock()`'s guard, order checked.
+        let msg = panic_message(|| {
+            let _h = high.lock();
+            let _l = low.try_lock();
+        });
+        assert!(msg.contains("increasing rank order"), "{msg}");
+    }
+
+    #[test]
     fn condvar_wait_while_releases_class_during_wait() {
         use ecpipe_sync::Condvar;
         use std::sync::Arc;

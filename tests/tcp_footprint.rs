@@ -1,14 +1,19 @@
-//! The `TcpTransport` resource budget: it runs no threads of its own and
-//! holds one connection per link a pair ever had open at once, so a long run
-//! of repairs leaves the process where it started.
+//! The resource budget of a repair over `TcpTransport`: the transport runs
+//! no threads of its own and holds one connection per link a pair ever had
+//! open at once, and the executor walks every stage of a repair on the
+//! calling thread, so a long run of repairs leaves the process where it
+//! started. The footprint formula: threads = the process's own + 0 per
+//! repair in flight (a manager adds its workers, so `workers` + a constant);
+//! sockets ≤ 2 per concurrently open link per pair + one listener per node.
 //!
 //! The one test lives in a binary of its own because it reads process-wide
 //! counters (`/proc/self/status`, `/proc/self/fd`) that tests running beside
 //! it would disturb.
 #![cfg(target_os = "linux")]
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
@@ -87,8 +92,31 @@ fn two_hundred_repairs() {
     // One repair first, so the baseline includes whatever is lazily set up.
     repair(0);
     let threads_before = threads();
-    for round in 1..200 {
-        repair(round);
+    // A sampler watches the thread count while the repairs run: it is the
+    // one thread allowed beside the baseline.
+    let (running, peak) = (AtomicBool::new(true), AtomicUsize::new(0));
+    std::thread::scope(|scope| {
+        scope.spawn(|| loop {
+            peak.fetch_max(threads(), Ordering::SeqCst);
+            if !running.load(Ordering::SeqCst) {
+                break;
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        });
+        for round in 1..200 {
+            repair(round);
+        }
+        running.store(false, Ordering::SeqCst);
+    });
+    assert_eq!(
+        peak.load(Ordering::SeqCst),
+        threads_before + 1,
+        "a repair in flight must run on its caller's thread alone"
+    );
+    // A joined thread can linger in the count for a moment.
+    let settled = Instant::now() + Duration::from_secs(2);
+    while threads() != threads_before && Instant::now() < settled {
+        std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(
         threads(),
