@@ -24,12 +24,18 @@ use crate::lock_order;
 
 /// How many returned buffers a pool retains before letting extras drop.
 /// A repair is walked by one thread that takes the most-downstream step
-/// first, so in steady state a chain holds about one partial per stage
-/// (`k` ≤ 32 of them), plus what waits in an in-process link — at most
-/// [`PIPELINE_DEPTH`](crate::exec::PIPELINE_DEPTH) per link, and usually
-/// one. A PPR round's store-and-forward window (a whole block of slices)
-/// is the one transient burst beyond that, and it costs a malloc per slice
-/// rather than keeping a block's worth of memory parked per repair.
+/// first, so in steady state a chain holds about one partial per stage,
+/// plus the partials a stage has queued on its outgoing link and not yet
+/// flushed — up to a window of
+/// [`PIPELINE_DEPTH`](crate::exec::PIPELINE_DEPTH), on about one link at a
+/// time, since a window travels the chain before the next is read: `k + 8`
+/// buffers, 18 for RS(14,10). A PPR round's store-and-forward window (a
+/// whole block of slices) is the one transient burst beyond that, and it
+/// costs a malloc per slice rather than keeping a block's worth of memory
+/// parked per repair. `TcpTransport`'s read buffers, a credit window of
+/// frames each, share one pool per transport under the same bound: a
+/// buffer is out only while a link has frames of it left to fold, a
+/// couple per repair in flight.
 const DEFAULT_MAX_RETAINED: usize = 32;
 
 struct PoolInner {

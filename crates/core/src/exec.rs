@@ -27,12 +27,19 @@
 //! sends next), and repeatedly takes the most-downstream step that cannot
 //! wait on another thread — the requestors first, then the stages from the
 //! last. A fold takes a slice only from a link that already holds a frame
-//! this walker sent; a send goes only into a free credit of its link
+//! this walker wrote; a send goes only into a free credit of its link
 //! ([`PIPELINE_DEPTH`] per link) and only once the link's token bucket has
-//! paid for it, polled without blocking. When no step can run, the walker
-//! sleeps until the earliest pacing deadline, so shaped links pace in
-//! parallel as they would on separate machines. In an unshaped chain a
-//! slice travels the whole path before the next one is read. (Over
+//! paid for it, polled without blocking.
+//!
+//! A send queues its frame on the link (over `TcpTransport`; channels and
+//! the reactor write it at once), and a link writes its queue when it holds
+//! a credit window of frames — one `writev` for [`PIPELINE_DEPTH`] slices,
+//! read back with one `read` — or when a scan finds no step at all, so no
+//! frame waits for company that is not coming. When still no step can run,
+//! the walker sleeps until the earliest pacing deadline, so shaped links
+//! pace in parallel as they would on separate machines, each paid frame
+//! written on its own. In an unshaped chain a window of slices travels the
+//! whole path before the next one is read. (Over
 //! [`ReactorTransport`](crate::transport::ReactorTransport) a sent frame
 //! reaches its link's queue through an epoll thread; a fold or requestor
 //! receive that would wait for that delivery is taken only when nothing
@@ -255,15 +262,18 @@ impl Walk<'_> {
             if self.cancel.is_set() {
                 return Err(execution_error("repair cancelled mid-stream"));
             }
-            // A step that waits on no other thread; failing that, a receive
-            // of a frame still being delivered (an epoll thread of the
-            // reactor transport has it); failing that, every send left is
-            // waiting for its pacing.
+            // A step that waits on no other thread; failing that, the
+            // queued frames written and a receive of a frame still being
+            // delivered (an epoll thread of the reactor transport has it);
+            // failing that, every send left is waiting for its pacing.
             let mut turn = Turn::Blocked(None);
             for patient in [false, true] {
                 turn = self.step(&mut requestors, &mut stages, &mut links, pool, patient)?;
                 if let Turn::Took = turn {
                     break;
+                }
+                for link in &mut links {
+                    link.flush()?;
                 }
             }
             if let Turn::Blocked(wake) = turn {
@@ -320,7 +330,10 @@ struct Link {
     /// writes no end-of-stream frame).
     rx: SliceReceiver,
     tx: SliceSender,
-    sent: usize,
+    /// Frames sent and waiting in the sender's queue for its next flush.
+    queued: usize,
+    /// Frames written to the receiver's side, and frames received.
+    written: usize,
     received: usize,
 }
 
@@ -329,25 +342,43 @@ impl Link {
         Link {
             rx,
             tx,
-            sent: 0,
+            queued: 0,
+            written: 0,
             received: 0,
         }
     }
 
-    /// A frame this walker sent is waiting — delivered, so a receive
-    /// cannot wait on another thread, or (`patient`) at least sent.
+    /// A frame this walker wrote is waiting — delivered, so a receive
+    /// cannot wait on another thread, or (`patient`) at least written.
     fn holds_a_frame(&self, patient: bool) -> bool {
-        self.received < self.sent && (patient || self.rx.delivered())
+        self.received < self.written && (patient || self.rx.delivered())
     }
 
-    /// A send cannot block on the credit window.
+    /// A send cannot block on the credit window, which queued frames take
+    /// their share of.
     fn has_credit(&self) -> bool {
-        self.sent - self.received < PIPELINE_DEPTH
+        self.queued + self.written - self.received < PIPELINE_DEPTH
     }
 
+    /// Sends a frame, writing the queue once it holds a credit window.
     fn send(&mut self, msg: SliceMsg) -> Result<()> {
-        self.tx.send(msg)?;
-        self.sent += 1;
+        if self.tx.queue(msg)? {
+            self.written += 1;
+        } else {
+            self.queued += 1;
+        }
+        if self.queued == PIPELINE_DEPTH {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Writes the frames queued so far.
+    fn flush(&mut self) -> Result<()> {
+        if self.queued > 0 {
+            self.tx.flush()?;
+            self.written += std::mem::take(&mut self.queued);
+        }
         Ok(())
     }
 
@@ -668,14 +699,14 @@ mod tests {
     struct NoWaitTx(SliceSender, InFlight, usize);
 
     impl SliceTx for NoWaitTx {
-        fn send(&self, msg: SliceMsg) -> std::result::Result<(), TransportError> {
+        fn queue(&self, msg: SliceMsg) -> std::result::Result<bool, TransportError> {
             let NoWaitTx(tx, in_flight, capacity) = self;
             let sent = in_flight.fetch_add(1, Ordering::SeqCst);
             assert!(
                 sent < *capacity,
                 "a send found no free credit: it would block"
             );
-            tx.send(msg)
+            tx.send(msg).map(|()| true)
         }
     }
 
@@ -922,6 +953,42 @@ mod tests {
                 "a cancelled repair must leave no partial block"
             );
         }
+    }
+
+    /// A link writes a credit window per syscall: an unshaped 1 MiB / 32 KiB
+    /// RP repair over TCP writes each of its 10 links 32 / `PIPELINE_DEPTH`
+    /// = 4 times, and reads each window back with about one `read` — 40
+    /// and about 40 for the block, where a write and a read per slice would
+    /// be 320 and more. On a shaped link a paid frame is written the moment
+    /// nothing else can run, alone: once per slice.
+    #[test]
+    fn a_tcp_link_writes_a_window_per_syscall() {
+        /// Repairs block 0 twice over `transport` and returns the second
+        /// repair's `(writes, reads)`: the first dials the connections.
+        fn syscalls(layout: SliceLayout, transport: &TcpTransport) -> (u64, u64) {
+            let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
+            let (cluster, coordinator, data, stripe) = setup_sized(code, layout);
+            cluster.erase_block(stripe, 0);
+            let directive = coordinator
+                .plan_single_repair(cluster.meta(), stripe, 0, 15)
+                .unwrap();
+            let strategy = ExecStrategy::RepairPipelining;
+            execute_single(&directive, &cluster, transport, strategy).unwrap();
+            let (writes, reads) = transport.syscall_counts();
+            let repaired = execute_single(&directive, &cluster, transport, strategy).unwrap();
+            assert!(repaired == data[0]);
+            let (all_writes, all_reads) = transport.syscall_counts();
+            (all_writes - writes, all_reads - reads)
+        }
+        let (writes, reads) = syscalls(SliceLayout::new(1 << 20, 32 << 10), &TcpTransport::new());
+        // A write carries at most a credit window, so no link can make do
+        // with fewer than 4: a total of 40 is 4 on every link.
+        assert_eq!(writes, 10 * 32 / PIPELINE_DEPTH as u64);
+        assert!((40..=48).contains(&reads), "{reads} reads for 40 windows");
+        // 4 MB/s banks 8 KB, less than a slice: every slice is paid alone.
+        let shaped = TcpTransport::with_rate_limit(4_000_000);
+        let (writes, _) = syscalls(SliceLayout::new(64 << 10, 16 << 10), &shaped);
+        assert_eq!(writes, 10 * 4, "one write per slice on a shaped link");
     }
 
     /// The plan is the traffic: on a fresh transport, the links that moved

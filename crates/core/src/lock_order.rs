@@ -145,8 +145,9 @@ lock_class!(
 );
 
 lock_class!(
-    /// TCP per-connection write side: held by the owning link's sender for
-    /// one frame. When the socket is full the sender *tries* [`TCP_READER`]
+    /// TCP per-connection write side (the queue of frames not yet written):
+    /// held by the owning link's sender while it queues a frame or writes
+    /// the queue. When the socket is full the sender *tries* [`TCP_READER`]
     /// under it (to move the waiting bytes into the read buffer), never
     /// waiting for it.
     pub TCP_WRITER = ("tcp.writer", rank = 62)
@@ -156,7 +157,7 @@ lock_class!(
     /// TCP per-connection read side (frame buffer + stream progress): held
     /// by the owning link's receiver while it blocks in `read`, or —
     /// tried, never waited for — by a sender holding [`TCP_WRITER`] whose
-    /// socket is full. Leaf.
+    /// socket is full. Takes nothing but [`BUF_POOL`], for a read buffer.
     pub TCP_READER = ("tcp.reader", rank = 64)
 );
 
@@ -180,8 +181,9 @@ lock_class!(
 
 lock_class!(
     /// [`BufPool`](crate::BufPool) free-list of recycled slice buffers.
-    /// Leaf: taken for a push/pop only, with nothing held and holding
-    /// nothing.
+    /// Leaf: taken for a push/pop only, holding nothing — wherever the last
+    /// view of a buffer drops, which includes under [`TCP_WRITER`] (a
+    /// written queue) and [`TCP_READER`] (a read buffer taken or let go).
     pub BUF_POOL = ("buf.pool", rank = 76)
 );
 

@@ -348,10 +348,10 @@ impl LinkStats {
     }
 
     /// Total nanoseconds the link's slices spent being sent — each from its
-    /// first pacing poll to the end of its `send`, so token-bucket pacing,
-    /// backpressure and socket writes are all included, and pacing still
-    /// counts when the sender did other work between polls. Bytes over busy
-    /// time is the link's measured throughput, which is what
+    /// first pacing poll until the link took it, so token-bucket pacing and
+    /// backpressure are included, and pacing still counts when the sender
+    /// did other work between polls. Bytes over busy time is the link's
+    /// measured throughput, which is what
     /// [`LinkTelemetry`](crate::telemetry::LinkTelemetry) folds into its
     /// EWMA estimates.
     pub fn busy_nanos(&self) -> u64 {
@@ -372,16 +372,24 @@ pub struct LinkSnapshot {
     pub busy_nanos: u64,
 }
 
-/// The backend half of a [`SliceSender`]: moves one message to the peer.
+/// The backend half of a [`SliceSender`]: moves messages to the peer.
 pub(crate) trait SliceTx: Send + Sync {
-    fn send(&self, msg: SliceMsg) -> Result<(), TransportError>;
+    /// Takes a credit for `msg` (blocking at zero) and either writes it —
+    /// `Ok(true)` — or queues it for the next [`flush`](Self::flush).
+    fn queue(&self, msg: SliceMsg) -> Result<bool, TransportError>;
+
+    /// Writes every queued message. Backends whose `queue` writes at once
+    /// keep this default.
+    fn flush(&self) -> Result<(), TransportError> {
+        Ok(())
+    }
 }
 
 /// The backend half of a [`SliceReceiver`]: yields the next message.
 pub(crate) trait SliceRx: Send + Sync {
     fn recv(&self) -> Option<SliceMsg>;
 
-    /// See [`SliceReceiver::delivered`]. Backends whose `send` returns only
+    /// See [`SliceReceiver::delivered`]. Backends whose writes return only
     /// once the frame is where `recv` reads it keep this default.
     fn delivered(&self) -> bool {
         true
@@ -429,12 +437,26 @@ impl SliceSender {
 
     /// Sends one slice: first waits out the link's pacing (polling its
     /// token bucket and sleeping in between), then blocks while the link's
-    /// buffer is full.
+    /// buffer is full, then writes the slice — with anything queued on the
+    /// link before it.
     ///
     /// Fails with [`TransportError::Disconnected`] once the receiving end has
     /// been dropped (a dead helper must fail the repair rather than silently
     /// truncate it), or [`TransportError::Io`] on a socket failure.
     pub fn send(&self, msg: SliceMsg) -> Result<(), TransportError> {
+        self.queue(msg)?;
+        self.flush()
+    }
+
+    /// Hands one slice to the link: first waits out the link's pacing
+    /// (polling its token bucket and sleeping in between), then takes a
+    /// credit, blocking while the link is full. Returns whether the slice is
+    /// written — in-process channels and the reactor write at once — or
+    /// only queued, as `TcpTransport` does until the next
+    /// [`flush`](Self::flush), so that one write carries every slice queued
+    /// before it. A caller must flush before it waits for the link's
+    /// receiver.
+    pub(crate) fn queue(&self, msg: SliceMsg) -> Result<bool, TransportError> {
         let bytes = msg.data.len();
         while let Some(at) = self.poll_pacing(bytes) {
             std::thread::sleep(at.saturating_duration_since(Instant::now()));
@@ -444,17 +466,23 @@ impl SliceSender {
             .as_ref()
             .and_then(Pacer::settle)
             .unwrap_or_else(Instant::now);
-        self.inner.send(msg)?;
+        let written = self.inner.queue(msg)?;
         // Count only traffic the link actually accepted, so failed sends
-        // don't inflate the byte accounting the tests assert on. The send
-        // duration (pacing, backpressure, socket writes) is accumulated
+        // don't inflate the byte accounting the tests assert on. The time
+        // from the first pacing poll (pacing, backpressure) is accumulated
         // alongside: bytes over busy time is the link's measured throughput.
         self.stats.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         self.stats.messages.fetch_add(1, Ordering::Relaxed);
         self.stats
             .busy_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Ok(())
+        Ok(written)
+    }
+
+    /// Writes every slice the link has queued, in one write when the socket
+    /// takes them whole.
+    pub(crate) fn flush(&self) -> Result<(), TransportError> {
+        self.inner.flush()
     }
 }
 
@@ -477,11 +505,12 @@ impl SliceReceiver {
         self.inner.recv()
     }
 
-    /// Whether a slice already sent on this link can be received without
+    /// Whether a slice already written on this link can be received without
     /// waiting for another thread to deliver it. In-process channels and
-    /// `TcpTransport` deliver within `send` (the frame is in the channel, or
-    /// in the kernel or the connection's read buffer); on `ReactorTransport`
-    /// an epoll thread moves it to the link's queue a moment later.
+    /// `TcpTransport` deliver within the write (the frame is in the channel,
+    /// or in the kernel or the connection's read buffer once the queue it
+    /// joined is flushed); on `ReactorTransport` an epoll thread moves it to
+    /// the link's queue a moment later.
     pub(crate) fn delivered(&self) -> bool {
         self.inner.delivered()
     }
@@ -619,9 +648,10 @@ struct ChannelTx {
 }
 
 impl SliceTx for ChannelTx {
-    fn send(&self, msg: SliceMsg) -> Result<(), TransportError> {
+    fn queue(&self, msg: SliceMsg) -> Result<bool, TransportError> {
         self.inner
             .send(msg)
+            .map(|()| true)
             .map_err(|_| TransportError::Disconnected)
     }
 }

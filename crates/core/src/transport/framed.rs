@@ -174,7 +174,7 @@ impl LinkTable {
                             index: frame.index as usize,
                             stripe: frame.stripe,
                             repair: frame.repair,
-                            data: frame.payload.into(),
+                            data: frame.payload,
                         });
                         link.readable.notify_one();
                     }

@@ -122,7 +122,7 @@ impl OutboundConn {
     /// Writes one frame (header + payload), buffering whatever the socket
     /// refuses. Frames from concurrent senders never interleave: the buffer
     /// lock is held across both segments.
-    fn write_frame(&self, header: &[u8], payload: &[u8]) -> std::io::Result<()> {
+    fn send_frame(&self, header: &[u8], payload: &[u8]) -> std::io::Result<()> {
         let mut state = self.state.lock();
         if state.closed {
             return Err(std::io::Error::new(
@@ -437,7 +437,7 @@ struct ReactorTx {
 }
 
 impl SliceTx for ReactorTx {
-    fn send(&self, msg: SliceMsg) -> Result<(), TransportError> {
+    fn queue(&self, msg: SliceMsg) -> Result<bool, TransportError> {
         let conn = self
             .conn
             .as_ref()
@@ -463,7 +463,8 @@ impl SliceTx for ReactorTx {
             msg.repair,
             len,
         );
-        conn.write_frame(&header, &msg.data)
+        conn.send_frame(&header, &msg.data)
+            .map(|()| true)
             .map_err(TransportError::Io)
     }
 }
@@ -474,7 +475,7 @@ impl Drop for ReactorTx {
         // DATA frames went through, so it arrives after them.
         if let Ok(conn) = &self.conn {
             let header = encode_header(OP_EOS, self.link_id, 0, 0, 0, 0);
-            let _ = conn.write_frame(&header, &[]);
+            let _ = conn.send_frame(&header, &[]);
         }
         self.table
             .release_link_half(self.generation, self.link_id, &self.link, true);
@@ -672,7 +673,7 @@ impl ReactorTransport {
         )?;
         *conn.registration.lock() = Some(registration);
         let hello = encode_header(OP_HELLO, src as u64, dst as u64, generation, 0, 0);
-        conn.write_frame(&hello, &[])?;
+        conn.send_frame(&hello, &[])?;
         conns.outbound.insert((src, dst), conn.clone());
         Ok(conn)
     }

@@ -10,12 +10,23 @@
 //! directed `(src, dst)` node pair, dialing a new one only when the pool is
 //! empty, so a pair holds as many connections as it ever had links open at
 //! once. Both ends of a connection live in this process: the sender writes
-//! the dialed end — header and payload in one vectored write — and the
-//! link's receiver reads the accepted end itself, through a buffered frame
-//! reader that belongs to the connection. One hand-off per slice hop, and
-//! **no background threads at all**: no accept thread (a dial and its
-//! `accept` happen back to back under the listener lock), no reader thread,
-//! no queue between the socket and [`SliceReceiver::recv`].
+//! the dialed end and the link's receiver reads the accepted end itself,
+//! through a buffered frame reader that belongs to the connection. One
+//! hand-off per slice hop, and **no background threads at all**: no accept
+//! thread (a dial and its `accept` happen back to back under the listener
+//! lock), no reader thread, no queue between the socket and
+//! [`SliceReceiver::recv`].
+//!
+//! # A window per syscall
+//!
+//! A sender may queue frames ([`SliceSender::queue`]) and write them all
+//! with one vectored write when it flushes; `send` is a queue and a flush.
+//! The receiver reads whatever the socket holds with one `read`, into a
+//! buffer from a pool shared by every connection of the transport and sized
+//! for the link's credit window, and hands each frame out as a view of that
+//! buffer (see [`wire`](super::wire)). The repair executor queues up to a
+//! credit window per link and flushes it whole, so a repaired block costs a
+//! write and a read per window per link instead of per slice.
 //!
 //! # A sender may drain its own connection
 //!
@@ -25,7 +36,8 @@
 //! size. The dialed end is nonblocking: when the socket is full, the sender
 //! moves the bytes waiting at the accepted end into the connection's frame
 //! reader and writes on, and the receiver later finds them there before it
-//! reads the socket (the `EOS` frame goes the same way). The sender only
+//! reads the socket (`HELLO` and `EOS` frames go the same way, behind any
+//! frames already queued). The sender only
 //! *tries* the read side's lock (taking `tcp.writer` then `tcp.reader` is
 //! rank-legal): a receiver on another thread holds it while it waits for
 //! the rest of the very frame being written, so waiting for the lock
@@ -34,8 +46,9 @@
 //!
 //! The wire format is shared with [`ReactorTransport`](super::ReactorTransport)
 //! and documented in [`wire`](super::wire). A link's `capacity` is enforced
-//! with sender-side credits (process-local, like every node here): `send`
-//! takes a credit and blocks at zero, `recv` returns one per slice.
+//! with sender-side credits (process-local, like every node here): `queue`
+//! takes a credit and blocks at zero (writing out what it queued before
+//! that, so nothing waits on itself), `recv` returns one per slice.
 //!
 //! # Returning a connection to the pool
 //!
@@ -69,20 +82,22 @@
 //! tests measure.
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::io::{self, ErrorKind};
+use std::io::{self, ErrorKind, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use ecpipe_reactor::sys::{recv_now, wait_writable};
 use ecpipe_sync::{Condvar, Mutex};
 use simnet::{NodeId, Topology};
 
+use crate::buf::BufPool;
 use crate::lock_order;
 
 use super::wire::{
-    encode_header, payload_len, write_frame, FrameReader, HEADER_LEN, OP_DATA, OP_EOS, OP_HELLO,
+    encode_header, payload_len, write_frames, FrameReader, HEADER_LEN, OP_DATA, OP_EOS, OP_HELLO,
 };
 use super::{
     Shaper, SliceMsg, SliceReceiver, SliceRx, SliceSender, SliceTx, StatsRegistry, Transport,
@@ -122,12 +137,14 @@ struct Conn {
     window: Mutex<Window>,
     /// Senders out of credits park here.
     writable: Condvar,
-    /// Makes a frame atomic against another `send` on the same sender; the
-    /// stream itself is written through `&TcpStream`, which is what lets
-    /// [`Conn::sever`] shut it down under a waiting writer.
+    /// The frames queued for the next write, each a header and its payload.
+    /// Held while a frame is queued or the queue written, which keeps frames
+    /// whole against another sender on the same link; the stream itself is
+    /// written through `&TcpStream`, which is what lets [`Conn::sever`] shut
+    /// it down under a waiting writer.
     ///
     /// Lock class: `tcp.writer` ([`lock_order::TCP_WRITER`]).
-    writer: Mutex<()>,
+    writer: Mutex<Vec<([u8; HEADER_LEN], Bytes)>>,
     /// Held by a receiver for one frame read, and tried (never waited for)
     /// by a writer that found the socket full.
     ///
@@ -135,15 +152,43 @@ struct Conn {
     reader: Mutex<ReadHalf>,
     /// The byte stream can no longer be trusted: never pooled again.
     broken: AtomicBool,
+    /// The transport's syscall counters.
+    io: Arc<IoCounts>,
+}
+
+/// Socket writes and reads made by a transport's connections.
+#[derive(Default)]
+struct IoCounts {
+    writes: AtomicU64,
+    reads: AtomicU64,
+}
+
+/// The accepted end of a connection, counting its reads.
+struct CountedReads<'a>(&'a Conn);
+
+impl Read for CountedReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.0.io.reads.fetch_add(1, Ordering::Relaxed);
+        (&self.0.accepted).read(buf)
+    }
 }
 
 impl Conn {
-    /// Writes one whole frame into the dialed end, never waiting on the
-    /// calling thread itself: a frame larger than the socket buffers goes
-    /// out even when the thread that will read it is this one.
-    fn write_frame(&self, header: &[u8; HEADER_LEN], payload: &[u8]) -> io::Result<()> {
-        let _frame = self.writer.lock();
-        write_frame(&self.dialed, header, payload, || self.make_room())
+    /// Writes every queued frame, then `last` if given (a `HELLO` or `EOS`,
+    /// which carry no payload), into the dialed end with as few vectored
+    /// writes as the socket allows — never waiting on the calling thread
+    /// itself: frames larger than the socket buffers go out even when the
+    /// thread that will read them is this one.
+    fn flush(&self, last: Option<[u8; HEADER_LEN]>) -> io::Result<()> {
+        let mut queue = self.writer.lock();
+        queue.extend(last.map(|header| (header, Bytes::new())));
+        if queue.is_empty() {
+            return Ok(());
+        }
+        let written = write_frames(&self.dialed, &queue, || self.make_room());
+        queue.clear();
+        self.io.writes.fetch_add(written? as u64, Ordering::Relaxed);
+        Ok(())
     }
 
     /// The dialed socket is full. If no receiver is reading the accepted end
@@ -155,7 +200,11 @@ impl Conn {
     fn make_room(&self) -> io::Result<()> {
         if let Some(mut half) = self.reader.try_lock() {
             let fd = self.accepted.as_raw_fd();
-            if half.frames.fill(|buf| recv_now(fd, buf))? > 0 {
+            let moved = half.frames.fill(|buf| {
+                self.io.reads.fetch_add(1, Ordering::Relaxed);
+                recv_now(fd, buf)
+            })?;
+            if moved > 0 {
                 return Ok(());
             }
         }
@@ -215,14 +264,24 @@ struct TcpTx {
     link_id: u64,
 }
 
+impl TcpTx {
+    fn conn(&self) -> Result<&Conn, TransportError> {
+        match &self.lease {
+            Ok(lease) => Ok(&lease.conn),
+            Err(reason) => Err(TransportError::Io(io::Error::other(reason.clone()))),
+        }
+    }
+}
+
 impl SliceTx for TcpTx {
-    fn send(&self, msg: SliceMsg) -> Result<(), TransportError> {
-        let conn = match &self.lease {
-            Ok(lease) => &lease.conn,
-            Err(reason) => return Err(TransportError::Io(io::Error::other(reason.clone()))),
-        };
+    fn queue(&self, msg: SliceMsg) -> Result<bool, TransportError> {
+        let conn = self.conn()?;
         let len = payload_len(&msg.data).map_err(TransportError::Io)?;
-        // Credit gate: block until the receiver has drained below capacity.
+        // Credit gate: block until the receiver has drained below capacity —
+        // after writing what is queued, or the receiver could never drain.
+        if conn.window.lock().credits == 0 {
+            self.flush()?;
+        }
         {
             let window = conn.window.lock();
             let mut window = conn.writable.wait_while_tick(window, WAIT_TICK, |w| {
@@ -244,7 +303,13 @@ impl SliceTx for TcpTx {
             msg.repair,
             len,
         );
-        conn.write_frame(&header, &msg.data).map_err(|e| {
+        conn.writer.lock().push((header, msg.data));
+        Ok(false)
+    }
+
+    fn flush(&self) -> Result<(), TransportError> {
+        let conn = self.conn()?;
+        conn.flush(None).map_err(|e| {
             conn.broken.store(true, Ordering::SeqCst);
             TransportError::Io(e)
         })
@@ -256,12 +321,13 @@ impl Drop for TcpTx {
         let Ok(lease) = &self.lease else { return };
         let conn = &lease.conn;
         // Graceful end-of-stream, behind the DATA frames on the same socket
-        // — unless the receiver is already gone and nobody would read it.
+        // — unless the receiver is already gone and nobody would read them.
         if conn.window.lock().receiver_gone {
+            conn.writer.lock().clear();
             return;
         }
         let header = encode_header(OP_EOS, self.link_id, 0, 0, 0, 0);
-        if conn.write_frame(&header, &[]).is_err() {
+        if conn.flush(Some(header)).is_err() {
             conn.broken.store(true, Ordering::SeqCst);
         }
     }
@@ -282,7 +348,7 @@ impl SliceRx for TcpRx {
                 return None;
             }
             loop {
-                match half.frames.read_frame(&conn.accepted) {
+                match half.frames.read_frame(CountedReads(conn)) {
                     // Left unread by an earlier link on this connection.
                     Ok(frame) if frame.opcode == OP_HELLO || frame.link != self.link_id => {}
                     Ok(frame) => {
@@ -309,7 +375,7 @@ impl SliceRx for TcpRx {
             index: frame.index as usize,
             stripe: frame.stripe,
             repair: frame.repair,
-            data: frame.payload.into(),
+            data: frame.payload,
         })
     }
 }
@@ -351,6 +417,9 @@ pub struct TcpTransport {
     /// Connections dialed so far; the next one's id.
     dials: AtomicU64,
     shaper: Shaper,
+    /// The buffers every connection's receiver reads into.
+    read_buffers: BufPool,
+    io: Arc<IoCounts>,
 }
 
 impl Default for TcpTransport {
@@ -370,6 +439,8 @@ impl TcpTransport {
             next_link_id: AtomicU64::new(1),
             dials: AtomicU64::new(0),
             shaper: Shaper::default(),
+            read_buffers: BufPool::new(),
+            io: Arc::default(),
         }
     }
 
@@ -409,6 +480,16 @@ impl TcpTransport {
         (
             self.dials.load(Ordering::Relaxed),
             self.pool.lock().open.len(),
+        )
+    }
+
+    /// `(socket writes, socket reads)` made so far — for the tests that pin
+    /// how many syscalls a window of frames costs.
+    #[doc(hidden)]
+    pub fn syscall_counts(&self) -> (u64, u64) {
+        (
+            self.io.writes.load(Ordering::Relaxed),
+            self.io.reads.load(Ordering::Relaxed),
         )
     }
 
@@ -452,19 +533,20 @@ impl TcpTransport {
                 },
             ),
             writable: Condvar::new(),
-            writer: Mutex::new(&lock_order::TCP_WRITER, ()),
+            writer: Mutex::new(&lock_order::TCP_WRITER, Vec::new()),
             reader: Mutex::new(
                 &lock_order::TCP_READER,
                 ReadHalf {
-                    frames: FrameReader::new(),
+                    frames: FrameReader::new(self.read_buffers.clone()),
                     synced: false,
                     ended: false,
                 },
             ),
             broken: AtomicBool::new(false),
+            io: self.io.clone(),
         });
         let hello = encode_header(OP_HELLO, src as u64, dst as u64, id, 0, 0);
-        conn.write_frame(&hello, &[])?;
+        conn.flush(Some(hello))?;
         self.pool.lock().open.insert(id, conn.clone());
         Ok(conn)
     }
@@ -491,6 +573,7 @@ impl TcpTransport {
             let mut half = conn.reader.lock();
             half.synced = false;
             half.ended = false;
+            half.frames.set_capacity(capacity);
         }
         Ok(Arc::new(Lease {
             conn,
@@ -597,6 +680,42 @@ mod tests {
         assert_eq!(outcome, (3, true, true));
     }
 
+    /// Queued frames leave together, in one write, when the sender flushes
+    /// — or when a `queue` finds no credit left, since the receiver could
+    /// never return one for frames it cannot see.
+    #[test]
+    fn queued_frames_leave_in_one_write() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let transport = TcpTransport::new();
+            let (tx, rx) = transport.link(0, 1, 2);
+            let dialed = transport.syscall_counts().0;
+            let queued = std::thread::scope(|scope| {
+                let receiver = scope.spawn(|| {
+                    (0..3)
+                        .map(|_| rx.recv().map(|msg| msg.index))
+                        .collect::<Vec<_>>()
+                });
+                let queued: Vec<bool> = (0..3)
+                    .map(|j| {
+                        tx.queue(SliceMsg::new(j, Bytes::from_static(b"w")))
+                            .unwrap()
+                    })
+                    .collect();
+                tx.flush().unwrap();
+                assert_eq!(receiver.join().unwrap(), [Some(0), Some(1), Some(2)]);
+                queued
+            });
+            let writes = transport.syscall_counts().0 - dialed;
+            let _ = done_tx.send((queued, writes));
+        });
+        let (queued, writes) = done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a queue out of credit waited on frames it had not written");
+        assert_eq!(queued, [false; 3], "TCP frames wait for the flush");
+        assert_eq!(writes, 2, "two frames per write, then the third");
+    }
+
     #[test]
     fn connections_are_reused_across_links() {
         let transport = TcpTransport::new();
@@ -681,7 +800,7 @@ mod tests {
         // Corrupt the stream behind the sender's back: a 4 GiB length.
         let conn = transport.pool.lock().open[&1].clone();
         let garbage = encode_header(OP_DATA, 1, 0, 0, 0, u32::MAX);
-        conn.write_frame(&garbage, &[]).unwrap();
+        conn.flush(Some(garbage)).unwrap();
         assert!(rx.recv().is_none(), "the link ends instead of allocating");
         drop((tx, rx, conn));
         assert_eq!(transport.connection_counts(), (1, 0));

@@ -20,6 +20,12 @@
 //! [`SliceMsg`](super::SliceMsg): slice index, stripe and repair-job ids,
 //! payload), `EOS` (the sending half of a link was dropped).
 //!
+//! A link's frames travel a window at a time on TCP: [`write_frames`] puts
+//! every frame a sender queued into one vectored write, and
+//! [`FrameReader`] takes whatever the socket holds with one `read` into a
+//! pooled buffer sized for a credit window of frames, handing each frame
+//! complete in it out as a [`Bytes`] view of that buffer.
+//!
 //! Bytes off a socket are untrusted: both decoders ([`FrameReader`] for
 //! blocking reads, [`FrameDecoder`] for nonblocking ones) reject an unknown
 //! opcode or a length above [`MAX_FRAME_LEN`] with an error before
@@ -28,6 +34,10 @@
 //! never the process.
 
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
+
+use bytes::Bytes;
+
+use crate::buf::BufPool;
 
 /// First frame on a connection: announces the `(src, dst)` node pair.
 pub(super) const OP_HELLO: u8 = 1;
@@ -44,11 +54,15 @@ pub(super) const HEADER_LEN: usize = 1 + 8 + 8 + 8 + 8 + 4;
 /// largest block size the paper evaluates.
 pub(super) const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// How many bytes a [`FrameReader`] asks the socket for at a time: enough
-/// that a header and any stale frames ahead of it arrive in one `read`,
-/// small enough that nearly all of a slice payload is read straight into
-/// its own allocation instead of being copied out of the buffer.
+/// The smallest read a [`FrameReader`] makes: before it has seen a frame's
+/// length it reads this much, enough for a header and any stale frames
+/// ahead of it.
 const READ_BUF: usize = 4096;
+
+/// The largest read buffer a [`FrameReader`] takes. A credit window of
+/// frames that would need more is read a few frames at a time, and a frame
+/// larger than this is read into an allocation of its own.
+const MAX_READ: usize = 1 << 20;
 
 pub(super) fn encode_header(
     opcode: u8,
@@ -83,34 +97,35 @@ pub(super) fn payload_len(payload: &[u8]) -> io::Result<u32> {
     Ok(payload.len() as u32)
 }
 
-/// Writes one frame: header and payload leave in a single vectored write
-/// when the stream accepts them whole, and the remainder is retried until
-/// the frame is complete. Whenever a nonblocking stream refuses bytes
-/// (`WouldBlock`), `make_room` runs before the next attempt — it is what
-/// empties the far end, or waits for someone else to.
-pub(super) fn write_frame<W: Write>(
+/// Writes a window of frames, each a header and its payload: all of them
+/// leave in a single vectored write when the stream accepts them whole,
+/// and the remainder — which may start inside any header or payload — is
+/// retried until every frame is out. Whenever a nonblocking stream refuses
+/// bytes (`WouldBlock`), `make_room` runs before the next attempt — it is
+/// what empties the far end, or waits for someone else to. Returns how many
+/// writes it made.
+pub(super) fn write_frames<W: Write, P: AsRef<[u8]>>(
     mut stream: W,
-    header: &[u8; HEADER_LEN],
-    payload: &[u8],
+    frames: &[([u8; HEADER_LEN], P)],
     mut make_room: impl FnMut() -> io::Result<()>,
-) -> io::Result<()> {
-    let total = HEADER_LEN + payload.len();
-    let mut written = 0;
-    while written < total {
-        let result = if written < HEADER_LEN {
-            stream.write_vectored(&[IoSlice::new(&header[written..]), IoSlice::new(payload)])
-        } else {
-            stream.write(&payload[written - HEADER_LEN..])
-        };
-        match result {
+) -> io::Result<usize> {
+    let mut slices: Vec<IoSlice<'_>> = frames
+        .iter()
+        .flat_map(|(header, payload)| [IoSlice::new(header), IoSlice::new(payload.as_ref())])
+        .collect();
+    let mut left = &mut slices[..];
+    let mut writes = 0;
+    while !left.is_empty() {
+        writes += 1;
+        match stream.write_vectored(left) {
             Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(n) => written += n,
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock => make_room()?,
             Err(e) => return Err(e),
         }
     }
-    Ok(())
+    Ok(writes)
 }
 
 /// One decoded frame.
@@ -120,7 +135,7 @@ pub(super) struct Frame {
     pub(super) index: u64,
     pub(super) stripe: u64,
     pub(super) repair: u64,
-    pub(super) payload: Vec<u8>,
+    pub(super) payload: Bytes,
 }
 
 /// Validates a header and returns the payload length it announces.
@@ -142,7 +157,16 @@ fn announced_len(header: &[u8; HEADER_LEN]) -> io::Result<usize> {
     Ok(len)
 }
 
-fn decode(header: &[u8; HEADER_LEN], payload: Vec<u8>) -> Frame {
+/// The header at the start of `bytes`, once all of it is there, and the
+/// length of the whole frame it announces.
+fn frame_at(bytes: &[u8]) -> io::Result<Option<([u8; HEADER_LEN], usize)>> {
+    let Some(header) = bytes.first_chunk::<HEADER_LEN>() else {
+        return Ok(None);
+    };
+    Ok(Some((*header, HEADER_LEN + announced_len(header)?)))
+}
+
+fn decode(header: &[u8; HEADER_LEN], payload: Bytes) -> Frame {
     Frame {
         opcode: header[0],
         link: u64::from_le_bytes(header[1..9].try_into().unwrap()),
@@ -154,65 +178,164 @@ fn decode(header: &[u8; HEADER_LEN], payload: Vec<u8>) -> Frame {
 }
 
 /// Buffered frame parser for blocking reads (the `TcpTransport` receive
-/// path). The buffer belongs to the connection, not to a link: bytes read
-/// ahead of one link's last frame are the next link's first. It also takes
-/// whatever the connection's own sender moves into it ([`FrameReader::fill`])
-/// when the socket is full, and grows to hold it.
+/// path). It belongs to the connection, not to a link: bytes read ahead of
+/// one link's last frame are the next link's first.
+///
+/// A read takes a buffer from a [`BufPool`] — one pool for every
+/// connection of a transport, so idle connections hold no buffer — sized
+/// for the link's credit window of frames as long as the last data frame,
+/// and asks the socket for as much as fits. Every frame complete in the
+/// buffer is handed out as a view of it: no copy, allocation or `memset`
+/// per frame, and the buffer is let go as soon as its last frame is. A
+/// frame cut off at the end of the buffer is carried to the front of the
+/// next one; a frame too large to share a buffer gets an allocation of its
+/// own, with the part not already read read straight into it. The reader
+/// also takes whatever the connection's own sender moves out of a full
+/// socket ([`FrameReader::fill`]), and reads that before the socket.
 pub(super) struct FrameReader {
-    /// Zero-initialised once; [`READ_BUF`] bytes unless a `fill` grew it.
-    buf: Vec<u8>,
-    /// Unconsumed bytes are `buf[pos..filled]`.
+    pool: BufPool,
+    /// The last buffer read; `window[pos..]` is not handed out yet.
+    window: Bytes,
     pos: usize,
-    filled: usize,
+    /// What `fill` moved in, `backlog[..backlogged]`: behind the window's
+    /// bytes (`fill` moves those to its front) and ahead of the socket's.
+    backlog: Vec<u8>,
+    backlogged: usize,
+    /// Frames a read makes room for: the credit window of the link.
+    capacity: usize,
+    /// The payload length of the last data frame: what reads are sized by.
+    frame_len: usize,
 }
 
 impl FrameReader {
-    pub(super) fn new() -> Self {
+    pub(super) fn new(pool: BufPool) -> Self {
         FrameReader {
-            buf: vec![0u8; READ_BUF],
+            pool,
+            window: Bytes::new(),
             pos: 0,
-            filled: 0,
+            backlog: Vec::new(),
+            backlogged: 0,
+            capacity: 1,
+            frame_len: 0,
         }
     }
 
-    /// Blocks until one complete frame has been read from `src`, taking the
-    /// buffered bytes first. The payload is allocated once, at its
-    /// announced length, and the part not already buffered is read straight
-    /// into it. End-of-stream — between frames or inside one — is
-    /// `UnexpectedEof`; a bad header is `InvalidData`, after which the
-    /// stream position is meaningless and the reader must be discarded.
-    pub(super) fn read_frame<R: Read>(&mut self, mut src: R) -> io::Result<Frame> {
-        while self.filled - self.pos < HEADER_LEN {
-            self.compact();
-            match src.read(&mut self.buf[self.filled..]) {
+    /// Sizes later reads for a link that may have `frames` frames in
+    /// flight.
+    pub(super) fn set_capacity(&mut self, frames: usize) {
+        self.capacity = frames.max(1);
+    }
+
+    /// Returns the next frame, taking the buffered bytes first and reading
+    /// `src` — blocking — only when they hold no complete frame.
+    /// End-of-stream — between frames or inside one — is `UnexpectedEof`; a
+    /// bad header is `InvalidData`, after which the stream position is
+    /// meaningless and the reader must be discarded.
+    pub(super) fn read_frame<R: Read>(&mut self, src: R) -> io::Result<Frame> {
+        if self.backlogged > 0 {
+            // `fill` emptied the window into the backlog, so the backlog is
+            // next: handed out as views too, of the allocation it grew in.
+            let mut backlog = std::mem::take(&mut self.backlog);
+            backlog.truncate(std::mem::take(&mut self.backlogged));
+            self.window = backlog.into();
+            self.pos = 0;
+        }
+        match self.next_in_window()? {
+            Some(frame) => Ok(frame),
+            None => self.read_window(src),
+        }
+    }
+
+    /// Hands out the frame at the read position if all of it is buffered.
+    fn next_in_window(&mut self) -> io::Result<Option<Frame>> {
+        let Some((header, end)) = frame_at(&self.window[self.pos..])? else {
+            return Ok(None);
+        };
+        if self.window.len() - self.pos < end {
+            return Ok(None);
+        }
+        let payload = self.window.slice(self.pos + HEADER_LEN..self.pos + end);
+        self.pos += end;
+        if self.pos == self.window.len() {
+            // Consumed: the buffer returns to the pool with its last view.
+            self.window = Bytes::new();
+            self.pos = 0;
+        }
+        Ok(Some(self.decoded(&header, payload)))
+    }
+
+    /// Reads a new buffer's worth — the unread start of a frame first — until
+    /// it holds at least one whole frame, and hands that frame out.
+    fn read_window<R: Read>(&mut self, mut src: R) -> io::Result<Frame> {
+        let carried = std::mem::take(&mut self.window).slice(self.pos..);
+        self.pos = 0;
+        let size = self.read_size();
+        if let Some((header, end)) = frame_at(&carried)? {
+            if end > size {
+                return self.read_alone(&header, end, &carried[HEADER_LEN..], src);
+            }
+        }
+        let mut buf = self.pool.take(size);
+        buf[..carried.len()].copy_from_slice(&carried);
+        let mut filled = carried.len();
+        drop(carried);
+        loop {
+            if let Some((header, end)) = frame_at(&buf[..filled])? {
+                if end > size {
+                    return self.read_alone(&header, end, &buf[HEADER_LEN..filled], src);
+                }
+                if filled >= end {
+                    break;
+                }
+            }
+            match src.read(&mut buf[filled..]) {
                 Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
-                Ok(n) => self.filled += n,
+                Ok(n) => filled += n,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
-        let header: [u8; HEADER_LEN] = self.buf[self.pos..self.pos + HEADER_LEN]
-            .try_into()
-            .unwrap();
-        let len = announced_len(&header)?;
-        self.pos += HEADER_LEN;
-        let mut payload = Vec::with_capacity(len);
-        let buffered = len.min(self.filled - self.pos);
-        payload.extend_from_slice(&self.buf[self.pos..self.pos + buffered]);
-        self.pos += buffered;
-        if self.pos == self.filled {
-            self.clear();
+        self.window = buf.freeze().slice(..filled);
+        let frame = self.next_in_window()?;
+        Ok(frame.expect("the loop above read a whole frame"))
+    }
+
+    /// A frame of `end` bytes that does not fit a read buffer: its payload
+    /// is allocated once, at its announced length, and the part not in
+    /// `buffered` is read straight into it — in one `read` when the frame
+    /// is already complete in the socket, as it always is when the thread
+    /// that sent it reads it.
+    fn read_alone<R: Read>(
+        &mut self,
+        header: &[u8; HEADER_LEN],
+        end: usize,
+        buffered: &[u8],
+        mut src: R,
+    ) -> io::Result<Frame> {
+        let mut payload = vec![0u8; end - HEADER_LEN];
+        payload[..buffered.len()].copy_from_slice(buffered);
+        src.read_exact(&mut payload[buffered.len()..])?;
+        Ok(self.decoded(header, payload.into()))
+    }
+
+    /// How much to read at once: a credit window of frames as long as the
+    /// last data frame, plus one stale frame ahead of them — or as many of
+    /// them as fit in [`MAX_READ`].
+    fn read_size(&self) -> usize {
+        let frame = HEADER_LEN + self.frame_len;
+        let frames = self.capacity.min(MAX_READ / frame);
+        (frames * frame + HEADER_LEN).max(READ_BUF)
+    }
+
+    fn decoded(&mut self, header: &[u8; HEADER_LEN], payload: Bytes) -> Frame {
+        if header[0] == OP_DATA {
+            self.frame_len = payload.len();
         }
-        // Zero-filled so the rest can go in with one `read` once the frame is
-        // complete in the socket — as it always is when the thread that sent
-        // it reads it — instead of `read_to_end`'s growing probes.
-        payload.resize(len, 0);
-        src.read_exact(&mut payload[buffered..])?;
-        Ok(decode(&header, payload))
+        decode(header, payload)
     }
 
     /// Moves every byte `recv_now` can hand over without waiting into the
-    /// buffer, doubling it as often as that takes, and returns how many it
+    /// backlog, doubling it as often as that takes, and returns how many it
     /// moved. `recv_now` must not block: it reports an empty source as
     /// `WouldBlock`, which ends the fill. End-of-stream is `UnexpectedEof`
     /// (what was moved before it stays buffered).
@@ -220,42 +343,30 @@ impl FrameReader {
         &mut self,
         mut recv_now: impl FnMut(&mut [u8]) -> io::Result<usize>,
     ) -> io::Result<usize> {
-        self.compact();
+        if self.backlogged == 0 {
+            // What is left of the window comes first: it leads the backlog.
+            let unread = std::mem::take(&mut self.window).slice(self.pos..);
+            self.pos = 0;
+            self.backlog.clear();
+            self.backlog.extend_from_slice(&unread);
+            self.backlogged = unread.len();
+        }
         let mut moved = 0;
         loop {
-            if self.filled == self.buf.len() {
-                let doubled = 2 * self.buf.len();
-                self.buf.resize(doubled, 0);
+            if self.backlogged == self.backlog.len() {
+                let doubled = (2 * self.backlog.len()).max(READ_BUF);
+                self.backlog.resize(doubled, 0);
             }
-            match recv_now(&mut self.buf[self.filled..]) {
+            match recv_now(&mut self.backlog[self.backlogged..]) {
                 Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
                 Ok(n) => {
-                    self.filled += n;
+                    self.backlogged += n;
                     moved += n;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(moved),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
-        }
-    }
-
-    /// Moves the unconsumed bytes to the front of the buffer.
-    fn compact(&mut self) {
-        if self.pos > 0 {
-            self.buf.copy_within(self.pos..self.filled, 0);
-            self.filled -= self.pos;
-            self.pos = 0;
-        }
-    }
-
-    /// Empties the buffer; one that a `fill` grew is given back, so a
-    /// pooled connection does not keep the largest backlog it ever held.
-    fn clear(&mut self) {
-        self.pos = 0;
-        self.filled = 0;
-        if self.buf.len() > READ_BUF {
-            self.buf = vec![0u8; READ_BUF];
         }
     }
 }
@@ -289,17 +400,15 @@ impl FrameDecoder {
     /// reject — and the connection must be discarded.
     pub(super) fn next_frame(&mut self) -> io::Result<Option<Frame>> {
         let pending = &self.buf[self.start..];
-        if pending.len() < HEADER_LEN {
+        let Some((header, end)) = frame_at(pending)? else {
+            return Ok(None);
+        };
+        if pending.len() < end {
             return Ok(None);
         }
-        let header: [u8; HEADER_LEN] = pending[..HEADER_LEN].try_into().unwrap();
-        let len = announced_len(&header)?;
-        if pending.len() < HEADER_LEN + len {
-            return Ok(None);
-        }
-        let payload = pending[HEADER_LEN..HEADER_LEN + len].to_vec();
-        self.start += HEADER_LEN + len;
-        Ok(Some(decode(&header, payload)))
+        let payload = pending[HEADER_LEN..end].to_vec();
+        self.start += end;
+        Ok(Some(decode(&header, payload.into())))
     }
 }
 
@@ -310,7 +419,14 @@ mod tests {
     type Seen = (u8, u64, u64, u64, u64, Vec<u8>);
 
     fn seen(f: Frame) -> Seen {
-        (f.opcode, f.link, f.index, f.stripe, f.repair, f.payload)
+        (
+            f.opcode,
+            f.link,
+            f.index,
+            f.stripe,
+            f.repair,
+            f.payload[..].to_vec(),
+        )
     }
 
     fn frame_bytes(opcode: u8, link: u64, payload: &[u8]) -> Vec<u8> {
@@ -319,7 +435,7 @@ mod tests {
         out
     }
 
-    /// A three-frame stream (one payload larger than the read buffer) and
+    /// A three-frame stream (one payload larger than the first read) and
     /// what decoding it must yield.
     fn sample_stream() -> (Vec<u8>, Vec<Seen>) {
         let big: Vec<u8> = (0..3 * READ_BUF + 5).map(|i| (i * 7) as u8).collect();
@@ -336,14 +452,27 @@ mod tests {
         (wire, expected)
     }
 
-    /// A `Read` that hands out at most `chunk` bytes per call.
+    /// A `Read` that hands out at most `chunk` bytes per call, and counts
+    /// the calls.
     struct Chunked<'a> {
         data: &'a [u8],
         chunk: usize,
+        reads: usize,
+    }
+
+    impl<'a> Chunked<'a> {
+        fn new(data: &'a [u8], chunk: usize) -> Self {
+            Chunked {
+                data,
+                chunk,
+                reads: 0,
+            }
+        }
     }
 
     impl Read for Chunked<'_> {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
             let n = self.chunk.min(buf.len()).min(self.data.len());
             buf[..n].copy_from_slice(&self.data[..n]);
             self.data = &self.data[n..];
@@ -351,11 +480,9 @@ mod tests {
         }
     }
 
-    /// Decodes `wire` with the blocking reader fed `chunk` bytes at a time,
-    /// returning the frames and the error that ended the stream.
-    fn read_all(wire: &[u8], chunk: usize) -> (Vec<Seen>, io::Error) {
-        let mut src = Chunked { data: wire, chunk };
-        let mut reader = FrameReader::new();
+    /// Decodes `src` to its end with `reader`, returning the frames and the
+    /// error that ended the stream.
+    fn read_rest(reader: &mut FrameReader, mut src: impl Read) -> (Vec<Seen>, io::Error) {
         let mut frames = Vec::new();
         loop {
             match reader.read_frame(&mut src) {
@@ -363,6 +490,15 @@ mod tests {
                 Err(e) => return (frames, e),
             }
         }
+    }
+
+    /// Decodes `wire` with a fresh blocking reader fed `chunk` bytes at a
+    /// time.
+    fn read_all(wire: &[u8], chunk: usize) -> (Vec<Seen>, io::Error) {
+        read_rest(
+            &mut FrameReader::new(BufPool::new()),
+            Chunked::new(wire, chunk),
+        )
     }
 
     /// Decodes `wire` with the incremental decoder fed `chunk` bytes at a
@@ -383,6 +519,22 @@ mod tests {
         (frames, None)
     }
 
+    /// Moves `backlog` into `reader` the way a sender draining its full
+    /// socket does, at most 1000 bytes per call.
+    fn fill_from(reader: &mut FrameReader, mut backlog: &[u8]) -> usize {
+        reader
+            .fill(|buf| {
+                if backlog.is_empty() {
+                    return Err(ErrorKind::WouldBlock.into());
+                }
+                let n = buf.len().min(backlog.len()).min(1000);
+                buf[..n].copy_from_slice(&backlog[..n]);
+                backlog = &backlog[n..];
+                Ok(n)
+            })
+            .unwrap()
+    }
+
     #[test]
     fn decoder_handles_split_and_coalesced_frames() {
         let (wire, expected) = sample_stream();
@@ -393,6 +545,80 @@ mod tests {
             let (frames, err) = decode_all(&wire, chunk);
             assert_eq!(frames, expected, "decoder, chunk {chunk}");
             assert!(err.is_none());
+        }
+    }
+
+    /// A window a sender wrote with one `writev` comes back with one `read`,
+    /// every frame a view of the same pooled buffer — consecutive, so no
+    /// payload was copied — and once the window's last view is gone, the
+    /// next window is read into that same buffer.
+    #[test]
+    fn a_window_is_read_at_once_as_views_of_one_buffer() {
+        const LEN: usize = 32 << 10;
+        const DEPTH: usize = 8;
+        let frame = |index: u64| {
+            let payload: Vec<u8> = (0..LEN).map(|i| (i as u64 * 13 + index) as u8).collect();
+            let mut out = encode_header(OP_DATA, 7, index, 2, 3, LEN as u32).to_vec();
+            out.extend_from_slice(&payload);
+            out
+        };
+        let pool = BufPool::new();
+        let mut reader = FrameReader::new(pool.clone());
+        reader.set_capacity(DEPTH);
+        // The first frame teaches the reader how long frames are.
+        let first = frame(0);
+        let mut src = Chunked::new(&first, usize::MAX);
+        assert_eq!(seen(reader.read_frame(&mut src).unwrap()).5.len(), LEN);
+        let mut buffers = Vec::new();
+        for window in 0..2u64 {
+            let wire: Vec<u8> = (0..DEPTH as u64)
+                .flat_map(|j| frame(1 + window * 8 + j))
+                .collect();
+            let mut src = Chunked::new(&wire, usize::MAX);
+            let frames: Vec<Frame> = (0..DEPTH)
+                .map(|_| reader.read_frame(&mut src).unwrap())
+                .collect();
+            assert_eq!(src.reads, 1, "window {window} took {} reads", src.reads);
+            let base = frames[0].payload.as_ptr() as usize;
+            for (j, f) in frames.iter().enumerate() {
+                assert_eq!(f.index, 1 + window * 8 + j as u64);
+                assert_eq!(f.payload.len(), LEN);
+                assert_eq!(
+                    &f.payload[..],
+                    &wire[j * (HEADER_LEN + LEN) + HEADER_LEN..][..LEN]
+                );
+                let at = f.payload.as_ptr() as usize - base;
+                assert_eq!(at, j * (HEADER_LEN + LEN), "frame {j} is not a view");
+            }
+            buffers.push(base);
+            drop(frames);
+            assert_eq!(pool.retained(), 1, "a consumed buffer goes back at once");
+        }
+        assert_eq!(
+            buffers[0], buffers[1],
+            "the second window reused the buffer"
+        );
+    }
+
+    /// Reads sized for two frames cut the third one off: it is carried to
+    /// the next buffer and decodes whole, wherever the socket splits the
+    /// stream, and a frame larger than any read buffer still arrives.
+    #[test]
+    fn frames_straddling_a_read_buffer_still_decode() {
+        let lens = [3000, 3000, 5000, 100, 3000, MAX_READ + 1, 3000];
+        let mut wire = Vec::new();
+        let mut expected = Vec::new();
+        for (i, &len) in lens.iter().enumerate() {
+            let payload: Vec<u8> = (0..len).map(|b| (b * 31 + i) as u8).collect();
+            wire.extend(frame_bytes(OP_DATA, 9, &payload));
+            expected.push((OP_DATA, 9, 1, 2, 3, payload));
+        }
+        for chunk in [1000, 3036, 3037, 6111, 6112, 10_000, wire.len()] {
+            let mut reader = FrameReader::new(BufPool::new());
+            reader.set_capacity(2);
+            let (frames, end) = read_rest(&mut reader, Chunked::new(&wire, chunk));
+            assert_eq!(frames, expected, "chunk {chunk}");
+            assert_eq!(end.kind(), ErrorKind::UnexpectedEof);
         }
     }
 
@@ -411,37 +637,38 @@ mod tests {
             wire.len() - 1,
             wire.len(),
         ] {
-            let mut reader = FrameReader::new();
-            let mut backlog = &wire[..cut];
-            let moved = reader
-                .fill(|buf| {
-                    if backlog.is_empty() {
-                        return Err(ErrorKind::WouldBlock.into());
-                    }
-                    let n = buf.len().min(backlog.len()).min(1000);
-                    buf[..n].copy_from_slice(&backlog[..n]);
-                    backlog = &backlog[n..];
-                    Ok(n)
-                })
-                .unwrap();
-            assert_eq!(moved, cut);
-            let mut src = Chunked {
-                data: &wire[cut..],
-                chunk: 64,
-            };
-            let mut frames = Vec::new();
-            let end = loop {
-                match reader.read_frame(&mut src) {
-                    Ok(f) => frames.push(seen(f)),
-                    Err(e) => break e,
-                }
-            };
+            let mut reader = FrameReader::new(BufPool::new());
+            assert_eq!(fill_from(&mut reader, &wire[..cut]), cut);
+            let (frames, end) = read_rest(&mut reader, Chunked::new(&wire[cut..], 64));
             assert_eq!(frames, expected, "cut {cut}");
             assert_eq!(end.kind(), ErrorKind::UnexpectedEof);
         }
-        let mut reader = FrameReader::new();
+        let mut reader = FrameReader::new(BufPool::new());
         let eof = reader.fill(|_| Ok(0)).unwrap_err();
         assert_eq!(eof.kind(), ErrorKind::UnexpectedEof);
+    }
+
+    /// A backlog filled while a read window is half handed out goes behind
+    /// the window's unread frames, not ahead of them.
+    #[test]
+    fn a_backlog_filled_mid_window_stays_behind_it() {
+        let (wire, expected) = sample_stream();
+        // The HELLO, the big frame and 10 bytes of the small one arrive in
+        // one read; the rest is moved into the backlog after one frame.
+        let split = 2 * HEADER_LEN + 3 * READ_BUF + 5 + 10;
+        for chunk in [split, HEADER_LEN] {
+            let mut reader = FrameReader::new(BufPool::new());
+            reader.set_capacity(4);
+            let mut src = Chunked::new(&wire[..split], chunk);
+            let mut frames = vec![seen(reader.read_frame(&mut src).unwrap())];
+            let rest = &wire[split..];
+            fill_from(&mut reader, src.data);
+            fill_from(&mut reader, rest);
+            let (more, end) = read_rest(&mut reader, io::empty());
+            frames.extend(more);
+            assert_eq!(frames, expected, "chunk {chunk}");
+            assert_eq!(end.kind(), ErrorKind::UnexpectedEof);
+        }
     }
 
     #[test]
@@ -506,22 +733,24 @@ mod tests {
     }
 
     #[test]
-    fn write_frame_survives_short_writes() {
-        /// Accepts at most `limit` bytes per call, vectored or not.
+    fn write_frames_survive_short_writes() {
+        /// Accepts at most `limit` bytes per call, vectored or not, and
+        /// refuses every other call with `WouldBlock` when `full`.
         struct Short {
             out: Vec<u8>,
             limit: usize,
             calls: usize,
+            full: bool,
         }
         impl Write for Short {
             fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.calls += 1;
-                let n = self.limit.min(buf.len());
-                self.out.extend_from_slice(&buf[..n]);
-                Ok(n)
+                self.write_vectored(&[IoSlice::new(buf)])
             }
             fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
                 self.calls += 1;
+                if self.full && self.calls % 2 == 1 {
+                    return Err(ErrorKind::WouldBlock.into());
+                }
                 let mut left = self.limit;
                 for b in bufs {
                     let n = left.min(b.len());
@@ -534,19 +763,42 @@ mod tests {
                 Ok(())
             }
         }
-        let payload: Vec<u8> = (0..200u8).collect();
-        let header = encode_header(OP_DATA, 11, 22, 33, 44, payload.len() as u32);
-        let expected = [&header[..], &payload[..]].concat();
-        for limit in [1, 10, HEADER_LEN, HEADER_LEN + 1, 64, 1 << 20] {
-            let mut sink = Short {
-                out: Vec::new(),
-                limit,
-                calls: 0,
-            };
-            write_frame(&mut sink, &header, &payload, || unreachable!("never full")).unwrap();
-            assert_eq!(sink.out, expected, "limit {limit}");
-            if limit >= expected.len() {
-                assert_eq!(sink.calls, 1, "a frame the sink takes whole is one write");
+        let frames: Vec<([u8; HEADER_LEN], Vec<u8>)> = [200, 0, 1000, 37]
+            .into_iter()
+            .enumerate()
+            .map(|(i, len)| {
+                let payload: Vec<u8> = (0..len).map(|b| (b + i) as u8).collect();
+                let header = encode_header(OP_DATA, 11, i as u64, 33, 44, len as u32);
+                (header, payload)
+            })
+            .collect();
+        let expected: Vec<u8> = frames
+            .iter()
+            .flat_map(|(h, p)| h.iter().chain(p).copied())
+            .collect();
+        // Cuts inside the first header, at its end, inside the first
+        // payload, inside the second (empty-payload) frame's header and
+        // inside the third payload.
+        for limit in [1, 10, HEADER_LEN, HEADER_LEN + 1, 64, 250, 300, 1 << 20] {
+            for full in [false, true] {
+                let mut sink = Short {
+                    out: Vec::new(),
+                    limit,
+                    calls: 0,
+                    full,
+                };
+                let mut refused = 0;
+                let writes = write_frames(&mut sink, &frames, || {
+                    refused += 1;
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!(sink.out, expected, "limit {limit}, full {full}");
+                assert_eq!(writes, sink.calls);
+                assert_eq!(refused, if full { sink.calls / 2 } else { 0 });
+                if limit >= expected.len() && !full {
+                    assert_eq!(writes, 1, "a window the sink takes whole is one write");
+                }
             }
         }
     }

@@ -2,16 +2,21 @@
 //!
 //! The `bytes` shim counts every deep copy made at the `Bytes` layer
 //! (`Bytes::copy_from_slice`, `Bytes::to_vec`); everything else — cloning,
-//! slicing, freezing a pooled buffer, framing a message — shares the
-//! allocation. These tests assert the counter stays flat across the hot
-//! flows, so a future "just copy it here" regression fails loudly instead
-//! of silently re-inflating memory traffic.
+//! slicing, freezing a pooled buffer, framing a message, reading a window of
+//! frames as views of one buffer — shares the allocation. The test asserts
+//! the counter stays flat across the hot flows, so a future "just copy it
+//! here" regression fails loudly instead of silently re-inflating memory
+//! traffic.
 //!
-//! The counter is process-global and monotonic, so concurrent tests can
-//! only inflate a delta, never mask a copy: a zero delta is trustworthy,
-//! and the flows below are all expected to be zero.
+//! The counter is process-global, so every measured flow lives in the one
+//! test of this binary: a second test running beside it — a façade `put`,
+//! say, which makes its one copy by design — would land in the measured
+//! window and fail it.
+
+use std::sync::Arc;
 
 use ecpipe::exec::ExecStrategy;
+use ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
 use ecpipe::{Cluster, Coordinator, EcPipeBuilder, StoreBackend};
 
 fn pattern(len: usize, seed: u64) -> Vec<u8> {
@@ -20,8 +25,21 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
+/// Runs `flow` and asserts it deep-copied nothing at the `Bytes` layer.
+fn assert_no_deep_copies(what: &str, flow: impl FnOnce()) {
+    let before = bytes::shim_metrics::deep_copy_bytes();
+    flow();
+    assert_eq!(
+        bytes::shim_metrics::deep_copy_bytes(),
+        before,
+        "{what} deep-copied at the Bytes layer"
+    );
+}
+
+/// A degraded get through the façade, then every executor strategy on its
+/// own, over in-process channels and over sockets.
 #[test]
-fn degraded_get_performs_no_bytes_deep_copies() {
+fn every_exec_strategy_repairs_without_bytes_deep_copies() {
     let pipe = EcPipeBuilder::new()
         .code(6, 4)
         .block_size(16 * 1024)
@@ -32,51 +50,41 @@ fn degraded_get_performs_no_bytes_deep_copies() {
     let data = pattern(4 * 16 * 1024, 11);
 
     // `put` makes its one copy of the object at the `Bytes` layer; the exact
-    // count needs the counter to itself and is pinned in `put_one_copy.rs`.
+    // count is pinned in `put_one_copy.rs`.
     let meta = pipe.put("/pin", &data).unwrap();
 
     // Degraded read: the erased block is reconstructed through the full
     // encode → helper chain → store → transport framing path.
     pipe.erase_block(meta.stripes[0], 1);
-    let before = bytes::shim_metrics::deep_copy_bytes();
-    assert_eq!(pipe.get("/pin").unwrap(), data);
-    assert_eq!(
-        bytes::shim_metrics::deep_copy_bytes(),
-        before,
-        "a degraded get must move slices by reference, not by copy"
-    );
-
+    assert_no_deep_copies("a degraded get", || {
+        assert_eq!(pipe.get("/pin").unwrap(), data);
+    });
     let report = pipe.shutdown();
     assert_eq!(report.blocks_repaired, 1);
-}
 
-#[test]
-fn every_exec_strategy_repairs_without_bytes_deep_copies() {
-    use std::sync::Arc;
-
+    // Socket receivers hand out frames as views of the buffer they read.
     let code: Arc<dyn ecc::ErasureCode> = Arc::new(ecc::ReedSolomon::new(6, 4).unwrap());
     let layout = ecc::slice::SliceLayout::new(16 * 1024, 2 * 1024);
-    for strategy in [
-        ExecStrategy::Conventional,
-        ExecStrategy::Ppr,
-        ExecStrategy::RepairPipelining,
-        ExecStrategy::BlockPipeline,
-    ] {
-        let coordinator = Coordinator::new(code.clone(), layout);
-        let cluster = Cluster::new(StoreBackend::memory(8)).unwrap();
-        let data: Vec<Vec<u8>> = (0..4).map(|i| pattern(16 * 1024, i)).collect();
-        let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
-        cluster.erase_block(stripe, 2);
-
-        let before = bytes::shim_metrics::deep_copy_bytes();
-        let repaired = cluster
-            .repair(&coordinator, stripe, 2, 7, strategy)
-            .unwrap();
-        assert_eq!(repaired, data[2], "strategy {strategy}");
-        assert_eq!(
-            bytes::shim_metrics::deep_copy_bytes(),
-            before,
-            "strategy {strategy} deep-copied at the Bytes layer"
-        );
+    let (channel, tcp) = (ChannelTransport::new(), TcpTransport::new());
+    let transports: [(&str, &dyn Transport); 2] = [("channel", &channel), ("tcp", &tcp)];
+    for (name, transport) in transports {
+        for strategy in [
+            ExecStrategy::Conventional,
+            ExecStrategy::Ppr,
+            ExecStrategy::RepairPipelining,
+            ExecStrategy::BlockPipeline,
+        ] {
+            let coordinator = Coordinator::new(code.clone(), layout);
+            let cluster = Cluster::new(StoreBackend::memory(8)).unwrap();
+            let data: Vec<Vec<u8>> = (0..4).map(|i| pattern(16 * 1024, i)).collect();
+            let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
+            cluster.erase_block(stripe, 2);
+            assert_no_deep_copies(&format!("strategy {strategy} over {name}"), || {
+                let repaired = cluster
+                    .repair_over(&coordinator, stripe, 2, 7, strategy, transport)
+                    .unwrap();
+                assert_eq!(repaired, data[2], "strategy {strategy} over {name}");
+            });
+        }
     }
 }

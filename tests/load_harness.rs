@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use ecpipe_loadgen::{HarnessConfig, WorkloadMix};
+use ecpipe_loadgen::{HarnessConfig, OpClass, WorkloadMix};
 use repair_pipelining::ecpipe::{EcPipeBuilder, TransportChoice};
 
 fn os_thread_count() -> usize {
@@ -44,13 +44,15 @@ fn reactor_harness_sustains_a_thousand_in_flight_ops_on_fixed_threads() {
     assert!(warm_report.overall.ops > 0);
     let threads_before = os_thread_count();
 
-    // The burst: offered load far beyond what the workers can absorb, so
-    // the open-loop queue deepens past 1000 within the burst window. The
-    // preloaded population already exists; reuse it via the same seed-free
-    // object naming by keeping `objects` equal.
+    // The burst: 12 000 ops offered within 30 ms, an arrival rate no build
+    // of the workers drains as fast as it comes (an optimized one serves a
+    // few tens of thousands of these ops per second), so the open-loop
+    // queue deepens past 1000 in debug and release alike. Its own seed
+    // gives its puts names the warm-up's puts did not take.
     let burst = HarnessConfig {
-        rate: 40_000.0,
-        duration: Duration::from_millis(150),
+        rate: 400_000.0,
+        duration: Duration::from_millis(30),
+        seed: warmup.seed + 1,
         ..warmup.clone()
     };
     // Re-running preloads the same `lg-*` names; drop them first so the
@@ -62,7 +64,7 @@ fn reactor_harness_sustains_a_thousand_in_flight_ops_on_fixed_threads() {
     let threads_after = os_thread_count();
 
     assert!(
-        report.peak_in_flight >= 1_000,
+        report.peak_in_flight > 1_000,
         "burst never built a deep queue: peak {} in flight\n{}",
         report.peak_in_flight,
         report.render()
@@ -73,6 +75,9 @@ fn reactor_harness_sustains_a_thousand_in_flight_ops_on_fixed_threads() {
         report.overall.ops,
         report.peak_in_flight
     );
+    let (class, puts) = report.per_class[0];
+    assert_eq!(class, OpClass::Put);
+    assert_eq!(puts.errors, 0, "{}", report.render());
     // Percentiles must be real measurements, ordered and positive.
     assert!(report.overall.p50_ns > 0, "{}", report.render());
     assert!(report.overall.p99_ns >= report.overall.p50_ns);
