@@ -3,17 +3,18 @@
 //! The `bytes` shim counts every deep copy made at the `Bytes` layer
 //! (`Bytes::copy_from_slice`, `Bytes::to_vec`); everything else — cloning,
 //! slicing, freezing a pooled buffer, framing a message, reading a window of
-//! frames as views of one buffer — shares the allocation. The test asserts
+//! frames as views of one buffer — shares the allocation. These tests assert
 //! the counter stays flat across the hot flows, so a future "just copy it
 //! here" regression fails loudly instead of silently re-inflating memory
 //! traffic.
 //!
-//! The counter is process-global, so every measured flow lives in the one
-//! test of this binary: a second test running beside it — a façade `put`,
-//! say, which makes its one copy by design — would land in the measured
-//! window and fail it.
+//! The counter is process-global, so each test holds [`COUNTER`] for its
+//! whole body: a test running beside another — its façade `put`, say, which
+//! makes its one copy by design — would land in the other's measured window
+//! and fail it.
 
-use std::sync::Arc;
+// xtask:allow(raw-sync): the test-only gate `COUNTER` below
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ecpipe::exec::ExecStrategy;
 use ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
@@ -23,6 +24,16 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
     (0..len)
         .map(|i| ((i as u64 * 31 + seed * 17 + 7) % 251) as u8)
         .collect()
+}
+
+/// Held by each test of this binary for its whole body.
+// xtask:allow(raw-sync): a test-only gate around the global copy counter
+static COUNTER: Mutex<()> = Mutex::new(());
+
+/// Takes [`COUNTER`]; a test that panicked while holding it leaves nothing
+/// the next one depends on, so a poisoned lock is taken as it is.
+fn counter_to_myself() -> MutexGuard<'static, ()> {
+    COUNTER.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs `flow` and asserts it deep-copied nothing at the `Bytes` layer.
@@ -36,10 +47,9 @@ fn assert_no_deep_copies(what: &str, flow: impl FnOnce()) {
     );
 }
 
-/// A degraded get through the façade, then every executor strategy on its
-/// own, over in-process channels and over sockets.
 #[test]
-fn every_exec_strategy_repairs_without_bytes_deep_copies() {
+fn degraded_get_performs_no_bytes_deep_copies() {
+    let _counter = counter_to_myself();
     let pipe = EcPipeBuilder::new()
         .code(6, 4)
         .block_size(16 * 1024)
@@ -61,8 +71,13 @@ fn every_exec_strategy_repairs_without_bytes_deep_copies() {
     });
     let report = pipe.shutdown();
     assert_eq!(report.blocks_repaired, 1);
+}
 
-    // Socket receivers hand out frames as views of the buffer they read.
+/// Every executor strategy on its own, over in-process channels and over
+/// sockets, whose receivers hand out frames as views of the buffer they read.
+#[test]
+fn every_exec_strategy_repairs_without_bytes_deep_copies() {
+    let _counter = counter_to_myself();
     let code: Arc<dyn ecc::ErasureCode> = Arc::new(ecc::ReedSolomon::new(6, 4).unwrap());
     let layout = ecc::slice::SliceLayout::new(16 * 1024, 2 * 1024);
     let (channel, tcp) = (ChannelTransport::new(), TcpTransport::new());
