@@ -4,9 +4,10 @@
 //! conventional repair and repair pipelining executed under ECPipe.
 //! Run with `cargo run --release -p ecpipe-bench --bin fig10`.
 
-use dfs::timing::{full_node_recovery_rate, single_block_repair_time, RepairVariant};
-use dfs::SystemProfile;
 use ecc::slice::SliceLayout;
+use ecpipe_bench::timing::{
+    full_node_recovery_rate, single_block_repair_time, RepairVariant, SystemProfile,
+};
 use ecpipe_bench::*;
 
 const VARIANTS: [RepairVariant; 3] = [

@@ -75,6 +75,7 @@ pub fn direct_send_time(sim: &Simulator, block_size: usize) -> f64 {
 }
 
 pub mod results;
+pub mod timing;
 
 /// Prints a figure header.
 pub fn header(figure: &str, description: &str) {

@@ -399,16 +399,6 @@ pub fn chunk_stripe(data: &[u8], k: usize, block_size: usize, index: usize) -> V
         .collect()
 }
 
-/// Splits object bytes into per-stripe block groups: `k` blocks of
-/// `block_size` per stripe, the tail zero-padded. Shared by the façade's
-/// [`EcPipe::put`] and the `dfs` crate's `SimulatedDfs::write_file`, so the
-/// runtime and simulation write paths cannot drift apart.
-pub fn chunk_into_stripes(data: &[u8], k: usize, block_size: usize) -> Vec<Vec<Bytes>> {
-    (0..stripe_count(data.len(), k, block_size))
-        .map(|s| chunk_stripe(data, k, block_size, s))
-        .collect()
-}
-
 /// The ECPipe runtime handle: an erasure-coded object store whose reads
 /// transparently repair around missing and corrupt blocks.
 ///
@@ -953,14 +943,19 @@ mod tests {
 
     #[test]
     fn chunking_pads_and_tiles() {
-        let chunks = chunk_into_stripes(&pattern(10, 0), 2, 4);
+        let data = pattern(10, 0);
         // 10 bytes over (k=2, block=4) stripes: 2 stripes, last block padded.
-        assert_eq!(chunks.len(), 2);
+        assert_eq!(stripe_count(data.len(), 2, 4), 2);
+        let chunks: Vec<Vec<Bytes>> = (0..2).map(|s| chunk_stripe(&data, 2, 4, s)).collect();
         assert!(chunks.iter().all(|s| s.len() == 2));
         assert!(chunks.iter().flatten().all(|b| b.len() == 4));
-        assert_eq!(&chunks[1][0][..2], &pattern(10, 0)[8..10]);
+        assert_eq!(&chunks[1][0][..2], &data[8..10]);
         assert_eq!(&chunks[1][1][..], &[0u8; 4]);
         // Empty data still produces one (all-zero) stripe.
-        assert_eq!(chunk_into_stripes(&[], 3, 8).len(), 1);
+        assert_eq!(stripe_count(0, 3, 8), 1);
+        assert_eq!(
+            chunk_stripe(&[], 3, 8, 0),
+            vec![Bytes::from(vec![0u8; 8]); 3]
+        );
     }
 }

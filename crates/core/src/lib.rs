@@ -105,9 +105,7 @@ pub use ecpipe_meta::{
 };
 pub use error::EcPipeError;
 pub use exec::ExecStrategy;
-pub use facade::{
-    chunk_into_stripes, chunk_stripe, stripe_count, EcPipe, EcPipeBuilder, TransportChoice,
-};
+pub use facade::{chunk_stripe, stripe_count, EcPipe, EcPipeBuilder, TransportChoice};
 pub use integrity::{BlockChecksums, ChecksummedStore, DEFAULT_CHUNK_SIZE};
 pub use manager::{
     LinkWatchConfig, ManagerConfig, ManagerReport, NodeHealth, PathPolicy, RepairManager,

@@ -1,72 +1,74 @@
-//! Degraded reads on a simulated HDFS-3 deployment.
+//! Degraded reads through the `EcPipe` façade.
 //!
-//! Writes a file into an erasure-coded storage system, makes a block
-//! unavailable, and serves a client read through a degraded read — first via
-//! the storage system's own repair path, then via ECPipe repair pipelining —
-//! and reports the predicted repair latency of each approach on a 1 Gb/s
-//! cluster.
+//! Writes an object into an erasure-coded cluster, makes one of its blocks
+//! unavailable, and reads the object back — once with conventional repair
+//! (the requestor pulls `k` blocks, as a storage system's own repair does)
+//! and once with repair pipelining — then prints the §3.2 prediction of
+//! each approach's single-block repair time at the paper's scale.
 //!
 //! Run with `cargo run --release --example degraded_read`.
 
-use repair_pipelining::dfs::timing::{single_block_repair_time, RepairVariant};
-use repair_pipelining::dfs::{RepairPath, SimulatedDfs, SystemProfile};
+use std::collections::HashMap;
+
 use repair_pipelining::ecc::slice::SliceLayout;
-use repair_pipelining::ecpipe::ExecStrategy;
+use repair_pipelining::ecpipe::{EcPipeBuilder, ExecStrategy, StoreBackend};
+use repair_pipelining::repair::analysis::{conventional_single, rp_single, timeslot_seconds};
+use repair_pipelining::simnet::GBIT;
 
 fn main() {
-    // A small-block HDFS-3 instance so the example runs in milliseconds; the
-    // timing model below still uses the real 64 MiB blocks.
-    let profile = SystemProfile::hdfs3().with_block_size(256 * 1024);
-    let mut dfs = SimulatedDfs::new(profile, 16).expect("cluster large enough");
+    // Small blocks so the example runs in milliseconds; the prediction below
+    // uses the paper's 64 MiB blocks.
+    let block = 256 * 1024;
+    let data: Vec<u8> = (0..3 * 10 * block).map(|i| (i % 251) as u8).collect();
 
-    let data: Vec<u8> = (0..3 * 10 * 256 * 1024).map(|i| (i % 251) as u8).collect();
-    let meta = dfs
-        .write_file("/logs/day-001", &data)
-        .expect("file written");
-    println!(
-        "wrote {} ({} bytes, {} stripes)",
-        meta.name,
-        meta.size,
-        meta.stripes.len()
-    );
+    for strategy in [ExecStrategy::Conventional, ExecStrategy::RepairPipelining] {
+        let pipe = EcPipeBuilder::new()
+            .code(14, 10)
+            .block_size(block)
+            .slice_size(32 * 1024)
+            .store(StoreBackend::memory(16))
+            .strategy(strategy)
+            .build()
+            .expect("valid configuration");
+        let meta = pipe.put("/logs/day-001", &data).expect("object written");
 
-    // A data block becomes unavailable (e.g. its DataNode is being rebooted).
-    dfs.erase_block(meta.stripes[0], 4);
-    println!("block 4 of stripe {:?} is unavailable", meta.stripes[0]);
-    println!(
-        "missing blocks reported by the NameNode: {:?}",
-        dfs.block_report()
-    );
+        // A data block becomes unavailable (e.g. its node is rebooting); the
+        // read still succeeds, through a degraded read.
+        pipe.erase_block(meta.stripes[0], 4);
+        assert_eq!(pipe.get("/logs/day-001").expect("degraded read"), data);
 
-    // The client read still succeeds through a degraded read.
-    let through_original = dfs
-        .read_file("/logs/day-001", RepairPath::Original)
-        .unwrap();
-    assert_eq!(through_original, data);
-    let through_ecpipe = dfs
-        .read_file(
-            "/logs/day-001",
-            RepairPath::EcPipe(ExecStrategy::RepairPipelining),
-        )
-        .unwrap();
-    assert_eq!(through_ecpipe, data);
-    println!(
-        "degraded reads returned the correct data (routine reads: {}, native reads: {})",
-        dfs.routine_reads(),
-        dfs.native_reads()
-    );
+        let report = pipe.shutdown();
+        assert_eq!(report.blocks_repaired, 1);
+        // Conventional repair funnels all k blocks into the requestor's
+        // downlink; repair pipelining sends one block into every node.
+        let mut into_node: HashMap<usize, u64> = HashMap::new();
+        for (&(_, dst), &bytes) in &report.link_bytes {
+            *into_node.entry(dst).or_default() += bytes;
+        }
+        let busiest = into_node.values().max().copied().unwrap_or(0);
+        println!(
+            "{strategy:<6} read {} bytes ({} stripes) with block 4 of stripe 0 erased: \
+             {} KiB moved, at most {} KiB into one node",
+            meta.size,
+            meta.stripes.len(),
+            report.network_bytes / 1024,
+            busiest / 1024,
+        );
+    }
 
-    // Predicted single-block repair latency at production scale (64 MiB
-    // blocks, 1 Gb/s links).
-    let production = SystemProfile::hdfs3();
+    // Predicted single-block repair time at the paper's scale: (14,10),
+    // 64 MiB blocks in 32 KiB slices, 1 Gb/s links.
     let layout = SliceLayout::paper_default();
-    println!("\npredicted degraded-read latency for a 64 MiB block ((14,10), 1 Gb/s):");
-    for variant in [
-        RepairVariant::Original,
-        RepairVariant::ConventionalEcPipe,
-        RepairVariant::RepairPipeliningEcPipe,
+    let (k, s) = (10, layout.slice_count());
+    let timeslot = timeslot_seconds(layout.block_size, GBIT);
+    println!("\npredicted degraded-read latency for a 64 MiB block ((14,10), 1 Gb/s, §3.2):");
+    for (strategy, timeslots) in [
+        (ExecStrategy::Conventional, conventional_single(k)),
+        (ExecStrategy::RepairPipelining, rp_single(k, s)),
     ] {
-        let t = single_block_repair_time(&production, 10, layout, variant);
-        println!("  {variant:<14} {t:.2} s");
+        println!(
+            "  {strategy:<6} {timeslots:.3} timeslots = {:.2} s",
+            timeslots * timeslot
+        );
     }
 }

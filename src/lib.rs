@@ -8,13 +8,11 @@
 //! * [`simnet`] — discrete-event cluster/network simulator.
 //! * [`repair`] — repair planning algorithms (conventional, PPR, repair
 //!   pipelining and its extensions).
-//! * [`ecpipe`] — the ECPipe middleware runtime (coordinator / helpers /
-//!   requestors over real threads and channels).
-//! * [`dfs`] — models of HDFS-RAID, HDFS-3 and QFS used by the evaluation.
+//! * [`ecpipe`] — the ECPipe middleware runtime and its `EcPipe` object-store
+//!   façade (put, get, degraded reads, node recovery).
 
 #![forbid(unsafe_code)]
 
-pub use dfs;
 pub use ecc;
 pub use ecpipe;
 pub use gf256;

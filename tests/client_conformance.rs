@@ -1,8 +1,12 @@
 //! Conformance suite for the `EcPipe` façade's client data path, run
 //! against all three transport backends: put→get roundtrips (multi-stripe
-//! objects, unaligned sizes), degraded reads during node death, and range
-//! reads over corrupt chunks.
+//! objects, unaligned sizes), degraded reads during node death, range reads
+//! over corrupt chunks, every strategy over several code widths, and an LRC
+//! code's local repair.
 
+use std::sync::Arc;
+
+use repair_pipelining::ecc::Lrc;
 use repair_pipelining::ecpipe::transport::Transport;
 use repair_pipelining::ecpipe::{
     EcPipe, EcPipeBuilder, ExecStrategy, ManagerConfig, NodeHealth, ScrubConfig, StoreBackend,
@@ -243,22 +247,53 @@ fn put_respects_liveness() {
 }
 
 /// Strategy choice is honored end to end: degraded reads execute with the
-/// configured strategy on either backend.
+/// configured strategy, for every code width, on unaligned objects.
 #[test]
 fn strategies_serve_degraded_reads() {
-    for strategy in [ExecStrategy::Conventional, ExecStrategy::BlockPipeline] {
-        let pipe = EcPipeBuilder::new()
-            .code(6, 4)
-            .block_size(BLOCK)
-            .slice_size(SLICE)
-            .store(StoreBackend::memory(9))
-            .strategy(strategy)
-            .build()
-            .expect("façade builds");
-        let data = pattern(4 * BLOCK + 17, 21);
-        let meta = pipe.put("/s", &data).expect("put");
-        pipe.erase_block(meta.stripes[0], 0);
-        assert_eq!(pipe.get("/s").expect("degraded read"), data, "{strategy}");
-        assert_eq!(pipe.shutdown().blocks_repaired, 1);
+    for (n, k) in [(6, 4), (9, 6), (14, 10)] {
+        for strategy in [
+            ExecStrategy::Conventional,
+            ExecStrategy::RepairPipelining,
+            ExecStrategy::BlockPipeline,
+        ] {
+            let pipe = EcPipeBuilder::new()
+                .code(n, k)
+                .block_size(BLOCK)
+                .slice_size(SLICE)
+                .store(StoreBackend::memory(n + 3))
+                .strategy(strategy)
+                .build()
+                .expect("façade builds");
+            let data = pattern(k * BLOCK + 999, 21);
+            let meta = pipe.put("/s", &data).expect("put");
+            pipe.erase_block(meta.stripes[0], 1);
+            assert_eq!(
+                pipe.get("/s").expect("degraded read"),
+                data,
+                "({n},{k}) {strategy}"
+            );
+            assert_eq!(pipe.shutdown().blocks_repaired, 1);
+        }
     }
+}
+
+/// An LRC-coded deployment repairs a lost data block from its local group
+/// alone: `k / l` blocks cross the network, not `k`.
+#[test]
+fn lrc_backed_system_repairs_locally() {
+    let (k, groups) = (12, 2);
+    let pipe = EcPipeBuilder::new()
+        .erasure_code(Arc::new(Lrc::new(k, groups, 2).expect("valid LRC")))
+        .block_size(BLOCK)
+        .slice_size(SLICE)
+        .store(StoreBackend::memory(20))
+        .build()
+        .expect("façade builds");
+    let data = pattern(k * BLOCK, 31);
+    let meta = pipe.put("/lrc", &data).expect("put");
+    pipe.erase_block(meta.stripes[0], 3);
+    assert_eq!(pipe.get("/lrc").expect("degraded read"), data);
+    let report = pipe.shutdown();
+    assert_eq!(report.blocks_repaired, 1);
+    assert_eq!(report.network_bytes, (k / groups * BLOCK) as u64);
 }

@@ -1,6 +1,7 @@
 //! Repository hygiene: every repository path referenced from the top-level
 //! docs must exist (so README/ARCHITECTURE/PAPER cannot rot silently when
-//! files move), and no stray top-level directories may appear (a
+//! files move), every workspace member must have a row in the architecture
+//! crate map, and no stray top-level directories may appear (a
 //! `examples_dbg/` once lingered untracked for several releases). CI runs
 //! this as its hygiene step.
 
@@ -103,6 +104,56 @@ fn no_stray_toplevel_directories() {
         strays.is_empty(),
         "unexpected top-level directories (delete them or add them to the \
          allowlist in tests/docs_paths.rs): {strays:?}"
+    );
+}
+
+/// Every workspace member has a row in the crate map of
+/// `docs/ARCHITECTURE.md` (its `Directory` column), so a crate cannot be
+/// added or retired without the map following. One `crates/shims` row covers
+/// every shim.
+#[test]
+fn crate_map_lists_every_workspace_member() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
+    let members: Vec<&str> = manifest
+        .lines()
+        .skip_while(|line| line.trim() != "members = [")
+        .skip(1)
+        .take_while(|line| line.trim() != "]")
+        .map(|line| line.trim().trim_end_matches(',').trim_matches('"'))
+        .collect();
+    assert!(
+        members.len() > 10,
+        "parsed only {members:?} from the root Cargo.toml `members`"
+    );
+
+    let architecture = std::fs::read_to_string(root.join("docs/ARCHITECTURE.md")).unwrap();
+    let map = architecture
+        .split("## Crate map")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("docs/ARCHITECTURE.md has a crate map section");
+    let directories: Vec<&str> = map
+        .lines()
+        .filter_map(|row| row.split('|').nth(2))
+        .map(|cell| cell.trim().trim_matches('`'))
+        .collect();
+
+    let unmapped: Vec<&str> = members
+        .iter()
+        .copied()
+        .filter(|member| {
+            let row = if member.starts_with("crates/shims/") {
+                "crates/shims"
+            } else {
+                member
+            };
+            !directories.contains(&row)
+        })
+        .collect();
+    assert!(
+        unmapped.is_empty(),
+        "workspace members with no crate-map row in docs/ARCHITECTURE.md: {unmapped:?}"
     );
 }
 

@@ -4,12 +4,11 @@
 
 use std::sync::Arc;
 
-use repair_pipelining::dfs::{RepairPath, SimulatedDfs, SystemProfile};
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::{CodeError, ErasureCode, Lrc, ReedSolomon};
 use repair_pipelining::ecpipe::exec::{execute_multi, ExecStrategy};
 use repair_pipelining::ecpipe::transport::ChannelTransport;
-use repair_pipelining::ecpipe::{Cluster, Coordinator, StoreBackend};
+use repair_pipelining::ecpipe::{Cluster, Coordinator, EcPipeBuilder, StoreBackend};
 use repair_pipelining::gf256::Matrix;
 use repair_pipelining::repair::weighted_path::{optimal_path, WeightMatrix};
 use repair_pipelining::repair::{ppr, SingleRepairJob};
@@ -216,25 +215,27 @@ fn multi_repair_of_all_parity_blocks() {
     }
 }
 
-/// Files smaller than one block (and empty files) round-trip through the DFS
-/// models, including a degraded read of a sub-block file.
+/// Objects smaller than one block (and empty objects) round-trip through the
+/// façade, including a degraded read of a sub-block object whose only data
+/// block is erased.
 #[test]
-fn dfs_sub_block_and_empty_files() {
-    let profile = SystemProfile::hdfs3().with_block_size(1024);
-    let mut dfs = SimulatedDfs::new(profile, 20).unwrap();
-
-    let meta = dfs.write_file("/tiny", &[1, 2, 3]).unwrap();
-    dfs.erase_block(meta.stripes[0], 0);
-    let back = dfs
-        .read_file("/tiny", RepairPath::EcPipe(ExecStrategy::RepairPipelining))
+fn sub_block_and_empty_objects() {
+    let pipe = EcPipeBuilder::new()
+        .code(14, 10)
+        .block_size(1024)
+        .slice_size(256)
+        .store(StoreBackend::memory(20))
+        .strategy(ExecStrategy::RepairPipelining)
+        .build()
         .unwrap();
-    assert_eq!(back, vec![1, 2, 3]);
 
-    dfs.write_file("/empty", &[]).unwrap();
-    assert!(dfs
-        .read_file("/empty", RepairPath::Original)
-        .unwrap()
-        .is_empty());
+    let meta = pipe.put("/tiny", &[1, 2, 3]).unwrap();
+    pipe.erase_block(meta.stripes[0], 0);
+    assert_eq!(pipe.get("/tiny").unwrap(), vec![1, 2, 3]);
+
+    pipe.put("/empty", &[]).unwrap();
+    assert!(pipe.get("/empty").unwrap().is_empty());
+    assert_eq!(pipe.shutdown().blocks_repaired, 1);
 }
 
 /// An empty schedule and a single-task schedule both simulate cleanly.

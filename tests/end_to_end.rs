@@ -1,9 +1,8 @@
-//! End-to-end integration tests: the erasure-code layer, the ECPipe runtime
-//! and the storage-system models working together on real bytes.
+//! End-to-end integration tests: the erasure-code layer, the repair planners
+//! and the ECPipe runtime working together on real bytes.
 
 use std::sync::Arc;
 
-use repair_pipelining::dfs::{RepairPath, SimulatedDfs, SystemProfile};
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::{ErasureCode, Lrc, ReedSolomon};
 use repair_pipelining::ecpipe::exec::{execute_multi, execute_single, ExecStrategy};
@@ -163,29 +162,4 @@ fn plan_runtime_agreement() {
     .unwrap();
     assert_eq!(algebraic, coded[12]);
     assert_eq!(runtime, coded[12]);
-}
-
-/// The storage-system models serve correct bytes through both the original
-/// repair path and the ECPipe path, for all three systems.
-#[test]
-fn storage_systems_serve_correct_degraded_reads() {
-    for profile in [
-        SystemProfile::hdfs_raid(),
-        SystemProfile::hdfs3(),
-        SystemProfile::qfs(),
-    ] {
-        let profile = profile.with_block_size(32 * 1024);
-        let k = profile.default_code.1;
-        let mut dfs = SimulatedDfs::new(profile, 20).unwrap();
-        let data: Vec<u8> = (0..k * 32 * 1024 + 999).map(|i| (i % 251) as u8).collect();
-        let meta = dfs.write_file("/data", &data).unwrap();
-        dfs.erase_block(meta.stripes[0], 1);
-        for path in [
-            RepairPath::Original,
-            RepairPath::EcPipe(ExecStrategy::RepairPipelining),
-        ] {
-            let back = dfs.read_file("/data", path).unwrap();
-            assert_eq!(back, data, "{}", dfs.profile().name);
-        }
-    }
 }
