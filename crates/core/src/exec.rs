@@ -1061,8 +1061,9 @@ mod tests {
     }
 
     /// A helper opens its block once and reads it once: whatever the shape,
-    /// each helper's file store sees one `open` and `BLOCK` bytes per
-    /// repair — not one `open` per slice — and the requestor's sees neither.
+    /// each helper's file store sees one `open` and `BLOCK` bytes plus the
+    /// block's checksum trailer per repair — not one `open` per slice — and
+    /// the requestor's sees neither.
     /// The stores are `StoreBackend::file_checksummed`'s, built by hand only
     /// so that the test keeps typed handles to their counters.
     #[test]
@@ -1070,6 +1071,12 @@ mod tests {
         let root = std::env::temp_dir().join(format!("ecpipe-opens-{}", std::process::id()));
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
         let coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, 1024));
+        // What a helper reads besides the payload: its block's checksum
+        // record and footer, once.
+        let trailer = crate::BlockChecksums::compute(&[0; BLOCK], crate::DEFAULT_CHUNK_SIZE)
+            .to_bytes()
+            .len()
+            + crate::integrity::FOOTER_LEN;
         // `None` is the multi-block plan.
         for (round, shape) in [
             Some(ExecStrategy::Conventional),
@@ -1121,7 +1128,7 @@ mod tests {
             assert_eq!(helpers.len(), 10);
             for (node, seen) in counters().into_iter().enumerate() {
                 let expected = if helpers.contains(&node) {
-                    (1, BLOCK as u64)
+                    (1, (BLOCK + trailer) as u64)
                 } else {
                     (0, 0)
                 };

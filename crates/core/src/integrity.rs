@@ -13,13 +13,12 @@
 //!   `io.bytes.per.checksum`), so a slice-granular [`get_range`] read can be
 //!   verified by checking only the chunks it overlaps, never the whole
 //!   block;
-//! * [`ChecksummedStore`] — wraps any [`BlockStore`], records checksums on
-//!   [`put`], verifies on [`get`]/[`get_range`], and surfaces mismatches as
-//!   [`EcPipeError::CorruptBlock`]. Checksums live in memory; with
-//!   [`ChecksummedStore::persistent`] (or
-//!   [`FileStore::open_checksummed`](crate::FileStore::open_checksummed))
-//!   they are also persisted as `<block>.crc` sidecar files next to the
-//!   block files, HDFS-style, and survive a reopen.
+//! * [`ChecksummedStore`] — wraps any [`BlockStore`], writes each block
+//!   with its checksums in a trailer on [`put`] (QFS-style: on a
+//!   [`FileStore`](crate::FileStore), one file per block, see
+//!   [`FileStore::open_checksummed`](crate::FileStore::open_checksummed)),
+//!   verifies on [`get`]/[`get_range`] against the trailer of the block it
+//!   read, and surfaces mismatches as [`EcPipeError::CorruptBlock`].
 //!
 //! Corruption is *injected* through the
 //! [`BlockStore::corrupt`] hook, which rewrites a byte while leaving the
@@ -33,14 +32,7 @@
 //! [`get_range`]: BlockStore::get_range
 //! [`put`]: BlockStore::put
 
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
 use bytes::Bytes;
-use ecpipe_sync::RwLock;
-
-use crate::lock_order;
 
 use ecc::stripe::BlockId;
 
@@ -52,15 +44,26 @@ use crate::{EcPipeError, Result};
 /// overhead).
 pub const DEFAULT_CHUNK_SIZE: usize = 512;
 
-/// Magic + version prefix of a `.crc` sidecar file.
-const SIDECAR_MAGIC: &[u8; 4] = b"ECC\x01";
+/// Magic + version prefix of a checksum record ([`BlockChecksums::to_bytes`]).
+const RECORD_MAGIC: &[u8; 4] = b"ECC\x01";
+
+/// The fixed part of a checksum record: magic, chunk size, block length.
+const RECORD_HEADER: usize = 4 + 8 + 8;
+
+/// The last four bytes of every block a [`ChecksummedStore`] writes.
+const FOOTER_MAGIC: &[u8; 4] = b"ECT\x01";
+
+/// The footer closing every block a [`ChecksummedStore`] writes: the length
+/// of the checksum record before it (`u32` LE), then [`FOOTER_MAGIC`].
+pub(crate) const FOOTER_LEN: usize = 8;
 
 /// CRC-32 (IEEE 802.3 polynomial, the `cksum`/zlib variant) of `data`.
 ///
 /// Computed by [`gf256::crc32`] — slicing-by-16 tables, or `pclmulqdq`
 /// folding where the host has it — behind the same once-per-process kernel
 /// dispatch as the GF(2^8) slice kernels; the values are those of the
-/// classic one-table bytewise loop, so `.crc` sidecars stay valid.
+/// classic one-table bytewise loop, so checksums written by earlier builds
+/// stay valid.
 pub fn crc32(data: &[u8]) -> u32 {
     gf256::crc32(data)
 }
@@ -134,12 +137,12 @@ impl BlockChecksums {
         (start..end.min(self.len), first_chunk)
     }
 
-    /// Serializes the checksums into the `.crc` sidecar format: a 4-byte
-    /// magic/version, the chunk size and block length, then one
+    /// Serializes the checksums into the record a block's trailer carries:
+    /// a 4-byte magic/version, the chunk size and block length, then one
     /// little-endian `u32` per chunk.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 8 + 8 + 4 * self.sums.len());
-        out.extend_from_slice(SIDECAR_MAGIC);
+        let mut out = Vec::with_capacity(RECORD_HEADER + 4 * self.sums.len());
+        out.extend_from_slice(RECORD_MAGIC);
         out.extend_from_slice(&(self.chunk_size as u64).to_le_bytes());
         out.extend_from_slice(&(self.len as u64).to_le_bytes());
         for sum in &self.sums {
@@ -148,11 +151,11 @@ impl BlockChecksums {
         out
     }
 
-    /// Parses a `.crc` sidecar. Returns `None` for a foreign, truncated or
-    /// internally inconsistent file (the caller treats that as "no recorded
-    /// checksums" and recomputes).
+    /// Parses a checksum record. Returns `None` for a foreign, truncated or
+    /// internally inconsistent record (the caller treats the block it came
+    /// from as corrupt).
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let rest = bytes.strip_prefix(SIDECAR_MAGIC.as_slice())?;
+        let rest = bytes.strip_prefix(RECORD_MAGIC.as_slice())?;
         if rest.len() < 16 {
             return None;
         }
@@ -177,26 +180,31 @@ impl BlockChecksums {
     }
 }
 
-/// A [`BlockStore`] wrapper that pairs every block with per-chunk CRC-32
+/// A [`BlockStore`] wrapper that stores every block with per-chunk CRC-32
 /// checksums and verifies them on every read.
 ///
-/// * [`put`](BlockStore::put) computes and records the checksums;
-/// * [`get`](BlockStore::get) verifies every chunk;
-/// * [`get_range`](BlockStore::get_range) verifies only the chunks the
+/// * [`put`](BlockStore::put) computes the checksums and writes them into
+///   the block itself. The inner store holds the payload, then the
+///   [`BlockChecksums::to_bytes`] record, then an 8-byte footer (the
+///   record's length as a little-endian `u32`, and a 4-byte magic) — the
+///   layout of a QFS chunk file. All three go in as one
+///   [`put_parts`](BlockStore::put_parts): one file per block on a
+///   [`FileStore`](crate::FileStore), and no reader or crash can pair a
+///   payload with another version's checksums.
+/// * Every read takes the checksums from the trailer of the block it
+///   opened. [`get`](BlockStore::get) verifies every chunk;
+///   [`get_range`](BlockStore::get_range) verifies only the chunks the
 ///   requested range overlaps (a slice-granular read never pays a
-///   whole-block hash);
-/// * a mismatch surfaces as [`EcPipeError::CorruptBlock`];
-/// * [`corrupt`](BlockStore::corrupt) flips a stored byte *without*
-///   refreshing the checksums — the test hook that makes injected bit-rot
+///   whole-block hash).
+/// * A mismatch surfaces as [`EcPipeError::CorruptBlock`]. So does a block
+///   without a valid trailer, at chunk 0: a block cut short, torn, or
+///   written to the inner store directly all look alike, and none of them
+///   is served.
+/// * [`corrupt`](BlockStore::corrupt) flips a payload byte *without*
+///   refreshing the trailer — the test hook that makes injected bit-rot
 ///   detectable.
 ///
-/// Checksums are held in memory; [`ChecksummedStore::persistent`] also
-/// writes them as `<block>.crc` sidecar files (reloaded lazily after a
-/// reopen). A block present in the inner store with no recorded checksums —
-/// e.g. written before the wrapper existed — is *adopted* on its first
-/// whole-block read: its current content is assumed good and checksummed
-/// from then on, which is how production scrubbers bootstrap over legacy
-/// data.
+/// The wrapper keeps no per-block state and takes no lock.
 ///
 /// ```
 /// use bytes::Bytes;
@@ -221,40 +229,21 @@ impl BlockChecksums {
 pub struct ChecksummedStore<S: BlockStore> {
     inner: S,
     chunk_size: usize,
-    /// Lock class: `store.checksums` ([`lock_order::STORE_CHECKSUMS`]).
-    sums: RwLock<HashMap<BlockId, Arc<BlockChecksums>>>,
-    sidecar_dir: Option<PathBuf>,
 }
 
 impl<S: BlockStore> ChecksummedStore<S> {
-    /// Wraps `inner` with in-memory checksums at [`DEFAULT_CHUNK_SIZE`].
+    /// Wraps `inner`, checksumming [`DEFAULT_CHUNK_SIZE`]-byte chunks.
     pub fn new(inner: S) -> Self {
         ChecksummedStore::with_chunk_size(inner, DEFAULT_CHUNK_SIZE)
     }
 
-    /// Wraps `inner` with in-memory checksums over `chunk_size`-byte chunks.
+    /// Wraps `inner`, checksumming `chunk_size`-byte chunks. Blocks written
+    /// with another chunk size still read back: each carries its own.
     pub fn with_chunk_size(inner: S, chunk_size: usize) -> Self {
         ChecksummedStore {
             inner,
             chunk_size: chunk_size.max(1),
-            sums: RwLock::new(&lock_order::STORE_CHECKSUMS, HashMap::new()),
-            sidecar_dir: None,
         }
-    }
-
-    /// Wraps `inner` and persists checksums as `<block>.crc` sidecar files
-    /// under `dir` (created if needed). Sidecars written by an earlier
-    /// incarnation are reloaded lazily, so integrity metadata survives a
-    /// process restart the way HDFS/QFS checksum files do.
-    pub fn persistent(inner: S, dir: impl AsRef<Path>) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        Ok(ChecksummedStore {
-            inner,
-            chunk_size: DEFAULT_CHUNK_SIZE,
-            sums: RwLock::new(&lock_order::STORE_CHECKSUMS, HashMap::new()),
-            sidecar_dir: Some(dir),
-        })
     }
 
     /// The wrapped store.
@@ -277,71 +266,19 @@ impl<S: BlockStore> ChecksummedStore<S> {
             .collect()
     }
 
-    fn sidecar_path(&self, block: BlockId) -> Option<PathBuf> {
-        self.sidecar_dir
-            .as_ref()
-            .map(|d| d.join(format!("{block}.crc")))
-    }
-
-    /// The recorded checksums of `block`, reloading a persisted sidecar on a
-    /// memory miss. Returns a shared handle: a reader keeps it for as long
-    /// as it is open, so the checksum vector is never copied.
-    fn checksums(&self, block: BlockId) -> Option<Arc<BlockChecksums>> {
-        if let Some(sums) = self.sums.read().get(&block) {
-            return Some(sums.clone());
-        }
-        let path = self.sidecar_path(block)?;
-        let loaded = Arc::new(BlockChecksums::from_bytes(&std::fs::read(path).ok()?)?);
-        self.sums.write().insert(block, loaded.clone());
-        Some(loaded)
-    }
-
-    /// Records checksums in memory and (when persistent) on disk.
-    fn record(&self, block: BlockId, sums: BlockChecksums) -> Result<()> {
-        if let Some(path) = self.sidecar_path(block) {
-            std::fs::write(path, sums.to_bytes())?;
-        }
-        self.sums.write().insert(block, Arc::new(sums));
-        Ok(())
-    }
-
-    fn forget(&self, block: BlockId) {
-        self.sums.write().remove(&block);
-        if let Some(path) = self.sidecar_path(block) {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-
-    /// Adopts a block that has no recorded checksums: its current content is
-    /// taken as the good copy.
-    fn adopt(&self, block: BlockId, data: &[u8]) -> Result<()> {
-        self.record(block, BlockChecksums::compute(data, self.chunk_size))
-    }
-
-    /// Opens `block` in the inner store and fetches its checksums, once for
+    /// Opens `block` in the inner store and reads its trailer, once for
     /// however many reads follow.
     fn open_block(&self, block: BlockId) -> Result<ChecksummedReader<'_>> {
-        Ok(ChecksummedReader {
-            block,
-            inner: self.inner.reader(block)?,
-            sums: self.checksums(block),
-        })
+        let inner = self.inner.reader(block)?;
+        let sums = read_trailer(&*inner, block, self.chunk_size)?;
+        Ok(ChecksummedReader { block, inner, sums })
     }
 }
 
 impl<S: BlockStore> BlockStore for ChecksummedStore<S> {
     fn get(&self, block: BlockId) -> Result<Bytes> {
-        let data = self.inner.get(block)?;
-        match self.checksums(block) {
-            Some(sums) => match sums.verify(&data) {
-                Ok(()) => Ok(data),
-                Err(chunk) => Err(EcPipeError::CorruptBlock { block, chunk }),
-            },
-            None => {
-                self.adopt(block, &data)?;
-                Ok(data)
-            }
-        }
+        let reader = self.open_block(block)?;
+        reader.read(0..reader.sums.block_len())
     }
 
     fn get_range(&self, block: BlockId, range: std::ops::Range<usize>) -> Result<Bytes> {
@@ -353,15 +290,21 @@ impl<S: BlockStore> BlockStore for ChecksummedStore<S> {
     }
 
     fn put(&self, block: BlockId, data: Bytes) -> Result<()> {
-        let sums = BlockChecksums::compute(&data, self.chunk_size);
-        self.inner.put(block, data)?;
-        self.record(block, sums)
+        let record = BlockChecksums::compute(&data, self.chunk_size).to_bytes();
+        let record_len = u32::try_from(record.len()).map_err(|_| EcPipeError::InvalidRequest {
+            reason: format!(
+                "block {block} of {} bytes is too large to checksum",
+                data.len()
+            ),
+        })?;
+        let mut footer = [0u8; FOOTER_LEN];
+        footer[..4].copy_from_slice(&record_len.to_le_bytes());
+        footer[4..].copy_from_slice(FOOTER_MAGIC);
+        self.inner.put_parts(block, &[&data, &record, &footer])
     }
 
     fn delete(&self, block: BlockId) -> Result<bool> {
-        let existed = self.inner.delete(block)?;
-        self.forget(block);
-        Ok(existed)
+        self.inner.delete(block)
     }
 
     fn contains(&self, block: BlockId) -> bool {
@@ -377,52 +320,106 @@ impl<S: BlockStore> BlockStore for ChecksummedStore<S> {
     }
 
     fn corrupt(&self, block: BlockId, offset: usize) -> Result<()> {
-        // Flip the byte *through the inner store* so this wrapper's
-        // recorded checksums go stale — that is what bit-rot looks like.
+        // Only payload bytes rot, and they rot *through the inner store*, so
+        // the trailer keeps the old checksums — that is what bit-rot looks
+        // like.
+        let len = self.open_block(block)?.sums.block_len();
+        if offset >= len {
+            return Err(EcPipeError::InvalidRequest {
+                reason: format!(
+                    "corruption offset {offset} out of bounds for block {block} of {len} bytes"
+                ),
+            });
+        }
         self.inner.corrupt(block, offset)
     }
 }
 
+/// The payload length of a stored block of `stored` bytes whose checksum
+/// record has `chunk_size`-byte chunks: the `p` with
+/// `p + RECORD_HEADER + 4·⌈p / chunk_size⌉ + FOOTER_LEN == stored`, if any.
+fn payload_len(stored: usize, chunk_size: usize) -> Option<usize> {
+    // `rest` is `p + 4n` for the `n = ⌈p / chunk_size⌉` chunks; every `p`
+    // with `n` chunks puts `rest` in `((n−1)(chunk_size+4), n(chunk_size+4)]`,
+    // so `n` is `rest`'s ceiling quotient by `chunk_size + 4`.
+    let rest = stored.checked_sub(RECORD_HEADER + FOOTER_LEN)?;
+    let chunks = rest.div_ceil(chunk_size + 4);
+    let payload = rest.checked_sub(4 * chunks)?;
+    (payload.div_ceil(chunk_size) == chunks).then_some(payload)
+}
+
+/// Reads the checksums at the end of an opened block. When they were
+/// written with `chunk_size`-byte chunks, record and footer arrive in one
+/// read; otherwise the footer says where the record starts and a second
+/// read fetches it. A block without a valid trailer is corrupt at chunk 0.
+fn read_trailer(
+    inner: &dyn BlockReader,
+    block: BlockId,
+    chunk_size: usize,
+) -> Result<BlockChecksums> {
+    let corrupt = || EcPipeError::CorruptBlock { block, chunk: 0 };
+    let stored = inner.len()?;
+    let footer_at = stored.checked_sub(FOOTER_LEN).ok_or_else(corrupt)?;
+    let start = payload_len(stored, chunk_size).unwrap_or(footer_at);
+    let tail = read_stored(inner, block, start..stored, 0)?;
+    let footer = &tail[footer_at - start..];
+    if footer[4..] != FOOTER_MAGIC[..] {
+        return Err(corrupt());
+    }
+    let record_len = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]) as usize;
+    let payload = footer_at.checked_sub(record_len).ok_or_else(corrupt)?;
+    let record = match payload.checked_sub(start) {
+        Some(at) => tail.slice(at..footer_at - start),
+        None => read_stored(inner, block, payload..footer_at, 0)?,
+    };
+    match BlockChecksums::from_bytes(&record) {
+        Some(sums) if sums.block_len() == payload => Ok(sums),
+        _ => Err(corrupt()),
+    }
+}
+
+/// Reads bytes of a stored block that its length or trailer says exist. An
+/// inner store that cannot serve them holds a *truncated* block — that is
+/// corruption (at `chunk`), not a bad request, so it must take the same
+/// re-plan-and-heal path a flipped byte does.
+fn read_stored(
+    inner: &dyn BlockReader,
+    block: BlockId,
+    range: std::ops::Range<usize>,
+    chunk: usize,
+) -> Result<Bytes> {
+    inner.read(range).map_err(|e| match e {
+        EcPipeError::InvalidRequest { .. } => EcPipeError::CorruptBlock { block, chunk },
+        e => e,
+    })
+}
+
 /// A [`ChecksummedStore`] block held open: the inner store's reader and the
-/// checksums recorded for the bytes it reads, so every read is verified
+/// checksums read from that block's trailer, so every read is verified
 /// without a look-up.
 struct ChecksummedReader<'a> {
     block: BlockId,
     inner: Box<dyn BlockReader + 'a>,
-    /// `None` for a legacy block that was never whole-read (all writes
-    /// through the wrapper record checksums): nothing to verify against, so
-    /// its ranges are served raw.
-    sums: Option<Arc<BlockChecksums>>,
+    sums: BlockChecksums,
 }
 
 impl BlockReader for ChecksummedReader<'_> {
     fn read(&self, range: std::ops::Range<usize>) -> Result<Bytes> {
-        let Some(sums) = &self.sums else {
-            return self.inner.read(range);
-        };
-        let block = self.block;
+        let (block, sums) = (self.block, &self.sums);
         check_range(block, &range, sums.block_len())?;
         // Read and verify only the chunk-aligned span covering the range —
         // slice reads stay O(slice), not O(block).
         let (span, first_chunk) = sums.chunk_span(&range);
-        let aligned = match self.inner.read(span.clone()) {
-            Ok(aligned) => aligned,
-            // The recorded checksums say these bytes exist; an inner store
-            // that cannot serve them holds a *truncated* block — that is
-            // corruption, not a bad request, so it must take the same
-            // re-plan-and-heal path a flipped byte does.
-            Err(EcPipeError::InvalidRequest { .. }) => {
-                return Err(EcPipeError::CorruptBlock {
-                    block,
-                    chunk: first_chunk,
-                })
-            }
-            Err(e) => return Err(e),
-        };
+        let aligned = read_stored(&*self.inner, block, span.clone(), first_chunk)?;
         if let Err(chunk) = sums.verify_chunks(&aligned, first_chunk) {
             return Err(EcPipeError::CorruptBlock { block, chunk });
         }
         Ok(aligned.slice(range.start - span.start..range.end - span.start))
+    }
+
+    /// The payload's length: the trailer is not part of the block.
+    fn len(&self) -> Result<usize> {
+        Ok(self.sums.block_len())
     }
 }
 
@@ -435,6 +432,13 @@ mod tests {
         BlockId::new(s, i)
     }
 
+    /// A fresh directory for one test's file store.
+    fn test_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("ecpipe-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // The IEEE 802.3 check value for "123456789".
@@ -442,15 +446,15 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// The block the golden sidecar below describes.
+    /// The block the golden checksum record below describes.
     fn golden_block() -> Vec<u8> {
         (0..2000u32).map(|i| (i % 251) as u8).collect()
     }
 
     /// `BlockChecksums::compute(&golden_block(), 512).to_bytes()` as written
     /// by commit 957218b, whose `crc32` was the one-table bytewise loop.
-    /// Sidecars like this one are on disk; the dispatched kernels must keep
-    /// reading and reproducing them bit for bit.
+    /// The dispatched kernels must keep reading and reproducing it bit for
+    /// bit.
     const GOLDEN_SIDECAR: [u8; 36] = [
         0x45, 0x43, 0x43, 0x01, // "ECC\x01"
         0x00, 0x02, 0, 0, 0, 0, 0, 0, // chunk size 512
@@ -459,9 +463,15 @@ mod tests {
         0xa5, 0xfa, 0x47, 0xc2, 0xbd, 0x3b, 0x11, 0x96, // chunks 2, 3
     ];
 
+    /// The footer closing a block whose record is [`GOLDEN_SIDECAR`].
+    const GOLDEN_FOOTER: [u8; FOOTER_LEN] = [
+        36, 0, 0, 0, // record length
+        0x45, 0x43, 0x54, 0x01, // "ECT\x01"
+    ];
+
     #[test]
     fn golden_sidecar_still_parses_and_verifies() {
-        let sums = BlockChecksums::from_bytes(&GOLDEN_SIDECAR).expect("golden sidecar parses");
+        let sums = BlockChecksums::from_bytes(&GOLDEN_SIDECAR).expect("golden record parses");
         assert_eq!((sums.chunk_size(), sums.block_len()), (512, 2000));
         assert!(sums.verify(&golden_block()).is_ok());
         // Today's writer emits the same bytes.
@@ -472,13 +482,13 @@ mod tests {
     }
 
     #[test]
-    fn block_and_sidecar_written_before_the_kernels_reopen_clean() {
-        let dir = std::env::temp_dir().join(format!("ecpipe-golden-{}", std::process::id()));
+    fn golden_block_file_reopens_clean() {
+        let dir = test_dir("golden");
         std::fs::create_dir_all(&dir).unwrap();
-        // Lay the pair down as the old code left it: raw files, no store.
+        // Lay the file down raw, no store: payload ‖ record ‖ footer.
         let id = block(11, 3);
-        std::fs::write(dir.join(id.to_string()), golden_block()).unwrap();
-        std::fs::write(dir.join(format!("{id}.crc")), GOLDEN_SIDECAR).unwrap();
+        let file = [&golden_block()[..], &GOLDEN_SIDECAR, &GOLDEN_FOOTER].concat();
+        std::fs::write(dir.join(id.to_string()), &file).unwrap();
 
         let store = FileStore::open_checksummed(&dir).unwrap();
         assert_eq!(store.get(id).unwrap(), golden_block());
@@ -486,7 +496,12 @@ mod tests {
             store.get_range(id, 1000..1600).unwrap(),
             golden_block()[1000..1600]
         );
-        // Bit-rot in chunk 2 is convicted at chunk 2, by the old checksums.
+        // Today's writer lays down the same file.
+        store
+            .put(block(11, 4), Bytes::from(golden_block()))
+            .unwrap();
+        assert_eq!(std::fs::read(dir.join("s11b4")).unwrap(), file);
+        // Bit-rot in chunk 2 is convicted at chunk 2, by the golden sums.
         store.corrupt(id, 1500).unwrap();
         assert!(matches!(
             store.get(id),
@@ -538,12 +553,38 @@ mod tests {
         let sums = BlockChecksums::compute(&vec![3u8; 1300], 512);
         let encoded = sums.to_bytes();
         assert_eq!(BlockChecksums::from_bytes(&encoded), Some(sums));
-        assert_eq!(BlockChecksums::from_bytes(b"not a sidecar"), None);
+        assert_eq!(BlockChecksums::from_bytes(b"not a record"), None);
         assert_eq!(BlockChecksums::from_bytes(&encoded[..10]), None);
-        // A sidecar whose sum count disagrees with its length is rejected.
+        // A record whose sum count disagrees with its length is rejected.
         let mut short = encoded.clone();
         short.truncate(encoded.len() - 4);
         assert_eq!(BlockChecksums::from_bytes(&short), None);
+    }
+
+    #[test]
+    fn the_trailer_is_found_from_the_stored_length() {
+        // Every payload length maps back from its stored length, so a
+        // reader fetches record and footer with one read.
+        for chunk_size in [1, 7, 512] {
+            for len in 0..3000 {
+                let record = BlockChecksums::compute(&vec![0u8; len], chunk_size).to_bytes();
+                let stored = len + record.len() + FOOTER_LEN;
+                assert_eq!(
+                    payload_len(stored, chunk_size),
+                    Some(len),
+                    "{chunk_size}/{len}"
+                );
+            }
+        }
+        assert_eq!(payload_len(FOOTER_LEN, 512), None);
+        // A block written with another chunk size reads back too: its
+        // footer says where its record starts.
+        let data: Vec<u8> = (0..3000u32).map(|i| (i % 13) as u8).collect();
+        let store = ChecksummedStore::with_chunk_size(MemoryStore::new(), 7);
+        store.put(block(2, 0), Bytes::from(data.clone())).unwrap();
+        let store = ChecksummedStore::new(store.inner);
+        assert_eq!(store.get(block(2, 0)).unwrap(), data);
+        assert_eq!(store.get_range(block(2, 0), 10..20).unwrap(), data[10..20]);
     }
 
     #[test]
@@ -579,43 +620,189 @@ mod tests {
     fn truncation_is_corruption_for_whole_and_range_reads() {
         let store = ChecksummedStore::new(MemoryStore::new());
         let data: Vec<u8> = (0..4096u32).map(|i| (i % 241) as u8).collect();
-        store.put(block(5, 0), Bytes::from(data.clone())).unwrap();
-        // Truncate behind the wrapper's back (a torn write / lost tail).
-        store
-            .inner()
-            .put(block(5, 0), Bytes::from(data[..1000].to_vec()))
-            .unwrap();
-        assert!(matches!(
-            store.get(block(5, 0)),
-            Err(EcPipeError::CorruptBlock { chunk: 0, .. })
-        ));
-        // A range the recorded length covers but the truncated block cannot
-        // serve is corruption too — it must take the re-plan/heal path, not
-        // fail as a bad request.
-        assert!(matches!(
-            store.get_range(block(5, 0), 2048..2560),
-            Err(EcPipeError::CorruptBlock { chunk: 4, .. })
-        ));
+        let sums = BlockChecksums::compute(&data, DEFAULT_CHUNK_SIZE).to_bytes();
+        let footer = [&(sums.len() as u32).to_le_bytes()[..], FOOTER_MAGIC].concat();
+        // Behind the wrapper's back: a block with no trailer (a lost tail,
+        // or bytes never written through the wrapper), and a payload cut
+        // short under an intact trailer.
+        for stored in [
+            data[..1000].to_vec(),
+            data.clone(),
+            [&data[..1000], &sums, &footer].concat(),
+        ] {
+            store.inner().put(block(5, 0), Bytes::from(stored)).unwrap();
+            assert!(matches!(
+                store.get(block(5, 0)),
+                Err(EcPipeError::CorruptBlock { chunk: 0, .. })
+            ));
+            // Even a range the surviving bytes could serve: without its
+            // trailer, no byte of the block is trusted.
+            assert!(matches!(
+                store.get_range(block(5, 0), 0..512),
+                Err(EcPipeError::CorruptBlock { chunk: 0, .. })
+            ));
+        }
         // Asking past the recorded length is still the caller's error.
+        store.put(block(5, 0), Bytes::from(data)).unwrap();
         assert!(matches!(
             store.get_range(block(5, 0), 4000..5000),
             Err(EcPipeError::InvalidRequest { .. })
         ));
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A block file cut at any offset — in the payload, the record or
+        /// the footer — or with any byte flipped is read as `CorruptBlock`
+        /// or as the exact bytes, never as anything else, and a cut one
+        /// serves nothing. A rewrite heals it.
+        #[test]
+        fn torn_blocks_are_corrupt_never_served(
+            len in 0usize..3000,
+            at in proptest::prelude::any::<usize>(),
+            // Half the cases aim at the last 64 bytes: footer and record.
+            in_tail in proptest::prelude::any::<bool>(),
+            // Cut the file at `at`, or XOR `flip` into the byte there.
+            cut in proptest::prelude::any::<bool>(),
+            flip in 1u8..=255,
+            from in proptest::prelude::any::<usize>(),
+            to in proptest::prelude::any::<usize>(),
+        ) {
+            let dir = test_dir("torn");
+            let store = FileStore::open_checksummed(&dir).unwrap();
+            let id = block(8, 0);
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            store.put(id, Bytes::from(data.clone())).unwrap();
+            let path = dir.join(id.to_string());
+            let mut raw = std::fs::read(&path).unwrap();
+            let at = if in_tail {
+                raw.len() - 1 - at % raw.len().min(64)
+            } else {
+                at % raw.len()
+            };
+            if cut {
+                raw.truncate(at);
+            } else {
+                raw[at] ^= flip;
+            }
+            std::fs::write(&path, &raw).unwrap();
+
+            let (from, to) = (from % (len + 1), to % (len + 1));
+            let range = from.min(to)..from.max(to);
+            let reads = [
+                ("get", store.get(id), &data[..]),
+                ("get_range", store.get_range(id, range.clone()), &data[range]),
+            ];
+            for (way, read, exact) in reads {
+                match read {
+                    Ok(got) => {
+                        proptest::prop_assert!(!cut, "{way} served a block cut at {at}");
+                        proptest::prop_assert_eq!(&got[..], exact, "{} at {}^{}", way, at, flip);
+                    }
+                    Err(EcPipeError::CorruptBlock { .. }) => {}
+                    Err(other) => panic!("{way} at {at} (cut {cut}): unexpected {other:?}"),
+                }
+            }
+            store.put(id, Bytes::from(data.clone())).unwrap();
+            proptest::prop_assert_eq!(store.get(id).unwrap(), data);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     #[test]
-    fn unknown_blocks_are_adopted_on_first_read() {
-        let inner = MemoryStore::new();
-        inner.put(block(2, 1), Bytes::from(vec![9u8; 100])).unwrap();
-        let store = ChecksummedStore::new(inner);
-        // First read adopts the current content as the good copy...
-        assert_eq!(store.get(block(2, 1)).unwrap().len(), 100);
-        // ...after which corruption is detectable.
-        store.corrupt(block(2, 1), 50).unwrap();
-        assert!(matches!(
-            store.get(block(2, 1)),
-            Err(EcPipeError::CorruptBlock { .. })
-        ));
+    fn reads_racing_a_rewrite_see_old_or_new_bytes() {
+        // One thread rewrites a block, alternating two contents; another
+        // reads a range of it meanwhile. Bytes and checksums are one unit,
+        // so every read is whole and clean: one content or the other.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        const BLOCK: usize = 64 * 1024;
+        let dir = test_dir("race");
+        let stores: [(&str, Box<dyn BlockStore>); 2] = [
+            ("file", Box::new(FileStore::open_checksummed(&dir).unwrap())),
+            (
+                "memory",
+                Box::new(ChecksummedStore::new(MemoryStore::new())),
+            ),
+        ];
+        let contents = [
+            Bytes::from((0..BLOCK).map(|i| (i % 251) as u8).collect::<Vec<_>>()),
+            Bytes::from(
+                (0..BLOCK)
+                    .map(|i| (i % 239) as u8 ^ 0x5A)
+                    .collect::<Vec<_>>(),
+            ),
+        ];
+        let (id, range) = (block(6, 1), 1000..40_000);
+        for (name, store) in &stores {
+            store.put(id, contents[0].clone()).unwrap();
+            let (start, done) = (Barrier::new(2), AtomicBool::new(false));
+            let (mut clean, mut corrupt) = (0usize, 0usize);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    start.wait();
+                    for round in 1..=300 {
+                        store.put(id, contents[round % 2].clone()).unwrap();
+                    }
+                    done.store(true, Ordering::SeqCst);
+                });
+                start.wait();
+                while !done.load(Ordering::SeqCst) || clean + corrupt == 0 {
+                    match store.get_range(id, range.clone()) {
+                        Ok(got) => {
+                            assert!(
+                                contents.iter().any(|c| got[..] == c[range.clone()]),
+                                "{name}: a read mixed the two contents"
+                            );
+                            clean += 1;
+                        }
+                        Err(EcPipeError::CorruptBlock { .. }) => corrupt += 1,
+                        Err(other) => panic!("{name}: unexpected {other:?}"),
+                    }
+                }
+            });
+            assert_eq!(
+                corrupt, 0,
+                "{name}: {corrupt} false CorruptBlock against {clean} clean reads"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_checksummed_file_store_keeps_one_file_per_block() {
+        let dir = test_dir("one-file");
+        let store = FileStore::open_checksummed(&dir).unwrap();
+        let files = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        store
+            .put(block(1, 0), Bytes::from(vec![1u8; 3000]))
+            .unwrap();
+        assert_eq!(files(), ["s1b0"], "a put creates exactly one file");
+        for i in 1..4 {
+            store
+                .put(block(1, i), Bytes::from(vec![i as u8; 700]))
+                .unwrap();
+        }
+        // Overwrites, an empty block, and a delete: still one file per
+        // stored block — no `.crc`, no leftover temporary.
+        store
+            .put(block(1, 2), Bytes::from(vec![9u8; 5000]))
+            .unwrap();
+        store.put(block(1, 3), Bytes::new()).unwrap();
+        assert!(store.delete(block(1, 0)).unwrap());
+        assert_eq!(files(), ["s1b1", "s1b2", "s1b3"]);
+        assert_eq!(store.list(), [block(1, 1), block(1, 2), block(1, 3)]);
+        assert_eq!(store.get(block(1, 2)).unwrap(), vec![9u8; 5000]);
+        assert!(store.get(block(1, 3)).unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -638,34 +825,29 @@ mod tests {
 
     #[test]
     fn persistent_checksums_survive_reopen() {
-        let dir = std::env::temp_dir().join(format!(
-            "ecpipe-integrity-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
+        let dir = test_dir("integrity");
         let data: Vec<u8> = (0..1024u32).map(|i| (i % 249) as u8).collect();
         {
-            let store = ChecksummedStore::persistent(FileStore::open(&dir).unwrap(), &dir).unwrap();
+            let store = FileStore::open_checksummed(&dir).unwrap();
             store.put(block(7, 2), Bytes::from(data.clone())).unwrap();
             assert!(store.verify(block(7, 2)).is_ok());
-            // The sidecar sits next to the block file and is not a block.
             assert_eq!(store.list(), vec![block(7, 2)]);
         }
-        // Tamper with the block file directly, then reopen: the reloaded
-        // sidecar must convict the rotten byte.
+        // Tamper with the block file directly, then reopen: the checksums
+        // in the file's own trailer must convict the rotten byte.
         let path = dir.join(block(7, 2).to_string());
         let mut raw = std::fs::read(&path).unwrap();
         raw[300] ^= 0xFF;
         std::fs::write(&path, &raw).unwrap();
         {
-            let store = ChecksummedStore::persistent(FileStore::open(&dir).unwrap(), &dir).unwrap();
+            let store = FileStore::open_checksummed(&dir).unwrap();
             assert!(matches!(
                 store.verify(block(7, 2)),
-                Err(EcPipeError::CorruptBlock { .. })
+                Err(EcPipeError::CorruptBlock { chunk: 0, .. })
             ));
-            // Deleting the block removes the sidecar too.
+            // Deleting the block removes its one file.
             assert!(store.delete(block(7, 2)).unwrap());
-            assert!(!dir.join(format!("{}.crc", block(7, 2))).exists());
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -40,8 +40,8 @@
 //! one-repair-at-a-time baseline on the same engine.
 //!
 //! The [`integrity`] module supplies the detection layer the scrubber and
-//! the helpers rely on: [`ChecksummedStore`] pairs every block with
-//! per-chunk CRC-32 checksums (persisted as `.crc` sidecars for
+//! the helpers rely on: [`ChecksummedStore`] stores every block with
+//! per-chunk CRC-32 checksums in a trailer (one file per block on
 //! [`FileStore`] nodes), verifies every read — slice reads check only the
 //! chunks they overlap — and surfaces rot as
 //! [`EcPipeError::CorruptBlock`], which fails a repair stream cleanly

@@ -162,12 +162,6 @@ lock_class!(
 );
 
 lock_class!(
-    /// [`ChecksummedStore`](crate::ChecksummedStore) checksum cache. Leaf:
-    /// never held across inner-store calls.
-    pub STORE_CHECKSUMS = ("store.checksums", rank = 70)
-);
-
-lock_class!(
     /// [`MemoryStore`](crate::MemoryStore) block map. Leaf.
     pub STORE_MEMORY = ("store.memory", rank = 72)
 );

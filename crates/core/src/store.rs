@@ -64,8 +64,8 @@ pub enum StoreBackend {
         /// Number of storage nodes.
         nodes: usize,
     },
-    /// File-backed stores with persisted `.crc` checksum sidecars
-    /// ([`FileStore::open_checksummed`]).
+    /// File-backed stores whose block files carry their checksums in a
+    /// trailer ([`FileStore::open_checksummed`]).
     FileChecksummed {
         /// Directory that receives one `node-<i>` subdirectory per node.
         root: PathBuf,
@@ -98,7 +98,7 @@ impl StoreBackend {
         }
     }
 
-    /// File-backed stores with persisted checksum sidecars.
+    /// File-backed stores whose block files carry their checksums.
     pub fn file_checksummed(root: impl AsRef<Path>, nodes: usize) -> Self {
         StoreBackend::FileChecksummed {
             root: root.as_ref().to_path_buf(),
@@ -201,19 +201,25 @@ fn slice_of(block: BlockId, whole: &Bytes, range: std::ops::Range<usize>) -> Res
 
 /// One stored block, opened once for the many range reads of one repair
 /// ([`BlockStore::reader`]): whatever a store pays per *block* — a path, an
-/// `open`, a checksum look-up — it pays when the reader is made, and
+/// `open`, a checksum trailer — it pays when the reader is made, and
 /// [`read`](BlockReader::read) pays only for the bytes.
 ///
 /// A reader is a snapshot. A block healed ([`BlockStore::put`]) or erased
 /// ([`BlockStore::delete`]) while a repair is running keeps serving that
 /// repair the bytes its plan was made against, verified by the checksums
-/// fetched with them; the next reader sees the new state. (The trait's
+/// stored with them; the next reader sees the new state. (The trait's
 /// default reader, for custom stores, is only as stable as the store's
 /// `get_range`.)
+// A reader is asked where the block ends, never whether it is empty.
+#[allow(clippy::len_without_is_empty)]
 pub trait BlockReader: Send {
     /// Reads a byte range of the block, by the rules of
     /// [`BlockStore::get_range`].
     fn read(&self, range: std::ops::Range<usize>) -> Result<Bytes>;
+
+    /// The length of the block in bytes: where a checksum trailer, read
+    /// from the end, ends.
+    fn len(&self) -> Result<usize>;
 }
 
 /// The default [`BlockStore::reader`]: the presence check was made when it
@@ -226,6 +232,10 @@ struct RangeReader<'a, S: ?Sized> {
 impl<S: BlockStore + ?Sized> BlockReader for RangeReader<'_, S> {
     fn read(&self, range: std::ops::Range<usize>) -> Result<Bytes> {
         self.store.get_range(self.block, range)
+    }
+
+    fn len(&self) -> Result<usize> {
+        Ok(self.store.get(self.block)?.len())
     }
 }
 
@@ -272,6 +282,16 @@ pub trait BlockStore: Send + Sync {
 
     /// Writes (or overwrites) a block.
     fn put(&self, block: BlockId, data: Bytes) -> Result<()>;
+
+    /// Writes (or overwrites) a block given as consecutive parts — how
+    /// [`ChecksummedStore`](crate::ChecksummedStore) appends its checksum
+    /// trailer to a payload without copying the payload first. The block is
+    /// the parts' concatenation, published as one [`put`](BlockStore::put):
+    /// the default concatenates, [`FileStore`] writes the parts with one
+    /// vectored write.
+    fn put_parts(&self, block: BlockId, parts: &[&[u8]]) -> Result<()> {
+        self.put(block, Bytes::from(parts.concat()))
+    }
 
     /// Deletes a block, returning whether it existed. Used to inject
     /// failures.
@@ -389,6 +409,10 @@ impl BlockReader for MemoryReader {
     fn read(&self, range: std::ops::Range<usize>) -> Result<Bytes> {
         slice_of(self.block, &self.whole, range)
     }
+
+    fn len(&self) -> Result<usize> {
+        Ok(self.whole.len())
+    }
 }
 
 /// A file-backed block store: each block is a plain file named
@@ -418,13 +442,11 @@ impl FileStore {
         })
     }
 
-    /// Opens a file store whose blocks are paired with persisted `.crc`
-    /// checksum sidecars in the same directory (see
-    /// [`ChecksummedStore::persistent`]), mirroring how HDFS and QFS keep a
-    /// checksum file next to each block file.
+    /// Opens a file store whose block files carry their own per-chunk
+    /// checksums in a trailer ([`ChecksummedStore`]), the way a QFS chunk
+    /// file does: one file per block, written and renamed into place whole.
     pub fn open_checksummed(dir: impl AsRef<Path>) -> Result<ChecksummedStore<FileStore>> {
-        let dir = dir.as_ref();
-        ChecksummedStore::persistent(FileStore::open(dir)?, dir)
+        Ok(ChecksummedStore::new(FileStore::open(dir)?))
     }
 
     /// Total payload bytes this store has read from disk.
@@ -477,11 +499,16 @@ impl BlockStore for FileStore {
         Ok(Box::new(self.open_block(block)?))
     }
 
+    fn put(&self, block: BlockId, data: Bytes) -> Result<()> {
+        self.put_parts(block, &[&data])
+    }
+
     /// Writes the block under a temporary name and renames it into place, so
     /// a concurrent reader sees the old block, the new one or none — never a
     /// prefix of the new bytes over a tail of the old, which an unchecksummed
-    /// store would serve as data.
-    fn put(&self, block: BlockId, data: Bytes) -> Result<()> {
+    /// store would serve as data, nor a payload without its trailer. One new
+    /// file per block, and the parts go in with one vectored write.
+    fn put_parts(&self, block: BlockId, parts: &[&[u8]]) -> Result<()> {
         // Process-wide, so two stores opened on one directory cannot collide.
         static PUTS: AtomicU64 = AtomicU64::new(0);
         let path = self.path_of(block);
@@ -490,7 +517,7 @@ impl BlockStore for FileStore {
             "{block}.tmp{}",
             PUTS.fetch_add(1, Ordering::Relaxed)
         ));
-        let written = std::fs::write(&tmp, &data).and_then(|()| std::fs::rename(&tmp, &path));
+        let written = write_parts(&tmp, parts).and_then(|()| std::fs::rename(&tmp, &path));
         if written.is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
@@ -544,9 +571,7 @@ impl BlockReader for FileReader<'_> {
         let mut data = vec![0u8; range.len()];
         let read = |data: &mut [u8]| self.file.read_exact_at(data, range.start as u64);
         if data.is_empty() || read(&mut data).is_err() {
-            let len = self.file.metadata()?.len();
-            let len = usize::try_from(len).unwrap_or(usize::MAX);
-            check_range(self.block, &range, len)?;
+            check_range(self.block, &range, self.len()?)?;
             // In bounds after all: nothing to read, or an error to report.
             read(&mut data)?;
         }
@@ -555,6 +580,31 @@ impl BlockReader for FileReader<'_> {
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         Ok(Bytes::from(data))
     }
+
+    /// One `fstat` of the held descriptor.
+    fn len(&self) -> Result<usize> {
+        Ok(usize::try_from(self.file.metadata()?.len()).unwrap_or(usize::MAX))
+    }
+}
+
+/// Creates `path` and writes `parts` into it back to back with one
+/// `writev`, looping only if the kernel takes less than it was offered.
+fn write_parts(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
+    use std::io::{IoSlice, Write};
+    let mut file = std::fs::File::create(path)?;
+    let mut slices: Vec<IoSlice<'_>> = parts.iter().map(|part| IoSlice::new(part)).collect();
+    let mut left = &mut slices[..];
+    // Drops leading empty parts, so an empty block writes nothing.
+    IoSlice::advance_slices(&mut left, 0);
+    while !left.is_empty() {
+        match file.write_vectored(left) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Why `block`'s file could not be opened: it is not there, or I/O failed.

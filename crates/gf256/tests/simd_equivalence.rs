@@ -321,7 +321,7 @@ fn dot_prod_rejects_a_misshapen_matrix() {
 
 /// The byte-at-a-time table CRC-32 the integrity layer shipped with before
 /// the dispatched kernels: the oracle both of them must reproduce exactly,
-/// because its values are on disk in every `.crc` sidecar.
+/// because its values are on disk in every checksummed block's trailer.
 fn crc32_bytewise(data: &[u8]) -> u32 {
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {

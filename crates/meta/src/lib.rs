@@ -12,10 +12,10 @@
 //!   objects to pin this).
 //! * Each shard owns a **write-ahead log** plus a periodic **snapshot**
 //!   (length-prefixed, CRC-framed records — the same framing idiom the TCP
-//!   transport and the integrity sidecars use), so a killed process
-//!   recovers every object, placement and in-flight repair directive
-//!   byte-exactly on reopen. A torn tail record is detected by its CRC and
-//!   dropped whole — never partially applied.
+//!   transport and the integrity layer's block trailers use), so a killed
+//!   process recovers every object, placement and in-flight repair
+//!   directive byte-exactly on reopen. A torn tail record is detected by its
+//!   CRC and dropped whole — never partially applied.
 //! * Every stripe placement carries a **monotonic epoch**: relocating a
 //!   block (which is how a repair completion publishes its result) bumps
 //!   it, and a caller may pass the epoch it planned against to have a stale

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! The same framing discipline the TCP transport uses for wire frames and
-//! the integrity sidecars use for checksum files: a reader can always tell
+//! the integrity layer uses for block trailers: a reader can always tell
 //! a complete record from a torn one. [`decode_log`] walks a byte buffer
 //! record by record and stops at the first frame whose length runs past the
 //! end of the buffer or whose CRC does not match — the crash-truncated tail
@@ -33,7 +33,7 @@ use crate::{ObjectRecord, RepairRecord, StripeRecord};
 pub const FRAME_HEADER: usize = 8;
 
 // CRC-32 (IEEE, reflected 0xEDB88320) over a const table — the same
-// polynomial and table construction as `ecpipe`'s integrity sidecars, so
+// polynomial and table construction as `ecpipe`'s block checksums, so
 // the two planes share one checksum dialect.
 const CRC_TABLE: [u32; 256] = build_crc_table();
 

@@ -11,8 +11,8 @@
 //! without a liveness strike, and the rot itself is auto-healed. Channel-only
 //! cases pin the scheduling and pacing: corruption repairs pop between
 //! degraded reads and background recovery, the scrubber's token bucket
-//! actually paces the scan, and a file-backed store with persisted `.crc`
-//! sidecars survives on-disk tampering end to end.
+//! actually paces the scan, and a file-backed store whose block files carry
+//! their own checksum trailers survives on-disk tampering end to end.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,7 +28,8 @@ use repair_pipelining::ecpipe::transport::{
     ChannelTransport, ReactorTransport, TcpTransport, Transport,
 };
 use repair_pipelining::ecpipe::{
-    BlockStore, Cluster, Coordinator, EcPipeError, ExecStrategy, FileStore, StoreBackend,
+    BlockChecksums, BlockStore, Cluster, Coordinator, EcPipeError, ExecStrategy, FileStore,
+    StoreBackend, DEFAULT_CHUNK_SIZE,
 };
 
 const BLOCK: usize = 16 * 1024;
@@ -364,9 +365,9 @@ fn scrub_pacing_throttles_the_scan() {
     manager.shutdown();
 }
 
-/// End to end on disk: a file-backed cluster with persisted `.crc` sidecars
-/// detects bytes tampered directly in a block file, heals them through a
-/// scrub, and leaves the on-disk block byte-exact and verifiable.
+/// End to end on disk: a file-backed cluster whose block files carry their
+/// checksums detects bytes tampered directly in a block file, heals them
+/// through a scrub, and leaves the on-disk block byte-exact and verifiable.
 #[test]
 fn file_backed_scrub_survives_on_disk_tampering() {
     let root = std::env::temp_dir().join(format!("ecpipe-disk-scrub-{}", std::process::id()));
@@ -408,9 +409,15 @@ fn file_backed_scrub_survives_on_disk_tampering() {
     assert!(cycle.still_corrupt.is_empty());
     manager.shutdown();
 
-    // The on-disk bytes are the true ones again, and a *fresh* store
-    // (reloading the sidecar) agrees they verify.
-    assert_eq!(std::fs::read(&path).unwrap(), data[1]);
+    // The on-disk file is the true bytes again, followed by their trailer:
+    // the checksum record, its length and the footer magic. A *fresh* store
+    // agrees they verify.
+    let record = BlockChecksums::compute(&data[1], DEFAULT_CHUNK_SIZE).to_bytes();
+    let footer = [&(record.len() as u32).to_le_bytes()[..], b"ECT\x01"].concat();
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        [&data[1][..], &record, &footer].concat()
+    );
     let reopened = FileStore::open_checksummed(root.join(format!("node{victim_node}"))).unwrap();
     assert!(reopened.verify(BlockId::new(0, 1)).is_ok());
     std::fs::remove_dir_all(&root).ok();
