@@ -70,7 +70,7 @@ fn bench_backend<T: Transport>(
         let (coordinator, cluster) = setup();
         group.bench_function(BenchmarkId::new(row, label), |b| {
             b.iter(|| {
-                recover_node(
+                let report = recover_node(
                     &coordinator,
                     &cluster,
                     &transport,
@@ -78,7 +78,9 @@ fn bench_backend<T: Transport>(
                     &REQUESTORS,
                     &config,
                 )
-                .unwrap()
+                .unwrap();
+                assert_eq!(report.failed_repairs, 0);
+                report
             });
         });
     }

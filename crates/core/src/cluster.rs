@@ -328,19 +328,6 @@ impl Cluster {
         let node = self.node_of(stripe, index)?;
         self.stores[node].get(BlockId { stripe, index })
     }
-
-    /// Reads a byte range of a block from wherever its stripe placement says
-    /// it lives. On a checksummed store only the chunks the range overlaps
-    /// are verified, so the read stays proportional to the range.
-    pub fn read_block_range(
-        &self,
-        stripe: StripeId,
-        index: usize,
-        range: std::ops::Range<usize>,
-    ) -> Result<Bytes> {
-        let node = self.node_of(stripe, index)?;
-        self.stores[node].get_range(BlockId { stripe, index }, range)
-    }
 }
 
 #[cfg(test)]

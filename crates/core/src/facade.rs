@@ -61,8 +61,8 @@ use crate::cluster::Cluster;
 use crate::coordinator::{Coordinator, ObjectMeta};
 use crate::exec::ExecStrategy;
 use crate::manager::{
-    LinkWatchConfig, ManagerConfig, ManagerReport, NodeHealth, PathPolicy, RepairManager,
-    RepairPriority, RepairRequest, ScrubConfig, ScrubCycle, Scrubber,
+    ManagerConfig, ManagerReport, NodeHealth, PathPolicy, RepairManager, RepairPriority,
+    RepairRequest, ScrubConfig, ScrubCycle, Scrubber,
 };
 use crate::store::StoreBackend;
 use crate::transport::{AnyTransport, ChannelTransport, ReactorTransport, TcpTransport};
@@ -209,12 +209,13 @@ impl EcPipeBuilder {
         self
     }
 
-    /// Enables the mid-stream link watchdog: a repair whose links fall
-    /// below the configured fraction of their nominal bandwidth is
-    /// cancelled and re-planned around the degraded link. Needs
-    /// [`topology`](Self::topology) to be set to take effect.
-    pub fn link_watch(mut self, watch: LinkWatchConfig) -> Self {
-        self.manager.link_watch = Some(watch);
+    /// Enables the mid-stream link watchdog
+    /// ([`ManagerConfig::link_watch`]): a repair whose link falls below
+    /// half its nominal bandwidth is cancelled and re-planned around the
+    /// degraded link. Needs [`topology`](Self::topology) to be set to take
+    /// effect.
+    pub fn link_watch(mut self) -> Self {
+        self.manager.link_watch = true;
         self
     }
 

@@ -108,12 +108,11 @@ pub use exec::ExecStrategy;
 pub use facade::{chunk_stripe, stripe_count, EcPipe, EcPipeBuilder, TransportChoice};
 pub use integrity::{BlockChecksums, ChecksummedStore, DEFAULT_CHUNK_SIZE};
 pub use manager::{
-    LinkWatchConfig, ManagerConfig, ManagerReport, NodeHealth, PathPolicy, RepairManager,
-    RepairOutcome, RepairPriority, RepairRequest, ReplanEvent, ReplanReason, ScrubConfig,
-    ScrubCycle, Scrubber,
+    ManagerConfig, ManagerReport, NodeHealth, PathPolicy, RepairManager, RepairOutcome,
+    RepairPriority, RepairRequest, ReplanEvent, ReplanReason, ScrubConfig, ScrubCycle, Scrubber,
 };
 pub use store::{BlockReader, BlockStore, FileStore, MemoryStore, StoreBackend};
-pub use telemetry::{LinkTelemetry, TelemetryConfig};
+pub use telemetry::LinkTelemetry;
 pub use transport::{
     AnyTransport, ChannelTransport, ReactorTransport, TcpTransport, Transport, TransportError,
 };

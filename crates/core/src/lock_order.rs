@@ -20,21 +20,8 @@ use ecpipe_sync::lock_class;
 
 lock_class!(
     /// `EngineState::scheduled` — keys of repairs queued or in flight;
-    /// `wait_for` blocks on its condvar.
+    /// `wait_for` and `wait_idle` block on its two condvars.
     pub ENGINE_SCHEDULED = ("engine.scheduled", rank = 30)
-);
-
-lock_class!(
-    /// `EngineState::pending` — count of jobs submitted but not finished;
-    /// `wait_idle` blocks on its condvar.
-    pub ENGINE_PENDING = ("engine.pending", rank = 32)
-);
-
-lock_class!(
-    /// `EngineState::first_error` — the first worker error, held briefly
-    /// while aborting (which closes the queue, so it precedes
-    /// [`MANAGER_QUEUE`] in rank).
-    pub ENGINE_FIRST_ERROR = ("engine.first_error", rank = 34)
 );
 
 lock_class!(

@@ -100,11 +100,6 @@ impl Liveness {
             .copied()
             .unwrap_or(NodeHealth::Alive)
     }
-
-    /// All nodes with a non-default state.
-    pub(crate) fn snapshot(&self) -> HashMap<NodeId, NodeHealth> {
-        self.health.lock().clone()
-    }
 }
 
 #[cfg(test)]
@@ -141,6 +136,8 @@ mod tests {
         assert!(l.is_dead(7));
         assert!(!l.mark_dead(7), "already dead");
         assert!(l.mark_dead(8), "newly dead");
-        assert_eq!(l.snapshot().len(), 2);
+        assert_eq!(l.health_of(7), NodeHealth::Dead);
+        assert_eq!(l.health_of(8), NodeHealth::Dead);
+        assert_eq!(l.health_of(9), NodeHealth::Alive);
     }
 }

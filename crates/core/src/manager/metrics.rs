@@ -204,8 +204,7 @@ pub struct ManagerReport {
     pub replans: usize,
     /// Every re-plan and planning-fallback event, in occurrence order.
     pub replan_events: Vec<ReplanEvent>,
-    /// Repairs that failed even after re-planning (daemon mode only; the
-    /// batch engine aborts on the first failure instead).
+    /// Repairs that failed even after re-planning.
     pub failed_repairs: usize,
     /// Per-repair outcomes, in completion order.
     pub outcomes: Vec<RepairOutcome>,
@@ -272,26 +271,6 @@ pub(crate) fn link_bytes_since(
         .collect()
 }
 
-/// Everything the worker knows about one finished repair, handed to
-/// [`MetricsCollector::record_success`] as a bundle.
-pub(crate) struct SuccessRecord<'a> {
-    pub(crate) stripe: StripeId,
-    pub(crate) failed: usize,
-    pub(crate) requestor: NodeId,
-    pub(crate) priority: RepairPriority,
-    pub(crate) queue_wait: Duration,
-    pub(crate) duration: Duration,
-    pub(crate) replans: usize,
-    pub(crate) started_seq: usize,
-    pub(crate) bytes: usize,
-    /// Every node that held a role (helpers + requestor).
-    pub(crate) roles: &'a [NodeId],
-    /// The helper path of the final, successful attempt.
-    pub(crate) path: Vec<NodeId>,
-    /// The weighted planner's bottleneck estimate, when one was computed.
-    pub(crate) bottleneck: Option<f64>,
-}
-
 /// Shared, thread-safe accumulator behind a [`ManagerReport`].
 pub(crate) struct MetricsCollector {
     /// Lock class: `manager.metrics` ([`lock_order::MANAGER_METRICS`]).
@@ -327,37 +306,31 @@ impl MetricsCollector {
         *peak = (*peak).max(current);
     }
 
-    /// Records a successful repair.
-    pub(crate) fn record_success(&self, success: SuccessRecord<'_>) {
+    /// Records a successful repair that reconstructed `bytes` with `roles`
+    /// (helpers + requestor) held, stamping its completion order.
+    pub(crate) fn record_success(
+        &self,
+        mut outcome: RepairOutcome,
+        bytes: usize,
+        roles: &[NodeId],
+    ) {
         let mut inner = self.inner.lock();
         inner.finished += 1;
-        let finished_seq = inner.finished;
+        outcome.finished_seq = inner.finished;
         let report = &mut inner.report;
         report.blocks_repaired += 1;
-        report.bytes_repaired += success.bytes;
-        *report.per_requestor.entry(success.requestor).or_default() += 1;
-        for &node in success.roles {
+        report.bytes_repaired += bytes;
+        *report.per_requestor.entry(outcome.requestor).or_default() += 1;
+        for &node in roles {
             *report.node_load.entry(node).or_default() += 1;
         }
-        match success.priority {
-            RepairPriority::DegradedRead => report.degraded_wait.record(success.queue_wait),
-            RepairPriority::Corruption => report.corruption_wait.record(success.queue_wait),
-            RepairPriority::Background => report.background_wait.record(success.queue_wait),
+        match outcome.priority {
+            RepairPriority::DegradedRead => report.degraded_wait.record(outcome.queue_wait),
+            RepairPriority::Corruption => report.corruption_wait.record(outcome.queue_wait),
+            RepairPriority::Background => report.background_wait.record(outcome.queue_wait),
         }
-        report.replans += success.replans;
-        report.outcomes.push(RepairOutcome {
-            stripe: success.stripe,
-            failed: success.failed,
-            requestor: success.requestor,
-            priority: success.priority,
-            queue_wait: success.queue_wait,
-            duration: success.duration,
-            replans: success.replans,
-            started_seq: success.started_seq,
-            finished_seq,
-            path: success.path,
-            bottleneck: success.bottleneck,
-        });
+        report.replans += outcome.replans;
+        report.outcomes.push(outcome);
     }
 
     /// Appends one re-plan event in occurrence order.
@@ -365,8 +338,8 @@ impl MetricsCollector {
         self.inner.lock().report.replan_events.push(event);
     }
 
-    /// Records a repair the manager gave up on (daemon mode), keeping the
-    /// block identity so the report says what is still missing.
+    /// Records a repair the manager gave up on, keeping the block identity
+    /// so the report says what is still missing.
     pub(crate) fn record_failure(&self, failure: FailedRepair) {
         let mut inner = self.inner.lock();
         inner.finished += 1;
@@ -415,34 +388,40 @@ mod tests {
             reason: ReplanReason::HelperLost,
             node: Some(3),
         });
-        m.record_success(SuccessRecord {
-            stripe: StripeId(0),
-            failed: 1,
-            requestor: 9,
-            priority: RepairPriority::Background,
-            queue_wait: Duration::from_millis(5),
-            duration: Duration::from_millis(20),
-            replans: 1,
-            started_seq: s1,
-            bytes: 1024,
-            roles: &[4, 5, 9],
-            path: vec![4, 5],
-            bottleneck: None,
-        });
-        m.record_success(SuccessRecord {
-            stripe: StripeId(1),
-            failed: 0,
-            requestor: 8,
-            priority: RepairPriority::DegradedRead,
-            queue_wait: Duration::from_millis(1),
-            duration: Duration::from_millis(10),
-            replans: 0,
-            started_seq: s2,
-            bytes: 1024,
-            roles: &[4, 6, 8],
-            path: vec![4, 6],
-            bottleneck: Some(1.0 / 4096.0),
-        });
+        m.record_success(
+            RepairOutcome {
+                stripe: StripeId(0),
+                failed: 1,
+                requestor: 9,
+                priority: RepairPriority::Background,
+                queue_wait: Duration::from_millis(5),
+                duration: Duration::from_millis(20),
+                replans: 1,
+                started_seq: s1,
+                finished_seq: 0,
+                path: vec![4, 5],
+                bottleneck: None,
+            },
+            1024,
+            &[4, 5, 9],
+        );
+        m.record_success(
+            RepairOutcome {
+                stripe: StripeId(1),
+                failed: 0,
+                requestor: 8,
+                priority: RepairPriority::DegradedRead,
+                queue_wait: Duration::from_millis(1),
+                duration: Duration::from_millis(10),
+                replans: 0,
+                started_seq: s2,
+                finished_seq: 0,
+                path: vec![4, 6],
+                bottleneck: Some(1.0 / 4096.0),
+            },
+            1024,
+            &[4, 6, 8],
+        );
         m.record_failure(FailedRepair {
             stripe: StripeId(2),
             failed: 3,

@@ -31,13 +31,16 @@
 //!   in-flight roles, queue latencies per priority class, per-repair
 //!   outcomes, scrub-cycle summaries, wall time and network bytes.
 //!
-//! Two entry points share the same engine. [`run_batch`] executes a fixed
-//! set of requests to completion on scoped worker threads — with
-//! [`ManagerConfig::sequential`] it is the one-repair-at-a-time baseline the
-//! concurrent configurations are measured against. [`RepairManager`] is the
-//! long-running daemon: it owns the coordinator, cluster and transport,
-//! accepts work while running, and reports on shutdown. Every plan,
-//! relocation and node-failure scan reads the cluster's [`MetaRouter`].
+//! One engine serves two entry points, with one failure rule: a repair that
+//! fails after its re-plans is recorded in the report's
+//! [`failures`](ManagerReport::failures) and the rest of the work goes on.
+//! [`run_batch`] executes a fixed set of requests to completion on scoped
+//! worker threads — with [`ManagerConfig::sequential`] it is the
+//! one-repair-at-a-time baseline the concurrent configurations are measured
+//! against. [`RepairManager`] is the long-running daemon: it owns the
+//! coordinator, cluster and transport, accepts work while running, and
+//! reports on shutdown. Every plan, relocation and node-failure scan reads
+//! the cluster's [`MetaRouter`].
 
 mod liveness;
 mod metrics;
@@ -55,14 +58,13 @@ pub use scrub::{ScrubConfig, Scrubber};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ecpipe_meta::MetaRouter;
 use simnet::NodeId;
 
 use crate::cluster::Cluster;
 use crate::exec::ExecStrategy;
-use crate::telemetry::TelemetryConfig;
 use crate::transport::{LinkSnapshot, Transport};
 use crate::{Coordinator, EcPipeError, Result};
 
@@ -104,38 +106,6 @@ impl std::fmt::Display for PathPolicy {
     }
 }
 
-/// Tuning for the mid-stream link watchdog: while a repair streams, the
-/// worker samples the bytes its path links actually moved and cancels the
-/// stream when a link runs below a fraction of its nominal (topology)
-/// bandwidth — a slow link is then handled like a sick helper: the repair
-/// re-plans ([`ReplanReason::LinkDegraded`]) with the slow link's measured
-/// throughput already folded into the telemetry, so the new path routes
-/// around it. Requires a cluster topology; off by default
-/// ([`ManagerConfig::link_watch`] is `None`).
-#[derive(Debug, Clone, Copy)]
-pub struct LinkWatchConfig {
-    /// Measurement warm-up: a link is judged only once it has been
-    /// streaming (moving bytes) for this long, so pipeline fill and
-    /// startup jitter cannot cancel a healthy repair.
-    pub grace: Duration,
-    /// How often the watchdog samples the per-link byte counters.
-    pub tick: Duration,
-    /// A link is degraded when its observed throughput (bytes moved over
-    /// the wall time since its first byte) drops below this fraction of
-    /// its nominal topology bandwidth.
-    pub degraded_below: f64,
-}
-
-impl Default for LinkWatchConfig {
-    fn default() -> Self {
-        LinkWatchConfig {
-            grace: Duration::from_millis(150),
-            tick: Duration::from_millis(25),
-            degraded_below: 0.5,
-        }
-    }
-}
-
 /// Tuning knobs for the repair manager.
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
@@ -168,11 +138,14 @@ pub struct ManagerConfig {
     /// a topology on the cluster; without one (or with too few candidates)
     /// they degrade to [`PathPolicy::Lru`].
     pub path_policy: PathPolicy,
-    /// Tuning for the live link-telemetry layer the weighted policy and the
-    /// link watchdog plan against.
-    pub telemetry: TelemetryConfig,
-    /// Mid-stream link watchdog; `None` (the default) disables it.
-    pub link_watch: Option<LinkWatchConfig>,
+    /// Runs every repair under the mid-stream link watchdog: the worker
+    /// samples the bytes each path link moves and cancels the stream when a
+    /// link that has streamed for 150 ms runs below half its nominal
+    /// (topology) bandwidth. The repair then re-plans
+    /// ([`ReplanReason::LinkDegraded`]) with the slow link's measured
+    /// throughput already folded into the telemetry, so the new path routes
+    /// around it. Needs a cluster topology; off by default.
+    pub link_watch: bool,
 }
 
 impl Default for ManagerConfig {
@@ -187,8 +160,7 @@ impl Default for ManagerConfig {
             auto_requestors: Vec::new(),
             relocate_on_success: false,
             path_policy: PathPolicy::Lru,
-            telemetry: TelemetryConfig::default(),
-            link_watch: None,
+            link_watch: false,
         }
     }
 }
@@ -217,26 +189,16 @@ impl ManagerConfig {
         self.per_node_inflight_cap = cap;
         self
     }
-
-    /// Sets the helper-selection policy.
-    pub fn with_path_policy(mut self, policy: PathPolicy) -> Self {
-        self.path_policy = policy;
-        self
-    }
-
-    /// Enables the mid-stream link watchdog.
-    pub fn with_link_watch(mut self, watch: LinkWatchConfig) -> Self {
-        self.link_watch = Some(watch);
-        self
-    }
 }
 
 /// Runs a fixed batch of repairs to completion on `config.workers` scoped
 /// worker threads and returns the combined report.
 ///
-/// Duplicate requests for the same block are dropped. The batch is
-/// *fail-fast*: the first repair that fails (after its re-plans) aborts the
-/// run and is returned as the error; repairs already finished stay stored.
+/// Duplicate requests for the same block are dropped. A repair that fails
+/// (after its re-plans) is counted in
+/// [`failed_repairs`](ManagerReport::failed_repairs) and listed in
+/// [`failures`](ManagerReport::failures), as in the daemon; the rest of the
+/// batch still runs. An error means a request could not be queued.
 pub fn run_batch<T: Transport + ?Sized>(
     coordinator: &Coordinator,
     cluster: &Cluster,
@@ -244,10 +206,10 @@ pub fn run_batch<T: Transport + ?Sized>(
     config: &ManagerConfig,
     requests: Vec<RepairRequest>,
 ) -> Result<ManagerReport> {
-    let engine = EngineState::new(config, true, cluster);
+    let engine = EngineState::new(config, cluster);
     for request in requests {
         // The queue cannot be closed yet, so only duplicates are dropped.
-        let _ = engine.submit(request)?;
+        engine.submit(request)?;
     }
     engine.queue.close();
     let baseline = transport.stats().snapshot();
@@ -257,9 +219,6 @@ pub fn run_batch<T: Transport + ?Sized>(
             scope.spawn(|| worker_loop(&engine, coordinator, cluster, transport, config));
         }
     });
-    if let Some(error) = engine.take_error() {
-        return Err(error);
-    }
     Ok(engine.metrics.report(
         started.elapsed(),
         metrics::link_bytes_since(&baseline, transport.stats().snapshot()),
@@ -299,7 +258,7 @@ pub fn node_recovery_requests(
 
 /// Recovers every block of `failed_node` through the manager: plans the
 /// per-stripe requests, marks the node dead for helper selection, and runs
-/// them on the configured worker pool.
+/// them on the configured worker pool, with [`run_batch`]'s failure rule.
 pub fn recover_node<T: Transport + ?Sized>(
     coordinator: &Coordinator,
     cluster: &Cluster,
@@ -371,7 +330,7 @@ impl<T: Transport + Send + Sync + 'static> RepairManager<T> {
     ) -> Self {
         let baseline = transport.stats().snapshot();
         let shared = Arc::new(DaemonShared {
-            engine: EngineState::new(&config, false, &cluster),
+            engine: EngineState::new(&config, &cluster),
             coordinator,
             cluster,
             transport,
@@ -445,11 +404,6 @@ impl<T: Transport + Send + Sync + 'static> RepairManager<T> {
     /// failure reports.
     pub fn node_health(&self, node: NodeId) -> NodeHealth {
         self.shared.engine.liveness.health_of(node)
-    }
-
-    /// Every node with a non-default health state.
-    pub fn liveness_snapshot(&self) -> HashMap<NodeId, NodeHealth> {
-        self.shared.engine.liveness.snapshot()
     }
 
     /// Number of repairs waiting in the queue (not counting in-flight work).
@@ -542,9 +496,16 @@ mod tests {
     use ecc::ReedSolomon;
 
     fn setup(stripes: u64, nodes: usize) -> (Cluster, Coordinator, Vec<Vec<Vec<u8>>>) {
+        setup_on(stripes, crate::StoreBackend::memory(nodes))
+    }
+
+    fn setup_on(
+        stripes: u64,
+        backend: crate::StoreBackend,
+    ) -> (Cluster, Coordinator, Vec<Vec<Vec<u8>>>) {
         let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
         let coordinator = Coordinator::new(code, SliceLayout::new(2048, 256));
-        let cluster = Cluster::new(crate::StoreBackend::memory(nodes)).unwrap();
+        let cluster = Cluster::new(backend).unwrap();
         let mut all = Vec::new();
         for s in 0..stripes {
             let data: Vec<Vec<u8>> = (0..4)
@@ -598,7 +559,8 @@ mod tests {
     }
 
     /// A degraded read re-plans around a helper that lost its block (§3.2
-    /// straggler handling) and fails once fewer than `k` blocks survive.
+    /// straggler handling) and is reported failed once fewer than `k` blocks
+    /// survive.
     #[test]
     fn degraded_read_replans_around_a_straggler() {
         let (cluster, coordinator, data) = setup(1, 10);
@@ -625,18 +587,31 @@ mod tests {
             .delete(ecc::stripe::BlockId::new(0, 0))
             .unwrap();
         cluster.erase_block(StripeId(0), 2);
-        assert!(read_block_0().is_err());
+        let report = read_block_0().unwrap();
+        assert_eq!(report.failed_repairs, 1);
+        let failure = &report.failures[0];
+        assert_eq!((failure.stripe, failure.failed), (StripeId(0), 0));
     }
 
+    /// Duplicates are dropped, and a repair that cannot succeed is reported
+    /// without stopping the rest of the batch.
     #[test]
     fn batch_drops_duplicate_requests() {
-        let (cluster, coordinator, data) = setup(1, 10);
+        let (cluster, coordinator, data) = setup(2, 10);
         cluster.erase_block(StripeId(0), 0);
+        // Three of stripe 1's six blocks gone: no plan has k = 4 helpers.
+        for index in 0..3 {
+            cluster.erase_block(StripeId(1), index);
+        }
         let request = RepairRequest {
             stripe: StripeId(0),
             failed: 0,
             requestor: 9,
             priority: RepairPriority::DegradedRead,
+        };
+        let unrecoverable = RepairRequest {
+            stripe: StripeId(1),
+            ..request.clone()
         };
         let transport = ChannelTransport::new();
         let report = run_batch(
@@ -644,10 +619,12 @@ mod tests {
             &cluster,
             &transport,
             &ManagerConfig::default(),
-            vec![request.clone(), request],
+            vec![unrecoverable, request.clone(), request],
         )
         .unwrap();
         assert_eq!(report.blocks_repaired, 1);
+        assert_eq!(report.failed_repairs, 1);
+        assert_eq!(report.failures[0].stripe, StripeId(1));
         assert_eq!(
             cluster
                 .store(9)
@@ -743,6 +720,53 @@ mod tests {
         let report = manager.shutdown();
         assert_eq!(report.blocks_repaired, 1);
         assert_eq!(report.degraded_wait.count, 1);
+        assert_eq!(report.failed_repairs, 0);
+    }
+
+    /// A scrub during a node recovery waits for its own repairs, not for the
+    /// whole queue: it returns with background work still queued.
+    #[test]
+    fn scrub_waits_for_its_own_repairs_only() {
+        let (cluster, coordinator, data) =
+            setup_on(10, crate::StoreBackend::memory_checksummed(10));
+        for s in 0..8u64 {
+            cluster.erase_block(StripeId(s), 0);
+        }
+        // One worker on throttled links: each repair takes tens of ms.
+        let manager = RepairManager::start(
+            coordinator,
+            cluster,
+            ChannelTransport::with_rate_limit(128 * 1024),
+            ManagerConfig::default().with_workers(1),
+        );
+        for s in 0..8u64 {
+            assert!(manager
+                .enqueue(RepairRequest {
+                    stripe: StripeId(s),
+                    failed: 0,
+                    requestor: 9,
+                    priority: RepairPriority::Background,
+                })
+                .unwrap());
+        }
+        manager
+            .cluster()
+            .corrupt_block(StripeId(9), 2, 100)
+            .unwrap();
+        let cycle = manager.scrub(&ScrubConfig::default());
+        assert_eq!(cycle.corrupt, vec![ecc::stripe::BlockId::new(9, 2)]);
+        assert_eq!(cycle.reverified_clean, 1);
+        assert!(
+            manager.queued() > 0,
+            "the scrub waited for the whole background queue"
+        );
+        assert_eq!(
+            manager.cluster().read_block(StripeId(9), 2).unwrap(),
+            bytes::Bytes::from(data[9][2].clone())
+        );
+        manager.wait_idle();
+        let report = manager.shutdown();
+        assert_eq!(report.blocks_repaired, 9);
         assert_eq!(report.failed_repairs, 0);
     }
 }

@@ -62,7 +62,8 @@ impl ScrubConfig {
 
 /// Runs one scrub cycle: walk every live node's blocks (paced), enqueue
 /// corruption repairs for every block that fails verification, wait for
-/// those repairs to drain, re-verify, and fold the cycle into the metrics.
+/// those repairs — and only those — to finish, re-verify, and fold the
+/// cycle into the metrics.
 ///
 /// `stop` (used by the background [`Scrubber`]) is checked between blocks,
 /// so a paced cycle over a large cluster abandons the scan promptly instead
@@ -111,11 +112,12 @@ pub(crate) fn scrub_once(
         }
     }
     if !cycle.corrupt.is_empty() && !stopped() {
-        // Let the cycle's corruption repairs (and anything racing them)
-        // drain, then confirm each find is actually healed: a scrub that
-        // cannot re-verify its repairs is just a detector.
-        engine.wait_idle();
+        // Wait for each find's repair, not for the whole queue (a scrub
+        // during a node recovery must not outlast the recovery), then
+        // confirm it is actually healed: a scrub that cannot re-verify its
+        // repairs is just a detector.
         for &block in &cycle.corrupt {
+            engine.wait_for((block.stripe.0, block.index));
             // Verify wherever the placement maps the block now — a repair
             // may have relocated it.
             if cluster.verify_block(block.stripe, block.index).is_ok() {

@@ -10,13 +10,13 @@
 //! scheduling), execute, and store the reconstructed block. A helper whose
 //! block vanishes mid-flight earns a liveness strike and the repair is
 //! re-planned with the survivors (§3.2 straggler handling);
-//! with a [`LinkWatchConfig`] set, a path link measured below its nominal
-//! bandwidth is handled the same way, minus the strike.
+//! with [`ManagerConfig::link_watch`] on, a path link measured below its
+//! nominal bandwidth is handled the same way, minus the strike.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
@@ -36,9 +36,22 @@ use crate::transport::Transport;
 use crate::{Coordinator, EcPipeError, Result};
 
 use super::liveness::Liveness;
-use super::metrics::{FailedRepair, MetricsCollector, ReplanEvent, ReplanReason, SuccessRecord};
+use super::metrics::{FailedRepair, MetricsCollector, RepairOutcome, ReplanEvent, ReplanReason};
 use super::queue::{QueuedRepair, RepairQueue, RepairRequest};
 use super::{ManagerConfig, PathPolicy};
+
+/// The link watchdog judges a link only once it has been streaming (moving
+/// bytes) for this long, so pipeline fill and startup jitter cannot cancel
+/// a healthy repair.
+const WATCH_GRACE: Duration = Duration::from_millis(150);
+
+/// How often the link watchdog samples the per-link byte counters.
+const WATCH_TICK: Duration = Duration::from_millis(25);
+
+/// A link is degraded when its observed throughput (bytes moved over the
+/// wall time since its first byte) drops below this fraction of its nominal
+/// topology bandwidth.
+const DEGRADED_BELOW: f64 = 0.5;
 
 /// Per-node in-flight caps: a repair may only start once every node it
 /// involves (helpers and requestor) is below the cap, and it holds one slot
@@ -112,32 +125,24 @@ impl Drop for RoleGuard<'_> {
     }
 }
 
-/// Everything the workers share: queue, gate, liveness, metrics, pending
-/// accounting and the fail-fast machinery of batch mode.
+/// Everything the workers share: queue, gate, liveness, metrics and the
+/// record of scheduled work.
 pub(crate) struct EngineState {
     pub(crate) queue: RepairQueue,
     pub(crate) gate: AdmissionGate,
     pub(crate) liveness: Liveness,
     pub(crate) metrics: MetricsCollector,
-    /// Batch mode: the first failure aborts the run. Daemon mode records
-    /// failures and keeps serving.
-    fail_fast: bool,
-    abort: OnceFlag,
-    /// Lock class: `engine.first_error`
-    /// ([`lock_order::ENGINE_FIRST_ERROR`]). Held while closing the queue,
-    /// so it ranks below `manager.queue`.
-    first_error: Mutex<Option<EcPipeError>>,
-    /// Requests enqueued but not yet completed (queued + in flight).
-    /// Lock class: `engine.pending` ([`lock_order::ENGINE_PENDING`]).
-    pending: Mutex<usize>,
-    idle: Condvar,
-    /// Blocks currently queued or in flight, so a block is never repaired
-    /// twice concurrently (degraded read racing auto-recovery).
+    /// Blocks currently queued or in flight — the engine's one record of
+    /// unfinished work. A block is never repaired twice concurrently
+    /// (degraded read racing auto-recovery), and the engine is idle exactly
+    /// when the set is empty.
     /// Lock class: `engine.scheduled` ([`lock_order::ENGINE_SCHEDULED`]).
     scheduled: Mutex<HashSet<(u64, usize)>>,
     /// Notified whenever a block leaves `scheduled`, so callers can wait for
     /// one specific repair without draining the whole queue.
     scheduled_changed: Condvar,
+    /// Notified when `scheduled` becomes empty (`wait_idle`).
+    idle: Condvar,
     /// Round-robin requestor pool for auto-enqueued node recovery.
     auto_requestors: Vec<NodeId>,
     auto_rr: AtomicUsize,
@@ -157,21 +162,17 @@ pub(crate) struct EngineState {
 }
 
 impl EngineState {
-    pub(crate) fn new(config: &ManagerConfig, fail_fast: bool, cluster: &Cluster) -> Self {
+    pub(crate) fn new(config: &ManagerConfig, cluster: &Cluster) -> Self {
         let topology = cluster.topology().cloned();
         EngineState {
-            telemetry: topology.map(|t| LinkTelemetry::new(t, config.telemetry)),
+            telemetry: topology.map(LinkTelemetry::new),
             queue: RepairQueue::new(),
             gate: AdmissionGate::new(config.per_node_inflight_cap),
             liveness: Liveness::new(config.dead_after_misses, &config.known_dead),
             metrics: MetricsCollector::new(),
-            fail_fast,
-            abort: OnceFlag::new(),
-            first_error: Mutex::new(&lock_order::ENGINE_FIRST_ERROR, None),
-            pending: Mutex::new(&lock_order::ENGINE_PENDING, 0),
-            idle: Condvar::new(),
             scheduled: Mutex::new(&lock_order::ENGINE_SCHEDULED, HashSet::new()),
             scheduled_changed: Condvar::new(),
+            idle: Condvar::new(),
             auto_requestors: config.auto_requestors.clone(),
             auto_rr: AtomicUsize::new(0),
             meta: cluster.meta().clone(),
@@ -187,7 +188,6 @@ impl EngineState {
         if !self.scheduled.lock().insert(key) {
             return Ok(false);
         }
-        *self.pending.lock() += 1;
         // Journal before the push (holding no locks): once the request can
         // run, a crash must find its record. Best effort — an unknown
         // stripe (hand-driven engines may enqueue before registering) goes
@@ -206,7 +206,6 @@ impl EngineState {
             Ok(true)
         } else {
             self.unschedule(key);
-            self.finish_pending();
             Err(EcPipeError::ManagerShutdown)
         }
     }
@@ -235,10 +234,17 @@ impl EngineState {
     }
 
     /// Removes a block from the scheduled set and wakes anyone waiting for
-    /// that specific repair to finish.
+    /// that specific repair to finish — and `wait_idle` once nothing is
+    /// left.
     fn unschedule(&self, key: (u64, usize)) {
-        self.scheduled.lock().remove(&key);
+        let mut scheduled = self.scheduled.lock();
+        scheduled.remove(&key);
+        let idle = scheduled.is_empty();
+        drop(scheduled);
         self.scheduled_changed.notify_all();
+        if idle {
+            self.idle.notify_all();
+        }
     }
 
     /// Blocks until block `key.1` of stripe `key.0` is neither queued nor in
@@ -252,38 +258,10 @@ impl EngineState {
             .wait_while(scheduled, |s| s.contains(&key));
     }
 
-    /// Marks one request finished (successfully or not) and wakes
-    /// `wait_idle` when everything has drained.
-    fn finish_pending(&self) {
-        let mut pending = self.pending.lock();
-        *pending = pending.saturating_sub(1);
-        if *pending == 0 {
-            self.idle.notify_all();
-        }
-    }
-
     /// Blocks until no request is queued or in flight.
     pub(crate) fn wait_idle(&self) {
-        let pending = self.pending.lock();
-        let _pending = self.idle.wait_while(pending, |p| *p > 0);
-    }
-
-    pub(crate) fn aborted(&self) -> bool {
-        self.abort.is_set()
-    }
-
-    fn abort_with(&self, error: EcPipeError) {
-        let mut first = self.first_error.lock();
-        if first.is_none() {
-            *first = Some(error);
-        }
-        self.abort.set();
-        self.queue.close();
-    }
-
-    /// The first error of a fail-fast run, if any.
-    pub(crate) fn take_error(&self) -> Option<EcPipeError> {
-        self.first_error.lock().take()
+        let scheduled = self.scheduled.lock();
+        let _scheduled = self.idle.wait_while(scheduled, |s| !s.is_empty());
     }
 
     /// The next live requestor from the auto-recovery pool (round-robin).
@@ -303,8 +281,8 @@ impl EngineState {
     /// repair overwrites it and refreshes its checksums) at
     /// [`RepairPriority::Corruption`]. Returns whether the repair was newly
     /// queued — `false` when it is already queued/in flight, the requestor
-    /// is dead, or the queue has closed (a fail-fast batch drains without
-    /// accepting side work).
+    /// is dead, or the queue has closed (a batch closes its queue before it
+    /// starts, so it accepts no side work).
     pub(crate) fn submit_corruption(&self, block: BlockId, requestor: NodeId) -> bool {
         if self.liveness.is_dead(requestor) {
             return false;
@@ -346,26 +324,6 @@ impl EngineState {
     }
 }
 
-/// A completed repair, as seen by the metrics layer.
-struct Done {
-    bytes: usize,
-    replans: usize,
-    /// The node that actually received the block (may differ from the
-    /// request when the manager fell back to another requestor).
-    requestor: NodeId,
-    /// Every node that held a role (helpers + requestor).
-    roles: Vec<NodeId>,
-    /// The helper path of the final, successful attempt, in pipeline order.
-    path: Vec<NodeId>,
-    /// The weighted planner's bottleneck estimate for that path, if any.
-    bottleneck: Option<f64>,
-}
-
-struct RepairFailure {
-    error: EcPipeError,
-    replans: usize,
-}
-
 /// Records a liveness strike against `node`; if this pushes it over the
 /// death threshold, recovery of everything else it held is queued.
 fn strike(engine: &EngineState, node: NodeId) {
@@ -385,52 +343,19 @@ pub(crate) fn worker_loop<T: Transport + ?Sized>(
 ) {
     while let Some(job) = engine.queue.pop() {
         let key = (job.request.stripe.0, job.request.failed);
-        if engine.aborted() || engine.crashed() {
+        if engine.crashed() {
             // Skipped work is *not* resolved in the journal: after a crash
-            // (or an aborted batch) the block still needs the repair, and a
-            // durable reopen must re-enqueue it.
+            // the block still needs the repair, and a durable reopen must
+            // re-enqueue it.
             engine.unschedule(key);
-            engine.finish_pending();
             continue;
         }
-        let queue_wait = job.enqueued.elapsed();
-        let started_seq = engine.metrics.begin_repair();
-        let started = Instant::now();
         match run_one(engine, coord, cluster, transport, config, &job) {
-            Ok(done) => {
-                engine.metrics.record_success(SuccessRecord {
-                    stripe: job.request.stripe,
-                    failed: job.request.failed,
-                    requestor: done.requestor,
-                    priority: job.request.priority,
-                    queue_wait,
-                    duration: started.elapsed(),
-                    replans: done.replans,
-                    started_seq,
-                    bytes: done.bytes,
-                    roles: &done.roles,
-                    path: done.path,
-                    bottleneck: done.bottleneck,
-                });
-            }
-            Err(failure) => {
-                if engine.fail_fast {
-                    engine.abort_with(failure.error);
-                } else {
-                    engine.metrics.record_failure(FailedRepair {
-                        stripe: job.request.stripe,
-                        failed: job.request.failed,
-                        requestor: job.request.requestor,
-                        priority: job.request.priority,
-                        error: failure.error.to_string(),
-                        replans: failure.replans,
-                    });
-                }
-            }
+            Ok((outcome, bytes, roles)) => engine.metrics.record_success(outcome, bytes, &roles),
+            Err(failure) => engine.metrics.record_failure(failure),
         }
         engine.resolve_journal(key);
         engine.unschedule(key);
-        engine.finish_pending();
     }
 }
 
@@ -540,7 +465,10 @@ fn plan_repair(
 }
 
 /// Executes one request end to end, re-planning around helpers that die
-/// mid-flight (up to `config.max_replans` times).
+/// mid-flight (up to `config.max_replans` times). A stored block comes back
+/// as its [`RepairOutcome`] (the collector stamps `finished_seq`), the bytes
+/// reconstructed and every node that held a role; a repair given up on
+/// comes back as the [`FailedRepair`] the report keeps.
 fn run_one<T: Transport + ?Sized>(
     engine: &EngineState,
     coord: &Coordinator,
@@ -548,8 +476,19 @@ fn run_one<T: Transport + ?Sized>(
     transport: &T,
     config: &ManagerConfig,
     job: &QueuedRepair,
-) -> std::result::Result<Done, RepairFailure> {
+) -> std::result::Result<(RepairOutcome, usize, Vec<NodeId>), FailedRepair> {
     let request = &job.request;
+    let queue_wait = job.enqueued.elapsed();
+    let started_seq = engine.metrics.begin_repair();
+    let started = Instant::now();
+    let fail = |error: EcPipeError, replans| FailedRepair {
+        stripe: request.stripe,
+        failed: request.failed,
+        requestor: request.requestor,
+        priority: request.priority,
+        error: error.to_string(),
+        replans,
+    };
     // Requestor candidates: the requested node first, then the
     // auto-recovery pool as fallbacks. A requestor that already holds
     // blocks of the stripe (e.g. after earlier relocations) can shrink the
@@ -588,15 +527,11 @@ fn run_one<T: Transport + ?Sized>(
             if requestor_idx + 1 < requestors.len() {
                 requestor_idx += 1;
             } else {
-                return Err(RepairFailure {
-                    error: EcPipeError::InvalidRequest {
-                        reason: format!(
-                            "every candidate requestor for block {} of stripe {} is dead",
-                            request.failed, request.stripe.0
-                        ),
-                    },
-                    replans,
-                });
+                let reason = format!(
+                    "every candidate requestor for block {} of stripe {} is dead",
+                    request.failed, request.stripe.0
+                );
+                return Err(fail(EcPipeError::InvalidRequest { reason }, replans));
             }
         }
         let requestor = requestors[requestor_idx];
@@ -616,9 +551,9 @@ fn run_one<T: Transport + ?Sized>(
                     replans += 1;
                     continue;
                 }
-                return Err(RepairFailure { error, replans });
+                return Err(fail(error, replans));
             }
-            Err(error) => return Err(RepairFailure { error, replans }),
+            Err(error) => return Err(fail(error, replans)),
         };
         if planned.fell_back {
             engine.metrics.record_replan(ReplanEvent {
@@ -647,7 +582,7 @@ fn run_one<T: Transport + ?Sized>(
                     },
                     Bytes::from(block),
                 ) {
-                    return Err(RepairFailure { error, replans });
+                    return Err(fail(error, replans));
                 }
                 engine.liveness.record_success(&directive.helper_nodes());
                 if config.relocate_on_success {
@@ -679,20 +614,23 @@ fn run_one<T: Transport + ?Sized>(
                                 });
                             }
                         }
-                        return Err(RepairFailure {
-                            error: error.into(),
-                            replans,
-                        });
+                        return Err(fail(error.into(), replans));
                     }
                 }
-                return Ok(Done {
-                    bytes,
-                    replans,
+                let outcome = RepairOutcome {
+                    stripe: request.stripe,
+                    failed: request.failed,
                     requestor,
+                    priority: request.priority,
+                    queue_wait,
+                    duration: started.elapsed(),
+                    replans,
+                    started_seq,
+                    finished_seq: 0,
                     path: directive.helper_nodes(),
                     bottleneck: planned.bottleneck,
-                    roles,
-                });
+                };
+                return Ok((outcome, bytes, roles));
             }
             Err(EcPipeError::BlockNotFound { block })
                 if block.stripe == request.stripe && replans < config.max_replans =>
@@ -774,7 +712,7 @@ fn run_one<T: Transport + ?Sized>(
                     .map(|&(node, block, _)| (node, block.index))
                     .collect();
                 if missing.is_empty() {
-                    return Err(RepairFailure { error, replans });
+                    return Err(fail(error, replans));
                 }
                 replans += 1;
                 for (node, index) in missing {
@@ -788,20 +726,21 @@ fn run_one<T: Transport + ?Sized>(
                     strike(engine, node);
                 }
             }
-            Err(error) => return Err(RepairFailure { error, replans }),
+            Err(error) => return Err(fail(error, replans)),
         }
     }
 }
 
-/// Executes one directive, under the link watchdog when one is configured.
+/// Executes one directive, under the link watchdog when
+/// [`ManagerConfig::link_watch`] is on.
 ///
-/// Without a [`LinkWatchConfig`] (or without telemetry) this is exactly
-/// [`exec::execute_single`]. With one, the execution runs on a scoped
-/// thread while this thread samples the bytes each path link moved; once a
-/// link has been streaming for the grace period, observing it below
-/// [`degraded_below`](LinkWatchConfig::degraded_below) × its nominal
-/// topology bandwidth cancels the stream. Returns the execution outcome
-/// plus the slow link, if one was flagged.
+/// Without the watchdog (or without telemetry) this is exactly
+/// [`exec::execute_single`]. With it, the execution runs on a scoped
+/// thread while this thread samples the bytes each path link moved every
+/// [`WATCH_TICK`]; once a link has been streaming for [`WATCH_GRACE`],
+/// observing it below [`DEGRADED_BELOW`] × its nominal topology bandwidth
+/// cancels the stream. Returns the execution outcome plus the slow link, if
+/// one was flagged.
 ///
 /// The observed rate is bytes moved over *wall time*, not the telemetry's
 /// busy-time EWMA: a fully stalled link accrues no send time, which a
@@ -818,7 +757,7 @@ fn execute_watched<T>(
 where
     T: Transport + ?Sized,
 {
-    let (Some(watch), Some(telemetry)) = (config.link_watch, engine.telemetry.as_ref()) else {
+    let Some(telemetry) = engine.telemetry.as_ref().filter(|_| config.link_watch) else {
         return (
             exec::execute_single(directive, cluster, transport, config.strategy),
             None,
@@ -849,12 +788,12 @@ where
         });
         while !execution.is_finished() {
             let asleep = Instant::now();
-            std::thread::sleep(watch.tick);
+            std::thread::sleep(WATCH_TICK);
             let now = Instant::now();
             // Whatever made this sleep return late (a loaded host, a stopped
             // process) kept the senders off the CPU too: that time is not
             // the links', so every hop's clock starts that much later.
-            let overslept = now.duration_since(asleep).saturating_sub(watch.tick);
+            let overslept = now.duration_since(asleep).saturating_sub(WATCH_TICK);
             for first in first_seen.iter_mut().flatten() {
                 *first += overslept;
             }
@@ -875,11 +814,11 @@ where
                         continue;
                     }
                 };
-                if since < watch.grace {
+                if since < WATCH_GRACE {
                     continue;
                 }
                 let observed = moved as f64 / since.as_secs_f64();
-                if observed < watch.degraded_below * topology.bandwidth(hop.src, hop.dst) {
+                if observed < DEGRADED_BELOW * topology.bandwidth(hop.src, hop.dst) {
                     slow = Some((hop.src, hop.dst));
                     cancel.set();
                     break;

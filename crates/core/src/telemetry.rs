@@ -22,25 +22,12 @@ use simnet::{NodeId, Topology};
 use crate::lock_order;
 use crate::transport::StatsRegistry;
 
-/// Tuning knobs for [`LinkTelemetry`].
-#[derive(Debug, Clone, Copy)]
-pub struct TelemetryConfig {
-    /// EWMA smoothing factor in `(0, 1]`: the weight of the newest
-    /// observation. Higher reacts faster, lower smooths more.
-    pub alpha: f64,
-    /// A pair's estimate is trusted only once it has carried this many
-    /// bytes; below the threshold planning uses the static topology weight.
-    pub warm_bytes: u64,
-}
+/// EWMA smoothing factor: the weight of the newest throughput sample.
+const ALPHA: f64 = 0.3;
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            alpha: 0.3,
-            warm_bytes: 64 * 1024,
-        }
-    }
-}
+/// A pair's estimate is trusted only once it has carried this many bytes;
+/// below the threshold planning uses the static topology weight.
+const WARM_BYTES: u64 = 64 * 1024;
 
 /// Per-pair accumulator: how much of the transport counters has already been
 /// folded in, plus the running throughput estimate.
@@ -63,17 +50,15 @@ struct PairState {
 /// the shape `optimal_path` expects.
 pub struct LinkTelemetry {
     topology: Arc<Topology>,
-    config: TelemetryConfig,
     /// Lock class: `manager.telemetry` ([`lock_order::MANAGER_TELEMETRY`]).
     state: Mutex<HashMap<(NodeId, NodeId), PairState>>,
 }
 
 impl LinkTelemetry {
-    /// Creates a telemetry layer over `topology` with the given knobs.
-    pub fn new(topology: Arc<Topology>, config: TelemetryConfig) -> Self {
+    /// Creates a telemetry layer over `topology`.
+    pub fn new(topology: Arc<Topology>) -> Self {
         LinkTelemetry {
             topology,
-            config,
             state: Mutex::new(&lock_order::MANAGER_TELEMETRY, HashMap::new()),
         }
     }
@@ -99,19 +84,18 @@ impl LinkTelemetry {
             }
             let bps = delta_bytes as f64 / (delta_busy as f64 / 1e9);
             entry.ewma_bps = Some(match entry.ewma_bps {
-                Some(prev) => self.config.alpha * bps + (1.0 - self.config.alpha) * prev,
+                Some(prev) => ALPHA * bps + (1.0 - ALPHA) * prev,
                 None => bps,
             });
         }
     }
 
     /// The measured throughput estimate (bytes/s) of one directed pair, or
-    /// `None` while the pair is cold (below
-    /// [`warm_bytes`](TelemetryConfig::warm_bytes) observed).
+    /// `None` while the pair is cold (below 64 KiB observed).
     pub fn throughput(&self, src: NodeId, dst: NodeId) -> Option<f64> {
         let state = self.state.lock();
         let entry = state.get(&(src, dst))?;
-        if entry.seen_bytes < self.config.warm_bytes {
+        if entry.seen_bytes < WARM_BYTES {
             return None;
         }
         entry.ewma_bps
@@ -149,7 +133,7 @@ mod tests {
     #[test]
     fn cold_pairs_fall_back_to_topology_weights() {
         let topo = Arc::new(Topology::flat(3, 1000.0));
-        let telemetry = LinkTelemetry::new(topo.clone(), TelemetryConfig::default());
+        let telemetry = LinkTelemetry::new(topo.clone());
         assert_eq!(telemetry.throughput(0, 1), None);
         assert!((telemetry.weight(0, 1) - topo.link_weight(0, 1)).abs() < 1e-12);
     }
@@ -158,13 +142,7 @@ mod tests {
     fn warm_pairs_serve_measured_throughput() {
         let topo = Arc::new(Topology::flat(3, 1000.0));
         let transport = ChannelTransport::with_rate_limit(1_000_000);
-        let telemetry = LinkTelemetry::new(
-            topo,
-            TelemetryConfig {
-                alpha: 0.5,
-                warm_bytes: 64 * 1024,
-            },
-        );
+        let telemetry = LinkTelemetry::new(topo);
         push(&transport, 0, 1, 128 * 1024);
         telemetry.observe(transport.stats());
         let measured = telemetry.throughput(0, 1).expect("pair should be warm");
@@ -181,13 +159,7 @@ mod tests {
     fn below_warm_threshold_stays_cold() {
         let topo = Arc::new(Topology::flat(3, 1000.0));
         let transport = ChannelTransport::new();
-        let telemetry = LinkTelemetry::new(
-            topo,
-            TelemetryConfig {
-                alpha: 0.3,
-                warm_bytes: 1024 * 1024,
-            },
-        );
+        let telemetry = LinkTelemetry::new(topo);
         push(&transport, 0, 1, 4096);
         telemetry.observe(transport.stats());
         assert_eq!(telemetry.throughput(0, 1), None);
@@ -197,19 +169,17 @@ mod tests {
     fn ewma_tracks_a_rate_change() {
         let topo = Arc::new(Topology::flat(2, 1000.0));
         let transport = ChannelTransport::with_topology(Arc::new(Topology::flat(2, 2_000_000.0)));
-        let telemetry = LinkTelemetry::new(
-            topo,
-            TelemetryConfig {
-                alpha: 0.9,
-                warm_bytes: 1024,
-            },
-        );
+        let telemetry = LinkTelemetry::new(topo);
         push(&transport, 0, 1, 64 * 1024);
         telemetry.observe(transport.stats());
         let fast = telemetry.throughput(0, 1).unwrap();
         transport.set_link_rate(0, 1, 100_000);
-        push(&transport, 0, 1, 64 * 1024);
-        telemetry.observe(transport.stats());
+        // Each observation keeps 70 % of the old estimate, so four samples
+        // at the slow rate leave under a quarter of the fast one.
+        for _ in 0..4 {
+            push(&transport, 0, 1, 8 * 1024);
+            telemetry.observe(transport.stats());
+        }
         let slow = telemetry.throughput(0, 1).unwrap();
         assert!(
             slow < fast / 2.0,

@@ -202,7 +202,7 @@ fn main() {
     let recover = |config: &ManagerConfig| {
         let (coordinator, cluster) = stripes_for_comparison();
         cluster.kill_node(failed_node);
-        recover_node(
+        let report = recover_node(
             &coordinator,
             &cluster,
             &ChannelTransport::with_rate_limit(LINK_RATE),
@@ -210,7 +210,13 @@ fn main() {
             &[12, 13],
             config,
         )
-        .expect("recovery succeeds")
+        .expect("recovery requests are valid");
+        assert_eq!(
+            report.failed_repairs, 0,
+            "recovery failed: {:?}",
+            report.failures
+        );
+        report
     };
     let sequential = recover(&ManagerConfig::sequential(ExecStrategy::RepairPipelining));
     let concurrent = recover(

@@ -117,6 +117,7 @@ fn full_node_recovery_end_to_end() {
     )
     .unwrap();
     assert_eq!(report.blocks_repaired, lost.len());
+    assert_eq!(report.failed_repairs, 0);
 
     for block in lost {
         let expected = &all_coded[block.stripe.0 as usize][block.index];

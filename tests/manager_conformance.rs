@@ -143,6 +143,7 @@ fn case_manager_beats_sequential<T: Transport>(sequential_t: &T, concurrent_t: &
     .unwrap();
 
     assert_eq!(concurrent.blocks_repaired, sequential.blocks_repaired);
+    assert_eq!(sequential.failed_repairs + concurrent.failed_repairs, 0);
     // Generous margin: parallel recovery routinely lands near 3x on these
     // parameters; 20% faster is the flake-proof floor.
     assert!(

@@ -19,8 +19,8 @@ use repair_pipelining::ecpipe::transport::{
     ChannelTransport, ReactorTransport, TcpTransport, Transport,
 };
 use repair_pipelining::ecpipe::{
-    Cluster, Coordinator, EcPipeBuilder, LinkWatchConfig, PathPolicy, ReplanReason, StoreBackend,
-    Topology, TransportChoice,
+    Cluster, Coordinator, EcPipeBuilder, PathPolicy, ReplanReason, StoreBackend, Topology,
+    TransportChoice,
 };
 use repair_pipelining::repair::rack_aware;
 use repair_pipelining::simnet::NodeId;
@@ -279,11 +279,7 @@ fn degraded_link_triggers_a_replan_that_completes_byte_exact() {
         .transport(TransportChoice::Tcp)
         .topology(Topology::flat(8, RATE))
         .path_policy(PathPolicy::Weighted)
-        .link_watch(LinkWatchConfig {
-            grace: Duration::from_millis(150),
-            tick: Duration::from_millis(25),
-            degraded_below: 0.5,
-        })
+        .link_watch()
         .build()
         .unwrap();
     let data = pattern(4 * BLOCK, 3);
