@@ -1,20 +1,38 @@
-//! Pooled, reference-counted slice buffers.
+//! Pooled, reference-counted buffers.
 //!
-//! The repair executor allocates one partial-sum buffer per slice per
-//! helper; at the paper's slice sizes (tens of KiB) and pipeline depths
-//! that is thousands of short-lived allocations per repaired block. A
-//! [`BufPool`] recycles them: [`BufPool::take`] hands out a [`PooledBuf`] to
-//! build a partial sum in, [`PooledBuf::freeze`] turns it into an immutable
-//! [`Bytes`] view that flows through transport framing and store writes
-//! without copying, and when the last view drops, the underlying allocation
-//! returns to the pool for the next slice.
+//! A [`BufPool`] is a bounded free-list of byte buffers: [`BufPool::take`]
+//! hands out a [`PooledBuf`] to write into, [`PooledBuf::freeze`] turns it
+//! into an immutable [`Bytes`] view that flows through transport framing and
+//! store writes without copying, and when the last view drops, the
+//! allocation returns to the pool for the next `take`.
+//!
+//! The runtime keeps three pools, each with one owner and one size of
+//! buffer:
+//!
+//! * **Partials, one pool per walk.** The repair executor builds one
+//!   partial sum per slice per helper; at the paper's slice sizes (tens of
+//!   KiB) and pipeline depths that is thousands of short-lived buffers per
+//!   repaired block, recycled within the walk.
+//! * **Read buffers, one pool per transport.** A
+//!   [`TcpTransport`](crate::transport::TcpTransport) reads a credit window
+//!   of frames into one buffer and hands the frames out as views of it.
+//! * **Blocks, one pool per [`Cluster`](crate::Cluster).** Every block that
+//!   outlives the thread that made it is a buffer of the cluster's pool: a
+//!   repair's output is taken from it, and `put`'s data and parity blocks
+//!   are [adopted](BufPool::adopt) into it. A stored block that is dropped —
+//!   erased, deleted, overwritten, lost with its node — returns its
+//!   allocation there, and the next repair writes into that same memory
+//!   instead of asking the allocator for a fresh block on whichever thread
+//!   happens to run it.
 //!
 //! The pool is deliberately simple — a bounded free-list, not a slab with
-//! size classes — because repair traffic is monoculture: within one repair
-//! every buffer has the same slice (or bundle) size, so the head of the
-//! free-list almost always fits and mismatched buffers are just resized in
-//! place.
+//! size classes — because each pool's traffic is monoculture: every buffer
+//! of one walk has the same slice (or bundle) size, every read buffer a
+//! credit window's, every block the cluster's block size, so the head of
+//! the free-list almost always fits and mismatched buffers are just resized
+//! in place.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -22,7 +40,9 @@ use ecpipe_sync::Mutex;
 
 use crate::lock_order;
 
-/// How many returned buffers a pool retains before letting extras drop.
+/// How many returned buffers a walk's or a transport's pool retains before
+/// letting extras drop. (A cluster's block pool has a bound of its own, argued
+/// where the cluster makes it: a parked block is a whole block of memory.)
 /// A repair is walked by one thread that takes the most-downstream step
 /// first, so in steady state a chain holds about one partial per stage,
 /// plus the partials a stage has queued on its outgoing link and not yet
@@ -42,6 +62,8 @@ struct PoolInner {
     /// Lock class: `buf.pool` ([`lock_order::BUF_POOL`]).
     free: Mutex<Vec<Vec<u8>>>,
     max_retained: usize,
+    /// `take`s that found no recycled buffer large enough and allocated.
+    fresh: AtomicU64,
 }
 
 /// A bounded free-list of slice buffers shared by the stages of a repair.
@@ -77,6 +99,7 @@ impl BufPool {
             inner: Arc::new(PoolInner {
                 free: Mutex::new(&lock_order::BUF_POOL, Vec::new()),
                 max_retained,
+                fresh: AtomicU64::new(0),
             }),
         }
     }
@@ -90,11 +113,24 @@ impl BufPool {
         let recycled = self.inner.free.lock().pop();
         let data = match recycled {
             Some(mut vec) => {
+                if vec.capacity() < len {
+                    self.inner.fresh.fetch_add(1, Ordering::Relaxed);
+                }
                 vec.resize(len, 0);
                 vec
             }
-            None => vec![0u8; len],
+            None => {
+                self.inner.fresh.fetch_add(1, Ordering::Relaxed);
+                vec![0u8; len]
+            }
         };
+        self.adopt(data)
+    }
+
+    /// Adopts an allocation made elsewhere, so that it returns to this pool
+    /// once its last view drops. This is how `put` hands the stores blocks
+    /// it has already filled, without a second copy or a `take`'s zeroing.
+    pub fn adopt(&self, data: Vec<u8>) -> PooledBuf {
         PooledBuf {
             data,
             pool: Arc::clone(&self.inner),
@@ -104,6 +140,13 @@ impl BufPool {
     /// How many buffers are currently parked in the free-list.
     pub fn retained(&self) -> usize {
         self.inner.free.lock().len()
+    }
+
+    /// How many `take`s so far found no recycled buffer of the length asked
+    /// for and went to the allocator — for the tests that pin recycling.
+    #[doc(hidden)]
+    pub fn fresh_allocations(&self) -> u64 {
+        self.inner.fresh.load(Ordering::Relaxed)
     }
 }
 
@@ -225,6 +268,25 @@ mod tests {
         assert_eq!(pool.take(8).len(), 8);
         assert_eq!(pool.take(64).len(), 64);
         assert_eq!(pool.retained(), 1, "every take reused the one buffer");
+    }
+
+    #[test]
+    fn adopted_buffers_return_to_the_pool() {
+        let pool = BufPool::new();
+        let vec = vec![5u8; 256];
+        let ptr = vec.as_ptr() as usize;
+        let bytes = pool.adopt(vec).freeze();
+        assert_eq!(&bytes[..], &[5u8; 256][..]);
+        drop(bytes);
+        assert_eq!(pool.retained(), 1);
+        let again = pool.take(256);
+        assert_eq!(again.as_ptr() as usize, ptr);
+        assert_eq!(pool.fresh_allocations(), 0, "nothing was allocated");
+        drop(again);
+        // Growing past the capacity paid for is an allocation too.
+        drop(pool.take(512));
+        drop(pool.take(64));
+        assert_eq!(pool.fresh_allocations(), 1);
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! (`read_block`, `erase_block`, …) resolve it there on every call. The
 //! cluster supports writing encoded stripes, injecting failures (erasing
 //! blocks, killing nodes) and running repairs through the ECPipe executor.
+//!
+//! The cluster also owns the memory of its blocks: a [`BufPool`] that
+//! repairs take their output from and that `put`'s blocks are adopted into,
+//! so a dropped block's allocation is the next repair's.
 
 use std::sync::Arc;
 
@@ -18,17 +22,33 @@ use simnet::{NodeId, Topology};
 
 use ecc::ErasureCode;
 
+use crate::buf::BufPool;
 use crate::exec::{self, ExecStrategy};
 use crate::store::{BlockStore, StoreBackend};
 use crate::transport::{ChannelTransport, Transport};
 use crate::{Coordinator, EcPipeError, Result};
 
+/// How many dropped blocks the cluster's pool keeps for the next repair.
+///
+/// One block lies between a drop and the repair that reuses it: a degraded
+/// read finds its block erased (one block dropped) and the repair it waits
+/// for is the next `take`. Concurrent repairs on a file-store cluster each
+/// drop their output once it is written and take again on their next
+/// repair, so a worker finds a block waiting when no other finished in
+/// between, and mallocs otherwise. A larger bound buys nothing there and parks whole blocks that nothing
+/// drains where no repair runs: a `put`/`delete` client returns a block
+/// per delete and never takes one.
+pub(crate) const RETAINED_BLOCKS: usize = 1;
+
 /// A cluster of storage nodes: the stores, the handle to the deployment's
-/// metadata router, and the network topology when one is modeled.
+/// metadata router, the pool its blocks live in, and the network topology
+/// when one is modeled.
 pub struct Cluster {
     stores: Vec<Arc<dyn BlockStore>>,
     /// The one owner of stripe → node placement for this deployment.
     meta: Arc<MetaRouter>,
+    /// Block buffers ([`Cluster::block_pool`]).
+    blocks: BufPool,
     /// The network topology the nodes live in, when one is modeled. Set
     /// before the cluster is handed to a manager and immutable afterwards;
     /// repair planning consults it for rack-aware and weighted path
@@ -50,6 +70,7 @@ impl Cluster {
         Ok(Cluster {
             stores: backend.build()?,
             meta,
+            blocks: BufPool::with_max_retained(RETAINED_BLOCKS),
             topology: None,
         })
     }
@@ -58,6 +79,15 @@ impl Cluster {
     /// namespace of objects, stripe placements, epochs and pending repairs.
     pub fn meta(&self) -> &Arc<MetaRouter> {
         &self.meta
+    }
+
+    /// The pool of block buffers: repairs write their output into a buffer
+    /// taken from it, and [`EcPipe::put`](crate::EcPipe::put) adopts its
+    /// blocks into it ([`chunk_stripe`](crate::chunk_stripe)), so whichever
+    /// block is dropped next — erased, deleted, overwritten — lends its
+    /// allocation to the next repair.
+    pub fn block_pool(&self) -> &BufPool {
+        &self.blocks
     }
 
     /// Attaches a network topology (racks, link bandwidths) to the cluster,
@@ -157,7 +187,8 @@ impl Cluster {
     /// into the stores: a deep copy for `Vec<u8>` blocks, a reference count
     /// for [`Bytes`] ones, which is how `put` hands over blocks it has
     /// already copied out of the caller's object. The parity blocks move in
-    /// without a copy either way.
+    /// without a copy either way, adopted into the [block
+    /// pool](Self::block_pool).
     pub fn write_stripe_blocks<B>(
         &self,
         code: &Arc<dyn ErasureCode>,
@@ -188,7 +219,7 @@ impl Cluster {
         let coded = data
             .iter()
             .map(|block| block.clone().into())
-            .chain(parity.into_iter().map(Bytes::from));
+            .chain(parity.into_iter().map(|p| self.blocks.adopt(p).freeze()));
         let id = StripeId(stripe_id);
         for (index, block) in coded.enumerate() {
             let node = placement[index];
@@ -276,7 +307,7 @@ impl Cluster {
 
     /// Repairs one failed block of a stripe at `requestor` using the given
     /// execution strategy, writes the repaired block into the requestor's
-    /// store, and returns its content.
+    /// store, and returns it: a view of the stored block, not a copy.
     ///
     /// Slices move over a fresh in-process [`ChannelTransport`]; use
     /// [`Cluster::repair_over`] to run the same repair over another backend
@@ -288,7 +319,7 @@ impl Cluster {
         failed: usize,
         requestor: NodeId,
         strategy: ExecStrategy,
-    ) -> Result<Vec<u8>> {
+    ) -> Result<Bytes> {
         self.repair_over(
             coordinator,
             stripe,
@@ -300,8 +331,7 @@ impl Cluster {
     }
 
     /// Repairs one failed block over an explicit transport backend, writes
-    /// the repaired block into the requestor's store, and returns its
-    /// content.
+    /// the repaired block into the requestor's store, and returns it.
     pub fn repair_over<T: Transport + ?Sized>(
         &self,
         coordinator: &Coordinator,
@@ -310,7 +340,7 @@ impl Cluster {
         requestor: NodeId,
         strategy: ExecStrategy,
         transport: &T,
-    ) -> Result<Vec<u8>> {
+    ) -> Result<Bytes> {
         let directive = coordinator.plan_single_repair(&self.meta, stripe, failed, requestor)?;
         let repaired = exec::execute_single(&directive, self, transport, strategy)?;
         self.stores[requestor].put(
@@ -318,7 +348,7 @@ impl Cluster {
                 stripe,
                 index: failed,
             },
-            Bytes::from(repaired.clone()),
+            repaired.clone(),
         )?;
         Ok(repaired)
     }
@@ -432,6 +462,32 @@ mod tests {
             .unwrap();
         assert_eq!(repaired, data[2]);
         assert!(cluster.verify_block(stripe, 2).is_ok());
+    }
+
+    /// A repair writes into the allocation of the block it replaces: the
+    /// erased block's buffer waits in the cluster's pool, and the repaired
+    /// block stored in its place is that same memory.
+    #[test]
+    fn a_repair_reuses_the_erased_blocks_allocation() {
+        let (cluster, coordinator, data) = setup();
+        // The blocks `put` would store: copied once, adopted into the pool.
+        let blocks = crate::chunk_stripe(&data.concat(), 4, 4096, 0, cluster.block_pool());
+        let stripe = cluster
+            .write_stripe(coordinator.code(), 0, &blocks)
+            .unwrap();
+        drop(blocks);
+        let ptr = cluster.read_block(stripe, 1).unwrap().as_ptr() as usize;
+        assert!(cluster.erase_block(stripe, 1));
+        assert_eq!(cluster.block_pool().retained(), 1, "the erased block waits");
+        let requestor = cluster.placement(stripe).unwrap()[1];
+        let strategy = ExecStrategy::RepairPipelining;
+        let repaired = cluster
+            .repair(&coordinator, stripe, 1, requestor, strategy)
+            .unwrap();
+        assert_eq!(repaired, data[1]);
+        let stored = cluster.read_block(stripe, 1).unwrap();
+        assert_eq!(stored.as_ptr() as usize, ptr, "the same allocation");
+        assert_eq!(cluster.block_pool().fresh_allocations(), 0);
     }
 
     #[test]

@@ -142,13 +142,14 @@ pub fn multi_dag(directive: &MultiRepairDirective) -> RepairDag {
     RepairDag::chain(columns, &directive.requestors, directive.layout)
 }
 
-/// Executes a single-block repair and returns the reconstructed block.
+/// Executes a single-block repair and returns the reconstructed block, a
+/// buffer of the cluster's [block pool](Cluster::block_pool).
 pub fn execute_single<T: Transport + ?Sized>(
     directive: &RepairDirective,
     cluster: &Cluster,
     transport: &T,
     strategy: ExecStrategy,
-) -> Result<Vec<u8>> {
+) -> Result<Bytes> {
     let dag = single_dag(directive, strategy);
     execute_single_cancellable(directive, &dag, cluster, transport, &OnceFlag::new())
 }
@@ -169,7 +170,7 @@ pub fn execute_single_cancellable<T: Transport + ?Sized>(
     cluster: &Cluster,
     transport: &T,
     cancel: &OnceFlag,
-) -> Result<Vec<u8>> {
+) -> Result<Bytes> {
     let walk = Walk {
         dag,
         tags: (directive.stripe.0, directive.repair_id()),
@@ -182,12 +183,12 @@ pub fn execute_single_cancellable<T: Transport + ?Sized>(
 /// Executes a multi-block repair (§4.4): each helper reads its block once and
 /// forwards a bundle of `f` partial slices per offset; the last helper
 /// delivers each reconstructed slice to its requestor. Returns the blocks in
-/// `plan.failed` order.
+/// `plan.failed` order, each a buffer of the cluster's block pool.
 pub fn execute_multi<T: Transport + ?Sized>(
     directive: &MultiRepairDirective,
     cluster: &Cluster,
     transport: &T,
-) -> Result<Vec<Vec<u8>>> {
+) -> Result<Vec<Bytes>> {
     Walk {
         dag: &multi_dag(directive),
         tags: (directive.stripe.0, directive.repair_id()),
@@ -208,10 +209,11 @@ struct Walk<'a> {
 
 impl Walk<'_> {
     /// Runs the plan end to end on the calling thread and returns one
-    /// reconstructed block per requestor: one [`PIPELINE_DEPTH`]-slice link
-    /// per edge of the plan, both of its halves held here, and the
-    /// most-downstream step that can run taken again and again.
-    fn run<T: Transport + ?Sized>(&self, transport: &T) -> Result<Vec<Vec<u8>>> {
+    /// reconstructed block per requestor, each taken from the cluster's
+    /// block pool: one [`PIPELINE_DEPTH`]-slice link per edge of the plan,
+    /// both of its halves held here, and the most-downstream step that can
+    /// run taken again and again.
+    fn run<T: Transport + ?Sized>(&self, transport: &T) -> Result<Vec<Bytes>> {
         let dag = self.dag;
         if dag.stages().is_empty() {
             return Err(execution_error("repair path has no helpers"));
@@ -250,7 +252,7 @@ impl Walk<'_> {
             .iter()
             .map(|&from| (from, stages[from].outputs.clone()))
             .collect();
-        let mut requestors = Requestors::new(dag, deliveries);
+        let mut requestors = Requestors::new(dag, deliveries, self.cluster.block_pool());
 
         // One pool serves the whole plan: a partial buffer freed by the
         // downstream consumer is reused for a later slice, so the steady
@@ -281,7 +283,11 @@ impl Walk<'_> {
                 std::thread::sleep(at.saturating_duration_since(Instant::now()));
             }
         }
-        Ok(requestors.blocks)
+        Ok(requestors
+            .blocks
+            .into_iter()
+            .map(PooledBuf::freeze)
+            .collect())
     }
 
     /// Takes the most-downstream step that can run — the requestors', else
@@ -584,6 +590,10 @@ impl<'a> Cursor<'a> {
 /// its send order, every row of a slice before the next slice. On shaped
 /// links that link-by-link drain is what makes a star cost `k` timeslots:
 /// the stages not being read yet stop at their credit window.
+///
+/// The blocks they fold into come from the cluster's block pool, holding
+/// whatever the block that last used them held: the first delivery writes
+/// every (row, slice) and only the later ones of a star accumulate.
 struct Requestors<'a> {
     dag: &'a RepairDag,
     /// Per delivering stage, in fold order: the stage and its links, one
@@ -591,16 +601,17 @@ struct Requestors<'a> {
     deliveries: Vec<(usize, Vec<usize>)>,
     /// The next slice to fold: (delivery, slice, row); `None` once done.
     next: Option<(usize, usize, usize)>,
-    blocks: Vec<Vec<u8>>,
+    blocks: Vec<PooledBuf>,
 }
 
 impl<'a> Requestors<'a> {
-    fn new(dag: &'a RepairDag, deliveries: Vec<(usize, Vec<usize>)>) -> Self {
+    fn new(dag: &'a RepairDag, deliveries: Vec<(usize, Vec<usize>)>, pool: &BufPool) -> Self {
+        let block_size = dag.layout().block_size;
         Requestors {
             dag,
             deliveries,
             next: Some((0, 0, 0)),
-            blocks: vec![vec![0u8; dag.layout().block_size]; dag.rows()],
+            blocks: (0..dag.rows()).map(|_| pool.take(block_size)).collect(),
         }
     }
 
@@ -624,11 +635,12 @@ impl<'a> Requestors<'a> {
             _ => 1,
         };
         let layout = self.dag.layout();
-        gf256::mul_add_slice(
-            Gf256::new(coeff),
-            &msg.data,
-            &mut self.blocks[row][layout.slice_range(msg.index)],
-        );
+        let dst = &mut self.blocks[row][layout.slice_range(msg.index)];
+        if delivery == 0 {
+            gf256::mul_slice(Gf256::new(coeff), &msg.data, dst);
+        } else {
+            gf256::mul_add_slice(Gf256::new(coeff), &msg.data, dst);
+        }
         self.next = if row + 1 < delivered.len() {
             Some((delivery, slice, row + 1))
         } else if slice + 1 < layout.slice_count() {
@@ -780,6 +792,81 @@ mod tests {
                 execute_single(&big_directive, &big, transport, ExecStrategy::BlockPipeline)
                     .unwrap();
             assert!(repaired == big_data[2], "4 MiB Pipe-B over {name}");
+        }
+    }
+
+    /// A repair's output is a block buffer recycled from the cluster's pool,
+    /// holding the bytes of whatever block used it last; none of them may
+    /// survive into the repaired block. Before every repair the pool is
+    /// filled with `0xAA` buffers, and every shape still comes out
+    /// byte-exact, over channels and TCP: Conventional, whose requestor folds
+    /// `k` deliveries into each slice, PPR, RP, Pipe-B and multi-block, with
+    /// whole slices and with a block whose last slice is short. The mutation
+    /// this catches is accumulating into an unzeroed buffer: the
+    /// requestors' first delivery folded with `mul_add_slice` instead of
+    /// written with `mul_slice`.
+    #[test]
+    fn stale_pool_bytes_never_reach_a_repaired_block() {
+        /// Parks as many `0xAA` block buffers in the pool as it keeps.
+        fn fill_stale(cluster: &Cluster, len: usize) {
+            let pool = cluster.block_pool();
+            let parked: Vec<PooledBuf> = (0..4)
+                .map(|_| {
+                    let mut buf = pool.take(len);
+                    buf.fill(0xAA);
+                    buf
+                })
+                .collect();
+            drop(parked);
+            assert!(pool.retained() > 0);
+        }
+        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
+        let (channel, tcp) = (ChannelTransport::new(), TcpTransport::new());
+        let transports: [(&str, &dyn Transport); 2] = [("channel", &channel), ("tcp", &tcp)];
+        for layout in [
+            SliceLayout::new(BLOCK, 1024),
+            SliceLayout::new(BLOCK + 300, 1024),
+        ] {
+            let size = layout.block_size;
+            for (name, transport) in transports {
+                for strategy in [
+                    ExecStrategy::Conventional,
+                    ExecStrategy::Ppr,
+                    ExecStrategy::RepairPipelining,
+                    ExecStrategy::BlockPipeline,
+                ] {
+                    let (cluster, coordinator, data, stripe) = setup_sized(code.clone(), layout);
+                    cluster.erase_block(stripe, 1);
+                    let directive = coordinator
+                        .plan_single_repair(cluster.meta(), stripe, 1, 7)
+                        .unwrap();
+                    fill_stale(&cluster, size);
+                    let fresh = cluster.block_pool().fresh_allocations();
+                    let repaired = execute_single(&directive, &cluster, transport, strategy);
+                    let what = format!("{strategy} over {name}, {size}-byte block");
+                    assert!(repaired.unwrap() == data[1], "{what}");
+                    let fresh = cluster.block_pool().fresh_allocations() - fresh;
+                    assert_eq!(fresh, 0, "{what} took no stale buffer");
+                }
+                let (cluster, coordinator, data, stripe) = setup_sized(code.clone(), layout);
+                let coded = code.encode(&data).unwrap();
+                cluster.erase_block(stripe, 1);
+                cluster.erase_block(stripe, 4);
+                let directive = coordinator
+                    .plan_multi_repair(cluster.meta(), stripe, &[1, 4], &[7, 6])
+                    .unwrap();
+                fill_stale(&cluster, size);
+                let fresh = cluster.block_pool().fresh_allocations();
+                let repaired = execute_multi(&directive, &cluster, transport).unwrap();
+                for (j, &f) in directive.plan.failed.iter().enumerate() {
+                    assert!(
+                        repaired[j] == coded[f],
+                        "multi-block over {name}, block {f}"
+                    );
+                }
+                let fresh = cluster.block_pool().fresh_allocations() - fresh;
+                assert!(fresh < 2, "multi-block over {name} took no stale buffer");
+            }
         }
     }
 

@@ -57,6 +57,7 @@ use ecc::{ErasureCode, ReedSolomon};
 use ecpipe_meta::{MetaBackend, MetaConfig, MetaRouter};
 use simnet::{NodeId, Topology};
 
+use crate::buf::BufPool;
 use crate::cluster::Cluster;
 use crate::coordinator::{Coordinator, ObjectMeta};
 use crate::exec::ExecStrategy;
@@ -381,21 +382,28 @@ pub fn stripe_count(len: usize, k: usize, block_size: usize) -> usize {
 
 /// The `k` data blocks of stripe `index` of an object, zero-padded to
 /// `block_size`: the one copy [`EcPipe::put`] makes of an object's bytes —
-/// the stores then share these blocks by reference. Chunking one stripe at a
-/// time keeps a large `put`'s peak memory at the object plus a single stripe.
-pub fn chunk_stripe(data: &[u8], k: usize, block_size: usize, index: usize) -> Vec<Bytes> {
+/// the stores then share these blocks by reference. Each block is adopted
+/// into `pool` (the cluster's [block pool](Cluster::block_pool)), so its
+/// allocation serves a later repair once the block is dropped. Only the
+/// padding is zeroed, and nothing is taken from the pool: a recycled buffer
+/// would be zeroed or overwritten for nothing. Chunking one stripe at a time
+/// keeps a large `put`'s peak memory at the object plus a single stripe.
+pub fn chunk_stripe(
+    data: &[u8],
+    k: usize,
+    block_size: usize,
+    index: usize,
+    pool: &BufPool,
+) -> Vec<Bytes> {
     let stripe_bytes = k * block_size;
     (0..k)
         .map(|b| {
             let start = (index * stripe_bytes + b * block_size).min(data.len());
             let end = (start + block_size).min(data.len());
-            if end - start == block_size {
-                return Bytes::copy_from_slice(&data[start..end]);
-            }
             let mut block = Vec::with_capacity(block_size);
             block.extend_from_slice(&data[start..end]);
             block.resize(block_size, 0);
-            Bytes::from(block)
+            pool.adopt(block).freeze()
         })
         .collect()
 }
@@ -477,7 +485,7 @@ impl EcPipe {
             let placement: Vec<NodeId> = (0..n)
                 .map(|i| live[(id as usize + i) % live.len()])
                 .collect();
-            let blocks = chunk_stripe(data, k, block_size, s);
+            let blocks = chunk_stripe(data, k, block_size, s, cluster.block_pool());
             let stripe = cluster.write_stripe_blocks(&self.code, id, &blocks, placement.clone())?;
             written.push((stripe, placement));
         }
@@ -857,6 +865,36 @@ mod tests {
         assert_eq!(report.degraded_wait.count, 1);
     }
 
+    /// A degraded read repairs into the buffer of the block it lost: after
+    /// 200 erase → `get_range` cycles the cluster has asked the allocator
+    /// for at most a pool's worth of block buffers plus one, where a repair
+    /// that allocates its output makes it one per cycle.
+    #[test]
+    fn degraded_reads_recycle_the_erased_blocks() {
+        let pipe = EcPipeBuilder::new()
+            .block_size(4096)
+            .slice_size(512)
+            .store(StoreBackend::memory(8))
+            .build()
+            .unwrap();
+        let data = pattern(4 * 4096, 21);
+        let stripe = pipe.put("/cycled", &data).unwrap().stripes[0];
+        let pool = pipe.cluster().block_pool();
+        let before = pool.fresh_allocations();
+        for cycle in 0..200 {
+            let range = (cycle % 4) * 4096..(cycle % 4 + 1) * 4096;
+            assert!(pipe.erase_block(stripe, cycle % 4));
+            let got = pipe.get_range("/cycled", range.clone()).unwrap();
+            assert_eq!(got, &data[range]);
+        }
+        let fresh = pool.fresh_allocations() - before;
+        let bound = crate::cluster::RETAINED_BLOCKS as u64 + 1;
+        assert!(fresh <= bound, "{fresh} fresh block buffers in 200 repairs");
+        let report = pipe.shutdown();
+        assert_eq!(report.blocks_repaired, 200);
+        assert_eq!(report.failed_repairs, 0);
+    }
+
     #[test]
     fn operator_relocation_is_honoured_by_erase_and_get() {
         let pipe = EcPipeBuilder::new()
@@ -947,7 +985,10 @@ mod tests {
         let data = pattern(10, 0);
         // 10 bytes over (k=2, block=4) stripes: 2 stripes, last block padded.
         assert_eq!(stripe_count(data.len(), 2, 4), 2);
-        let chunks: Vec<Vec<Bytes>> = (0..2).map(|s| chunk_stripe(&data, 2, 4, s)).collect();
+        let pool = BufPool::new();
+        let chunks: Vec<Vec<Bytes>> = (0..2)
+            .map(|s| chunk_stripe(&data, 2, 4, s, &pool))
+            .collect();
         assert!(chunks.iter().all(|s| s.len() == 2));
         assert!(chunks.iter().flatten().all(|b| b.len() == 4));
         assert_eq!(&chunks[1][0][..2], &data[8..10]);
@@ -955,7 +996,7 @@ mod tests {
         // Empty data still produces one (all-zero) stripe.
         assert_eq!(stripe_count(0, 3, 8), 1);
         assert_eq!(
-            chunk_stripe(&[], 3, 8, 0),
+            chunk_stripe(&[], 3, 8, 0, &pool),
             vec![Bytes::from(vec![0u8; 8]); 3]
         );
     }

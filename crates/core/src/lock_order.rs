@@ -149,7 +149,9 @@ lock_class!(
 );
 
 lock_class!(
-    /// [`MemoryStore`](crate::MemoryStore) block map. Leaf.
+    /// [`MemoryStore`](crate::MemoryStore) block map. Takes nothing but
+    /// [`BUF_POOL`]: a block erased, deleted or overwritten under the write
+    /// guard returns its allocation to the cluster's block pool right there.
     pub STORE_MEMORY = ("store.memory", rank = 72)
 );
 
@@ -161,10 +163,12 @@ lock_class!(
 );
 
 lock_class!(
-    /// [`BufPool`](crate::BufPool) free-list of recycled slice buffers.
-    /// Leaf: taken for a push/pop only, holding nothing — wherever the last
-    /// view of a buffer drops, which includes under [`TCP_WRITER`] (a
-    /// written queue) and [`TCP_READER`] (a read buffer taken or let go).
+    /// [`BufPool`](crate::BufPool) free-list of recycled slice, read and
+    /// block buffers. Leaf: taken for a push/pop only, holding nothing —
+    /// wherever the last view of a buffer drops, which includes under
+    /// [`TCP_WRITER`] (a written queue), [`TCP_READER`] (a read buffer taken
+    /// or let go) and [`STORE_MEMORY`] (a stored block dropped under the
+    /// map's write guard: rank 72 → 76, legal).
     pub BUF_POOL = ("buf.pool", rank = 76)
 );
 

@@ -580,7 +580,7 @@ fn run_one<T: Transport + ?Sized>(
                         stripe: request.stripe,
                         index: request.failed,
                     },
-                    Bytes::from(block),
+                    block,
                 ) {
                     return Err(fail(error, replans));
                 }
@@ -753,7 +753,7 @@ fn execute_watched<T>(
     directive: &RepairDirective,
     cluster: &Cluster,
     transport: &T,
-) -> (Result<Vec<u8>>, Option<(NodeId, NodeId)>)
+) -> (Result<Bytes>, Option<(NodeId, NodeId)>)
 where
     T: Transport + ?Sized,
 {

@@ -9,9 +9,8 @@
 //! traffic.
 //!
 //! The counter is process-global, so each test holds [`COUNTER`] for its
-//! whole body: a test running beside another — its façade `put`, say, which
-//! makes its one copy by design — would land in the other's measured window
-//! and fail it.
+//! whole body: whatever one test copied at the `Bytes` layer would otherwise
+//! land in another test's measured window and fail it.
 
 // xtask:allow(raw-sync): the test-only gate `COUNTER` below
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -59,8 +58,9 @@ fn degraded_get_performs_no_bytes_deep_copies() {
         .unwrap();
     let data = pattern(4 * 16 * 1024, 11);
 
-    // `put` makes its one copy of the object at the `Bytes` layer; the exact
-    // count is pinned in `put_one_copy.rs`.
+    // `put` makes its one copy of the object into block buffers it adopts
+    // into the cluster's pool, not at the `Bytes` layer; the count is pinned
+    // in `put_one_copy.rs`.
     let meta = pipe.put("/pin", &data).unwrap();
 
     // Degraded read: the erased block is reconstructed through the full
