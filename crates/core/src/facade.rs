@@ -14,7 +14,8 @@
 //! * [`EcPipe::get`] / [`EcPipe::get_range`] serve native reads, and fall
 //!   back *transparently* to manager-prioritized degraded reads when a
 //!   block is missing or fails checksum verification — the caller sees the
-//!   right bytes, the cluster heals as a side effect;
+//!   right bytes, the cluster heals as a side effect. The bytes come back
+//!   as [`ObjectBytes`], views of the stored blocks rather than a copy;
 //! * fault-injection and observability passthroughs ([`EcPipe::kill_node`],
 //!   [`EcPipe::corrupt`], [`EcPipe::report_node_failure`],
 //!   [`EcPipe::scrub`], [`EcPipe::shutdown`]) expose the machinery
@@ -408,6 +409,127 @@ pub fn chunk_stripe(
         .collect()
 }
 
+/// The bytes [`EcPipe::get`] and [`EcPipe::get_range`] return: views of the
+/// stored blocks the read covers, in object order, without a copy.
+///
+/// A whole-block read is the block the store holds (or the block a degraded
+/// read just rebuilt), and a partial one a window of it, so a read touches no
+/// payload byte. [`chunks`](Self::chunks) hands the views out one block at a
+/// time; [`to_vec`](Self::to_vec) is the one explicit copy, for a caller that
+/// needs contiguous memory. Equality is over the content alone: it compares
+/// with `[u8]`, `&[u8]`, `Vec<u8>` and another `ObjectBytes` whatever their
+/// split into chunks.
+///
+/// A view keeps the whole block it slices alive while the caller holds it.
+/// A held view of a block that is then erased also keeps that buffer out of
+/// the cluster's [block pool](Cluster::block_pool), so the repair that
+/// replaces the block allocates afresh. Call `to_vec` and drop the views to
+/// detach from the stored blocks.
+///
+/// ```
+/// use ecpipe::{EcPipeBuilder, StoreBackend};
+///
+/// let pipe = EcPipeBuilder::new()
+///     .block_size(4096)
+///     .slice_size(1024)
+///     .store(StoreBackend::memory(8))
+///     .build()
+///     .unwrap();
+/// let data: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
+/// pipe.put("/doc", &data).unwrap();
+///
+/// let got = pipe.get_range("/doc", 4000..9000).unwrap();
+/// assert_eq!(got.len(), 5000);
+/// assert_eq!(got.chunks().len(), 3); // blocks 0, 1 and 2
+/// assert_eq!(got, &data[4000..9000]);
+/// let owned: Vec<u8> = got.to_vec(); // detached from the stored blocks
+/// assert_eq!(owned, data[4000..9000]);
+/// pipe.shutdown();
+/// ```
+#[derive(Clone, Default)]
+pub struct ObjectBytes {
+    chunks: Vec<Bytes>,
+    len: usize,
+}
+
+impl ObjectBytes {
+    fn from_chunks(chunks: Vec<Bytes>) -> Self {
+        let len = chunks.iter().map(Bytes::len).sum();
+        ObjectBytes { chunks, len }
+    }
+
+    fn bytes(&self) -> impl Iterator<Item = &u8> {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+
+    /// The number of bytes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there are no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The views, in object order: one per block the read covers.
+    pub fn chunks(&self) -> &[Bytes] {
+        &self.chunks
+    }
+
+    /// Copies the bytes into one contiguous `Vec`.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.chunks.concat()
+    }
+}
+
+impl PartialEq<[u8]> for ObjectBytes {
+    fn eq(&self, other: &[u8]) -> bool {
+        if self.len != other.len() {
+            return false;
+        }
+        let mut rest = other;
+        self.chunks.iter().all(|chunk| {
+            let (head, tail) = rest.split_at(chunk.len());
+            rest = tail;
+            head == &chunk[..]
+        })
+    }
+}
+
+impl PartialEq<&[u8]> for ObjectBytes {
+    fn eq(&self, other: &&[u8]) -> bool {
+        *self == **other
+    }
+}
+
+impl PartialEq<Vec<u8>> for ObjectBytes {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        *self == other[..]
+    }
+}
+
+impl PartialEq for ObjectBytes {
+    /// Byte by byte, since the two may be split differently: comparing two
+    /// reads is for tests, the hot comparison is against the caller's slice.
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.bytes().eq(other.bytes())
+    }
+}
+
+impl Eq for ObjectBytes {}
+
+impl std::fmt::Debug for ObjectBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let head: Vec<u8> = self.bytes().take(32).copied().collect();
+        f.debug_struct("ObjectBytes")
+            .field("len", &self.len)
+            .field("chunks", &self.chunks.len())
+            .field("head", &head)
+            .finish()
+    }
+}
+
 /// The ECPipe runtime handle: an erasure-coded object store whose reads
 /// transparently repair around missing and corrupt blocks.
 ///
@@ -505,9 +627,10 @@ impl EcPipe {
         Ok(record)
     }
 
-    /// Reads a whole object back, byte-exact. Missing or corrupt blocks are
-    /// healed through the repair manager on the way.
-    pub fn get(&self, name: &str) -> Result<Vec<u8>> {
+    /// Reads a whole object back, byte-exact, as views of its stored blocks
+    /// (see [`ObjectBytes`]). Missing or corrupt blocks are healed through
+    /// the repair manager on the way.
+    pub fn get(&self, name: &str) -> Result<ObjectBytes> {
         let meta = self.object_meta(name)?;
         let range = 0..meta.size;
         self.read_object_range(&meta, range)
@@ -515,9 +638,10 @@ impl EcPipe {
 
     /// Reads `range` of an object. Only the blocks the range overlaps are
     /// touched; a partial block is read at slice granularity (verifying only
-    /// the checksum chunks the range covers). Missing or corrupt blocks are
-    /// healed through the repair manager first.
-    pub fn get_range(&self, name: &str, range: Range<usize>) -> Result<Vec<u8>> {
+    /// the checksum chunks the range covers) and returned as a window of the
+    /// block. Missing or corrupt blocks are healed through the repair manager
+    /// first.
+    pub fn get_range(&self, name: &str, range: Range<usize>) -> Result<ObjectBytes> {
         let meta = self.object_meta(name)?;
         if range.start > range.end || range.end > meta.size {
             return Err(EcPipeError::InvalidRequest {
@@ -531,22 +655,23 @@ impl EcPipe {
     }
 
     /// The shared read path: walks the blocks `range` overlaps, resolving
-    /// each block's node with one non-cloning router lookup.
-    fn read_object_range(&self, meta: &ObjectMeta, range: Range<usize>) -> Result<Vec<u8>> {
+    /// each block's node with one non-cloning router lookup, and keeps the
+    /// view each block read returns.
+    fn read_object_range(&self, meta: &ObjectMeta, range: Range<usize>) -> Result<ObjectBytes> {
         let block_size = self.layout.block_size;
         let stripe_bytes = self.code.k() * block_size;
-        let mut out = Vec::with_capacity(range.end - range.start);
+        let mut chunks =
+            Vec::with_capacity(range.end.div_ceil(block_size) - range.start / block_size);
         let mut offset = range.start;
         while offset < range.end {
             let stripe = meta.stripes[offset / stripe_bytes];
             let block = (offset % stripe_bytes) / block_size;
             let within = offset % block_size;
             let take = (block_size - within).min(range.end - offset);
-            let bytes = self.read_healing(stripe, block, within..within + take, block_size)?;
-            out.extend_from_slice(&bytes);
+            chunks.push(self.read_healing(stripe, block, within..within + take, block_size)?);
             offset += take;
         }
-        Ok(out)
+        Ok(ObjectBytes::from_chunks(chunks))
     }
 
     /// Reads one block range, healing the block through the manager when it
@@ -893,6 +1018,134 @@ mod tests {
         let report = pipe.shutdown();
         assert_eq!(report.blocks_repaired, 200);
         assert_eq!(report.failed_repairs, 0);
+    }
+
+    /// A read the client still holds is a view of the blocks it read, so it
+    /// outlives the erasure and repair of one of them — and keeps that
+    /// block's buffer out of the pool until it is dropped.
+    #[test]
+    fn a_held_read_survives_the_repair_of_its_block() {
+        let pipe = EcPipeBuilder::new()
+            .block_size(4096)
+            .slice_size(512)
+            .store(StoreBackend::memory(8))
+            .build()
+            .unwrap();
+        let data = pattern(4 * 4096, 23);
+        let stripe = pipe.put("/held", &data).unwrap().stripes[0];
+        let pool = pipe.cluster().block_pool();
+        let held = pipe.get("/held").unwrap();
+        let before = pool.fresh_allocations();
+        // The erased block's buffer is pinned by `held`, so the repair behind
+        // this degraded read cannot take it from the pool.
+        assert!(pipe.erase_block(stripe, 1));
+        let healed = pipe.get("/held").unwrap();
+        assert_eq!(held, data);
+        assert_eq!(healed, data);
+        assert_eq!(pool.fresh_allocations(), before + 1);
+        // Unpinned, the next erasure's buffer serves the next repair.
+        drop((held, healed));
+        assert!(pipe.erase_block(stripe, 1));
+        assert_eq!(pipe.get("/held").unwrap(), data);
+        assert_eq!(pool.fresh_allocations(), before + 1);
+        let report = pipe.shutdown();
+        assert_eq!(report.blocks_repaired, 2);
+        assert_eq!(report.failed_repairs, 0);
+    }
+
+    #[test]
+    fn range_reads_are_views_of_the_stored_blocks() {
+        let pipe = EcPipeBuilder::new()
+            .code(6, 4)
+            .block_size(4096)
+            .slice_size(1024)
+            .store(StoreBackend::memory(8))
+            .build()
+            .unwrap();
+        // Two full blocks and a 100-byte tail.
+        let data = pattern(2 * 4096 + 100, 29);
+        let stripe = pipe.put("/views", &data).unwrap().stripes[0];
+
+        // Inside one block: one chunk, pointing into the stored block.
+        let got = pipe.get_range("/views", 4100..4200).unwrap();
+        assert_eq!(got, &data[4100..4200]);
+        assert_eq!(got.chunks().len(), 1);
+        let stored = pipe.cluster().read_block(stripe, 1).unwrap();
+        assert!(stored.as_ptr_range().contains(&got.chunks()[0].as_ptr()));
+
+        // Across three blocks: a view of each.
+        let got = pipe.get_range("/views", 4000..8250).unwrap();
+        assert_eq!(got.chunks().len(), 3);
+        assert_eq!(
+            got.chunks().iter().map(|c| c.len()).collect::<Vec<_>>(),
+            [96, 4096, 58]
+        );
+        assert_eq!(got, &data[4000..8250]);
+
+        // The ragged tail comes back without the zeros padding its block.
+        let whole = pipe.get("/views").unwrap();
+        assert_eq!(whole.len(), data.len());
+        assert_eq!(whole.chunks().last().unwrap().len(), 100);
+        assert_eq!(whole.to_vec(), data);
+        let tail = pipe.get_range("/views", 8190..data.len()).unwrap();
+        assert_eq!(tail, &data[8190..]);
+
+        // An empty object reads back as no views at all.
+        pipe.put("/empty", &[]).unwrap();
+        let empty = pipe.get("/empty").unwrap();
+        assert!(empty.chunks().is_empty());
+        assert_eq!(empty, &[][..]);
+        pipe.shutdown();
+    }
+
+    #[test]
+    fn object_bytes_compare_by_content_not_chunking() {
+        let data = pattern(1000, 31);
+        let split = |cuts: &[usize]| {
+            let mut bounds = vec![0];
+            bounds.extend_from_slice(cuts);
+            bounds.push(data.len());
+            ObjectBytes::from_chunks(
+                bounds
+                    .windows(2)
+                    .map(|w| Bytes::from(data[w[0]..w[1]].to_vec()))
+                    .collect(),
+            )
+        };
+        let (one, three, uneven) = (split(&[]), split(&[300, 700]), split(&[1, 1, 999]));
+        for bytes in [&one, &three, &uneven] {
+            assert_eq!(bytes.len(), 1000);
+            assert_eq!(*bytes, data);
+            assert_eq!(*bytes, &data[..]);
+            assert_eq!(*bytes, one);
+            assert_eq!(*bytes, three);
+            assert_eq!(*bytes, uneven);
+        }
+        // A length mismatch or one flipped byte is unequal.
+        assert_ne!(three, &data[..999]);
+        assert_ne!(
+            three,
+            ObjectBytes::from_chunks(three.chunks()[..2].to_vec())
+        );
+        let mut flipped = data.clone();
+        flipped[500] ^= 1;
+        assert_ne!(three, flipped);
+        assert_ne!(uneven, ObjectBytes::from_chunks(vec![Bytes::from(flipped)]));
+        // The empty object is equal to the empty slice, however it is held.
+        assert_eq!(ObjectBytes::default(), &[][..]);
+        assert_eq!(
+            ObjectBytes::from_chunks(vec![Bytes::new()]),
+            ObjectBytes::default()
+        );
+        assert!(ObjectBytes::default().is_empty());
+        // Debug shows the shape and at most the first 32 bytes.
+        assert_eq!(
+            format!("{three:?}"),
+            format!(
+                "ObjectBytes {{ len: 1000, chunks: 3, head: {:?} }}",
+                &data[..32]
+            )
+        );
     }
 
     #[test]

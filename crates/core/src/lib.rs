@@ -51,7 +51,8 @@
 //! assembles code, layout, [`StoreBackend`], transport and manager
 //! configuration into one handle, and `put`/`get`/`get_range` give the
 //! runtime an object-level data path whose reads transparently fall back
-//! to manager-prioritized degraded reads. The layers underneath
+//! to manager-prioritized degraded reads and hand out the stored blocks as
+//! [`ObjectBytes`] views instead of copying them. The layers underneath
 //! ([`Coordinator`], [`exec`], [`RepairManager`]) stay public for code
 //! that orchestrates repairs directly.
 //!
@@ -105,7 +106,7 @@ pub use ecpipe_meta::{
 };
 pub use error::EcPipeError;
 pub use exec::ExecStrategy;
-pub use facade::{chunk_stripe, stripe_count, EcPipe, EcPipeBuilder, TransportChoice};
+pub use facade::{chunk_stripe, stripe_count, EcPipe, EcPipeBuilder, ObjectBytes, TransportChoice};
 pub use integrity::{BlockChecksums, ChecksummedStore, DEFAULT_CHUNK_SIZE};
 pub use manager::{
     ManagerConfig, ManagerReport, NodeHealth, PathPolicy, RepairManager, RepairOutcome,

@@ -1,17 +1,24 @@
-//! Pins the one-copy `put`: every byte of an object is copied exactly once on
-//! its way into the stores.
+//! Pins the copies of a façade round trip: one copy in, none out. Every byte
+//! of an object is copied exactly once on its way into the stores, and not
+//! at all on its way back out of them.
 //!
 //! `EcPipe::put` copies each data block out of the caller's slice into a
 //! `Vec` that it adopts into the cluster's block pool, and everything after
 //! that (parity computation, the hand-over to `Cluster::write_stripe_blocks`,
 //! the memory stores) borrows or shares those blocks. A copy into a `Vec` is
 //! invisible to the `bytes` shim's deep-copy counter, so this binary also
-//! counts what the allocator hands the putting thread: a put allocates the
+//! counts what the allocator hands the calling thread: a put allocates the
 //! blocks it stores — `k` data blocks and `n - k` parity blocks — and less
 //! than a block of bookkeeping besides. Copying the object a second time on
 //! the way (`data.to_vec()` at the top of `put`, a `Vec` clone of each block
 //! in `write_stripe_blocks`, a `Bytes::copy_from_slice` of an adopted block)
 //! allocates at least another block and fails the bound.
+//!
+//! A healthy `EcPipe::get` returns views of the stored blocks, so it
+//! allocates less than a block (the object record and the list of views)
+//! and deep-copies nothing. Gathering the views into one buffer in the read
+//! path (a `to_vec()` or an `extend_from_slice` of each block read)
+//! allocates the whole object and fails that bound.
 //!
 //! The deep-copy counter is process-global, so this file holds a single
 //! test: nothing else can run beside it and inflate the delta.
@@ -93,14 +100,16 @@ fn put_copies_each_object_byte_exactly_once() {
         .build()
         .unwrap();
     let object: Vec<u8> = (0..4 * BLOCK).map(|i| (i * 31 % 251) as u8).collect();
-    // The first put also builds what every later one shares (the GF
+    // The first put and get also build what every later one shares (the GF
     // kernels' tables among them).
     pipe.put("/warm-up", &object).unwrap();
+    assert_eq!(pipe.get("/warm-up").unwrap(), object);
 
     // One full stripe, and an object ending inside a block (its tail block
     // copied and zero-padded, the blocks after it zeros).
     let ragged = &object[..2 * BLOCK + 100];
-    for (name, data) in [("/one-stripe", &object[..]), ("/ragged", ragged)] {
+    let objects = [("/one-stripe", &object[..]), ("/ragged", ragged)];
+    for (name, data) in objects {
         let (copied, allocated_before) = (bytes::shim_metrics::deep_copy_bytes(), allocated());
         pipe.put(name, data).unwrap();
         let spent = allocated() - allocated_before;
@@ -115,9 +124,21 @@ fn put_copies_each_object_byte_exactly_once() {
         );
     }
 
-    let before = bytes::shim_metrics::deep_copy_bytes();
-    assert_eq!(pipe.get("/one-stripe").unwrap(), object);
-    assert_eq!(pipe.get("/ragged").unwrap(), ragged);
-    assert_eq!(bytes::shim_metrics::deep_copy_bytes(), before);
+    for (name, data) in objects {
+        let (copied, allocated_before) = (bytes::shim_metrics::deep_copy_bytes(), allocated());
+        let got = pipe.get(name).unwrap();
+        let spent = allocated() - allocated_before;
+        assert_eq!(
+            bytes::shim_metrics::deep_copy_bytes(),
+            copied,
+            "{name}: a get hands out the stored blocks, not Bytes-layer copies"
+        );
+        assert!(
+            spent < BLOCK as u64,
+            "{name}: a get of {} bytes allocated {spent}",
+            data.len()
+        );
+        assert_eq!(got, data);
+    }
     pipe.shutdown();
 }
