@@ -1,9 +1,13 @@
 //! The ECPipe coordinator: repair planning.
 //!
 //! The coordinator (one per deployment, Figure 7) answers repair requests
-//! by selecting helpers and deriving the decoding coefficients, and
-//! implements the greedy least-recently-selected helper scheduling used
-//! during full-node recovery (§3.3).
+//! by selecting helpers and deriving the decoding coefficients. One
+//! function, [`Coordinator::plan_repair`], chooses every single-block
+//! repair's helpers: it orders the candidates by a [`PathPolicy`] — the
+//! greedy least-recently-selected scheduling of §3.3, or the rack-aware and
+//! weighted paths of §4.2 and §4.3 — and lets the erasure code pick its
+//! helpers from the whole ordered list, so a code that is not MDS (LRC)
+//! still repairs from its local group.
 //!
 //! It owns no metadata. Where a stripe's blocks live is a fact of the
 //! deployment's [`MetaRouter`] alone; planning reads one [`StripeRecord`]
@@ -23,27 +27,19 @@ use ecc::stripe::{BlockId, StripeId};
 use ecc::{ErasureCode, MultiRepairPlan, RepairPlan};
 use ecpipe_meta::{MetaRouter, StripeRecord};
 use ecpipe_sync::Mutex;
+use repair::rack_aware;
+use repair::weighted_path::optimal_path;
 use simnet::NodeId;
 
 use crate::lock_order;
+use crate::manager::PathPolicy;
+use crate::telemetry::LinkTelemetry;
 use crate::{EcPipeError, Result};
 
 /// Metadata of one named object stored through the
 /// [`EcPipe`](crate::EcPipe) façade: its true byte length and the stripes
 /// that hold its (zero-padded) blocks, in order.
 pub use ecpipe_meta::ObjectRecord as ObjectMeta;
-
-/// How the coordinator picks helpers when more are available than needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum SelectionPolicy {
-    /// Let the erasure code pick from all available blocks (lowest indices
-    /// first for RS; the local group for LRC).
-    CodeDefault,
-    /// Greedy least-recently-selected scheduling (§3.3), used for full-node
-    /// recovery so that no helper is overloaded across stripes.
-    LeastRecentlyUsed,
-}
 
 /// Everything a set of helpers and a requestor need to execute one
 /// single-block repair.
@@ -66,23 +62,6 @@ pub struct RepairDirective {
 }
 
 impl RepairDirective {
-    /// Reorders the helper path (e.g. after rack-aware or weighted path
-    /// selection). The node set must stay the same.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of the current helper nodes.
-    pub fn with_path_order(mut self, order: &[NodeId]) -> Self {
-        assert_eq!(order.len(), self.path.len(), "path length mismatch");
-        let mut by_node: HashMap<NodeId, (NodeId, BlockId, u8)> =
-            self.path.iter().map(|e| (e.0, *e)).collect();
-        self.path = order
-            .iter()
-            .map(|n| by_node.remove(n).expect("order must match helper nodes"))
-            .collect();
-        self
-    }
-
     /// The helper nodes in path order.
     pub fn helper_nodes(&self) -> Vec<NodeId> {
         self.path.iter().map(|e| e.0).collect()
@@ -127,6 +106,17 @@ impl MultiRepairDirective {
     }
 }
 
+/// A planned single-block repair and what choosing its helpers revealed.
+pub(crate) struct PlannedRepair {
+    pub(crate) directive: RepairDirective,
+    /// Algorithm 2's bottleneck-weight estimate for its path, under
+    /// [`PathPolicy::Weighted`].
+    pub(crate) bottleneck: Option<f64>,
+    /// A topology-aware policy had too few candidates (or no feasible
+    /// path), so the candidates were ordered by the selection clock.
+    pub(crate) fell_back: bool,
+}
+
 /// Helper-selection state of the least-recently-selected policy (§3.3):
 /// a logical clock and the tick at which each node last served as a helper.
 #[derive(Default)]
@@ -165,8 +155,9 @@ impl Coordinator {
     }
 
     /// Plans a single-block repair: the failed block of `stripe`, as `meta`
-    /// places it now, is reconstructed at `requestor`, from the helpers the
-    /// code picks by default among all other blocks.
+    /// places it now, is reconstructed at `requestor` from the helpers the
+    /// code picks among all other blocks, least recently selected first
+    /// (§3.3).
     pub fn plan_single_repair(
         &self,
         meta: &MetaRouter,
@@ -177,51 +168,80 @@ impl Coordinator {
         let record = meta
             .stripe(stripe)
             .ok_or(EcPipeError::UnknownStripe { stripe: stripe.0 })?;
-        self.plan_single_repair_of(
-            &record,
-            failed,
-            requestor,
-            &[],
-            SelectionPolicy::CodeDefault,
-        )
+        let planned = self.plan_repair(&record, failed, requestor, &[], &|_| false, None)?;
+        Ok(planned.directive)
     }
 
-    /// Plans a single-block repair over a placement the caller already
-    /// read, with full control: `unavailable` lists block indices that must
-    /// not be used as helpers (e.g. blocks on other failed nodes), and
-    /// `policy` picks among the rest. The repair manager chooses helpers
-    /// from the same record it plans with, so both see one snapshot.
-    pub fn plan_single_repair_of(
+    /// Chooses a single-block repair's helpers — the only place that does —
+    /// over a placement the caller already read:
+    ///
+    /// 1. The candidates are every block except the failed one, the
+    ///    `excluded` ones, those on a node `is_dead` reports and those on the
+    ///    requestor.
+    /// 2. `paths` orders them. Without it, or under [`PathPolicy::Lru`], the
+    ///    selection clock does, least recently selected first. Under a
+    ///    topology-aware policy the algorithm's `k`-helper path (§4.2,
+    ///    §4.3) comes first and the other candidates follow.
+    /// 3. The code picks its helpers from the whole ordered list: RS the
+    ///    first `k`, LRC the surviving local group or else the first `k`
+    ///    independent rows.
+    /// 4. The chain runs in ascending block index under the clock and in the
+    ///    algorithm's order otherwise.
+    /// 5. The chosen helpers' nodes are stamped on the selection clock.
+    pub(crate) fn plan_repair(
         &self,
         record: &StripeRecord,
         failed: usize,
         requestor: NodeId,
-        unavailable: &[usize],
-        policy: SelectionPolicy,
-    ) -> Result<RepairDirective> {
+        excluded: &[usize],
+        is_dead: &dyn Fn(NodeId) -> bool,
+        paths: Option<(PathPolicy, &LinkTelemetry)>,
+    ) -> Result<PlannedRepair> {
         self.check_placement(record)?;
         if failed >= self.code.n() {
             return Err(EcPipeError::InvalidRequest {
                 reason: format!("block index {failed} out of range"),
             });
         }
-        let mut available: Vec<usize> = (0..self.code.n())
-            .filter(|&i| i != failed && !unavailable.contains(&i) && record.node_of(i) != requestor)
-            .collect();
-        // Choosing by the clock and stamping the chosen helpers is one step:
+        let candidates = candidates(record, &[failed], excluded, is_dead, &[requestor]);
+        // A path reads the telemetry, not the clock, so it is found before
+        // the clock is locked.
+        let k = self.code.k();
+        let nodes: Vec<NodeId> = candidates.iter().map(|&i| record.node_of(i)).collect();
+        let mut bottleneck = None;
+        let path = match paths {
+            Some((PathPolicy::RackAware, telemetry)) if nodes.len() >= k => Some(
+                rack_aware::select_path(telemetry.topology(), requestor, &nodes, k),
+            ),
+            Some((PathPolicy::Weighted, telemetry)) => {
+                optimal_path(telemetry, requestor, &nodes, k).map(|selection| {
+                    bottleneck = Some(selection.bottleneck_weight);
+                    selection.path
+                })
+            }
+            _ => None,
+        };
+        let fell_back = path.is_none() && paths.is_some_and(|(p, _)| p != PathPolicy::Lru);
+        // A candidate's place on the path; the candidates off it follow.
+        let rank = |path: &[NodeId], i: usize| {
+            let node = record.node_of(i);
+            path.iter().position(|&n| n == node).unwrap_or(path.len())
+        };
+        let mut ordered = candidates;
+        if let Some(path) = &path {
+            ordered.sort_by_key(|&i| rank(path, i));
+        }
+        // Ordering by the clock and stamping the chosen helpers is one step:
         // concurrent planners must not all pick the same idle nodes.
         let mut selection = self.selection.lock();
-        if policy == SelectionPolicy::LeastRecentlyUsed && available.len() > self.code.k() {
-            // Order candidates by how recently their node served as a helper
-            // and keep the k least recently used.
-            available.sort_by_key(|&i| {
+        if path.is_none() {
+            ordered.sort_by_key(|&i| {
                 let last = selection.last_selected.get(&record.node_of(i));
                 (last.copied().unwrap_or(0), i)
             });
-            available.truncate(self.code.k());
-            available.sort_unstable();
         }
-        let plan = self.code.repair_plan(failed, &available)?;
+        let mut plan = self.code.repair_plan(failed, &ordered)?;
+        plan.sources.sort_by_key(|src| src.block_index);
         for src in &plan.sources {
             selection.now += 1;
             let now = selection.now;
@@ -230,8 +250,11 @@ impl Coordinator {
                 .insert(record.node_of(src.block_index), now);
         }
         drop(selection);
-        let path: Vec<(NodeId, BlockId, u8)> = plan
-            .sources
+        let mut chain = plan.sources.clone();
+        if let Some(path) = &path {
+            chain.sort_by_key(|src| rank(path, src.block_index));
+        }
+        let path = chain
             .iter()
             .map(|src| {
                 (
@@ -241,13 +264,17 @@ impl Coordinator {
                 )
             })
             .collect();
-        Ok(RepairDirective {
-            stripe: record.id,
-            plan,
-            path,
-            requestor,
-            layout: self.layout,
-            epoch: record.epoch,
+        Ok(PlannedRepair {
+            directive: RepairDirective {
+                stripe: record.id,
+                plan,
+                path,
+                requestor,
+                layout: self.layout,
+                epoch: record.epoch,
+            },
+            bottleneck,
+            fell_back,
         })
     }
 
@@ -269,9 +296,7 @@ impl Coordinator {
             .stripe(stripe)
             .ok_or(EcPipeError::UnknownStripe { stripe: stripe.0 })?;
         self.check_placement(&record)?;
-        let available: Vec<usize> = (0..self.code.n())
-            .filter(|i| !failed.contains(i) && !requestors.contains(&record.node_of(*i)))
-            .collect();
+        let available = candidates(&record, failed, &[], &|_| false, requestors);
         let plan = self.code.multi_repair_plan(failed, &available)?;
         let path: Vec<(NodeId, BlockId)> = plan
             .helpers
@@ -312,6 +337,25 @@ impl Coordinator {
             reason: format!("stripe {stripe} has {blocks} blocks but the code has n = {n}"),
         })
     }
+}
+
+/// The blocks of `record` that may serve as helpers: not one being
+/// repaired, not an `excluded` one, not one on a dead node and not one a
+/// requestor holds.
+fn candidates(
+    record: &StripeRecord,
+    failed: &[usize],
+    excluded: &[usize],
+    is_dead: &dyn Fn(NodeId) -> bool,
+    requestors: &[NodeId],
+) -> Vec<usize> {
+    (0..record.locations.len())
+        .filter(|i| !failed.contains(i) && !excluded.contains(i))
+        .filter(|&i| {
+            let node = record.node_of(i);
+            !is_dead(node) && !requestors.contains(&node)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -390,14 +434,12 @@ mod tests {
         // repair, so the second repair must use the 3 nodes the first one did
         // not touch and only one previously-used node.
         let (c, meta) = setup(8);
-        let record = meta.stripe(S1).unwrap();
-        let lru = SelectionPolicy::LeastRecentlyUsed;
         let h1 = c
-            .plan_single_repair_of(&record, 0, 100, &[], lru)
+            .plan_single_repair(&meta, S1, 0, 100)
             .unwrap()
             .helper_nodes();
         let h2 = c
-            .plan_single_repair_of(&record, 0, 100, &[], lru)
+            .plan_single_repair(&meta, S1, 0, 100)
             .unwrap()
             .helper_nodes();
         let overlap = h2.iter().filter(|n| h1.contains(n)).count();
@@ -407,20 +449,6 @@ mod tests {
                 h2.contains(&unused),
                 "h2 {h2:?} should reuse idle node {unused}"
             );
-        }
-    }
-
-    #[test]
-    fn path_reordering_preserves_entries() {
-        let (c, meta) = setup(6);
-        let d = c.plan_single_repair(&meta, S1, 5, 0).unwrap();
-        let mut order = d.helper_nodes();
-        order.reverse();
-        let reordered = d.clone().with_path_order(&order);
-        assert_eq!(reordered.helper_nodes(), order);
-        // Coefficients still attached to the right nodes.
-        for entry in &d.path {
-            assert!(reordered.path.contains(entry));
         }
     }
 
@@ -438,14 +466,46 @@ mod tests {
     fn unavailable_blocks_are_not_helpers() {
         let (c, meta) = setup(6);
         let record = meta.stripe(S1).unwrap();
-        let plan = |unavailable: &[usize]| {
-            c.plan_single_repair_of(&record, 0, 9, unavailable, SelectionPolicy::CodeDefault)
+        let plan = |excluded: &[usize], dead: NodeId| {
+            c.plan_repair(&record, 0, 9, excluded, &|n| n == dead, None)
         };
-        let helper_indices = plan(&[1]).unwrap().plan.helper_indices();
+        let helper_indices = plan(&[1], 9).unwrap().directive.plan.helper_indices();
         assert!(!helper_indices.contains(&1));
         assert_eq!(helper_indices.len(), 4);
-        // Excluding one more block leaves fewer than k helpers, which is an
-        // error.
-        assert!(plan(&[1, 2]).is_err());
+        // Block 2 sits on node 2. Losing it too leaves fewer than k helpers,
+        // which is an error whether it is excluded or its node is dead.
+        assert!(plan(&[1, 2], 9).is_err());
+        assert!(plan(&[1], 2).is_err());
+    }
+
+    /// Planners on several threads, under every policy, share one clock:
+    /// each plan has `k` distinct helpers, none of them the failed block's
+    /// or the requestor's node, and each is stamped once.
+    #[test]
+    fn concurrent_planners_share_one_clock() {
+        let (c, meta) = setup(8);
+        let record = meta.stripe(S1).unwrap();
+        let topology = simnet::Topology::rack_based(&[4, 4, 4], 8.0e6, 1.0e6);
+        let telemetry = LinkTelemetry::new(Arc::new(topology));
+        let rounds = 50;
+        std::thread::scope(|scope| {
+            for policy in [PathPolicy::Lru, PathPolicy::RackAware, PathPolicy::Weighted] {
+                let (c, record, telemetry) = (&c, &record, &telemetry);
+                scope.spawn(move || {
+                    for round in 0..rounds {
+                        let (failed, requestor) = (round % 8, 8 + round % 4);
+                        let paths = Some((policy, telemetry));
+                        let planned =
+                            c.plan_repair(record, failed, requestor, &[], &|_| false, paths);
+                        let mut nodes = planned.unwrap().directive.helper_nodes();
+                        nodes.sort_unstable();
+                        nodes.dedup();
+                        assert_eq!(nodes.len(), 4, "{policy}");
+                        assert!(!nodes.contains(&failed) && !nodes.contains(&requestor));
+                    }
+                });
+            }
+        });
+        assert_eq!(c.selection.lock().now, 3 * rounds as u64 * 4);
     }
 }

@@ -954,12 +954,10 @@ mod tests {
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(9, 6).unwrap());
         let (cluster, coordinator, data, stripe) = setup(code);
         cluster.erase_block(stripe, 2);
-        let directive = coordinator
+        let mut directive = coordinator
             .plan_single_repair(cluster.meta(), stripe, 2, 10)
             .unwrap();
-        let mut order = directive.helper_nodes();
-        order.reverse();
-        let directive = directive.with_path_order(&order);
+        directive.path.reverse();
         let transport = ChannelTransport::new();
         let repaired = execute_single(
             &directive,

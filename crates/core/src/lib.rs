@@ -7,9 +7,11 @@
 //!   holder of object records, stripe → node placements and their epochs;
 //!   [`Cluster`], the set of node stores, resolves block indices through it;
 //! * a [`Coordinator`] plans against that router: it holds the erasure code
-//!   and the helper-selection clock, selects helpers — including the greedy
-//!   least-recently-used scheduling of §3.3 — and turns a repair request into
-//!   a [`RepairDirective`];
+//!   and the helper-selection clock, and one planner in it chooses every
+//!   single-block repair's helpers — candidates ordered by a [`PathPolicy`]
+//!   (the greedy least-recently-used scheduling of §3.3, or the rack-aware
+//!   and weighted paths of §4.2 and §4.3), the set picked by the code — and
+//!   turns the request into a [`RepairDirective`];
 //! * each storage node hosts a helper that reads blocks directly from its
 //!   local [`BlockStore`] (the paper's helpers read blocks through the native
 //!   file system rather than the storage-system routine);
@@ -98,9 +100,7 @@ pub mod transport;
 
 pub use buf::{BufPool, PooledBuf};
 pub use cluster::Cluster;
-pub use coordinator::{
-    Coordinator, MultiRepairDirective, ObjectMeta, RepairDirective, SelectionPolicy,
-};
+pub use coordinator::{Coordinator, MultiRepairDirective, ObjectMeta, RepairDirective};
 pub use ecpipe_meta::{
     MetaBackend, MetaConfig, MetaError, MetaRouter, ObjectRecord, RepairRecord, StripeRecord,
 };

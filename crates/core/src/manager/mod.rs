@@ -14,9 +14,9 @@
 //! * a bounded worker pool executing many single-stripe repairs
 //!   concurrently, generic over [`Transport`];
 //! * an admission gate enforcing per-node in-flight caps on top of the
-//!   coordinator's [`SelectionPolicy::LeastRecentlyUsed`](crate::SelectionPolicy)
-//!   helper choice, so no node serves more than a configured number of
-//!   simultaneous repair roles;
+//!   coordinator's helper choice — made by its one planner under the
+//!   configured [`PathPolicy`] — so no node serves more than a configured
+//!   number of simultaneous repair roles;
 //! * a [liveness view](NodeHealth) fed by repair outcomes — a helper that
 //!   fails mid-flight earns strikes, a node crossing the threshold is
 //!   declared dead and its remaining stripes are auto-enqueued — with
@@ -721,6 +721,79 @@ mod tests {
         assert_eq!(report.blocks_repaired, 1);
         assert_eq!(report.degraded_wait.count, 1);
         assert_eq!(report.failed_repairs, 0);
+    }
+
+    /// A store whose helper reads panic, standing in for a bug anywhere
+    /// under a repair.
+    struct PanickingReads(crate::MemoryStore);
+
+    impl crate::BlockStore for PanickingReads {
+        fn get(&self, block: ecc::stripe::BlockId) -> Result<bytes::Bytes> {
+            self.0.get(block)
+        }
+        fn reader(&self, _block: ecc::stripe::BlockId) -> Result<Box<dyn crate::BlockReader + '_>> {
+            panic!("helper read of a broken store")
+        }
+        fn put(&self, block: ecc::stripe::BlockId, data: bytes::Bytes) -> Result<()> {
+            self.0.put(block, data)
+        }
+        fn delete(&self, block: ecc::stripe::BlockId) -> Result<bool> {
+            self.0.delete(block)
+        }
+        fn contains(&self, block: ecc::stripe::BlockId) -> bool {
+            self.0.contains(block)
+        }
+        fn list(&self) -> Vec<ecc::stripe::BlockId> {
+            self.0.list()
+        }
+    }
+
+    /// A repair that panics fails like any other: the read waiting on it
+    /// returns, the report lists it, and the one worker goes on to serve
+    /// the next repair.
+    #[test]
+    fn a_panicking_repair_fails_without_stranding_its_waiters() {
+        let mut stores: Vec<Arc<dyn crate::BlockStore>> = (0..10)
+            .map(|_| Arc::new(crate::MemoryStore::new()) as Arc<dyn crate::BlockStore>)
+            .collect();
+        stores[1] = Arc::new(PanickingReads(crate::MemoryStore::new()));
+        // Stripe s lies on nodes s..s + 6: block 0 of stripe 0 is rebuilt
+        // from node 1 and up, block 0 of stripe 2 from nodes 3..8 only.
+        let (cluster, coordinator, data) = setup_on(3, crate::StoreBackend::custom(stores));
+        cluster.erase_block(StripeId(0), 0);
+        cluster.erase_block(StripeId(2), 0);
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let manager = RepairManager::start(
+                coordinator,
+                cluster,
+                ChannelTransport::new(),
+                ManagerConfig::default().with_workers(1),
+            );
+            let read = |stripe: u64| {
+                manager.degraded_read(StripeId(stripe), 0, 9).unwrap();
+                manager.wait_for_block(StripeId(stripe), 0);
+                let block = ecc::stripe::BlockId::new(stripe, 0);
+                manager.cluster().store(9).get(block).ok()
+            };
+            let (broken, healthy) = (read(0), read(2));
+            let _ = done.send((broken, healthy, manager.shutdown()));
+        });
+        let (broken, healthy, report) = finished
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a read waiting on a panicking repair must return");
+        assert_eq!(broken, None);
+        assert_eq!(healthy, Some(bytes::Bytes::from(data[2][0].clone())));
+        assert_eq!((report.failed_repairs, report.blocks_repaired), (1, 1));
+        let failure = &report.failures[0];
+        assert_eq!((failure.stripe, failure.failed), (StripeId(0), 0));
+        assert!(
+            failure
+                .error
+                .contains("panicked: helper read of a broken store"),
+            "{}",
+            failure.error
+        );
     }
 
     /// A scrub during a node recovery waits for its own repairs, not for the

@@ -1,19 +1,21 @@
 //! The worker pool: admission gate, shared engine state and the per-worker
 //! repair loop.
 //!
-//! Every worker runs [`worker_loop`]: pop the most urgent request, plan it
-//! under the configured [`PathPolicy`] — flat least-recently-used helper
-//! selection (§3.3), rack-aware selection (§4.2) or weighted selection over
-//! live link telemetry (§4.3) — while excluding blocks on dead nodes, pass
-//! the chosen nodes through the admission gate (per-node in-flight caps —
-//! the runtime enforcement of the paper's "no overloaded helper"
-//! scheduling), execute, and store the reconstructed block. A helper whose
-//! block vanishes mid-flight earns a liveness strike and the repair is
-//! re-planned with the survivors (§3.2 straggler handling);
-//! with [`ManagerConfig::link_watch`] on, a path link measured below its
-//! nominal bandwidth is handled the same way, minus the strike.
+//! Every worker runs [`worker_loop`]: pop the most urgent request, have the
+//! coordinator's one planner ([`Coordinator::plan_repair`]) choose its
+//! helpers under the configured [`PathPolicy`](super::PathPolicy), the live
+//! link telemetry and the liveness view, pass the chosen nodes through the
+//! admission gate (per-node in-flight caps — the runtime enforcement of the
+//! paper's "no overloaded helper" scheduling), execute, and store the
+//! reconstructed block. A helper whose block vanishes mid-flight earns a
+//! liveness strike and the repair is re-planned with the survivors (§3.2
+//! straggler handling); with [`ManagerConfig::link_watch`] on, a path link
+//! measured below its nominal bandwidth is handled the same way, minus the
+//! strike. A repair that panics is recorded as failed, and its worker goes
+//! on serving.
 
 use std::collections::{HashMap, HashSet};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,12 +25,10 @@ use bytes::Bytes;
 use ecc::stripe::BlockId;
 use ecpipe_meta::{MetaError, MetaRouter, RepairRecord};
 use ecpipe_sync::{Condvar, Mutex, OnceFlag};
-use repair::rack_aware;
-use repair::weighted_path::optimal_path;
 use simnet::NodeId;
 
 use crate::cluster::Cluster;
-use crate::coordinator::{RepairDirective, SelectionPolicy};
+use crate::coordinator::RepairDirective;
 use crate::exec;
 use crate::lock_order;
 use crate::telemetry::LinkTelemetry;
@@ -38,7 +38,7 @@ use crate::{Coordinator, EcPipeError, Result};
 use super::liveness::Liveness;
 use super::metrics::{FailedRepair, MetricsCollector, RepairOutcome, ReplanEvent, ReplanReason};
 use super::queue::{QueuedRepair, RepairQueue, RepairRequest};
-use super::{ManagerConfig, PathPolicy};
+use super::ManagerConfig;
 
 /// The link watchdog judges a link only once it has been streaming (moving
 /// bytes) for this long, so pipeline fill and startup jitter cannot cancel
@@ -350,118 +350,37 @@ pub(crate) fn worker_loop<T: Transport + ?Sized>(
             engine.unschedule(key);
             continue;
         }
-        match run_one(engine, coord, cluster, transport, config, &job) {
+        // A repair that panics is a failed repair like any other: its
+        // waiters are released and the worker keeps serving.
+        let run = || run_one(engine, coord, cluster, transport, config, &job);
+        let result = panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("a non-string payload");
+            let error = format!("the repair panicked: {message}");
+            Err(failure(&job.request, error, 0))
+        });
+        match result {
             Ok((outcome, bytes, roles)) => engine.metrics.record_success(outcome, bytes, &roles),
-            Err(failure) => engine.metrics.record_failure(failure),
+            Err(failed) => engine.metrics.record_failure(failed),
         }
         engine.resolve_journal(key);
         engine.unschedule(key);
     }
 }
 
-/// A planned attempt: the directive plus what the planner knew about it.
-struct PlannedRepair {
-    directive: RepairDirective,
-    /// The weighted planner's bottleneck-weight estimate for the chosen
-    /// path, when one was computed.
-    bottleneck: Option<f64>,
-    /// A topology-aware policy had too few candidates (or no feasible
-    /// path) and this attempt degraded to flat LRU selection.
-    fell_back: bool,
-}
-
-/// Plans a repair under the configured [`PathPolicy`], excluding `excluded`
-/// block indices and every block that sits on a dead node.
-///
-/// The topology-aware policies choose the `k` helpers *and* their pipeline
-/// order up front — rack-aware per Algorithm 1, weighted per Algorithm 2
-/// over the engine's live telemetry — then pin the coordinator's plan to
-/// exactly that set by marking every other index unavailable (so the LRU
-/// truncation never reorders the choice) and applying the path order.
-fn plan_repair(
-    engine: &EngineState,
-    coord: &Coordinator,
-    config: &ManagerConfig,
-    request: &RepairRequest,
-    requestor: NodeId,
-    excluded: &[usize],
-) -> Result<PlannedRepair> {
-    // One placement snapshot serves helper choice and planning, so the
-    // chosen path order always matches the directive's helper set.
-    let record = engine
-        .meta
-        .stripe(request.stripe)
-        .ok_or(EcPipeError::UnknownStripe {
-            stripe: request.stripe.0,
-        })?;
-    let locations = &record.locations;
-    let mut unavailable = excluded.to_vec();
-    for (index, &node) in locations.iter().enumerate() {
-        if index != request.failed && !unavailable.contains(&index) && engine.liveness.is_dead(node)
-        {
-            unavailable.push(index);
-        }
+/// The failure the report keeps for `request`.
+fn failure(request: &RepairRequest, error: String, replans: usize) -> FailedRepair {
+    FailedRepair {
+        stripe: request.stripe,
+        failed: request.failed,
+        requestor: request.requestor,
+        priority: request.priority,
+        error,
+        replans,
     }
-    let mut bottleneck = None;
-    let mut fell_back = false;
-    let chosen: Option<Vec<NodeId>> = match (config.path_policy, &engine.telemetry) {
-        (PathPolicy::Lru, _) | (_, None) => None,
-        (policy, Some(telemetry)) => {
-            let k = coord.code().k();
-            // Candidate helpers, mirroring plan_single_repair's filter:
-            // not the failed block, not excluded/dead, not a block the
-            // requestor already holds.
-            let candidates: Vec<NodeId> = locations
-                .iter()
-                .enumerate()
-                .filter(|&(index, &node)| {
-                    index != request.failed && !unavailable.contains(&index) && node != requestor
-                })
-                .map(|(_, &node)| node)
-                .collect();
-            let selection =
-                match policy {
-                    PathPolicy::RackAware if candidates.len() >= k => Some(
-                        rack_aware::select_path(telemetry.topology(), requestor, &candidates, k),
-                    ),
-                    PathPolicy::Weighted => {
-                        optimal_path(telemetry, requestor, &candidates, k).map(|sel| {
-                            bottleneck = Some(sel.bottleneck_weight);
-                            sel.path
-                        })
-                    }
-                    _ => None,
-                };
-            fell_back = selection.is_none();
-            selection
-        }
-    };
-    if let Some(order) = &chosen {
-        // Pin the plan to exactly the chosen helpers: every other index
-        // becomes unavailable, leaving plan_single_repair a helper set
-        // of size k in which LRU has nothing left to decide.
-        for (index, node) in locations.iter().enumerate() {
-            if index != request.failed && !unavailable.contains(&index) && !order.contains(node) {
-                unavailable.push(index);
-            }
-        }
-    }
-    let directive = coord.plan_single_repair_of(
-        &record,
-        request.failed,
-        requestor,
-        &unavailable,
-        SelectionPolicy::LeastRecentlyUsed,
-    )?;
-    let directive = match chosen {
-        Some(order) => directive.with_path_order(&order),
-        None => directive,
-    };
-    Ok(PlannedRepair {
-        directive,
-        bottleneck,
-        fell_back,
-    })
 }
 
 /// Executes one request end to end, re-planning around helpers that die
@@ -481,14 +400,7 @@ fn run_one<T: Transport + ?Sized>(
     let queue_wait = job.enqueued.elapsed();
     let started_seq = engine.metrics.begin_repair();
     let started = Instant::now();
-    let fail = |error: EcPipeError, replans| FailedRepair {
-        stripe: request.stripe,
-        failed: request.failed,
-        requestor: request.requestor,
-        priority: request.priority,
-        error: error.to_string(),
-        replans,
-    };
+    let fail = |error: EcPipeError, replans| failure(request, error.to_string(), replans);
     // Requestor candidates: the requested node first, then the
     // auto-recovery pool as fallbacks. A requestor that already holds
     // blocks of the stripe (e.g. after earlier relocations) can shrink the
@@ -541,9 +453,26 @@ fn run_one<T: Transport + ?Sized>(
         if let Some(telemetry) = &engine.telemetry {
             telemetry.observe(transport.stats());
         }
-        // Plan fresh on each attempt: after a helper loss the helper set
-        // must shrink around the excluded block.
-        let planned = match plan_repair(engine, coord, config, request, requestor, &excluded) {
+        // Plan fresh on each attempt, from the placement as it is now: after
+        // a helper loss the helper set must shrink around the excluded block.
+        let stripe = request.stripe;
+        let planned = engine
+            .meta
+            .stripe(stripe)
+            .ok_or(EcPipeError::UnknownStripe { stripe: stripe.0 })
+            .and_then(|record| {
+                let is_dead = |node| engine.liveness.is_dead(node);
+                let paths = engine.telemetry.as_ref().map(|t| (config.path_policy, t));
+                coord.plan_repair(
+                    &record,
+                    request.failed,
+                    requestor,
+                    &excluded,
+                    &is_dead,
+                    paths,
+                )
+            });
+        let planned = match planned {
             Ok(p) => p,
             Err(error @ EcPipeError::Planning(_)) => {
                 if requestor_idx + 1 < requestors.len() {
@@ -825,7 +754,10 @@ where
                 }
             }
         }
-        execution.join().expect("repair execution must not panic")
+        // A panic carries on to the worker, which records it.
+        execution
+            .join()
+            .unwrap_or_else(|payload| panic::resume_unwind(payload))
     });
     (outcome, slow)
 }

@@ -278,22 +278,38 @@ fn strategies_serve_degraded_reads() {
 }
 
 /// An LRC-coded deployment repairs a lost data block from its local group
-/// alone: `k / l` blocks cross the network, not `k`.
+/// alone: `k / l` blocks cross the network, not `k`. The group stays local
+/// for the next repair in it, and a group that lost two blocks repairs the
+/// first from the global parities and the second locally again.
 #[test]
 fn lrc_backed_system_repairs_locally() {
     let (k, groups) = (12, 2);
-    let pipe = EcPipeBuilder::new()
-        .erasure_code(Arc::new(Lrc::new(k, groups, 2).expect("valid LRC")))
-        .block_size(BLOCK)
-        .slice_size(SLICE)
-        .store(StoreBackend::memory(20))
-        .build()
-        .expect("façade builds");
-    let data = pattern(k * BLOCK, 31);
-    let meta = pipe.put("/lrc", &data).expect("put");
-    pipe.erase_block(meta.stripes[0], 3);
-    assert_eq!(pipe.get("/lrc").expect("degraded read"), data);
-    let report = pipe.shutdown();
-    assert_eq!(report.blocks_repaired, 1);
-    assert_eq!(report.network_bytes, (k / groups * BLOCK) as u64);
+    let local = k / groups * BLOCK;
+    // The blocks of group 0 erased before each read, and the bytes all the
+    // reads' repairs move.
+    let cases: [(&[&[usize]], usize); 2] =
+        [(&[&[3], &[1]], 2 * local), (&[&[1, 3]], k * BLOCK + local)];
+    for (reads, bytes) in cases {
+        let pipe = EcPipeBuilder::new()
+            .erasure_code(Arc::new(Lrc::new(k, groups, 2).expect("valid LRC")))
+            .block_size(BLOCK)
+            .slice_size(SLICE)
+            .store(StoreBackend::memory(20))
+            .build()
+            .expect("façade builds");
+        let data = pattern(k * BLOCK, 31);
+        let meta = pipe.put("/lrc", &data).expect("put");
+        let mut erased = 0;
+        for &blocks in reads {
+            for &index in blocks {
+                assert!(pipe.erase_block(meta.stripes[0], index));
+            }
+            erased += blocks.len();
+            assert_eq!(pipe.get("/lrc").expect("degraded read"), data);
+        }
+        let report = pipe.shutdown();
+        assert_eq!(report.blocks_repaired, erased, "{reads:?}");
+        assert_eq!(report.failed_repairs, 0, "{reads:?}");
+        assert_eq!(report.network_bytes, bytes as u64, "{reads:?}");
+    }
 }

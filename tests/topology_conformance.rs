@@ -4,7 +4,8 @@
 //! Pins the paper's Fig. 11 claim — weighted path selection (Algorithm 2)
 //! beats topology-blind selection when links are heterogeneous — on both
 //! transport backends, the rack-aware (Algorithm 1) cross-rack traffic
-//! bound, the per-directed-pair byte accounting the telemetry layer is
+//! bound, local LRC repair under both topology-aware policies, the
+//! per-directed-pair byte accounting the telemetry layer is
 //! built on, and the mid-stream link watchdog: a link degraded while a
 //! repair streams over it triggers a re-plan that still completes
 //! byte-exact.
@@ -13,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use repair_pipelining::ecc::slice::SliceLayout;
-use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
+use repair_pipelining::ecc::{ErasureCode, Lrc, ReedSolomon};
 use repair_pipelining::ecpipe::exec::{execute_single, ExecStrategy};
 use repair_pipelining::ecpipe::transport::{
     ChannelTransport, ReactorTransport, TcpTransport, Transport,
@@ -185,6 +186,53 @@ fn rack_aware_moves_fewer_cross_rack_bytes_than_lru() {
     );
     assert_eq!(cross_bytes[1], minimum as u64 * BLOCK as u64);
     assert!(cross_bytes[1] < cross_bytes[0]);
+}
+
+// ---------------------------------------------------------------------------
+// A code that is not MDS: the topology-aware policies order an LRC repair's
+// candidates, and the code still picks its local group from them.
+// ---------------------------------------------------------------------------
+
+/// An LRC(12, 2, 2) stripe on a 20-node, 4-rack topology loses a data
+/// block. Under each topology-aware policy the degraded read returns
+/// byte-exact from the block's local group, within a deadline.
+#[test]
+fn topology_aware_policies_repair_lrc_locally() {
+    const BLOCK: usize = 16 * 1024;
+    const SLICE: usize = 2 * 1024;
+    const INNER: f64 = 64.0 * 1024.0 * 1024.0;
+    const CROSS: f64 = 16.0 * 1024.0 * 1024.0;
+    let (k, groups) = (12, 2);
+
+    for policy in [PathPolicy::RackAware, PathPolicy::Weighted] {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pipe = EcPipeBuilder::new()
+                .erasure_code(Arc::new(Lrc::new(k, groups, 2).unwrap()))
+                .block_size(BLOCK)
+                .slice_size(SLICE)
+                .store(StoreBackend::memory(20))
+                .topology(Topology::rack_based(&[5, 5, 5, 5], INNER, CROSS))
+                .path_policy(policy)
+                .build()
+                .unwrap();
+            let data = pattern(k * BLOCK, 5);
+            let meta = pipe.put("/lrc", &data).unwrap();
+            pipe.erase_block(meta.stripes[0], 3);
+            let exact = pipe.get("/lrc").map(|read| read == data);
+            let _ = done.send((exact, pipe.shutdown()));
+        });
+        let (exact, report) = finished
+            .recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("{policy}: the degraded read did not return in 20 s"));
+        assert!(exact.unwrap(), "{policy} repair must be byte-exact");
+        assert_eq!(report.blocks_repaired, 1, "{policy}");
+        assert_eq!(
+            report.network_bytes,
+            (k / groups * BLOCK) as u64,
+            "{policy} repair must read the local group only"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
