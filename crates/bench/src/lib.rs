@@ -24,8 +24,6 @@ pub const KIB: usize = 1024;
 pub const DEFAULT_BLOCK: usize = 64 * MIB;
 /// The paper's default slice size (32 KiB).
 pub const DEFAULT_SLICE: usize = 32 * KIB;
-/// The paper's default coding parameters (Facebook's (14,10)).
-pub const DEFAULT_NK: (usize, usize) = (14, 10);
 
 /// The local-cluster simulator of §6.1: 16 helpers + coordinator + requestor
 /// machines on a 1 Gb/s switch, with the measured disk/CPU/request overheads.

@@ -264,6 +264,16 @@ impl EcPipeBuilder {
     /// Builds the runtime: stores, cluster, coordinator, transport, and the
     /// repair-manager daemon serving the degraded-read path.
     pub fn build(self) -> Result<EcPipe> {
+        // `SliceLayout::new` panics on a zero size, and a zero rate would be
+        // clamped to 1 B/s links: report all three as bad settings instead.
+        if self.block_size == 0 || self.slice_size == 0 || self.rate_limit == Some(0) {
+            return Err(EcPipeError::InvalidRequest {
+                reason: format!(
+                    "block size {}, slice size {} and rate limit {:?} must be positive",
+                    self.block_size, self.slice_size, self.rate_limit
+                ),
+            });
+        }
         let code: Arc<dyn ErasureCode> = match self.code {
             Some(code) => code,
             None => Arc::new(ReedSolomon::new(self.nk.0, self.nk.1)?),
@@ -1194,6 +1204,20 @@ mod tests {
             .store(StoreBackend::memory(5))
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn builder_rejects_zero_sizes_and_rates() {
+        for builder in [
+            EcPipeBuilder::new().block_size(0),
+            EcPipeBuilder::new().slice_size(0),
+            EcPipeBuilder::new().rate_limit(0),
+        ] {
+            assert!(matches!(
+                builder.build(),
+                Err(EcPipeError::InvalidRequest { .. })
+            ));
+        }
     }
 
     #[test]

@@ -98,11 +98,6 @@ impl BlockChecksums {
         self.len
     }
 
-    /// The number of checksum chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.sums.len()
-    }
-
     /// Verifies a whole block against the recorded checksums. Returns the
     /// index of the first failing chunk (a length mismatch counts as chunk
     /// 0: the block was truncated or grew behind the checksums' back).
@@ -254,16 +249,6 @@ impl<S: BlockStore> ChecksummedStore<S> {
     /// The checksum chunk size in bytes.
     pub fn chunk_size(&self) -> usize {
         self.chunk_size
-    }
-
-    /// Verifies every stored block and returns the ids that failed, in
-    /// order. This is the store-level primitive behind the manager's
-    /// scrubber.
-    pub fn verify_all(&self) -> Vec<BlockId> {
-        self.list()
-            .into_iter()
-            .filter(|&block| matches!(self.verify(block), Err(EcPipeError::CorruptBlock { .. })))
-            .collect()
     }
 
     /// Opens `block` in the inner store and reads its trailer, once for
@@ -531,7 +516,6 @@ mod tests {
     fn checksums_verify_and_localize_corruption() {
         let data: Vec<u8> = (0..2000u32).map(|i| (i % 251) as u8).collect();
         let sums = BlockChecksums::compute(&data, 512);
-        assert_eq!(sums.chunk_count(), 4);
         assert_eq!(sums.block_len(), 2000);
         assert!(sums.verify(&data).is_ok());
         let mut rotten = data.clone();
@@ -609,11 +593,13 @@ mod tests {
             data[2560..]
         );
         assert!(store.get_range(block(1, 0), 2000..2100).is_err());
-        assert_eq!(store.verify_all(), vec![block(1, 0)]);
+        assert!(matches!(
+            store.verify(block(1, 0)),
+            Err(EcPipeError::CorruptBlock { chunk: 4, .. })
+        ));
         // A rewrite refreshes the checksums and heals the block.
         store.put(block(1, 0), Bytes::from(data.clone())).unwrap();
         assert!(store.verify(block(1, 0)).is_ok());
-        assert!(store.verify_all().is_empty());
     }
 
     #[test]

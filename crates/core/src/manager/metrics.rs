@@ -221,11 +221,6 @@ impl ManagerReport {
         self.peak_inflight.values().copied().max().unwrap_or(0)
     }
 
-    /// The heaviest per-node load (repairs served) in the histogram.
-    pub fn max_node_load(&self) -> usize {
-        self.node_load.values().copied().max().unwrap_or(0)
-    }
-
     /// Blocks verified across all scrub cycles.
     pub fn blocks_scrubbed(&self) -> usize {
         self.scrub_cycles.iter().map(|c| c.blocks_scanned).sum()
@@ -458,7 +453,6 @@ mod tests {
         assert_eq!(report.node_load[&4], 2);
         assert_eq!(report.peak_inflight[&4], 3);
         assert_eq!(report.max_inflight(), 3);
-        assert_eq!(report.max_node_load(), 2);
         assert_eq!(report.degraded_wait.count, 1);
         assert_eq!(report.background_wait.count, 1);
         assert_eq!(report.background_wait.mean(), Duration::from_millis(5));

@@ -8,9 +8,6 @@
 //! * [`Lrc`] — Azure-style Local Reconstruction Codes (§6.1): `k` data
 //!   blocks in `l` local groups, one local parity per group plus `g` global
 //!   parities; a single data-block repair only reads its local group.
-//! * [`RotatedRs`] — Rotated Reed-Solomon codes (§6.1): a sub-stripe layout
-//!   that rotates parity coverage across rows so that degraded reads touch
-//!   fewer bytes than plain RS.
 //!
 //! All codes expose the same [`ErasureCode`] interface plus a linear
 //! [`RepairPlan`]: the list of source blocks and the decoding coefficients
@@ -29,7 +26,6 @@ mod error;
 mod linear;
 mod lrc;
 mod plan;
-mod rotated;
 mod rs;
 pub mod slice;
 pub mod stripe;
@@ -38,7 +34,6 @@ mod traits;
 pub use error::CodeError;
 pub use lrc::Lrc;
 pub use plan::{MultiRepairPlan, RepairPlan, RepairSource};
-pub use rotated::RotatedRs;
 pub use rs::ReedSolomon;
 pub use traits::ErasureCode;
 

@@ -89,11 +89,6 @@ pub struct MultiRepairPlan {
 }
 
 impl MultiRepairPlan {
-    /// The number of failed blocks being reconstructed.
-    pub fn failure_count(&self) -> usize {
-        self.failed.len()
-    }
-
     /// The number of helpers read.
     pub fn helper_count(&self) -> usize {
         self.helpers.len()
@@ -156,7 +151,6 @@ mod tests {
             helpers: vec![0, 1],
             coefficients: vec![vec![1, 2], vec![3, 4]],
         };
-        assert_eq!(multi.failure_count(), 2);
         assert_eq!(multi.helper_count(), 2);
         let p1 = multi.single_plan(1);
         assert_eq!(p1.failed, 5);

@@ -69,33 +69,6 @@ impl SliceLayout {
     pub fn slice_len(&self, index: usize) -> usize {
         self.slice_range(index).len()
     }
-
-    /// Splits a block into owned slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block length does not match `block_size`.
-    pub fn split(&self, block: &[u8]) -> Vec<Vec<u8>> {
-        assert_eq!(block.len(), self.block_size, "block length mismatch");
-        (0..self.slice_count())
-            .map(|i| block[self.slice_range(i)].to_vec())
-            .collect()
-    }
-
-    /// Reassembles slices into a block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices do not exactly tile the block.
-    pub fn join(&self, slices: &[Vec<u8>]) -> Vec<u8> {
-        assert_eq!(slices.len(), self.slice_count(), "slice count mismatch");
-        let mut block = Vec::with_capacity(self.block_size);
-        for (i, s) in slices.iter().enumerate() {
-            assert_eq!(s.len(), self.slice_len(i), "slice {i} length mismatch");
-            block.extend_from_slice(s);
-        }
-        block
-    }
 }
 
 #[cfg(test)]
@@ -132,15 +105,6 @@ mod tests {
         SliceLayout::new(100, 30).slice_range(4);
     }
 
-    #[test]
-    fn split_join_roundtrip() {
-        let layout = SliceLayout::new(1000, 64);
-        let block: Vec<u8> = (0..1000).map(|i| (i % 251) as u8).collect();
-        let slices = layout.split(&block);
-        assert_eq!(slices.len(), layout.slice_count());
-        assert_eq!(layout.join(&slices), block);
-    }
-
     proptest! {
         #[test]
         fn ranges_tile_the_block(block_size in 1usize..10_000, slice_size in 1usize..4096) {
@@ -152,13 +116,6 @@ mod tests {
                 covered = r.end;
             }
             prop_assert_eq!(covered, block_size);
-        }
-
-        #[test]
-        fn split_join_identity(block in proptest::collection::vec(any::<u8>(), 1..2048),
-                               slice_size in 1usize..512) {
-            let layout = SliceLayout::new(block.len(), slice_size);
-            prop_assert_eq!(layout.join(&layout.split(&block)), block);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Stripe-level metadata: block identities and stripe configuration.
+//! Stripe-level metadata: block identities.
 //!
 //! A large-scale storage system stores many independently encoded stripes of
 //! `n` blocks each (§2.1). These types give stripes and blocks stable
@@ -6,8 +6,6 @@
 //! the storage-system models.
 
 use serde::{Deserialize, Serialize};
-
-use crate::slice::SliceLayout;
 
 /// Identifier of a stripe within a storage system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -39,75 +37,13 @@ impl std::fmt::Display for BlockId {
     }
 }
 
-/// Static configuration of the erasure-coded layout of a storage system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StripeConfig {
-    /// Total blocks per stripe.
-    pub n: usize,
-    /// Data blocks per stripe.
-    pub k: usize,
-    /// Block / slice partitioning.
-    pub layout: SliceLayout,
-}
-
-impl StripeConfig {
-    /// Creates a stripe configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or `k >= n`.
-    pub fn new(n: usize, k: usize, layout: SliceLayout) -> Self {
-        assert!(k > 0 && k < n, "require 0 < k < n");
-        StripeConfig { n, k, layout }
-    }
-
-    /// The paper's default configuration: (14, 10) RS with 64 MiB blocks and
-    /// 32 KiB slices.
-    pub fn paper_default() -> Self {
-        StripeConfig::new(14, 10, SliceLayout::paper_default())
-    }
-
-    /// Number of parity blocks per stripe.
-    pub fn parity_count(&self) -> usize {
-        self.n - self.k
-    }
-
-    /// Storage overhead factor (`n / k`).
-    pub fn storage_overhead(&self) -> f64 {
-        self.n as f64 / self.k as f64
-    }
-
-    /// The amount of repair traffic (bytes) a conventional single-block
-    /// repair reads for this configuration.
-    pub fn conventional_repair_traffic(&self) -> usize {
-        self.k * self.layout.block_size
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slice::MIB;
 
     #[test]
     fn block_id_display() {
         assert_eq!(BlockId::new(3, 7).to_string(), "s3b7");
-    }
-
-    #[test]
-    fn paper_default_config() {
-        let cfg = StripeConfig::paper_default();
-        assert_eq!(cfg.n, 14);
-        assert_eq!(cfg.k, 10);
-        assert_eq!(cfg.parity_count(), 4);
-        assert!((cfg.storage_overhead() - 1.4).abs() < 1e-9);
-        assert_eq!(cfg.conventional_repair_traffic(), 10 * 64 * MIB);
-    }
-
-    #[test]
-    #[should_panic(expected = "require 0 < k < n")]
-    fn invalid_config_panics() {
-        StripeConfig::new(4, 4, SliceLayout::new(1024, 128));
     }
 
     #[test]

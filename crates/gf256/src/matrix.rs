@@ -153,23 +153,6 @@ impl Matrix {
         out
     }
 
-    /// Multiplies the matrix by a column vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vec.len() != cols`.
-    pub fn mul_vec(&self, vec: &[Gf256]) -> Vec<Gf256> {
-        assert_eq!(vec.len(), self.cols, "vector length must match columns");
-        (0..self.rows)
-            .map(|i| {
-                self.row(i)
-                    .iter()
-                    .zip(vec)
-                    .fold(Gf256::ZERO, |acc, (&a, &x)| acc + a * x)
-            })
-            .collect()
-    }
-
     /// Inverts a square matrix with Gauss-Jordan elimination.
     ///
     /// Returns `None` if the matrix is singular.
@@ -338,21 +321,6 @@ mod tests {
         let s = m.select_rows(&[4, 1]);
         assert_eq!(s.row(0), m.row(4));
         assert_eq!(s.row(1), m.row(1));
-    }
-
-    #[test]
-    fn mul_vec_matches_mul() {
-        let m = Matrix::cauchy(3, 4);
-        let v = vec![Gf256(1), Gf256(2), Gf256(3), Gf256(4)];
-        let mut col = Matrix::zero(4, 1);
-        for (i, &x) in v.iter().enumerate() {
-            col.set(i, 0, x);
-        }
-        let prod = m.mul(&col);
-        let vec_prod = m.mul_vec(&v);
-        for (i, &expected) in vec_prod.iter().enumerate() {
-            assert_eq!(prod.get(i, 0), expected);
-        }
     }
 
     proptest! {

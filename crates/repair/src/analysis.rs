@@ -27,12 +27,6 @@ pub fn rp_single(k: usize, s: usize) -> f64 {
     1.0 + (k - 1) as f64 / s as f64
 }
 
-/// Timeslots for the cyclic version of repair pipelining (§4.1). Identical to
-/// the basic version in homogeneous networks: `1 + (k - 1) / s`.
-pub fn rp_cyclic_single(k: usize, s: usize) -> f64 {
-    rp_single(k, s)
-}
-
 /// Timeslots for the block-level pipelining baseline (`Pipe-B`, the naive
 /// approach of §3.2): `k`, the same as conventional repair.
 pub fn pipe_b_single(k: usize) -> f64 {

@@ -62,24 +62,6 @@ impl SingleRepairJob {
         self.layout.slice_count()
     }
 
-    /// Returns a copy of the job with the helpers reordered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is not a permutation of the current helpers.
-    pub fn with_helper_order(&self, order: Vec<NodeId>) -> Self {
-        let mut a = self.helpers.clone();
-        let mut b = order.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "order must be a permutation of the helpers");
-        SingleRepairJob {
-            helpers: order,
-            requestor: self.requestor,
-            layout: self.layout,
-        }
-    }
-
     /// The helpers as the `(node, block, coefficient)` path that
     /// [`RepairDag::star`] and [`RepairDag::tree`] take (the chain is
     /// [`MultiRepairJob::dag`] with one requestor). A job names nodes, not
@@ -172,20 +154,6 @@ mod tests {
     #[should_panic(expected = "duplicate helper node")]
     fn duplicate_helper_panics() {
         SingleRepairJob::new(vec![1, 1, 2], 0, layout());
-    }
-
-    #[test]
-    fn reorder_helpers() {
-        let job = SingleRepairJob::new(vec![1, 2, 3], 0, layout());
-        let reordered = job.with_helper_order(vec![3, 1, 2]);
-        assert_eq!(reordered.helpers, vec![3, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn reorder_with_wrong_set_panics() {
-        let job = SingleRepairJob::new(vec![1, 2, 3], 0, layout());
-        job.with_helper_order(vec![4, 1, 2]);
     }
 
     #[test]

@@ -502,6 +502,27 @@ mod tests {
     }
 
     #[test]
+    fn cross_rack_transfers_share_the_rack_core_link() {
+        // Each pair below uses distinct NICs, so only the rack core link
+        // (GBIT / 2, shared by all of a rack's cross-rack traffic) can make
+        // two transfers wait for each other.
+        let sim = Simulator::new(
+            Topology::rack_based(&[2, 2], GBIT, GBIT / 2.0),
+            CostModel::network_only(),
+        );
+        let makespan = |pairs: &[(usize, usize)]| {
+            let mut s = Schedule::new();
+            for &(src, dst) in pairs {
+                s.transfer(src, dst, 1_000_000, &[]);
+            }
+            sim.run(&s).makespan
+        };
+        assert!((makespan(&[(0, 2)]) - 0.016).abs() < 1e-9);
+        assert!((makespan(&[(0, 2), (1, 3)]) - 0.032).abs() < 1e-9);
+        assert!((makespan(&[(0, 1), (2, 3)]) - 0.008).abs() < 1e-9);
+    }
+
+    #[test]
     fn connection_setup_cost() {
         let cost = CostModel {
             connection_setup: 0.25,

@@ -121,22 +121,6 @@ impl Topology {
         topo
     }
 
-    /// Builds a topology from an explicit per-directed-pair bandwidth matrix
-    /// (row-major, `num_nodes x num_nodes`). Diagonal entries are ignored.
-    pub fn from_matrix(num_nodes: usize, matrix: &[f64]) -> Self {
-        assert_eq!(matrix.len(), num_nodes * num_nodes, "matrix size mismatch");
-        let max_bw = matrix.iter().copied().fold(0.0f64, f64::max);
-        let mut topo = Topology::flat(num_nodes, max_bw.max(1.0));
-        for src in 0..num_nodes {
-            for dst in 0..num_nodes {
-                if src != dst {
-                    topo.pair_bw[src * num_nodes + dst] = Some(matrix[src * num_nodes + dst]);
-                }
-            }
-        }
-        topo
-    }
-
     /// The number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
@@ -211,14 +195,6 @@ impl Topology {
     /// topologies do not).
     pub fn rack_link_capacity(&self) -> Option<f64> {
         self.rack_link_capacity
-    }
-
-    /// Overrides the aggregate per-rack core-link capacity.
-    pub fn set_rack_link_capacity(&mut self, capacity: Option<f64>) {
-        if let Some(c) = capacity {
-            assert!(c > 0.0, "rack link capacity must be positive");
-        }
-        self.rack_link_capacity = capacity;
     }
 
     /// The effective bandwidth of a transfer from `src` to `dst`: the pair
