@@ -17,6 +17,8 @@
 //! * [`ExecStrategy::BlockPipeline`] — the `Pipe-B` baseline of §6.4: the
 //!   same chain with one slice per block.
 //! * [`execute_multi`] — the chain carrying `f` rows of partial sums (§4.4).
+//! * [`RepairDag::cyclic`] — `k − 1` chains over interleaved slice sets
+//!   (§4.1), walked by [`execute_single_cancellable`]: no strategy names it.
 //!
 //! # One thread, every stage
 //!
@@ -54,11 +56,14 @@
 //! wire). Timing-shape experiments at scale still run on the `simnet`
 //! simulator.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::time::Instant;
 
 use bytes::Bytes;
-use ecpipe_sync::OnceFlag;
+/// The cancellation flag [`execute_single_cancellable`] watches.
+pub use ecpipe_sync::OnceFlag;
 use gf256::Gf256;
 use repair::dag::{Output, RepairDag, Stage};
 
@@ -154,10 +159,9 @@ pub fn execute_single<T: Transport + ?Sized>(
     execute_single_cancellable(directive, &dag, cluster, transport, &OnceFlag::new())
 }
 
-/// Walks `dag` — the plan [`single_dag`] made for `directive` — with
-/// cooperative cancellation: once `cancel` is set, the walk stops before
-/// its next slice and the repair fails with an [`EcPipeError::Execution`]
-/// error instead of completing.
+/// Walks `dag`, a plan for `directive`, with cooperative cancellation: once
+/// `cancel` is set, the walk stops before its next slice and the repair
+/// fails with an [`EcPipeError::Execution`] error instead of completing.
 ///
 /// The repair manager's link watchdog uses this to abandon a stream whose
 /// path crosses a degraded link, then re-plans the repair around it; it
@@ -218,19 +222,21 @@ impl Walk<'_> {
         if dag.stages().is_empty() {
             return Err(execution_error("repair path has no helpers"));
         }
-        // Pre-flight: every helper opens its block, once for all its slices,
-        // before any link exists. A block that disappeared after planning
-        // surfaces as `BlockNotFound`, which lets the caller restart with a
-        // different helper set (§3.2).
-        let readers = dag
-            .stages()
-            .iter()
-            .map(|stage| self.cluster.store(stage.node).reader(stage.block))
-            .collect::<Result<Vec<_>>>()?;
+        // Pre-flight: every helper opens its block, once for all the slices
+        // of all its stages, before any link exists. A block that disappeared
+        // after planning surfaces as `BlockNotFound`, which lets the caller
+        // restart with a different helper set (§3.2).
+        let mut readers = HashMap::new();
+        for stage in dag.stages() {
+            if let Entry::Vacant(entry) = readers.entry((stage.node, stage.block)) {
+                entry.insert(self.cluster.store(stage.node).reader(stage.block)?);
+            }
+        }
 
         let mut links = Vec::new();
-        let mut stages: Vec<Cursor<'_>> = Vec::with_capacity(readers.len());
-        for (index, (stage, block)) in dag.stages().iter().zip(readers).enumerate() {
+        let mut stages: Vec<Cursor<'_>> = Vec::with_capacity(dag.stages().len());
+        for (index, stage) in dag.stages().iter().enumerate() {
+            let block = &*readers[&(stage.node, stage.block)];
             let outputs = dag
                 .destinations(index)
                 .into_iter()
@@ -388,12 +394,19 @@ impl Link {
         Ok(())
     }
 
-    fn recv(&mut self) -> Result<SliceMsg> {
+    /// Receives the next frame, which the plan says is slice `index`, `len`
+    /// bytes long; a frame that is not fails the repair.
+    fn recv(&mut self, index: usize, len: usize) -> Result<SliceMsg> {
         let msg = self
             .rx
             .recv()
             .ok_or_else(|| execution_error("a link ended before a slice sent on it arrived"))?;
         self.received += 1;
+        let got = (msg.index, msg.data.len());
+        if got != (index, len) {
+            let reason = format!("expected (slice, bytes) ({index}, {len}), got {got:?}");
+            return Err(execution_error(reason));
+        }
         Ok(msg)
     }
 }
@@ -410,26 +423,28 @@ enum Turn {
 /// A helper stage's next step.
 #[derive(Clone, Copy)]
 enum Step {
-    /// Fold slice `slice` of input `input` into the window's partial sums.
+    /// Fold the `pos`-th slice of the set from input `input` into the
+    /// window's partial sums.
     Fold {
         input: usize,
-        slice: usize,
+        pos: usize,
     },
-    /// Send slice `slice` on.
+    /// Send the `pos`-th slice of the set on.
     Send {
-        slice: usize,
+        pos: usize,
     },
     Done,
 }
 
-/// Where one helper stage is in its block. It works a window of slices at a
-/// time — each input's slices of the window folded in fold order, then the
-/// window sent on. A cut-through stage's window is one slice, so it works on
-/// slice `j` while its downstream stage works on `j - 1`; a store-and-forward
-/// stage's window is the whole block — unless it has no inputs to wait for.
+/// Where one helper stage is in its slice set. It works a window of slices
+/// at a time — each input's slices of the window folded in fold order, then
+/// the window sent on. A cut-through stage's window is one slice, so it
+/// works on one slice while its downstream stage works on the one before; a
+/// store-and-forward stage's window is its whole set — unless it has no
+/// inputs to wait for.
 struct Cursor<'a> {
     stage: &'a Stage,
-    block: Box<dyn BlockReader + 'a>,
+    block: &'a dyn BlockReader,
     /// The links it folds, in fold order, and the links it sends on (one per
     /// destination), as indices into the walker's links.
     inputs: Vec<usize>,
@@ -437,8 +452,11 @@ struct Cursor<'a> {
     /// The stage's column of the decode matrix, one coefficient per row.
     coeffs: gf256::Matrix,
     layout: SliceLayout,
-    /// Slices per window.
+    /// Slices in the set, and per window.
+    count: usize,
     width: usize,
+    /// The window being worked, as positions in the set.
+    window: Range<usize>,
     next: Step,
     /// The window's partial sums, from its first slice on.
     held: VecDeque<PooledBuf>,
@@ -448,11 +466,12 @@ impl<'a> Cursor<'a> {
     fn new(
         dag: &RepairDag,
         stage: &'a Stage,
-        block: Box<dyn BlockReader + 'a>,
+        block: &'a dyn BlockReader,
         inputs: Vec<usize>,
         outputs: Vec<usize>,
     ) -> Self {
         let layout = dag.layout();
+        let count = stage.slices(layout).len();
         let per_slice = stage.cut_through || inputs.is_empty();
         let mut cursor = Cursor {
             stage,
@@ -461,7 +480,9 @@ impl<'a> Cursor<'a> {
             outputs,
             coeffs: gf256::Matrix::from_bytes(dag.rows(), 1, &stage.coeffs),
             layout,
-            width: if per_slice { 1 } else { layout.slice_count() },
+            count,
+            width: if per_slice { 1 } else { count },
+            window: 0..0,
             next: Step::Done,
             held: VecDeque::new(),
         };
@@ -469,23 +490,19 @@ impl<'a> Cursor<'a> {
         cursor
     }
 
-    /// The first step of the window that starts at `slice`.
-    fn window_from(&self, slice: usize) -> Step {
-        match (slice == self.layout.slice_count(), self.inputs.is_empty()) {
+    /// Opens the window that starts at `pos` and returns its first step.
+    fn window_from(&mut self, pos: usize) -> Step {
+        self.window = pos..(pos + self.width).min(self.count);
+        match (pos == self.count, self.inputs.is_empty()) {
             (true, _) => Step::Done,
-            (false, true) => Step::Send { slice },
-            (false, false) => Step::Fold { input: 0, slice },
+            (false, true) => Step::Send { pos },
+            (false, false) => Step::Fold { input: 0, pos },
         }
     }
 
-    /// The first slice of the window holding `slice`.
-    fn window_start(&self, slice: usize) -> usize {
-        slice - slice % self.width
-    }
-
-    /// The last slice of the window holding `slice`, plus one.
-    fn window_end(&self, slice: usize) -> usize {
-        (self.window_start(slice) + self.width).min(self.layout.slice_count())
+    /// The block's slice at `pos` in the set.
+    fn slice(&self, pos: usize) -> usize {
+        self.stage.first + pos * self.stage.stride
     }
 
     /// Takes the stage's next step if nothing it needs is missing.
@@ -498,36 +515,37 @@ impl<'a> Cursor<'a> {
     ) -> Result<Turn> {
         match self.next {
             Step::Done => Ok(Turn::Blocked(None)),
-            Step::Fold { input, slice } => {
+            Step::Fold { input, pos } => {
                 let link = &mut links[self.inputs[input]];
                 if !link.holds_a_frame(patient) {
                     return Ok(Turn::Blocked(None));
                 }
+                let slice = self.slice(pos);
                 if input == 0 {
                     let partial = self.local_partial(slice, pool)?;
                     self.held.push_back(partial);
                 }
-                let msg = link.recv()?;
-                let held = slice - self.window_start(slice);
-                gf256::add_slice(&msg.data, &mut self.held[held]);
-                self.next = if slice + 1 < self.window_end(slice) {
+                let held = &mut self.held[pos - self.window.start];
+                let msg = link.recv(slice, held.len())?;
+                gf256::add_slice(&msg.data, held);
+                let start = self.window.start;
+                self.next = if pos + 1 < self.window.end {
                     Step::Fold {
                         input,
-                        slice: slice + 1,
+                        pos: pos + 1,
                     }
                 } else if input + 1 < self.inputs.len() {
                     Step::Fold {
                         input: input + 1,
-                        slice: self.window_start(slice),
+                        pos: start,
                     }
                 } else {
-                    Step::Send {
-                        slice: self.window_start(slice),
-                    }
+                    Step::Send { pos: start }
                 };
                 Ok(Turn::Took)
             }
-            Step::Send { slice } => {
+            Step::Send { pos } => {
+                let slice = self.slice(pos);
                 if let Some(wait) = self.blocked_send(slice, links) {
                     return Ok(Turn::Blocked(wait));
                 }
@@ -538,10 +556,10 @@ impl<'a> Cursor<'a> {
                     None => self.local_partial(slice, pool)?.freeze(),
                 };
                 walk.send(slice, data, &self.outputs, links)?;
-                self.next = if slice + 1 < self.window_end(slice) {
-                    Step::Send { slice: slice + 1 }
+                self.next = if pos + 1 < self.window.end {
+                    Step::Send { pos: pos + 1 }
                 } else {
-                    self.window_from(slice + 1)
+                    self.window_from(pos + 1)
                 };
                 Ok(Turn::Took)
             }
@@ -586,14 +604,15 @@ impl<'a> Cursor<'a> {
 }
 
 /// The requestors' side: they fold what is delivered to them, one
-/// delivering stage after the other, and within a stage slice by slice in
-/// its send order, every row of a slice before the next slice. On shaped
-/// links that link-by-link drain is what makes a star cost `k` timeslots:
-/// the stages not being read yet stop at their credit window.
+/// delivering stage after the other, and within a stage slice by slice of
+/// its set in its send order, every row of a slice before the next slice.
+/// On shaped links that link-by-link drain is what makes a star cost `k`
+/// timeslots: the stages not being read yet stop at their credit window.
 ///
 /// The blocks they fold into come from the cluster's block pool, holding
-/// whatever the block that last used them held: the first delivery writes
-/// every (row, slice) and only the later ones of a star accumulate.
+/// whatever the block that last used them held: the first delivery that
+/// covers a slice writes it, in every row, and only later ones (a star's)
+/// accumulate.
 struct Requestors<'a> {
     dag: &'a RepairDag,
     /// Per delivering stage, in fold order: the stage and its links, one
@@ -602,16 +621,22 @@ struct Requestors<'a> {
     /// The next slice to fold: (delivery, slice, row); `None` once done.
     next: Option<(usize, usize, usize)>,
     blocks: Vec<PooledBuf>,
+    /// Per slice, whether a delivery has written it.
+    written: Vec<bool>,
 }
 
 impl<'a> Requestors<'a> {
     fn new(dag: &'a RepairDag, deliveries: Vec<(usize, Vec<usize>)>, pool: &BufPool) -> Self {
-        let block_size = dag.layout().block_size;
+        let layout = dag.layout();
+        let first = dag.stages()[deliveries[0].0].first;
         Requestors {
             dag,
             deliveries,
-            next: Some((0, 0, 0)),
-            blocks: (0..dag.rows()).map(|_| pool.take(block_size)).collect(),
+            next: Some((0, first, 0)),
+            blocks: (0..dag.rows())
+                .map(|_| pool.take(layout.block_size))
+                .collect(),
+            written: vec![false; layout.slice_count()],
         }
     }
 
@@ -628,27 +653,30 @@ impl<'a> Requestors<'a> {
         if !link.holds_a_frame(patient) {
             return Ok(Turn::Blocked(None));
         }
-        let msg = link.recv()?;
-        let stage = &self.dag.stages()[from];
-        let coeff = match stage.output {
-            Output::RawToRequestors => stage.coeffs[row],
+        let layout = self.dag.layout();
+        let dst = &mut self.blocks[row][layout.slice_range(slice)];
+        let msg = link.recv(slice, dst.len())?;
+        let stages = self.dag.stages();
+        let coeff = match stages[from].output {
+            Output::RawToRequestors => stages[from].coeffs[row],
             _ => 1,
         };
-        let layout = self.dag.layout();
-        let dst = &mut self.blocks[row][layout.slice_range(msg.index)];
-        if delivery == 0 {
-            gf256::mul_slice(Gf256::new(coeff), &msg.data, dst);
-        } else {
+        if self.written[slice] {
             gf256::mul_add_slice(Gf256::new(coeff), &msg.data, dst);
-        }
-        self.next = if row + 1 < delivered.len() {
-            Some((delivery, slice, row + 1))
-        } else if slice + 1 < layout.slice_count() {
-            Some((delivery, slice + 1, 0))
-        } else if delivery + 1 < self.deliveries.len() {
-            Some((delivery + 1, 0, 0))
         } else {
-            None
+            gf256::mul_slice(Gf256::new(coeff), &msg.data, dst);
+        }
+        if row + 1 < delivered.len() {
+            self.next = Some((delivery, slice, row + 1));
+            return Ok(Turn::Took);
+        }
+        self.written[slice] = true;
+        let next = slice + stages[from].stride;
+        self.next = if next < layout.slice_count() {
+            Some((delivery, next, 0))
+        } else {
+            let later = self.deliveries.get(delivery + 1);
+            later.map(|&(from, _)| (delivery + 1, stages[from].first, 0))
         };
         Ok(Turn::Took)
     }
@@ -696,6 +724,31 @@ mod tests {
         let data = make_data(k, layout.block_size, 3);
         let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
         (cluster, coordinator, data, stripe)
+    }
+
+    /// Builds a single-block repair's plan.
+    type Plan = fn(&RepairDirective) -> RepairDag;
+
+    /// Every single-block plan, by name: the strategies' and cyclic
+    /// repair's (§4.1), which no strategy names.
+    const SINGLE_PLANS: [(&str, Plan); 5] = [
+        ("Conv.", |d| single_dag(d, ExecStrategy::Conventional)),
+        ("PPR", |d| single_dag(d, ExecStrategy::Ppr)),
+        ("RP", |d| single_dag(d, ExecStrategy::RepairPipelining)),
+        ("Pipe-B", |d| single_dag(d, ExecStrategy::BlockPipeline)),
+        ("cyclic", |d| {
+            RepairDag::cyclic(&d.path, d.requestor, d.layout)
+        }),
+    ];
+
+    /// Walks `dag`, a plan for `directive`, to the end.
+    fn walk(
+        directive: &RepairDirective,
+        dag: &RepairDag,
+        cluster: &Cluster,
+        transport: &dyn Transport,
+    ) -> Result<Bytes> {
+        execute_single_cancellable(directive, dag, cluster, transport, &OnceFlag::new())
     }
 
     /// A [`ChannelTransport`] whose links fail the test instead of
@@ -800,11 +853,12 @@ mod tests {
     /// survive into the repaired block. Before every repair the pool is
     /// filled with `0xAA` buffers, and every shape still comes out
     /// byte-exact, over channels and TCP: Conventional, whose requestor folds
-    /// `k` deliveries into each slice, PPR, RP, Pipe-B and multi-block, with
-    /// whole slices and with a block whose last slice is short. The mutation
-    /// this catches is accumulating into an unzeroed buffer: the
-    /// requestors' first delivery folded with `mul_add_slice` instead of
-    /// written with `mul_slice`.
+    /// `k` deliveries into each slice, PPR, RP, Pipe-B, cyclic, whose
+    /// requestor takes each slice from one of `k − 1` deliveries, and
+    /// multi-block, with whole slices and with a block whose last slice is
+    /// short. The mutation this catches is accumulating into an unzeroed
+    /// buffer: the first delivery that covers a slice folded with
+    /// `mul_add_slice` instead of written with `mul_slice`.
     #[test]
     fn stale_pool_bytes_never_reach_a_repaired_block() {
         /// Parks as many `0xAA` block buffers in the pool as it keeps.
@@ -829,12 +883,7 @@ mod tests {
         ] {
             let size = layout.block_size;
             for (name, transport) in transports {
-                for strategy in [
-                    ExecStrategy::Conventional,
-                    ExecStrategy::Ppr,
-                    ExecStrategy::RepairPipelining,
-                    ExecStrategy::BlockPipeline,
-                ] {
+                for (shape, plan) in SINGLE_PLANS {
                     let (cluster, coordinator, data, stripe) = setup_sized(code.clone(), layout);
                     cluster.erase_block(stripe, 1);
                     let directive = coordinator
@@ -842,8 +891,8 @@ mod tests {
                         .unwrap();
                     fill_stale(&cluster, size);
                     let fresh = cluster.block_pool().fresh_allocations();
-                    let repaired = execute_single(&directive, &cluster, transport, strategy);
-                    let what = format!("{strategy} over {name}, {size}-byte block");
+                    let repaired = walk(&directive, &plan(&directive), &cluster, transport);
+                    let what = format!("{shape} over {name}, {size}-byte block");
                     assert!(repaired.unwrap() == data[1], "{what}");
                     let fresh = cluster.block_pool().fresh_allocations() - fresh;
                     assert_eq!(fresh, 0, "{what} took no stale buffer");
@@ -1111,21 +1160,19 @@ mod tests {
         ];
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
         for fresh in transports {
-            for strategy in [
-                ExecStrategy::Conventional,
-                ExecStrategy::Ppr,
-                ExecStrategy::RepairPipelining,
-                ExecStrategy::BlockPipeline,
-            ] {
+            for (shape, plan) in SINGLE_PLANS {
                 let (cluster, coordinator, _data, stripe) = setup(code.clone());
                 cluster.erase_block(stripe, 0);
                 let directive = coordinator
                     .plan_single_repair(cluster.meta(), stripe, 0, 15)
                     .unwrap();
                 let transport = fresh();
-                execute_single(&directive, &cluster, &*transport, strategy).unwrap();
-                let dag = single_dag(&directive, strategy);
-                assert_eq!(dag.links().len(), 10, "strategy {strategy:?}");
+                let dag = plan(&directive);
+                walk(&directive, &dag, &cluster, &*transport).unwrap();
+                // k links; a block of 8 slices gets 8 cyclic chains, which
+                // go round all 10 helpers and deliver from 8 of them.
+                let links = if shape == "cyclic" { 10 + 8 } else { 10 };
+                assert_eq!(dag.links().len(), links, "{shape}");
                 assert_moved_as_declared(&dag, &*transport);
             }
             let (cluster, coordinator, _data, stripe) = setup(code.clone());
@@ -1163,15 +1210,11 @@ mod tests {
             .len()
             + crate::integrity::FOOTER_LEN;
         // `None` is the multi-block plan.
-        for (round, shape) in [
-            Some(ExecStrategy::Conventional),
-            Some(ExecStrategy::Ppr),
-            Some(ExecStrategy::RepairPipelining),
-            Some(ExecStrategy::BlockPipeline),
-            None,
-        ]
-        .into_iter()
-        .enumerate()
+        let singles = SINGLE_PLANS.map(|(shape, plan)| (shape, Some(plan)));
+        for (round, (shape, plan)) in singles
+            .into_iter()
+            .chain([("multi-block", None)])
+            .enumerate()
         {
             let files: Vec<_> = (0..16)
                 .map(|node| {
@@ -1193,12 +1236,12 @@ mod tests {
             };
             assert_eq!(counters(), [(0, 0); 16], "writing a stripe reads nothing");
             cluster.erase_block(stripe, 1);
-            let helpers = match shape {
-                Some(strategy) => {
+            let helpers = match plan {
+                Some(plan) => {
                     let directive = coordinator
                         .plan_single_repair(cluster.meta(), stripe, 1, 15)
                         .unwrap();
-                    execute_single(&directive, &cluster, &transport, strategy).unwrap();
+                    walk(&directive, &plan(&directive), &cluster, &transport).unwrap();
                     directive.helper_nodes()
                 }
                 None => {
@@ -1217,10 +1260,83 @@ mod tests {
                 } else {
                     (0, 0)
                 };
-                assert_eq!(seen, expected, "shape {shape:?}, node {node}");
+                assert_eq!(seen, expected, "{shape}, node {node}");
             }
         }
         std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A [`ChannelTransport`] whose link `hop` relabels slice 0 as slice
+    /// `index`, payload untouched.
+    struct MislabelTransport {
+        inner: ChannelTransport,
+        hop: (NodeId, NodeId),
+        index: usize,
+    }
+
+    struct MislabelTx(SliceSender, usize);
+
+    impl SliceTx for MislabelTx {
+        fn queue(&self, mut msg: SliceMsg) -> std::result::Result<bool, TransportError> {
+            if msg.index == 0 {
+                msg.index = self.1;
+            }
+            self.0.send(msg).map(|()| true)
+        }
+    }
+
+    impl Transport for MislabelTransport {
+        fn link(&self, src: NodeId, dst: NodeId, capacity: usize) -> (SliceSender, SliceReceiver) {
+            let (tx, rx) = self.inner.link(src, dst, capacity);
+            if (src, dst) != self.hop {
+                return (tx, rx);
+            }
+            let stats = Arc::new(LinkStats::default());
+            (
+                SliceSender::new(MislabelTx(tx, self.index), stats, None, 0),
+                rx,
+            )
+        }
+
+        fn stats(&self) -> &StatsRegistry {
+            self.inner.stats()
+        }
+    }
+
+    /// A frame is folded only where the plan expects it. Slice 0 relabelled
+    /// on a helper→helper hop, or on the hop into the requestor, fails the
+    /// repair and stores nothing — whether the label names another slice of
+    /// the block (which would leave a slice of stale pool bytes) or none
+    /// (which would index past the block).
+    #[test]
+    fn a_frame_the_plan_does_not_expect_fails_the_repair() {
+        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
+        for index in [1, 1 << 40] {
+            for into_requestor in [false, true] {
+                let (cluster, coordinator, _data, stripe) = setup(code.clone());
+                cluster.erase_block(stripe, 1);
+                let directive = coordinator
+                    .plan_single_repair(cluster.meta(), stripe, 1, 7)
+                    .unwrap();
+                let path = directive.helper_nodes();
+                let hop = match into_requestor {
+                    false => (path[0], path[1]),
+                    true => (path[path.len() - 1], 7),
+                };
+                let transport = MislabelTransport {
+                    inner: ChannelTransport::new(),
+                    hop,
+                    index,
+                };
+                let strategy = ExecStrategy::RepairPipelining;
+                let result = execute_single(&directive, &cluster, &transport, strategy);
+                assert!(
+                    matches!(result, Err(EcPipeError::Execution { .. })),
+                    "slice 0 relabelled {index} on {hop:?}"
+                );
+                assert!(!cluster.store(7).contains(ecc::stripe::BlockId::new(0, 1)));
+            }
+        }
     }
 
     #[test]

@@ -6,13 +6,18 @@
 //! schemes differ only in the *shape* those forwards draw — a star into the
 //! requestor is conventional repair (§2.2), a binary tree is PPR, a chain is
 //! repair pipelining (§3.2), a chain carrying `f` rows of partial sums is
-//! multi-block repair (§4.4). A [`RepairDag`] is that shape as a value, and
-//! it has two consumers: the `ecpipe` runtime executes any of them with one
-//! walker, and [`RepairDag::schedule`] lowers any of them to the slice-level
-//! tasks the [`simnet`] simulator times — the only place in this crate that
-//! turns a chain, star or tree into simulator tasks. [`RepairDag::links`]
-//! tells an observer which links the repair will load and by how much before
-//! a byte has moved.
+//! multi-block repair (§4.4), and `k − 1` chains around the same helpers,
+//! each carrying every `(k − 1)`-th slice, are cyclic repair (§4.1). A
+//! [`RepairDag`] is that shape as a value, and it has two consumers: the
+//! `ecpipe` runtime executes any of them with one walker, and
+//! [`RepairDag::schedule`] lowers any of them to the slice-level tasks the
+//! [`simnet`] simulator times — the only place in this crate that turns a
+//! plan into simulator tasks. [`RepairDag::links`] tells an observer which
+//! links the repair will load and by how much before a byte has moved.
+
+use std::collections::HashMap;
+use std::iter::StepBy;
+use std::ops::Range;
 
 use ecc::slice::SliceLayout;
 use ecc::stripe::BlockId;
@@ -34,7 +39,7 @@ pub enum Output {
     RawToRequestors,
 }
 
-/// One helper's part in a repair.
+/// One helper's part in a repair: one fold over its slice set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stage {
     /// The node that runs the stage.
@@ -45,16 +50,28 @@ pub struct Stage {
     /// into row `r` of the partial sums.
     pub coeffs: Vec<u8>,
     /// The stages whose output this one folds in, in fold order. Each comes
-    /// earlier in [`RepairDag::stages`].
+    /// earlier in [`RepairDag::stages`] and carries the same slice set.
     pub upstream: Vec<usize>,
     /// Cut-through or store-and-forward. A cut-through stage forwards each
     /// slice as soon as it is folded, so the stages of a path work on
     /// different slices at once (repair pipelining, `Pipe-B`, multi-block
-    /// repair); otherwise nothing is forwarded until every slice of every
-    /// upstream stage is folded, one upstream after the other (a PPR round).
+    /// repair); otherwise nothing is forwarded until its slice set is folded
+    /// from every upstream stage, one upstream after the other (a PPR round).
     pub cut_through: bool,
     /// Where the stage's output goes.
     pub output: Output,
+    /// The first slice of the stage's slice set: it carries slices `first`,
+    /// `first + stride`, … of the block, in that order.
+    pub first: usize,
+    /// The distance between consecutive slices of the set.
+    pub stride: usize,
+}
+
+impl Stage {
+    /// The slices the stage carries, in order.
+    pub fn slices(&self, layout: SliceLayout) -> StepBy<Range<usize>> {
+        (self.first..layout.slice_count()).step_by(self.stride)
+    }
 }
 
 /// A directed link a repair loads, and the bytes it will carry.
@@ -82,6 +99,11 @@ pub struct RepairDag {
     deliveries: Vec<usize>,
 }
 
+/// A single-coefficient helper with its one-row decode-matrix column.
+fn column(&(node, block, coeff): &(NodeId, BlockId, u8)) -> (NodeId, BlockId, Vec<u8>) {
+    (node, block, vec![coeff])
+}
+
 impl RepairDag {
     /// Repair pipelining (§3.2): the helpers form a linear path in the given
     /// order, each adding `coefficient · block` to the partial slice it
@@ -96,22 +118,14 @@ impl RepairDag {
         requestors: &[NodeId],
         layout: SliceLayout,
     ) -> Self {
-        let mut dag = Self::unconnected(helpers, requestors, layout, true);
-        for next in 1..dag.stages.len() {
-            dag.connect(next - 1, next);
-        }
-        if let Some(last) = dag.stages.len().checked_sub(1) {
-            dag.deliver(last, Output::Requestors);
-        }
-        dag
+        Self::empty(requestors, layout).with_chain(helpers, 0, 1)
     }
 
     /// Conventional repair (§2.2): every helper sends its raw block straight
     /// to the requestor, which decodes.
     pub fn star(helpers: &[(NodeId, BlockId, u8)], requestor: NodeId, layout: SliceLayout) -> Self {
-        let columns = helpers.iter().map(|&(n, b, c)| (n, b, vec![c]));
-        let mut dag = Self::unconnected(columns, &[requestor], layout, true);
-        for stage in 0..dag.stages.len() {
+        let mut dag = Self::empty(&[requestor], layout);
+        for stage in dag.push(helpers.iter().map(column), true, 0, 1) {
             dag.deliver(stage, Output::RawToRequestors);
         }
         dag
@@ -121,13 +135,12 @@ impl RepairDag {
     /// [`aggregation_rounds`], each node folding its children in round
     /// order and forwarding only once the last one is in.
     pub fn tree(helpers: &[(NodeId, BlockId, u8)], requestor: NodeId, layout: SliceLayout) -> Self {
-        let columns = helpers.iter().map(|&(n, b, c)| (n, b, vec![c]));
-        let mut dag = Self::unconnected(columns, &[requestor], layout, false);
+        let mut dag = Self::empty(&[requestor], layout);
         // The rounds pair stage indices, with one index past the last stage
         // standing for the requestor; a sender always precedes its receiver,
         // so path order is already topological.
-        let root = dag.stages.len();
-        let indices: Vec<usize> = (0..root).collect();
+        let indices: Vec<usize> = dag.push(helpers.iter().map(column), false, 0, 1).collect();
+        let root = indices.len();
         for (sender, receiver) in aggregation_rounds(&indices, root).into_iter().flatten() {
             if receiver == root {
                 dag.deliver(sender, Output::Requestors);
@@ -138,30 +151,76 @@ impl RepairDag {
         dag
     }
 
-    /// The stages with no edges yet.
-    fn unconnected(
-        helpers: impl IntoIterator<Item = (NodeId, BlockId, Vec<u8>)>,
-        requestors: &[NodeId],
+    /// Cyclic repair pipelining (§4.1), for a requestor behind a slow edge
+    /// link: `k − 1` chains around the same helpers, chain `c` starting at
+    /// helper `c` (`N_c → N_{c+1} → … → N_{c−1}`) and carrying slices `c`,
+    /// `c + (k − 1)`, … to the requestor, which so reads from `k − 1`
+    /// helpers at once. One helper is a plain chain, and a block of fewer
+    /// than `k − 1` slices gets a chain per slice.
+    pub fn cyclic(
+        helpers: &[(NodeId, BlockId, u8)],
+        requestor: NodeId,
         layout: SliceLayout,
-        cut_through: bool,
     ) -> Self {
-        let stages = helpers
-            .into_iter()
-            .map(|(node, block, coeffs)| Stage {
-                node,
-                block,
-                coeffs,
-                upstream: Vec::new(),
-                cut_through,
-                output: Output::Requestors,
-            })
-            .collect();
+        let k = helpers.len();
+        let stride = k.saturating_sub(1).max(1);
+        let chains = 0..stride.min(layout.slice_count());
+        chains.fold(Self::empty(&[requestor], layout), |dag, c| {
+            let rotated = helpers.iter().cycle().skip(c).take(k);
+            dag.with_chain(rotated.map(column), c, stride)
+        })
+    }
+
+    /// A plan with no stages yet.
+    fn empty(requestors: &[NodeId], layout: SliceLayout) -> Self {
         RepairDag {
             layout,
-            stages,
+            stages: Vec::new(),
             requestors: requestors.to_vec(),
             deliveries: Vec::new(),
         }
+    }
+
+    /// Appends the helpers as stages with no edges yet, carrying the slice
+    /// set `first`, `first + stride`, …, and returns their indices.
+    fn push(
+        &mut self,
+        helpers: impl IntoIterator<Item = (NodeId, BlockId, Vec<u8>)>,
+        cut_through: bool,
+        first: usize,
+        stride: usize,
+    ) -> Range<usize> {
+        let start = self.stages.len();
+        let stages = helpers.into_iter().map(|(node, block, coeffs)| Stage {
+            node,
+            block,
+            coeffs,
+            upstream: Vec::new(),
+            cut_through,
+            output: Output::Requestors,
+            first,
+            stride,
+        });
+        self.stages.extend(stages);
+        start..self.stages.len()
+    }
+
+    /// Appends the helpers as a path of cut-through stages over one slice
+    /// set, the last delivering to the requestors.
+    fn with_chain(
+        mut self,
+        helpers: impl IntoIterator<Item = (NodeId, BlockId, Vec<u8>)>,
+        first: usize,
+        stride: usize,
+    ) -> Self {
+        let stages = self.push(helpers, true, first, stride);
+        for next in stages.clone().skip(1) {
+            self.connect(next - 1, next);
+        }
+        if let Some(last) = stages.last() {
+            self.deliver(last, Output::Requestors);
+        }
+        self
     }
 
     /// Adds the edge `from → to` as the next one `to` folds.
@@ -209,16 +268,18 @@ impl RepairDag {
     }
 
     /// Every directed link the repair uses and the bytes it will carry, in
-    /// stage order. Edges that share a node pair (two requestors on one
-    /// node) are one link.
+    /// stage order: each stage's slice set, once per row to a downstream
+    /// stage. Edges that share a node pair (two requestors on one node, or
+    /// two chains of a cyclic plan) are one link.
     pub fn links(&self) -> Vec<Link> {
-        let block = self.layout.block_size as u64;
         let mut links: Vec<Link> = Vec::new();
         for (index, stage) in self.stages.iter().enumerate() {
-            let bytes = match stage.output {
-                Output::Stage(_) => self.rows() as u64 * block,
-                Output::Requestors | Output::RawToRequestors => block,
+            let rows = match stage.output {
+                Output::Stage(_) => self.rows(),
+                Output::Requestors | Output::RawToRequestors => 1,
             };
+            let set = stage.slices(self.layout);
+            let bytes = set.map(|j| (rows * self.layout.slice_len(j)) as u64).sum();
             for dst in self.destinations(index) {
                 match links
                     .iter_mut()
@@ -239,29 +300,33 @@ impl RepairDag {
     /// The plan as simulator tasks: what the runtime's walker does, slice by
     /// slice, for a [`simnet::Simulator`] to time.
     ///
-    /// Per stage and slice there is one disk read, one fold (a compute over
-    /// `rows × slice` bytes that waits for the read and for every upstream
-    /// stage's transfer of that slice) and one transfer per destination:
-    /// all rows bundled to a downstream stage, one slice to each requestor.
-    /// An [`Output::RawToRequestors`] stage ships its read unscaled, and each
-    /// requestor decodes a slice once every such stage's copy of it is in. A
-    /// store-and-forward stage with upstream stages sends nothing before its
-    /// whole block is folded, as [`Stage::cut_through`] defines.
+    /// Per helper block and slice there is one disk read (the chains of a
+    /// cyclic plan share their helpers' blocks). Per stage and slice of its
+    /// set there is one fold (a compute over `rows × slice` bytes that waits
+    /// for the read and for every upstream stage's transfer of that slice)
+    /// and one transfer per destination: all rows bundled to a downstream
+    /// stage, one slice to each requestor. An [`Output::RawToRequestors`]
+    /// stage ships its read unscaled, and each requestor decodes a slice once
+    /// every such stage's copy of it is in. A store-and-forward stage with
+    /// upstream stages sends nothing before its slice set is folded, as
+    /// [`Stage::cut_through`] defines.
     ///
     /// The simulator serves every resource in submission order, so the order
-    /// of the tasks is part of the lowering. The reads come first: nothing
-    /// holds them back, so a disk runs ahead of the network. The rest follows
-    /// in the order a lock-step execution would run it, every hop one step:
-    /// a cut-through stage (and a stage with nothing upstream, which has
-    /// nothing to wait for) takes slice `j` one step after its upstream
-    /// stages did, which makes a chain a wavefront; a store-and-forward stage
-    /// takes its block a block's worth of steps after them, which makes a
-    /// tree run round by round. Within a step the oldest slice goes first.
-    /// (In plain stage order a tree would queue a first-round transfer behind
-    /// a second-round one on a downlink the two share.)
+    /// of the tasks is part of the lowering. The reads come first, block by
+    /// block in the order the stages name them: nothing holds them back, so
+    /// a disk runs ahead of the network. The rest follows in the order a
+    /// lock-step execution would run it, every hop one step: a cut-through
+    /// stage (and a stage with nothing upstream, which has nothing to wait
+    /// for) takes the `q`-th slice of its set `q` steps after its start, one
+    /// step after its upstream stages did, which makes a chain a wavefront;
+    /// a store-and-forward stage takes its set a set's worth of steps after
+    /// them, which makes a tree run round by round. Within a step the lowest
+    /// slice goes first, then the earliest stage. (In plain stage order a
+    /// tree would queue a first-round transfer behind a second-round one on
+    /// a downlink the two share.)
     pub fn schedule(&self) -> Schedule {
-        let slices = self.layout.slice_count();
-        let len = |slice| self.layout.slice_len(slice) as u64;
+        let layout = self.layout;
+        let len = |slice| layout.slice_len(slice) as u64;
         let rows = self.rows() as u64;
         let raw = |stage: &Stage| stage.output == Output::RawToRequestors;
         let raw_stages = self.stages.iter().filter(|s| raw(s)).count();
@@ -270,7 +335,7 @@ impl RepairDag {
             if stage.cut_through || stage.upstream.is_empty() {
                 1
             } else {
-                slices
+                stage.slices(layout).len()
             }
         };
         // Every (step, first slice of the window, stage) of the lock-step run.
@@ -282,31 +347,38 @@ impl RepairDag {
                 .iter()
                 .map(|&up| start[up] + window_len(stage));
             start[index] = ready.max().unwrap_or(0);
-            let firsts = (0..slices).step_by(window_len(stage));
-            visits.extend(firsts.map(|first| (start[index] + first, first, index)));
+            let firsts = stage.slices(layout).step_by(window_len(stage));
+            let steps = firsts.enumerate();
+            visits.extend(steps.map(|(q, first)| (start[index] + q, first, index)));
         }
         visits.sort_unstable();
 
         let mut schedule = Schedule::new();
-        // reads[stage][slice]: the disk read of the stage's local slice.
-        let mut reads: Vec<Vec<TaskId>> = Vec::new();
+        // reads[(node, block)][slice]: the disk read of a slice of a block.
+        let mut reads = HashMap::new();
         for stage in &self.stages {
-            let block = (0..slices).map(|slice| schedule.disk_read(stage.node, len(slice), &[]));
-            reads.push(block.collect());
+            reads.entry((stage.node, stage.block)).or_insert_with(|| {
+                let slices = 0..layout.slice_count();
+                slices
+                    .map(|j| schedule.disk_read(stage.node, len(j), &[]))
+                    .collect::<Vec<_>>()
+            });
         }
-        // sent[stage][slice]: the transfer of the slice to the next stage.
-        let mut sent: Vec<Vec<TaskId>> = vec![Vec::new(); self.stages.len()];
+        // sent[(stage, slice)]: the transfer of the slice to the next stage.
+        let mut sent = HashMap::new();
         // arrived[slice][row]: the raw copies of the slice sent to a requestor.
-        let mut arrived = vec![vec![Vec::new(); self.requestors.len()]; slices];
+        let mut arrived = vec![vec![Vec::new(); self.requestors.len()]; layout.slice_count()];
         for (_, first, index) in visits {
             let stage = &self.stages[index];
-            let window = first..(first + window_len(stage)).min(slices);
-            let fold = |slice| {
+            let reads = &reads[&(stage.node, stage.block)];
+            let set = (first..layout.slice_count()).step_by(stage.stride);
+            let window = set.take(window_len(stage));
+            let fold = |slice: usize| {
                 if raw(stage) {
-                    return reads[index][slice];
+                    return reads[slice];
                 }
-                let inputs = stage.upstream.iter().map(|&up| sent[up][slice]);
-                let deps: Vec<TaskId> = inputs.chain([reads[index][slice]]).collect();
+                let inputs = stage.upstream.iter().map(|&up| sent[&(up, slice)]);
+                let deps: Vec<TaskId> = inputs.chain([reads[slice]]).collect();
                 schedule.compute(stage.node, rows * len(slice), &deps)
             };
             let folded: Vec<TaskId> = window.clone().map(fold).collect();
@@ -316,7 +388,8 @@ impl RepairDag {
                 let deps: Vec<TaskId> = all_folded.into_iter().chain([sum]).collect();
                 if let Output::Stage(next) = stage.output {
                     let (from, to) = (stage.node, self.stages[next].node);
-                    sent[index].push(schedule.transfer(from, to, rows * len(slice), &deps));
+                    let transfer = schedule.transfer(from, to, rows * len(slice), &deps);
+                    sent.insert((index, slice), transfer);
                     continue;
                 }
                 for (row, &requestor) in self.requestors.iter().enumerate() {
@@ -485,6 +558,128 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn cyclic_rotates_k_minus_1_chains_over_interleaved_slices() {
+        // k = 4 and 8 slices: chains start at helpers 1, 2 and 3, carrying
+        // slices {0, 3, 6}, {1, 4, 7} and {2, 5}.
+        let dag = RepairDag::cyclic(&helpers(1..=4), 0, SliceLayout::new(BLOCK, 512));
+        assert_eq!(dag.stages().len(), 3 * 4);
+        let chains: Vec<Vec<NodeId>> = dag
+            .stages()
+            .chunks(4)
+            .map(|chain| chain.iter().map(|s| s.node).collect())
+            .collect();
+        assert_eq!(chains, [[1, 2, 3, 4], [2, 3, 4, 1], [3, 4, 1, 2]]);
+        let sets: Vec<Vec<usize>> = dag
+            .stages()
+            .iter()
+            .step_by(4)
+            .map(|s| s.slices(dag.layout()).collect())
+            .collect();
+        assert_eq!(sets, [vec![0, 3, 6], vec![1, 4, 7], vec![2, 5]]);
+        assert_eq!(dag.deliveries(), &[3, 7, 11]);
+        // 512-byte slices: three or two of them per chain and hop.
+        let slices = |n: u64| n * 512;
+        assert_eq!(
+            dag.links(),
+            [
+                (1, 2, slices(3 + 2)),
+                (2, 3, slices(3 + 3)),
+                (3, 4, slices(3 + 3 + 2)),
+                (4, 0, slices(3)),
+                (4, 1, slices(3 + 2)),
+                (1, 0, slices(3)),
+                (2, 0, slices(2)),
+            ]
+            .map(|(src, dst, bytes)| Link { src, dst, bytes })
+        );
+    }
+
+    #[test]
+    fn cyclic_builds_no_chain_without_slices() {
+        // Two slices and k = 4: two chains, one slice each.
+        let dag = RepairDag::cyclic(&helpers(1..=4), 0, SliceLayout::new(BLOCK, BLOCK / 2));
+        assert_eq!(dag.deliveries(), &[3, 7]);
+        // One helper is a plain chain.
+        let one = RepairDag::cyclic(&helpers(1..=1), 0, layout());
+        assert_eq!(one, RepairDag::chain(columns(1..=1, 1), &[0], layout()));
+    }
+
+    mod cyclic {
+        use crate::{analysis, cyclic::schedule, SingleRepairJob};
+        use ecc::slice::SliceLayout;
+        use simnet::{CostModel, Simulator, Topology, GBIT, MBIT};
+
+        const MIB: usize = 1024 * 1024;
+
+        #[test]
+        fn matches_basic_rp_on_homogeneous_network() {
+            let block = 32 * MIB;
+            let layout = SliceLayout::new(block, 32 * 1024);
+            let job = SingleRepairJob::new((1..=10).collect(), 0, layout);
+            let sim = Simulator::new(Topology::flat(12, GBIT), CostModel::network_only());
+            let cyclic_time = sim.run(&schedule(&job)).makespan;
+            let basic_time = sim.run(&crate::rp::schedule(&job)).makespan;
+            let timeslot = analysis::timeslot_seconds(block, GBIT);
+            assert!((cyclic_time - basic_time).abs() / basic_time < 0.05);
+            assert!(cyclic_time < 1.05 * timeslot);
+        }
+
+        #[test]
+        fn beats_basic_rp_under_limited_edge_bandwidth() {
+            // Figure 8(g): 1 Gb/s inside the storage system, 100 Mb/s from
+            // every helper to the requestor.
+            let block = 64 * MIB;
+            let layout = SliceLayout::new(block, 32 * 1024);
+            let job = SingleRepairJob::new((1..=10).collect(), 0, layout);
+            let mut topo = Topology::flat(12, GBIT);
+            topo.limit_ingress(0, 100.0 * MBIT);
+            let sim = Simulator::new(topo, CostModel::network_only());
+            let cyclic_time = sim.run(&schedule(&job)).makespan;
+            let basic_time = sim.run(&crate::rp::schedule(&job)).makespan;
+            // The basic version is bottlenecked by the single delivery link;
+            // the cyclic version spreads delivery over k-1 edge links.
+            assert!(
+                cyclic_time < 0.4 * basic_time,
+                "cyclic {cyclic_time} vs basic {basic_time}"
+            );
+        }
+
+        #[test]
+        fn requestor_reads_from_k_minus_1_helpers() {
+            let block = 4 * MIB;
+            let layout = SliceLayout::new(block, 256 * 1024);
+            let job = SingleRepairJob::new(vec![1, 2, 3, 4, 5], 0, layout);
+            let sim = Simulator::new(Topology::flat(7, GBIT), CostModel::network_only());
+            let report = sim.run(&schedule(&job));
+            let delivery_links: Vec<_> = report
+                .link_bytes
+                .keys()
+                .filter(|(_, dst)| *dst == 0)
+                .collect();
+            assert_eq!(delivery_links.len(), 4);
+        }
+
+        #[test]
+        fn total_traffic_is_k_blocks_worth() {
+            let block = 4 * MIB;
+            let layout = SliceLayout::new(block, 256 * 1024);
+            let job = SingleRepairJob::new(vec![1, 2, 3, 4], 0, layout);
+            let sim = Simulator::new(Topology::flat(6, GBIT), CostModel::network_only());
+            let report = sim.run(&schedule(&job));
+            assert_eq!(report.network_bytes, 4 * block as u64);
+        }
+
+        #[test]
+        fn single_helper_degenerate_case() {
+            let layout = SliceLayout::new(MIB, 128 * 1024);
+            let job = SingleRepairJob::new(vec![1], 0, layout);
+            let sim = Simulator::new(Topology::flat(2, GBIT), CostModel::network_only());
+            let report = sim.run(&schedule(&job));
+            assert_eq!(report.network_bytes, MIB as u64);
         }
     }
 }

@@ -10,14 +10,13 @@
 //! executor walks it for real. Each scheme's `schedule(job)` function is
 //! therefore the job's plan followed by `.schedule()`. What is still
 //! written out task by task is what no plan shape says — `Pipe-S`
-//! ([`rp::schedule_pipe_s`]), the cyclic extension ([`cyclic`]) and
-//! two-phase conventional multi-block repair
+//! ([`rp::schedule_pipe_s`]) and two-phase conventional multi-block repair
 //! ([`multiblock::schedule_conventional`]) — and each module says why.
 //!
 //! Schemes:
 //!
-//! * [`dag`] — the plan value: chain, star, tree and the `f`-row chain as
-//!   one type, and its lowering to simulator tasks.
+//! * [`dag`] — the plan value: chain, star, tree, the `f`-row chain and
+//!   the cyclic chains as one type, and its lowering to simulator tasks.
 //!
 //! * [`conventional`] — the requestor fetches `k` whole blocks (§2.2),
 //!   `O(k)` timeslots.
@@ -75,8 +74,7 @@ pub enum Scheme {
 
 impl Scheme {
     /// Builds the slice-level schedule of this scheme for a single-block
-    /// repair job: the job's [`RepairDag`], lowered (the cyclic scheme, which
-    /// has no plan shape yet, is written out by hand).
+    /// repair job: the job's [`RepairDag`], lowered.
     pub fn schedule(&self, job: &SingleRepairJob) -> Schedule {
         match self {
             Scheme::Conventional => conventional::schedule(job),

@@ -6,12 +6,14 @@ use std::sync::Arc;
 
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::{CodeError, ErasureCode, Lrc, ReedSolomon};
-use repair_pipelining::ecpipe::exec::{execute_multi, ExecStrategy};
+use repair_pipelining::ecpipe::exec::{
+    execute_multi, execute_single_cancellable, ExecStrategy, OnceFlag,
+};
 use repair_pipelining::ecpipe::transport::ChannelTransport;
 use repair_pipelining::ecpipe::{Cluster, Coordinator, EcPipeBuilder, StoreBackend};
 use repair_pipelining::gf256::Matrix;
 use repair_pipelining::repair::weighted_path::{optimal_path, WeightMatrix};
-use repair_pipelining::repair::{ppr, SingleRepairJob};
+use repair_pipelining::repair::{ppr, RepairDag, SingleRepairJob};
 use repair_pipelining::simnet;
 
 /// The smallest legal MDS code, `(2, 1)`: a repair job with a single helper
@@ -43,7 +45,10 @@ fn k1_repair_through_every_strategy() {
     }
 }
 
-/// A single-helper job is a valid degenerate path for every scheduler.
+/// A single-helper job is a valid degenerate path for every scheduler. The
+/// cyclic plan's degenerate shapes — one helper, two, and fewer slices than
+/// `k − 1` chains — each move exactly one block into the requestor, in the
+/// simulator and through the walker, byte-exact.
 #[test]
 fn k1_schedules_are_well_formed() {
     let job = SingleRepairJob::new(vec![0], 1, SliceLayout::new(1024, 256));
@@ -55,6 +60,43 @@ fn k1_schedules_are_well_formed() {
     let _ = repair_pipelining::repair::conventional::schedule(&job);
     let _ = repair_pipelining::repair::ppr::schedule(&job);
     let _ = repair_pipelining::repair::cyclic::schedule(&job);
+
+    let block = 1024;
+    for (k, slices) in [(1, 4), (2, 4), (5, 2)] {
+        let code = Arc::new(ReedSolomon::new(k + 1, k).unwrap());
+        let layout = SliceLayout::new(block, block / slices);
+        let coordinator = Coordinator::new(code, layout);
+        let cluster = Cluster::new(StoreBackend::memory(k + 2)).unwrap();
+        let data: Vec<Vec<u8>> = (0..k)
+            .map(|i| (0..block).map(|b| ((b * 7 + i) % 251) as u8).collect())
+            .collect();
+        let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
+        cluster.erase_block(stripe, 0);
+        let requestor = k + 1;
+        let directive = coordinator
+            .plan_single_repair(cluster.meta(), stripe, 0, requestor)
+            .unwrap();
+        let dag = RepairDag::cyclic(&directive.path, requestor, layout);
+        let sim = simnet::Simulator::new(
+            simnet::Topology::flat(k + 2, simnet::GBIT),
+            simnet::CostModel::network_only(),
+        );
+        let report = sim.run(&dag.schedule());
+        let delivered = report
+            .link_bytes
+            .iter()
+            .filter(|((_, dst), _)| *dst == requestor);
+        let case = format!("cyclic, k = {k}, {slices} slices");
+        assert_eq!(
+            delivered.map(|(_, bytes)| bytes).sum::<u64>(),
+            block as u64,
+            "{case}"
+        );
+        let transport = ChannelTransport::new();
+        let repaired =
+            execute_single_cancellable(&directive, &dag, &cluster, &transport, &OnceFlag::new());
+        assert_eq!(repaired.unwrap(), data[0], "{case}");
+    }
 }
 
 /// PPR aggregation over a single helper is one direct delivery.

@@ -9,9 +9,10 @@
 //! backpressure
 //! at [`PIPELINE_DEPTH`], dropped-peer error propagation, the paper's
 //! one-block-per-link traffic claim, and byte-exact repairs under all four
-//! execution strategies. A TCP-only case measures the §3.2 timing claim
+//! execution strategies, multi-block repair and cyclic repair. A TCP-only case measures the §3.2 timing claim
 //! (repair time ≈ `1 + (k-1)/s` timeslots) on throttled sockets.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -21,12 +22,14 @@ use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::stripe::StripeId;
 use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
 use repair_pipelining::ecpipe::exec::{
-    execute_multi, execute_single, ExecStrategy, PIPELINE_DEPTH,
+    execute_multi, execute_single, execute_single_cancellable, ExecStrategy, OnceFlag,
+    PIPELINE_DEPTH,
 };
 use repair_pipelining::ecpipe::transport::{
     ChannelTransport, ReactorTransport, SliceMsg, TcpTransport, Transport,
 };
 use repair_pipelining::ecpipe::{Cluster, Coordinator, StoreBackend};
+use repair_pipelining::repair::RepairDag;
 
 const BLOCK: usize = 16 * 1024;
 const SLICE: usize = 2 * 1024;
@@ -181,6 +184,33 @@ fn case_multi_repair_byte_exact<T: Transport>(transport: &T) {
     }
 }
 
+/// §4.1's cyclic repair, walked as a plan: k = 6 over 8 slices is five
+/// chains of one or two slices around the helpers. Each link carries what
+/// the plan's `links()` declares — several chains share a link.
+fn case_cyclic_repair_byte_exact<T: Transport>(transport: &T) {
+    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(9, 6).unwrap());
+    let (cluster, coordinator, data, stripe) = setup(code);
+    cluster.erase_block(stripe, 2);
+    let directive = coordinator
+        .plan_single_repair(cluster.meta(), stripe, 2, 10)
+        .unwrap();
+    let dag = RepairDag::cyclic(&directive.path, directive.requestor, directive.layout);
+    let repaired =
+        execute_single_cancellable(&directive, &dag, &cluster, transport, &OnceFlag::new())
+            .unwrap();
+    assert_eq!(repaired, data[2]);
+    let declared: HashMap<_, _> = dag
+        .links()
+        .iter()
+        .map(|link| ((link.src, link.dst), link.bytes))
+        .collect();
+    for (&(src, dst), &bytes) in &declared {
+        assert_eq!(transport.link_bytes(src, dst), bytes, "{src} → {dst}");
+    }
+    assert_eq!(transport.links_used(), declared.len());
+    assert_eq!(transport.total_bytes(), declared.values().sum::<u64>());
+}
+
 macro_rules! conformance_suite {
     ($backend:ident, $make:expr) => {
         mod $backend {
@@ -219,6 +249,11 @@ macro_rules! conformance_suite {
             #[test]
             fn multi_repair_byte_exact() {
                 case_multi_repair_byte_exact(&$make);
+            }
+
+            #[test]
+            fn cyclic_repair_byte_exact() {
+                case_cyclic_repair_byte_exact(&$make);
             }
         }
     };
