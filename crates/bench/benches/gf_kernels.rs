@@ -1,11 +1,11 @@
 //! Criterion benches for the GF(2^8) slice kernels — the inner loop every
 //! helper runs when combining partial slices during a repair — and for the
 //! CRC-32 kernels that checksum every chunk of those slices on a
-//! checksummed store.
+//! checksummed store, and the two together as a helper runs them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ecc::stripe::BlockId;
-use ecpipe::{BlockStore, ChecksummedStore, MemoryStore};
+use ecpipe::{BlockChecksums, BlockStore, ChecksummedStore, MemoryStore};
 use gf256::{Gf256, KernelPath, Kernels, Matrix};
 
 fn bench_kernels(c: &mut Criterion) {
@@ -125,9 +125,46 @@ fn bench_checksummed_get_range(c: &mut Criterion) {
     group.finish();
 }
 
+/// `helper_fold/{separate,fused}/32768`: a helper's whole job on one
+/// 32 KiB slice of a checksummed block (512-byte chunks) — check the
+/// chunks' CRCs, scale the slice by its coefficient, add the partial sum it
+/// received. Both rows start from a copy of the stored bytes, as a `pread`
+/// would leave them: `separate` into a read buffer, then the three passes
+/// (`verify_chunks`, `mul_slice` into the partial, `add_slice`); `fused`
+/// into the partial itself, then one `verify_fold` over it.
+fn bench_helper_fold(c: &mut Criterion) {
+    const SLICE: usize = 32 * 1024;
+    const CHUNK: usize = 512;
+    let stored: Vec<u8> = (0..SLICE).map(|i| (i % 251) as u8).collect();
+    let incoming: Vec<u8> = (0..SLICE).map(|i| (i % 241) as u8).collect();
+    let checksums = BlockChecksums::compute(&stored, CHUNK);
+    let sums: Vec<u32> = stored.chunks(CHUNK).map(gf256::crc32).collect();
+    let coeff = Gf256::new(0x57);
+    let (mut read, mut partial) = (vec![0u8; SLICE], vec![0u8; SLICE]);
+    let mut group = c.benchmark_group("helper_fold");
+    group.throughput(Throughput::Bytes(SLICE as u64));
+    group.bench_with_input(BenchmarkId::new("separate", SLICE), &SLICE, |b, _| {
+        b.iter(|| {
+            read.copy_from_slice(&stored);
+            checksums.verify_chunks(&read, 0).expect("clean slice");
+            gf256::mul_slice(coeff, &read, &mut partial);
+            gf256::add_slice(&incoming, &mut partial);
+        });
+    });
+    group.bench_with_input(BenchmarkId::new("fused", SLICE), &SLICE, |b, _| {
+        b.iter(|| {
+            partial.copy_from_slice(&stored);
+            gf256::verify_fold(coeff, &mut partial, Some(&incoming), &sums, CHUNK)
+                .expect("clean slice");
+        });
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_kernels, bench_dot_prod, bench_crc32, bench_checksummed_get_range
+    targets = bench_kernels, bench_dot_prod, bench_crc32, bench_checksummed_get_range,
+        bench_helper_fold
 }
 criterion_main!(benches);

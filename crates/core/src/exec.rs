@@ -5,7 +5,10 @@
 //! partial sums it received and forwards — over a different shape, and the
 //! shape is data: a [`RepairDag`]. One walker (`Walk::run`) runs any of
 //! them against the cluster's block stores, so the reconstructed block can
-//! be checked byte-for-byte against the erased one.
+//! be checked byte-for-byte against the erased one. A one-row stage takes
+//! the received partial sums first and has its block reader fold its slice
+//! into them as it reads it ([`BlockReader::fold_into`]): on a checksummed
+//! store, one pass that verifies, scales and adds.
 //!
 //! * [`ExecStrategy::Conventional`] — a star: every helper streams its raw
 //!   block to the requestor, which performs the decoding combination (§2.2).
@@ -521,13 +524,14 @@ impl<'a> Cursor<'a> {
                     return Ok(Turn::Blocked(None));
                 }
                 let slice = self.slice(pos);
+                let len = self.coeffs.rows() * self.layout.slice_range(slice).len();
+                let msg = link.recv(slice, len)?;
                 if input == 0 {
-                    let partial = self.local_partial(slice, pool)?;
+                    let partial = self.local_partial(slice, Some(&msg.data), pool)?;
                     self.held.push_back(partial);
+                } else {
+                    gf256::add_slice(&msg.data, &mut self.held[pos - self.window.start]);
                 }
-                let held = &mut self.held[pos - self.window.start];
-                let msg = link.recv(slice, held.len())?;
-                gf256::add_slice(&msg.data, held);
                 let start = self.window.start;
                 self.next = if pos + 1 < self.window.end {
                     Step::Fold {
@@ -553,7 +557,7 @@ impl<'a> Cursor<'a> {
                 let data = match self.held.pop_front() {
                     Some(partial) => partial.freeze(),
                     None if raw => self.block.read(self.layout.slice_range(slice))?,
-                    None => self.local_partial(slice, pool)?.freeze(),
+                    None => self.local_partial(slice, None, pool)?.freeze(),
                 };
                 walk.send(slice, data, &self.outputs, links)?;
                 self.next = if pos + 1 < self.window.end {
@@ -587,17 +591,30 @@ impl<'a> Cursor<'a> {
             .map(Some)
     }
 
-    /// Slice `j` of the local block scaled by the stage's coefficients: the
-    /// stage's own term of every row, rows back to back.
-    fn local_partial(&self, j: usize, pool: &BufPool) -> Result<PooledBuf> {
-        let local = self.block.read(self.layout.slice_range(j))?;
-        let mut partial = pool.take(self.coeffs.rows() * local.len());
+    /// Slice `j` of the local block scaled by the stage's coefficients — the
+    /// stage's own term of every row, rows back to back — plus the partial
+    /// sums `incoming` from upstream, if any. A one-row stage has its block
+    /// reader fold the slice straight into the buffer it sends on (checked,
+    /// scaled and added in one pass on a checksummed store).
+    fn local_partial(
+        &self,
+        j: usize,
+        incoming: Option<&[u8]>,
+        pool: &BufPool,
+    ) -> Result<PooledBuf> {
+        let range = self.layout.slice_range(j);
+        let mut partial = pool.take(self.coeffs.rows() * range.len());
         if let [coeff] = self.stage.coeffs[..] {
-            gf256::mul_slice(Gf256::new(coeff), &local, &mut partial);
+            self.block
+                .fold_into(range, Gf256::new(coeff), incoming, &mut partial)?;
         } else {
             // One fused kernel call scales the slice into all rows.
+            let local = self.block.read(range)?;
             let mut rows: Vec<&mut [u8]> = partial.chunks_exact_mut(local.len()).collect();
             gf256::dot_prod(&self.coeffs, &[&local], &mut rows, false);
+            if let Some(incoming) = incoming {
+                gf256::add_slice(incoming, &mut partial);
+            }
         }
         Ok(partial)
     }

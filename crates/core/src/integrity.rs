@@ -36,7 +36,9 @@ use bytes::Bytes;
 
 use ecc::stripe::BlockId;
 
-use crate::store::{check_range, BlockReader, BlockStore};
+use gf256::Gf256;
+
+use crate::store::{check_fold_dst, check_range, fold_read, BlockReader, BlockStore};
 use crate::{EcPipeError, Result};
 
 /// Default checksum chunk size in bytes: one CRC-32 per 512-byte chunk,
@@ -120,6 +122,22 @@ impl BlockChecksums {
             }
         }
         Ok(())
+    }
+
+    /// [`verify_chunks`](Self::verify_chunks) and a helper's fold in one
+    /// pass over a chunk-aligned slice starting at chunk `first_chunk`:
+    /// leaves `coeff * data ^ incoming` in `data` if every chunk verifies,
+    /// else returns the index of the first failing chunk.
+    pub(crate) fn verify_fold(
+        &self,
+        coeff: Gf256,
+        data: &mut [u8],
+        incoming: Option<&[u8]>,
+        first_chunk: usize,
+    ) -> std::result::Result<(), usize> {
+        let sums = self.sums.get(first_chunk..).unwrap_or_default();
+        gf256::verify_fold(coeff, data, incoming, sums, self.chunk_size)
+            .map_err(|i| first_chunk + i)
     }
 
     /// The chunk-aligned byte range covering `range`, clamped to the block
@@ -373,10 +391,16 @@ fn read_stored(
     range: std::ops::Range<usize>,
     chunk: usize,
 ) -> Result<Bytes> {
-    inner.read(range).map_err(|e| match e {
+    inner.read(range).map_err(truncated(block, chunk))
+}
+
+/// What an inner store's refusal to serve bytes the trailer says exist
+/// means: the block is truncated, corrupt at `chunk` (see [`read_stored`]).
+fn truncated(block: BlockId, chunk: usize) -> impl Fn(EcPipeError) -> EcPipeError {
+    move |e| match e {
         EcPipeError::InvalidRequest { .. } => EcPipeError::CorruptBlock { block, chunk },
         e => e,
-    })
+    }
 }
 
 /// A [`ChecksummedStore`] block held open: the inner store's reader and the
@@ -400,6 +424,32 @@ impl BlockReader for ChecksummedReader<'_> {
             return Err(EcPipeError::CorruptBlock { block, chunk });
         }
         Ok(aligned.slice(range.start - span.start..range.end - span.start))
+    }
+
+    /// A chunk-aligned range (every range a repair of a block whose slices
+    /// are whole chunks asks for) is read straight into `dst`, then checked,
+    /// scaled and folded there in one pass; any other range is a checked
+    /// [`read`](BlockReader::read), then the fold. Either way the chunks
+    /// verified, and the chunk a mismatch names, are `read`'s.
+    fn fold_into(
+        &self,
+        range: std::ops::Range<usize>,
+        coeff: Gf256,
+        incoming: Option<&[u8]>,
+        dst: &mut [u8],
+    ) -> Result<()> {
+        let (block, sums) = (self.block, &self.sums);
+        let (span, first_chunk) = sums.chunk_span(&range);
+        if span != range {
+            return fold_read(self, range, coeff, incoming, dst);
+        }
+        check_fold_dst(&range, dst);
+        check_range(block, &range, sums.block_len())?;
+        // The stored bytes as they are: a fold by one into nothing.
+        let stored = self.inner.fold_into(span, Gf256::ONE, None, dst);
+        stored.map_err(truncated(block, first_chunk))?;
+        sums.verify_fold(coeff, dst, incoming, first_chunk)
+            .map_err(|chunk| EcPipeError::CorruptBlock { block, chunk })
     }
 
     /// The payload's length: the trailer is not part of the block.
@@ -640,9 +690,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
         /// A block file cut at any offset — in the payload, the record or
-        /// the footer — or with any byte flipped is read as `CorruptBlock`
-        /// or as the exact bytes, never as anything else, and a cut one
-        /// serves nothing. A rewrite heals it.
+        /// the footer — or with any byte flipped is read, or folded into a
+        /// partial sum, as `CorruptBlock` or as the exact bytes, never as
+        /// anything else, and a cut one serves nothing. A rewrite heals it.
         #[test]
         fn torn_blocks_are_corrupt_never_served(
             len in 0usize..3000,
@@ -676,9 +726,23 @@ mod tests {
 
             let (from, to) = (from % (len + 1), to % (len + 1));
             let range = from.min(to)..from.max(to);
+            // A helper's fold of the chunks covering the range (the
+            // chunk-aligned reads a repair makes) into an incoming partial
+            // sum, and what it must give when it gives anything.
+            let chunk = DEFAULT_CHUNK_SIZE;
+            let span = range.start / chunk * chunk..(range.end.div_ceil(chunk) * chunk).min(len);
+            let (coeff, incoming) = (Gf256::new(flip), vec![flip ^ 0x5a; span.len()]);
+            let fold = store.reader(id).and_then(|reader| {
+                let mut dst = vec![0u8; span.len()];
+                reader.fold_into(span.clone(), coeff, Some(&incoming), &mut dst)?;
+                Ok(Bytes::from(dst))
+            });
+            let mut folded = vec![0u8; span.len()];
+            gf256::fold(coeff, &data[span], Some(&incoming), &mut folded);
             let reads = [
                 ("get", store.get(id), &data[..]),
                 ("get_range", store.get_range(id, range.clone()), &data[range]),
+                ("fold_into", fold, &folded[..]),
             ];
             for (way, read, exact) in reads {
                 match read {

@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use ecpipe_sync::RwLock;
+use gf256::Gf256;
 
 use crate::lock_order;
 
@@ -217,9 +218,51 @@ pub trait BlockReader: Send {
     /// [`BlockStore::get_range`].
     fn read(&self, range: std::ops::Range<usize>) -> Result<Bytes>;
 
+    /// A helper's fold of a byte range of the block into a partial sum:
+    /// `dst = coeff * block[range] ^ incoming` (`incoming` absent: zero),
+    /// read, verified and refused by the rules of [`read`](Self::read).
+    ///
+    /// The default reads, then scales and adds. The runtime's readers fold
+    /// without the intermediate buffer: a file reader reads straight into
+    /// `dst`, a checksummed one checks, scales and folds each chunk in one
+    /// pass ([`gf256::verify_fold`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst`, or `incoming`, is not `range.len()` bytes long.
+    fn fold_into(
+        &self,
+        range: std::ops::Range<usize>,
+        coeff: Gf256,
+        incoming: Option<&[u8]>,
+        dst: &mut [u8],
+    ) -> Result<()> {
+        fold_read(self, range, coeff, incoming, dst)
+    }
+
     /// The length of the block in bytes: where a checksum trailer, read
     /// from the end, ends.
     fn len(&self) -> Result<usize>;
+}
+
+/// The length rule of [`BlockReader::fold_into`]: `dst` is as long as the
+/// range folded into it.
+pub(crate) fn check_fold_dst(range: &std::ops::Range<usize>, dst: &[u8]) {
+    assert_eq!(dst.len(), range.len(), "fold_into: dst must fit the range");
+}
+
+/// [`BlockReader::fold_into`] by way of [`BlockReader::read`]: the checked
+/// read, then one pass to scale and fold it.
+pub(crate) fn fold_read<R: BlockReader + ?Sized>(
+    reader: &R,
+    range: std::ops::Range<usize>,
+    coeff: Gf256,
+    incoming: Option<&[u8]>,
+    dst: &mut [u8],
+) -> Result<()> {
+    check_fold_dst(&range, dst);
+    gf256::fold(coeff, &reader.read(range)?, incoming, dst);
+    Ok(())
 }
 
 /// The default [`BlockStore::reader`]: the presence check was made when it
@@ -410,6 +453,20 @@ impl BlockReader for MemoryReader {
         slice_of(self.block, &self.whole, range)
     }
 
+    /// Folds straight from the held bytes.
+    fn fold_into(
+        &self,
+        range: std::ops::Range<usize>,
+        coeff: Gf256,
+        incoming: Option<&[u8]>,
+        dst: &mut [u8],
+    ) -> Result<()> {
+        check_fold_dst(&range, dst);
+        check_range(self.block, &range, self.whole.len())?;
+        gf256::fold(coeff, &self.whole[range], incoming, dst);
+        Ok(())
+    }
+
     fn len(&self) -> Result<usize> {
         Ok(self.whole.len())
     }
@@ -561,24 +618,45 @@ struct FileReader<'a> {
     file: std::fs::File,
 }
 
-impl BlockReader for FileReader<'_> {
-    /// Positional range read: only the requested bytes travel from disk,
-    /// rather than the whole block the default implementation would load,
-    /// and in one `pread` — the file is not sized first. Only a range that
-    /// cannot be read that way (empty, reversed, or ending past the file) is
-    /// held against the file's length, by the rule every store shares.
-    fn read(&self, range: std::ops::Range<usize>) -> Result<Bytes> {
-        let mut data = vec![0u8; range.len()];
-        let read = |data: &mut [u8]| self.file.read_exact_at(data, range.start as u64);
-        if data.is_empty() || read(&mut data).is_err() {
+impl FileReader<'_> {
+    /// Positional range read into `dst`: only the requested bytes travel
+    /// from disk, rather than the whole block, and in one `pread` — the file
+    /// is not sized first. Only a range that cannot be read that way (empty,
+    /// reversed, or ending past the file) is held against the file's
+    /// length, by the rule every store shares.
+    fn read_into(&self, range: std::ops::Range<usize>, dst: &mut [u8]) -> Result<()> {
+        let read = |dst: &mut [u8]| self.file.read_exact_at(dst, range.start as u64);
+        if dst.is_empty() || read(dst).is_err() {
             check_range(self.block, &range, self.len()?)?;
             // In bounds after all: nothing to read, or an error to report.
-            read(&mut data)?;
+            read(dst)?;
         }
         self.store
             .bytes_read
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
+            .fetch_add(dst.len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+impl BlockReader for FileReader<'_> {
+    fn read(&self, range: std::ops::Range<usize>) -> Result<Bytes> {
+        let mut data = vec![0u8; range.len()];
+        self.read_into(range, &mut data)?;
         Ok(Bytes::from(data))
+    }
+
+    /// Reads straight into `dst`, then folds it in place.
+    fn fold_into(
+        &self,
+        range: std::ops::Range<usize>,
+        coeff: Gf256,
+        incoming: Option<&[u8]>,
+        dst: &mut [u8],
+    ) -> Result<()> {
+        check_fold_dst(&range, dst);
+        self.read_into(range, dst)?;
+        gf256::fold_in_place(coeff, dst, incoming);
+        Ok(())
     }
 
     /// One `fstat` of the held descriptor.
@@ -740,6 +818,138 @@ mod tests {
             assert_eq!(reader.read(0..2000).unwrap(), data, "{name}");
             assert_eq!(reopened.read(0..2000).unwrap(), rewritten, "{name}");
             assert!(store.reader(block(4, 1)).is_err(), "{name}");
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// A store that keeps the trait's default reader, and so its default
+    /// `fold_into`.
+    #[derive(Default)]
+    struct DefaultReader(MemoryStore);
+
+    impl BlockStore for DefaultReader {
+        fn get(&self, block: BlockId) -> Result<Bytes> {
+            self.0.get(block)
+        }
+        fn put(&self, block: BlockId, data: Bytes) -> Result<()> {
+            self.0.put(block, data)
+        }
+        fn delete(&self, block: BlockId) -> Result<bool> {
+            self.0.delete(block)
+        }
+        fn contains(&self, block: BlockId) -> bool {
+            self.0.contains(block)
+        }
+        fn list(&self) -> Vec<BlockId> {
+            self.0.list()
+        }
+    }
+
+    /// What a reader's `fold_into` gives, as the bytes or the error's kind
+    /// and chunk.
+    fn folded(
+        reader: &dyn BlockReader,
+        range: std::ops::Range<usize>,
+        coeff: Gf256,
+        incoming: Option<&[u8]>,
+    ) -> std::result::Result<Vec<u8>, String> {
+        let mut dst = vec![0xEE; range.len()];
+        match reader.fold_into(range, coeff, incoming, &mut dst) {
+            Ok(()) => Ok(dst),
+            Err(e) => Err(kind_of(e)),
+        }
+    }
+
+    fn kind_of(e: EcPipeError) -> String {
+        match e {
+            EcPipeError::CorruptBlock { chunk, .. } => format!("corrupt at {chunk}"),
+            EcPipeError::InvalidRequest { .. } => "invalid".into(),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// `fold_into` is `c * get_range ^ incoming`, on every store the runtime
+    /// ships and on the trait's default: for aligned, unaligned, tail and
+    /// empty ranges, for out-of-bounds ones (the same refusal), and — with a
+    /// byte flipped under the checksums — for the same `CorruptBlock`
+    /// at the same chunk.
+    #[test]
+    // Reversed ranges are the point: they are what a buggy caller passes.
+    #[allow(clippy::reversed_empty_ranges)]
+    fn fold_into_agrees_with_get_range_on_every_backend() {
+        let root = std::env::temp_dir().join(format!("ecpipe-fold-{}", std::process::id()));
+        let mut stores: Vec<(String, Arc<dyn BlockStore>)> = [
+            StoreBackend::memory(1),
+            StoreBackend::memory_checksummed(1),
+            StoreBackend::file(root.join("plain"), 1),
+            StoreBackend::file_checksummed(root.join("crc"), 1),
+        ]
+        .into_iter()
+        .map(|backend| (format!("{backend:?}"), backend.build().unwrap().remove(0)))
+        .collect();
+        stores.push(("trait default".into(), Arc::new(DefaultReader::default())));
+        stores.push((
+            "checksummed trait default".into(),
+            Arc::new(ChecksummedStore::new(DefaultReader::default())),
+        ));
+        // Three whole 512-byte checksum chunks and a short one.
+        let data: Vec<u8> = (0..2000u32).map(|i| (i % 251) as u8).collect();
+        let incoming: Vec<u8> = (0..4096u32).map(|i| (i * 7 % 253) as u8).collect();
+        let ranges = [
+            // Empty, on a chunk edge and inside one, and at the end.
+            0..0,
+            1024..1024,
+            700..700,
+            2000..2000,
+            // Aligned: one chunk, two, the short tail, the whole block.
+            0..512,
+            512..1536,
+            1536..2000,
+            0..2000,
+            // Unaligned: inside a chunk, straddling chunks, ending at the tail.
+            10..20,
+            500..1030,
+            1500..2000,
+            // Refused: reversed, or past the end.
+            5..3,
+            1024..512,
+            1990..2001,
+            2048..4096,
+        ];
+        let id = block(4, 2);
+        for (name, store) in &stores {
+            store.put(id, Bytes::from(data.clone())).unwrap();
+            for rotten in [false, true] {
+                if rotten {
+                    // Chunk 2; undetectable on the stores without checksums.
+                    store.corrupt(id, 1100).unwrap();
+                }
+                let reader = store.reader(id).unwrap();
+                if rotten && name.to_lowercase().contains("checksummed") {
+                    let whole = folded(&*reader, 0..2000, Gf256::new(3), None);
+                    assert_eq!(whole, Err("corrupt at 2".into()), "{name}");
+                }
+                for range in ranges.clone() {
+                    let got = store.get_range(id, range.clone()).map_err(kind_of);
+                    for coeff in [0u8, 1, 0x8e] {
+                        for incoming in [None, Some(&incoming[..range.len()])] {
+                            let expected = got.as_ref().map(|bytes| {
+                                let mut out = vec![0; bytes.len()];
+                                gf256::fold(Gf256::new(coeff), bytes, incoming, &mut out);
+                                out
+                            });
+                            let folded =
+                                folded(&*reader, range.clone(), Gf256::new(coeff), incoming);
+                            assert_eq!(
+                                folded,
+                                expected.map_err(Clone::clone),
+                                "{name} {range:?} coeff {coeff} rotten {rotten} incoming {}",
+                                incoming.is_some()
+                            );
+                        }
+                    }
+                }
+            }
         }
         std::fs::remove_dir_all(&root).ok();
     }

@@ -369,8 +369,17 @@ impl SliceRx for TcpRx {
                 }
             }
         };
-        conn.window.lock().credits += 1;
-        conn.writable.notify_one();
+        // A sender parks only on an empty window, so only the credit that
+        // ends one can have somebody to wake — and a `notify_one` costs a
+        // `FUTEX_WAKE` per slice even with nobody parked.
+        let ended_empty = {
+            let mut window = conn.window.lock();
+            window.credits += 1;
+            window.credits == 1
+        };
+        if ended_empty {
+            conn.writable.notify_one();
+        }
         Some(SliceMsg {
             index: frame.index as usize,
             stripe: frame.stripe,
@@ -714,6 +723,45 @@ mod tests {
             .expect("a queue out of credit waited on frames it had not written");
         assert_eq!(queued, [false; 3], "TCP frames wait for the flush");
         assert_eq!(writes, 2, "two frames per write, then the third");
+    }
+
+    /// `recv` wakes a sender only when it ends an empty window — and that
+    /// wake-up must not be lost: a sender parked on a full window, on
+    /// another thread, resumes at once after one `recv`, not a `WAIT_TICK`
+    /// later. The `recv` comes a fifth of a tick after the sender parks, so
+    /// a missed wake-up would cost it the other four fifths; the best of
+    /// three rounds is held to the bound.
+    #[test]
+    fn a_sender_parked_on_a_full_window_resumes_after_one_recv() {
+        use std::time::{Duration, Instant};
+        let transport = TcpTransport::new();
+        let (tx, rx) = transport.link(0, 1, 2);
+        for j in 0..2 {
+            tx.send(SliceMsg::new(j, Bytes::from_static(b"full")))
+                .unwrap();
+        }
+        let mut fastest = Duration::MAX;
+        for j in 2..5 {
+            let resumed = std::thread::scope(|scope| {
+                let sender = scope.spawn(|| {
+                    tx.send(SliceMsg::new(j, Bytes::from_static(b"late")))
+                        .unwrap();
+                    Instant::now()
+                });
+                std::thread::sleep(WAIT_TICK / 5);
+                let received = Instant::now();
+                assert_eq!(rx.recv().unwrap().index, j - 2);
+                sender.join().unwrap().saturating_duration_since(received)
+            });
+            fastest = fastest.min(resumed);
+        }
+        assert!(
+            fastest < Duration::from_millis(10),
+            "the parked sender resumed {fastest:?} after the recv"
+        );
+        for j in 3..5 {
+            assert_eq!(rx.recv().unwrap().index, j);
+        }
     }
 
     #[test]

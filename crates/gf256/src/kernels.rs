@@ -6,7 +6,8 @@
 //! that operation, working on whole slices at a time.
 //!
 //! [`crc32`] is the checksum the integrity layer puts on every chunk of those
-//! slices; it rides the same dispatch.
+//! slices; it rides the same dispatch. [`verify_fold`] is a helper's whole
+//! job on a slice of a checksummed block — check, scale, fold — in one pass.
 //!
 //! Each call delegates to the process-wide kernel selection made by
 //! [`crate::simd::Kernels::active`] — vectorized split-table loops where the
@@ -69,6 +70,59 @@ pub fn dot_prod(coeffs: &Matrix, srcs: &[&[u8]], dsts: &mut [&mut [u8]], accumul
 /// Scales a slice in place: `data[j] = coeff * data[j]`.
 pub fn scale_slice_in_place(coeff: Gf256, data: &mut [u8]) {
     Kernels::active().scale_slice_in_place(coeff, data);
+}
+
+/// The helper's fold, one pass over memory: `dst[j] = coeff * src[j] ^
+/// incoming[j]`, or `coeff * src[j]` with no `incoming`.
+///
+/// ```
+/// use gf256::Gf256;
+/// let mut dst = [0u8; 3];
+/// gf256::fold(Gf256::new(2), &[1, 2, 3], Some(&[1, 1, 1]), &mut dst);
+/// assert_eq!(dst, [2 ^ 1, 4 ^ 1, 6 ^ 1]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `src`, `dst` and `incoming` are not all of one length.
+pub fn fold(coeff: Gf256, src: &[u8], incoming: Option<&[u8]>, dst: &mut [u8]) {
+    Kernels::active().fold(coeff, src, incoming, dst);
+}
+
+/// The helper's fold in place: `data[j] = coeff * data[j] ^ incoming[j]`.
+///
+/// # Panics
+///
+/// Panics if `incoming` is not as long as `data`.
+pub fn fold_in_place(coeff: Gf256, data: &mut [u8], incoming: Option<&[u8]>) {
+    Kernels::active().fold_in_place(coeff, data, incoming);
+}
+
+/// The checked helper fold over a slice just read from a checksummed block:
+/// checks each `chunk_size`-byte chunk's CRC-32 against `sums` and leaves
+/// `coeff * data ^ incoming` in its place, in one pass. Returns the index of
+/// the first chunk that fails (its bytes, and those after it, are then
+/// unspecified). See [`Kernels::verify_fold`].
+///
+/// ```
+/// use gf256::Gf256;
+/// let mut data = *b"0123456789";
+/// let sums = [gf256::crc32(b"01234"), gf256::crc32(b"56789")];
+/// assert_eq!(gf256::verify_fold(Gf256::ONE, &mut data, None, &sums, 5), Ok(()));
+/// assert_eq!(gf256::verify_fold(Gf256::ONE, &mut data, None, &[sums[0], 0], 5), Err(1));
+/// ```
+///
+/// # Panics
+///
+/// Panics if `chunk_size` is zero or `incoming` is not as long as `data`.
+pub fn verify_fold(
+    coeff: Gf256,
+    data: &mut [u8],
+    incoming: Option<&[u8]>,
+    sums: &[u32],
+    chunk_size: usize,
+) -> Result<(), usize> {
+    Kernels::active().verify_fold(coeff, data, incoming, sums, chunk_size)
 }
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/`cksum` dialect) of `data`.

@@ -14,6 +14,9 @@
 //!   over the sources.
 //! * [`crc32`] — the CRC-32 (IEEE) block-integrity checksum: polynomial
 //!   division over GF(2), dispatched with the slice kernels.
+//! * [`fold`] and [`verify_fold`] — a helper's fold, `partial' = partial +
+//!   a_i * B_i`, as one pass over memory; `verify_fold` also checks the
+//!   CRC-32 of every chunk of `B_i` as it reads it.
 //! * [`Matrix`] — a dense matrix over GF(2^8) with Gauss-Jordan inversion,
 //!   used to derive encoding matrices and single-block repair coefficients.
 //!
@@ -45,7 +48,10 @@ pub mod simd;
 mod tables;
 
 pub use field::Gf256;
-pub use kernels::{add_slice, crc32, dot_prod, mul_add_slice, mul_slice, scale_slice_in_place};
+pub use kernels::{
+    add_slice, crc32, dot_prod, fold, fold_in_place, mul_add_slice, mul_slice,
+    scale_slice_in_place, verify_fold,
+};
 pub use matrix::Matrix;
 pub use simd::{active_path, KernelPath, Kernels};
 

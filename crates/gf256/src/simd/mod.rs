@@ -38,6 +38,14 @@
 //! host has that instruction. The force names a GF path, not a CRC one:
 //! `ssse3`/`avx2` forced on a host without `pclmulqdq` checksum portably.
 //!
+//! A helper's whole job on a slice of a checksummed block is both at once:
+//! check each chunk's CRC-32, then fold `a_i * B_i` into the partial sum it
+//! forwards. [`Kernels::verify_fold`] does that in one pass over the slice.
+//! On the `Avx2` path (with `pclmulqdq`) one loop feeds each 64 bytes to the
+//! CRC folding lanes and to the `vpshufb` multiply; the other paths compose
+//! their CRC and multiply kernels chunk by chunk, while the chunk is still
+//! in L1.
+//!
 //! All `unsafe` in this crate lives in the per-ISA submodules of this
 //! module (`simd/x86.rs`, `simd/neon.rs`); `cargo run -p xtask -- lint`
 //! rejects `unsafe` anywhere else in the workspace and requires a
@@ -130,8 +138,8 @@ impl std::fmt::Display for KernelPath {
     }
 }
 
-/// One implementation of the four slice kernels, the fused dot product and
-/// the CRC-32 checksum.
+/// One implementation of the four slice kernels, the fused dot product,
+/// the CRC-32 checksum and the checked helper fold.
 ///
 /// The bulk entry points ([`crate::mul_slice`] and friends) delegate to
 /// [`Kernels::active`]; tests address a specific path through
@@ -149,7 +157,42 @@ pub struct Kernels {
     // Raw CRC-32 state update (no pre/post inversion), so a vector body and
     // a portable tail compose.
     crc: fn(u32, &[u8]) -> u32,
+    verify_fold: VerifyFoldFn,
 }
+
+/// [`Kernels::verify_fold`] once its arguments are checked. The kernels
+/// come first so that a path without a fused loop can compose its own.
+type VerifyFoldFn =
+    fn(&Kernels, Gf256, &mut [u8], Option<&[u8]>, &[u32], usize) -> Result<(), usize>;
+
+/// The checked fold of every path without a fused loop: per chunk, the
+/// path's CRC over the chunk as read, then its fold, while the chunk is
+/// still in L1.
+fn verify_fold_composed(
+    kernels: &Kernels,
+    coeff: Gf256,
+    data: &mut [u8],
+    incoming: Option<&[u8]>,
+    sums: &[u32],
+    chunk_size: usize,
+) -> Result<(), usize> {
+    let mut tmp = [0u8; FOLD_PIECE];
+    let chunks = data
+        .chunks_mut(chunk_size)
+        .zip(pieces_of(incoming, chunk_size));
+    for (i, (chunk, incoming)) in chunks.enumerate() {
+        if sums.get(i) != Some(&kernels.crc32(chunk)) {
+            return Err(i);
+        }
+        kernels.fold_staged(coeff, chunk, incoming, &mut tmp);
+    }
+    Ok(())
+}
+
+/// The bytes [`Kernels::fold`] and [`Kernels::fold_in_place`] take per
+/// step: small enough that a piece written by one kernel is still in L1
+/// when the next reads it, so a fold is one pass over memory.
+const FOLD_PIECE: usize = 4096;
 
 /// The fused dot product over one row group (at most [`DOT_ROWS`] outputs,
 /// coefficients row-major) and one column range; the flag selects accumulate
@@ -164,6 +207,7 @@ static SCALAR: Kernels = Kernels {
     add: scalar::add,
     dot: scalar::dot,
     crc: scalar::crc32,
+    verify_fold: verify_fold_composed,
 };
 
 /// Output rows one fused pass computes. Each source vector is loaded and
@@ -399,30 +443,120 @@ impl Kernels {
 
     /// `data[j] = coeff * data[j]` in place.
     pub fn scale_slice_in_place(&self, coeff: Gf256, data: &mut [u8]) {
-        if coeff == Gf256::ONE {
-            return;
+        self.fold_in_place(coeff, data, None);
+    }
+
+    /// `dst[j] = coeff * src[j] ^ incoming[j]` (`incoming` absent: zero),
+    /// the helper's fold of its own slice into the partial sum it
+    /// received, as one pass over memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src`, `dst` and `incoming` are not all of one length.
+    pub fn fold(&self, coeff: Gf256, src: &[u8], incoming: Option<&[u8]>, dst: &mut [u8]) {
+        assert_eq!(
+            src.len(),
+            dst.len(),
+            "fold: src and dst must have equal length"
+        );
+        check_incoming(incoming, dst.len());
+        let pieces = src.chunks(FOLD_PIECE).zip(dst.chunks_mut(FOLD_PIECE));
+        for ((src, dst), incoming) in pieces.zip(pieces_of(incoming, FOLD_PIECE)) {
+            self.mul_slice(coeff, src, dst);
+            if let Some(incoming) = incoming {
+                (self.add)(incoming, dst);
+            }
         }
-        if coeff.is_zero() {
-            data.fill(0);
+    }
+
+    /// `data[j] = coeff * data[j] ^ incoming[j]` (`incoming` absent: zero)
+    /// in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `incoming` is not as long as `data`.
+    pub fn fold_in_place(&self, coeff: Gf256, data: &mut [u8], incoming: Option<&[u8]>) {
+        check_incoming(incoming, data.len());
+        // A fold by one into nothing (a plain read) leaves `data` as it is.
+        if coeff != Gf256::ONE || incoming.is_some() {
+            self.fold_staged(coeff, data, incoming, &mut [0; FOLD_PIECE]);
+        }
+    }
+
+    /// [`fold_in_place`](Self::fold_in_place) with its staging buffer
+    /// passed in, so a caller folding chunk after chunk clears one buffer,
+    /// not one per chunk. `incoming` is as long as `data`.
+    fn fold_staged(
+        &self,
+        coeff: Gf256,
+        data: &mut [u8],
+        incoming: Option<&[u8]>,
+        tmp: &mut [u8; FOLD_PIECE],
+    ) {
+        if coeff == Gf256::ONE {
+            if let Some(incoming) = incoming {
+                (self.add)(incoming, data);
+            }
             return;
         }
         // The `mul` loops take distinct src/dst slices, which an in-place
-        // scale cannot provide without aliasing. Rather than duplicating
-        // every vector loop in an in-place variant, stage through a small
-        // stack buffer: it stays in L1 and the vector kernels are shared.
-        let mut tmp = [0u8; 1024];
-        let mut offset = 0;
-        while offset < data.len() {
-            let chunk = (data.len() - offset).min(tmp.len());
-            (self.mul)(
-                coeff.value(),
-                &data[offset..offset + chunk],
-                &mut tmp[..chunk],
-            );
-            data[offset..offset + chunk].copy_from_slice(&tmp[..chunk]);
-            offset += chunk;
+        // fold cannot provide without aliasing. Rather than duplicating
+        // every vector loop in an in-place variant, stage each piece
+        // through a stack buffer: it stays in L1 and the vector kernels are
+        // shared.
+        let pieces = data.chunks_mut(FOLD_PIECE);
+        for (piece, incoming) in pieces.zip(pieces_of(incoming, FOLD_PIECE)) {
+            let tmp = &mut tmp[..piece.len()];
+            tmp.copy_from_slice(piece);
+            self.fold(coeff, tmp, incoming, piece);
         }
     }
+
+    /// The checked helper fold: for each `chunk_size`-byte chunk of `data`
+    /// (the last may be shorter), checks the CRC-32 of the chunk as read
+    /// against `sums[i]`, and leaves `coeff * data ^ incoming` in its
+    /// place. One pass: each chunk is read once for both.
+    ///
+    /// Returns the index of the first chunk whose checksum does not match,
+    /// or that has no entry in `sums`. From that chunk on `data` holds
+    /// unspecified bytes; the caller must not use them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk_size` is zero or `incoming` is not as long as
+    /// `data`.
+    pub fn verify_fold(
+        &self,
+        coeff: Gf256,
+        data: &mut [u8],
+        incoming: Option<&[u8]>,
+        sums: &[u32],
+        chunk_size: usize,
+    ) -> Result<(), usize> {
+        assert!(chunk_size > 0, "verify_fold: chunk_size must be non-zero");
+        check_incoming(incoming, data.len());
+        (self.verify_fold)(self, coeff, data, incoming, sums, chunk_size)
+    }
+}
+
+/// The length rule of every fold: the partial sum it adds, if any, is as
+/// long as the buffer it folds into.
+fn check_incoming(incoming: Option<&[u8]>, len: usize) {
+    if let Some(incoming) = incoming {
+        assert_eq!(
+            incoming.len(),
+            len,
+            "fold: incoming must be as long as the buffer it folds into"
+        );
+    }
+}
+
+/// The `piece`-byte pieces of `incoming` that a fold, piece by piece, adds
+/// to the pieces of the buffer it folds into — or `None` for every piece,
+/// with no `incoming`.
+fn pieces_of(incoming: Option<&[u8]>, piece: usize) -> impl Iterator<Item = Option<&[u8]>> {
+    let mut pieces = incoming.map(|incoming| incoming.chunks(piece));
+    std::iter::from_fn(move || Some(pieces.as_mut().and_then(Iterator::next)))
 }
 
 /// The path the process-wide selection resolved to (selecting it now if
@@ -493,7 +627,7 @@ mod tests {
     fn scale_matches_mul_on_every_path() {
         for path in KernelPath::supported_paths() {
             let kernels = Kernels::for_path(path).unwrap();
-            // Cross the 1 KiB staging buffer inside scale_slice_in_place.
+            // Cross the 4 KiB staging buffer inside scale_slice_in_place.
             let data: Vec<u8> = (0..5000).map(|i| (i % 251) as u8).collect();
             for coeff in [0u8, 1, 2, 0x1d, 0xfe] {
                 let mut scaled = data.clone();

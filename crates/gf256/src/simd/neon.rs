@@ -27,6 +27,7 @@ pub(super) static NEON: Kernels = Kernels {
     add: add_neon,
     dot: dot_neon,
     crc: scalar::crc32,
+    verify_fold: super::verify_fold_composed,
 };
 
 fn mul_neon(coeff: u8, src: &[u8], dst: &mut [u8]) {

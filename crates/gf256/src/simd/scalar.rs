@@ -24,6 +24,19 @@ pub(super) fn mul_add(coeff: u8, src: &[u8], dst: &mut [u8]) {
     }
 }
 
+/// `data[j] = coeff * data[j] ^ incoming[j]` in place, a byte at a time:
+/// the sub-stride tails of the vector paths' checked fold.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+pub(super) fn fold_in_place(coeff: u8, data: &mut [u8], incoming: Option<&[u8]>) {
+    let row = &mul_table()[coeff as usize];
+    for d in data.iter_mut() {
+        *d = row[*d as usize];
+    }
+    if let Some(incoming) = incoming {
+        add(incoming, data);
+    }
+}
+
 pub(super) fn add(src: &[u8], dst: &mut [u8]) {
     // XOR eight bytes at a time through safe to/from_ne_bytes round trips;
     // the tail falls back to byte-at-a-time.

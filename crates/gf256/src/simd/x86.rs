@@ -24,7 +24,10 @@
 //!
 //! Both paths also share one CRC-32 kernel: CRC is polynomial division over
 //! GF(2), and `pclmulqdq` (carry-less multiply) folds 64 input bytes into
-//! four 128-bit accumulators per iteration. See [`crc32_x86`].
+//! four 128-bit accumulators per iteration. See [`crc32_x86`]. The AVX2
+//! path runs that loop and its multiply as one: [`crc_fold_strides`]
+//! loads each 64 bytes once, folds them into the CRC lanes and stores
+//! their products in their place.
 
 #![allow(unsafe_code)]
 
@@ -46,6 +49,7 @@ pub(super) static SSSE3: Kernels = Kernels {
     add: add_ssse3,
     dot: dot_ssse3,
     crc: crc32_x86,
+    verify_fold: super::verify_fold_composed,
 };
 
 pub(super) static AVX2: Kernels = Kernels {
@@ -55,6 +59,7 @@ pub(super) static AVX2: Kernels = Kernels {
     add: add_avx2,
     dot: dot_avx2,
     crc: crc32_x86,
+    verify_fold: verify_fold_avx2,
 };
 
 // ---------------------------------------------------------------- SSSE3 --
@@ -529,6 +534,15 @@ unsafe fn crc32_pclmul_body(state: u32, data: &[u8]) -> u32 {
         x3 = fold(x3, k, _mm_loadu_si128(p.add(i + 48).cast()));
         i += CRC_STRIDE;
     }
+    reduce(x0, x1, x2, x3)
+}
+
+/// The end of the folding loop, in registers: collapses the four lanes into
+/// one, folds its 128 bits to 96 and to 64, and Barrett-reduces those to
+/// the 32-bit state.
+#[inline]
+#[target_feature(enable = "pclmulqdq")]
+fn reduce(x0: __m128i, x1: __m128i, x2: __m128i, x3: __m128i) -> u32 {
     let k = _mm_set_epi64x(FOLD_LANE.1, FOLD_LANE.0);
     let x = fold(fold(fold(x0, k, x1), k, x2), k, x3);
     // 128 -> 96 bits: the low qword (the earlier bytes) moves 64 bits
@@ -546,6 +560,151 @@ unsafe fn crc32_pclmul_body(state: u32, data: &[u8]) -> u32 {
     let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low_dwords), mu_poly);
     let q_poly = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low_dwords), mu_poly);
     _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(x, q_poly))) as u32
+}
+
+// ------------------------------------------------------ checked fold --
+
+/// The AVX2 path's `Kernels::verify_fold`: every chunk's whole 64-byte
+/// strides through [`crc_fold_strides`] when the host has `pclmulqdq`, the
+/// sub-stride tail through the portable loops; chunks shorter than a
+/// stride, or a host without `pclmulqdq`, compose the path's kernels.
+fn verify_fold_avx2(
+    kernels: &Kernels,
+    coeff: Gf256,
+    data: &mut [u8],
+    incoming: Option<&[u8]>,
+    sums: &[u32],
+    chunk_size: usize,
+) -> Result<(), usize> {
+    if chunk_size < CRC_STRIDE || !std::arch::is_x86_feature_detected!("pclmulqdq") {
+        return super::verify_fold_composed(kernels, coeff, data, incoming, sums, chunk_size);
+    }
+    #[cfg(debug_assertions)]
+    CRC_PCLMUL_CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    // SAFETY: the AVX2 table is only handed out when `avx2` was detected
+    // (`Kernels::for_path`) and `pclmulqdq` was detected above; the body
+    // checks its own slice contract.
+    unsafe { verify_fold_avx2_body(coeff.value(), data, incoming, sums, chunk_size) }
+}
+
+/// The chunk loop of [`verify_fold_avx2`], in one function so that the
+/// product tables are loaded once per call and one chunk's reduction
+/// overlaps the next chunk's loads. `incoming`, if given, must be as long
+/// as `data`; caller must have verified AVX2 and `pclmulqdq` support.
+// SAFETY: the only unsafe operation is the call of `crc_fold_strides`
+// (same target features), on a chunk's leading whole strides — a non-zero
+// multiple of `CRC_STRIDE` bytes, by the `split` arithmetic and the
+// emptiness check — with the piece of `incoming` cut at the same offsets,
+// as long as they are by the length assertion on entry.
+#[target_feature(enable = "avx2,pclmulqdq")]
+unsafe fn verify_fold_avx2_body(
+    coeff: u8,
+    data: &mut [u8],
+    incoming: Option<&[u8]>,
+    sums: &[u32],
+    chunk_size: usize,
+) -> Result<(), usize> {
+    assert!(incoming.is_none_or(|incoming| incoming.len() == data.len()));
+    let tables = (
+        _mm256_broadcastsi128_si256(_mm_loadu_si128(MUL_LO[coeff as usize].as_ptr().cast())),
+        _mm256_broadcastsi128_si256(_mm_loadu_si128(MUL_HI[coeff as usize].as_ptr().cast())),
+    );
+    let chunks = data
+        .chunks_mut(chunk_size)
+        .zip(super::pieces_of(incoming, chunk_size));
+    for (i, (chunk, incoming)) in chunks.enumerate() {
+        let split = chunk.len() - chunk.len() % CRC_STRIDE;
+        let (body, tail) = chunk.split_at_mut(split);
+        let (body_in, tail_in) = match incoming {
+            Some(incoming) => {
+                let (body_in, tail_in) = incoming.split_at(split);
+                (Some(body_in), Some(tail_in))
+            }
+            None => (None, None),
+        };
+        let mut state = !0;
+        if !body.is_empty() {
+            state = crc_fold_strides(state, tables, body, body_in);
+        }
+        if !tail.is_empty() {
+            state = scalar::crc32(state, tail);
+            scalar::fold_in_place(coeff, tail, tail_in);
+        }
+        if sums.get(i) != Some(&!state) {
+            return Err(i);
+        }
+    }
+    Ok(())
+}
+
+/// The CRC-32 state update over `data` as read, and `coeff * data ^
+/// incoming` left in its place, in one loop: each 64 bytes are loaded once,
+/// folded into the four CRC lanes of [`crc32_pclmul_body`] and multiplied
+/// as two 32-byte vectors of [`mul_avx2_body`] (`tables` holds the
+/// coefficient's low- and high-nibble tables, broadcast to both lanes).
+/// `data.len()` must be a non-zero multiple of [`CRC_STRIDE`] and
+/// `incoming`, if given, as long; caller must have verified AVX2 and
+/// `pclmulqdq` support.
+// SAFETY: every access is an unaligned `loadu`/`storeu` of 32 bytes at an
+// offset `i + 32 * half + 32 <= len`, because `i` advances in whole
+// strides of 64 over a length that is a multiple of 64 (asserted), and
+// `incoming` is as long as `data` (asserted); `data` is a `&mut` slice, so
+// `incoming` cannot alias it.
+#[inline]
+#[target_feature(enable = "avx2,pclmulqdq")]
+unsafe fn crc_fold_strides(
+    state: u32,
+    (lo_tbl, hi_tbl): (__m256i, __m256i),
+    data: &mut [u8],
+    incoming: Option<&[u8]>,
+) -> u32 {
+    let len = data.len();
+    assert!(len > 0 && len.is_multiple_of(CRC_STRIDE));
+    assert!(incoming.is_none_or(|incoming| incoming.len() == len));
+    let mask = _mm256_set1_epi8(0x0f);
+    let p = data.as_mut_ptr();
+    let inc = incoming.map(<[u8]>::as_ptr);
+    // `coeff * v ^ incoming[at..at + 32]`, for the vector `v` read at `at`.
+    let product = |v: __m256i, at: usize| {
+        let lo_n = _mm256_and_si256(v, mask);
+        let hi_n = _mm256_and_si256(_mm256_srli_epi64::<4>(v), mask);
+        let prod = _mm256_xor_si256(
+            _mm256_shuffle_epi8(lo_tbl, lo_n),
+            _mm256_shuffle_epi8(hi_tbl, hi_n),
+        );
+        match inc {
+            Some(inc) => _mm256_xor_si256(prod, _mm256_loadu_si256(inc.add(at).cast())),
+            None => prod,
+        }
+    };
+    // The first stride seeds the lanes (the state XORed into its first
+    // four bytes); every later one is folded onto them.
+    let (a, b) = (
+        _mm256_loadu_si256(p.cast()),
+        _mm256_loadu_si256(p.add(32).cast()),
+    );
+    let mut x0 = _mm_xor_si128(_mm256_castsi256_si128(a), _mm_cvtsi32_si128(state as i32));
+    let mut x1 = _mm256_extracti128_si256::<1>(a);
+    let mut x2 = _mm256_castsi256_si128(b);
+    let mut x3 = _mm256_extracti128_si256::<1>(b);
+    _mm256_storeu_si256(p.cast(), product(a, 0));
+    _mm256_storeu_si256(p.add(32).cast(), product(b, 32));
+    let k = _mm_set_epi64x(FOLD_STRIDE.1, FOLD_STRIDE.0);
+    let mut i = CRC_STRIDE;
+    while i < len {
+        let (a, b) = (
+            _mm256_loadu_si256(p.add(i).cast()),
+            _mm256_loadu_si256(p.add(i + 32).cast()),
+        );
+        x0 = fold(x0, k, _mm256_castsi256_si128(a));
+        x1 = fold(x1, k, _mm256_extracti128_si256::<1>(a));
+        x2 = fold(x2, k, _mm256_castsi256_si128(b));
+        x3 = fold(x3, k, _mm256_extracti128_si256::<1>(b));
+        _mm256_storeu_si256(p.add(i).cast(), product(a, i));
+        _mm256_storeu_si256(p.add(i + 32).cast(), product(b, i + 32));
+        i += CRC_STRIDE;
+    }
+    reduce(x0, x1, x2, x3)
 }
 
 #[cfg(test)]

@@ -7,6 +7,11 @@
 //! scalar tail), empty slices, and all 256 coefficients including the 0 and
 //! 1 fast paths.
 //!
+//! The checked helper fold (`Kernels::verify_fold`) is held on every path
+//! to the three passes it replaces — chunk checksums, multiply, add — over
+//! empty, single-byte, many-chunk and short-tail buffers, and must convict
+//! a flipped bit in any chunk at that chunk.
+//!
 //! The CRC-32 kernels get the same treatment against a bytewise oracle: the
 //! portable slicing-by-16 kernel and, where the host has `pclmulqdq`, the
 //! folding kernel, across every length around their 16- and 64-byte strides
@@ -54,13 +59,7 @@ fn pattern(len: usize, salt: usize) -> Vec<u8> {
 
 /// Runs `op` on misaligned copies of src/dst for one path and the scalar
 /// oracle and asserts identical results.
-fn check_op(
-    kernels: &Kernels,
-    coeff: u8,
-    len: usize,
-    offset: usize,
-    op: fn(&Kernels, Gf256, &[u8], &mut [u8]),
-) {
+fn check_op(kernels: &Kernels, coeff: u8, len: usize, offset: usize, op: SliceOp) {
     // Pad the front so `&buf[offset..]` exercises a misaligned base.
     let src_buf = pattern(offset + len, 3);
     let dst_init = pattern(offset + len, 101);
@@ -108,6 +107,23 @@ fn scale(k: &Kernels, c: Gf256, s: &[u8], d: &mut [u8]) {
     k.scale_slice_in_place(c, d);
 }
 
+/// `d = c * s ^ d`, through the three-operand fold.
+fn fold(k: &Kernels, c: Gf256, s: &[u8], d: &mut [u8]) {
+    let incoming = d.to_vec();
+    k.fold(c, s, Some(&incoming), d);
+}
+
+/// `d = c * d ^ s`, through the in-place fold.
+fn fold_in_place(k: &Kernels, c: Gf256, s: &[u8], d: &mut [u8]) {
+    k.fold_in_place(c, d, Some(s));
+}
+
+/// A slice op, `d` the destination.
+type SliceOp = fn(&Kernels, Gf256, &[u8], &mut [u8]);
+
+/// Every slice op the paths must agree on.
+const OPS: [SliceOp; 6] = [mul, mul_add, add, scale, fold, fold_in_place];
+
 #[test]
 fn all_coefficients_at_boundary_lengths() {
     // Dense around every multiple of 16 and 32 up to 3×32, sparse offsets.
@@ -117,7 +133,7 @@ fn all_coefficients_at_boundary_lengths() {
     for kernels in simd_paths() {
         for coeff in 0..=255u8 {
             for &len in &lengths {
-                for op in [mul, mul_add, add, scale] {
+                for op in OPS {
                     check_op(kernels, coeff, len, coeff as usize % 4, op);
                 }
             }
@@ -132,7 +148,7 @@ fn every_length_in_the_three_vector_sweep() {
         for len in LENGTHS {
             for &offset in &OFFSETS {
                 for coeff in [0u8, 1, 2, 0x1d, 0x8e, 0xff] {
-                    for op in [mul, mul_add, add, scale] {
+                    for op in OPS {
                         check_op(kernels, coeff, len, offset, op);
                     }
                 }
@@ -155,7 +171,7 @@ proptest! {
                 .into_iter()
                 .chain(src.iter().copied())
                 .collect();
-            for op in [mul, mul_add, add, scale] {
+            for op in OPS {
                 let mut got = dst_init.clone();
                 op(kernels, Gf256::new(coeff), &src_buf[offset..], &mut got[offset..]);
                 let mut expected = dst_init.clone();
@@ -422,4 +438,195 @@ fn forced_scalar_process_never_reaches_pclmul() {
     if let Some(calls) = gf256::simd::crc32_pclmul_calls() {
         assert_eq!(calls, 0, "forced scalar entered the PCLMUL kernel");
     }
+}
+
+// ------------------------------------------------ checked helper fold --
+
+/// Every path this host supports, scalar included: the fused kernel of
+/// each is held to the three-pass oracle below, not to another path.
+fn all_paths() -> Vec<&'static Kernels> {
+    KernelPath::supported_paths()
+        .into_iter()
+        .map(|p| Kernels::for_path(p).expect("listed as supported"))
+        .collect()
+}
+
+/// The per-chunk CRC-32s of `data`, as a checksummed block records them.
+fn sums_of(data: &[u8], chunk: usize) -> Vec<u32> {
+    data.chunks(chunk).map(crc32_bytewise).collect()
+}
+
+/// The three passes the fused kernel replaces: `verify_chunks` (each
+/// chunk's CRC-32 against its recorded sum), then `mul_slice` and
+/// `add_slice` — from the bytewise CRC and the field's product table.
+fn three_passes(
+    coeff: u8,
+    data: &[u8],
+    incoming: Option<&[u8]>,
+    sums: &[u32],
+    chunk: usize,
+) -> Result<Vec<u8>, usize> {
+    for (i, bytes) in data.chunks(chunk).enumerate() {
+        if sums.get(i) != Some(&crc32_bytewise(bytes)) {
+            return Err(i);
+        }
+    }
+    let products = &product_table()[coeff as usize];
+    let scaled = data.iter().map(|&b| products[b as usize]);
+    Ok(match incoming {
+        Some(incoming) => scaled.zip(incoming).map(|(p, i)| p ^ i).collect(),
+        None => scaled.collect(),
+    })
+}
+
+/// Runs the fused kernel of `kernels` on a copy of `data` placed `offset`
+/// bytes into its buffer, returning the folded bytes or the failing chunk.
+fn fused(
+    kernels: &Kernels,
+    coeff: u8,
+    data: &[u8],
+    incoming: Option<&[u8]>,
+    sums: &[u32],
+    chunk: usize,
+    offset: usize,
+) -> Result<Vec<u8>, usize> {
+    let mut buf = vec![0xA5; offset];
+    buf.extend_from_slice(data);
+    kernels.verify_fold(Gf256::new(coeff), &mut buf[offset..], incoming, sums, chunk)?;
+    assert!(
+        buf[..offset].iter().all(|&b| b == 0xA5),
+        "wrote before the buffer"
+    );
+    Ok(buf.split_off(offset))
+}
+
+#[test]
+fn verify_fold_matches_three_passes_on_every_path() {
+    let buf = pattern(32 * 1024 + 64, 5);
+    let incoming_buf = pattern(32 * 1024 + 64, 77);
+    // 512 is the checksum chunk; 64 one CRC stride; 100 and 1 not a
+    // stride at all; 5000 spans two of the pieces a composed fold stages.
+    for chunk in [512usize, 64, 100, 1, 5000] {
+        let many = (64 * chunk).min(32 * 1024);
+        let lengths = [0, 1, chunk - 1, chunk, chunk + 1, 4 * chunk + 37, many];
+        for len in lengths {
+            for offset in [0, 1, 13] {
+                let data = &buf[offset..offset + len];
+                let incoming = &incoming_buf[3 * offset..3 * offset + len];
+                let sums = sums_of(data, chunk);
+                for coeff in [0u8, 1, 2, 0x8e, (len * 31 + chunk) as u8] {
+                    for incoming in [None, Some(incoming)] {
+                        let expected = three_passes(coeff, data, incoming, &sums, chunk);
+                        assert!(expected.is_ok());
+                        for kernels in all_paths() {
+                            let got = fused(kernels, coeff, data, incoming, &sums, chunk, offset);
+                            assert!(
+                                got == expected,
+                                "path={} chunk={chunk} len={len} offset={offset} coeff={coeff} \
+                                 incoming={}",
+                                kernels.path(),
+                                incoming.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn verify_fold_convicts_a_flipped_bit_in_any_chunk() {
+    // Five whole 512-byte chunks and a short tail; ten 64-byte chunks.
+    for (chunk, len) in [(512usize, 5 * 512 + 100), (64, 640)] {
+        let data = pattern(len, 9);
+        let incoming = pattern(len, 41);
+        let sums = sums_of(&data, chunk);
+        for at in 0..len {
+            // Every byte of the small chunks; a spread of the large ones.
+            if chunk == 512 && ![0, 1, 63, 64, 255, 256, 510, 511].contains(&(at % chunk)) {
+                continue;
+            }
+            let mut rotten = data.clone();
+            rotten[at] ^= 1 << (at % 8);
+            for kernels in all_paths() {
+                for incoming in [None, Some(&incoming[..])] {
+                    let got = fused(kernels, 0x8e, &rotten, incoming, &sums, chunk, at % 3);
+                    assert_eq!(
+                        got,
+                        Err(at / chunk),
+                        "path={} chunk={chunk} flipped byte {at}",
+                        kernels.path()
+                    );
+                }
+            }
+        }
+        // A chunk with no recorded sum fails too, at that chunk.
+        for kernels in all_paths() {
+            let short = &sums[..sums.len() - 1];
+            let got = fused(kernels, 7, &data, None, short, chunk, 0);
+            assert_eq!(got, Err(sums.len() - 1), "path={}", kernels.path());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn verify_fold_random_shapes_match_three_passes(
+        data in proptest::collection::vec(any::<u8>(), 0..4096),
+        chunk in 1usize..1100,
+        coeff in any::<u8>(),
+        with_incoming in any::<bool>(),
+        offset in 0usize..MAX_LANE,
+        flip in any::<bool>(),
+        flip_at in any::<usize>(),
+    ) {
+        let incoming: Vec<u8> = data.iter().map(|b| b.rotate_left(3) ^ 0x5c).collect();
+        let incoming = with_incoming.then_some(&incoming[..]);
+        let mut sums = sums_of(&data, chunk);
+        if flip && !data.is_empty() {
+            sums[flip_at % data.len() / chunk] ^= 1;
+        }
+        let expected = three_passes(coeff, &data, incoming, &sums, chunk);
+        for kernels in all_paths() {
+            let got = fused(kernels, coeff, &data, incoming, &sums, chunk, offset);
+            prop_assert_eq!(&got, &expected, "path={}", kernels.path());
+        }
+    }
+}
+
+/// `fold` and `fold_in_place` work a piece at a time; across the piece
+/// boundaries they still equal the field's products, on every path.
+#[test]
+fn folds_across_their_pieces_match_the_field() {
+    let products = &product_table()[0x8e];
+    for len in [4095, 4096, 4097, 10_000] {
+        let (src, incoming) = (pattern(len, 21), pattern(len, 88));
+        let expected: Vec<u8> = src
+            .iter()
+            .zip(&incoming)
+            .map(|(&s, &i)| products[s as usize] ^ i)
+            .collect();
+        for kernels in all_paths() {
+            let mut dst = vec![0u8; len];
+            kernels.fold(Gf256::new(0x8e), &src, Some(&incoming), &mut dst);
+            assert!(dst == expected, "fold path={} len={len}", kernels.path());
+            let mut data = src.clone();
+            kernels.fold_in_place(Gf256::new(0x8e), &mut data, Some(&incoming));
+            assert!(
+                data == expected,
+                "fold_in_place path={} len={len}",
+                kernels.path()
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "incoming must be as long")]
+fn verify_fold_rejects_a_short_incoming() {
+    let mut data = [0u8; 64];
+    let _ = scalar().verify_fold(Gf256::ONE, &mut data, Some(&[0; 63]), &[0], 64);
 }
