@@ -8,9 +8,9 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ecc::slice::SliceLayout;
 use ecc::ReedSolomon;
-use ecpipe::exec::{execute_single, ExecStrategy};
+use ecpipe::exec::execute_single;
 use ecpipe::transport::{ChannelTransport, ReactorTransport, TcpTransport, Transport};
-use ecpipe::{Cluster, Coordinator, RepairDirective, StoreBackend};
+use ecpipe::{Cluster, Coordinator, RepairDirective, Scheme, StoreBackend};
 
 const BLOCK: usize = 4 * 1024 * 1024;
 /// The socket rows repair the benchmark crate's block size, so they read
@@ -45,10 +45,10 @@ fn bench_runtime(c: &mut Criterion) {
     let mut group = c.benchmark_group("runtime_exec");
     group.throughput(Throughput::Bytes(BLOCK as u64));
     for strategy in [
-        ExecStrategy::Conventional,
-        ExecStrategy::Ppr,
-        ExecStrategy::RepairPipelining,
-        ExecStrategy::BlockPipeline,
+        Scheme::Conventional,
+        Scheme::Ppr,
+        Scheme::RepairPipelining,
+        Scheme::BlockPipeline,
     ] {
         group.bench_with_input(
             BenchmarkId::new("single_block_repair", strategy),
@@ -80,7 +80,7 @@ fn bench_runtime(c: &mut Criterion) {
                     &directive,
                     &cluster,
                     transport.as_ref(),
-                    ExecStrategy::RepairPipelining,
+                    Scheme::RepairPipelining,
                 )
                 .unwrap()
             });

@@ -15,7 +15,7 @@ use ecc::slice::SliceLayout;
 use ecc::ReedSolomon;
 use ecpipe::manager::{recover_node, ManagerConfig};
 use ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
-use ecpipe::{Cluster, Coordinator, ExecStrategy, StoreBackend};
+use ecpipe::{Cluster, Coordinator, Scheme, StoreBackend};
 
 const BLOCK: usize = 64 * 1024;
 const SLICE: usize = 8 * 1024;
@@ -56,7 +56,7 @@ fn bench_backend<T: Transport>(
     let configs = [
         (
             "full_node_sequential",
-            ManagerConfig::sequential(ExecStrategy::RepairPipelining),
+            ManagerConfig::sequential(Scheme::RepairPipelining),
         ),
         (
             "full_node_manager_4w",

@@ -12,7 +12,7 @@
 use ecc::slice::SliceLayout;
 use ecpipe_bench::*;
 use repair::fullnode::{self, AffectedStripe, HelperSelection};
-use repair::{rp, SingleRepairJob};
+use repair::{rp, Scheme, SingleRepairJob};
 use simnet::{CostModel, Schedule, Simulator, TaskId, Topology, GBIT};
 
 fn main() {
@@ -31,9 +31,9 @@ fn fig11a_single_block_implementations() {
     for block_mib in [8, 16, 32, 64] {
         let layout = SliceLayout::new(block_mib * MIB, DEFAULT_SLICE);
         let job = SingleRepairJob::new((1..=10).collect(), 0, layout);
-        let pipe_b = sim.run(&rp::schedule_pipe_b(&job)).makespan;
+        let pipe_b = sim.run(&Scheme::BlockPipeline.schedule(&job)).makespan;
         let pipe_s = sim.run(&rp::schedule_pipe_s(&job)).makespan;
-        let rp_t = sim.run(&rp::schedule(&job)).makespan;
+        let rp_t = sim.run(&Scheme::RepairPipelining.schedule(&job)).makespan;
         row(
             &format!("{block_mib} MiB"),
             &[("Pipe-B", pipe_b), ("Pipe-S", pipe_s), ("RP", rp_t)],
@@ -113,7 +113,9 @@ fn fig11b_recovery_implementations() {
             )
             .expect("figure scenario always has enough helpers");
             let schedule = if slice_level {
-                fullnode::build_recovery_schedule(&jobs, rp::schedule)
+                fullnode::build_recovery_schedule(&jobs, |job| {
+                    Scheme::RepairPipelining.schedule(job)
+                })
             } else {
                 push_recovery_schedule(&jobs)
             };

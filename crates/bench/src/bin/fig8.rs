@@ -10,9 +10,7 @@ use ecc::slice::SliceLayout;
 use ecc::{ErasureCode, Lrc};
 use ecpipe_bench::*;
 use repair::fullnode::{self, AffectedStripe, HelperSelection};
-use repair::{
-    conventional, cyclic, multiblock, ppr, rack_aware, rp, MultiRepairJob, Scheme, SingleRepairJob,
-};
+use repair::{multiblock, rack_aware, MultiRepairJob, Scheme, SingleRepairJob};
 use simnet::{CostModel, Simulator, Topology, GBIT, MBIT};
 
 fn main() {
@@ -180,18 +178,17 @@ fn fig8e_full_node_recovery() {
 
     for requestor_count in [1usize, 2, 4, 8, 16] {
         let requestors: Vec<usize> = (20..20 + requestor_count).collect();
-        let rate = |selection: HelperSelection,
-                    scheme: fn(&SingleRepairJob) -> simnet::Schedule| {
+        let rate = |selection: HelperSelection, scheme: Scheme| {
             let jobs = fullnode::plan_recovery(&stripes, 10, &requestors, layout, selection)
                 .expect("figure scenario always has enough helpers");
-            let schedule = fullnode::build_recovery_schedule(&jobs, scheme);
+            let schedule = fullnode::build_recovery_schedule(&jobs, |job| scheme.schedule(job));
             let report = sim_big.run(&schedule);
             fullnode::recovery_rate(&jobs, report.makespan) / MIB as f64
         };
-        let conv = rate(HelperSelection::LowestIndex, conventional::schedule);
-        let ppr_rate = rate(HelperSelection::LowestIndex, ppr::schedule);
-        let rp_rate = rate(HelperSelection::LowestIndex, rp::schedule);
-        let rp_sched = rate(HelperSelection::Greedy, rp::schedule);
+        let conv = rate(HelperSelection::LowestIndex, Scheme::Conventional);
+        let ppr_rate = rate(HelperSelection::LowestIndex, Scheme::Ppr);
+        let rp_rate = rate(HelperSelection::LowestIndex, Scheme::RepairPipelining);
+        let rp_sched = rate(HelperSelection::Greedy, Scheme::RepairPipelining);
         row(
             &format!("{requestor_count} requestors"),
             &[
@@ -235,8 +232,10 @@ fn fig8g_limited_edge_bandwidth() {
         topo.limit_ingress(0, edge_mbps * MBIT);
         let sim = Simulator::new(topo, CostModel::paper_local_cluster());
         let job = SingleRepairJob::new((1..=10).collect(), 0, layout);
-        let basic = sim.run(&rp::schedule(&job)).makespan;
-        let cyc = sim.run(&cyclic::schedule(&job)).makespan;
+        let basic = sim.run(&Scheme::RepairPipelining.schedule(&job)).makespan;
+        let cyc = sim
+            .run(&Scheme::CyclicRepairPipelining.schedule(&job))
+            .makespan;
         row(
             &format!("{edge_mbps} Mb/s"),
             &[("Basic", basic), ("Cyclic", cyc)],
@@ -261,18 +260,22 @@ fn fig8h_rack_awareness() {
         let candidates: Vec<usize> = (2..9).collect();
 
         let conv_job = SingleRepairJob::new(candidates[..6].to_vec(), requestor, layout);
-        let conv = sim.run(&conventional::schedule(&conv_job)).makespan;
+        let conv = sim.run(&Scheme::Conventional.schedule(&conv_job)).makespan;
 
         // Rack-oblivious path: a typical random helper order that enters one
         // rack twice.
         let oblivious = vec![3, 6, 7, 4, 5, 2];
         let rp_job = SingleRepairJob::new(oblivious, requestor, layout);
-        let rp_plain = sim.run(&rp::schedule(&rp_job)).makespan;
+        let rp_plain = sim
+            .run(&Scheme::RepairPipelining.schedule(&rp_job))
+            .makespan;
 
         // Rack-aware path from Algorithm 1.
         let aware_path = rack_aware::select_path(&topo, requestor, &candidates, 6);
         let aware_job = SingleRepairJob::new(aware_path, requestor, layout);
-        let rp_aware = sim.run(&rp::schedule(&aware_job)).makespan;
+        let rp_aware = sim
+            .run(&Scheme::RepairPipelining.schedule(&aware_job))
+            .makespan;
 
         row(
             &format!("{cross_mbps} Mb/s"),

@@ -9,7 +9,7 @@
 
 use ecc::slice::SliceLayout;
 use ecpipe_bench::*;
-use repair::{ppr, rp, weighted_path, SingleRepairJob};
+use repair::{weighted_path, Scheme, SingleRepairJob};
 use simnet::geo;
 use simnet::{CostModel, Simulator, Topology};
 
@@ -47,14 +47,16 @@ fn run_cluster(name: &str, base: Topology, regions: &[&str; 4]) {
             // Random (index-ordered) path over the first k candidates.
             let random_path: Vec<usize> = candidates.iter().copied().take(12).collect();
             let job = SingleRepairJob::new(random_path, requestor, layout);
-            ppr_total += sim.run(&ppr::schedule(&job)).makespan;
-            rp_total += sim.run(&rp::schedule(&job)).makespan;
+            ppr_total += sim.run(&Scheme::Ppr.schedule(&job)).makespan;
+            rp_total += sim.run(&Scheme::RepairPipelining.schedule(&job)).makespan;
 
             // Optimal path via Algorithm 2 on the measured link weights.
             let selection = weighted_path::optimal_path(&topo, requestor, &candidates, 12)
                 .expect("enough candidates for (16,12)");
             let opt_job = SingleRepairJob::new(selection.path, requestor, layout);
-            opt_total += sim.run(&rp::schedule(&opt_job)).makespan;
+            opt_total += sim
+                .run(&Scheme::RepairPipelining.schedule(&opt_job))
+                .makespan;
         }
         row(
             region_name,

@@ -19,7 +19,7 @@
 
 use ecc::slice::SliceLayout;
 use repair::fullnode::{self, AffectedStripe, HelperSelection};
-use repair::{conventional, rp, SingleRepairJob};
+use repair::{Scheme, SingleRepairJob};
 use simnet::{Schedule, TaskId, GBIT};
 
 use crate::local_cluster;
@@ -141,8 +141,8 @@ pub fn single_block_repair_time(
     let job = SingleRepairJob::new(helpers, requestor, layout);
     let schedule = match variant {
         RepairVariant::Original => original_repair_schedule(profile, &job),
-        RepairVariant::ConventionalEcPipe => conventional::schedule(&job),
-        RepairVariant::RepairPipeliningEcPipe => rp::schedule(&job),
+        RepairVariant::ConventionalEcPipe => Scheme::Conventional.schedule(&job),
+        RepairVariant::RepairPipeliningEcPipe => Scheme::RepairPipelining.schedule(&job),
     };
     local_cluster(GBIT).run(&schedule).makespan
 }
@@ -180,10 +180,10 @@ pub fn full_node_recovery_rate(
     .expect("the generated recovery scenario always has enough helpers");
     let schedule = match variant {
         RepairVariant::RepairPipeliningEcPipe => {
-            fullnode::build_recovery_schedule(&jobs, rp::schedule)
+            fullnode::build_recovery_schedule(&jobs, |job| Scheme::RepairPipelining.schedule(job))
         }
         RepairVariant::ConventionalEcPipe => {
-            fullnode::build_recovery_schedule(&jobs, conventional::schedule)
+            fullnode::build_recovery_schedule(&jobs, |job| Scheme::Conventional.schedule(job))
         }
         RepairVariant::Original => {
             fullnode::build_recovery_schedule(&jobs, |job| original_repair_schedule(profile, job))

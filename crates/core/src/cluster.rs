@@ -18,12 +18,13 @@ use bytes::Bytes;
 
 use ecc::stripe::{BlockId, StripeId};
 use ecpipe_meta::{MetaConfig, MetaRouter};
+use repair::Scheme;
 use simnet::{NodeId, Topology};
 
 use ecc::ErasureCode;
 
 use crate::buf::BufPool;
-use crate::exec::{self, ExecStrategy};
+use crate::exec;
 use crate::store::{BlockStore, StoreBackend};
 use crate::transport::{ChannelTransport, Transport};
 use crate::{Coordinator, EcPipeError, Result};
@@ -318,7 +319,7 @@ impl Cluster {
         stripe: StripeId,
         failed: usize,
         requestor: NodeId,
-        strategy: ExecStrategy,
+        strategy: Scheme,
     ) -> Result<Bytes> {
         self.repair_over(
             coordinator,
@@ -338,7 +339,7 @@ impl Cluster {
         stripe: StripeId,
         failed: usize,
         requestor: NodeId,
-        strategy: ExecStrategy,
+        strategy: Scheme,
         transport: &T,
     ) -> Result<Bytes> {
         let directive = coordinator.plan_single_repair(&self.meta, stripe, failed, requestor)?;
@@ -457,7 +458,7 @@ mod tests {
                 stripe,
                 2,
                 cluster.placement(stripe).unwrap()[2],
-                ExecStrategy::RepairPipelining,
+                Scheme::RepairPipelining,
             )
             .unwrap();
         assert_eq!(repaired, data[2]);
@@ -480,7 +481,7 @@ mod tests {
         assert!(cluster.erase_block(stripe, 1));
         assert_eq!(cluster.block_pool().retained(), 1, "the erased block waits");
         let requestor = cluster.placement(stripe).unwrap()[1];
-        let strategy = ExecStrategy::RepairPipelining;
+        let strategy = Scheme::RepairPipelining;
         let repaired = cluster
             .repair(&coordinator, stripe, 1, requestor, strategy)
             .unwrap();

@@ -10,18 +10,23 @@
 //! into them as it reads it ([`BlockReader::fold_into`]): on a checksummed
 //! store, one pass that verifies, scales and adds.
 //!
-//! * [`ExecStrategy::Conventional`] — a star: every helper streams its raw
+//! A single-block repair's shape is a [`Scheme`], which
+//! [`Scheme::dag`] turns into its plan:
+//!
+//! * [`Scheme::Conventional`] — a star: every helper streams its raw
 //!   block to the requestor, which performs the decoding combination (§2.2).
-//! * [`ExecStrategy::Ppr`] — partial-parallel repair: a binary aggregation
+//! * [`Scheme::Ppr`] — partial-parallel repair: a binary aggregation
 //!   tree whose nodes forward only once their children are folded (§2.2).
-//! * [`ExecStrategy::RepairPipelining`] — the paper's contribution: a chain;
+//! * [`Scheme::RepairPipelining`] — the paper's contribution: a chain;
 //!   slices flow along the helper path, each helper adding `a_i * B_i`
 //!   (§3.2).
-//! * [`ExecStrategy::BlockPipeline`] — the `Pipe-B` baseline of §6.4: the
+//! * [`Scheme::BlockPipeline`] — the `Pipe-B` baseline of §6.4: the
 //!   same chain with one slice per block.
-//! * [`execute_multi`] — the chain carrying `f` rows of partial sums (§4.4).
-//! * [`RepairDag::cyclic`] — `k − 1` chains over interleaved slice sets
-//!   (§4.1), walked by [`execute_single_cancellable`]: no strategy names it.
+//! * [`Scheme::CyclicRepairPipelining`] — `k − 1` chains over interleaved
+//!   slice sets (§4.1).
+//!
+//! [`execute_multi`] walks the chain carrying `f` rows of partial sums
+//! (§4.4).
 //!
 //! # One thread, every stage
 //!
@@ -69,6 +74,7 @@ use bytes::Bytes;
 pub use ecpipe_sync::OnceFlag;
 use gf256::Gf256;
 use repair::dag::{Output, RepairDag, Stage};
+use repair::Scheme;
 
 use ecc::slice::SliceLayout;
 
@@ -83,55 +89,9 @@ use crate::{EcPipeError, Result};
 /// it sends to: the credit window of every link of a plan.
 pub const PIPELINE_DEPTH: usize = 8;
 
-/// How a single-block repair is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ExecStrategy {
-    /// Requestor fetches all helper blocks and decodes locally.
-    Conventional,
-    /// Partial-parallel repair over a binary aggregation tree.
-    Ppr,
-    /// Slice-level repair pipelining along the helper path.
-    RepairPipelining,
-    /// Block-level pipelining along the helper path (`Pipe-B`).
-    BlockPipeline,
-}
-
-impl std::fmt::Display for ExecStrategy {
-    /// Formats as the short label used in the paper's figures (`Conv.`,
-    /// `PPR`, `RP`, `Pipe-B`), so strategy names are uniform across reports
-    /// and benches.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // `pad` honors width/alignment options in table output.
-        f.pad(match self {
-            ExecStrategy::Conventional => "Conv.",
-            ExecStrategy::Ppr => "PPR",
-            ExecStrategy::RepairPipelining => "RP",
-            ExecStrategy::BlockPipeline => "Pipe-B",
-        })
-    }
-}
-
 fn execution_error(reason: impl Into<String>) -> EcPipeError {
     EcPipeError::Execution {
         reason: reason.into(),
-    }
-}
-
-/// The shape `strategy` gives a single-block repair.
-pub fn single_dag(directive: &RepairDirective, strategy: ExecStrategy) -> RepairDag {
-    let (path, requestor, layout) = (&directive.path, directive.requestor, directive.layout);
-    let columns = path
-        .iter()
-        .map(|&(node, block, coeff)| (node, block, vec![coeff]));
-    match strategy {
-        ExecStrategy::Conventional => RepairDag::star(path, requestor, layout),
-        ExecStrategy::Ppr => RepairDag::tree(path, requestor, layout),
-        ExecStrategy::RepairPipelining => RepairDag::chain(columns, &[requestor], layout),
-        ExecStrategy::BlockPipeline => {
-            let whole = SliceLayout::new(layout.block_size, layout.block_size);
-            RepairDag::chain(columns, &[requestor], whole)
-        }
     }
 }
 
@@ -156,9 +116,9 @@ pub fn execute_single<T: Transport + ?Sized>(
     directive: &RepairDirective,
     cluster: &Cluster,
     transport: &T,
-    strategy: ExecStrategy,
+    strategy: Scheme,
 ) -> Result<Bytes> {
-    let dag = single_dag(directive, strategy);
+    let dag = strategy.dag(&directive.path, directive.requestor, directive.layout);
     execute_single_cancellable(directive, &dag, cluster, transport, &OnceFlag::new())
 }
 
@@ -743,20 +703,19 @@ mod tests {
         (cluster, coordinator, data, stripe)
     }
 
-    /// Builds a single-block repair's plan.
-    type Plan = fn(&RepairDirective) -> RepairDag;
-
-    /// Every single-block plan, by name: the strategies' and cyclic
-    /// repair's (§4.1), which no strategy names.
-    const SINGLE_PLANS: [(&str, Plan); 5] = [
-        ("Conv.", |d| single_dag(d, ExecStrategy::Conventional)),
-        ("PPR", |d| single_dag(d, ExecStrategy::Ppr)),
-        ("RP", |d| single_dag(d, ExecStrategy::RepairPipelining)),
-        ("Pipe-B", |d| single_dag(d, ExecStrategy::BlockPipeline)),
-        ("cyclic", |d| {
-            RepairDag::cyclic(&d.path, d.requestor, d.layout)
-        }),
+    /// Every single-block shape.
+    const SINGLE_PLANS: [Scheme; 5] = [
+        Scheme::Conventional,
+        Scheme::Ppr,
+        Scheme::RepairPipelining,
+        Scheme::BlockPipeline,
+        Scheme::CyclicRepairPipelining,
     ];
+
+    /// The plan `scheme` gives `directive`.
+    fn plan(scheme: Scheme, directive: &RepairDirective) -> RepairDag {
+        scheme.dag(&directive.path, directive.requestor, directive.layout)
+    }
 
     /// Walks `dag`, a plan for `directive`, to the end.
     fn walk(
@@ -845,12 +804,7 @@ mod tests {
         let transports: [(&str, &dyn Transport); 3] =
             [("channel", &channel), ("tcp", &tcp), ("reactor", &reactor)];
         for (name, transport) in transports {
-            for strategy in [
-                ExecStrategy::Conventional,
-                ExecStrategy::Ppr,
-                ExecStrategy::RepairPipelining,
-                ExecStrategy::BlockPipeline,
-            ] {
+            for strategy in SINGLE_PLANS {
                 let (cluster, coordinator, data, stripe) = setup(code.clone());
                 cluster.erase_block(stripe, 3);
                 let repaired = cluster
@@ -859,8 +813,7 @@ mod tests {
                 assert_eq!(repaired, data[3], "strategy {strategy:?} over {name}");
             }
             let repaired =
-                execute_single(&big_directive, &big, transport, ExecStrategy::BlockPipeline)
-                    .unwrap();
+                execute_single(&big_directive, &big, transport, Scheme::BlockPipeline).unwrap();
             assert!(repaired == big_data[2], "4 MiB Pipe-B over {name}");
         }
     }
@@ -900,7 +853,7 @@ mod tests {
         ] {
             let size = layout.block_size;
             for (name, transport) in transports {
-                for (shape, plan) in SINGLE_PLANS {
+                for shape in SINGLE_PLANS {
                     let (cluster, coordinator, data, stripe) = setup_sized(code.clone(), layout);
                     cluster.erase_block(stripe, 1);
                     let directive = coordinator
@@ -908,7 +861,7 @@ mod tests {
                         .unwrap();
                     fill_stale(&cluster, size);
                     let fresh = cluster.block_pool().fresh_allocations();
-                    let repaired = walk(&directive, &plan(&directive), &cluster, transport);
+                    let repaired = walk(&directive, &plan(shape, &directive), &cluster, transport);
                     let what = format!("{shape} over {name}, {size}-byte block");
                     assert!(repaired.unwrap() == data[1], "{what}");
                     let fresh = cluster.block_pool().fresh_allocations() - fresh;
@@ -939,12 +892,7 @@ mod tests {
     #[test]
     fn every_strategy_reconstructs_a_parity_block() {
         let code = Arc::new(ReedSolomon::new(9, 6).unwrap());
-        for strategy in [
-            ExecStrategy::Conventional,
-            ExecStrategy::Ppr,
-            ExecStrategy::RepairPipelining,
-            ExecStrategy::BlockPipeline,
-        ] {
+        for strategy in SINGLE_PLANS {
             let (cluster, coordinator, data, stripe) = setup(code.clone());
             let expected = code.encode(&data).unwrap()[7].clone();
             cluster.erase_block(stripe, 7);
@@ -964,13 +912,7 @@ mod tests {
             .plan_single_repair(cluster.meta(), stripe, 0, 15)
             .unwrap();
         let transport = ChannelTransport::new();
-        execute_single(
-            &directive,
-            &cluster,
-            &transport,
-            ExecStrategy::RepairPipelining,
-        )
-        .unwrap();
+        execute_single(&directive, &cluster, &transport, Scheme::RepairPipelining).unwrap();
         // k links, each carrying exactly one block.
         assert_eq!(transport.links_used(), 10);
         assert_eq!(transport.total_bytes(), 10 * BLOCK as u64);
@@ -986,7 +928,7 @@ mod tests {
             .plan_single_repair(cluster.meta(), stripe, 0, 15)
             .unwrap();
         let transport = ChannelTransport::new();
-        execute_single(&directive, &cluster, &transport, ExecStrategy::Conventional).unwrap();
+        execute_single(&directive, &cluster, &transport, Scheme::Conventional).unwrap();
         assert_eq!(transport.total_bytes(), 10 * BLOCK as u64);
         // Every link ends at the requestor.
         for &(node, _, _) in &directive.path {
@@ -1004,13 +946,8 @@ mod tests {
             .unwrap();
         assert_eq!(directive.path.len(), 6);
         let transport = ChannelTransport::new();
-        let repaired = execute_single(
-            &directive,
-            &cluster,
-            &transport,
-            ExecStrategy::RepairPipelining,
-        )
-        .unwrap();
+        let repaired =
+            execute_single(&directive, &cluster, &transport, Scheme::RepairPipelining).unwrap();
         assert_eq!(repaired, data[4]);
         assert_eq!(transport.total_bytes(), 6 * BLOCK as u64);
     }
@@ -1025,13 +962,8 @@ mod tests {
             .unwrap();
         directive.path.reverse();
         let transport = ChannelTransport::new();
-        let repaired = execute_single(
-            &directive,
-            &cluster,
-            &transport,
-            ExecStrategy::RepairPipelining,
-        )
-        .unwrap();
+        let repaired =
+            execute_single(&directive, &cluster, &transport, Scheme::RepairPipelining).unwrap();
         assert_eq!(repaired, data[2]);
     }
 
@@ -1047,25 +979,14 @@ mod tests {
         let helper_index = directive.plan.sources[0].block_index;
         cluster.erase_block(stripe, helper_index);
         let transport = ChannelTransport::new();
-        let result = execute_single(
-            &directive,
-            &cluster,
-            &transport,
-            ExecStrategy::RepairPipelining,
-        );
+        let result = execute_single(&directive, &cluster, &transport, Scheme::RepairPipelining);
         assert!(result.is_err());
     }
 
     #[test]
     fn cancelled_execution_fails_without_storing_anything() {
         // `None` is the multi-block plan, which is cancelled like the rest.
-        for shape in [
-            Some(ExecStrategy::Conventional),
-            Some(ExecStrategy::Ppr),
-            Some(ExecStrategy::RepairPipelining),
-            Some(ExecStrategy::BlockPipeline),
-            None,
-        ] {
+        for shape in SINGLE_PLANS.map(Some).into_iter().chain([None]) {
             let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
             let (cluster, coordinator, _data, stripe) = setup(code);
             cluster.erase_block(stripe, 1);
@@ -1077,7 +998,7 @@ mod tests {
                     let directive = coordinator
                         .plan_single_repair(cluster.meta(), stripe, 1, 7)
                         .unwrap();
-                    let dag = single_dag(&directive, strategy);
+                    let dag = plan(strategy, &directive);
                     execute_single_cancellable(&directive, &dag, &cluster, &transport, &cancel)
                         .map(|block| vec![block])
                 }
@@ -1123,7 +1044,7 @@ mod tests {
             let directive = coordinator
                 .plan_single_repair(cluster.meta(), stripe, 0, 15)
                 .unwrap();
-            let strategy = ExecStrategy::RepairPipelining;
+            let strategy = Scheme::RepairPipelining;
             execute_single(&directive, &cluster, transport, strategy).unwrap();
             let (writes, reads) = transport.syscall_counts();
             let repaired = execute_single(&directive, &cluster, transport, strategy).unwrap();
@@ -1177,18 +1098,21 @@ mod tests {
         ];
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
         for fresh in transports {
-            for (shape, plan) in SINGLE_PLANS {
+            for shape in SINGLE_PLANS {
                 let (cluster, coordinator, _data, stripe) = setup(code.clone());
                 cluster.erase_block(stripe, 0);
                 let directive = coordinator
                     .plan_single_repair(cluster.meta(), stripe, 0, 15)
                     .unwrap();
                 let transport = fresh();
-                let dag = plan(&directive);
+                let dag = plan(shape, &directive);
                 walk(&directive, &dag, &cluster, &*transport).unwrap();
                 // k links; a block of 8 slices gets 8 cyclic chains, which
                 // go round all 10 helpers and deliver from 8 of them.
-                let links = if shape == "cyclic" { 10 + 8 } else { 10 };
+                let links = match shape {
+                    Scheme::CyclicRepairPipelining => 10 + 8,
+                    _ => 10,
+                };
                 assert_eq!(dag.links().len(), links, "{shape}");
                 assert_moved_as_declared(&dag, &*transport);
             }
@@ -1227,12 +1151,7 @@ mod tests {
             .len()
             + crate::integrity::FOOTER_LEN;
         // `None` is the multi-block plan.
-        let singles = SINGLE_PLANS.map(|(shape, plan)| (shape, Some(plan)));
-        for (round, (shape, plan)) in singles
-            .into_iter()
-            .chain([("multi-block", None)])
-            .enumerate()
-        {
+        for (round, shape) in SINGLE_PLANS.map(Some).into_iter().chain([None]).enumerate() {
             let files: Vec<_> = (0..16)
                 .map(|node| {
                     let dir = root.join(format!("round-{round}/node-{node}"));
@@ -1253,12 +1172,12 @@ mod tests {
             };
             assert_eq!(counters(), [(0, 0); 16], "writing a stripe reads nothing");
             cluster.erase_block(stripe, 1);
-            let helpers = match plan {
-                Some(plan) => {
+            let helpers = match shape {
+                Some(scheme) => {
                     let directive = coordinator
                         .plan_single_repair(cluster.meta(), stripe, 1, 15)
                         .unwrap();
-                    walk(&directive, &plan(&directive), &cluster, &transport).unwrap();
+                    walk(&directive, &plan(scheme, &directive), &cluster, &transport).unwrap();
                     directive.helper_nodes()
                 }
                 None => {
@@ -1277,7 +1196,7 @@ mod tests {
                 } else {
                     (0, 0)
                 };
-                assert_eq!(seen, expected, "{shape}, node {node}");
+                assert_eq!(seen, expected, "{shape:?}, node {node}");
             }
         }
         std::fs::remove_dir_all(&root).ok();
@@ -1345,7 +1264,7 @@ mod tests {
                     hop,
                     index,
                 };
-                let strategy = ExecStrategy::RepairPipelining;
+                let strategy = Scheme::RepairPipelining;
                 let result = execute_single(&directive, &cluster, &transport, strategy);
                 assert!(
                     matches!(result, Err(EcPipeError::Execution { .. })),

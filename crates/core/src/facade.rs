@@ -56,12 +56,12 @@ use ecc::slice::SliceLayout;
 use ecc::stripe::StripeId;
 use ecc::{ErasureCode, ReedSolomon};
 use ecpipe_meta::{MetaBackend, MetaConfig, MetaRouter};
+use repair::Scheme;
 use simnet::{NodeId, Topology};
 
 use crate::buf::BufPool;
 use crate::cluster::Cluster;
 use crate::coordinator::{Coordinator, ObjectMeta};
-use crate::exec::ExecStrategy;
 use crate::manager::{
     ManagerConfig, ManagerReport, NodeHealth, PathPolicy, RepairManager, RepairPriority,
     RepairRequest, ScrubConfig, ScrubCycle, Scrubber,
@@ -231,7 +231,7 @@ impl EcPipeBuilder {
     }
 
     /// Sets the execution strategy for every repair.
-    pub fn strategy(mut self, strategy: ExecStrategy) -> Self {
+    pub fn strategy(mut self, strategy: Scheme) -> Self {
         self.manager.strategy = strategy;
         self
     }

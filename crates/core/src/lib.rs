@@ -23,9 +23,10 @@
 //! sockets ([`TcpTransport`], standing in for the paper's Redis/TCP data
 //! plane) — and the GF(2^8) combination is performed on actual bytes, so
 //! tests can compare the reconstructed block against the erased one.
-//! Execution strategies cover conventional repair, PPR, repair pipelining
-//! (slice level), block-level pipelining (`Pipe-B`) and the multi-block
-//! repair of §4.4. Timing-shape experiments (who wins, by how much, under
+//! A [`Scheme`] names a single-block repair's shape — conventional repair,
+//! PPR, repair pipelining (slice level), block-level pipelining (`Pipe-B`)
+//! or cyclic repair pipelining — and the multi-block repair of §4.4 runs on
+//! the same executor. Timing-shape experiments (who wins, by how much, under
 //! which bandwidth) are run on the `simnet` simulator or, with
 //! [`TcpTransport::with_rate_limit`], on throttled sockets; this runtime
 //! demonstrates the data path and provides throughput microbenches.
@@ -105,7 +106,6 @@ pub use ecpipe_meta::{
     MetaBackend, MetaConfig, MetaError, MetaRouter, ObjectRecord, RepairRecord, StripeRecord,
 };
 pub use error::EcPipeError;
-pub use exec::ExecStrategy;
 pub use facade::{chunk_stripe, stripe_count, EcPipe, EcPipeBuilder, ObjectBytes, TransportChoice};
 pub use integrity::{BlockChecksums, ChecksummedStore, DEFAULT_CHUNK_SIZE};
 pub use manager::{
@@ -118,7 +118,13 @@ pub use transport::{
     AnyTransport, ChannelTransport, ReactorTransport, TcpTransport, Transport, TransportError,
 };
 
+pub use repair::Scheme;
 pub use simnet::Topology;
+
+/// The old name of [`Scheme`]. Its only caller is the benchmark's
+/// `crates/benchmark/src/probes.rs`; the alias goes when that file moves to
+/// `Scheme`, with the benchmark change ROADMAP item 11 schedules.
+pub use repair::Scheme as ExecStrategy;
 
 /// Convenience result alias for this crate.
 pub type Result<T> = std::result::Result<T, EcPipeError>;

@@ -61,10 +61,10 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ecpipe_meta::MetaRouter;
+use repair::Scheme;
 use simnet::NodeId;
 
 use crate::cluster::Cluster;
-use crate::exec::ExecStrategy;
 use crate::transport::{LinkSnapshot, Transport};
 use crate::{Coordinator, EcPipeError, Result};
 
@@ -122,7 +122,7 @@ pub struct ManagerConfig {
     /// stripes auto-enqueued).
     pub dead_after_misses: usize,
     /// Execution strategy for every repair.
-    pub strategy: ExecStrategy,
+    pub strategy: Scheme,
     /// Nodes already known to be dead when the engine starts; their blocks
     /// are never selected as helpers.
     pub known_dead: Vec<NodeId>,
@@ -155,7 +155,7 @@ impl Default for ManagerConfig {
             per_node_inflight_cap: 4,
             max_replans: 2,
             dead_after_misses: 2,
-            strategy: ExecStrategy::RepairPipelining,
+            strategy: Scheme::RepairPipelining,
             known_dead: Vec::new(),
             auto_requestors: Vec::new(),
             relocate_on_success: false,
@@ -168,7 +168,7 @@ impl Default for ManagerConfig {
 impl ManagerConfig {
     /// The configuration that reproduces the historical sequential recovery
     /// loop: one worker, no admission cap, no re-plans.
-    pub fn sequential(strategy: ExecStrategy) -> Self {
+    pub fn sequential(strategy: Scheme) -> Self {
         ManagerConfig {
             workers: 1,
             per_node_inflight_cap: usize::MAX,
@@ -528,7 +528,7 @@ mod tests {
         let concurrent = ManagerConfig::default()
             .with_workers(4)
             .with_inflight_cap(3);
-        let sequential = ManagerConfig::sequential(ExecStrategy::RepairPipelining);
+        let sequential = ManagerConfig::sequential(Scheme::RepairPipelining);
         for (config, max_inflight) in [(sequential, 1), (concurrent, 3)] {
             let (cluster, coordinator, _) = setup(12, 10);
             let lost = cluster.kill_node(3);

@@ -695,7 +695,9 @@ where
     let topology = telemetry.topology();
     // The plan the watchdog samples is the one that runs: the directed
     // links it streams over, whatever its shape.
-    let dag = exec::single_dag(directive, config.strategy);
+    let dag = config
+        .strategy
+        .dag(&directive.path, directive.requestor, directive.layout);
     let hops = dag.links();
     let baseline: Vec<u64> = hops
         .iter()

@@ -15,9 +15,8 @@
 // xtask:allow(raw-sync): the test-only gate `COUNTER` below
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use ecpipe::exec::ExecStrategy;
 use ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
-use ecpipe::{Cluster, Coordinator, EcPipeBuilder, StoreBackend};
+use ecpipe::{Cluster, Coordinator, EcPipeBuilder, Scheme, StoreBackend};
 
 fn pattern(len: usize, seed: u64) -> Vec<u8> {
     (0..len)
@@ -84,10 +83,11 @@ fn every_exec_strategy_repairs_without_bytes_deep_copies() {
     let transports: [(&str, &dyn Transport); 2] = [("channel", &channel), ("tcp", &tcp)];
     for (name, transport) in transports {
         for strategy in [
-            ExecStrategy::Conventional,
-            ExecStrategy::Ppr,
-            ExecStrategy::RepairPipelining,
-            ExecStrategy::BlockPipeline,
+            Scheme::Conventional,
+            Scheme::Ppr,
+            Scheme::RepairPipelining,
+            Scheme::BlockPipeline,
+            Scheme::CyclicRepairPipelining,
         ] {
             let coordinator = Coordinator::new(code.clone(), layout);
             let cluster = Cluster::new(StoreBackend::memory(8)).unwrap();

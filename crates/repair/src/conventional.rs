@@ -1,29 +1,19 @@
-//! Conventional repair (§2.2).
+//! Conventional repair (§2.2): [`Scheme::Conventional`](crate::Scheme),
+//! whose plan is a [`RepairDag::star`](crate::RepairDag::star).
 //!
 //! The requestor reads all `k` helper blocks over its own downlink and
 //! decodes locally. All `k` block transmissions converge on one link, so the
 //! repair takes `k` timeslots and the bandwidth usage is highly skewed.
-
-use simnet::Schedule;
-
-use crate::{RepairDag, SingleRepairJob};
-
-/// Builds the conventional-repair schedule for a single-block repair: the
-/// job as a [`RepairDag::star`], lowered by [`RepairDag::schedule`].
-///
-/// For fairness with repair pipelining (as in the paper's evaluation, §6.1),
-/// blocks are transmitted in slices, which lets the requestor overlap its
-/// decoding computation with the remaining transfers; the repair time is
-/// still dominated by the `k` block transmissions over the requestor's
-/// downlink.
-pub fn schedule(job: &SingleRepairJob) -> Schedule {
-    RepairDag::star(&job.path(), job.requestor, job.layout).schedule()
-}
+//!
+//! For fairness with repair pipelining (as in the paper's evaluation, §6.1),
+//! blocks are transmitted in slices, which lets the requestor overlap its
+//! decoding computation with the remaining transfers; the repair time is
+//! still dominated by the `k` block transmissions over the requestor's
+//! downlink.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::analysis;
+    use crate::{analysis, Scheme, SingleRepairJob};
     use ecc::slice::SliceLayout;
     use simnet::{CostModel, Simulator, Topology, GBIT};
 
@@ -34,7 +24,7 @@ mod tests {
         let block = 64 * MIB;
         let job = SingleRepairJob::new((1..=10).collect(), 0, SliceLayout::new(block, 32 * 1024));
         let sim = Simulator::new(Topology::flat(12, GBIT), CostModel::network_only());
-        let report = sim.run(&schedule(&job));
+        let report = sim.run(&Scheme::Conventional.schedule(&job));
         let timeslot = analysis::timeslot_seconds(block, GBIT);
         let expected = analysis::conventional_single(10) * timeslot;
         assert!(
@@ -50,7 +40,7 @@ mod tests {
         let block = 8 * MIB;
         let job = SingleRepairJob::new(vec![1, 2, 3, 4], 0, SliceLayout::new(block, MIB));
         let sim = Simulator::new(Topology::flat(6, GBIT), CostModel::network_only());
-        let report = sim.run(&schedule(&job));
+        let report = sim.run(&Scheme::Conventional.schedule(&job));
         assert_eq!(report.network_bytes, 4 * block as u64);
     }
 
@@ -58,7 +48,7 @@ mod tests {
     fn requestor_downlink_is_the_bottleneck() {
         let job = SingleRepairJob::new(vec![1, 2, 3, 4], 0, SliceLayout::new(MIB, 64 * 1024));
         let sim = Simulator::new(Topology::flat(6, GBIT), CostModel::network_only());
-        let report = sim.run(&schedule(&job));
+        let report = sim.run(&Scheme::Conventional.schedule(&job));
         // All traffic flows over the four links into the requestor and every
         // link carries exactly one block.
         assert_eq!(report.links_used(), 4);

@@ -609,7 +609,7 @@ mod tests {
     }
 
     mod cyclic {
-        use crate::{analysis, cyclic::schedule, SingleRepairJob};
+        use crate::{analysis, Scheme, SingleRepairJob};
         use ecc::slice::SliceLayout;
         use simnet::{CostModel, Simulator, Topology, GBIT, MBIT};
 
@@ -621,8 +621,10 @@ mod tests {
             let layout = SliceLayout::new(block, 32 * 1024);
             let job = SingleRepairJob::new((1..=10).collect(), 0, layout);
             let sim = Simulator::new(Topology::flat(12, GBIT), CostModel::network_only());
-            let cyclic_time = sim.run(&schedule(&job)).makespan;
-            let basic_time = sim.run(&crate::rp::schedule(&job)).makespan;
+            let cyclic_time = sim
+                .run(&Scheme::CyclicRepairPipelining.schedule(&job))
+                .makespan;
+            let basic_time = sim.run(&Scheme::RepairPipelining.schedule(&job)).makespan;
             let timeslot = analysis::timeslot_seconds(block, GBIT);
             assert!((cyclic_time - basic_time).abs() / basic_time < 0.05);
             assert!(cyclic_time < 1.05 * timeslot);
@@ -638,8 +640,10 @@ mod tests {
             let mut topo = Topology::flat(12, GBIT);
             topo.limit_ingress(0, 100.0 * MBIT);
             let sim = Simulator::new(topo, CostModel::network_only());
-            let cyclic_time = sim.run(&schedule(&job)).makespan;
-            let basic_time = sim.run(&crate::rp::schedule(&job)).makespan;
+            let cyclic_time = sim
+                .run(&Scheme::CyclicRepairPipelining.schedule(&job))
+                .makespan;
+            let basic_time = sim.run(&Scheme::RepairPipelining.schedule(&job)).makespan;
             // The basic version is bottlenecked by the single delivery link;
             // the cyclic version spreads delivery over k-1 edge links.
             assert!(
@@ -654,7 +658,7 @@ mod tests {
             let layout = SliceLayout::new(block, 256 * 1024);
             let job = SingleRepairJob::new(vec![1, 2, 3, 4, 5], 0, layout);
             let sim = Simulator::new(Topology::flat(7, GBIT), CostModel::network_only());
-            let report = sim.run(&schedule(&job));
+            let report = sim.run(&Scheme::CyclicRepairPipelining.schedule(&job));
             let delivery_links: Vec<_> = report
                 .link_bytes
                 .keys()
@@ -669,7 +673,7 @@ mod tests {
             let layout = SliceLayout::new(block, 256 * 1024);
             let job = SingleRepairJob::new(vec![1, 2, 3, 4], 0, layout);
             let sim = Simulator::new(Topology::flat(6, GBIT), CostModel::network_only());
-            let report = sim.run(&schedule(&job));
+            let report = sim.run(&Scheme::CyclicRepairPipelining.schedule(&job));
             assert_eq!(report.network_bytes, 4 * block as u64);
         }
 
@@ -678,7 +682,7 @@ mod tests {
             let layout = SliceLayout::new(MIB, 128 * 1024);
             let job = SingleRepairJob::new(vec![1], 0, layout);
             let sim = Simulator::new(Topology::flat(2, GBIT), CostModel::network_only());
-            let report = sim.run(&schedule(&job));
+            let report = sim.run(&Scheme::CyclicRepairPipelining.schedule(&job));
             assert_eq!(report.network_bytes, MIB as u64);
         }
     }

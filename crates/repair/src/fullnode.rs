@@ -173,6 +173,7 @@ pub fn recovery_rate(jobs: &[SingleRepairJob], makespan: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheme;
     use simnet::{CostModel, Simulator, Topology, GBIT};
 
     const MIB: usize = 1024 * 1024;
@@ -248,7 +249,8 @@ mod tests {
         let rate_for = |requestors: &[NodeId]| {
             let jobs =
                 plan_recovery(&stripes, 10, requestors, layout, HelperSelection::Greedy).unwrap();
-            let schedule = build_recovery_schedule(&jobs, crate::rp::schedule);
+            let schedule =
+                build_recovery_schedule(&jobs, |job| Scheme::RepairPipelining.schedule(job));
             let report = sim.run(&schedule);
             recovery_rate(&jobs, report.makespan)
         };
@@ -266,7 +268,8 @@ mod tests {
 
         let rate_for = |selection: HelperSelection| {
             let jobs = plan_recovery(&stripes, 10, &requestors, layout, selection).unwrap();
-            let schedule = build_recovery_schedule(&jobs, crate::rp::schedule);
+            let schedule =
+                build_recovery_schedule(&jobs, |job| Scheme::RepairPipelining.schedule(job));
             let report = sim.run(&schedule);
             recovery_rate(&jobs, report.makespan)
         };

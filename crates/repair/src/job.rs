@@ -63,8 +63,7 @@ impl SingleRepairJob {
     }
 
     /// The helpers as the `(node, block, coefficient)` path that
-    /// [`RepairDag::star`] and [`RepairDag::tree`] take (the chain is
-    /// [`MultiRepairJob::dag`] with one requestor). A job names nodes, not
+    /// [`Scheme::dag`](crate::Scheme::dag) takes. A job names nodes, not
     /// blocks or a code, so the block ids are placeholders and every
     /// coefficient is 1; timing a plan reads neither.
     pub(crate) fn path(&self) -> Vec<(NodeId, BlockId, u8)> {

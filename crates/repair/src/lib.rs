@@ -7,9 +7,9 @@
 //! plan has two consumers: [`RepairDag::schedule`] times it (it lowers the
 //! plan to a [`simnet::Schedule`], the slice-level disk reads, compute steps
 //! and transfers the [`simnet`] simulator runs), and the `ecpipe` runtime's
-//! executor walks it for real. Each scheme's `schedule(job)` function is
-//! therefore the job's plan followed by `.schedule()`. What is still
-//! written out task by task is what no plan shape says — `Pipe-S`
+//! executor walks it for real. [`Scheme::dag`] is the one mapping from a
+//! single-block scheme's name to its plan, and both consumers call it. What
+//! is still written out task by task is what no plan shape says — `Pipe-S`
 //! ([`rp::schedule_pipe_s`]) and two-phase conventional multi-block repair
 //! ([`multiblock::schedule_conventional`]) — and each module says why.
 //!
@@ -25,8 +25,8 @@
 //! * [`rp`] — repair pipelining over a linear path of helpers in slices
 //!   (§3.2), approaching one timeslot; plus the block-level and unparallelised
 //!   baselines of §6.4 (`Pipe-B`, `Pipe-S`).
-//! * [`cyclic`] — the cyclic extension for requestors behind a limited edge
-//!   link (§4.1).
+//! * [`RepairDag::cyclic`] — the cyclic extension for requestors behind a
+//!   limited edge link (§4.1).
 //! * [`rack_aware`] — Algorithm 1: rack-aware linear path selection (§4.2).
 //! * [`weighted_path`] — Algorithm 2: optimal path selection for arbitrary
 //!   heterogeneous links (§4.3), plus the brute-force oracle.
@@ -42,7 +42,6 @@
 
 pub mod analysis;
 pub mod conventional;
-pub mod cyclic;
 pub mod dag;
 pub mod fullnode;
 pub mod multiblock;
@@ -56,11 +55,14 @@ mod job;
 pub use dag::RepairDag;
 pub use job::{MultiRepairJob, SingleRepairJob};
 
-use simnet::Schedule;
+use ecc::slice::SliceLayout;
+use ecc::stripe::BlockId;
+use simnet::{NodeId, Schedule};
 
 /// The single-block repair schemes compared throughout the paper's
-/// evaluation.
+/// evaluation, and the shapes the `ecpipe` runtime executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[non_exhaustive]
 pub enum Scheme {
     /// Conventional repair: the requestor reads `k` whole blocks.
     Conventional,
@@ -68,32 +70,59 @@ pub enum Scheme {
     Ppr,
     /// Repair pipelining over a linear path (the paper's contribution).
     RepairPipelining,
+    /// Block-level pipelining along the helper path (`Pipe-B`, §6.4): each
+    /// helper forwards a whole partially-repaired block, so only one link
+    /// is active at a time and the repair takes `k` timeslots.
+    BlockPipeline,
     /// Cyclic repair pipelining (parallel reads at the requestor, §4.1).
     CyclicRepairPipelining,
 }
 
 impl Scheme {
+    /// The plan of this scheme for repairing one block from `helpers`, each
+    /// a `(node, block, coefficient)` in path order, into `requestor`: a
+    /// [`RepairDag::star`], a [`RepairDag::tree`], a one-row
+    /// [`RepairDag::chain`] (over one slice per block for `Pipe-B`) or a
+    /// [`RepairDag::cyclic`].
+    pub fn dag(
+        self,
+        helpers: &[(NodeId, BlockId, u8)],
+        requestor: NodeId,
+        layout: SliceLayout,
+    ) -> RepairDag {
+        let chain = |layout| {
+            let columns = helpers
+                .iter()
+                .map(|&(node, block, c)| (node, block, vec![c]));
+            RepairDag::chain(columns, &[requestor], layout)
+        };
+        match self {
+            Scheme::Conventional => RepairDag::star(helpers, requestor, layout),
+            Scheme::Ppr => RepairDag::tree(helpers, requestor, layout),
+            Scheme::RepairPipelining => chain(layout),
+            Scheme::BlockPipeline => chain(SliceLayout::new(layout.block_size, layout.block_size)),
+            Scheme::CyclicRepairPipelining => RepairDag::cyclic(helpers, requestor, layout),
+        }
+    }
+
     /// Builds the slice-level schedule of this scheme for a single-block
     /// repair job: the job's [`RepairDag`], lowered.
-    pub fn schedule(&self, job: &SingleRepairJob) -> Schedule {
-        match self {
-            Scheme::Conventional => conventional::schedule(job),
-            Scheme::Ppr => ppr::schedule(job),
-            Scheme::RepairPipelining => rp::schedule(job),
-            Scheme::CyclicRepairPipelining => cyclic::schedule(job),
-        }
+    pub fn schedule(self, job: &SingleRepairJob) -> Schedule {
+        self.dag(&job.path(), job.requestor, job.layout).schedule()
     }
 }
 
 impl std::fmt::Display for Scheme {
     /// Formats as the short label used in the paper's figures (`Conv.`,
-    /// `PPR`, `RP`, `RP-cyclic`), uniform across reports and benches.
+    /// `PPR`, `RP`, `Pipe-B`, `RP-cyclic`), uniform across reports and
+    /// benches.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // `pad` honors width/alignment options in table output.
         f.pad(match self {
             Scheme::Conventional => "Conv.",
             Scheme::Ppr => "PPR",
             Scheme::RepairPipelining => "RP",
+            Scheme::BlockPipeline => "Pipe-B",
             Scheme::CyclicRepairPipelining => "RP-cyclic",
         })
     }

@@ -1,4 +1,6 @@
-//! Partial-parallel repair (PPR) \[Mitra et al., EuroSys'16\] (§2.2).
+//! Partial-parallel repair (PPR) \[Mitra et al., EuroSys'16\] (§2.2):
+//! [`Scheme::Ppr`](crate::Scheme), whose plan is a
+//! [`RepairDag::tree`](crate::RepairDag::tree) over [`aggregation_rounds`].
 //!
 //! PPR distributes the repair over a binary aggregation tree: in each round,
 //! pairs of nodes combine their partial results over disjoint links, and the
@@ -7,9 +9,7 @@
 //! it has received and combined the whole incoming block, which is why PPR
 //! does not reach the single-timeslot repair time of repair pipelining.
 
-use simnet::{NodeId, Schedule};
-
-use crate::{RepairDag, SingleRepairJob};
+use simnet::NodeId;
 
 /// The pairwise aggregation rounds of PPR for a given helper list and
 /// requestor: each round is a list of `(sender, receiver)` pairs over
@@ -38,18 +38,10 @@ pub fn aggregation_rounds(helpers: &[NodeId], requestor: NodeId) -> Vec<Vec<(Nod
     rounds
 }
 
-/// Builds the PPR schedule for a single-block repair: the job as a
-/// [`RepairDag::tree`], lowered by [`RepairDag::schedule`]. A leaf streams
-/// its block slice by slice; every other node sends only once its whole
-/// partial block is folded.
-pub fn schedule(job: &SingleRepairJob) -> Schedule {
-    RepairDag::tree(&job.path(), job.requestor, job.layout).schedule()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis;
+    use crate::{analysis, Scheme, SingleRepairJob};
     use ecc::slice::SliceLayout;
     use simnet::{CostModel, Simulator, Topology, GBIT};
 
@@ -79,7 +71,7 @@ mod tests {
         let block = 64 * MIB;
         let job = SingleRepairJob::new((1..=10).collect(), 0, SliceLayout::new(block, 1024 * 1024));
         let sim = Simulator::new(Topology::flat(12, GBIT), CostModel::network_only());
-        let report = sim.run(&schedule(&job));
+        let report = sim.run(&Scheme::Ppr.schedule(&job));
         let timeslot = analysis::timeslot_seconds(block, GBIT);
         let expected = analysis::ppr_single(10) * timeslot;
         assert!(
@@ -95,8 +87,8 @@ mod tests {
         let block = 16 * MIB;
         let job = SingleRepairJob::new((1..=10).collect(), 0, SliceLayout::new(block, 256 * 1024));
         let sim = Simulator::new(Topology::flat(12, GBIT), CostModel::network_only());
-        let ppr_time = sim.run(&schedule(&job)).makespan;
-        let conv_time = sim.run(&crate::conventional::schedule(&job)).makespan;
+        let ppr_time = sim.run(&Scheme::Ppr.schedule(&job)).makespan;
+        let conv_time = sim.run(&Scheme::Conventional.schedule(&job)).makespan;
         let timeslot = analysis::timeslot_seconds(block, GBIT);
         assert!(ppr_time < conv_time);
         assert!(ppr_time > 1.5 * timeslot);
@@ -107,7 +99,7 @@ mod tests {
         let block = 4 * MIB;
         let job = SingleRepairJob::new(vec![1, 2, 3, 4], 0, SliceLayout::new(block, MIB));
         let sim = Simulator::new(Topology::flat(6, GBIT), CostModel::network_only());
-        let report = sim.run(&schedule(&job));
+        let report = sim.run(&Scheme::Ppr.schedule(&job));
         assert_eq!(report.network_bytes, 4 * block as u64);
         // Traffic is spread over more links than conventional repair.
         assert_eq!(report.links_used(), 4);

@@ -122,7 +122,7 @@ pub fn minimum_cross_rack_transmissions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SingleRepairJob;
+    use crate::{Scheme, SingleRepairJob};
     use ecc::slice::SliceLayout;
     use simnet::{CostModel, Simulator, GBIT, MBIT};
 
@@ -199,14 +199,15 @@ mod tests {
         let oblivious = vec![3, 6, 4, 7, 5, 2];
 
         let t_aware = sim
-            .run(&crate::rp::schedule(&SingleRepairJob::new(
-                aware, requestor, layout,
-            )))
+            .run(
+                &Scheme::RepairPipelining.schedule(&SingleRepairJob::new(aware, requestor, layout)),
+            )
             .makespan;
         let t_oblivious = sim
-            .run(&crate::rp::schedule(&SingleRepairJob::new(
-                oblivious, requestor, layout,
-            )))
+            .run(
+                &Scheme::RepairPipelining
+                    .schedule(&SingleRepairJob::new(oblivious, requestor, layout)),
+            )
             .makespan;
         assert!(
             t_aware < t_oblivious,

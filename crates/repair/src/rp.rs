@@ -8,37 +8,17 @@
 //! Transfers of different slices over different links proceed in parallel, so
 //! the repair time approaches a single timeslot (`1 + (k-1)/s`).
 //!
-//! `RP` and `Pipe-B` are the job's [`RepairDag::chain`](crate::RepairDag::chain),
-//! lowered by [`RepairDag::schedule`](crate::RepairDag::schedule). `Pipe-S`
-//! is written out here by hand: it is the same chain run by a serialised
-//! *helper implementation*, which is a property of the helper's code and not
-//! of the plan's shape, so no `RepairDag` says it.
+//! `RP` and `Pipe-B` are [`Scheme::RepairPipelining`](crate::Scheme) and
+//! [`Scheme::BlockPipeline`](crate::Scheme): the job's
+//! [`RepairDag::chain`](crate::RepairDag::chain), `Pipe-B`'s with one slice
+//! per block, so only one link is active at a time and the repair takes `k`
+//! timeslots. `Pipe-S` is written out here by hand: it is the same chain run
+//! by a serialised *helper implementation*, which is a property of the
+//! helper's code and not of the plan's shape, so no `RepairDag` says it.
 
-use ecc::slice::SliceLayout;
 use simnet::{Schedule, TaskId};
 
-use crate::{MultiRepairJob, RepairDag, SingleRepairJob};
-
-/// Builds the repair-pipelining schedule (the paper's `RP` implementation,
-/// with receive / read / compute / send fully parallelised inside each
-/// helper).
-pub fn schedule(job: &SingleRepairJob) -> Schedule {
-    chain(job, job.layout).schedule()
-}
-
-/// Builds the block-level pipelining baseline (`Pipe-B`): the same linear
-/// path, but each helper forwards a whole partially-repaired block — the
-/// chain with one slice per block — so only one link is active at a time and
-/// the repair takes `k` timeslots.
-pub fn schedule_pipe_b(job: &SingleRepairJob) -> Schedule {
-    let block = job.layout.block_size;
-    chain(job, SliceLayout::new(block, block)).schedule()
-}
-
-/// The job's helper path as a one-row chain with the given slicing.
-fn chain(job: &SingleRepairJob, layout: SliceLayout) -> RepairDag {
-    MultiRepairJob::new(job.helpers.clone(), vec![job.requestor], layout).dag()
-}
+use crate::SingleRepairJob;
 
 /// Builds the serialised slice-level baseline (`Pipe-S`): slices are
 /// pipelined along the path, but each helper performs the per-slice
@@ -108,7 +88,7 @@ pub fn schedule_pipe_s(job: &SingleRepairJob) -> Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis;
+    use crate::{analysis, Scheme};
     use ecc::slice::SliceLayout;
     use simnet::{CostModel, Simulator, Topology, GBIT};
 
@@ -122,7 +102,7 @@ mod tests {
     fn approaches_one_timeslot() {
         let block = 64 * MIB;
         let job = SingleRepairJob::new((1..=10).collect(), 0, SliceLayout::new(block, 32 * 1024));
-        let report = sim(12).run(&schedule(&job));
+        let report = sim(12).run(&Scheme::RepairPipelining.schedule(&job));
         let timeslot = analysis::timeslot_seconds(block, GBIT);
         let expected = analysis::rp_single(10, 2048) * timeslot;
         assert!(
@@ -143,7 +123,9 @@ mod tests {
             .iter()
             .map(|&k| {
                 let job = SingleRepairJob::new((1..=k).collect(), 0, layout);
-                sim(k + 2).run(&schedule(&job)).makespan
+                sim(k + 2)
+                    .run(&Scheme::RepairPipelining.schedule(&job))
+                    .makespan
             })
             .collect();
         // The (k-1)/s term changes the repair time by well under 3% across
@@ -159,7 +141,7 @@ mod tests {
     fn no_link_carries_more_than_one_block() {
         let block = 8 * MIB;
         let job = SingleRepairJob::new(vec![1, 2, 3, 4], 0, SliceLayout::new(block, 256 * 1024));
-        let report = sim(6).run(&schedule(&job));
+        let report = sim(6).run(&Scheme::RepairPipelining.schedule(&job));
         assert_eq!(report.network_bytes, 4 * block as u64);
         assert_eq!(report.max_link_bytes, block as u64);
         assert_eq!(report.links_used(), 4);
@@ -171,7 +153,7 @@ mod tests {
         // With s = 4 slices the (k-1)/s term is large and must be visible.
         let block = 4 * MIB;
         let job = SingleRepairJob::new(vec![1, 2, 3, 4, 5], 0, SliceLayout::new(block, MIB));
-        let report = sim(8).run(&schedule(&job));
+        let report = sim(8).run(&Scheme::RepairPipelining.schedule(&job));
         let timeslot = analysis::timeslot_seconds(block, GBIT);
         let expected = analysis::rp_single(5, 4) * timeslot;
         assert!((report.makespan - expected).abs() / expected < 0.01);
@@ -181,7 +163,7 @@ mod tests {
     fn pipe_b_takes_k_timeslots() {
         let block = 16 * MIB;
         let job = SingleRepairJob::new((1..=6).collect(), 0, SliceLayout::new(block, 32 * 1024));
-        let report = sim(8).run(&schedule_pipe_b(&job));
+        let report = sim(8).run(&Scheme::BlockPipeline.schedule(&job));
         let timeslot = analysis::timeslot_seconds(block, GBIT);
         let expected = analysis::pipe_b_single(6) * timeslot;
         assert!((report.makespan - expected).abs() / expected < 0.01);
@@ -192,7 +174,9 @@ mod tests {
         let block = 16 * MIB;
         let layout = SliceLayout::new(block, 32 * 1024);
         let job = SingleRepairJob::new((1..=10).collect(), 0, layout);
-        let rp_time = sim(12).run(&schedule(&job)).makespan;
+        let rp_time = sim(12)
+            .run(&Scheme::RepairPipelining.schedule(&job))
+            .makespan;
         let pipe_s_time = sim(12).run(&schedule_pipe_s(&job)).makespan;
         let ratio = pipe_s_time / rp_time;
         assert!(
@@ -208,10 +192,10 @@ mod tests {
         let layout = SliceLayout::new(block, 64 * 1024);
         let job = SingleRepairJob::new((1..=10).collect(), 0, layout);
         let s = sim(12);
-        let rp_time = s.run(&schedule(&job)).makespan;
-        let ppr_time = s.run(&crate::ppr::schedule(&job)).makespan;
-        let conv_time = s.run(&crate::conventional::schedule(&job)).makespan;
-        let pipe_b_time = s.run(&schedule_pipe_b(&job)).makespan;
+        let rp_time = s.run(&Scheme::RepairPipelining.schedule(&job)).makespan;
+        let ppr_time = s.run(&Scheme::Ppr.schedule(&job)).makespan;
+        let conv_time = s.run(&Scheme::Conventional.schedule(&job)).makespan;
+        let pipe_b_time = s.run(&Scheme::BlockPipeline.schedule(&job)).makespan;
         assert!(rp_time < ppr_time);
         assert!(ppr_time < conv_time);
         assert!((pipe_b_time - conv_time).abs() / conv_time < 0.05);

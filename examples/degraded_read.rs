@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use repair_pipelining::ecc::slice::SliceLayout;
-use repair_pipelining::ecpipe::{EcPipeBuilder, ExecStrategy, StoreBackend};
+use repair_pipelining::ecpipe::{EcPipeBuilder, Scheme, StoreBackend};
 use repair_pipelining::repair::analysis::{conventional_single, rp_single, timeslot_seconds};
 use repair_pipelining::simnet::GBIT;
 
@@ -21,7 +21,7 @@ fn main() {
     let block = 256 * 1024;
     let data: Vec<u8> = (0..3 * 10 * block).map(|i| (i % 251) as u8).collect();
 
-    for strategy in [ExecStrategy::Conventional, ExecStrategy::RepairPipelining] {
+    for strategy in [Scheme::Conventional, Scheme::RepairPipelining] {
         let pipe = EcPipeBuilder::new()
             .code(14, 10)
             .block_size(block)
@@ -63,8 +63,8 @@ fn main() {
     let timeslot = timeslot_seconds(layout.block_size, GBIT);
     println!("\npredicted degraded-read latency for a 64 MiB block ((14,10), 1 Gb/s, §3.2):");
     for (strategy, timeslots) in [
-        (ExecStrategy::Conventional, conventional_single(k)),
-        (ExecStrategy::RepairPipelining, rp_single(k, s)),
+        (Scheme::Conventional, conventional_single(k)),
+        (Scheme::RepairPipelining, rp_single(k, s)),
     ] {
         println!(
             "  {strategy:<6} {timeslots:.3} timeslots = {:.2} s",

@@ -9,11 +9,10 @@
 //! Run with `cargo run --release --example full_node_recovery`.
 
 use repair_pipelining::ecc::slice::SliceLayout;
-use repair_pipelining::ecpipe::{EcPipeBuilder, ExecStrategy, StoreBackend};
+use repair_pipelining::ecpipe::{EcPipeBuilder, Scheme, StoreBackend};
 use repair_pipelining::repair::fullnode::{
     build_recovery_schedule, plan_recovery, recovery_rate, AffectedStripe, HelperSelection,
 };
-use repair_pipelining::repair::rp;
 use repair_pipelining::simnet::{CostModel, Simulator, Topology, GBIT};
 
 fn main() {
@@ -23,7 +22,7 @@ fn main() {
         .block_size(256 * 1024)
         .slice_size(32 * 1024)
         .store(StoreBackend::memory(12))
-        .strategy(ExecStrategy::RepairPipelining)
+        .strategy(Scheme::RepairPipelining)
         .build()
         .expect("valid configuration");
 
@@ -94,7 +93,7 @@ fn main() {
     ] {
         let jobs =
             plan_recovery(&stripes, 10, &requestors, sim_layout, selection).expect("recovery plan");
-        let schedule = build_recovery_schedule(&jobs, rp::schedule);
+        let schedule = build_recovery_schedule(&jobs, |job| Scheme::RepairPipelining.schedule(job));
         let rate = recovery_rate(&jobs, sim.run(&schedule).makespan);
         println!("  {label}: {:.1} MiB/s", rate / (1024.0 * 1024.0));
     }

@@ -8,7 +8,7 @@
 //! Run with `cargo run --release --example geo_repair`.
 
 use repair_pipelining::ecc::slice::SliceLayout;
-use repair_pipelining::repair::{ppr, rp, weighted_path, SingleRepairJob};
+use repair_pipelining::repair::{weighted_path, Scheme, SingleRepairJob};
 use repair_pipelining::simnet::geo;
 use repair_pipelining::simnet::{CostModel, Simulator};
 
@@ -26,14 +26,18 @@ fn main() {
         // A random (index-ordered) path of 12 helpers.
         let random_path: Vec<usize> = candidates.iter().copied().take(12).collect();
         let random_job = SingleRepairJob::new(random_path, requestor, layout);
-        let ppr_time = sim.run(&ppr::schedule(&random_job)).makespan;
-        let rp_time = sim.run(&rp::schedule(&random_job)).makespan;
+        let ppr_time = sim.run(&Scheme::Ppr.schedule(&random_job)).makespan;
+        let rp_time = sim
+            .run(&Scheme::RepairPipelining.schedule(&random_job))
+            .makespan;
 
         // The optimal path minimising the bottleneck link weight.
         let selection = weighted_path::optimal_path(&topo, requestor, &candidates, 12)
             .expect("15 candidates is enough for k = 12");
         let optimal_job = SingleRepairJob::new(selection.path.clone(), requestor, layout);
-        let optimal_time = sim.run(&rp::schedule(&optimal_job)).makespan;
+        let optimal_time = sim
+            .run(&Scheme::RepairPipelining.schedule(&optimal_job))
+            .makespan;
 
         println!(
             "  requestor in {region:<10}  PPR {ppr_time:6.1} s   RP {rp_time:6.1} s   RP+optimal {optimal_time:6.1} s"

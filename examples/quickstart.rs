@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use repair_pipelining::ecpipe::{EcPipeBuilder, ExecStrategy, ScrubConfig, StoreBackend};
+use repair_pipelining::ecpipe::{EcPipeBuilder, Scheme, ScrubConfig, StoreBackend};
 
 fn main() {
     // A 16-node cluster with checksum-verifying in-memory stores, Facebook's
@@ -16,7 +16,7 @@ fn main() {
         .block_size(256 * 1024)
         .slice_size(32 * 1024)
         .store(StoreBackend::memory_checksummed(16))
-        .strategy(ExecStrategy::RepairPipelining)
+        .strategy(Scheme::RepairPipelining)
         .build()
         .expect("valid configuration");
 

@@ -20,7 +20,7 @@ use repair_pipelining::ecc::ReedSolomon;
 use repair_pipelining::ecpipe::manager::{recover_node, ManagerConfig};
 use repair_pipelining::ecpipe::transport::ChannelTransport;
 use repair_pipelining::ecpipe::{
-    Cluster, Coordinator, EcPipeBuilder, ExecStrategy, NodeHealth, ScrubConfig, StoreBackend,
+    Cluster, Coordinator, EcPipeBuilder, NodeHealth, Scheme, ScrubConfig, StoreBackend,
 };
 use std::sync::Arc;
 
@@ -218,7 +218,7 @@ fn main() {
         );
         report
     };
-    let sequential = recover(&ManagerConfig::sequential(ExecStrategy::RepairPipelining));
+    let sequential = recover(&ManagerConfig::sequential(Scheme::RepairPipelining));
     let concurrent = recover(
         &ManagerConfig::default()
             .with_workers(4)

@@ -19,7 +19,7 @@ use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::ReedSolomon;
 use repair_pipelining::ecpipe::transport::Transport;
 use repair_pipelining::ecpipe::{
-    Coordinator, EcPipeBuilder, ExecStrategy, StoreBackend, TcpTransport, TransportChoice,
+    Coordinator, EcPipeBuilder, Scheme, StoreBackend, TcpTransport, TransportChoice,
 };
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         .layout(layout)
         .store(StoreBackend::memory(16))
         .transport(TransportChoice::Tcp)
-        .strategy(ExecStrategy::RepairPipelining)
+        .strategy(Scheme::RepairPipelining)
         .build()
         .expect("valid configuration");
 
@@ -72,7 +72,7 @@ fn main() {
         &directive,
         pipe.cluster(),
         &throttled,
-        ExecStrategy::RepairPipelining,
+        Scheme::RepairPipelining,
     )
     .expect("throttled repair succeeds");
     assert_eq!(repaired, data[3 * BLOCK..4 * BLOCK]);

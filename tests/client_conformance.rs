@@ -9,7 +9,7 @@ use std::sync::Arc;
 use repair_pipelining::ecc::Lrc;
 use repair_pipelining::ecpipe::transport::Transport;
 use repair_pipelining::ecpipe::{
-    EcPipe, EcPipeBuilder, ExecStrategy, ManagerConfig, NodeHealth, ScrubConfig, StoreBackend,
+    EcPipe, EcPipeBuilder, ManagerConfig, NodeHealth, Scheme, ScrubConfig, StoreBackend,
     TransportChoice,
 };
 
@@ -252,9 +252,11 @@ fn put_respects_liveness() {
 fn strategies_serve_degraded_reads() {
     for (n, k) in [(6, 4), (9, 6), (14, 10)] {
         for strategy in [
-            ExecStrategy::Conventional,
-            ExecStrategy::RepairPipelining,
-            ExecStrategy::BlockPipeline,
+            Scheme::Conventional,
+            Scheme::Ppr,
+            Scheme::RepairPipelining,
+            Scheme::BlockPipeline,
+            Scheme::CyclicRepairPipelining,
         ] {
             let pipe = EcPipeBuilder::new()
                 .code(n, k)

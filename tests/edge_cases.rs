@@ -6,14 +6,12 @@ use std::sync::Arc;
 
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::{CodeError, ErasureCode, Lrc, ReedSolomon};
-use repair_pipelining::ecpipe::exec::{
-    execute_multi, execute_single_cancellable, ExecStrategy, OnceFlag,
-};
+use repair_pipelining::ecpipe::exec::{execute_multi, execute_single_cancellable, OnceFlag};
 use repair_pipelining::ecpipe::transport::ChannelTransport;
-use repair_pipelining::ecpipe::{Cluster, Coordinator, EcPipeBuilder, StoreBackend};
+use repair_pipelining::ecpipe::{Cluster, Coordinator, EcPipeBuilder, Scheme, StoreBackend};
 use repair_pipelining::gf256::Matrix;
 use repair_pipelining::repair::weighted_path::{optimal_path, WeightMatrix};
-use repair_pipelining::repair::{ppr, RepairDag, SingleRepairJob};
+use repair_pipelining::repair::{ppr, rp, SingleRepairJob};
 use repair_pipelining::simnet;
 
 /// The smallest legal MDS code, `(2, 1)`: a repair job with a single helper
@@ -32,10 +30,11 @@ fn k1_repair_through_every_strategy() {
         let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
         cluster.erase_block(stripe, failed);
         for strategy in [
-            ExecStrategy::Conventional,
-            ExecStrategy::Ppr,
-            ExecStrategy::RepairPipelining,
-            ExecStrategy::BlockPipeline,
+            Scheme::Conventional,
+            Scheme::Ppr,
+            Scheme::RepairPipelining,
+            Scheme::BlockPipeline,
+            Scheme::CyclicRepairPipelining,
         ] {
             let repaired = cluster
                 .repair(&coordinator, stripe, failed, 3, strategy)
@@ -54,12 +53,12 @@ fn k1_schedules_are_well_formed() {
     let job = SingleRepairJob::new(vec![0], 1, SliceLayout::new(1024, 256));
     assert_eq!(job.k(), 1);
     // None of the schedule builders may panic on a one-hop path.
-    let _ = repair_pipelining::repair::rp::schedule(&job);
-    let _ = repair_pipelining::repair::rp::schedule_pipe_b(&job);
-    let _ = repair_pipelining::repair::rp::schedule_pipe_s(&job);
-    let _ = repair_pipelining::repair::conventional::schedule(&job);
-    let _ = repair_pipelining::repair::ppr::schedule(&job);
-    let _ = repair_pipelining::repair::cyclic::schedule(&job);
+    let _ = Scheme::RepairPipelining.schedule(&job);
+    let _ = Scheme::BlockPipeline.schedule(&job);
+    let _ = rp::schedule_pipe_s(&job);
+    let _ = Scheme::Conventional.schedule(&job);
+    let _ = Scheme::Ppr.schedule(&job);
+    let _ = Scheme::CyclicRepairPipelining.schedule(&job);
 
     let block = 1024;
     for (k, slices) in [(1, 4), (2, 4), (5, 2)] {
@@ -76,7 +75,7 @@ fn k1_schedules_are_well_formed() {
         let directive = coordinator
             .plan_single_repair(cluster.meta(), stripe, 0, requestor)
             .unwrap();
-        let dag = RepairDag::cyclic(&directive.path, requestor, layout);
+        let dag = Scheme::CyclicRepairPipelining.dag(&directive.path, requestor, layout);
         let sim = simnet::Simulator::new(
             simnet::Topology::flat(k + 2, simnet::GBIT),
             simnet::CostModel::network_only(),
@@ -127,7 +126,7 @@ fn one_byte_block_repair() {
     let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
     cluster.erase_block(stripe, 2);
     let repaired = cluster
-        .repair(&coordinator, stripe, 2, 6, ExecStrategy::RepairPipelining)
+        .repair(&coordinator, stripe, 2, 6, Scheme::RepairPipelining)
         .unwrap();
     assert_eq!(repaired, coded[2]);
 }
@@ -265,7 +264,7 @@ fn sub_block_and_empty_objects() {
         .block_size(1024)
         .slice_size(256)
         .store(StoreBackend::memory(20))
-        .strategy(ExecStrategy::RepairPipelining)
+        .strategy(Scheme::RepairPipelining)
         .build()
         .unwrap();
 

@@ -5,10 +5,10 @@ use std::sync::Arc;
 
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::{ErasureCode, Lrc, ReedSolomon};
-use repair_pipelining::ecpipe::exec::{execute_multi, execute_single, ExecStrategy};
+use repair_pipelining::ecpipe::exec::{execute_multi, execute_single};
 use repair_pipelining::ecpipe::manager::{recover_node, ManagerConfig};
 use repair_pipelining::ecpipe::transport::{ChannelTransport, Transport};
-use repair_pipelining::ecpipe::{Cluster, Coordinator, StoreBackend};
+use repair_pipelining::ecpipe::{Cluster, Coordinator, Scheme, StoreBackend};
 
 const BLOCK: usize = 64 * 1024;
 
@@ -45,10 +45,11 @@ fn every_strategy_and_code_reconstructs_exact_bytes() {
             let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
             cluster.erase_block(stripe, failed);
             for strategy in [
-                ExecStrategy::Conventional,
-                ExecStrategy::Ppr,
-                ExecStrategy::RepairPipelining,
-                ExecStrategy::BlockPipeline,
+                Scheme::Conventional,
+                Scheme::Ppr,
+                Scheme::RepairPipelining,
+                Scheme::BlockPipeline,
+                Scheme::CyclicRepairPipelining,
             ] {
                 let repaired = cluster
                     .repair(&coordinator, stripe, failed, n + 1, strategy)
@@ -113,7 +114,7 @@ fn full_node_recovery_end_to_end() {
         &ChannelTransport::new(),
         failed_node,
         &[12, 13],
-        &ManagerConfig::sequential(ExecStrategy::RepairPipelining),
+        &ManagerConfig::sequential(Scheme::RepairPipelining),
     )
     .unwrap();
     assert_eq!(report.blocks_repaired, lost.len());
@@ -154,13 +155,8 @@ fn plan_runtime_agreement() {
     let algebraic = directive.plan.evaluate(&blocks);
 
     let transport = ChannelTransport::new();
-    let runtime = execute_single(
-        &directive,
-        &cluster,
-        &transport,
-        ExecStrategy::RepairPipelining,
-    )
-    .unwrap();
+    let runtime =
+        execute_single(&directive, &cluster, &transport, Scheme::RepairPipelining).unwrap();
     assert_eq!(algebraic, coded[12]);
     assert_eq!(runtime, coded[12]);
 }

@@ -28,8 +28,8 @@ use repair_pipelining::ecpipe::transport::{
     ChannelTransport, ReactorTransport, TcpTransport, Transport,
 };
 use repair_pipelining::ecpipe::{
-    BlockChecksums, BlockStore, Cluster, Coordinator, EcPipeError, ExecStrategy, FileStore,
-    StoreBackend, DEFAULT_CHUNK_SIZE,
+    BlockChecksums, BlockStore, Cluster, Coordinator, EcPipeError, FileStore, Scheme, StoreBackend,
+    DEFAULT_CHUNK_SIZE,
 };
 
 const BLOCK: usize = 16 * 1024;
@@ -136,11 +136,28 @@ fn case_scrub_detects_repairs_and_reverifies<T: Transport + Send + Sync + 'stati
 }
 
 /// A helper that reads a corrupt local slice mid-stream fails the repair
-/// cleanly: the degraded read is re-planned around the rotten block (no
-/// liveness strike — the node is healthy), reconstructs byte-exact (no
-/// poisoned partials reach the requestor), and the rot itself is
-/// auto-enqueued and healed in place.
-fn case_corrupt_helper_replans_and_autoheals<T: Transport + Send + Sync + 'static>(transport: T) {
+/// cleanly, whatever the repair's shape: the degraded read is re-planned
+/// around the rotten block (no liveness strike — the node is healthy),
+/// reconstructs byte-exact (no poisoned partials reach the requestor), and
+/// the rot itself is auto-enqueued and healed in place.
+fn case_corrupt_helper_replans_and_autoheals<T: Transport + Send + Sync + 'static>(
+    make: impl Fn() -> T,
+) {
+    for strategy in [
+        Scheme::Conventional,
+        Scheme::Ppr,
+        Scheme::RepairPipelining,
+        Scheme::BlockPipeline,
+        Scheme::CyclicRepairPipelining,
+    ] {
+        corrupt_helper_replans_and_autoheals(make(), strategy);
+    }
+}
+
+fn corrupt_helper_replans_and_autoheals<T: Transport + Send + Sync + 'static>(
+    transport: T,
+    strategy: Scheme,
+) {
     let (coordinator, cluster, originals) = build_cluster();
     // Stripe 0 lives on nodes 0..=5. Erase block 0 and rot block 1 — the
     // first LRU plan picks helpers {1, 2, 3, 4}, so the repair must trip
@@ -150,6 +167,7 @@ fn case_corrupt_helper_replans_and_autoheals<T: Transport + Send + Sync + 'stati
     let config = ManagerConfig {
         workers: 1,
         relocate_on_success: true,
+        strategy,
         ..ManagerConfig::default()
     };
     let manager = RepairManager::start(coordinator, cluster, transport, config);
@@ -160,6 +178,7 @@ fn case_corrupt_helper_replans_and_autoheals<T: Transport + Send + Sync + 'stati
     assert_eq!(
         manager.cluster().store(13).get(BlockId::new(0, 0)).unwrap(),
         expected_block(&originals, BlockId::new(0, 0)),
+        "{strategy}"
     );
     // Corruption is not node death: node 1 took no strike...
     assert_eq!(manager.node_health(1), NodeHealth::Alive);
@@ -171,9 +190,15 @@ fn case_corrupt_helper_replans_and_autoheals<T: Transport + Send + Sync + 'stati
     );
 
     let report = manager.shutdown();
-    assert_eq!(report.blocks_repaired, 2, "degraded read + corruption heal");
+    assert_eq!(
+        report.blocks_repaired, 2,
+        "degraded read + corruption heal under {strategy}"
+    );
     assert_eq!(report.failed_repairs, 0);
-    assert_eq!(report.replans, 1, "one re-plan around the rotten helper");
+    assert_eq!(
+        report.replans, 1,
+        "one re-plan around the rotten helper under {strategy}"
+    );
     assert_eq!(report.corruption_wait.count, 1);
     assert_eq!(report.degraded_wait.count, 1);
 }
@@ -183,10 +208,11 @@ fn case_corrupt_helper_replans_and_autoheals<T: Transport + Send + Sync + 'stati
 /// (`None`), so callers can re-plan around the actual culprit.
 fn case_exec_surfaces_corrupt_block<T: Transport + Send + Sync>(transport: &T) {
     for shape in [
-        Some(ExecStrategy::Conventional),
-        Some(ExecStrategy::Ppr),
-        Some(ExecStrategy::RepairPipelining),
-        Some(ExecStrategy::BlockPipeline),
+        Some(Scheme::Conventional),
+        Some(Scheme::Ppr),
+        Some(Scheme::RepairPipelining),
+        Some(Scheme::BlockPipeline),
+        Some(Scheme::CyclicRepairPipelining),
         None,
     ] {
         let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
@@ -237,7 +263,7 @@ macro_rules! integrity_suite {
 
             #[test]
             fn corrupt_helper_replans_and_autoheals() {
-                case_corrupt_helper_replans_and_autoheals($make);
+                case_corrupt_helper_replans_and_autoheals(|| $make);
             }
 
             #[test]

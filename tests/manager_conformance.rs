@@ -25,7 +25,7 @@ use repair_pipelining::ecpipe::manager::{
 use repair_pipelining::ecpipe::transport::{
     ChannelTransport, ReactorTransport, TcpTransport, Transport,
 };
-use repair_pipelining::ecpipe::{Cluster, Coordinator, ExecStrategy, StoreBackend};
+use repair_pipelining::ecpipe::{Cluster, Coordinator, Scheme, StoreBackend};
 
 const BLOCK: usize = 64 * 1024;
 const SLICE: usize = 8 * 1024;
@@ -123,7 +123,7 @@ fn case_manager_beats_sequential<T: Transport>(sequential_t: &T, concurrent_t: &
         sequential_t,
         FAILED_NODE,
         &REQUESTORS,
-        &ManagerConfig::sequential(ExecStrategy::RepairPipelining),
+        &ManagerConfig::sequential(Scheme::RepairPipelining),
     )
     .unwrap();
 
@@ -201,7 +201,7 @@ fn cap_one_reproduces_sequential_results() {
         &ChannelTransport::new(),
         FAILED_NODE,
         &REQUESTORS,
-        &ManagerConfig::sequential(ExecStrategy::RepairPipelining),
+        &ManagerConfig::sequential(Scheme::RepairPipelining),
     )
     .unwrap();
 

@@ -6,8 +6,7 @@
 
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::repair::{
-    analysis, conventional, cyclic, multiblock, ppr, rack_aware, rp, weighted_path, MultiRepairJob,
-    Scheme, SingleRepairJob,
+    analysis, multiblock, rack_aware, rp, weighted_path, MultiRepairJob, Scheme, SingleRepairJob,
 };
 use repair_pipelining::simnet::{CostModel, Simulator, Topology, GBIT, MBIT};
 
@@ -28,9 +27,9 @@ fn default_job(k: usize) -> SingleRepairJob {
 fn headline_reductions_hold() {
     let sim = paper_sim();
     let job = default_job(10);
-    let conv = sim.run(&conventional::schedule(&job)).makespan;
-    let ppr_t = sim.run(&ppr::schedule(&job)).makespan;
-    let rp_t = sim.run(&rp::schedule(&job)).makespan;
+    let conv = sim.run(&Scheme::Conventional.schedule(&job)).makespan;
+    let ppr_t = sim.run(&Scheme::Ppr.schedule(&job)).makespan;
+    let rp_t = sim.run(&Scheme::RepairPipelining.schedule(&job)).makespan;
 
     let vs_conv = 1.0 - rp_t / conv;
     let vs_ppr = 1.0 - rp_t / ppr_t;
@@ -44,7 +43,7 @@ fn headline_reductions_hold() {
 fn repair_time_close_to_normal_read_time() {
     let sim = paper_sim();
     let job = default_job(10);
-    let rp_t = sim.run(&rp::schedule(&job)).makespan;
+    let rp_t = sim.run(&Scheme::RepairPipelining.schedule(&job)).makespan;
     // Normal read: stream one block over one link.
     let mut direct = simnet::Schedule::new();
     let layout = job.layout;
@@ -69,9 +68,9 @@ fn simulator_matches_timeslot_analysis() {
     for k in [6usize, 10, 12] {
         let job = SingleRepairJob::new((1..=k).collect(), 0, SliceLayout::new(32 * MIB, 32 * KIB));
         let timeslot = analysis::timeslot_seconds(32 * MIB, GBIT);
-        let conv = sim.run(&conventional::schedule(&job)).makespan;
-        let ppr_t = sim.run(&ppr::schedule(&job)).makespan;
-        let rp_t = sim.run(&rp::schedule(&job)).makespan;
+        let conv = sim.run(&Scheme::Conventional.schedule(&job)).makespan;
+        let ppr_t = sim.run(&Scheme::Ppr.schedule(&job)).makespan;
+        let rp_t = sim.run(&Scheme::RepairPipelining.schedule(&job)).makespan;
         assert!((conv / timeslot - analysis::conventional_single(k)).abs() < 0.1);
         assert!((ppr_t / timeslot - analysis::ppr_single(k)).abs() < 0.15);
         assert!((rp_t / timeslot - analysis::rp_single(k, job.slice_count())).abs() < 0.05);
@@ -83,10 +82,18 @@ fn simulator_matches_timeslot_analysis() {
 #[test]
 fn rp_is_insensitive_to_k() {
     let sim = paper_sim();
-    let conv6 = sim.run(&conventional::schedule(&default_job(6))).makespan;
-    let conv12 = sim.run(&conventional::schedule(&default_job(12))).makespan;
-    let rp6 = sim.run(&rp::schedule(&default_job(6))).makespan;
-    let rp12 = sim.run(&rp::schedule(&default_job(12))).makespan;
+    let conv6 = sim
+        .run(&Scheme::Conventional.schedule(&default_job(6)))
+        .makespan;
+    let conv12 = sim
+        .run(&Scheme::Conventional.schedule(&default_job(12)))
+        .makespan;
+    let rp6 = sim
+        .run(&Scheme::RepairPipelining.schedule(&default_job(6)))
+        .makespan;
+    let rp12 = sim
+        .run(&Scheme::RepairPipelining.schedule(&default_job(12)))
+        .makespan;
     assert!(conv12 > 1.8 * conv6);
     assert!(rp12 < 1.05 * rp6);
 }
@@ -116,8 +123,10 @@ fn cyclic_version_wins_under_edge_bottleneck() {
     topo.limit_ingress(0, 100.0 * MBIT);
     let sim = Simulator::new(topo, CostModel::paper_local_cluster());
     let job = SingleRepairJob::new((1..=10).collect(), 0, layout);
-    let basic = sim.run(&rp::schedule(&job)).makespan;
-    let cyc = sim.run(&cyclic::schedule(&job)).makespan;
+    let basic = sim.run(&Scheme::RepairPipelining.schedule(&job)).makespan;
+    let cyc = sim
+        .run(&Scheme::CyclicRepairPipelining.schedule(&job))
+        .makespan;
     let reduction = 1.0 - cyc / basic;
     assert!(reduction > 0.7, "cyclic reduction {reduction}");
 }
@@ -141,16 +150,14 @@ fn rack_awareness_reduces_cross_rack_traffic_and_time() {
 
     let oblivious = vec![3, 6, 7, 4, 5, 2];
     let t_aware = sim
-        .run(&rp::schedule(&SingleRepairJob::new(
-            aware, requestor, layout,
-        )))
+        .run(&Scheme::RepairPipelining.schedule(&SingleRepairJob::new(aware, requestor, layout)))
         .makespan;
     let t_oblivious = sim
-        .run(&rp::schedule(&SingleRepairJob::new(
-            oblivious, requestor, layout,
-        )))
+        .run(
+            &Scheme::RepairPipelining.schedule(&SingleRepairJob::new(oblivious, requestor, layout)),
+        )
         .makespan;
-    let report_aware = sim.run(&rp::schedule(&SingleRepairJob::new(
+    let report_aware = sim.run(&Scheme::RepairPipelining.schedule(&SingleRepairJob::new(
         rack_aware::select_path(&topo, requestor, &candidates, 6),
         requestor,
         layout,
@@ -174,14 +181,14 @@ fn weighted_path_selection_is_optimal_and_helps() {
     let random_path: Vec<usize> = candidates.iter().copied().take(12).collect();
 
     let t_random = sim
-        .run(&rp::schedule(&SingleRepairJob::new(
+        .run(&Scheme::RepairPipelining.schedule(&SingleRepairJob::new(
             random_path,
             requestor,
             layout,
         )))
         .makespan;
     let t_optimal = sim
-        .run(&rp::schedule(&SingleRepairJob::new(
+        .run(&Scheme::RepairPipelining.schedule(&SingleRepairJob::new(
             optimal.path.clone(),
             requestor,
             layout,
@@ -203,9 +210,9 @@ fn weighted_path_selection_is_optimal_and_helps() {
 fn implementation_comparison_ordering() {
     let sim = paper_sim();
     let job = default_job(10);
-    let pipe_b = sim.run(&rp::schedule_pipe_b(&job)).makespan;
+    let pipe_b = sim.run(&Scheme::BlockPipeline.schedule(&job)).makespan;
     let pipe_s = sim.run(&rp::schedule_pipe_s(&job)).makespan;
-    let rp_t = sim.run(&rp::schedule(&job)).makespan;
+    let rp_t = sim.run(&Scheme::RepairPipelining.schedule(&job)).makespan;
     assert!(rp_t < pipe_s && pipe_s < pipe_b);
     assert!(pipe_b > 4.0 * pipe_s, "Pipe-B {pipe_b} vs Pipe-S {pipe_s}");
 }

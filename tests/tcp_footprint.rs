@@ -17,8 +17,9 @@ use std::time::{Duration, Instant};
 
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
-use repair_pipelining::ecpipe::exec::{execute_single, ExecStrategy};
+use repair_pipelining::ecpipe::exec::execute_single;
 use repair_pipelining::ecpipe::transport::{TcpTransport, Transport};
+use repair_pipelining::ecpipe::Scheme;
 use repair_pipelining::ecpipe::{Cluster, Coordinator, StoreBackend};
 
 const NODES: usize = 22;
@@ -79,13 +80,8 @@ fn two_hundred_repairs() {
         let directive = coordinator
             .plan_single_repair(cluster.meta(), stripe, failed, requestor)
             .unwrap();
-        let repaired = execute_single(
-            &directive,
-            &cluster,
-            &transport,
-            ExecStrategy::RepairPipelining,
-        )
-        .unwrap();
+        let repaired =
+            execute_single(&directive, &cluster, &transport, Scheme::RepairPipelining).unwrap();
         assert!(repaired == coded[s][failed], "round {round}");
     };
 

@@ -15,10 +15,11 @@ use std::time::{Duration, Instant};
 
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::{ErasureCode, Lrc, ReedSolomon};
-use repair_pipelining::ecpipe::exec::{execute_single, ExecStrategy};
+use repair_pipelining::ecpipe::exec::execute_single;
 use repair_pipelining::ecpipe::transport::{
     ChannelTransport, ReactorTransport, TcpTransport, Transport,
 };
+use repair_pipelining::ecpipe::Scheme;
 use repair_pipelining::ecpipe::{
     Cluster, Coordinator, EcPipeBuilder, PathPolicy, ReplanReason, StoreBackend, Topology,
     TransportChoice,
@@ -265,13 +266,8 @@ fn case_counters_match_slice_math<T: Transport>(transport: &T) {
     // Round 2 re-runs the identical repair so the same directed pairs (and,
     // on TCP, the same pooled connections) accumulate a second block.
     for round in 1..=2u64 {
-        let repaired = execute_single(
-            &directive,
-            &cluster,
-            transport,
-            ExecStrategy::RepairPipelining,
-        )
-        .unwrap();
+        let repaired =
+            execute_single(&directive, &cluster, transport, Scheme::RepairPipelining).unwrap();
         assert_eq!(repaired, data[1]);
         for &(src, dst) in &hops {
             assert_eq!(

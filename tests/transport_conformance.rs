@@ -22,14 +22,12 @@ use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::stripe::StripeId;
 use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
 use repair_pipelining::ecpipe::exec::{
-    execute_multi, execute_single, execute_single_cancellable, ExecStrategy, OnceFlag,
-    PIPELINE_DEPTH,
+    execute_multi, execute_single, execute_single_cancellable, OnceFlag, PIPELINE_DEPTH,
 };
 use repair_pipelining::ecpipe::transport::{
     ChannelTransport, ReactorTransport, SliceMsg, TcpTransport, Transport,
 };
-use repair_pipelining::ecpipe::{Cluster, Coordinator, StoreBackend};
-use repair_pipelining::repair::RepairDag;
+use repair_pipelining::ecpipe::{Cluster, Coordinator, Scheme, StoreBackend};
 
 const BLOCK: usize = 16 * 1024;
 const SLICE: usize = 2 * 1024;
@@ -133,13 +131,8 @@ fn case_one_block_per_link_accounting<T: Transport>(transport: &T) {
     let directive = coordinator
         .plan_single_repair(cluster.meta(), stripe, 0, 15)
         .unwrap();
-    let repaired = execute_single(
-        &directive,
-        &cluster,
-        transport,
-        ExecStrategy::RepairPipelining,
-    )
-    .unwrap();
+    let repaired =
+        execute_single(&directive, &cluster, transport, Scheme::RepairPipelining).unwrap();
     assert_eq!(repaired, data[0]);
     // §3.2: repair pipelining puts exactly one block on every link it uses.
     assert_eq!(transport.links_used(), 10);
@@ -152,10 +145,11 @@ fn case_one_block_per_link_accounting<T: Transport>(transport: &T) {
 
 fn case_all_strategies_byte_exact<T: Transport>(transport: &T) {
     for strategy in [
-        ExecStrategy::Conventional,
-        ExecStrategy::Ppr,
-        ExecStrategy::RepairPipelining,
-        ExecStrategy::BlockPipeline,
+        Scheme::Conventional,
+        Scheme::Ppr,
+        Scheme::RepairPipelining,
+        Scheme::BlockPipeline,
+        Scheme::CyclicRepairPipelining,
     ] {
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(14, 10).unwrap());
         let (cluster, coordinator, data, stripe) = setup(code);
@@ -194,7 +188,8 @@ fn case_cyclic_repair_byte_exact<T: Transport>(transport: &T) {
     let directive = coordinator
         .plan_single_repair(cluster.meta(), stripe, 2, 10)
         .unwrap();
-    let dag = RepairDag::cyclic(&directive.path, directive.requestor, directive.layout);
+    let dag =
+        Scheme::CyclicRepairPipelining.dag(&directive.path, directive.requestor, directive.layout);
     let repaired =
         execute_single_cancellable(&directive, &dag, &cluster, transport, &OnceFlag::new())
             .unwrap();
@@ -292,7 +287,7 @@ fn throttled_tcp_matches_paper_timing_shape() {
         &directive,
         &cluster,
         &rp_transport,
-        ExecStrategy::RepairPipelining,
+        Scheme::RepairPipelining,
     )
     .unwrap();
     let rp_elapsed = start.elapsed().as_secs_f64();
@@ -304,7 +299,7 @@ fn throttled_tcp_matches_paper_timing_shape() {
         &directive,
         &cluster,
         &pipe_b_transport,
-        ExecStrategy::BlockPipeline,
+        Scheme::BlockPipeline,
     )
     .unwrap();
     let pipe_b_elapsed = start.elapsed().as_secs_f64();
