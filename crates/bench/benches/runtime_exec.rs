@@ -1,7 +1,7 @@
 //! Criterion bench for the ECPipe runtime: end-to-end single-block repair
 //! throughput of the execution strategies on an in-memory cluster, over
-//! in-process channels (`single_block_repair/*`) and over the two socket
-//! backends (`RP/{tcp,reactor}/*`).
+//! in-process channels (`single_block_repair/*`) and over the TCP backend
+//! (`RP/tcp/*`).
 
 use std::sync::Arc;
 
@@ -9,12 +9,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use ecc::slice::SliceLayout;
 use ecc::ReedSolomon;
 use ecpipe::exec::execute_single;
-use ecpipe::transport::{ChannelTransport, ReactorTransport, TcpTransport, Transport};
+use ecpipe::transport::{ChannelTransport, TcpTransport};
 use ecpipe::{Cluster, Coordinator, RepairDirective, Scheme, StoreBackend};
 
 const BLOCK: usize = 4 * 1024 * 1024;
-/// The socket rows repair the benchmark crate's block size, so they read
-/// next to its `exec.rp.{tcp,reactor}.ms`.
+/// The socket row repairs the benchmark crate's block size, so it reads
+/// next to its `exec.rp.tcp.ms`.
 const SOCKET_BLOCK: usize = 1024 * 1024;
 
 /// A 16-node memory cluster holding one RS(14,10) stripe of `block`-byte
@@ -63,29 +63,18 @@ fn bench_runtime(c: &mut Criterion) {
     }
     group.finish();
 
-    // The socket data plane. One transport per row, alive across every
-    // iteration: what is timed is a repair over connections that are already
-    // up (pooled for TCP, cached for the reactor), not the dials.
+    // The socket data plane. One transport, alive across every iteration:
+    // what is timed is a repair over pooled connections that are already up,
+    // not the dials.
     let (cluster, directive) = fixture(SOCKET_BLOCK);
     let mut group = c.benchmark_group("runtime_exec/RP");
     group.throughput(Throughput::Bytes(SOCKET_BLOCK as u64));
-    let backends: [(&str, Box<dyn Transport>); 2] = [
-        ("tcp", Box::new(TcpTransport::new())),
-        ("reactor", Box::new(ReactorTransport::new())),
-    ];
-    for (name, transport) in &backends {
-        group.bench_function(BenchmarkId::new(*name, SOCKET_BLOCK), |b| {
-            b.iter(|| {
-                execute_single(
-                    &directive,
-                    &cluster,
-                    transport.as_ref(),
-                    Scheme::RepairPipelining,
-                )
-                .unwrap()
-            });
+    let transport = TcpTransport::new();
+    group.bench_function(BenchmarkId::new("tcp", SOCKET_BLOCK), |b| {
+        b.iter(|| {
+            execute_single(&directive, &cluster, &transport, Scheme::RepairPipelining).unwrap()
         });
-    }
+    });
     group.finish();
 }
 

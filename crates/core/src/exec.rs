@@ -37,23 +37,20 @@
 //! sends next), and repeatedly takes the most-downstream step that cannot
 //! wait on another thread — the requestors first, then the stages from the
 //! last. A fold takes a slice only from a link that already holds a frame
-//! this walker wrote; a send goes only into a free credit of its link
+//! this walker wrote, which both transports hand over without waiting on
+//! another thread; a send goes only into a free credit of its link
 //! ([`PIPELINE_DEPTH`] per link) and only once the link's token bucket has
 //! paid for it, polled without blocking.
 //!
-//! A send queues its frame on the link (over `TcpTransport`; channels and
-//! the reactor write it at once), and a link writes its queue when it holds
-//! a credit window of frames — one `writev` for [`PIPELINE_DEPTH`] slices,
-//! read back with one `read` — or when a scan finds no step at all, so no
-//! frame waits for company that is not coming. When still no step can run,
-//! the walker sleeps until the earliest pacing deadline, so shaped links
-//! pace in parallel as they would on separate machines, each paid frame
-//! written on its own. In an unshaped chain a window of slices travels the
-//! whole path before the next one is read. (Over
-//! [`ReactorTransport`](crate::transport::ReactorTransport) a sent frame
-//! reaches its link's queue through an epoll thread; a fold or requestor
-//! receive that would wait for that delivery is taken only when nothing
-//! else can run, so the stages upstream keep sending meanwhile.)
+//! A send queues its frame on the link (over `TcpTransport`; channels write
+//! it at once), and a link writes its queue when it holds a credit window
+//! of frames — one `writev` for [`PIPELINE_DEPTH`] slices, read back with
+//! one `read` — or when a scan finds no step at all, so no frame waits for
+//! company that is not coming. When the scan after that flush still finds
+//! no step, the walker sleeps until the earliest pacing deadline, so shaped
+//! links pace in parallel as they would on separate machines, each paid
+//! frame written on its own. In an unshaped chain a window of slices
+//! travels the whole path before the next one is read.
 //!
 //! The walker is generic over the [`Transport`] trait: the same plans run
 //! over in-process channels
@@ -233,19 +230,15 @@ impl Walk<'_> {
             if self.cancel.is_set() {
                 return Err(execution_error("repair cancelled mid-stream"));
             }
-            // A step that waits on no other thread; failing that, the
-            // queued frames written and a receive of a frame still being
-            // delivered (an epoll thread of the reactor transport has it);
-            // failing that, every send left is waiting for its pacing.
-            let mut turn = Turn::Blocked(None);
-            for patient in [false, true] {
-                turn = self.step(&mut requestors, &mut stages, &mut links, pool, patient)?;
-                if let Turn::Took = turn {
-                    break;
-                }
+            // A step that can run; failing that, the queued frames written
+            // and one more scan; failing that, every send left is waiting
+            // for its pacing.
+            let mut turn = self.step(&mut requestors, &mut stages, &mut links, pool)?;
+            if let Turn::Blocked(_) = turn {
                 for link in &mut links {
                     link.flush()?;
                 }
+                turn = self.step(&mut requestors, &mut stages, &mut links, pool)?;
             }
             if let Turn::Blocked(wake) = turn {
                 let at = wake.ok_or_else(|| execution_error("repair stalled: no step can run"))?;
@@ -261,23 +254,21 @@ impl Walk<'_> {
 
     /// Takes the most-downstream step that can run — the requestors', else
     /// the stages' from the last — or reports the earliest pacing deadline
-    /// met on the way. A `patient` scan also takes a receive that has to
-    /// wait for its frame's delivery.
+    /// met on the way.
     fn step(
         &self,
         requestors: &mut Requestors<'_>,
         stages: &mut [Cursor<'_>],
         links: &mut [Link],
         pool: &BufPool,
-        patient: bool,
     ) -> Result<Turn> {
         let mut wake: Option<Instant> = None;
-        let mut turn = requestors.turn(links, patient)?;
+        let mut turn = requestors.turn(links)?;
         let mut upstream = stages.iter_mut().rev();
         while let Turn::Blocked(at) = turn {
             wake = wake.into_iter().chain(at).min();
             match upstream.next() {
-                Some(stage) => turn = stage.turn(self, links, pool, patient)?,
+                Some(stage) => turn = stage.turn(self, links, pool)?,
                 None => return Ok(Turn::Blocked(wake)),
             }
         }
@@ -323,10 +314,9 @@ impl Link {
         }
     }
 
-    /// A frame this walker wrote is waiting — delivered, so a receive
-    /// cannot wait on another thread, or (`patient`) at least written.
-    fn holds_a_frame(&self, patient: bool) -> bool {
-        self.received < self.written && (patient || self.rx.delivered())
+    /// A frame this walker wrote is waiting to be received.
+    fn holds_a_frame(&self) -> bool {
+        self.received < self.written
     }
 
     /// A send cannot block on the credit window, which queued frames take
@@ -469,18 +459,12 @@ impl<'a> Cursor<'a> {
     }
 
     /// Takes the stage's next step if nothing it needs is missing.
-    fn turn(
-        &mut self,
-        walk: &Walk<'_>,
-        links: &mut [Link],
-        pool: &BufPool,
-        patient: bool,
-    ) -> Result<Turn> {
+    fn turn(&mut self, walk: &Walk<'_>, links: &mut [Link], pool: &BufPool) -> Result<Turn> {
         match self.next {
             Step::Done => Ok(Turn::Blocked(None)),
             Step::Fold { input, pos } => {
                 let link = &mut links[self.inputs[input]];
-                if !link.holds_a_frame(patient) {
+                if !link.holds_a_frame() {
                     return Ok(Turn::Blocked(None));
                 }
                 let slice = self.slice(pos);
@@ -621,13 +605,13 @@ impl<'a> Requestors<'a> {
         self.next.is_none()
     }
 
-    fn turn(&mut self, links: &mut [Link], patient: bool) -> Result<Turn> {
+    fn turn(&mut self, links: &mut [Link]) -> Result<Turn> {
         let Some((delivery, slice, row)) = self.next else {
             return Ok(Turn::Blocked(None));
         };
         let (from, ref delivered) = self.deliveries[delivery];
         let link = &mut links[delivered[row]];
-        if !link.holds_a_frame(patient) {
+        if !link.holds_a_frame() {
             return Ok(Turn::Blocked(None));
         }
         let layout = self.dag.layout();
@@ -663,8 +647,7 @@ impl<'a> Requestors<'a> {
 mod tests {
     use super::*;
     use crate::transport::{
-        ChannelTransport, LinkStats, ReactorTransport, SliceRx, SliceTx, StatsRegistry,
-        TcpTransport, TransportError,
+        ChannelTransport, LinkStats, SliceRx, SliceTx, StatsRegistry, TcpTransport, TransportError,
     };
     use crate::{BlockStore, Cluster, Coordinator};
     use ecc::stripe::StripeId;
@@ -796,13 +779,8 @@ mod tests {
         let big_directive = big_coordinator
             .plan_single_repair(big.meta(), big_stripe, 2, 7)
             .unwrap();
-        let (channel, tcp, reactor) = (
-            ChannelTransport::new(),
-            TcpTransport::new(),
-            ReactorTransport::new(),
-        );
-        let transports: [(&str, &dyn Transport); 3] =
-            [("channel", &channel), ("tcp", &tcp), ("reactor", &reactor)];
+        let (channel, tcp) = (ChannelTransport::new(), TcpTransport::new());
+        let transports: [(&str, &dyn Transport); 2] = [("channel", &channel), ("tcp", &tcp)];
         for (name, transport) in transports {
             for strategy in SINGLE_PLANS {
                 let (cluster, coordinator, data, stripe) = setup(code.clone());

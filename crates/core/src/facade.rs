@@ -67,7 +67,7 @@ use crate::manager::{
     RepairRequest, ScrubConfig, ScrubCycle, Scrubber,
 };
 use crate::store::StoreBackend;
-use crate::transport::{AnyTransport, ChannelTransport, ReactorTransport, TcpTransport};
+use crate::transport::{AnyTransport, ChannelTransport, TcpTransport};
 use crate::{EcPipeError, Result};
 
 /// Which transport backend moves repair slices between nodes.
@@ -78,10 +78,6 @@ pub enum TransportChoice {
     Channel,
     /// Real localhost TCP sockets with the framed wire format.
     Tcp,
-    /// Localhost TCP sockets multiplexed over a fixed epoll thread pool —
-    /// the same wire format as [`Tcp`](TransportChoice::Tcp) with one
-    /// shared connection per node pair instead of one per open link.
-    Reactor,
 }
 
 /// Builder for an [`EcPipe`] runtime handle.
@@ -342,13 +338,6 @@ impl EcPipeBuilder {
                 AnyTransport::from(TcpTransport::with_topology(topology.clone()))
             }
             (TransportChoice::Tcp, None, None) => AnyTransport::from(TcpTransport::new()),
-            (TransportChoice::Reactor, Some(rate), _) => {
-                AnyTransport::from(ReactorTransport::with_rate_limit(rate))
-            }
-            (TransportChoice::Reactor, None, Some(topology)) => {
-                AnyTransport::from(ReactorTransport::with_topology(topology.clone()))
-            }
-            (TransportChoice::Reactor, None, None) => AnyTransport::from(ReactorTransport::new()),
         };
         let manager = RepairManager::start(coordinator, cluster, transport, config);
         // Recovery: re-drive the repairs a previous process had queued or in

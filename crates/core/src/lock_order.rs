@@ -61,24 +61,9 @@ lock_class!(
 );
 
 lock_class!(
-    /// Reactor transport listener table; held while binding and registering
-    /// a listener with the reactor, so it precedes the reactor's dispatch
-    /// table (`reactor.sources`, rank 55, declared in `ecpipe-reactor`).
-    pub RTRANSPORT_LISTENERS = ("rtransport.listeners", rank = 51)
-);
-
-lock_class!(
     /// TCP transport listener table; held across a dial and the `accept`
     /// that pairs with it (no other lock is taken meanwhile).
     pub TCP_LISTENERS = ("tcp.listeners", rank = 52)
-);
-
-lock_class!(
-    /// Reactor transport connection table (outbound cache + accepted
-    /// inbound); held while writing the handshake into per-connection state
-    /// and while registering sockets with the reactor, so it precedes both
-    /// [`RTRANSPORT_CONN`] and `reactor.sources` (rank 55).
-    pub RTRANSPORT_CONNS = ("rtransport.conns", rank = 53)
 );
 
 lock_class!(
@@ -88,47 +73,11 @@ lock_class!(
 );
 
 lock_class!(
-    /// Reactor transport live-link table; held while closing per-link
-    /// state, so it precedes [`FRAMED_LINK_STATE`].
-    pub FRAMED_LINKS = ("framed.links", rank = 56)
-);
-
-lock_class!(
     /// TCP per-connection credit window of the link riding it; senders out
     /// of credits block on its condvar. A sender passes it (and releases
     /// it) before taking [`TCP_WRITER`]; a receiver returns its credit only
     /// after releasing [`TCP_READER`] — it is never held with either.
     pub TCP_WINDOW = ("tcp.window", rank = 57)
-);
-
-lock_class!(
-    /// Reactor transport connection-generation → links index used for
-    /// teardown.
-    pub FRAMED_CONN_LINKS = ("framed.conn_links", rank = 58)
-);
-
-lock_class!(
-    /// Reactor transport per-connection buffers (outbound queue, inbound
-    /// frame decoder). Senders take it after the credit gate releases
-    /// [`FRAMED_LINK_STATE`], and the read path drains decoded frames under
-    /// it before pushing into link queues — but teardown may close link
-    /// state while a connection is being evicted, so it ranks just below
-    /// [`FRAMED_LINK_STATE`].
-    pub RTRANSPORT_CONN = ("rtransport.conn", rank = 59)
-);
-
-lock_class!(
-    /// Reactor transport per-link queue/credit state; senders and receivers
-    /// block on its condvars.
-    pub FRAMED_LINK_STATE = ("framed.link_state", rank = 60)
-);
-
-lock_class!(
-    /// Reactor transport per-connection epoll registration slot. Interest
-    /// re-arming decisions are made while holding the connection's buffer
-    /// state, so this ranks above [`RTRANSPORT_CONN`] and
-    /// [`FRAMED_LINK_STATE`].
-    pub RTRANSPORT_CONN_REG = ("rtransport.conn_reg", rank = 61)
 );
 
 lock_class!(

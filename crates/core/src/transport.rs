@@ -17,10 +17,13 @@
 //!   wire format, pooled connections (a link owns one and its receiver
 //!   reads it directly — no transport threads) and the same optional
 //!   token-bucket bandwidth throttle, so the timing claims of §3.2 can be
-//!   measured on sockets rather than only in `simnet`;
-//! * [`ReactorTransport`] — the same wire format over one shared
-//!   nonblocking connection per node pair, multiplexed on a fixed pool of
-//!   epoll threads.
+//!   measured on sockets rather than only in `simnet`. It is the one socket
+//!   backend.
+//!
+//! On both, a frame written on a link can be received at once by the thread
+//! that wrote it: it is in the channel, or in the kernel or the
+//! connection's read buffer. That is what lets one thread walk a whole
+//! repair ([`exec`](crate::exec)).
 //!
 //! Every backend keeps per-link byte counters ([`LinkStats`]) so tests can
 //! check the traffic-distribution claims of the paper (e.g. repair
@@ -41,15 +44,12 @@ use simnet::{NodeId, Topology};
 
 use crate::lock_order;
 
-mod framed;
-mod reactor;
 mod tcp;
 mod wire;
 
-pub use reactor::ReactorTransport;
 pub use tcp::TcpTransport;
 
-/// How long senders and receivers blocked on a socket backend's condvars
+/// How long senders and receivers blocked on the TCP backend's condvars
 /// sleep between re-checks; a backstop so a lost wakeup degrades to latency
 /// rather than a deadlock.
 const WAIT_TICK: Duration = Duration::from_millis(50);
@@ -67,8 +67,8 @@ struct BucketState {
 /// A token bucket limiting one link (or, under topology shaping, one
 /// directed node pair) to `rate` bytes per second. Every backend draws on it
 /// the same way, through the [`SliceSender`] in front of its links: it
-/// shapes real socket writes in [`TcpTransport`] and [`ReactorTransport`]
-/// and simulates constrained links in [`ChannelTransport`].
+/// shapes real socket writes in [`TcpTransport`] and simulates constrained
+/// links in [`ChannelTransport`].
 pub(crate) struct TokenBucket {
     /// Lock class: `transport.token_bucket`
     /// ([`lock_order::TRANSPORT_TOKEN_BUCKET`]).
@@ -388,12 +388,6 @@ pub(crate) trait SliceTx: Send + Sync {
 /// The backend half of a [`SliceReceiver`]: yields the next message.
 pub(crate) trait SliceRx: Send + Sync {
     fn recv(&self) -> Option<SliceMsg>;
-
-    /// See [`SliceReceiver::delivered`]. Backends whose writes return only
-    /// once the frame is where `recv` reads it keep this default.
-    fn delivered(&self) -> bool {
-        true
-    }
 }
 
 /// The sending half of a link; paces and counts traffic as it sends.
@@ -451,11 +445,10 @@ impl SliceSender {
     /// Hands one slice to the link: first waits out the link's pacing
     /// (polling its token bucket and sleeping in between), then takes a
     /// credit, blocking while the link is full. Returns whether the slice is
-    /// written — in-process channels and the reactor write at once — or
-    /// only queued, as `TcpTransport` does until the next
-    /// [`flush`](Self::flush), so that one write carries every slice queued
-    /// before it. A caller must flush before it waits for the link's
-    /// receiver.
+    /// written — in-process channels write at once — or only queued, as
+    /// `TcpTransport` does until the next [`flush`](Self::flush), so that
+    /// one write carries every slice queued before it. A caller must flush
+    /// before it waits for the link's receiver.
     pub(crate) fn queue(&self, msg: SliceMsg) -> Result<bool, TransportError> {
         let bytes = msg.data.len();
         while let Some(at) = self.poll_pacing(bytes) {
@@ -503,16 +496,6 @@ impl SliceReceiver {
     /// link is drained.
     pub fn recv(&self) -> Option<SliceMsg> {
         self.inner.recv()
-    }
-
-    /// Whether a slice already written on this link can be received without
-    /// waiting for another thread to deliver it. In-process channels and
-    /// `TcpTransport` deliver within the write (the frame is in the channel,
-    /// or in the kernel or the connection's read buffer once the queue it
-    /// joined is flushed); on `ReactorTransport` an epoll thread moves it to
-    /// the link's queue a moment later.
-    pub(crate) fn delivered(&self) -> bool {
-        self.inner.delivered()
     }
 }
 
@@ -739,23 +722,18 @@ pub enum AnyTransport {
     /// Localhost TCP sockets, one pooled blocking connection per open link
     /// ([`TcpTransport`]).
     Tcp(TcpTransport),
-    /// Localhost TCP sockets multiplexed over a fixed epoll thread pool
-    /// ([`ReactorTransport`]).
-    Reactor(ReactorTransport),
 }
 
 impl AnyTransport {
     /// Re-rates one directed pair's shared bucket at runtime
     /// (topology-shaped transports only); see
     /// [`ChannelTransport::set_link_rate`] /
-    /// [`TcpTransport::set_link_rate`] /
-    /// [`ReactorTransport::set_link_rate`]. Returns whether the backend
-    /// shapes per pair.
+    /// [`TcpTransport::set_link_rate`]. Returns whether the backend shapes
+    /// per pair.
     pub fn set_link_rate(&self, src: NodeId, dst: NodeId, bytes_per_sec: u64) -> bool {
         match self {
             AnyTransport::Channel(t) => t.set_link_rate(src, dst, bytes_per_sec),
             AnyTransport::Tcp(t) => t.set_link_rate(src, dst, bytes_per_sec),
-            AnyTransport::Reactor(t) => t.set_link_rate(src, dst, bytes_per_sec),
         }
     }
 }
@@ -765,7 +743,6 @@ impl Transport for AnyTransport {
         match self {
             AnyTransport::Channel(t) => t.link(src, dst, capacity),
             AnyTransport::Tcp(t) => t.link(src, dst, capacity),
-            AnyTransport::Reactor(t) => t.link(src, dst, capacity),
         }
     }
 
@@ -773,7 +750,6 @@ impl Transport for AnyTransport {
         match self {
             AnyTransport::Channel(t) => t.stats(),
             AnyTransport::Tcp(t) => t.stats(),
-            AnyTransport::Reactor(t) => t.stats(),
         }
     }
 }
@@ -787,12 +763,6 @@ impl From<ChannelTransport> for AnyTransport {
 impl From<TcpTransport> for AnyTransport {
     fn from(t: TcpTransport) -> Self {
         AnyTransport::Tcp(t)
-    }
-}
-
-impl From<ReactorTransport> for AnyTransport {
-    fn from(t: ReactorTransport) -> Self {
-        AnyTransport::Reactor(t)
     }
 }
 

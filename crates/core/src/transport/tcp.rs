@@ -44,11 +44,11 @@
 //! would deadlock — instead the sender waits a tick for that receiver to
 //! drain the socket, and tries again.
 //!
-//! The wire format is shared with [`ReactorTransport`](super::ReactorTransport)
-//! and documented in [`wire`](super::wire). A link's `capacity` is enforced
-//! with sender-side credits (process-local, like every node here): `queue`
-//! takes a credit and blocks at zero (writing out what it queued before
-//! that, so nothing waits on itself), `recv` returns one per slice.
+//! The wire format is documented in [`wire`](super::wire). A link's
+//! `capacity` is enforced with sender-side credits (process-local, like
+//! every node here): `queue` takes a credit and blocks at zero (writing out
+//! what it queued before that, so nothing waits on itself), `recv` returns
+//! one per slice.
 //!
 //! # Returning a connection to the pool
 //!
@@ -62,8 +62,9 @@
 //!   fails that sender;
 //! * the receiver was dropped before it read a single frame of its own, so
 //!   it cannot vouch for what is still buffered ahead of it;
-//! * the transport was dropped (every open socket is shut down, which
-//!   unblocks every sender and receiver).
+//! * the pair was severed ([`TcpTransport::disconnect_pair`]), or the
+//!   transport dropped: every socket concerned is shut down, which unblocks
+//!   every sender and receiver on it.
 //!
 //! A receiver that leaves after its last slice but before the sender's
 //! `EOS` is the normal case for a sender on another thread. That leaves at
@@ -482,6 +483,24 @@ impl TcpTransport {
         self.shaper.set_link_rate(src, dst, bytes_per_sec)
     }
 
+    /// Severs every connection of the directed pair, idle or leased — a
+    /// peer restart, for fault injection. A sender or receiver of a link
+    /// riding one fails (an error, or end-of-stream) instead of waiting,
+    /// and the pair's next link dials afresh. Returns whether the pair had
+    /// a connection to sever.
+    pub fn disconnect_pair(&self, src: NodeId, dst: NodeId) -> bool {
+        let severed: Vec<Arc<Conn>> = {
+            let mut pool = self.pool.lock();
+            pool.idle.remove(&(src, dst));
+            let severed = pool.open.extract_if(|_, conn| conn.pair == (src, dst));
+            severed.map(|(_, conn)| conn).collect()
+        };
+        for conn in &severed {
+            conn.sever();
+        }
+        !severed.is_empty()
+    }
+
     /// `(connections dialed so far, connections open now)` — for the tests
     /// that pin pool reuse and the absence of leaks.
     #[doc(hidden)]
@@ -857,6 +876,40 @@ mod tests {
         tx.send(SliceMsg::new(5, Bytes::from_static(b"next")))
             .unwrap();
         assert_eq!(rx.recv().unwrap().index, 5);
+    }
+
+    #[test]
+    fn disconnect_pair_fails_senders_and_reconnects() {
+        let transport = TcpTransport::new();
+        let (tx, rx) = transport.link(0, 1, 4);
+        tx.send(SliceMsg::new(0, Bytes::from_static(b"pre")))
+            .unwrap();
+        assert_eq!(rx.recv().unwrap().data, Bytes::from_static(b"pre"));
+        // An idle connection of the pair goes too, and another pair stays.
+        let (idle_tx, idle_rx) = transport.link(0, 1, 4);
+        idle_tx
+            .send(SliceMsg::new(0, Bytes::from_static(b"idle")))
+            .unwrap();
+        idle_rx.recv().unwrap();
+        drop((idle_tx, idle_rx));
+        let (other_tx, other_rx) = transport.link(1, 0, 4);
+        assert!(transport.disconnect_pair(0, 1));
+        assert!(!transport.disconnect_pair(0, 1), "already severed");
+        assert_eq!(transport.connection_counts(), (3, 1));
+        // The old link's sender and receiver fail instead of waiting.
+        assert!(tx.send(SliceMsg::new(1, Bytes::from_static(b"x"))).is_err());
+        assert!(rx.recv().is_none(), "old receiver must see end-of-stream");
+        // The next link dials afresh and carries its bytes exactly.
+        let (tx2, rx2) = transport.link(0, 1, 4);
+        tx2.send(SliceMsg::new(9, Bytes::from_static(b"post")))
+            .unwrap();
+        let msg = rx2.recv().unwrap();
+        assert_eq!((msg.index, msg.data), (9, Bytes::from_static(b"post")));
+        assert_eq!(transport.connection_counts(), (4, 2));
+        other_tx
+            .send(SliceMsg::new(2, Bytes::from_static(b"kept")))
+            .unwrap();
+        assert_eq!(other_rx.recv().unwrap().index, 2);
     }
 
     #[test]

@@ -1,11 +1,6 @@
-//! The framed wire format shared by the socket-backed transports.
+//! The framed wire format of [`TcpTransport`](super::TcpTransport).
 //!
-//! [`TcpTransport`](super::TcpTransport) (blocking sockets, each receiver
-//! reading its own connection) and
-//! [`ReactorTransport`](super::ReactorTransport) (nonblocking,
-//! event-driven) speak the identical byte stream — the conformance suites
-//! assert both backends are interchangeable — so the encoding lives here
-//! once. Every frame is length-prefixed and little-endian:
+//! Every frame is length-prefixed and little-endian:
 //!
 //! ```text
 //! +--------+----------+-----------+------------+------------+----------+---------+
@@ -26,8 +21,7 @@
 //! pooled buffer sized for a credit window of frames, handing each frame
 //! complete in it out as a [`Bytes`] view of that buffer.
 //!
-//! Bytes off a socket are untrusted: both decoders ([`FrameReader`] for
-//! blocking reads, [`FrameDecoder`] for nonblocking ones) reject an unknown
+//! Bytes off a socket are untrusted: [`FrameReader`] rejects an unknown
 //! opcode or a length above [`MAX_FRAME_LEN`] with an error before
 //! allocating or waiting for the payload, and the caller discards the
 //! connection — a garbled header fails the links riding that connection,
@@ -83,7 +77,7 @@ pub(super) fn encode_header(
 }
 
 /// The length field for an outgoing payload, refusing one the peer's
-/// decoder would reject.
+/// reader would reject.
 pub(super) fn payload_len(payload: &[u8]) -> io::Result<u32> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(io::Error::new(
@@ -371,47 +365,6 @@ impl FrameReader {
     }
 }
 
-/// Incremental frame parser for nonblocking reads (the `ReactorTransport`
-/// path): bytes go in whenever the socket is readable, complete frames come
-/// out. Partial frames stay buffered across calls.
-#[derive(Default)]
-pub(super) struct FrameDecoder {
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf`; compacted lazily so steady-state parsing
-    /// does not memmove on every frame.
-    start: usize,
-}
-
-impl FrameDecoder {
-    /// Appends freshly-read bytes to the parse buffer.
-    pub(super) fn extend(&mut self, bytes: &[u8]) {
-        // Compact once the dead prefix dominates, bounding memory at ~2x
-        // the largest in-flight frame.
-        if self.start > 0 && self.start >= self.buf.len().saturating_sub(self.start) {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Pops the next complete frame, or `Ok(None)` until more bytes arrive.
-    /// A bad header is `InvalidData` as soon as its 37 bytes are in — the
-    /// decoder never waits for (or buffers towards) a length it would
-    /// reject — and the connection must be discarded.
-    pub(super) fn next_frame(&mut self) -> io::Result<Option<Frame>> {
-        let pending = &self.buf[self.start..];
-        let Some((header, end)) = frame_at(pending)? else {
-            return Ok(None);
-        };
-        if pending.len() < end {
-            return Ok(None);
-        }
-        let payload = pending[HEADER_LEN..end].to_vec();
-        self.start += end;
-        Ok(Some(decode(&header, payload.into())))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,24 +454,6 @@ mod tests {
         )
     }
 
-    /// Decodes `wire` with the incremental decoder fed `chunk` bytes at a
-    /// time, returning the frames and the error, if any.
-    fn decode_all(wire: &[u8], chunk: usize) -> (Vec<Seen>, Option<io::Error>) {
-        let mut decoder = FrameDecoder::default();
-        let mut frames = Vec::new();
-        for piece in wire.chunks(chunk) {
-            decoder.extend(piece);
-            loop {
-                match decoder.next_frame() {
-                    Ok(Some(f)) => frames.push(seen(f)),
-                    Ok(None) => break,
-                    Err(e) => return (frames, Some(e)),
-                }
-            }
-        }
-        (frames, None)
-    }
-
     /// Moves `backlog` into `reader` the way a sender draining its full
     /// socket does, at most 1000 bytes per call.
     fn fill_from(reader: &mut FrameReader, mut backlog: &[u8]) -> usize {
@@ -542,9 +477,6 @@ mod tests {
             let (frames, end) = read_all(&wire, chunk);
             assert_eq!(frames, expected, "reader, chunk {chunk}");
             assert_eq!(end.kind(), ErrorKind::UnexpectedEof);
-            let (frames, err) = decode_all(&wire, chunk);
-            assert_eq!(frames, expected, "decoder, chunk {chunk}");
-            assert!(err.is_none());
         }
     }
 
@@ -677,7 +609,6 @@ mod tests {
         wire.extend_from_slice(b"xy");
         let expected = vec![(OP_DATA, 11, 22, 33, 44, b"xy".to_vec())];
         assert_eq!(read_all(&wire, wire.len()).0, expected);
-        assert_eq!(decode_all(&wire, wire.len()).0, expected);
     }
 
     #[test]
@@ -694,9 +625,6 @@ mod tests {
             let (frames, end) = read_all(&wire[..cut], 16);
             assert!(frames.is_empty(), "reader conjured a frame at cut {cut}");
             assert_eq!(end.kind(), ErrorKind::UnexpectedEof);
-            let (frames, err) = decode_all(&wire[..cut], 16);
-            assert!(frames.is_empty(), "decoder conjured a frame at cut {cut}");
-            assert!(err.is_none(), "a short stream is not yet an error");
         }
     }
 
@@ -707,13 +635,10 @@ mod tests {
             let (frames, end) = read_all(&wire, wire.len());
             assert!(frames.is_empty());
             assert_eq!(end.kind(), ErrorKind::InvalidData);
-            let (frames, err) = decode_all(&wire, 5);
-            assert!(frames.is_empty());
-            assert_eq!(err.unwrap().kind(), ErrorKind::InvalidData);
         }
-        // The limit itself is legal: the decoder waits for the payload.
+        // The limit itself is legal: the reader waits for the payload.
         let wire = encode_header(OP_DATA, 1, 0, 0, 0, MAX_FRAME_LEN as u32);
-        assert!(decode_all(&wire, wire.len()).1.is_none());
+        assert_eq!(read_all(&wire, 5).1.kind(), ErrorKind::UnexpectedEof);
         assert!(payload_len(&[0u8; 16]).is_ok());
     }
 
@@ -726,9 +651,6 @@ mod tests {
             let (frames, end) = read_all(&wire, 3);
             assert_eq!(frames.len(), 1, "opcode {opcode}");
             assert_eq!(end.kind(), ErrorKind::InvalidData);
-            let (frames, err) = decode_all(&wire, 3);
-            assert_eq!(frames.len(), 1, "opcode {opcode}");
-            assert_eq!(err.unwrap().kind(), ErrorKind::InvalidData);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Command-line front end for the open-loop load harness.
 //!
 //! ```sh
-//! loadgen --transport reactor --rate 2000 --duration 10 \
+//! loadgen --transport tcp --rate 2000 --duration 10 \
 //!     --mix 10:85:5 --zipf 0.99
 //! ```
 //!
@@ -24,7 +24,7 @@ fn fail(msg: String) -> ! {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: loadgen [--smoke] [--transport channel|tcp|reactor] [--rate OPS_PER_SEC]\n\
+        "usage: loadgen [--smoke] [--transport channel|tcp] [--rate OPS_PER_SEC]\n\
          \x20              [--duration SECONDS] [--workers N] [--objects N] [--object-size BYTES]\n\
          \x20              [--zipf THETA] [--mix PUT:GET:DEGRADED] [--seed N] [--results-log PATH]"
     );
@@ -67,7 +67,6 @@ fn main() {
                 transport = match value(&mut it, "--transport").as_str() {
                     "channel" => TransportChoice::Channel,
                     "tcp" => TransportChoice::Tcp,
-                    "reactor" => TransportChoice::Reactor,
                     other => fail(format!("unknown transport {other:?}")),
                 };
             }

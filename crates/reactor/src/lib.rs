@@ -1,490 +1,18 @@
-//! `ecpipe-reactor` — an epoll-backed event loop on a **fixed** thread
-//! budget.
+//! `ecpipe-reactor` — the runtime's one shim of raw Linux socket syscalls.
 //!
-//! The crate exists so transports can multiplex hundreds of nonblocking
-//! connections over a handful of threads instead of parking one blocking
-//! thread per listener/connection (the `TcpTransport` model, which is fine
-//! at 14 nodes and wrong at thousands). The API is deliberately tiny:
+//! [`sys`] holds every `unsafe` line the socket path needs, each block
+//! `// SAFETY:`-annotated, mirroring `crates/gf256/src/simd`:
 //!
-//! * [`Reactor::new(threads)`](Reactor::new) spawns the pool; each thread
-//!   owns one epoll instance plus an eventfd waker.
-//! * [`Reactor::register`] attaches a file descriptor with an [`Interest`]
-//!   and an `Arc<dyn `[`Source`]`>` callback; descriptors are spread over
-//!   the pool round-robin and stay pinned to their thread.
-//! * The poll thread invokes [`Source::on_ready`] with the decoded
-//!   [`Readiness`] every time the descriptor is ready (level-triggered:
-//!   the callback re-fires until the condition is cleared).
-//! * [`Registration::set_interest`] re-arms the watched event set (e.g.
-//!   enable `EPOLLOUT` only while an outbound buffer is non-empty);
-//!   dropping the [`Registration`] deregisters.
+//! * [`sys::recv_now`] and [`sys::wait_writable`], which let the TCP
+//!   transport's sender drain its own connection instead of waiting on
+//!   itself;
+//! * the epoll and eventfd wrappers ([`sys::Epoll`], [`sys::EventFd`]),
+//!   kept for a worker that waits on the readiness of many nonblocking
+//!   sockets at once (ROADMAP item 8).
 //!
-//! ### Callback contract
-//!
-//! `on_ready` runs on the reactor thread with **no reactor locks held**, so
-//! it may call [`Registration::set_interest`] or drop registrations freely.
-//! It must not block for long — every descriptor pinned to that thread
-//! stalls while it runs. Because deregistration races in-flight readiness
-//! dispatch, a source may observe one spurious `on_ready` after its
-//! registration is dropped; handlers must tolerate that.
-//!
-//! All `unsafe` (raw epoll/eventfd syscalls) lives in [`sys`], each block
-//! `// SAFETY:`-annotated, mirroring `crates/gf256/src/simd`. Everything
-//! here locks through `ecpipe-sync`, so lock-rank checking and the xtask
-//! lint cover the crate.
+//! The crate keeps its name from the event loop it once held.
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("ecpipe-reactor requires Linux (epoll + eventfd)");
 
 pub mod sys;
-
-use std::collections::HashMap;
-use std::io;
-use std::os::fd::RawFd;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use ecpipe_sync::{lock_class, Mutex, OnceFlag};
-
-lock_class! {
-    /// Per-poll-thread token → source dispatch table.
-    pub REACTOR_SOURCES = ("reactor.sources", rank = 55)
-}
-
-/// Which readiness conditions a registration watches. Peer hangup/error is
-/// always watched and reported via [`Readiness::closed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
-    /// Fire when the descriptor becomes readable.
-    pub readable: bool,
-    /// Fire when the descriptor becomes writable.
-    pub writable: bool,
-}
-
-impl Interest {
-    /// Watch readability only.
-    pub const READABLE: Interest = Interest {
-        readable: true,
-        writable: false,
-    };
-    /// Watch writability only.
-    pub const WRITABLE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
-    /// Watch both directions.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
-}
-
-/// The readiness state delivered to [`Source::on_ready`].
-#[derive(Debug, Clone, Copy)]
-pub struct Readiness {
-    /// Data (or EOF/error state, which a read will surface) is available.
-    pub readable: bool,
-    /// The descriptor can accept writes.
-    pub writable: bool,
-    /// The peer hung up or the descriptor errored.
-    pub closed: bool,
-}
-
-/// A readiness callback. Implementations are shared (`Arc`) between the
-/// caller and the poll thread and invoked without any reactor lock held.
-pub trait Source: Send + Sync {
-    /// Called on the owning reactor thread each time the registered
-    /// descriptor polls ready. Level-triggered: keeps firing until the
-    /// implementation clears the condition (reads the data, flushes the
-    /// buffer, or narrows the interest).
-    fn on_ready(&self, readiness: Readiness);
-}
-
-/// Token 0 is reserved for each thread's eventfd waker.
-const WAKER_TOKEN: u64 = 0;
-
-/// One poll thread's state: its epoll instance, its waker and the dispatch
-/// table from token to source.
-struct Poller {
-    epoll: sys::Epoll,
-    waker: sys::EventFd,
-    /// Lock class: [`REACTOR_SOURCES`]. Leaf lock — held only to
-    /// insert/remove/clone an `Arc`, never across a callback or a syscall
-    /// that can block.
-    sources: Mutex<HashMap<u64, Arc<dyn Source>>>,
-}
-
-struct Shared {
-    pollers: Vec<Arc<Poller>>,
-    next_token: AtomicU64,
-    next_poller: AtomicUsize,
-    shutdown: OnceFlag,
-}
-
-/// A fixed-size pool of epoll threads with a registration API.
-///
-/// Dropping the reactor shuts the pool down: every poll thread is woken and
-/// joined. Registrations may outlive the reactor object itself (they hold
-/// their poller's state), but no further callbacks fire after shutdown.
-pub struct Reactor {
-    shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl Reactor {
-    /// Spawns a reactor with `threads` poll threads (clamped to at least
-    /// one). The thread count is fixed for the reactor's lifetime — load is
-    /// distributed by spreading registrations, never by spawning.
-    pub fn new(threads: usize) -> io::Result<Reactor> {
-        let threads = threads.max(1);
-        let mut pollers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let epoll = sys::Epoll::new()?;
-            let waker = sys::EventFd::new()?;
-            epoll.add(waker.raw_fd(), WAKER_TOKEN, true, false)?;
-            pollers.push(Arc::new(Poller {
-                epoll,
-                waker,
-                sources: Mutex::new(&REACTOR_SOURCES, HashMap::new()),
-            }));
-        }
-        let shared = Arc::new(Shared {
-            pollers,
-            next_token: AtomicU64::new(WAKER_TOKEN + 1),
-            next_poller: AtomicUsize::new(0),
-            shutdown: OnceFlag::new(),
-        });
-        let mut handles = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let thread_shared = Arc::clone(&shared);
-            let spawned = std::thread::Builder::new()
-                .name(format!("ecpipe-reactor-{i}"))
-                .spawn(move || poll_loop(&thread_shared, i));
-            match spawned {
-                Ok(handle) => handles.push(handle),
-                Err(e) => {
-                    // Unwind the partially-spawned pool before bailing out.
-                    shared.shutdown.set();
-                    for p in &shared.pollers {
-                        p.waker.signal();
-                    }
-                    for handle in handles {
-                        let _ = handle.join();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(Reactor {
-            shared,
-            threads: handles,
-        })
-    }
-
-    /// The fixed number of poll threads.
-    pub fn thread_count(&self) -> usize {
-        self.shared.pollers.len()
-    }
-
-    /// Registers `fd` with the pool. The descriptor should be in
-    /// nonblocking mode (the reactor never reads or writes it — the source
-    /// does — but a blocking descriptor makes a blocking source, which
-    /// stalls every peer on the same thread).
-    ///
-    /// The caller keeps ownership of the descriptor and must keep it open
-    /// for the life of the returned [`Registration`].
-    pub fn register(
-        &self,
-        fd: RawFd,
-        interest: Interest,
-        source: Arc<dyn Source>,
-    ) -> io::Result<Registration> {
-        if self.shared.shutdown.is_set() {
-            return Err(io::Error::other("reactor is shut down"));
-        }
-        let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
-        let idx =
-            self.shared.next_poller.fetch_add(1, Ordering::Relaxed) % self.shared.pollers.len();
-        let poller = Arc::clone(&self.shared.pollers[idx]);
-        poller.sources.lock().insert(token, source);
-        if let Err(e) = poller
-            .epoll
-            .add(fd, token, interest.readable, interest.writable)
-        {
-            poller.sources.lock().remove(&token);
-            return Err(e);
-        }
-        Ok(Registration { poller, token, fd })
-    }
-}
-
-impl Drop for Reactor {
-    fn drop(&mut self) {
-        self.shared.shutdown.set();
-        for poller in &self.shared.pollers {
-            poller.waker.signal();
-        }
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// A live registration. Dropping it detaches the descriptor from the pool.
-pub struct Registration {
-    poller: Arc<Poller>,
-    token: u64,
-    fd: RawFd,
-}
-
-impl Registration {
-    /// Replaces the watched event set. Typical use: arm `writable` only
-    /// while an outbound buffer has pending bytes, so an idle connection
-    /// does not spin on a permanently-writable socket.
-    pub fn set_interest(&self, interest: Interest) -> io::Result<()> {
-        self.poller
-            .epoll
-            .modify(self.fd, self.token, interest.readable, interest.writable)
-    }
-
-    /// Wakes the owning poll thread even if no descriptor is ready. Used by
-    /// shutdown paths that need the thread to re-check external state.
-    pub fn wake_owner(&self) {
-        self.poller.waker.signal();
-    }
-}
-
-impl Drop for Registration {
-    fn drop(&mut self) {
-        let _ = self.poller.epoll.delete(self.fd);
-        self.poller.sources.lock().remove(&self.token);
-    }
-}
-
-fn poll_loop(shared: &Shared, index: usize) {
-    let poller = &shared.pollers[index];
-    let mut events = Vec::new();
-    loop {
-        if shared.shutdown.is_set() {
-            return;
-        }
-        let n = match poller.epoll.wait(&mut events, -1) {
-            Ok(n) => n,
-            // A wait error is unrecoverable for this thread (EINTR is
-            // already retried in sys); parking here would hang peers, so
-            // exit and let shutdown join us.
-            Err(_) => return,
-        };
-        for event in events.iter().copied().take(n) {
-            if event.token == WAKER_TOKEN {
-                poller.waker.drain();
-                continue;
-            }
-            // Clone the source out and drop the table lock before the
-            // callback: handlers may (de)register freely.
-            let source = poller.sources.lock().get(&event.token).cloned();
-            if let Some(source) = source {
-                source.on_ready(Readiness {
-                    readable: event.readable,
-                    writable: event.writable,
-                    closed: event.closed,
-                });
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::{Read as _, Write as _};
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
-    use std::time::{Duration, Instant};
-
-    fn pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let a = TcpStream::connect(addr).unwrap();
-        let (b, _) = listener.accept().unwrap();
-        (a, b)
-    }
-
-    /// Spin (with sleeps) until `cond` holds or two seconds pass.
-    fn await_true(cond: impl Fn() -> bool) -> bool {
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while Instant::now() < deadline {
-            if cond() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        cond()
-    }
-
-    struct CountingSource {
-        ready: AtomicUsize,
-        closed: AtomicUsize,
-        drain: TcpStream,
-    }
-
-    impl Source for CountingSource {
-        fn on_ready(&self, readiness: Readiness) {
-            if readiness.closed {
-                self.closed.fetch_add(1, Ordering::SeqCst);
-            }
-            if readiness.readable {
-                // Drain so the level-triggered event clears.
-                let mut buf = [0u8; 256];
-                let mut stream = &self.drain;
-                while matches!(stream.read(&mut buf), Ok(n) if n > 0) {}
-                self.ready.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-    }
-
-    #[test]
-    fn readable_data_dispatches_to_source() {
-        let reactor = Reactor::new(2).unwrap();
-        let (client, mut server) = pair();
-        client.set_nonblocking(true).unwrap();
-        let source = Arc::new(CountingSource {
-            ready: AtomicUsize::new(0),
-            closed: AtomicUsize::new(0),
-            drain: client.try_clone().unwrap(),
-        });
-        let reg = reactor
-            .register(
-                client.as_raw_fd(),
-                Interest::READABLE,
-                Arc::clone(&source) as _,
-            )
-            .unwrap();
-        server.write_all(b"hello").unwrap();
-        assert!(await_true(|| source.ready.load(Ordering::SeqCst) >= 1));
-        drop(server);
-        assert!(await_true(|| source.closed.load(Ordering::SeqCst) >= 1));
-        drop(reg);
-    }
-
-    #[test]
-    fn many_registrations_on_fixed_pool() {
-        let reactor = Reactor::new(2).unwrap();
-        assert_eq!(reactor.thread_count(), 2);
-        let mut keep = Vec::new();
-        let mut sources = Vec::new();
-        for _ in 0..16 {
-            let (client, server) = pair();
-            client.set_nonblocking(true).unwrap();
-            let source = Arc::new(CountingSource {
-                ready: AtomicUsize::new(0),
-                closed: AtomicUsize::new(0),
-                drain: client.try_clone().unwrap(),
-            });
-            let reg = reactor
-                .register(
-                    client.as_raw_fd(),
-                    Interest::READABLE,
-                    Arc::clone(&source) as _,
-                )
-                .unwrap();
-            keep.push((client, server, reg));
-            sources.push(source);
-        }
-        for (_, server, _) in &mut keep {
-            server.write_all(b"ping").unwrap();
-        }
-        assert!(await_true(|| sources
-            .iter()
-            .all(|s| s.ready.load(Ordering::SeqCst) >= 1)));
-    }
-
-    #[test]
-    fn set_interest_rearms_writable() {
-        struct WritableOnce {
-            hits: AtomicUsize,
-        }
-        impl Source for WritableOnce {
-            fn on_ready(&self, readiness: Readiness) {
-                if readiness.writable {
-                    self.hits.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        }
-        let reactor = Reactor::new(1).unwrap();
-        let (client, _server) = pair();
-        client.set_nonblocking(true).unwrap();
-        let source = Arc::new(WritableOnce {
-            hits: AtomicUsize::new(0),
-        });
-        // Start with read-only interest: no writable callbacks.
-        let reg = reactor
-            .register(
-                client.as_raw_fd(),
-                Interest::READABLE,
-                Arc::clone(&source) as _,
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(source.hits.load(Ordering::SeqCst), 0);
-        // Arm writable: an idle socket is immediately writable.
-        reg.set_interest(Interest::BOTH).unwrap();
-        assert!(await_true(|| source.hits.load(Ordering::SeqCst) >= 1));
-        // Disarm again: the level-triggered storm stops.
-        reg.set_interest(Interest::READABLE).unwrap();
-        let settled = source.hits.load(Ordering::SeqCst);
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(source.hits.load(Ordering::SeqCst) <= settled + 1);
-    }
-
-    #[test]
-    fn dropping_registration_stops_dispatch() {
-        let reactor = Reactor::new(1).unwrap();
-        let (client, mut server) = pair();
-        client.set_nonblocking(true).unwrap();
-        let source = Arc::new(CountingSource {
-            ready: AtomicUsize::new(0),
-            closed: AtomicUsize::new(0),
-            drain: client.try_clone().unwrap(),
-        });
-        let reg = reactor
-            .register(
-                client.as_raw_fd(),
-                Interest::READABLE,
-                Arc::clone(&source) as _,
-            )
-            .unwrap();
-        server.write_all(b"one").unwrap();
-        assert!(await_true(|| source.ready.load(Ordering::SeqCst) >= 1));
-        drop(reg);
-        // A spurious in-flight dispatch is tolerated; after it settles no
-        // further traffic reaches the source.
-        std::thread::sleep(Duration::from_millis(10));
-        let settled = source.ready.load(Ordering::SeqCst);
-        server.write_all(b"two").unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(source.ready.load(Ordering::SeqCst) <= settled + 1);
-    }
-
-    #[test]
-    fn shutdown_joins_promptly() {
-        let reactor = Reactor::new(3).unwrap();
-        let started = Instant::now();
-        drop(reactor);
-        assert!(started.elapsed() < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn register_after_shutdown_fails() {
-        let reactor = Reactor::new(1).unwrap();
-        reactor.shared.shutdown.set();
-        let (client, _server) = pair();
-        struct Nop;
-        impl Source for Nop {
-            fn on_ready(&self, _: Readiness) {}
-        }
-        assert!(reactor
-            .register(client.as_raw_fd(), Interest::READABLE, Arc::new(Nop))
-            .is_err());
-    }
-}

@@ -1,11 +1,11 @@
-//! Raw epoll/eventfd syscall bindings — the one `unsafe` island of the
-//! reactor, mirroring the `crates/gf256/src/simd` convention: every
-//! `unsafe` block carries a `// SAFETY:` comment and nothing outside this
-//! directory touches a raw pointer or a foreign function. The rest of the
-//! crate (and the transports built on it) consumes only the safe wrappers
-//! exported here: [`Epoll`], [`Event`] and [`EventFd`], plus the two
-//! one-socket helpers the blocking TCP transport needs so that a thread
-//! never waits on itself, [`wait_writable`] and [`recv_now`].
+//! Raw epoll/eventfd and socket syscall bindings — the one `unsafe` island
+//! of the socket path, mirroring the `crates/gf256/src/simd` convention:
+//! every `unsafe` block carries a `// SAFETY:` comment and nothing outside
+//! this directory touches a raw pointer or a foreign function. Callers use
+//! only the safe wrappers exported here: the two one-socket helpers the TCP
+//! transport needs so that a thread never waits on itself,
+//! [`wait_writable`] and [`recv_now`], and [`Epoll`], [`Event`] and
+//! [`EventFd`].
 //!
 //! The bindings are declared `extern "C"` against the C library the Rust
 //! standard library already links (there is no `libc` crate in the offline

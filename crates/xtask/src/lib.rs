@@ -21,11 +21,11 @@
 //!   must carry a `/// Lock class:` doc line naming its class, so the
 //!   hierarchy in `docs/ARCHITECTURE.md` stays discoverable from the code.
 //! * **unsafe-code** — no `unsafe` outside the designated gf256 SIMD
-//!   kernel modules (`crates/gf256/src/simd`) and the reactor's raw epoll
+//!   kernel modules (`crates/gf256/src/simd`) and the raw socket syscall
 //!   shim (`crates/reactor/src/sys`), and inside them every `unsafe` item
 //!   or block must carry a `// SAFETY:` comment justifying the invariant it
 //!   relies on. The rest of the workspace stays safe Rust; vectorized field
-//!   arithmetic and the event-loop syscall layer are the sanctioned
+//!   arithmetic and the socket syscall layer are the sanctioned
 //!   exceptions.
 //!
 //! A finding can be suppressed on its line (or the line above) with an
@@ -48,7 +48,7 @@ use std::path::{Path, PathBuf};
 const EXEMPT_DIRS: &[&str] = &["crates/sync", "crates/shims", "crates/xtask"];
 
 /// Directories (workspace-relative) where `unsafe` is sanctioned: the
-/// runtime-dispatched SIMD kernels and the reactor's raw epoll/eventfd
+/// runtime-dispatched SIMD kernels and the raw epoll/eventfd and socket
 /// syscall shim, neither of which has safe wrappers available offline.
 /// Files here still owe a `// SAFETY:` comment per `unsafe` occurrence.
 const UNSAFE_ALLOWED_DIRS: &[&str] = &["crates/gf256/src/simd", "crates/reactor/src/sys"];

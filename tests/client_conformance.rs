@@ -1,5 +1,5 @@
 //! Conformance suite for the `EcPipe` façade's client data path, run
-//! against all three transport backends: put→get roundtrips (multi-stripe
+//! against both transport backends: put→get roundtrips (multi-stripe
 //! objects, unaligned sizes), degraded reads during node death, range reads
 //! over corrupt chunks, every strategy over several code widths, and an LRC
 //! code's local repair.
@@ -43,11 +43,7 @@ fn build(choice: TransportChoice, checksummed: bool, nodes: usize) -> EcPipe {
         .expect("façade builds")
 }
 
-const BACKENDS: [TransportChoice; 3] = [
-    TransportChoice::Channel,
-    TransportChoice::Tcp,
-    TransportChoice::Reactor,
-];
+const BACKENDS: [TransportChoice; 2] = [TransportChoice::Channel, TransportChoice::Tcp];
 
 /// Objects of every awkward size round-trip byte-exact, including
 /// multi-stripe objects and sizes not aligned to blocks or stripes.

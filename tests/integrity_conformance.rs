@@ -1,9 +1,8 @@
 //! Integrity conformance suite: silent bit-rot is detected, repaired and
 //! re-verified — and never poisons a repair — on both transport backends.
 //!
-//! Generic cases instantiated for [`ChannelTransport`], [`TcpTransport`]
-//! and [`ReactorTransport`]:
-//! a scrub cycle over a checksummed cluster finds injected corruption,
+//! Generic cases instantiated for [`ChannelTransport`] and
+//! [`TcpTransport`]: a scrub cycle over a checksummed cluster finds injected corruption,
 //! auto-enqueues corruption-class repairs, heals the blocks byte-exact in
 //! place and re-verifies them; a helper serving a corrupt slice mid-stream
 //! fails the repair cleanly (the executor surfaces `CorruptBlock`, not a
@@ -24,9 +23,7 @@ use repair_pipelining::ecpipe::exec::{execute_multi, execute_single};
 use repair_pipelining::ecpipe::manager::{
     run_batch, ManagerConfig, NodeHealth, RepairManager, RepairPriority, RepairRequest, ScrubConfig,
 };
-use repair_pipelining::ecpipe::transport::{
-    ChannelTransport, ReactorTransport, TcpTransport, Transport,
-};
+use repair_pipelining::ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
 use repair_pipelining::ecpipe::{
     BlockChecksums, BlockStore, Cluster, Coordinator, EcPipeError, FileStore, Scheme, StoreBackend,
     DEFAULT_CHUNK_SIZE,
@@ -276,7 +273,6 @@ macro_rules! integrity_suite {
 
 integrity_suite!(channel, ChannelTransport::new());
 integrity_suite!(tcp, TcpTransport::new());
-integrity_suite!(reactor, ReactorTransport::new());
 
 /// Corruption repairs pop between degraded reads and background recovery
 /// (single worker makes the completion order fully deterministic).

@@ -1,7 +1,8 @@
-//! Acceptance for the open-loop load harness over the reactor transport:
-//! a burst that puts well over a thousand ops in flight completes on a
-//! fixed thread budget (the epoll pool, not a thread per connection), and
-//! the report carries usable tail percentiles.
+//! Acceptance for the open-loop load harness over the TCP transport: a
+//! burst that puts well over a thousand ops in flight completes on a fixed
+//! thread budget (the manager's workers; TCP runs no transport threads, and
+//! a repair walks on its worker's thread), and the report carries usable
+//! tail percentiles.
 
 use std::time::Duration;
 
@@ -15,18 +16,18 @@ fn os_thread_count() -> usize {
 }
 
 #[test]
-fn reactor_harness_sustains_a_thousand_in_flight_ops_on_fixed_threads() {
+fn tcp_harness_sustains_a_thousand_in_flight_ops_on_fixed_threads() {
     let pipe = EcPipeBuilder::new()
         .code(4, 2)
         .block_size(8 * 1024)
         .slice_size(1024)
-        .transport(TransportChoice::Reactor)
+        .transport(TransportChoice::Tcp)
         .build()
-        .expect("reactor-backed façade builds");
+        .expect("TCP-backed façade builds");
 
     // Warm-up: touch every node pair the mix will use, so the steady-state
-    // thread count (manager daemons + reactor pool + cached connections)
-    // is established before the measurement.
+    // thread count (manager daemons + workers) and the pooled connections
+    // are established before the measurement.
     let warmup = HarnessConfig {
         rate: 300.0,
         duration: Duration::from_millis(300),
@@ -82,9 +83,9 @@ fn reactor_harness_sustains_a_thousand_in_flight_ops_on_fixed_threads() {
     assert!(report.overall.p50_ns > 0, "{}", report.render());
     assert!(report.overall.p99_ns >= report.overall.p50_ns);
     assert!(report.overall.p999_ns >= report.overall.p99_ns);
-    // The whole burst ran on the threads that already existed: multiplexed
-    // connections on the fixed reactor pool, no thread-per-connection or
-    // thread-per-op growth. (Harness workers are scoped and joined before
+    // The whole burst ran on the threads that already existed: pooled
+    // connections read by their links' receivers, no thread-per-connection
+    // or thread-per-op growth. (Harness workers are scoped and joined before
     // the count is taken.)
     assert!(
         threads_after <= threads_before,

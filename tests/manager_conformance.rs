@@ -1,9 +1,8 @@
 //! Conformance suite for the repair manager: concurrent-repair correctness
 //! over both transport backends.
 //!
-//! Generic cases instantiated for [`ChannelTransport`], [`TcpTransport`]
-//! and [`ReactorTransport`]:
-//! a full-node recovery executed by many workers at once must reconstruct
+//! Generic cases instantiated for [`ChannelTransport`] and
+//! [`TcpTransport`]: a full-node recovery executed by many workers at once must reconstruct
 //! every block byte-exact, never exceed the per-node in-flight cap, and
 //! (on rate-limited links, where repair is network-bound like the paper's
 //! testbed) finish measurably faster than the one-worker
@@ -22,9 +21,7 @@ use repair_pipelining::ecpipe::manager::{
     recover_node, run_batch, ManagerConfig, NodeHealth, RepairManager, RepairPriority,
     RepairRequest,
 };
-use repair_pipelining::ecpipe::transport::{
-    ChannelTransport, ReactorTransport, TcpTransport, Transport,
-};
+use repair_pipelining::ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
 use repair_pipelining::ecpipe::{Cluster, Coordinator, Scheme, StoreBackend};
 
 const BLOCK: usize = 64 * 1024;
@@ -181,11 +178,6 @@ manager_suite!(
     tcp,
     TcpTransport::new(),
     TcpTransport::with_rate_limit(LINK_RATE)
-);
-manager_suite!(
-    reactor,
-    ReactorTransport::new(),
-    ReactorTransport::with_rate_limit(LINK_RATE)
 );
 
 /// A per-node in-flight cap of 1 (the most conservative admission setting)

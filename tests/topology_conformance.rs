@@ -16,9 +16,7 @@ use std::time::{Duration, Instant};
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::{ErasureCode, Lrc, ReedSolomon};
 use repair_pipelining::ecpipe::exec::execute_single;
-use repair_pipelining::ecpipe::transport::{
-    ChannelTransport, ReactorTransport, TcpTransport, Transport,
-};
+use repair_pipelining::ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
 use repair_pipelining::ecpipe::Scheme;
 use repair_pipelining::ecpipe::{
     Cluster, Coordinator, EcPipeBuilder, PathPolicy, ReplanReason, StoreBackend, Topology,
@@ -123,11 +121,6 @@ fn weighted_beats_lru_on_heterogeneous_channel_links() {
 #[test]
 fn weighted_beats_lru_on_heterogeneous_tcp_links() {
     case_weighted_beats_lru(TransportChoice::Tcp);
-}
-
-#[test]
-fn weighted_beats_lru_on_heterogeneous_reactor_links() {
-    case_weighted_beats_lru(TransportChoice::Reactor);
 }
 
 // ---------------------------------------------------------------------------
@@ -296,11 +289,6 @@ fn counters_match_slice_math_on_channel() {
 #[test]
 fn counters_match_slice_math_on_tcp() {
     case_counters_match_slice_math(&TcpTransport::new());
-}
-
-#[test]
-fn counters_match_slice_math_on_reactor() {
-    case_counters_match_slice_math(&ReactorTransport::new());
 }
 
 // ---------------------------------------------------------------------------

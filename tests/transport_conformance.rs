@@ -2,15 +2,14 @@
 //! semantics to the repair executors.
 //!
 //! Each case is written once, generically over the [`Transport`] trait, and
-//! instantiated for [`ChannelTransport`] (in-process channels),
+//! instantiated for [`ChannelTransport`] (in-process channels) and
 //! [`TcpTransport`] (real localhost sockets, a pooled connection per open
-//! link, read by the link's receiver) and [`ReactorTransport`] (the same
-//! wire format multiplexed over a fixed epoll thread pool): slice ordering,
-//! backpressure
-//! at [`PIPELINE_DEPTH`], dropped-peer error propagation, the paper's
+//! link, read by the link's receiver): slice ordering, backpressure at
+//! [`PIPELINE_DEPTH`], dropped-peer error propagation, the paper's
 //! one-block-per-link traffic claim, and byte-exact repairs under all four
-//! execution strategies, multi-block repair and cyclic repair. A TCP-only case measures the §3.2 timing claim
-//! (repair time ≈ `1 + (k-1)/s` timeslots) on throttled sockets.
+//! execution strategies, multi-block repair and cyclic repair. A TCP-only
+//! case measures the §3.2 timing claim (repair time ≈ `1 + (k-1)/s`
+//! timeslots) on throttled sockets.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -24,9 +23,7 @@ use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
 use repair_pipelining::ecpipe::exec::{
     execute_multi, execute_single, execute_single_cancellable, OnceFlag, PIPELINE_DEPTH,
 };
-use repair_pipelining::ecpipe::transport::{
-    ChannelTransport, ReactorTransport, SliceMsg, TcpTransport, Transport,
-};
+use repair_pipelining::ecpipe::transport::{ChannelTransport, SliceMsg, TcpTransport, Transport};
 use repair_pipelining::ecpipe::{Cluster, Coordinator, Scheme, StoreBackend};
 
 const BLOCK: usize = 16 * 1024;
@@ -256,7 +253,6 @@ macro_rules! conformance_suite {
 
 conformance_suite!(channel, ChannelTransport::new());
 conformance_suite!(tcp, TcpTransport::new());
-conformance_suite!(reactor, ReactorTransport::new());
 
 /// §3.2 on real sockets: with every link throttled to the same rate, a
 /// repair-pipelined block takes about `1 + (k-1)/s` timeslots (one timeslot

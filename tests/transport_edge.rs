@@ -1,14 +1,13 @@
-//! Transport shutdown and backpressure edge cases, parameterized over all
-//! three backends ([`ChannelTransport`], [`TcpTransport`],
-//! [`ReactorTransport`]).
+//! Transport shutdown and backpressure edge cases, parameterized over both
+//! backends ([`ChannelTransport`], [`TcpTransport`]).
 //!
 //! The conformance suite pins the happy paths; this file pins the ugly
 //! ones: tearing a transport down while frames are still queued, credit
 //! replenishment under a deliberately slow receiver, opening fresh links on
-//! a pair whose previous links (or, for the reactor, whose underlying
-//! connection) went away, a multi-block repair with more slices than a link
-//! has credits, and the TCP backend's connection pool — reuse, teardown in
-//! either order, and a receiver that abandons a full window.
+//! a pair whose previous links went away, a multi-block repair with more
+//! slices than a link has credits, and the TCP backend's connection pool —
+//! reuse, teardown in either order, a severed pair, and a receiver that
+//! abandons a full window.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -18,7 +17,7 @@ use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
 use repair_pipelining::ecpipe::exec::execute_multi;
 use repair_pipelining::ecpipe::transport::{
-    ChannelTransport, ReactorTransport, SliceMsg, SliceReceiver, TcpTransport, Transport,
+    ChannelTransport, SliceMsg, SliceReceiver, TcpTransport, Transport,
 };
 use repair_pipelining::ecpipe::{Cluster, Coordinator, StoreBackend};
 
@@ -104,8 +103,8 @@ fn case_credit_exhaustion_under_slow_receiver<T: Transport>(transport: &T) {
 }
 
 /// Link teardown on a pair must not poison the pair: fresh links opened
-/// afterwards (over the same cached connection, for the socket backends)
-/// carry traffic normally.
+/// afterwards (over the same pooled connection, for TCP) carry traffic
+/// normally.
 fn case_fresh_links_after_teardown<T: Transport>(transport: &T) {
     for round in 0..3u8 {
         let (tx, rx) = transport.link(4, 5, 8);
@@ -194,60 +193,68 @@ macro_rules! edge_suite {
 
 edge_suite!(channel, ChannelTransport::new());
 edge_suite!(tcp, TcpTransport::new());
-edge_suite!(reactor, ReactorTransport::new());
 
 /// After the transport is dropped, surviving senders on the socket
-/// backends must fail fast instead of buffering into a void.
+/// backend must fail fast instead of buffering into a void.
 #[test]
 fn send_after_shutdown_errors_on_socket_backends() {
-    fn check<T: Transport>(transport: T, label: &str) {
-        let (tx, _rx) = transport.link(0, 1, 4);
-        drop(transport);
-        assert!(
-            tx.send(SliceMsg::new(0, vec![1u8; 16].into())).is_err(),
-            "{label}: send into a shut-down transport must error"
-        );
-    }
-    check(TcpTransport::new(), "tcp");
-    check(ReactorTransport::new(), "reactor");
+    let transport = TcpTransport::new();
+    let (tx, _rx) = transport.link(0, 1, 4);
+    drop(transport);
+    assert!(
+        tx.send(SliceMsg::new(0, vec![1u8; 16].into())).is_err(),
+        "send into a shut-down transport must error"
+    );
 }
 
-/// A peer "restart" on the reactor backend: the cached connection to the
-/// pair is severed, in-flight senders fail, and the next link transparently
-/// reconnects and carries byte-exact traffic again.
+/// A peer "restart": the pair's pooled connections are severed while a
+/// sender and a receiver on another thread are blocked on one of them —
+/// the sender at a full credit window, the receiver waiting for a frame
+/// that will not come. Both return with a failure instead of hanging, and
+/// the next link dials a fresh connection and carries byte-exact traffic
+/// again.
 #[test]
-fn reactor_connection_reuse_survives_peer_restart() {
-    let transport = ReactorTransport::new();
-    let (tx, rx) = transport.link(0, 1, 8);
-    tx.send(SliceMsg::new(0, vec![42u8; 1024].into()))
-        .expect("pre-restart traffic flows");
-    assert_eq!(rx.recv().expect("pre-restart delivery").data[0], 42);
+fn tcp_connection_reuse_survives_peer_restart() {
+    finishes_within("a severed pair", Duration::from_secs(20), || {
+        let transport = TcpTransport::new();
+        let (tx, rx) = transport.link(0, 1, 8);
+        tx.send(SliceMsg::new(0, vec![42u8; 1024].into()))
+            .expect("pre-restart traffic flows");
+        assert_eq!(rx.recv().expect("pre-restart delivery").data[0], 42);
+        let (blocked_tx, blocked_rx) = transport.link(0, 1, 2);
+        std::thread::scope(|scope| {
+            let sender = scope.spawn(|| {
+                (0..3).any(|j| {
+                    let msg = SliceMsg::new(j, vec![j as u8; 1024].into());
+                    blocked_tx.send(msg).is_err()
+                })
+            });
+            let receiver = scope.spawn(|| rx.recv());
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(
+                transport.disconnect_pair(0, 1),
+                "there were live connections to sever"
+            );
+            assert!(sender.join().unwrap(), "a blocked send must fail");
+            assert!(
+                receiver.join().unwrap().is_none(),
+                "a blocked recv must end"
+            );
+        });
+        assert!(!transport.disconnect_pair(0, 1), "nothing left to sever");
+        assert!(tx.send(SliceMsg::new(1, vec![1u8; 1024].into())).is_err());
+        drop((tx, rx, blocked_tx, blocked_rx));
+        assert_eq!(transport.connection_counts(), (2, 0));
 
-    assert!(
-        transport.disconnect_pair(0, 1),
-        "there was a live connection to sever"
-    );
-    // The severed connection must surface as send errors, possibly after
-    // the frames already buffered locally are flushed into the dead socket.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut failed = false;
-    while Instant::now() < deadline {
-        if tx.send(SliceMsg::new(1, vec![1u8; 1024].into())).is_err() {
-            failed = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(failed, "sends on a severed connection must start failing");
-    drop((tx, rx));
-
-    // A fresh link dials a fresh connection; the restart is invisible.
-    let (tx, rx) = transport.link(0, 1, 8);
-    tx.send(SliceMsg::new(7, vec![7u8; 2048].into()))
-        .expect("post-restart traffic flows");
-    let msg = rx.recv().expect("post-restart delivery");
-    assert_eq!((msg.index, msg.data.len()), (7, 2048));
-    assert_eq!(msg.data, vec![7u8; 2048]);
+        // A fresh link dials a fresh connection; the restart is invisible.
+        let (tx, rx) = transport.link(0, 1, 8);
+        tx.send(SliceMsg::new(7, vec![7u8; 2048].into()))
+            .expect("post-restart traffic flows");
+        let msg = rx.recv().expect("post-restart delivery");
+        assert_eq!((msg.index, msg.data.len()), (7, 2048));
+        assert_eq!(msg.data, vec![7u8; 2048]);
+        assert_eq!(transport.connection_counts(), (3, 1));
+    });
 }
 
 /// The TCP pool: links opened one after the other on a pair all ride the
