@@ -5,8 +5,9 @@
 //! no placement of its own — which node stores block `i` of a stripe is a
 //! fact of the deployment's [`MetaRouter`], and the by-index helpers here
 //! (`read_block`, `erase_block`, …) resolve it there on every call. The
-//! cluster supports writing encoded stripes, injecting failures (erasing
-//! blocks, killing nodes) and running repairs through the ECPipe executor.
+//! cluster supports writing encoded stripes and injecting failures (erasing
+//! blocks, killing nodes); repairs run on it through the
+//! [`exec`](crate::exec) walker, which the repair manager drives.
 //!
 //! The cluster also owns the memory of its blocks: a [`BufPool`] that
 //! repairs take their output from and that `put`'s blocks are adopted into,
@@ -18,16 +19,13 @@ use bytes::Bytes;
 
 use ecc::stripe::{BlockId, StripeId};
 use ecpipe_meta::{MetaConfig, MetaRouter};
-use repair::Scheme;
 use simnet::{NodeId, Topology};
 
 use ecc::ErasureCode;
 
 use crate::buf::BufPool;
-use crate::exec;
 use crate::store::{BlockStore, StoreBackend};
-use crate::transport::{ChannelTransport, Transport};
-use crate::{Coordinator, EcPipeError, Result};
+use crate::{EcPipeError, Result};
 
 /// How many dropped blocks the cluster's pool keeps for the next repair.
 ///
@@ -306,54 +304,6 @@ impl Cluster {
         blocks
     }
 
-    /// Repairs one failed block of a stripe at `requestor` using the given
-    /// execution strategy, writes the repaired block into the requestor's
-    /// store, and returns it: a view of the stored block, not a copy.
-    ///
-    /// Slices move over a fresh in-process [`ChannelTransport`]; use
-    /// [`Cluster::repair_over`] to run the same repair over another backend
-    /// (e.g. TCP sockets).
-    pub fn repair(
-        &self,
-        coordinator: &Coordinator,
-        stripe: StripeId,
-        failed: usize,
-        requestor: NodeId,
-        strategy: Scheme,
-    ) -> Result<Bytes> {
-        self.repair_over(
-            coordinator,
-            stripe,
-            failed,
-            requestor,
-            strategy,
-            &ChannelTransport::new(),
-        )
-    }
-
-    /// Repairs one failed block over an explicit transport backend, writes
-    /// the repaired block into the requestor's store, and returns it.
-    pub fn repair_over<T: Transport + ?Sized>(
-        &self,
-        coordinator: &Coordinator,
-        stripe: StripeId,
-        failed: usize,
-        requestor: NodeId,
-        strategy: Scheme,
-        transport: &T,
-    ) -> Result<Bytes> {
-        let directive = coordinator.plan_single_repair(&self.meta, stripe, failed, requestor)?;
-        let repaired = exec::execute_single(&directive, self, transport, strategy)?;
-        self.stores[requestor].put(
-            BlockId {
-                stripe,
-                index: failed,
-            },
-            repaired.clone(),
-        )?;
-        Ok(repaired)
-    }
-
     /// Reads a block from wherever its stripe placement says it lives.
     pub fn read_block(&self, stripe: StripeId, index: usize) -> Result<Bytes> {
         let node = self.node_of(stripe, index)?;
@@ -364,8 +314,12 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec;
+    use crate::transport::ChannelTransport;
+    use crate::Coordinator;
     use ecc::slice::SliceLayout;
     use ecc::ReedSolomon;
+    use repair::Scheme;
 
     fn setup() -> (Cluster, Coordinator, Vec<Vec<u8>>) {
         let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
@@ -373,6 +327,27 @@ mod tests {
         let cluster = Cluster::new(StoreBackend::memory(8)).unwrap();
         let data: Vec<Vec<u8>> = (0..4).map(|i| vec![(i * 17 + 3) as u8; 4096]).collect();
         (cluster, coordinator, data)
+    }
+
+    /// Plans and walks an RP repair of block `failed` onto `requestor` over
+    /// channels, and stores the block there.
+    fn repair(
+        cluster: &Cluster,
+        coordinator: &Coordinator,
+        (stripe, failed, requestor): (StripeId, usize, NodeId),
+    ) -> Bytes {
+        let directive = coordinator
+            .plan_single_repair(cluster.meta(), stripe, failed, requestor)
+            .unwrap();
+        let strategy = Scheme::RepairPipelining;
+        let transport = ChannelTransport::new();
+        let repaired = exec::execute_single(&directive, cluster, &transport, strategy).unwrap();
+        let block = BlockId::new(stripe.0, failed);
+        cluster
+            .store(requestor)
+            .put(block, repaired.clone())
+            .unwrap();
+        repaired
     }
 
     #[test]
@@ -451,16 +426,10 @@ mod tests {
         ));
         assert!(cluster.read_block(stripe, 2).is_err());
         assert!(cluster.corrupt_block(StripeId(9), 0, 0).is_err());
-        // Repairing through the cluster overwrites the rot and re-checksums.
-        let repaired = cluster
-            .repair(
-                &coordinator,
-                stripe,
-                2,
-                cluster.placement(stripe).unwrap()[2],
-                Scheme::RepairPipelining,
-            )
-            .unwrap();
+        // Repairing onto the rotten copy's node overwrites the rot and
+        // re-checksums.
+        let holder = cluster.placement(stripe).unwrap()[2];
+        let repaired = repair(&cluster, &coordinator, (stripe, 2, holder));
         assert_eq!(repaired, data[2]);
         assert!(cluster.verify_block(stripe, 2).is_ok());
     }
@@ -481,10 +450,7 @@ mod tests {
         assert!(cluster.erase_block(stripe, 1));
         assert_eq!(cluster.block_pool().retained(), 1, "the erased block waits");
         let requestor = cluster.placement(stripe).unwrap()[1];
-        let strategy = Scheme::RepairPipelining;
-        let repaired = cluster
-            .repair(&coordinator, stripe, 1, requestor, strategy)
-            .unwrap();
+        let repaired = repair(&cluster, &coordinator, (stripe, 1, requestor));
         assert_eq!(repaired, data[1]);
         let stored = cluster.read_block(stripe, 1).unwrap();
         assert_eq!(stored.as_ptr() as usize, ptr, "the same allocation");

@@ -36,6 +36,15 @@ pub enum EcPipeError {
         /// Human-readable explanation.
         reason: String,
     },
+    /// A watched repair abandoned its walk: the hop `src → dst` streamed
+    /// below half its nominal bandwidth
+    /// ([`ManagerConfig::link_watch`](crate::ManagerConfig::link_watch)).
+    LinkDegraded {
+        /// The hop's sending node.
+        src: simnet::NodeId,
+        /// The hop's receiving node.
+        dst: simnet::NodeId,
+    },
     /// The request itself was invalid (e.g. requestor is a helper).
     InvalidRequest {
         /// Human-readable explanation.
@@ -73,6 +82,9 @@ impl fmt::Display for EcPipeError {
             EcPipeError::Planning(e) => write!(f, "repair planning failed: {e}"),
             EcPipeError::Io(e) => write!(f, "block store I/O error: {e}"),
             EcPipeError::Execution { reason } => write!(f, "repair execution failed: {reason}"),
+            EcPipeError::LinkDegraded { src, dst } => {
+                write!(f, "link {src} → {dst} degraded below its nominal bandwidth")
+            }
             EcPipeError::InvalidRequest { reason } => write!(f, "invalid request: {reason}"),
             EcPipeError::ManagerShutdown => {
                 write!(f, "the repair manager is shut down and accepts no new work")

@@ -52,6 +52,15 @@
 //! frame written on its own. In an unshaped chain a window of slices
 //! travels the whole path before the next one is read.
 //!
+//! A watched repair (the manager's
+//! [`link_watch`](crate::ManagerConfig::link_watch), §3.2's straggler
+//! handling on §4.3's weighted paths) carries a `Watch` over its plan's
+//! links: between steps the walker samples their byte counters at most
+//! once per `WATCH_TICK`, and caps its pacing sleep at the next sample. A
+//! hop that has streamed for `WATCH_GRACE` below `DEGRADED_BELOW` × its
+//! nominal bandwidth ends the walk with [`EcPipeError::LinkDegraded`], and
+//! the manager re-plans around it.
+//!
 //! The walker is generic over the [`Transport`] trait: the same plans run
 //! over in-process channels
 //! ([`ChannelTransport`](crate::transport::ChannelTransport), no bandwidth
@@ -64,14 +73,13 @@
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-/// The cancellation flag [`execute_single_cancellable`] watches.
-pub use ecpipe_sync::OnceFlag;
 use gf256::Gf256;
 use repair::dag::{Output, RepairDag, Stage};
 use repair::Scheme;
+use simnet::{NodeId, Topology};
 
 use ecc::slice::SliceLayout;
 
@@ -116,32 +124,25 @@ pub fn execute_single<T: Transport + ?Sized>(
     strategy: Scheme,
 ) -> Result<Bytes> {
     let dag = strategy.dag(&directive.path, directive.requestor, directive.layout);
-    execute_single_cancellable(directive, &dag, cluster, transport, &OnceFlag::new())
+    walk_single(directive, &dag, cluster, transport, None)
 }
 
-/// Walks `dag`, a plan for `directive`, with cooperative cancellation: once
-/// `cancel` is set, the walk stops before its next slice and the repair
-/// fails with an [`EcPipeError::Execution`] error instead of completing.
-///
-/// The repair manager's link watchdog uses this to abandon a stream whose
-/// path crosses a degraded link, then re-plans the repair around it; it
-/// passes the plan in because it samples the same plan's
-/// [`links`](RepairDag::links). A cancelled execution leaves no partial
-/// block in any store — only the requestor writes, and only on success.
-pub fn execute_single_cancellable<T: Transport + ?Sized>(
+/// Walks `dag`, a plan for `directive`, under `watch` when one is given. A
+/// walk that fails — a degraded hop included — stores nothing: the caller
+/// stores the block, and only on success.
+pub(crate) fn walk_single<T: Transport + ?Sized>(
     directive: &RepairDirective,
     dag: &RepairDag,
     cluster: &Cluster,
     transport: &T,
-    cancel: &OnceFlag,
+    watch: Option<Watch>,
 ) -> Result<Bytes> {
     let walk = Walk {
         dag,
         tags: (directive.stripe.0, directive.repair_id()),
         cluster,
-        cancel,
     };
-    Ok(walk.run(transport)?.remove(0))
+    Ok(walk.run(transport, watch)?.remove(0))
 }
 
 /// Executes a multi-block repair (§4.4): each helper reads its block once and
@@ -157,9 +158,109 @@ pub fn execute_multi<T: Transport + ?Sized>(
         dag: &multi_dag(directive),
         tags: (directive.stripe.0, directive.repair_id()),
         cluster,
-        cancel: &OnceFlag::new(),
     }
-    .run(transport)
+    .run(transport, None)
+}
+
+/// A watched hop is judged only once it has been streaming (moving bytes)
+/// for this long, so pipeline fill and startup jitter cannot end a healthy
+/// repair.
+const WATCH_GRACE: Duration = Duration::from_millis(150);
+
+/// How often a watched walk samples its hops' byte counters.
+const WATCH_TICK: Duration = Duration::from_millis(25);
+
+/// A hop is degraded when its observed throughput (bytes moved over the
+/// wall time since its first byte) drops below this fraction of its nominal
+/// bandwidth.
+const DEGRADED_BELOW: f64 = 0.5;
+
+/// The link watch over one walk: its plan's hops, each with the pair's byte
+/// counter when the walk began and the moment it was first seen streaming.
+///
+/// The observed rate is bytes moved over *wall time*, not the telemetry's
+/// busy-time EWMA: a fully stalled link accrues no send time, which a
+/// busy-time estimate would never notice. Counters are pair-wide, so traffic
+/// from concurrent repairs sharing a pair only inflates the observed rate
+/// and cannot flag a healthy link.
+pub(crate) struct Watch {
+    hops: Vec<WatchedHop>,
+    next_sample: Instant,
+}
+
+struct WatchedHop {
+    src: NodeId,
+    dst: NodeId,
+    /// The rate, in bytes per second, below which the hop is degraded.
+    floor: f64,
+    /// The pair's byte counter when the walk began.
+    baseline: u64,
+    /// The first sample that saw the hop move bytes.
+    first: Option<Instant>,
+}
+
+impl Watch {
+    /// Watches `dag`'s links over `transport`, each against its nominal
+    /// bandwidth in `topology`.
+    pub(crate) fn new<T: Transport + ?Sized>(
+        dag: &RepairDag,
+        transport: &T,
+        topology: &Topology,
+    ) -> Self {
+        let hops = dag.links().into_iter().map(|hop| WatchedHop {
+            src: hop.src,
+            dst: hop.dst,
+            floor: DEGRADED_BELOW * topology.bandwidth(hop.src, hop.dst),
+            baseline: transport.link_bytes(hop.src, hop.dst),
+            first: None,
+        });
+        Watch {
+            hops: hops.collect(),
+            next_sample: Instant::now(),
+        }
+    }
+
+    /// Samples the hops once a tick has passed since the last sample. A hop
+    /// is judged from the sample that first sees it move bytes, not from
+    /// the start of the walk: in a chain the hop into the requestor streams
+    /// only once the pipeline has filled, and a hop that has moved nothing
+    /// is still filling (or its helper is gone, which the walk reports on
+    /// its own).
+    fn sample<T: Transport + ?Sized>(&mut self, transport: &T) -> Result<()> {
+        let now = Instant::now();
+        if now < self.next_sample {
+            return Ok(());
+        }
+        self.next_sample = now + WATCH_TICK;
+        for hop in &mut self.hops {
+            let moved = transport
+                .link_bytes(hop.src, hop.dst)
+                .saturating_sub(hop.baseline);
+            if moved == 0 {
+                continue;
+            }
+            let since = now.duration_since(*hop.first.get_or_insert(now));
+            if since >= WATCH_GRACE && (moved as f64) < hop.floor * since.as_secs_f64() {
+                let (src, dst) = (hop.src, hop.dst);
+                return Err(EcPipeError::LinkDegraded { src, dst });
+            }
+        }
+        Ok(())
+    }
+
+    /// Sleeps until `at` or the next sample, whichever comes first.
+    /// Whatever made the sleep return late (a loaded host, a stopped
+    /// process) kept the senders off the CPU too: that time is not the
+    /// links', so every hop's clock starts that much later.
+    fn sleep_until(&mut self, at: Instant) {
+        let asleep = Instant::now();
+        let planned = at.min(self.next_sample).saturating_duration_since(asleep);
+        std::thread::sleep(planned);
+        let overslept = asleep.elapsed().saturating_sub(planned);
+        for first in self.hops.iter_mut().filter_map(|hop| hop.first.as_mut()) {
+            *first += overslept;
+        }
+    }
 }
 
 /// One repair in progress: the plan, and what all of its stages share.
@@ -168,7 +269,6 @@ struct Walk<'a> {
     /// The stripe and repair ids that label the repair's slices on the wire.
     tags: (u64, u64),
     cluster: &'a Cluster,
-    cancel: &'a OnceFlag,
 }
 
 impl Walk<'_> {
@@ -176,8 +276,12 @@ impl Walk<'_> {
     /// reconstructed block per requestor, each taken from the cluster's
     /// block pool: one [`PIPELINE_DEPTH`]-slice link per edge of the plan,
     /// both of its halves held here, and the most-downstream step that can
-    /// run taken again and again.
-    fn run<T: Transport + ?Sized>(&self, transport: &T) -> Result<Vec<Bytes>> {
+    /// run taken again and again — with `watch`'s samples between them.
+    fn run<T: Transport + ?Sized>(
+        &self,
+        transport: &T,
+        mut watch: Option<Watch>,
+    ) -> Result<Vec<Bytes>> {
         let dag = self.dag;
         if dag.stages().is_empty() {
             return Err(execution_error("repair path has no helpers"));
@@ -225,10 +329,9 @@ impl Walk<'_> {
         // state allocates nothing per slice.
         let pool = &BufPool::new();
         while !requestors.done() {
-            // The one place a repair notices that it was cancelled: every
-            // step is one slice's worth of one stage's work.
-            if self.cancel.is_set() {
-                return Err(execution_error("repair cancelled mid-stream"));
+            // Every step is one slice's worth of one stage's work.
+            if let Some(watch) = &mut watch {
+                watch.sample(transport)?;
             }
             // A step that can run; failing that, the queued frames written
             // and one more scan; failing that, every send left is waiting
@@ -242,7 +345,10 @@ impl Walk<'_> {
             }
             if let Turn::Blocked(wake) = turn {
                 let at = wake.ok_or_else(|| execution_error("repair stalled: no step can run"))?;
-                std::thread::sleep(at.saturating_duration_since(Instant::now()));
+                match &mut watch {
+                    Some(watch) => watch.sleep_until(at),
+                    None => std::thread::sleep(at.saturating_duration_since(Instant::now())),
+                }
             }
         }
         Ok(requestors
@@ -707,7 +813,46 @@ mod tests {
         cluster: &Cluster,
         transport: &dyn Transport,
     ) -> Result<Bytes> {
-        execute_single_cancellable(directive, dag, cluster, transport, &OnceFlag::new())
+        walk_single(directive, dag, cluster, transport, None)
+    }
+
+    /// Plans and walks the repair of block `failed` onto `requestor`, and
+    /// stores the block there.
+    fn repair(
+        cluster: &Cluster,
+        coordinator: &Coordinator,
+        (stripe, failed, requestor): (StripeId, usize, NodeId),
+        strategy: Scheme,
+        transport: &dyn Transport,
+    ) -> Bytes {
+        let directive = coordinator
+            .plan_single_repair(cluster.meta(), stripe, failed, requestor)
+            .unwrap();
+        let repaired = execute_single(&directive, cluster, transport, strategy).unwrap();
+        let block = ecc::stripe::BlockId::new(stripe.0, failed);
+        cluster
+            .store(requestor)
+            .put(block, repaired.clone())
+            .unwrap();
+        repaired
+    }
+
+    /// A watch over `dag` that finds every hop degraded at its first
+    /// sample: each is charged all the bytes its pair ever moved, over the
+    /// whole grace period, against an unreachable nominal bandwidth.
+    fn tripped(dag: &RepairDag) -> Watch {
+        let since = Instant::now() - WATCH_GRACE;
+        let hops = dag.links().into_iter().map(|hop| WatchedHop {
+            src: hop.src,
+            dst: hop.dst,
+            floor: f64::INFINITY,
+            baseline: 0,
+            first: Some(since),
+        });
+        Watch {
+            hops: hops.collect(),
+            next_sample: Instant::now(),
+        }
     }
 
     /// A [`ChannelTransport`] whose links fail the test instead of
@@ -785,9 +930,7 @@ mod tests {
             for strategy in SINGLE_PLANS {
                 let (cluster, coordinator, data, stripe) = setup(code.clone());
                 cluster.erase_block(stripe, 3);
-                let repaired = cluster
-                    .repair_over(&coordinator, stripe, 3, 15, strategy, transport)
-                    .unwrap();
+                let repaired = repair(&cluster, &coordinator, (stripe, 3, 15), strategy, transport);
                 assert_eq!(repaired, data[3], "strategy {strategy:?} over {name}");
             }
             let repaired =
@@ -874,9 +1017,14 @@ mod tests {
             let (cluster, coordinator, data, stripe) = setup(code.clone());
             let expected = code.encode(&data).unwrap()[7].clone();
             cluster.erase_block(stripe, 7);
-            let repaired = cluster
-                .repair(&coordinator, stripe, 7, 10, strategy)
-                .unwrap();
+            let transport = ChannelTransport::new();
+            let repaired = repair(
+                &cluster,
+                &coordinator,
+                (stripe, 7, 10),
+                strategy,
+                &transport,
+            );
             assert_eq!(repaired, expected, "strategy {:?}", strategy);
         }
     }
@@ -961,46 +1109,53 @@ mod tests {
         assert!(result.is_err());
     }
 
+    /// A walk its watch finds degraded ends with the hop it flagged and
+    /// stores nothing, whatever the shape. Each shape walks once unwatched
+    /// first, so every pair of its plan has moved bytes to be judged on.
     #[test]
     fn cancelled_execution_fails_without_storing_anything() {
-        // `None` is the multi-block plan, which is cancelled like the rest.
+        // `None` is the multi-block plan, which is watched like the rest.
         for shape in SINGLE_PLANS.map(Some).into_iter().chain([None]) {
             let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
             let (cluster, coordinator, _data, stripe) = setup(code);
             cluster.erase_block(stripe, 1);
             let transport = ChannelTransport::new();
-            let cancel = OnceFlag::new();
-            cancel.set();
-            let result = match shape {
+            let (dag, result) = match shape {
                 Some(strategy) => {
                     let directive = coordinator
                         .plan_single_repair(cluster.meta(), stripe, 1, 7)
                         .unwrap();
                     let dag = plan(strategy, &directive);
-                    execute_single_cancellable(&directive, &dag, &cluster, &transport, &cancel)
-                        .map(|block| vec![block])
+                    walk(&directive, &dag, &cluster, &transport).unwrap();
+                    let watch = Some(tripped(&dag));
+                    let result = walk_single(&directive, &dag, &cluster, &transport, watch);
+                    (dag, result.map(|block| vec![block]))
                 }
                 None => {
                     cluster.erase_block(stripe, 4);
                     let directive = coordinator
                         .plan_multi_repair(cluster.meta(), stripe, &[1, 4], &[7, 6])
                         .unwrap();
+                    execute_multi(&directive, &cluster, &transport).unwrap();
+                    let dag = multi_dag(&directive);
                     let walk = Walk {
-                        dag: &multi_dag(&directive),
+                        dag: &dag,
                         tags: (directive.stripe.0, directive.repair_id()),
                         cluster: &cluster,
-                        cancel: &cancel,
                     };
-                    walk.run(&transport)
+                    let result = walk.run(&transport, Some(tripped(&dag)));
+                    (dag, result)
                 }
             };
+            let first = &dag.links()[0];
             assert!(
-                matches!(result, Err(EcPipeError::Execution { .. })),
-                "shape {shape:?} must fail once cancelled"
+                matches!(result, Err(EcPipeError::LinkDegraded { src, dst })
+                    if (src, dst) == (first.src, first.dst)),
+                "shape {shape:?} must end at its first degraded hop"
             );
             assert!(
                 !cluster.store(7).contains(ecc::stripe::BlockId::new(0, 1)),
-                "a cancelled repair must leave no partial block"
+                "an abandoned repair must leave no partial block"
             );
         }
     }
@@ -1043,8 +1198,8 @@ mod tests {
 
     /// The plan is the traffic: on a fresh transport, the links that moved
     /// bytes are exactly the plan's `links()`, each with its declared load.
-    /// The manager's link watchdog samples `links()`, so a shape that sent
-    /// over an undeclared link would go unwatched. The simulator times the
+    /// A watched walk samples `links()`, so a shape that sent over an
+    /// undeclared link would go unwatched. The simulator times the
     /// same plan value (`RepairDag::schedule`), so its per-link bytes are the
     /// third side of the same equation: model ≡ plan ≡ runtime. Every shape
     /// also runs over [`NoWaitTransport`], which fails the walk the moment a

@@ -186,8 +186,8 @@ impl EcPipeBuilder {
     ///
     /// The topology does three things at build time. It seeds the manager's
     /// [`LinkTelemetry`](crate::telemetry::LinkTelemetry) layer, which turns
-    /// on the topology-aware [`PathPolicy`] variants and the mid-stream link
-    /// watchdog. It is stored on the [`Cluster`] so repair planning can ask
+    /// on the topology-aware [`PathPolicy`] variants and the
+    /// [link watch](Self::link_watch). It is stored on the [`Cluster`] so repair planning can ask
     /// which rack a node lives in. And — unless a flat
     /// [`rate_limit`](Self::rate_limit) was set, which takes precedence —
     /// the transport is shaped per-link to the topology's bandwidths, so a
@@ -207,11 +207,10 @@ impl EcPipeBuilder {
         self
     }
 
-    /// Enables the mid-stream link watchdog
-    /// ([`ManagerConfig::link_watch`]): a repair whose link falls below
-    /// half its nominal bandwidth is cancelled and re-planned around the
-    /// degraded link. Needs [`topology`](Self::topology) to be set to take
-    /// effect.
+    /// Enables the link watch ([`ManagerConfig::link_watch`]): a repair
+    /// whose walk measures one of its links below half its nominal
+    /// bandwidth ends there and is re-planned around the degraded link.
+    /// Needs [`topology`](Self::topology) to be set to take effect.
     pub fn link_watch(mut self) -> Self {
         self.manager.link_watch = true;
         self
@@ -654,33 +653,42 @@ impl EcPipe {
     }
 
     /// The shared read path: walks the blocks `range` overlaps, resolving
-    /// each block's node with one non-cloning router lookup, and keeps the
-    /// view each block read returns.
+    /// each stripe's placement once for the first read of its blocks, and
+    /// keeps the view each block read returns.
     fn read_object_range(&self, meta: &ObjectMeta, range: Range<usize>) -> Result<ObjectBytes> {
         let block_size = self.layout.block_size;
         let stripe_bytes = self.code.k() * block_size;
         let mut chunks =
             Vec::with_capacity(range.end.div_ceil(block_size) - range.start / block_size);
+        let mut placement = Vec::new();
         let mut offset = range.start;
         while offset < range.end {
             let stripe = meta.stripes[offset / stripe_bytes];
             let block = (offset % stripe_bytes) / block_size;
             let within = offset % block_size;
             let take = (block_size - within).min(range.end - offset);
-            chunks.push(self.read_healing(stripe, block, within..within + take, block_size)?);
+            // A stripe's first block in the range: its placement, once.
+            if offset == range.start || block == 0 {
+                placement = self.cluster().placement(stripe).unwrap_or_default();
+            }
+            let (read, holder) = (within..within + take, placement.get(block).copied());
+            chunks.push(self.read_healing(stripe, block, read, block_size, holder)?);
             offset += take;
         }
         Ok(ObjectBytes::from_chunks(chunks))
     }
 
     /// Reads one block range, healing the block through the manager when it
-    /// is missing or corrupt (up to [`Self::READ_ATTEMPTS`] attempts).
+    /// is missing or corrupt (up to [`Self::READ_ATTEMPTS`] attempts). The
+    /// first attempt reads from `holder` when the caller resolved it; every
+    /// other attempt asks the router again, since a heal can move the block.
     fn read_healing(
         &self,
         stripe: StripeId,
         index: usize,
         range: Range<usize>,
         block_size: usize,
+        mut holder: Option<NodeId>,
     ) -> Result<bytes::Bytes> {
         let block = ecc::stripe::BlockId { stripe, index };
         let whole_block = range.start == 0 && range.end == block_size;
@@ -694,7 +702,10 @@ impl EcPipe {
             }
         };
         for attempt in 0..Self::READ_ATTEMPTS {
-            let holder = self.cluster().node_of(stripe, index)?;
+            let holder = match holder.take() {
+                Some(node) => node,
+                None => self.cluster().node_of(stripe, index)?,
+            };
             match read_from(holder) {
                 Ok(bytes) => return Ok(bytes),
                 Err(EcPipeError::BlockNotFound { .. }) => {

@@ -17,8 +17,9 @@
 //!   file system rather than the storage-system routine);
 //! * a requestor receives the repaired block.
 //!
-//! The [`exec`] module executes a directive for real: worker threads play the
-//! helper roles, slices flow through a pluggable [`transport::Transport`] —
+//! The [`exec`] module executes a directive for real: one thread walks the
+//! whole repair, every helper role and the requestor's, and slices flow
+//! through a pluggable [`transport::Transport`] —
 //! bounded in-process channels ([`ChannelTransport`]) or real localhost TCP
 //! sockets ([`TcpTransport`], standing in for the paper's Redis/TCP data
 //! plane) — and the GF(2^8) combination is performed on actual bytes, so

@@ -91,9 +91,9 @@ pub enum ReplanReason {
     /// was excluded (no strike — the node itself is healthy) and an
     /// in-place corruption repair was queued.
     CorruptHelper,
-    /// The link watchdog measured a path link below its degradation
-    /// threshold and cancelled the stream; the repair was re-planned with
-    /// the slow link's telemetry folded in.
+    /// The walk's link watch measured a path link below its degradation
+    /// threshold and ended the walk; the repair was re-planned with the
+    /// slow link's telemetry folded in.
     LinkDegraded,
     /// Topology-aware selection had too few candidates (or no feasible
     /// path) and fell back to flat LRU selection for this attempt. Not a

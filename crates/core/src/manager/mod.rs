@@ -138,9 +138,10 @@ pub struct ManagerConfig {
     /// a topology on the cluster; without one (or with too few candidates)
     /// they degrade to [`PathPolicy::Lru`].
     pub path_policy: PathPolicy,
-    /// Runs every repair under the mid-stream link watchdog: the worker
-    /// samples the bytes each path link moves and cancels the stream when a
-    /// link that has streamed for 150 ms runs below half its nominal
+    /// Runs every repair under the link watch: between steps, the walk
+    /// samples the bytes each link of its plan has moved, and ends with
+    /// [`EcPipeError::LinkDegraded`] when
+    /// a link that has streamed for 150 ms runs below half its nominal
     /// (topology) bandwidth. The repair then re-plans
     /// ([`ReplanReason::LinkDegraded`]) with the slow link's measured
     /// throughput already folded into the telemetry, so the new path routes

@@ -9,8 +9,9 @@
 //! paper's "no overloaded helper" scheduling), execute, and store the
 //! reconstructed block. A helper whose block vanishes mid-flight earns a
 //! liveness strike and the repair is re-planned with the survivors (§3.2
-//! straggler handling); with [`ManagerConfig::link_watch`] on, a path link
-//! measured below its nominal bandwidth is handled the same way, minus the
+//! straggler handling); with [`ManagerConfig::link_watch`] on, the walk
+//! watches its own links, and one it measures below its nominal bandwidth
+//! ([`EcPipeError::LinkDegraded`]) is handled the same way, minus the
 //! strike. A repair that panics is recorded as failed, and its worker goes
 //! on serving.
 
@@ -18,9 +19,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use bytes::Bytes;
+use std::time::Instant;
 
 use ecc::stripe::BlockId;
 use ecpipe_meta::{MetaError, MetaRouter, RepairRecord};
@@ -28,8 +27,7 @@ use ecpipe_sync::{Condvar, Mutex, OnceFlag};
 use simnet::NodeId;
 
 use crate::cluster::Cluster;
-use crate::coordinator::RepairDirective;
-use crate::exec;
+use crate::exec::{self, Watch};
 use crate::lock_order;
 use crate::telemetry::LinkTelemetry;
 use crate::transport::Transport;
@@ -39,19 +37,6 @@ use super::liveness::Liveness;
 use super::metrics::{FailedRepair, MetricsCollector, RepairOutcome, ReplanEvent, ReplanReason};
 use super::queue::{QueuedRepair, RepairQueue, RepairRequest};
 use super::ManagerConfig;
-
-/// The link watchdog judges a link only once it has been streaming (moving
-/// bytes) for this long, so pipeline fill and startup jitter cannot cancel
-/// a healthy repair.
-const WATCH_GRACE: Duration = Duration::from_millis(150);
-
-/// How often the link watchdog samples the per-link byte counters.
-const WATCH_TICK: Duration = Duration::from_millis(25);
-
-/// A link is degraded when its observed throughput (bytes moved over the
-/// wall time since its first byte) drops below this fraction of its nominal
-/// topology bandwidth.
-const DEGRADED_BELOW: f64 = 0.5;
 
 /// Per-node in-flight caps: a repair may only start once every node it
 /// involves (helpers and requestor) is below the cap, and it holds one slot
@@ -152,7 +137,7 @@ pub(crate) struct EngineState {
     /// a durable deployment re-enqueues whatever a crash interrupted.
     pub(crate) meta: Arc<MetaRouter>,
     /// Live link telemetry, present when the cluster has a topology
-    /// attached. Topology-aware planning and the link watchdog consult it;
+    /// attached. Topology-aware planning and the link watch consult it;
     /// without it both degrade to the flat behavior.
     pub(crate) telemetry: Option<LinkTelemetry>,
     /// Simulated power loss: once set, queued work is skipped and finished
@@ -448,7 +433,7 @@ fn run_one<T: Transport + ?Sized>(
         }
         let requestor = requestors[requestor_idx];
         // Fold the transport counters accumulated so far into the telemetry
-        // before planning, so a weighted plan (and the watchdog's re-plan
+        // before planning, so a weighted plan (and the link watch's re-plan
         // after a degraded link) sees the freshest throughput estimates.
         if let Some(telemetry) = &engine.telemetry {
             telemetry.observe(transport.stats());
@@ -495,11 +480,18 @@ fn run_one<T: Transport + ?Sized>(
         let directive = planned.directive;
         let mut roles = directive.helper_nodes();
         roles.push(requestor);
+        let dag = config
+            .strategy
+            .dag(&directive.path, directive.requestor, directive.layout);
         // The whole execution holds one admission slot per involved node;
         // the guard releases them even on failure.
-        let (outcome, slow_link) = {
+        let outcome = {
             let _roles_held = engine.gate.acquire(&roles, &engine.metrics);
-            execute_watched(engine, config, &directive, cluster, transport)
+            // The link watch samples the walk's own plan against the
+            // topology's nominal bandwidths, from the walk's start.
+            let watched = engine.telemetry.as_ref().filter(|_| config.link_watch);
+            let watch = watched.map(|t| Watch::new(&dag, transport, t.topology()));
+            exec::walk_single(&directive, &dag, cluster, transport, watch)
         };
         match outcome {
             Ok(block) => {
@@ -602,19 +594,17 @@ fn run_one<T: Transport + ?Sized>(
                     engine.submit_corruption(block, holder);
                 }
             }
-            Err(_cancelled) if slow_link.is_some() && replans < config.max_replans => {
-                // The link watchdog measured a path link below its
-                // degradation threshold and cancelled the stream. Blame the
-                // helper endpoint of the slow hop (the downstream helper,
-                // or the upstream one when the hop ends at the requestor)
-                // and exclude its block — *without* a liveness strike: the
-                // node is healthy, its link is slow. The failed attempt
-                // also pushed bytes through the slow link at the degraded
-                // rate, so the telemetry the re-plan observes has already
-                // collapsed for that pair and a weighted re-plan routes
-                // around it even when the blame heuristic picked the wrong
-                // endpoint.
-                let (src, dst) = slow_link.expect("guarded by slow_link.is_some()");
+            Err(EcPipeError::LinkDegraded { src, dst }) if replans < config.max_replans => {
+                // The link watch measured a path link below its degradation
+                // threshold and ended the walk. Blame the helper endpoint of
+                // the slow hop (the downstream helper, or the upstream one
+                // when the hop ends at the requestor) and exclude its block
+                // — *without* a liveness strike: the node is healthy, its
+                // link is slow. The failed attempt also pushed bytes through
+                // the slow link at the degraded rate, so the telemetry the
+                // re-plan observes has already collapsed for that pair and a
+                // weighted re-plan routes around it even when the blame
+                // heuristic picked the wrong endpoint.
                 let helpers = directive.helper_nodes();
                 let blamed = if helpers.contains(&dst) { dst } else { src };
                 replans += 1;
@@ -658,108 +648,4 @@ fn run_one<T: Transport + ?Sized>(
             Err(error) => return Err(fail(error, replans)),
         }
     }
-}
-
-/// Executes one directive, under the link watchdog when
-/// [`ManagerConfig::link_watch`] is on.
-///
-/// Without the watchdog (or without telemetry) this is exactly
-/// [`exec::execute_single`]. With it, the execution runs on a scoped
-/// thread while this thread samples the bytes each path link moved every
-/// [`WATCH_TICK`]; once a link has been streaming for [`WATCH_GRACE`],
-/// observing it below [`DEGRADED_BELOW`] × its nominal topology bandwidth
-/// cancels the stream. Returns the execution outcome plus the slow link, if
-/// one was flagged.
-///
-/// The observed rate is bytes moved over *wall time*, not the telemetry's
-/// busy-time EWMA: a fully stalled link accrues no send time, which a
-/// busy-time estimate would never notice. Traffic from concurrent repairs
-/// sharing a link only inflates the observed rate, so sharing cannot flag
-/// a healthy link.
-fn execute_watched<T>(
-    engine: &EngineState,
-    config: &ManagerConfig,
-    directive: &RepairDirective,
-    cluster: &Cluster,
-    transport: &T,
-) -> (Result<Bytes>, Option<(NodeId, NodeId)>)
-where
-    T: Transport + ?Sized,
-{
-    let Some(telemetry) = engine.telemetry.as_ref().filter(|_| config.link_watch) else {
-        return (
-            exec::execute_single(directive, cluster, transport, config.strategy),
-            None,
-        );
-    };
-    let topology = telemetry.topology();
-    // The plan the watchdog samples is the one that runs: the directed
-    // links it streams over, whatever its shape.
-    let dag = config
-        .strategy
-        .dag(&directive.path, directive.requestor, directive.layout);
-    let hops = dag.links();
-    let baseline: Vec<u64> = hops
-        .iter()
-        .map(|hop| transport.link_bytes(hop.src, hop.dst))
-        .collect();
-    let cancel = OnceFlag::new();
-    // A hop is judged from the moment it first moves bytes, not from the
-    // start of the attempt: in a pipelined chain the hop into the requestor
-    // only starts streaming after the pipeline fills, and measuring its
-    // rate over the whole attempt would dilute it below any threshold and
-    // cancel perfectly healthy repairs. A hop that has moved nothing is
-    // still filling (or its helper is dead — the helper-loss path covers
-    // that) and is not judged at all.
-    let mut first_seen: Vec<Option<Instant>> = vec![None; hops.len()];
-    let mut slow = None;
-    let outcome = std::thread::scope(|scope| {
-        let execution = scope.spawn(|| {
-            exec::execute_single_cancellable(directive, &dag, cluster, transport, &cancel)
-        });
-        while !execution.is_finished() {
-            let asleep = Instant::now();
-            std::thread::sleep(WATCH_TICK);
-            let now = Instant::now();
-            // Whatever made this sleep return late (a loaded host, a stopped
-            // process) kept the senders off the CPU too: that time is not
-            // the links', so every hop's clock starts that much later.
-            let overslept = now.duration_since(asleep).saturating_sub(WATCH_TICK);
-            for first in first_seen.iter_mut().flatten() {
-                *first += overslept;
-            }
-            if cancel.is_set() {
-                continue;
-            }
-            for (i, hop) in hops.iter().enumerate() {
-                let moved = transport
-                    .link_bytes(hop.src, hop.dst)
-                    .saturating_sub(baseline[i]);
-                if moved == 0 {
-                    continue;
-                }
-                let since = match first_seen[i] {
-                    Some(first) => now.duration_since(first),
-                    None => {
-                        first_seen[i] = Some(now);
-                        continue;
-                    }
-                };
-                if since < WATCH_GRACE {
-                    continue;
-                }
-                let observed = moved as f64 / since.as_secs_f64();
-                if observed < DEGRADED_BELOW * topology.bandwidth(hop.src, hop.dst) {
-                    slow = Some((hop.src, hop.dst));
-                    cancel.set();
-                    break;
-                }
-            }
-        }
-        // A panic carries on to the worker, which records it.
-        execution
-            .join()
-            .unwrap_or_else(|payload| panic::resume_unwind(payload))
-    });
-    (outcome, slow)
 }

@@ -15,6 +15,7 @@
 // xtask:allow(raw-sync): the test-only gate `COUNTER` below
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use ecpipe::exec::execute_single;
 use ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
 use ecpipe::{Cluster, Coordinator, EcPipeBuilder, Scheme, StoreBackend};
 
@@ -95,9 +96,12 @@ fn every_exec_strategy_repairs_without_bytes_deep_copies() {
             let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
             cluster.erase_block(stripe, 2);
             assert_no_deep_copies(&format!("strategy {strategy} over {name}"), || {
-                let repaired = cluster
-                    .repair_over(&coordinator, stripe, 2, 7, strategy, transport)
+                let directive = coordinator
+                    .plan_single_repair(cluster.meta(), stripe, 2, 7)
                     .unwrap();
+                let repaired = execute_single(&directive, &cluster, transport, strategy).unwrap();
+                let block = ecc::stripe::BlockId { stripe, index: 2 };
+                cluster.store(7).put(block, repaired.clone()).unwrap();
                 assert_eq!(repaired, data[2], "strategy {strategy} over {name}");
             });
         }

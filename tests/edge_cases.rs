@@ -5,14 +5,36 @@
 use std::sync::Arc;
 
 use repair_pipelining::ecc::slice::SliceLayout;
+use repair_pipelining::ecc::stripe::{BlockId, StripeId};
 use repair_pipelining::ecc::{CodeError, ErasureCode, Lrc, ReedSolomon};
-use repair_pipelining::ecpipe::exec::{execute_multi, execute_single_cancellable, OnceFlag};
+use repair_pipelining::ecpipe::exec::{execute_multi, execute_single};
 use repair_pipelining::ecpipe::transport::ChannelTransport;
 use repair_pipelining::ecpipe::{Cluster, Coordinator, EcPipeBuilder, Scheme, StoreBackend};
 use repair_pipelining::gf256::Matrix;
 use repair_pipelining::repair::weighted_path::{optimal_path, WeightMatrix};
 use repair_pipelining::repair::{ppr, rp, SingleRepairJob};
-use repair_pipelining::simnet;
+use repair_pipelining::simnet::{self, NodeId};
+
+/// Plans and walks the repair of block `failed` onto `requestor` over
+/// channels, stores the block there and returns its bytes.
+fn repair(
+    cluster: &Cluster,
+    coordinator: &Coordinator,
+    (stripe, failed, requestor): (StripeId, usize, NodeId),
+    strategy: Scheme,
+) -> Vec<u8> {
+    let directive = coordinator
+        .plan_single_repair(cluster.meta(), stripe, failed, requestor)
+        .unwrap();
+    let transport = ChannelTransport::new();
+    let repaired = execute_single(&directive, cluster, &transport, strategy).unwrap();
+    let block = BlockId::new(stripe.0, failed);
+    cluster
+        .store(requestor)
+        .put(block, repaired.clone())
+        .unwrap();
+    repaired.to_vec()
+}
 
 /// The smallest legal MDS code, `(2, 1)`: a repair job with a single helper
 /// must work through every execution strategy (the pipeline degenerates to a
@@ -36,9 +58,7 @@ fn k1_repair_through_every_strategy() {
             Scheme::BlockPipeline,
             Scheme::CyclicRepairPipelining,
         ] {
-            let repaired = cluster
-                .repair(&coordinator, stripe, failed, 3, strategy)
-                .unwrap();
+            let repaired = repair(&cluster, &coordinator, (stripe, failed, 3), strategy);
             assert_eq!(repaired, coded[failed], "failed={failed} {strategy:?}");
         }
     }
@@ -92,8 +112,8 @@ fn k1_schedules_are_well_formed() {
             "{case}"
         );
         let transport = ChannelTransport::new();
-        let repaired =
-            execute_single_cancellable(&directive, &dag, &cluster, &transport, &OnceFlag::new());
+        let scheme = Scheme::CyclicRepairPipelining;
+        let repaired = execute_single(&directive, &cluster, &transport, scheme);
         assert_eq!(repaired.unwrap(), data[0], "{case}");
     }
 }
@@ -125,9 +145,12 @@ fn one_byte_block_repair() {
     let cluster = Cluster::new(StoreBackend::memory(7)).unwrap();
     let stripe = cluster.write_stripe(coordinator.code(), 0, &data).unwrap();
     cluster.erase_block(stripe, 2);
-    let repaired = cluster
-        .repair(&coordinator, stripe, 2, 6, Scheme::RepairPipelining)
-        .unwrap();
+    let repaired = repair(
+        &cluster,
+        &coordinator,
+        (stripe, 2, 6),
+        Scheme::RepairPipelining,
+    );
     assert_eq!(repaired, coded[2]);
 }
 

@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use repair_pipelining::ecc::slice::SliceLayout;
+use repair_pipelining::ecc::stripe::BlockId;
 use repair_pipelining::ecc::{ErasureCode, Lrc, ReedSolomon};
 use repair_pipelining::ecpipe::exec::{execute_multi, execute_single};
 use repair_pipelining::ecpipe::manager::{recover_node, ManagerConfig};
@@ -51,9 +52,13 @@ fn every_strategy_and_code_reconstructs_exact_bytes() {
                 Scheme::BlockPipeline,
                 Scheme::CyclicRepairPipelining,
             ] {
-                let repaired = cluster
-                    .repair(&coordinator, stripe, failed, n + 1, strategy)
+                let directive = coordinator
+                    .plan_single_repair(cluster.meta(), stripe, failed, n + 1)
                     .unwrap();
+                let transport = ChannelTransport::new();
+                let repaired = execute_single(&directive, &cluster, &transport, strategy).unwrap();
+                let block = BlockId::new(stripe.0, failed);
+                cluster.store(n + 1).put(block, repaired.clone()).unwrap();
                 assert_eq!(repaired, coded[failed], "{} {:?}", code.name(), strategy);
             }
         }

@@ -6,6 +6,9 @@
 //! repair in flight (a manager adds its workers, so `workers` + a constant);
 //! sockets ≤ 2 per concurrently open link per pair + one listener per node.
 //!
+//! A watched repair (`link_watch`) is no exception: the walk samples its own
+//! links, so a node recovery on a façade adds no thread to its workers.
+//!
 //! The one test lives in a binary of its own because it reads process-wide
 //! counters (`/proc/self/status`, `/proc/self/fd`) that tests running beside
 //! it would disturb.
@@ -19,8 +22,9 @@ use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
 use repair_pipelining::ecpipe::exec::execute_single;
 use repair_pipelining::ecpipe::transport::{TcpTransport, Transport};
-use repair_pipelining::ecpipe::Scheme;
 use repair_pipelining::ecpipe::{Cluster, Coordinator, StoreBackend};
+use repair_pipelining::ecpipe::{EcPipeBuilder, Scheme, TransportChoice};
+use repair_pipelining::simnet::Topology;
 
 const NODES: usize = 22;
 const BLOCK: usize = 64 * 1024;
@@ -45,11 +49,49 @@ fn two_hundred_repairs_leave_no_threads_and_a_bounded_number_of_sockets() {
     let (done_tx, done_rx) = mpsc::channel();
     std::thread::spawn(move || {
         two_hundred_repairs();
+        watched_node_recovery();
         let _ = done_tx.send(());
     });
     done_rx
         .recv_timeout(Duration::from_secs(120))
-        .expect("200 repairs did not finish (or failed) within 120 s");
+        .expect("the repairs did not finish (or failed) within 120 s");
+}
+
+/// A façade over shaped TCP with the link watch on recovers a killed node
+/// on its 4 workers, and the thread count, sampled about every millisecond
+/// on this thread, never exceeds the count right after `build()`.
+fn watched_node_recovery() {
+    const NODES: usize = 10;
+    let pipe = EcPipeBuilder::new()
+        .code(6, 4)
+        .block_size(BLOCK)
+        .slice_size(8 * 1024)
+        .store(StoreBackend::memory(NODES))
+        .transport(TransportChoice::Tcp)
+        .topology(Topology::flat(NODES, 64.0 * 1024.0 * 1024.0))
+        .link_watch()
+        .workers(4)
+        .build()
+        .unwrap();
+    let built = threads();
+    let data: Vec<u8> = (0..24 * 4 * BLOCK).map(|i| (i % 251) as u8).collect();
+    pipe.put("/watched", &data).unwrap();
+    let victim = 3;
+    pipe.kill_node(victim);
+    assert!(pipe.report_node_failure(victim) > 0);
+    let (mut peak, deadline) = (0, Instant::now() + Duration::from_secs(60));
+    while !pipe.meta().stripes_on_node(victim).is_empty() {
+        peak = peak.max(threads());
+        assert!(Instant::now() < deadline, "the recovery did not finish");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    pipe.wait_idle();
+    assert!(
+        peak <= built,
+        "{peak} threads during a watched recovery, {built} right after build"
+    );
+    assert_eq!(pipe.get("/watched").unwrap(), data);
+    assert_eq!(pipe.shutdown().failed_repairs, 0);
 }
 
 fn two_hundred_repairs() {

@@ -20,9 +20,7 @@ use std::sync::Arc;
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::stripe::StripeId;
 use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
-use repair_pipelining::ecpipe::exec::{
-    execute_multi, execute_single, execute_single_cancellable, OnceFlag, PIPELINE_DEPTH,
-};
+use repair_pipelining::ecpipe::exec::{execute_multi, execute_single, PIPELINE_DEPTH};
 use repair_pipelining::ecpipe::transport::{ChannelTransport, SliceMsg, TcpTransport, Transport};
 use repair_pipelining::ecpipe::{Cluster, Coordinator, Scheme, StoreBackend};
 
@@ -185,11 +183,9 @@ fn case_cyclic_repair_byte_exact<T: Transport>(transport: &T) {
     let directive = coordinator
         .plan_single_repair(cluster.meta(), stripe, 2, 10)
         .unwrap();
-    let dag =
-        Scheme::CyclicRepairPipelining.dag(&directive.path, directive.requestor, directive.layout);
-    let repaired =
-        execute_single_cancellable(&directive, &dag, &cluster, transport, &OnceFlag::new())
-            .unwrap();
+    let scheme = Scheme::CyclicRepairPipelining;
+    let dag = scheme.dag(&directive.path, directive.requestor, directive.layout);
+    let repaired = execute_single(&directive, &cluster, transport, scheme).unwrap();
     assert_eq!(repaired, data[2]);
     let declared: HashMap<_, _> = dag
         .links()
