@@ -1,21 +1,22 @@
-//! Criterion bench for full-node recovery through the ECPipe runtime:
-//! the repair manager's one-worker sequential baseline
-//! (`ManagerConfig::sequential`) versus its 4-worker pool, on rate-limited
-//! links of both transport backends.
+//! Criterion bench for full-node recovery through the ECPipe runtime: a
+//! one-worker repair daemon versus a 4-worker pool, on rate-limited links
+//! of both transport backends.
 //!
 //! Every link is token-bucket throttled so the repairs are network-bound
 //! (the paper's testbed setting); the manager's concurrency then shows up
 //! as recovery throughput rather than being hidden behind CPU time. The
 //! `bytes_per_sec` column of `BENCH_results.json` is the recovery rate.
+//! Each iteration builds a fresh cluster and daemon, since a recovery moves
+//! the lost blocks' placements onto the requestors.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ecc::slice::SliceLayout;
 use ecc::ReedSolomon;
-use ecpipe::manager::{recover_node, ManagerConfig};
+use ecpipe::manager::{ManagerConfig, RepairManager};
 use ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
-use ecpipe::{Cluster, Coordinator, Scheme, StoreBackend};
+use ecpipe::{Cluster, Coordinator, StoreBackend};
 
 const BLOCK: usize = 64 * 1024;
 const SLICE: usize = 8 * 1024;
@@ -48,7 +49,7 @@ fn setup() -> (Coordinator, Cluster) {
     (coordinator, cluster)
 }
 
-fn bench_backend<T: Transport>(
+fn bench_backend<T: Transport + Send + Sync + 'static>(
     group: &mut criterion::BenchmarkGroup<'_>,
     label: &str,
     make: impl Fn() -> T,
@@ -56,7 +57,7 @@ fn bench_backend<T: Transport>(
     let configs = [
         (
             "full_node_sequential",
-            ManagerConfig::sequential(Scheme::RepairPipelining),
+            ManagerConfig::default().with_workers(1),
         ),
         (
             "full_node_manager_4w",
@@ -66,19 +67,17 @@ fn bench_backend<T: Transport>(
         ),
     ];
     for (row, config) in configs {
-        let transport = make();
-        let (coordinator, cluster) = setup();
+        let config = ManagerConfig {
+            auto_requestors: REQUESTORS.to_vec(),
+            ..config
+        };
         group.bench_function(BenchmarkId::new(row, label), |b| {
             b.iter(|| {
-                let report = recover_node(
-                    &coordinator,
-                    &cluster,
-                    &transport,
-                    FAILED_NODE,
-                    &REQUESTORS,
-                    &config,
-                )
-                .unwrap();
+                let (coordinator, cluster) = setup();
+                let manager = RepairManager::start(coordinator, cluster, make(), config.clone());
+                assert_eq!(manager.report_node_failure(FAILED_NODE), LOST_BLOCKS);
+                manager.wait_idle();
+                let report = manager.shutdown();
                 assert_eq!(report.failed_repairs, 0);
                 report
             });

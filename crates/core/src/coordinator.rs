@@ -15,9 +15,10 @@
 //! is the code, the slice layout and the helper-selection clock, kept
 //! behind a leaf lock so planning takes `&self` and concurrent repairs
 //! plan without queueing behind each other's metadata reads. Every
-//! placement carries a monotonic epoch; directives record the epoch they
-//! were planned at so a completion can be rejected as
-//! [`EcPipeError::StaleRepair`] if the block moved in the meantime.
+//! placement carries a monotonic epoch, and directives record the epoch
+//! they were planned at. The epoch is the stripe's, so the manager rejects
+//! a completion as [`EcPipeError::StaleRepair`] only if the repaired block
+//! itself moved in the meantime.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -55,9 +56,10 @@ pub struct RepairDirective {
     pub requestor: NodeId,
     /// Block/slice layout.
     pub layout: SliceLayout,
-    /// The stripe's placement epoch when the repair was planned. Completing
-    /// the repair through [`MetaRouter::relocate`] with this epoch rejects
-    /// the completion if the block relocated in the meantime.
+    /// The stripe's placement epoch when the repair was planned. Any
+    /// relocation of a block of the stripe moves it, so a completion
+    /// pinned to it through [`MetaRouter::relocate`] is also rejected when
+    /// a *different* block of the stripe relocated in the meantime.
     pub epoch: u64,
 }
 

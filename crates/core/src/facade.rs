@@ -216,10 +216,10 @@ impl EcPipeBuilder {
         self
     }
 
-    /// Replaces the repair-manager configuration wholesale.
-    ///
-    /// `relocate_on_success` is forced on at build time: the data path
-    /// depends on repaired blocks being findable by later reads.
+    /// Replaces the repair-manager configuration wholesale. An empty
+    /// [`auto_requestors`](ManagerConfig::auto_requestors) pool is filled
+    /// with every node at build time, so node failures are recoverable
+    /// without extra wiring.
     pub fn manager(mut self, config: ManagerConfig) -> Self {
         self.manager = config;
         self
@@ -314,9 +314,7 @@ impl EcPipeBuilder {
             None => None,
         };
         let mut config = self.manager;
-        // The data path depends on repaired blocks being findable again and
-        // on node failures being recoverable without extra wiring.
-        config.relocate_on_success = true;
+        // Node failures are recoverable without extra wiring.
         if config.auto_requestors.is_empty() {
             config.auto_requestors = (0..nodes).collect();
         }
@@ -340,15 +338,25 @@ impl EcPipeBuilder {
         };
         let manager = RepairManager::start(coordinator, cluster, transport, config);
         // Recovery: re-drive the repairs a previous process had queued or in
-        // flight. A directive whose epoch trails its stripe's
-        // current epoch is *stale* — the block relocated after the
-        // directive was journaled (typically: the repair completed and
-        // crashed before resolving) — and is rejected here instead of
-        // double-healing; rejection resolves its record.
+        // flight, exactly those whose block is still missing (or corrupt)
+        // where the router places it. A directive whose block is intact
+        // there was completed before the crash (stored and relocated, but
+        // never resolved) and is resolved here instead of healing the block
+        // twice. The stripe's epoch decides nothing: a relocation of
+        // another block of the stripe bumps it too.
+        let cluster = manager.cluster();
         for pending in meta.pending_repairs() {
-            let current = meta.epoch_of(pending.stripe);
-            let fresh = matches!(current, Ok(epoch) if epoch == pending.epoch);
-            if fresh {
+            let block = ecc::stripe::BlockId {
+                stripe: pending.stripe,
+                index: pending.index,
+            };
+            let missing = match meta.node_of(pending.stripe, pending.index) {
+                Ok(node) if node < cluster.num_nodes() => {
+                    cluster.store(node).verify(block).is_err()
+                }
+                _ => false,
+            };
+            if missing {
                 let _ = manager.enqueue(RepairRequest {
                     stripe: pending.stripe,
                     failed: pending.index,
@@ -885,9 +893,9 @@ impl EcPipe {
     /// would. With a [`MetaBackend::durable`] backend and a persistent
     /// [`StoreBackend`], a subsequent [`EcPipeBuilder::build`] over the same
     /// directories recovers the namespace byte-exactly and re-drives the
-    /// repairs this process abandoned (stale ones — whose block relocated
-    /// before the crash — are rejected by the epoch check instead of being
-    /// healed twice).
+    /// repairs this process abandoned. A completed one, whose block is
+    /// already intact where the router places it, is resolved instead of
+    /// being healed twice.
     pub fn simulate_crash(self) {
         self.manager.crash_stop();
     }

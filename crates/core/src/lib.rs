@@ -40,8 +40,8 @@
 //! node that keeps failing its helper reads is declared dead and its
 //! stripes auto-enqueued), a paced [scrubber](manager::Scrubber) that turns
 //! silent bit-rot into queued repairs, and a structured [`ManagerReport`].
-//! [`manager::recover_node`] with [`ManagerConfig::sequential`] is the
-//! one-repair-at-a-time baseline on the same engine.
+//! Its daemon, [`RepairManager`], is the one way to run repairs; with one
+//! worker it is the one-repair-at-a-time baseline.
 //!
 //! The [`integrity`] module supplies the detection layer the scrubber and
 //! the helpers rely on: [`ChecksummedStore`] stores every block with

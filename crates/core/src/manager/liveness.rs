@@ -38,13 +38,9 @@ pub(crate) struct Liveness {
 }
 
 impl Liveness {
-    pub(crate) fn new(dead_after: usize, known_dead: &[NodeId]) -> Self {
-        let health = known_dead
-            .iter()
-            .map(|&n| (n, NodeHealth::Dead))
-            .collect::<HashMap<_, _>>();
+    pub(crate) fn new(dead_after: usize) -> Self {
         Liveness {
-            health: Mutex::new(&lock_order::MANAGER_LIVENESS, health),
+            health: Mutex::new(&lock_order::MANAGER_LIVENESS, HashMap::new()),
             dead_after: dead_after.max(1),
         }
     }
@@ -108,7 +104,7 @@ mod tests {
 
     #[test]
     fn strikes_accumulate_to_dead() {
-        let l = Liveness::new(2, &[]);
+        let l = Liveness::new(2);
         assert_eq!(l.health_of(3), NodeHealth::Alive);
         assert!(!l.record_miss(3));
         assert_eq!(l.health_of(3), NodeHealth::Suspect(1));
@@ -121,7 +117,7 @@ mod tests {
 
     #[test]
     fn success_clears_strikes_but_not_death() {
-        let l = Liveness::new(2, &[]);
+        let l = Liveness::new(2);
         l.record_miss(1);
         l.record_miss(2);
         l.record_miss(2);
@@ -132,7 +128,8 @@ mod tests {
 
     #[test]
     fn explicit_death_and_seeding() {
-        let l = Liveness::new(3, &[7]);
+        let l = Liveness::new(3);
+        assert!(l.mark_dead(7), "newly dead");
         assert!(l.is_dead(7));
         assert!(!l.mark_dead(7), "already dead");
         assert!(l.mark_dead(8), "newly dead");

@@ -183,8 +183,7 @@ pub struct ManagerReport {
     /// Bytes moved per directed link by this run, so topology experiments
     /// can tell cross-rack traffic from in-rack traffic.
     pub link_bytes: HashMap<(NodeId, NodeId), u64>,
-    /// Elapsed wall time of the run (first enqueue to last completion for
-    /// batches; start to shutdown for the daemon).
+    /// Elapsed wall time of the run: the daemon's start to its shutdown.
     pub wall_time: Duration,
     /// Per-node load histogram: how many repairs each node served a role in
     /// (helper or requestor).

@@ -31,16 +31,18 @@
 //!   in-flight roles, queue latencies per priority class, per-repair
 //!   outcomes, scrub-cycle summaries, wall time and network bytes.
 //!
-//! One engine serves two entry points, with one failure rule: a repair that
-//! fails after its re-plans is recorded in the report's
-//! [`failures`](ManagerReport::failures) and the rest of the work goes on.
-//! [`run_batch`] executes a fixed set of requests to completion on scoped
-//! worker threads — with [`ManagerConfig::sequential`] it is the
-//! one-repair-at-a-time baseline the concurrent configurations are measured
-//! against. [`RepairManager`] is the long-running daemon: it owns the
-//! coordinator, cluster and transport, accepts work while running, and
-//! reports on shutdown. Every plan, relocation and node-failure scan reads
-//! the cluster's [`MetaRouter`].
+//! [`RepairManager`] is the one way to run repairs: a long-running daemon
+//! that owns the coordinator, cluster and transport, accepts work while
+//! running, and reports on shutdown. A repair that fails after its re-plans
+//! is recorded in the report's [`failures`](ManagerReport::failures) and the
+//! rest of the work goes on. Full-node recovery is
+//! [`report_node_failure`](RepairManager::report_node_failure), and one
+//! worker ([`ManagerConfig::with_workers`]) is the one-repair-at-a-time
+//! baseline the concurrent configurations are measured against. Every plan,
+//! relocation and node-failure scan reads the cluster's
+//! [`MetaRouter`](ecpipe_meta::MetaRouter), and a repaired block takes over
+//! its placement there whenever some live node holds no other block of the
+//! stripe.
 
 mod liveness;
 mod metrics;
@@ -60,13 +62,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use ecpipe_meta::MetaRouter;
 use repair::Scheme;
 use simnet::NodeId;
 
 use crate::cluster::Cluster;
 use crate::transport::{LinkSnapshot, Transport};
-use crate::{Coordinator, EcPipeError, Result};
+use crate::{Coordinator, Result};
 
 use workers::{worker_loop, EngineState};
 
@@ -112,8 +113,8 @@ pub struct ManagerConfig {
     /// Worker threads executing repairs concurrently.
     pub workers: usize,
     /// Maximum simultaneous repair roles (helper or requestor) per node; the
-    /// admission gate blocks repairs that would exceed it. A cap of 1 with
-    /// one worker reproduces the sequential recovery loop.
+    /// admission gate blocks repairs that would exceed it. With one worker
+    /// the cap never binds.
     pub per_node_inflight_cap: usize,
     /// How many times one repair may be re-planned around a helper that died
     /// mid-flight before giving up.
@@ -123,24 +124,17 @@ pub struct ManagerConfig {
     pub dead_after_misses: usize,
     /// Execution strategy for every repair.
     pub strategy: Scheme,
-    /// Nodes already known to be dead when the engine starts; their blocks
-    /// are never selected as helpers.
-    pub known_dead: Vec<NodeId>,
     /// Requestor pool (round-robin) for repairs the manager enqueues on its
-    /// own when a node dies. Empty disables auto-enqueueing.
+    /// own when a node dies, and the fallback requestors of every repair.
+    /// Empty disables auto-enqueueing.
     pub auto_requestors: Vec<NodeId>,
-    /// Relocate the block to its requestor in the metadata router after a
-    /// successful repair, so later plans and reads treat the reconstructed
-    /// copy as the block. Off by default, matching the historical recovery
-    /// loop.
-    pub relocate_on_success: bool,
     /// How helpers are picked and ordered. The topology-aware policies need
     /// a topology on the cluster; without one (or with too few candidates)
     /// they degrade to [`PathPolicy::Lru`].
     pub path_policy: PathPolicy,
     /// Runs every repair under the link watch: between steps, the walk
     /// samples the bytes each link of its plan has moved, and ends with
-    /// [`EcPipeError::LinkDegraded`] when
+    /// [`EcPipeError::LinkDegraded`](crate::EcPipeError::LinkDegraded) when
     /// a link that has streamed for 150 ms runs below half its nominal
     /// (topology) bandwidth. The repair then re-plans
     /// ([`ReplanReason::LinkDegraded`]) with the slow link's measured
@@ -157,9 +151,7 @@ impl Default for ManagerConfig {
             max_replans: 2,
             dead_after_misses: 2,
             strategy: Scheme::RepairPipelining,
-            known_dead: Vec::new(),
             auto_requestors: Vec::new(),
-            relocate_on_success: false,
             path_policy: PathPolicy::Lru,
             link_watch: false,
         }
@@ -167,18 +159,6 @@ impl Default for ManagerConfig {
 }
 
 impl ManagerConfig {
-    /// The configuration that reproduces the historical sequential recovery
-    /// loop: one worker, no admission cap, no re-plans.
-    pub fn sequential(strategy: Scheme) -> Self {
-        ManagerConfig {
-            workers: 1,
-            per_node_inflight_cap: usize::MAX,
-            max_replans: 0,
-            strategy,
-            ..ManagerConfig::default()
-        }
-    }
-
     /// Sets the worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -190,90 +170,6 @@ impl ManagerConfig {
         self.per_node_inflight_cap = cap;
         self
     }
-}
-
-/// Runs a fixed batch of repairs to completion on `config.workers` scoped
-/// worker threads and returns the combined report.
-///
-/// Duplicate requests for the same block are dropped. A repair that fails
-/// (after its re-plans) is counted in
-/// [`failed_repairs`](ManagerReport::failed_repairs) and listed in
-/// [`failures`](ManagerReport::failures), as in the daemon; the rest of the
-/// batch still runs. An error means a request could not be queued.
-pub fn run_batch<T: Transport + ?Sized>(
-    coordinator: &Coordinator,
-    cluster: &Cluster,
-    transport: &T,
-    config: &ManagerConfig,
-    requests: Vec<RepairRequest>,
-) -> Result<ManagerReport> {
-    let engine = EngineState::new(config, cluster);
-    for request in requests {
-        // The queue cannot be closed yet, so only duplicates are dropped.
-        engine.submit(request)?;
-    }
-    engine.queue.close();
-    let baseline = transport.stats().snapshot();
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..config.workers.max(1) {
-            scope.spawn(|| worker_loop(&engine, coordinator, cluster, transport, config));
-        }
-    });
-    Ok(engine.metrics.report(
-        started.elapsed(),
-        metrics::link_bytes_since(&baseline, transport.stats().snapshot()),
-    ))
-}
-
-/// Builds the background repair requests for recovering every block that
-/// `failed_node` held, spreading requestors round-robin (the §3.3 enqueue
-/// order: stripes sorted by id, one single-block repair each).
-pub fn node_recovery_requests(
-    meta: &MetaRouter,
-    failed_node: NodeId,
-    requestors: &[NodeId],
-) -> Result<Vec<RepairRequest>> {
-    if requestors.is_empty() {
-        return Err(EcPipeError::InvalidRequest {
-            reason: "at least one requestor is required".to_string(),
-        });
-    }
-    if requestors.contains(&failed_node) {
-        return Err(EcPipeError::InvalidRequest {
-            reason: "the failed node cannot be a requestor".to_string(),
-        });
-    }
-    Ok(meta
-        .stripes_on_node(failed_node)
-        .into_iter()
-        .enumerate()
-        .map(|(i, (stripe, failed))| RepairRequest {
-            stripe,
-            failed,
-            requestor: requestors[i % requestors.len()],
-            priority: RepairPriority::Background,
-        })
-        .collect())
-}
-
-/// Recovers every block of `failed_node` through the manager: plans the
-/// per-stripe requests, marks the node dead for helper selection, and runs
-/// them on the configured worker pool, with [`run_batch`]'s failure rule.
-pub fn recover_node<T: Transport + ?Sized>(
-    coordinator: &Coordinator,
-    cluster: &Cluster,
-    transport: &T,
-    failed_node: NodeId,
-    requestors: &[NodeId],
-    config: &ManagerConfig,
-) -> Result<ManagerReport> {
-    let requests = node_recovery_requests(cluster.meta(), failed_node, requestors)?;
-    let mut config = config.clone();
-    if !config.known_dead.contains(&failed_node) {
-        config.known_dead.push(failed_node);
-    }
-    run_batch(coordinator, cluster, transport, &config, requests)
 }
 
 struct DaemonShared<T> {
@@ -522,21 +418,33 @@ mod tests {
         (cluster, coordinator, all)
     }
 
-    /// Full-node recovery under the one-worker sequential baseline and the
-    /// concurrent pool: same blocks, same accounting, different overlap.
+    /// Full-node recovery under the one-worker baseline and the concurrent
+    /// pool: same blocks, same accounting, different overlap.
     #[test]
     fn batch_recovers_a_node_sequentially_and_concurrently() {
         let concurrent = ManagerConfig::default()
             .with_workers(4)
             .with_inflight_cap(3);
-        let sequential = ManagerConfig::sequential(Scheme::RepairPipelining);
+        let sequential = ManagerConfig::default().with_workers(1);
         for (config, max_inflight) in [(sequential, 1), (concurrent, 3)] {
             let (cluster, coordinator, _) = setup(12, 10);
             let lost = cluster.kill_node(3);
             assert!(!lost.is_empty());
-            let transport = ChannelTransport::new();
-            let report =
-                recover_node(&coordinator, &cluster, &transport, 3, &[8, 9], &config).unwrap();
+            let config = ManagerConfig {
+                auto_requestors: vec![8, 9],
+                ..config
+            };
+            let manager =
+                RepairManager::start(coordinator, cluster, ChannelTransport::new(), config);
+            assert_eq!(manager.report_node_failure(3), lost.len());
+            manager.wait_idle();
+            for &block in &lost {
+                let found = [8usize, 9]
+                    .iter()
+                    .any(|&r| manager.cluster().store(r).contains(block));
+                assert!(found, "block {block} missing");
+            }
+            let report = manager.shutdown();
             assert_eq!(report.blocks_repaired, lost.len());
             assert_eq!(report.bytes_repaired, lost.len() * 2048);
             assert!(report.max_inflight() <= max_inflight);
@@ -550,52 +458,46 @@ mod tests {
                 .outcomes
                 .iter()
                 .all(|o| o.duration <= report.wall_time));
-            for block in lost {
-                let found = [8usize, 9]
-                    .iter()
-                    .any(|&r| cluster.store(r).contains(block));
-                assert!(found, "block {block} missing");
-            }
         }
     }
 
-    /// A degraded read re-plans around a helper that lost its block (§3.2
-    /// straggler handling) and is reported failed once fewer than `k` blocks
-    /// survive.
+    /// A degraded read re-plans around a straggler helper that lost its
+    /// block (§3.2 straggler handling) and is reported failed once fewer than
+    /// `k` blocks survive.
     #[test]
     fn degraded_read_replans_around_a_straggler() {
-        let (cluster, coordinator, data) = setup(1, 10);
-        let read_block_0 = || {
-            let request = RepairRequest {
-                stripe: StripeId(0),
-                failed: 0,
-                requestor: 9,
-                priority: RepairPriority::DegradedRead,
-            };
-            let (transport, config) = (ChannelTransport::new(), ManagerConfig::default());
-            run_batch(&coordinator, &cluster, &transport, &config, vec![request])
+        // Erases `erased` of stripe 0 and reads block 0 onto node 9 through
+        // a fresh daemon: the rebuilt copy and the daemon's report.
+        let read_block_0 = |erased: &[usize]| {
+            let (cluster, coordinator, data) = setup(1, 10);
+            for &index in erased {
+                cluster.erase_block(StripeId(0), index);
+            }
+            let manager = RepairManager::start(
+                coordinator,
+                cluster,
+                ChannelTransport::new(),
+                ManagerConfig::default(),
+            );
+            assert!(manager.degraded_read(StripeId(0), 0, 9).unwrap());
+            manager.wait_idle();
+            let block = ecc::stripe::BlockId::new(0, 0);
+            let repaired = manager.cluster().store(9).get(block).ok();
+            (repaired, manager.shutdown(), data)
         };
         // Erase the block being read and one of the helpers the plan uses.
-        cluster.erase_block(StripeId(0), 0);
-        cluster.erase_block(StripeId(0), 1);
-        let report = read_block_0().unwrap();
+        let (repaired, report, data) = read_block_0(&[0, 1]);
         assert_eq!(report.replans_because(ReplanReason::HelperLost), 1);
-        let repaired = cluster.store(9).get(ecc::stripe::BlockId::new(0, 0));
         assert_eq!(repaired.unwrap(), bytes::Bytes::from(data[0][0].clone()));
         // Three of six blocks gone: no plan has k = 4 helpers left.
-        cluster
-            .store(9)
-            .delete(ecc::stripe::BlockId::new(0, 0))
-            .unwrap();
-        cluster.erase_block(StripeId(0), 2);
-        let report = read_block_0().unwrap();
+        let (_, report, _) = read_block_0(&[0, 1, 2]);
         assert_eq!(report.failed_repairs, 1);
         let failure = &report.failures[0];
         assert_eq!((failure.stripe, failure.failed), (StripeId(0), 0));
     }
 
     /// Duplicates are dropped, and a repair that cannot succeed is reported
-    /// without stopping the rest of the batch.
+    /// without stopping the rest of the work.
     #[test]
     fn batch_drops_duplicate_requests() {
         let (cluster, coordinator, data) = setup(2, 10);
@@ -614,34 +516,67 @@ mod tests {
             stripe: StripeId(1),
             ..request.clone()
         };
-        let transport = ChannelTransport::new();
-        let report = run_batch(
-            &coordinator,
-            &cluster,
-            &transport,
-            &ManagerConfig::default(),
-            vec![unrecoverable, request.clone(), request],
-        )
-        .unwrap();
-        assert_eq!(report.blocks_repaired, 1);
-        assert_eq!(report.failed_repairs, 1);
-        assert_eq!(report.failures[0].stripe, StripeId(1));
+        // One slow worker: the repair of stripe 0 is still queued or in
+        // flight when its duplicate arrives.
+        let manager = RepairManager::start(
+            coordinator,
+            cluster,
+            ChannelTransport::with_rate_limit(128 * 1024),
+            ManagerConfig::default().with_workers(1),
+        );
+        assert!(manager.enqueue(unrecoverable).unwrap());
+        assert!(manager.enqueue(request.clone()).unwrap());
+        assert!(!manager.enqueue(request).unwrap());
+        manager.wait_idle();
         assert_eq!(
-            cluster
+            manager
+                .cluster()
                 .store(9)
                 .get(ecc::stripe::BlockId::new(0, 0))
                 .unwrap(),
             bytes::Bytes::from(data[0][0].clone())
         );
+        let report = manager.shutdown();
+        assert_eq!(report.blocks_repaired, 1);
+        assert_eq!(report.failed_repairs, 1);
+        assert_eq!(report.failures[0].stripe, StripeId(1));
     }
 
+    /// A reported node failure queues one repair per lost block onto the
+    /// live requestor pool, round-robin in stripe order: never onto the
+    /// failed node or another dead one, and nothing at all when no pool
+    /// node is alive.
     #[test]
     fn recover_node_validates_requestors() {
-        let (cluster, coordinator, _) = setup(1, 10);
-        let transport = ChannelTransport::new();
-        let config = ManagerConfig::default();
-        assert!(recover_node(&coordinator, &cluster, &transport, 0, &[], &config).is_err());
-        assert!(recover_node(&coordinator, &cluster, &transport, 0, &[0], &config).is_err());
+        // Four stripes on nodes 0..9; nodes 10..13 hold nothing.
+        let start = |auto_requestors: Vec<NodeId>| {
+            let (cluster, coordinator, _) = setup_on(4, crate::StoreBackend::memory(14));
+            cluster.kill_node(2);
+            let config = ManagerConfig {
+                auto_requestors,
+                ..ManagerConfig::default()
+            };
+            RepairManager::start(coordinator, cluster, ChannelTransport::new(), config)
+        };
+        let no_pool = start(Vec::new());
+        assert_eq!(no_pool.report_node_failure(2), 0);
+        assert_eq!(no_pool.shutdown().blocks_repaired, 0);
+
+        let all_dead = start(vec![2, 12]);
+        assert_eq!(all_dead.report_node_failure(12), 0);
+        assert_eq!(all_dead.report_node_failure(2), 0);
+        assert_eq!(all_dead.shutdown().blocks_repaired, 0);
+
+        // Stripes 0, 1 and 2 hold a block on node 2.
+        let manager = start(vec![2, 10, 11, 12]);
+        assert_eq!(manager.report_node_failure(12), 0);
+        assert_eq!(manager.report_node_failure(2), 3);
+        manager.wait_idle();
+        let mut report = manager.shutdown();
+        assert_eq!(report.failed_repairs, 0);
+        report.outcomes.sort_by_key(|o| o.stripe.0);
+        let requestors: Vec<NodeId> = report.outcomes.iter().map(|o| o.requestor).collect();
+        assert_eq!(requestors, [10, 11, 10]);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Two FIFO classes: degraded reads (a client is blocked on the block right
 //! now) always pop before background full-node recovery work. Workers block
 //! on [`RepairQueue::pop`] until work arrives or the queue is closed and
-//! drained, so the same queue drives both the run-to-completion batch engine
-//! and the long-running daemon.
+//! drained, which is how the daemon's shutdown finishes its queued work.
 
 use std::collections::VecDeque;
 use std::time::Instant;

@@ -21,8 +21,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use bytes::Bytes;
 use ecc::stripe::BlockId;
-use ecpipe_meta::{MetaError, MetaRouter, RepairRecord};
+use ecpipe_meta::{MetaError, MetaRouter, RelocateOutcome, RepairRecord};
 use ecpipe_sync::{Condvar, Mutex, OnceFlag};
 use simnet::NodeId;
 
@@ -153,7 +154,7 @@ impl EngineState {
             telemetry: topology.map(LinkTelemetry::new),
             queue: RepairQueue::new(),
             gate: AdmissionGate::new(config.per_node_inflight_cap),
-            liveness: Liveness::new(config.dead_after_misses, &config.known_dead),
+            liveness: Liveness::new(config.dead_after_misses),
             metrics: MetricsCollector::new(),
             scheduled: Mutex::new(&lock_order::ENGINE_SCHEDULED, HashSet::new()),
             scheduled_changed: Condvar::new(),
@@ -266,8 +267,7 @@ impl EngineState {
     /// repair overwrites it and refreshes its checksums) at
     /// [`RepairPriority::Corruption`]. Returns whether the repair was newly
     /// queued — `false` when it is already queued/in flight, the requestor
-    /// is dead, or the queue has closed (a batch closes its queue before it
-    /// starts, so it accepts no side work).
+    /// is dead, or the queue has closed.
     pub(crate) fn submit_corruption(&self, block: BlockId, requestor: NodeId) -> bool {
         if self.liveness.is_dead(requestor) {
             return false;
@@ -368,6 +368,90 @@ fn failure(request: &RepairRequest, error: String, replans: usize) -> FailedRepa
     }
 }
 
+/// Whether `node` holds a block of the stripe placed at `locations` other
+/// than block `index`.
+fn holds_other(locations: &[NodeId], index: usize, node: NodeId) -> bool {
+    locations
+        .iter()
+        .enumerate()
+        .any(|(i, &n)| i != index && n == node)
+}
+
+/// Stores a repaired block on `candidates[0]`, the requestor the walk
+/// delivered to, and publishes the copy as the block's placement. Returns
+/// the node that holds the block.
+///
+/// `planned_on` is where the block lived and `planned_epoch` the stripe's
+/// epoch when the repair was planned. The completion is stale only when
+/// *this* block moved since then: another repair of the stripe relocating a different
+/// block bumps the epoch too, so a lost epoch race is retried at the new
+/// epoch. A requestor that by now holds another block of the stripe is
+/// refused by the router; the block then goes to the next live candidate
+/// holding none of the stripe, and the refused copy is deleted. With no
+/// such candidate (a cluster without a spare node) the copy stays where it
+/// is, unplaced, and reads find it by scanning the stores.
+fn publish(
+    engine: &EngineState,
+    cluster: &Cluster,
+    block: BlockId,
+    planned_on: NodeId,
+    planned_epoch: u64,
+    candidates: &[NodeId],
+    bytes: Bytes,
+) -> Result<NodeId> {
+    let mut node = candidates[0];
+    let mut tried = vec![node];
+    cluster.store(node).put(block, bytes.clone())?;
+    loop {
+        let record = engine
+            .meta
+            .stripe(block.stripe)
+            .ok_or(EcPipeError::UnknownStripe {
+                stripe: block.stripe.0,
+            })?;
+        let holder = record.node_of(block.index);
+        if holder != planned_on {
+            // The block itself moved while this repair ran: the copy just
+            // stored is redundant, unless the move put the block on this
+            // very node.
+            if holder != node {
+                let _ = cluster.store(node).delete(block);
+            }
+            return Err(MetaError::StaleEpoch {
+                stripe: block.stripe.0,
+                index: block.index,
+                expected: planned_epoch,
+                actual: record.epoch,
+            }
+            .into());
+        }
+        match engine
+            .meta
+            .relocate(block.stripe, block.index, node, Some(record.epoch))
+        {
+            Ok(RelocateOutcome::Moved { .. }) => return Ok(node),
+            // Another block of the stripe moved between the read and the
+            // relocation: check this block again at the new epoch.
+            Err(MetaError::StaleEpoch { .. }) => continue,
+            Err(error) => return Err(error.into()),
+            Ok(RelocateOutcome::Refused) => {
+                let next = candidates.iter().copied().find(|&c| {
+                    !tried.contains(&c)
+                        && !engine.liveness.is_dead(c)
+                        && !holds_other(&record.locations, block.index, c)
+                });
+                let Some(next) = next else {
+                    return Ok(node);
+                };
+                cluster.store(next).put(block, bytes.clone())?;
+                let _ = cluster.store(node).delete(block);
+                tried.push(next);
+                node = next;
+            }
+        }
+    }
+}
+
 /// Executes one request end to end, re-planning around helpers that die
 /// mid-flight (up to `config.max_replans` times). A stored block comes back
 /// as its [`RepairOutcome`] (the collector stamps `finished_seq`), the bytes
@@ -389,30 +473,19 @@ fn run_one<T: Transport + ?Sized>(
     // Requestor candidates: the requested node first, then the
     // auto-recovery pool as fallbacks. A requestor that already holds
     // blocks of the stripe (e.g. after earlier relocations) can shrink the
-    // candidate helper set below `k`; falling back to another requestor
-    // keeps the block repairable. The sequential wrapper configures no
-    // fallbacks, preserving the historical behavior exactly.
+    // candidate helper set below `k`, and the router refuses to place a
+    // second block of the stripe on it, which would leave the copy
+    // unplaceable and force a second repair on the next read. So nodes
+    // holding no *other* block of the stripe come first; the stable sort
+    // keeps the requested node first among equally suitable candidates.
     let mut requestors: Vec<NodeId> = vec![request.requestor];
     for &candidate in &engine.auto_requestors {
         if !requestors.contains(&candidate) {
             requestors.push(candidate);
         }
     }
-    if config.relocate_on_success {
-        // When the repaired copy must take over the block's placement,
-        // prefer requestors holding no *other* block of the stripe: the
-        // router refuses relocations that would co-locate two blocks,
-        // which would leave the copy unplaceable and force a second repair
-        // on the next read. Stable sort keeps the requested node first
-        // among equally suitable candidates.
-        let holders = cluster.placement(request.stripe).unwrap_or_default();
-        requestors.sort_by_key(|r| {
-            holders
-                .iter()
-                .enumerate()
-                .any(|(i, &n)| i != request.failed && n == *r)
-        });
-    }
+    let holders = cluster.placement(request.stripe).unwrap_or_default();
+    requestors.sort_by_key(|&r| holds_other(&holders, request.failed, r));
     let mut requestor_idx = 0usize;
     let mut excluded: Vec<usize> = Vec::new();
     let mut replans = 0usize;
@@ -448,16 +521,17 @@ fn run_one<T: Transport + ?Sized>(
             .and_then(|record| {
                 let is_dead = |node| engine.liveness.is_dead(node);
                 let paths = engine.telemetry.as_ref().map(|t| (config.path_policy, t));
-                coord.plan_repair(
+                let planned = coord.plan_repair(
                     &record,
                     request.failed,
                     requestor,
                     &excluded,
                     &is_dead,
                     paths,
-                )
+                )?;
+                Ok((planned, record.node_of(request.failed)))
             });
-        let planned = match planned {
+        let (planned, planned_on) = match planned {
             Ok(p) => p,
             Err(error @ EcPipeError::Planning(_)) => {
                 if requestor_idx + 1 < requestors.len() {
@@ -496,48 +570,15 @@ fn run_one<T: Transport + ?Sized>(
         match outcome {
             Ok(block) => {
                 let bytes = block.len();
-                if let Err(error) = cluster.store(requestor).put(
-                    BlockId {
-                        stripe: request.stripe,
-                        index: request.failed,
-                    },
-                    block,
-                ) {
-                    return Err(fail(error, replans));
-                }
+                let id = BlockId {
+                    stripe: request.stripe,
+                    index: request.failed,
+                };
+                let candidates = &requestors[requestor_idx..];
+                let epoch = directive.epoch;
+                let requestor = publish(engine, cluster, id, planned_on, epoch, candidates, block)
+                    .map_err(|error| fail(error, replans))?;
                 engine.liveness.record_success(&directive.helper_nodes());
-                if config.relocate_on_success {
-                    // Publish the repaired copy as the block's placement.
-                    // The router refuses a move that would put two blocks
-                    // of a stripe on one node (the stray copy stays
-                    // readable from the requestor's store), and pins the
-                    // completion to the epoch the directive was planned
-                    // at: if the placement moved while this repair was in
-                    // flight, the relocation is rejected as stale instead
-                    // of double-healing the block.
-                    let moved = engine.meta.relocate(
-                        request.stripe,
-                        request.failed,
-                        requestor,
-                        Some(directive.epoch),
-                    );
-                    if let Err(error) = moved {
-                        if matches!(error, MetaError::StaleEpoch { .. }) {
-                            // Another repair (or an operator move) won the
-                            // race. The copy just stored is redundant —
-                            // drop it, unless the winning placement put the
-                            // block on this very node.
-                            let holder = cluster.node_of(request.stripe, request.failed);
-                            if !matches!(holder, Ok(h) if h == requestor) {
-                                let _ = cluster.store(requestor).delete(BlockId {
-                                    stripe: request.stripe,
-                                    index: request.failed,
-                                });
-                            }
-                        }
-                        return Err(fail(error.into(), replans));
-                    }
-                }
                 let outcome = RepairOutcome {
                     stripe: request.stripe,
                     failed: request.failed,

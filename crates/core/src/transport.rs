@@ -11,8 +11,8 @@
 //!   per-link token-bucket throttle
 //!   ([`ChannelTransport::with_rate_limit`]) simulates bandwidth-limited
 //!   links in process, which is what makes concurrent recovery through the
-//!   [`manager`](crate::manager) measurably faster than the sequential
-//!   loop even on a single-core host;
+//!   [`manager`](crate::manager) measurably faster than one worker even
+//!   on a single-core host;
 //! * [`TcpTransport`] — real localhost TCP sockets with a length-prefixed
 //!   wire format, pooled connections (a link owns one and its receiver
 //!   reads it directly — no transport threads) and the same optional
@@ -665,9 +665,9 @@ impl ChannelTransport {
 
     /// Creates a transport where every link is throttled to `bytes_per_sec`
     /// by a token bucket, simulating bandwidth-limited links without
-    /// sockets. Useful for measuring scheduling effects (e.g. concurrent
-    /// versus sequential full-node recovery) where the repair is
-    /// network-bound rather than CPU-bound.
+    /// sockets. Useful for measuring scheduling effects (e.g. a full-node
+    /// recovery by 4 workers versus one) where the repair is network-bound
+    /// rather than CPU-bound.
     pub fn with_rate_limit(bytes_per_sec: u64) -> Self {
         ChannelTransport {
             stats: StatsRegistry::default(),

@@ -724,4 +724,131 @@ mod tests {
             }
         }
     }
+
+    /// A source that hands out `splits[i]` bytes at most on its `i`-th call
+    /// (cycling), as a socket delivering a stream in arbitrary pieces does.
+    struct Split<'a> {
+        data: &'a [u8],
+        splits: &'a [usize],
+        calls: usize,
+    }
+
+    impl Split<'_> {
+        fn give(&mut self, buf: &mut [u8], most: usize) -> usize {
+            let split = self.splits[self.calls % self.splits.len()];
+            self.calls += 1;
+            let n = buf.len().min(most).min(split).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            n
+        }
+    }
+
+    impl Read for Split<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            Ok(self.give(buf, usize::MAX))
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// A valid stream of frames, read through any split of the bytes
+        /// and with `fill` moving some of them in at any point, decodes to
+        /// exactly its frames and then `UnexpectedEof`. Cut at any offset,
+        /// it decodes to the frames wholly before the cut and then
+        /// `UnexpectedEof`, never to a short frame. With one header
+        /// garbled (an unknown opcode or a length above `MAX_FRAME_LEN`),
+        /// it decodes to the frames before that header and then
+        /// `InvalidData`, and no later frame surfaces. Nothing panics, and
+        /// no buffer outgrows `max(read_size, HEADER_LEN + MAX_FRAME_LEN)`.
+        #[test]
+        fn hostile_streams_yield_a_prefix_then_one_error(
+            ops in proptest::collection::vec(0usize..3, 1..13),
+            links in proptest::collection::vec(proptest::prelude::any::<u64>(), 12..13),
+            lens in proptest::collection::vec(0usize..3 * READ_BUF, 12..13),
+            splits in proptest::collection::vec(1usize..2 * READ_BUF, 1..8),
+            fills in proptest::collection::vec(proptest::prelude::any::<bool>(), 13..14),
+            capacity in 1usize..16,
+            // 0: intact, 1: cut at `at`, 2: unknown opcode, 3: oversized length.
+            fault in 0u8..4,
+            at in proptest::prelude::any::<usize>(),
+            garble in proptest::prelude::any::<u32>(),
+        ) {
+            let mut wire = Vec::new();
+            let mut frames: Vec<(usize, Seen)> = Vec::new();
+            for (i, &op) in ops.iter().enumerate() {
+                let opcode = [OP_HELLO, OP_DATA, OP_EOS][op];
+                let len = if opcode == OP_DATA { lens[i] } else { 0 };
+                let payload: Vec<u8> = (0..len).map(|b| (b * 31 + i) as u8).collect();
+                let start = wire.len();
+                wire.extend(encode_header(opcode, links[i], i as u64, 2, 3, len as u32));
+                wire.extend(&payload);
+                frames.push((start, (opcode, links[i], i as u64, 2, 3, payload)));
+            }
+            // How many frames a correct reader hands out, and how it ends.
+            let (whole, ends) = match fault {
+                0 => (frames.len(), ErrorKind::UnexpectedEof),
+                1 => {
+                    let cut = at % (wire.len() + 1);
+                    wire.truncate(cut);
+                    let ends = |&(start, ref f): &(usize, Seen)| start + HEADER_LEN + f.5.len();
+                    let whole = frames.iter().filter(|f| ends(f) <= cut).count();
+                    (whole, ErrorKind::UnexpectedEof)
+                }
+                _ => {
+                    let bad = at % frames.len();
+                    let start = frames[bad].0;
+                    if fault == 2 {
+                        // 0 or 4..=255: never HELLO, DATA or EOS.
+                        let opcode = (garble % 253) as u8;
+                        wire[start] = if opcode == 0 { 0 } else { opcode + 3 };
+                    } else {
+                        let over = MAX_FRAME_LEN as u32 + 1;
+                        let len = over + garble % (u32::MAX - over + 1);
+                        wire[start + 33..start + 37].copy_from_slice(&len.to_le_bytes());
+                    }
+                    (bad, ErrorKind::InvalidData)
+                }
+            };
+            let mut reader = FrameReader::new(BufPool::new());
+            reader.set_capacity(capacity);
+            let mut src = Split { data: &wire, splits: &splits, calls: 0 };
+            let bounded = |reader: &FrameReader| {
+                let bound = reader.read_size().max(HEADER_LEN + MAX_FRAME_LEN);
+                reader.window.len() <= bound && reader.backlog.len() <= bound
+            };
+            let mut got = Vec::new();
+            let error = loop {
+                if fills[got.len()] {
+                    // A sender drains its full socket: at most one split's
+                    // worth, then the socket would block.
+                    let mut left = splits[got.len() % splits.len()];
+                    let moved = reader.fill(|buf| {
+                        if left == 0 {
+                            return Err(ErrorKind::WouldBlock.into());
+                        }
+                        let n = src.give(buf, left);
+                        left -= n;
+                        Ok(n)
+                    });
+                    // End-of-stream inside a fill keeps what it moved.
+                    if let Err(e) = moved {
+                        proptest::prop_assert_eq!(e.kind(), ErrorKind::UnexpectedEof);
+                    }
+                    proptest::prop_assert!(bounded(&reader));
+                }
+                match reader.read_frame(&mut src) {
+                    Ok(frame) => got.push(seen(frame)),
+                    Err(e) => break e,
+                }
+                proptest::prop_assert!(bounded(&reader));
+            };
+            proptest::prop_assert_eq!(error.kind(), ends, "after {} frames", got.len());
+            proptest::prop_assert_eq!(got.len(), whole);
+            for (frame, (_, sent)) in got.iter().zip(&frames) {
+                proptest::prop_assert_eq!(frame, sent);
+            }
+        }
+    }
 }

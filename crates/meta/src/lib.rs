@@ -139,9 +139,8 @@ pub struct StripeRecord {
     /// `locations[i]` is the node storing block `i`.
     pub locations: Vec<NodeId>,
     /// Monotonic placement version: starts at 0 on registration, bumped by
-    /// every accepted relocation (and by re-registration). A repair
-    /// directive planned at epoch `e` is stale once the stripe moved past
-    /// `e`.
+    /// every accepted relocation of any of the stripe's blocks (and by
+    /// re-registration).
     pub epoch: u64,
 }
 
@@ -165,10 +164,9 @@ pub struct RepairRecord {
     /// Opaque priority tag (the manager's priority class, encoded by the
     /// caller; this crate only stores it).
     pub priority: u8,
-    /// The stripe's placement epoch when the repair was enqueued. On
-    /// reopen, a record whose epoch trails the stripe's current epoch is a
-    /// stale directive: the block already moved, re-running the repair
-    /// would double-heal.
+    /// The stripe's placement epoch when the repair was enqueued. A later
+    /// epoch says that *some* block of the stripe moved since, not that
+    /// this one did.
     pub epoch: u64,
 }
 

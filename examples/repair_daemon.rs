@@ -10,17 +10,17 @@
 //! that dies *silently* (liveness strikes → declared dead → auto-enqueued
 //! recovery), and silent bit-rot (injected corruption caught by a paced
 //! scrub cycle, repaired in place, re-verified). Every read stays
-//! byte-exact throughout. The same node failure is finally replayed through
-//! the sequential recovery loop to show the concurrency win.
+//! byte-exact throughout. The same node failure is finally replayed on two
+//! fresh daemons, one worker against four, to show the concurrency win.
 //!
 //! Run with `cargo run --release --example repair_daemon`.
 
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::ReedSolomon;
-use repair_pipelining::ecpipe::manager::{recover_node, ManagerConfig};
+use repair_pipelining::ecpipe::manager::{ManagerConfig, RepairManager};
 use repair_pipelining::ecpipe::transport::ChannelTransport;
 use repair_pipelining::ecpipe::{
-    Cluster, Coordinator, EcPipeBuilder, NodeHealth, Scheme, ScrubConfig, StoreBackend,
+    Cluster, Coordinator, EcPipeBuilder, NodeHealth, ScrubConfig, StoreBackend,
 };
 use std::sync::Arc;
 
@@ -198,19 +198,19 @@ fn main() {
 
     // --- The same node failure: one worker vs the concurrent pool ---------
     // This comparison needs two identical fresh clusters, so it drops to
-    // the engine-level API the façade wraps.
-    let recover = |config: &ManagerConfig| {
+    // the daemon the façade wraps.
+    let recover = |config: ManagerConfig| {
         let (coordinator, cluster) = stripes_for_comparison();
         cluster.kill_node(failed_node);
-        let report = recover_node(
-            &coordinator,
-            &cluster,
-            &ChannelTransport::with_rate_limit(LINK_RATE),
-            failed_node,
-            &[12, 13],
-            config,
-        )
-        .expect("recovery requests are valid");
+        let config = ManagerConfig {
+            auto_requestors: vec![12, 13],
+            ..config
+        };
+        let transport = ChannelTransport::with_rate_limit(LINK_RATE);
+        let manager = RepairManager::start(coordinator, cluster, transport, config);
+        manager.report_node_failure(failed_node);
+        manager.wait_idle();
+        let report = manager.shutdown();
         assert_eq!(
             report.failed_repairs, 0,
             "recovery failed: {:?}",
@@ -218,16 +218,16 @@ fn main() {
         );
         report
     };
-    let sequential = recover(&ManagerConfig::sequential(Scheme::RepairPipelining));
+    let sequential = recover(ManagerConfig::default().with_workers(1));
     let concurrent = recover(
-        &ManagerConfig::default()
+        ManagerConfig::default()
             .with_workers(4)
             .with_inflight_cap(3),
     );
     println!(
         "\nrecovering node {failed_node} again on a fresh cluster, same throttled transport:\n\
-         \x20 manager, sequential config (1 worker): {} blocks in {:.3}s\n\
-         \x20 manager with 4 workers (cap 3):        {} blocks in {:.3}s  ({:.1}x faster)",
+         \x20 daemon with 1 worker:           {} blocks in {:.3}s\n\
+         \x20 daemon with 4 workers (cap 3):  {} blocks in {:.3}s  ({:.1}x faster)",
         sequential.blocks_repaired,
         sequential.wall_time.as_secs_f64(),
         concurrent.blocks_repaired,
@@ -237,7 +237,7 @@ fn main() {
     println!("repair_daemon finished");
 }
 
-/// A 24-stripe cluster for the sequential-vs-concurrent replay, stripes
+/// A 24-stripe cluster for the one-worker-vs-four replay, stripes
 /// confined to nodes 0..12 so nodes 12 and 13 can act as replacements.
 fn stripes_for_comparison() -> (Coordinator, Cluster) {
     let code = Arc::new(ReedSolomon::new(6, 4).expect("valid parameters"));

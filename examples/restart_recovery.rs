@@ -10,9 +10,9 @@
 //!    half-drained: journaled repair directives are left unresolved on disk.
 //! 2. **Incarnation 2** reopens the same store + metadata directories. The
 //!    namespace is back before any repair runs, so client reads succeed
-//!    degraded; the journaled directives re-enqueue automatically (stale
-//!    ones — already healed before the crash — are rejected by the epoch
-//!    check instead of double-healing) and the cluster finishes healing.
+//!    degraded; the journaled directives whose block is still missing
+//!    re-enqueue automatically (ones already healed before the crash are
+//!    resolved instead of double-healing) and the cluster finishes healing.
 //!
 //! `RESTART_BACKEND=file` (default) or `file-checksummed` selects the
 //! on-disk store flavor, so CI exercises both.
@@ -100,8 +100,8 @@ fn main() {
     );
     println!(
         "incarnation 2: recovered {} objects / {} stripes from the WAL; \
-         {} journaled directives re-examined (stale ones epoch-rejected, \
-         current ones re-enqueued)",
+         {} journaled directives re-examined (healed ones resolved, \
+         missing blocks re-enqueued)",
         meta.object_count(),
         meta.stripe_count(),
         pending_at_crash,

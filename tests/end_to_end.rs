@@ -7,7 +7,7 @@ use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::stripe::BlockId;
 use repair_pipelining::ecc::{ErasureCode, Lrc, ReedSolomon};
 use repair_pipelining::ecpipe::exec::{execute_multi, execute_single};
-use repair_pipelining::ecpipe::manager::{recover_node, ManagerConfig};
+use repair_pipelining::ecpipe::manager::{ManagerConfig, RepairManager};
 use repair_pipelining::ecpipe::transport::{ChannelTransport, Transport};
 use repair_pipelining::ecpipe::{Cluster, Coordinator, Scheme, StoreBackend};
 
@@ -113,22 +113,19 @@ fn full_node_recovery_end_to_end() {
     let failed_node = 3;
     let lost = cluster.kill_node(failed_node);
     assert!(!lost.is_empty());
-    let report = recover_node(
-        &coordinator,
-        &cluster,
-        &ChannelTransport::new(),
-        failed_node,
-        &[12, 13],
-        &ManagerConfig::sequential(Scheme::RepairPipelining),
-    )
-    .unwrap();
-    assert_eq!(report.blocks_repaired, lost.len());
-    assert_eq!(report.failed_repairs, 0);
+    let config = ManagerConfig {
+        auto_requestors: vec![12, 13],
+        ..ManagerConfig::default().with_workers(1)
+    };
+    let manager = RepairManager::start(coordinator, cluster, ChannelTransport::new(), config);
+    assert_eq!(manager.report_node_failure(failed_node), lost.len());
+    manager.wait_idle();
 
-    for block in lost {
+    for &block in &lost {
         let expected = &all_coded[block.stripe.0 as usize][block.index];
         let found = [12usize, 13].iter().any(|&r| {
-            cluster
+            manager
+                .cluster()
                 .store(r)
                 .get(block)
                 .map(|b| b.as_ref() == expected.as_slice())
@@ -136,6 +133,9 @@ fn full_node_recovery_end_to_end() {
         });
         assert!(found, "block {block} not correctly reconstructed");
     }
+    let report = manager.shutdown();
+    assert_eq!(report.blocks_repaired, lost.len());
+    assert_eq!(report.failed_repairs, 0);
 }
 
 /// The plan evaluated algebraically (ecc), executed by the runtime (ecpipe)

@@ -21,7 +21,7 @@ use repair_pipelining::ecc::stripe::{BlockId, StripeId};
 use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
 use repair_pipelining::ecpipe::exec::{execute_multi, execute_single};
 use repair_pipelining::ecpipe::manager::{
-    run_batch, ManagerConfig, NodeHealth, RepairManager, RepairPriority, RepairRequest, ScrubConfig,
+    ManagerConfig, NodeHealth, RepairManager, RepairPriority, RepairRequest, ScrubConfig,
 };
 use repair_pipelining::ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
 use repair_pipelining::ecpipe::{
@@ -88,7 +88,6 @@ fn case_scrub_detects_repairs_and_reverifies<T: Transport + Send + Sync + 'stati
     }
     let config = ManagerConfig {
         workers: 2,
-        relocate_on_success: true,
         ..ManagerConfig::default()
     };
     let manager = RepairManager::start(coordinator, cluster, transport, config);
@@ -163,7 +162,6 @@ fn corrupt_helper_replans_and_autoheals<T: Transport + Send + Sync + 'static>(
     cluster.corrupt_block(StripeId(0), 1, BLOCK / 2).unwrap();
     let config = ManagerConfig {
         workers: 1,
-        relocate_on_success: true,
         strategy,
         ..ManagerConfig::default()
     };
@@ -300,18 +298,39 @@ fn corruption_priority_sits_between_degraded_and_background() {
             priority: RepairPriority::Corruption,
         });
     }
-    for s in 6..8u64 {
-        cluster.erase_block(StripeId(s), 2);
-        requests.push(RepairRequest {
-            stripe: StripeId(s),
-            failed: 2,
-            requestor: 13,
-            priority: RepairPriority::DegradedRead,
-        });
+    // Stripe 6's degraded read holds one slow worker (throttled links)
+    // while the rest queue behind it.
+    cluster.erase_block(StripeId(7), 2);
+    requests.push(RepairRequest {
+        stripe: StripeId(7),
+        failed: 2,
+        requestor: 13,
+        priority: RepairPriority::DegradedRead,
+    });
+    cluster.erase_block(StripeId(6), 2);
+    let manager = RepairManager::start(
+        coordinator,
+        cluster,
+        ChannelTransport::with_rate_limit(1024 * 1024),
+        ManagerConfig::default().with_workers(1),
+    );
+    assert!(manager.degraded_read(StripeId(6), 2, 13).unwrap());
+    while manager.queued() > 0 {
+        std::thread::sleep(Duration::from_millis(1));
     }
-    let transport = ChannelTransport::new();
-    let config = ManagerConfig::default().with_workers(1);
-    let report = run_batch(&coordinator, &cluster, &transport, &config, requests).unwrap();
+    for request in requests {
+        assert!(manager.enqueue(request).unwrap());
+    }
+    manager.wait_idle();
+    // The corrupt copies were overwritten in place with the true bytes.
+    for s in 4..6u64 {
+        assert!(manager.cluster().verify_block(StripeId(s), 1).is_ok());
+        assert_eq!(
+            manager.cluster().read_block(StripeId(s), 1).unwrap(),
+            expected_block(&originals, BlockId::new(s, 1)),
+        );
+    }
+    let report = manager.shutdown();
     assert_eq!(report.blocks_repaired, 8);
     let seq_of = |p: RepairPriority| {
         report
@@ -332,14 +351,6 @@ fn corruption_priority_sits_between_degraded_and_background() {
         corruption.iter().max() < background.iter().min(),
         "corruption {corruption:?} must finish before background {background:?}"
     );
-    // The corrupt copies were overwritten in place with the true bytes.
-    for s in 4..6u64 {
-        assert!(cluster.verify_block(StripeId(s), 1).is_ok());
-        assert_eq!(
-            cluster.read_block(StripeId(s), 1).unwrap(),
-            expected_block(&originals, BlockId::new(s, 1)),
-        );
-    }
     assert_eq!(report.corruption_wait.count, 2);
 }
 

@@ -5,9 +5,9 @@
 //! [`TcpTransport`]: a full-node recovery executed by many workers at once must reconstruct
 //! every block byte-exact, never exceed the per-node in-flight cap, and
 //! (on rate-limited links, where repair is network-bound like the paper's
-//! testbed) finish measurably faster than the one-worker
-//! `ManagerConfig::sequential` baseline. Channel-only cases pin the scheduling
-//! semantics: a cap of 1 reproduces the sequential results byte-for-byte,
+//! testbed) finish measurably faster than a one-worker daemon. Channel-only
+//! cases pin the scheduling semantics: a cap of 1 reproduces the one-worker
+//! results byte-for-byte,
 //! degraded reads finish before queued background work, helpers that die
 //! mid-flight are re-planned around, and a silently dead node is detected
 //! and auto-recovered by the daemon.
@@ -18,11 +18,10 @@ use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::stripe::{BlockId, StripeId};
 use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
 use repair_pipelining::ecpipe::manager::{
-    recover_node, run_batch, ManagerConfig, NodeHealth, RepairManager, RepairPriority,
-    RepairRequest,
+    ManagerConfig, NodeHealth, RepairManager, RepairPriority, RepairRequest,
 };
 use repair_pipelining::ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
-use repair_pipelining::ecpipe::{Cluster, Coordinator, Scheme, StoreBackend};
+use repair_pipelining::ecpipe::{Cluster, Coordinator, EcPipeBuilder, StoreBackend};
 
 const BLOCK: usize = 64 * 1024;
 const SLICE: usize = 8 * 1024;
@@ -71,24 +70,42 @@ fn expected_block(originals: &[Vec<Vec<u8>>], block: BlockId) -> Vec<u8> {
     }
 }
 
+/// Recovers `FAILED_NODE` (already killed) on a fresh daemon with
+/// `REQUESTORS` as its requestor pool, and returns the daemon once idle.
+fn recover<T: Transport + Send + Sync + 'static>(
+    coordinator: Coordinator,
+    cluster: Cluster,
+    transport: T,
+    config: ManagerConfig,
+) -> RepairManager<T> {
+    let config = ManagerConfig {
+        auto_requestors: REQUESTORS.to_vec(),
+        ..config
+    };
+    let manager = RepairManager::start(coordinator, cluster, transport, config);
+    manager.report_node_failure(FAILED_NODE);
+    manager.wait_idle();
+    manager
+}
+
 /// Runs a 4-worker full-node recovery and checks byte-exact reconstruction
 /// plus the admission cap.
-fn case_concurrent_recovery_byte_exact<T: Transport>(transport: &T) {
+fn case_concurrent_recovery_byte_exact<T: Transport + Send + Sync + 'static>(transport: T) {
     let (coordinator, cluster, originals) = build_cluster();
     let lost = cluster.kill_node(FAILED_NODE);
     assert!(lost.len() >= 10);
     let config = ManagerConfig::default()
         .with_workers(4)
         .with_inflight_cap(3);
-    let report = recover_node(
-        &coordinator,
-        &cluster,
-        transport,
-        FAILED_NODE,
-        &REQUESTORS,
-        &config,
-    )
-    .unwrap();
+    let manager = recover(coordinator, cluster, transport, config);
+    for &block in &lost {
+        let expected = expected_block(&originals, block);
+        let found = REQUESTORS
+            .iter()
+            .any(|&r| matches!(manager.cluster().store(r).get(block), Ok(b) if b == expected));
+        assert!(found, "block {block} not reconstructed byte-exact");
+    }
+    let report = manager.shutdown();
     assert_eq!(report.blocks_repaired, lost.len());
     assert_eq!(report.bytes_repaired, lost.len() * BLOCK);
     assert_eq!(report.failed_repairs, 0);
@@ -98,46 +115,27 @@ fn case_concurrent_recovery_byte_exact<T: Transport>(transport: &T) {
         "admission cap exceeded: {:?}",
         report.peak_inflight
     );
-    for block in lost {
-        let expected = expected_block(&originals, block);
-        let found = REQUESTORS
-            .iter()
-            .any(|&r| matches!(cluster.store(r).get(block), Ok(b) if b == expected));
-        assert!(found, "block {block} not reconstructed byte-exact");
-    }
 }
 
 /// §3.3 at runtime: with 4 workers on rate-limited links, recovering a node
-/// holding 20+ stripes is measurably faster than the sequential loop on an
+/// holding 20+ stripes is measurably faster than one worker on an
 /// equally-throttled transport of the same backend.
-fn case_manager_beats_sequential<T: Transport>(sequential_t: &T, concurrent_t: &T) {
+fn case_manager_beats_sequential<T: Transport + Send + Sync + 'static>(
+    sequential_t: T,
+    concurrent_t: T,
+) {
     let (coordinator, cluster, _) = build_cluster();
     let lost = cluster.kill_node(FAILED_NODE);
     assert!(lost.len() >= 20 / 2); // 12 stripes on the failed node
-    let sequential = recover_node(
-        &coordinator,
-        &cluster,
-        sequential_t,
-        FAILED_NODE,
-        &REQUESTORS,
-        &ManagerConfig::sequential(Scheme::RepairPipelining),
-    )
-    .unwrap();
+    let one_worker = ManagerConfig::default().with_workers(1);
+    let sequential = recover(coordinator, cluster, sequential_t, one_worker).shutdown();
 
     let (coordinator, cluster, _) = build_cluster();
     cluster.kill_node(FAILED_NODE);
     let config = ManagerConfig::default()
         .with_workers(4)
         .with_inflight_cap(3);
-    let concurrent = recover_node(
-        &coordinator,
-        &cluster,
-        concurrent_t,
-        FAILED_NODE,
-        &REQUESTORS,
-        &config,
-    )
-    .unwrap();
+    let concurrent = recover(coordinator, cluster, concurrent_t, config).shutdown();
 
     assert_eq!(concurrent.blocks_repaired, sequential.blocks_repaired);
     assert_eq!(sequential.failed_repairs + concurrent.failed_repairs, 0);
@@ -145,7 +143,7 @@ fn case_manager_beats_sequential<T: Transport>(sequential_t: &T, concurrent_t: &
     // parameters; 20% faster is the flake-proof floor.
     assert!(
         concurrent.wall_time.as_secs_f64() < 0.8 * sequential.wall_time.as_secs_f64(),
-        "4 workers should beat the sequential loop: concurrent {:.3}s vs sequential {:.3}s",
+        "4 workers should beat one worker: concurrent {:.3}s vs sequential {:.3}s",
         concurrent.wall_time.as_secs_f64(),
         sequential.wall_time.as_secs_f64(),
     );
@@ -158,12 +156,12 @@ macro_rules! manager_suite {
 
             #[test]
             fn concurrent_recovery_byte_exact() {
-                case_concurrent_recovery_byte_exact(&$make);
+                case_concurrent_recovery_byte_exact($make);
             }
 
             #[test]
             fn manager_beats_sequential_on_throttled_links() {
-                case_manager_beats_sequential(&$make_throttled, &$make_throttled);
+                case_manager_beats_sequential($make_throttled, $make_throttled);
             }
         }
     };
@@ -181,51 +179,38 @@ manager_suite!(
 );
 
 /// A per-node in-flight cap of 1 (the most conservative admission setting)
-/// still reconstructs exactly the bytes the sequential loop produces, block
-/// for block and store for store.
+/// still reconstructs exactly the bytes one worker produces, block for
+/// block and store for store.
 #[test]
 fn cap_one_reproduces_sequential_results() {
     let (coordinator, cluster, _) = build_cluster();
     let lost = cluster.kill_node(FAILED_NODE);
-    recover_node(
-        &coordinator,
-        &cluster,
-        &ChannelTransport::new(),
-        FAILED_NODE,
-        &REQUESTORS,
-        &ManagerConfig::sequential(Scheme::RepairPipelining),
-    )
-    .unwrap();
+    let one_worker = ManagerConfig::default().with_workers(1);
+    let sequential = recover(coordinator, cluster, ChannelTransport::new(), one_worker);
 
     let (coordinator2, cluster2, _) = build_cluster();
     cluster2.kill_node(FAILED_NODE);
     let config = ManagerConfig::default()
         .with_workers(4)
         .with_inflight_cap(1);
-    let report = recover_node(
-        &coordinator2,
-        &cluster2,
-        &ChannelTransport::new(),
-        FAILED_NODE,
-        &REQUESTORS,
-        &config,
-    )
-    .unwrap();
-    assert_eq!(report.max_inflight(), 1);
+    let capped = recover(coordinator2, cluster2, ChannelTransport::new(), config);
 
     // Same blocks, same requestor stores, same bytes.
+    let (cluster, cluster2) = (sequential.cluster(), capped.cluster());
     for block in lost {
         let on = REQUESTORS
             .iter()
             .find(|&&r| cluster.store(r).contains(block))
             .copied()
-            .expect("sequential run stored the block");
+            .expect("one-worker run stored the block");
         assert_eq!(
             cluster.store(on).get(block).unwrap(),
             cluster2.store(on).get(block).unwrap(),
-            "block {block} differs between sequential and cap-1 manager runs"
+            "block {block} differs between one-worker and cap-1 runs"
         );
     }
+    let report = capped.shutdown();
+    assert_eq!(report.max_inflight(), 1);
 }
 
 /// Degraded reads must finish before background work that was queued ahead
@@ -243,18 +228,37 @@ fn degraded_reads_finish_before_queued_background_work() {
             priority: RepairPriority::Background,
         });
     }
-    for s in 6..8u64 {
-        cluster.erase_block(StripeId(s), 1);
-        requests.push(RepairRequest {
-            stripe: StripeId(s),
-            failed: 1,
-            requestor: 13,
-            priority: RepairPriority::DegradedRead,
-        });
+    cluster.erase_block(StripeId(7), 1);
+    requests.push(RepairRequest {
+        stripe: StripeId(7),
+        failed: 1,
+        requestor: 13,
+        priority: RepairPriority::DegradedRead,
+    });
+    // One slow worker on throttled links, busy with stripe 6's degraded
+    // read while the rest queue behind it.
+    cluster.erase_block(StripeId(6), 1);
+    let manager = RepairManager::start(
+        coordinator,
+        cluster,
+        ChannelTransport::with_rate_limit(LINK_RATE),
+        ManagerConfig::default().with_workers(1),
+    );
+    assert!(manager.degraded_read(StripeId(6), 1, 13).unwrap());
+    while manager.queued() > 0 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    let transport = ChannelTransport::new();
-    let config = ManagerConfig::default().with_workers(1);
-    let report = run_batch(&coordinator, &cluster, &transport, &config, requests).unwrap();
+    for request in requests {
+        assert!(manager.enqueue(request).unwrap());
+    }
+    manager.wait_idle();
+    for s in 6..8u64 {
+        assert_eq!(
+            manager.cluster().store(13).get(BlockId::new(s, 1)).unwrap(),
+            expected_block(&originals, BlockId::new(s, 1)),
+        );
+    }
+    let report = manager.shutdown();
     assert_eq!(report.blocks_repaired, 8);
     let max_degraded = report
         .outcomes
@@ -275,12 +279,6 @@ fn degraded_reads_finish_before_queued_background_work() {
         "degraded reads must finish first: degraded up to #{max_degraded}, \
          background from #{min_background}"
     );
-    for s in 6..8u64 {
-        assert_eq!(
-            cluster.store(13).get(BlockId::new(s, 1)).unwrap(),
-            expected_block(&originals, BlockId::new(s, 1)),
-        );
-    }
 }
 
 /// In the daemon, a degraded read enqueued behind a long background backlog
@@ -331,28 +329,22 @@ fn replans_around_a_lost_helper() {
     // The first LRU plan for stripe 0 picks the lowest-index helpers
     // {1, 2, 3, 4}; erasing block 1 forces a mid-flight re-plan.
     cluster.erase_block(StripeId(0), 1);
-    let transport = ChannelTransport::new();
-    let config = ManagerConfig::default().with_workers(1);
-    let report = run_batch(
-        &coordinator,
-        &cluster,
-        &transport,
-        &config,
-        vec![RepairRequest {
-            stripe: StripeId(0),
-            failed: 0,
-            requestor: 13,
-            priority: RepairPriority::DegradedRead,
-        }],
-    )
-    .unwrap();
+    let manager = RepairManager::start(
+        coordinator,
+        cluster,
+        ChannelTransport::new(),
+        ManagerConfig::default().with_workers(1),
+    );
+    assert!(manager.degraded_read(StripeId(0), 0, 13).unwrap());
+    manager.wait_idle();
+    assert_eq!(
+        manager.cluster().store(13).get(BlockId::new(0, 0)).unwrap(),
+        expected_block(&originals, BlockId::new(0, 0)),
+    );
+    let report = manager.shutdown();
     assert_eq!(report.blocks_repaired, 1);
     assert_eq!(report.replans, 1);
     assert_eq!(report.outcomes[0].replans, 1);
-    assert_eq!(
-        cluster.store(13).get(BlockId::new(0, 0)).unwrap(),
-        expected_block(&originals, BlockId::new(0, 0)),
-    );
 }
 
 /// A node that dies without being reported is detected through its failed
@@ -363,15 +355,14 @@ fn daemon_detects_and_recovers_a_silently_dead_node() {
     let silent = 3usize;
     let lost = cluster.kill_node(silent);
     assert!(!lost.is_empty());
-    // One worker keeps the scenario deterministic; `relocate_on_success`
-    // matters here: once the degraded read rebuilds s1b0 onto a requestor,
-    // later repairs of stripe 1 must find the relocated copy instead of
-    // striking healthy node 1 for a block that legitimately moved.
+    // One worker keeps the scenario deterministic. Relocation matters here:
+    // once the degraded read rebuilds s1b0 onto a requestor, later repairs
+    // of stripe 1 must find the relocated copy instead of striking healthy
+    // node 1 for a block that legitimately moved.
     let config = ManagerConfig {
         workers: 1,
         dead_after_misses: 1,
         auto_requestors: vec![12, 13],
-        relocate_on_success: true,
         ..ManagerConfig::default()
     };
     let manager = RepairManager::start(coordinator, cluster, ChannelTransport::new(), config);
@@ -397,4 +388,101 @@ fn daemon_detects_and_recovers_a_silently_dead_node() {
     assert_eq!(report.failed_repairs, 0);
     assert_eq!(report.blocks_repaired, 1 + lost.len());
     assert!(report.replans >= 1, "the tripping repair was re-planned");
+}
+
+/// Two repairs of one stripe that run at once both land: relocating one
+/// block bumps the stripe's epoch, and that must not make the other
+/// completion stale. Nodes 2 and 3 die together, so every stripe placed
+/// across both loses two blocks; their two repairs are promoted to the head
+/// of the queue side by side, where the 4 workers run them concurrently.
+/// `pool` decides the two requestors of such a stripe, and `same_requestor`
+/// says whether they coincide.
+fn case_overlapping_repairs_of_one_stripe(pool: Vec<usize>, same_requestor: bool) {
+    let pipe = EcPipeBuilder::new()
+        .code(6, 4)
+        .block_size(BLOCK)
+        .slice_size(SLICE)
+        .store(StoreBackend::memory(NODES))
+        .rate_limit(LINK_RATE)
+        // Only the two reports below declare nodes dead, never a repair's
+        // strikes, so they alone draw from the round-robin pool.
+        .manager(ManagerConfig {
+            auto_requestors: pool.clone(),
+            dead_after_misses: usize::MAX,
+            ..ManagerConfig::default().with_workers(4)
+        })
+        .build()
+        .unwrap();
+    // Six objects of four stripes each: 24 stripes over the 14 nodes.
+    let objects: Vec<Vec<u8>> = (0..6u64)
+        .map(|o| {
+            (0..16 * BLOCK as u64)
+                .map(|b| ((b * 31 + o * 17 + 7) % 251) as u8)
+                .collect()
+        })
+        .collect();
+    for (i, data) in objects.iter().enumerate() {
+        pipe.put(&format!("/overlap/{i}"), data).unwrap();
+    }
+    let mut doubly_hit = Vec::new();
+    pipe.meta().for_each_stripe(|s| {
+        let on = |node| s.locations.iter().position(|&n| n == node);
+        if let (Some(a), Some(b)) = (on(2), on(3)) {
+            doubly_hit.push((s.id, a, b));
+        }
+    });
+    doubly_hit.sort();
+    assert!(doubly_hit.len() >= 5, "{doubly_hit:?}");
+    for node in [2, 3] {
+        pipe.kill_node(node);
+    }
+    assert!(pipe.report_node_failure(2) + pipe.report_node_failure(3) > 0);
+    // Every repair is still journaled: none finishes within microseconds on
+    // these throttled links.
+    let pending = pipe.meta().pending_repairs();
+    let requestor = |stripe, index| {
+        let record = pending
+            .iter()
+            .find(|r| r.stripe == stripe && r.index == index);
+        record.expect("journaled repair").requestor
+    };
+    for &(stripe, a, b) in &doubly_hit {
+        let same = requestor(stripe, a) == requestor(stripe, b);
+        assert_eq!(same, same_requestor, "stripe {}", stripe.0);
+    }
+    for &(stripe, a, b) in &doubly_hit {
+        for index in [a, b] {
+            let _ = pipe.manager().degraded_read(stripe, index, pool[0]);
+        }
+    }
+    pipe.wait_idle();
+
+    // Every lost block is back where the router places it: re-reading
+    // every object moves no repair traffic.
+    let repaired = pipe.transport().total_bytes();
+    for (i, data) in objects.iter().enumerate() {
+        assert_eq!(pipe.get(&format!("/overlap/{i}")).unwrap(), *data);
+    }
+    assert_eq!(
+        pipe.transport().total_bytes(),
+        repaired,
+        "a re-read repaired a block the recovery left behind"
+    );
+    let report = pipe.shutdown();
+    assert_eq!(report.failed_repairs, 0, "{:?}", report.failures);
+}
+
+/// Round-robin over `[8, 9]` gives the two lost blocks of each doubly-hit
+/// stripe different requestors.
+#[test]
+fn overlapping_repairs_of_one_stripe_land_with_different_requestors() {
+    case_overlapping_repairs_of_one_stripe(vec![8, 9], false);
+}
+
+/// Round-robin over `[8, 9, 10]` gives both lost blocks of each doubly-hit
+/// stripe the same requestor: the second relocation is refused, and the
+/// block moves on to another pool node holding none of the stripe.
+#[test]
+fn overlapping_repairs_of_one_stripe_land_with_the_same_requestor() {
+    case_overlapping_repairs_of_one_stripe(vec![8, 9, 10], true);
 }

@@ -3,13 +3,16 @@
 //! A durable [`EcPipe`] is killed (`simulate_crash`, the in-process stand-in
 //! for `kill -9`) with one repair in flight and one still queued. A rebuilt
 //! handle over the same directories must recover every object, placement and
-//! epoch byte-exactly, re-drive the queued repair, and reject the stale
-//! directive left behind by the repair that completed-but-never-resolved —
-//! the epoch check is what stands between a crash and double-healing.
+//! epoch byte-exactly, re-drive the queued repair, and resolve the stale
+//! directive left behind by the repair that completed-but-never-resolved.
+//! A directive is re-driven exactly when its block is still missing where
+//! the router places it: that check is what stands between a crash and
+//! double-healing, and what keeps a repair whose stripe moved under it.
 
 use std::path::{Path, PathBuf};
 
-use repair_pipelining::ecc::stripe::StripeId;
+use repair_pipelining::ecc::stripe::{BlockId, StripeId};
+use repair_pipelining::ecpipe::transport::Transport;
 use repair_pipelining::ecpipe::{
     EcPipeBuilder, EcPipeError, MetaBackend, MetaConfig, MetaRouter, ObjectRecord, RepairPriority,
     RepairRecord, RepairRequest, StoreBackend, StripeRecord,
@@ -146,9 +149,9 @@ fn kill_and_restart_recovers_namespace_and_rejects_stale_directives() {
     let pipe = builder(&root).build().unwrap();
     let meta = pipe.meta();
 
-    // The stale directive (s0: planned at the pre-relocation epoch) was
-    // rejected by the epoch check and resolved, not double-healed: the
-    // placement and epoch are exactly what the crash left behind.
+    // The stale directive (s0: its block is intact at r0 already) was
+    // resolved, not double-healed: the placement and epoch are exactly what
+    // the crash left behind.
     assert_eq!(meta.epoch_of(s0.id).unwrap(), s0.epoch + 1);
     assert_eq!(meta.stripe(s0.id).unwrap().node_of(0), r0);
     assert!(
@@ -171,6 +174,77 @@ fn kill_and_restart_recovers_namespace_and_rejects_stale_directives() {
     let report = pipe.shutdown();
     assert_eq!(report.failed_repairs, 0);
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A crash leaves two journaled repairs of one stripe: block 0's completed
+/// (stored and relocated, never resolved) and block 1's never ran. Block 0's
+/// relocation moved the stripe's epoch past the one block 1's directive was
+/// journaled at, but block 1 is still missing where the router places it:
+/// a reopen must re-drive that repair, and resolve block 0's.
+#[test]
+fn reopen_redrives_a_repair_whose_stripe_moved() {
+    let root = fresh_dir("two-blocks");
+    let data: Vec<u8> = (0..100_000).map(|i| (i % 241) as u8).collect();
+
+    // --- Run 1: two repairs of one stripe, the crash lands between them. -
+    let pipe = builder(&root).rate_limit(96 * 1024).build().unwrap();
+    pipe.put("/two/blocks", &data).unwrap();
+    let meta = pipe.meta();
+    let id = pipe.object_meta("/two/blocks").unwrap().stripes[0];
+    let stripe = meta.stripe(id).unwrap();
+    let spares: Vec<usize> = (0..NODES)
+        .filter(|n| !stripe.locations.contains(n))
+        .collect();
+    assert!(pipe.erase_block(id, 0));
+    assert!(pipe.erase_block(id, 1));
+    let repair = |failed: usize, requestor: usize| RepairRequest {
+        stripe: id,
+        failed,
+        requestor,
+        priority: RepairPriority::Background,
+    };
+    // Block 0's repair goes in flight on the single worker...
+    pipe.manager().enqueue(repair(0, spares[0])).unwrap();
+    let popped = std::time::Instant::now();
+    while pipe.manager().queued() > 0 {
+        assert!(
+            popped.elapsed().as_secs() < 10,
+            "repair never went in flight"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    // ...and block 1's queues behind it, journaled at the same epoch.
+    pipe.manager().enqueue(repair(1, spares[1])).unwrap();
+    pipe.simulate_crash();
+    assert_eq!(meta.stripe(id).unwrap().node_of(0), spares[0]);
+    assert_eq!(meta.epoch_of(id).unwrap(), stripe.epoch + 1);
+    assert_eq!(meta.pending_repairs().len(), 2, "both directives journaled");
+    drop(meta);
+
+    // --- Run 2: reopen; block 1 is rebuilt, nothing is rebuilt twice. -----
+    let pipe = builder(&root).build().unwrap();
+    pipe.manager().wait_idle();
+    let meta = pipe.meta();
+    for index in [0, 1] {
+        let node = meta.node_of(id, index).unwrap();
+        let block = BlockId::new(id.0, index);
+        assert!(
+            pipe.cluster().store(node).contains(block),
+            "block {index} missing on node {node} after reopen"
+        );
+    }
+    assert!(meta.pending_repairs().is_empty());
+    drop(meta);
+    let repaired = pipe.transport().total_bytes();
+    assert_eq!(pipe.get("/two/blocks").unwrap(), data);
+    assert_eq!(
+        pipe.transport().total_bytes(),
+        repaired,
+        "a read after reopen repaired a block"
+    );
+    let report = pipe.shutdown();
+    assert_eq!((report.blocks_repaired, report.failed_repairs), (1, 0));
     let _ = std::fs::remove_dir_all(&root);
 }
 
