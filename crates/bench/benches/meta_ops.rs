@@ -1,28 +1,24 @@
-//! Criterion bench for the sharded metadata plane: per-op latency of the
-//! hot `MetaRouter` operations as the namespace grows 10k → 100k → 1M
-//! objects.
+//! Criterion bench for the metadata plane: per-op latency of the hot
+//! `MetaRouter` operations as the namespace grows 10k → 100k → 1M objects.
 //!
-//! The point being pinned: with the namespace consistent-hashed over 8
-//! shards (each a hash map behind its own rank-ordered lock), register and
-//! lookup latency is *flat* in the namespace size — the 1M-object medians
-//! must stay within the regression gate's tolerance of the 10k ones, not
-//! grow with it. `stripes_on_node` additionally pins the iteration APIs
-//! that replaced the clone-the-world coordinator accessors: one pass over
-//! the shards with a caller-owned accumulator, no per-stripe allocation
-//! beyond the matches themselves.
+//! The point being pinned: with the namespace in hash maps behind the
+//! router's one lock, register and lookup latency is *flat* in the
+//! namespace size — the 1M-object medians must stay within the regression
+//! gate's tolerance of the 10k ones, not grow with it. `stripes_on_node`
+//! additionally pins the iteration APIs that replaced the clone-the-world
+//! coordinator accessors: one pass over the stripe map, no per-stripe
+//! allocation beyond the matches themselves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ecpipe::{MetaConfig, MetaRouter, ObjectRecord};
 
 const NODES: usize = 12;
 const N: usize = 4;
-const SHARDS: usize = 8;
 const SIZES: [usize; 3] = [10_000, 100_000, 1_000_000];
 
 /// A router prepopulated with `size` objects, one (4-location) stripe each.
 fn populated(size: usize) -> MetaRouter {
-    let meta = MetaRouter::open(MetaConfig::ephemeral().with_shards(SHARDS))
-        .expect("ephemeral router opens");
+    let meta = MetaRouter::open(MetaConfig::ephemeral()).expect("ephemeral router opens");
     for i in 0..size {
         let id = meta.allocate_stripe_id();
         let locations: Vec<usize> = (0..N).map(|b| (i + b) % NODES).collect();
@@ -53,7 +49,7 @@ fn bench_meta_ops(c: &mut Criterion) {
         // of `size`, then remove it so the size under test stays constant.
         // The insertion keys cycle through a fixed 256-slot window for the
         // same reason the lookup keys below do: the flatness claim is about
-        // the structural cost of an insert (route, probe, WAL-less upsert)
+        // the structural cost of an insert (lock, probe, WAL-less upsert)
         // staying O(1) in the namespace size, not about how much of a
         // million-entry table a CPU can keep warm.
         let ids: Vec<_> = (0..256).map(|_| meta.allocate_stripe_id()).collect();
@@ -79,10 +75,9 @@ fn bench_meta_ops(c: &mut Criterion) {
 
         // Point lookup of an existing object. The keys cycle through a
         // fixed 256-name window whose members are strided across the whole
-        // namespace (so every shard is hit), keeping the touched entries
-        // cache-resident at every size: the datapoint then isolates the
-        // *structural* per-op cost — hash, ring route, probe, record clone
-        // — which is what must stay flat as the namespace grows, from the
+        // namespace, keeping the touched entries cache-resident at every
+        // size: the datapoint then isolates the *structural* per-op cost —
+        // lock, hash, probe, record clone — which is what must stay flat as the namespace grows, from the
         // DRAM residency of a million-entry table, which cannot.
         let stride = size / 256;
         let mut j = 0usize;
@@ -96,9 +91,9 @@ fn bench_meta_ops(c: &mut Criterion) {
     }
 
     // The iteration path at full scale: every (stripe, block) on one node,
-    // collected in a single pass over the shards without cloning the
-    // namespace. At 1M stripes over 12 nodes this touches every shard map
-    // entry, so it is the bench most sensitive to accidental clones.
+    // collected in a single pass over the stripe map without cloning the
+    // namespace. At 1M stripes over 12 nodes this touches every entry, so
+    // it is the bench most sensitive to accidental clones.
     let meta = populated(SIZES[2]);
     group.bench_function(BenchmarkId::new("stripes_on_node", SIZES[2]), |b| {
         b.iter(|| meta.stripes_on_node(3).len());

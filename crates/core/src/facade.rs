@@ -98,7 +98,6 @@ pub struct EcPipeBuilder {
     topology: Option<Topology>,
     manager: ManagerConfig,
     meta_backend: MetaBackend,
-    meta_shards: usize,
 }
 
 impl Default for EcPipeBuilder {
@@ -114,7 +113,6 @@ impl Default for EcPipeBuilder {
             topology: None,
             manager: ManagerConfig::default(),
             meta_backend: MetaBackend::Ephemeral,
-            meta_shards: MetaConfig::DEFAULT_SHARDS,
         }
     }
 }
@@ -239,20 +237,13 @@ impl EcPipeBuilder {
 
     /// Chooses where the metadata plane keeps object/stripe/repair state.
     /// [`MetaBackend::Ephemeral`] (the default) keeps it in memory;
-    /// [`MetaBackend::Durable`] writes per-shard WALs and snapshots under a
+    /// [`MetaBackend::Durable`] writes one WAL and its snapshots under a
     /// root directory, and building over an existing directory *recovers*
     /// the namespace — placements, epochs and still-pending repair
     /// directives — before the runtime starts (pair it with a file-backed
     /// [`StoreBackend`] so the blocks survive too).
     pub fn meta(mut self, backend: MetaBackend) -> Self {
         self.meta_backend = backend;
-        self
-    }
-
-    /// Sets the metadata shard count (clamped to at least 1). Reopening a
-    /// durable directory keeps the count it was created with.
-    pub fn meta_shards(mut self, shards: usize) -> Self {
-        self.meta_shards = shards.max(1);
         self
     }
 
@@ -288,9 +279,7 @@ impl EcPipeBuilder {
                 ),
             });
         }
-        let meta = Arc::new(MetaRouter::open(
-            MetaConfig::new(self.meta_backend).with_shards(self.meta_shards),
-        )?);
+        let meta = Arc::new(MetaRouter::open(MetaConfig::new(self.meta_backend))?);
         // A recovered namespace (a fresh or ephemeral router holds nothing)
         // is validated against the configured code — a durable directory
         // from a different deployment must not silently half-work.
@@ -560,9 +549,9 @@ impl EcPipe {
     ///
     /// Every stripe is encoded and written before any of it is registered;
     /// the namespace is touched only to reserve stripe ids and to publish
-    /// the finished placements and the object record, one router shard at a
-    /// time — repairs keep planning and other clients keep reading while a
-    /// large object lands.
+    /// the finished placements and the object record, one short router
+    /// critical section per record — repairs keep planning and other
+    /// clients keep reading while a large object lands.
     ///
     /// Fails with [`EcPipeError::InvalidRequest`] if an object of this name
     /// already exists, and with the router's error if the metadata cannot
@@ -874,7 +863,7 @@ impl EcPipe {
         &self.manager
     }
 
-    /// The metadata plane underneath: the sharded, WAL-durable namespace of
+    /// The metadata plane underneath: the WAL-durable namespace of
     /// objects, stripe placements and pending repair directives — the only
     /// record of where blocks live, so a placement changed here (an
     /// operator move) is what every read, repair and fault hook sees next.

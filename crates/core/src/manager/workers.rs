@@ -175,19 +175,16 @@ impl EngineState {
             return Ok(false);
         }
         // Journal before the push (holding no locks): once the request can
-        // run, a crash must find its record. Best effort — an unknown
-        // stripe (hand-driven engines may enqueue before registering) goes
-        // unjournaled, and on a closed queue the record stays pending: the
+        // run, a crash must find its record. Best effort — the router
+        // refuses an unknown stripe (hand-driven engines may enqueue before
+        // registering), and on a closed queue the record stays pending: the
         // repair never ran, so a durable reopen re-enqueueing it is right.
-        if let Ok(epoch) = self.meta.epoch_of(request.stripe) {
-            let _ = self.meta.record_repair(RepairRecord {
-                stripe: request.stripe,
-                index: request.failed,
-                requestor: request.requestor,
-                priority: request.priority.tag(),
-                epoch,
-            });
-        }
+        let _ = self.meta.record_repair(RepairRecord {
+            stripe: request.stripe,
+            index: request.failed,
+            requestor: request.requestor,
+            priority: request.priority.tag(),
+        });
         if self.queue.push(request) {
             Ok(true)
         } else {

@@ -1,21 +1,23 @@
-//! The ECPipe metadata plane: a sharded, WAL-durable object/stripe
-//! namespace with epoch-versioned placements.
+//! The ECPipe metadata plane: a WAL-durable object/stripe namespace with
+//! epoch-versioned placements.
 //!
 //! This crate is the single owner of every object→stripe→placement fact of
 //! a deployment — the runtime's `Cluster`, repair planner and façade all
 //! resolve placements through one shared [`MetaRouter`]:
 //!
-//! * [`MetaRouter`] — a thin router over `shards` independent shards. Keys
-//!   (object names, stripe ids) are placed on a consistent-hash ring, so
-//!   every operation locks exactly one shard and per-op latency stays flat
-//!   as the namespace grows (the `meta_ops` bench registers a million
-//!   objects to pin this).
-//! * Each shard owns a **write-ahead log** plus a periodic **snapshot**
-//!   (length-prefixed, CRC-framed records — the same framing idiom the TCP
-//!   transport and the integrity layer's block trailers use), so a killed
-//!   process recovers every object, placement and in-flight repair
-//!   directive byte-exactly on reopen. A torn tail record is detected by its
-//!   CRC and dropped whole — never partially applied.
+//! * [`MetaRouter`] — one store: the object, stripe and pending-repair maps
+//!   behind one lock, as the paper's single ECPipe coordinator keeps them.
+//!   Every operation is a hash-map probe, so per-op latency stays flat as
+//!   the namespace grows (the `meta_ops` bench registers a million objects
+//!   to pin this).
+//! * A durable router owns one **write-ahead log** plus a periodic
+//!   **snapshot** (length-prefixed, CRC-framed records — the same framing
+//!   idiom the TCP transport and the integrity layer's block trailers use),
+//!   so a killed process recovers every object, placement and in-flight
+//!   repair directive byte-exactly on reopen. A torn tail record is
+//!   detected by its CRC and dropped whole — never partially applied — and
+//!   since there is one log, what survives is an exact prefix of the
+//!   committed history.
 //! * Every stripe placement carries a **monotonic epoch**: relocating a
 //!   block (which is how a repair completion publishes its result) bumps
 //!   it, and a caller may pass the epoch it planned against to have a stale
@@ -24,7 +26,7 @@
 //!
 //! Durability is opt-in per deployment: [`MetaBackend::Ephemeral`] keeps
 //! everything in memory (the historical behavior), while
-//! [`MetaBackend::Durable`] writes the WAL/snapshot files under a root
+//! [`MetaBackend::Durable`] writes `wal.log` and `snapshot.bin` under a root
 //! directory.
 
 #![forbid(unsafe_code)]
@@ -36,10 +38,9 @@ use simnet::NodeId;
 
 pub mod lock_order;
 mod router;
-mod shard;
 pub mod wal;
 
-pub use router::{shard_dir, MetaRouter, RelocateOutcome};
+pub use router::{MetaRouter, RelocateOutcome};
 
 /// Result alias for metadata operations.
 pub type Result<T> = std::result::Result<T, MetaError>;
@@ -67,11 +68,7 @@ impl MetaBackend {
 pub struct MetaConfig {
     /// Storage backend.
     pub backend: MetaBackend,
-    /// Number of shards. A durable directory remembers the shard count it
-    /// was created with (in its manifest) and reopening uses that count —
-    /// the ring must keep routing keys to the shard that logged them.
-    pub shards: usize,
-    /// A shard rewrites its snapshot and truncates its WAL after this many
+    /// The router rewrites its snapshot and truncates its WAL after this many
     /// appended records. Replay after a crash between the snapshot rename
     /// and the WAL truncation is safe because every record is an
     /// idempotent upsert carrying absolute values.
@@ -79,18 +76,13 @@ pub struct MetaConfig {
 }
 
 impl MetaConfig {
-    /// Default shard count: enough to keep shard locks uncontended without
-    /// a directory full of near-empty WALs.
-    pub const DEFAULT_SHARDS: usize = 8;
-
-    /// Default snapshot cadence, in WAL records per shard.
+    /// Default snapshot cadence, in WAL records.
     pub const DEFAULT_SNAPSHOT_EVERY: usize = 4096;
 
-    /// A configuration with the default shard count and snapshot cadence.
+    /// A configuration with the default snapshot cadence.
     pub fn new(backend: MetaBackend) -> Self {
         MetaConfig {
             backend,
-            shards: Self::DEFAULT_SHARDS,
             snapshot_every: Self::DEFAULT_SNAPSHOT_EVERY,
         }
     }
@@ -98,12 +90,6 @@ impl MetaConfig {
     /// An ephemeral configuration (the default backend).
     pub fn ephemeral() -> Self {
         MetaConfig::new(MetaBackend::Ephemeral)
-    }
-
-    /// Sets the shard count (clamped to at least 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// Sets the snapshot cadence (clamped to at least 1).
@@ -164,10 +150,6 @@ pub struct RepairRecord {
     /// Opaque priority tag (the manager's priority class, encoded by the
     /// caller; this crate only stores it).
     pub priority: u8,
-    /// The stripe's placement epoch when the repair was enqueued. A later
-    /// epoch says that *some* block of the stripe moved since, not that
-    /// this one did.
-    pub epoch: u64,
 }
 
 /// Errors from the metadata plane.
@@ -196,9 +178,9 @@ pub enum MetaError {
         /// Why the request was rejected.
         reason: String,
     },
-    /// A durable file failed structural validation (bad magic or manifest;
-    /// a torn WAL *tail* is not corruption — it is dropped silently and
-    /// counted).
+    /// A durable file failed structural validation (a bad snapshot magic,
+    /// or the marker of a sharded root this layout cannot read; a torn WAL
+    /// *tail* is not corruption — it is dropped silently and counted).
     Corrupt {
         /// The offending file.
         path: PathBuf,

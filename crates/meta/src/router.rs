@@ -1,44 +1,36 @@
-//! [`MetaRouter`]: the consistent-hash front door of the metadata plane.
+//! [`MetaRouter`]: the metadata plane's one store.
 //!
-//! The router owns the shard set and a vnode ring. Object names and stripe
-//! ids hash onto the ring; each operation locks exactly the one shard its
-//! key routes to. Durable routers also own a `manifest.bin` recording the
-//! shard count and vnode fan-out the directory was created with — reopening
-//! uses the manifest's values so keys keep routing to the shard whose WAL
-//! logged them, even if the caller's configuration drifted.
+//! The router owns the whole namespace behind one lock: the object, stripe
+//! and pending-repair maps, plus — for a durable root — the WAL appender
+//! and snapshots. Mutations go through `commit_with`: the record is
+//! appended to `wal.log` *first* (WAL-then-apply — an append failure leaves
+//! memory untouched), then applied to the maps; after
+//! [`snapshot_every`](crate::MetaConfig::snapshot_every) appends the router
+//! serializes its full state to `snapshot.tmp`, renames it over
+//! `snapshot.bin` (atomic on POSIX) and truncates the WAL. Reopen loads the
+//! snapshot, replays the WAL's valid prefix on top, and truncates any torn
+//! tail off the file before appending again.
 
+use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ecc::stripe::StripeId;
+use ecpipe_sync::Mutex;
 use simnet::NodeId;
 
-use crate::shard::Shard;
-use crate::wal::{crc32, Record};
+use crate::lock_order;
+use crate::wal::{decode_log, Record};
 use crate::{MetaBackend, MetaConfig, MetaError, ObjectRecord, RepairRecord, Result, StripeRecord};
 
-/// Magic + version header of `manifest.bin`.
-const MANIFEST_MAGIC: &[u8; 4] = b"ECM\x02";
+/// Magic + version header of a snapshot file.
+const SNAPSHOT_MAGIC: &[u8; 4] = b"ECM\x01";
 
-/// Ring points per shard. More vnodes spread keys more evenly; 32 keeps the
-/// ring at a few hundred entries for the default shard count.
-const VNODES_PER_SHARD: u32 = 32;
-
-/// The directory holding shard `index` of a durable router rooted at
-/// `root`. Exposed so tests and tooling can reach into a specific shard's
-/// `wal.log`/`snapshot.bin` (e.g. to torture-truncate it).
-pub fn shard_dir(root: &Path, index: usize) -> PathBuf {
-    root.join(format!("shard-{index:03}"))
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The file that marks a root written by the sharded layout, which kept one
+/// WAL per shard directory. This layout cannot read such a root.
+const SHARDED_MARKER: &str = "manifest.bin";
 
 /// Outcome of a relocation request that passed its epoch check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,82 +47,83 @@ pub enum RelocateOutcome {
     Refused,
 }
 
-/// A sharded, WAL-durable metadata store. See the crate docs for the
-/// design; every method locks at most one shard, and never holds one shard
-/// while locking another.
+/// The WAL appender of a durable router.
+struct Wal {
+    root: PathBuf,
+    file: File,
+    appended_since_snapshot: usize,
+    snapshot_every: usize,
+}
+
+/// Everything the router owns, behind its lock.
+#[derive(Default)]
+struct State {
+    objects: HashMap<String, ObjectRecord>,
+    stripes: HashMap<u64, StripeRecord>,
+    pending: HashMap<(u64, usize), RepairRecord>,
+    /// `None` for ephemeral backends.
+    wal: Option<Wal>,
+}
+
+/// A WAL-durable metadata store. See the crate docs for the design; every
+/// method takes the one lock with nothing else held.
 pub struct MetaRouter {
-    shards: Vec<Shard>,
-    /// Sorted `(ring point, shard index)` pairs.
-    ring: Vec<(u64, u32)>,
+    /// Lock class: `meta.state` ([`lock_order::META_STATE`]). Never held
+    /// while acquiring another lock.
+    state: Mutex<State>,
     next_stripe: AtomicU64,
-    dropped_tail: AtomicU64,
+    dropped_tail: bool,
     backend: MetaBackend,
 }
 
 impl MetaRouter {
-    /// Opens (creating or recovering) a router per `config`.
+    /// Opens (creating or recovering) a router per `config`. A durable root
+    /// written by the sharded layout is refused with [`MetaError::Corrupt`]
+    /// naming its marker file, and nothing is created in it.
     pub fn open(config: MetaConfig) -> Result<MetaRouter> {
-        let (shard_count, vnodes, root) = match &config.backend {
-            MetaBackend::Ephemeral => (config.shards.max(1), VNODES_PER_SHARD, None),
-            MetaBackend::Durable(root) => {
-                std::fs::create_dir_all(root)?;
-                let manifest = root.join("manifest.bin");
-                if manifest.exists() {
-                    let (shards, vnodes) = read_manifest(&manifest)?;
-                    (shards, vnodes, Some(root.clone()))
-                } else {
-                    let shards = config.shards.max(1);
-                    write_manifest(&manifest, shards, VNODES_PER_SHARD)?;
-                    (shards, VNODES_PER_SHARD, Some(root.clone()))
-                }
+        let mut state = State::default();
+        let mut dropped_tail = false;
+        if let MetaBackend::Durable(root) = &config.backend {
+            let marker = root.join(SHARDED_MARKER);
+            if marker.exists() {
+                return Err(MetaError::Corrupt {
+                    path: marker,
+                    reason: "a sharded metadata root, which this single-journal \
+                             layout cannot read"
+                        .to_string(),
+                });
             }
-        };
-
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut max_stripe = None;
-        let mut dropped = 0u64;
-        for i in 0..shard_count {
-            let dir = root.as_deref().map(|r| shard_dir(r, i));
-            let rec = Shard::open(dir.as_deref(), config.snapshot_every)?;
-            shards.push(rec.shard);
-            max_stripe = max_stripe.max(rec.max_stripe);
-            dropped += u64::from(rec.dropped_tail);
+            std::fs::create_dir_all(root)?;
+            dropped_tail = state.recover(root, config.snapshot_every)?;
         }
-
-        let mut ring = Vec::with_capacity(shard_count * vnodes as usize);
-        for (i, _) in shards.iter().enumerate() {
-            for v in 0..vnodes {
-                let mut key = [0u8; 12];
-                key[..8].copy_from_slice(&(i as u64).to_le_bytes());
-                key[8..].copy_from_slice(&v.to_le_bytes());
-                ring.push((fnv1a(&key), i as u32));
-            }
-        }
-        ring.sort_unstable();
-
+        let next_stripe = state.stripes.keys().max().map_or(0, |m| m + 1);
         Ok(MetaRouter {
-            shards,
-            ring,
-            next_stripe: AtomicU64::new(max_stripe.map_or(0, |m| m + 1)),
-            dropped_tail: AtomicU64::new(dropped),
+            state: Mutex::new(&lock_order::META_STATE, state),
+            next_stripe: AtomicU64::new(next_stripe),
+            dropped_tail,
             backend: config.backend,
         })
     }
 
-    /// The shard a hashed key routes to: first ring point at or after the
-    /// key's hash, wrapping to the first point.
-    fn shard_for_hash(&self, h: u64) -> &Shard {
-        let idx = self.ring.partition_point(|&(point, _)| point < h);
-        let (_, shard) = self.ring[if idx == self.ring.len() { 0 } else { idx }];
-        &self.shards[shard as usize]
-    }
-
-    fn shard_for_object(&self, name: &str) -> &Shard {
-        self.shard_for_hash(fnv1a(name.as_bytes()))
-    }
-
-    fn shard_for_stripe(&self, id: StripeId) -> &Shard {
-        self.shard_for_hash(fnv1a(&id.0.to_le_bytes()))
+    /// A mutation in one critical section: `decide` inspects the state
+    /// under the lock and returns the record to commit (`None` commits
+    /// nothing) plus a value for the caller; the record is appended to the
+    /// WAL (durable routers), applied, and the router snapshots when the
+    /// cadence says so. A decision and the append it leads to must not be
+    /// separated by an unlock — two repairs completing against the same
+    /// epoch would otherwise both pass the stale check.
+    fn commit_with<R>(
+        &self,
+        decide: impl FnOnce(&State) -> Result<(Option<Record>, R)>,
+    ) -> Result<R> {
+        let mut state = self.state.lock();
+        let (record, out) = decide(&state)?;
+        if let Some(record) = record {
+            state.append(&record)?;
+            state.apply(&record);
+            state.maybe_snapshot()?;
+        }
+        Ok(out)
     }
 
     /// The backend this router was opened with.
@@ -138,22 +131,15 @@ impl MetaRouter {
         &self.backend
     }
 
-    /// Number of shards (the manifest's count for reopened durable roots).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// How many torn WAL tail records recovery dropped across all shards.
+    /// How many torn WAL tail records recovery dropped: 0 or 1, since
+    /// replay stops at the first bad frame and drops the rest whole.
     pub fn dropped_tail_records(&self) -> u64 {
-        self.dropped_tail.load(Ordering::Relaxed)
+        u64::from(self.dropped_tail)
     }
 
-    /// Forces every shard to snapshot and truncate its WAL.
+    /// Snapshots and truncates the WAL now (a no-op on ephemeral routers).
     pub fn snapshot_now(&self) -> Result<()> {
-        for shard in &self.shards {
-            shard.snapshot_now()?;
-        }
-        Ok(())
+        self.state.lock().snapshot()
     }
 
     // ------------------------------------------------------------------
@@ -162,16 +148,15 @@ impl MetaRouter {
 
     /// Registers (or overwrites) an object.
     pub fn register_object(&self, record: ObjectRecord) -> Result<()> {
-        self.shard_for_object(&record.name)
-            .commit_with(|_| Ok((Some(Record::PutObject(record)), ())))
+        self.commit_with(|_| Ok((Some(Record::PutObject(record)), ())))
     }
 
     /// Registers an object unless one of that name already exists. Returns
     /// whether it was registered: of two concurrent writers of one name,
     /// exactly one gets `true`.
     pub fn insert_object(&self, record: ObjectRecord) -> Result<bool> {
-        self.shard_for_object(&record.name).commit_with(|s| {
-            Ok(match s.object(&record.name) {
+        self.commit_with(|s| {
+            Ok(match s.objects.get(&record.name) {
                 Some(_) => (None, false),
                 None => (Some(Record::PutObject(record)), true),
             })
@@ -180,20 +165,18 @@ impl MetaRouter {
 
     /// Looks up an object by name.
     pub fn object(&self, name: &str) -> Option<ObjectRecord> {
-        self.shard_for_object(name)
-            .with(|s| s.object(name).cloned())
+        self.state.lock().objects.get(name).cloned()
     }
 
     /// Whether an object with this name exists.
     pub fn has_object(&self, name: &str) -> bool {
-        self.shard_for_object(name)
-            .with(|s| s.object(name).is_some())
+        self.state.lock().objects.contains_key(name)
     }
 
     /// Removes an object, returning its record if it existed.
     pub fn remove_object(&self, name: &str) -> Result<Option<ObjectRecord>> {
-        self.shard_for_object(name).commit_with(|s| {
-            let existing = s.object(name).cloned();
+        self.commit_with(|s| {
+            let existing = s.objects.get(name).cloned();
             let record = existing.as_ref().map(|_| Record::DeleteObject {
                 name: name.to_string(),
             });
@@ -201,24 +184,15 @@ impl MetaRouter {
         })
     }
 
-    /// Visits every object, shard by shard. Each shard's lock is released
-    /// before the next is taken; `f` must not call back into this router.
-    pub fn for_each_object(&self, mut f: impl FnMut(&ObjectRecord)) {
-        for shard in &self.shards {
-            shard.with(|s| {
-                for o in s.objects() {
-                    f(o);
-                }
-            });
-        }
+    /// Visits every object under the lock; `f` must not call back into
+    /// this router.
+    pub fn for_each_object(&self, f: impl FnMut(&ObjectRecord)) {
+        self.state.lock().objects.values().for_each(f);
     }
 
     /// Total number of objects.
     pub fn object_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.with(|st| st.object_count()))
-            .sum()
+        self.state.lock().objects.len()
     }
 
     // ------------------------------------------------------------------
@@ -237,8 +211,8 @@ impl MetaRouter {
     pub fn register_stripe(&self, id: StripeId, locations: Vec<NodeId>) -> Result<u64> {
         // Keep the allocator ahead of externally-chosen ids.
         self.next_stripe.fetch_max(id.0 + 1, Ordering::Relaxed);
-        self.shard_for_stripe(id).commit_with(|s| {
-            let epoch = s.stripe(id).map_or(0, |r| r.epoch + 1);
+        self.commit_with(|s| {
+            let epoch = s.stripes.get(&id.0).map_or(0, |r| r.epoch + 1);
             let record = Record::PutStripe(StripeRecord {
                 id,
                 locations,
@@ -250,35 +224,30 @@ impl MetaRouter {
 
     /// Looks up a stripe.
     pub fn stripe(&self, id: StripeId) -> Option<StripeRecord> {
-        self.shard_for_stripe(id).with(|s| s.stripe(id).cloned())
+        self.state.lock().stripes.get(&id.0).cloned()
     }
 
     /// The node storing block `index` of a stripe, without cloning the
     /// placement — the per-block lookup of the client read path.
     pub fn node_of(&self, id: StripeId, index: usize) -> Result<NodeId> {
-        self.shard_for_stripe(id).with(|s| {
-            let record = s
-                .stripe(id)
-                .ok_or(MetaError::UnknownStripe { stripe: id.0 })?;
-            record
-                .locations
-                .get(index)
-                .copied()
-                .ok_or_else(|| index_out_of_range(record, index))
-        })
+        let state = self.state.lock();
+        let record = state.stripe(id)?;
+        record
+            .locations
+            .get(index)
+            .copied()
+            .ok_or_else(|| index_out_of_range(record, index))
     }
 
     /// The current placement epoch of a stripe.
     pub fn epoch_of(&self, id: StripeId) -> Result<u64> {
-        self.shard_for_stripe(id)
-            .with(|s| s.stripe(id).map(|r| r.epoch))
-            .ok_or(MetaError::UnknownStripe { stripe: id.0 })
+        self.state.lock().stripe(id).map(|r| r.epoch)
     }
 
     /// Forgets a stripe. Returns whether it existed.
     pub fn forget_stripe(&self, id: StripeId) -> Result<bool> {
-        self.shard_for_stripe(id).commit_with(|s| {
-            let existed = s.stripe(id).is_some();
+        self.commit_with(|s| {
+            let existed = s.stripes.contains_key(&id.0);
             Ok((
                 existed.then_some(Record::ForgetStripe { stripe: id }),
                 existed,
@@ -286,34 +255,28 @@ impl MetaRouter {
         })
     }
 
-    /// Visits every stripe, shard by shard (same locking contract as
+    /// Visits every stripe (same locking contract as
     /// [`MetaRouter::for_each_object`]).
-    pub fn for_each_stripe(&self, mut f: impl FnMut(&StripeRecord)) {
-        for shard in &self.shards {
-            shard.with(|s| {
-                for r in s.stripes() {
-                    f(r);
-                }
-            });
-        }
+    pub fn for_each_stripe(&self, f: impl FnMut(&StripeRecord)) {
+        self.state.lock().stripes.values().for_each(f);
     }
 
     /// Total number of stripes.
     pub fn stripe_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.with(|st| st.stripe_count()))
-            .sum()
+        self.state.lock().stripes.len()
     }
 
     /// Every `(stripe, block index)` placed on `node`, sorted by stripe id.
-    /// Scans all shards; the allocation is bounded by the number of
+    /// Scans the namespace; the allocation is bounded by the number of
     /// matches, not the namespace size.
     pub fn stripes_on_node(&self, node: NodeId) -> Vec<(StripeId, usize)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            shard.with(|s| s.stripes_on_node(node, &mut out));
-        }
+        let mut out: Vec<(StripeId, usize)> = self
+            .state
+            .lock()
+            .stripes
+            .values()
+            .filter_map(|s| Some((s.id, s.locations.iter().position(|&n| n == node)?)))
+            .collect();
         out.sort_unstable_by_key(|&(id, _)| id.0);
         out
     }
@@ -337,10 +300,8 @@ impl MetaRouter {
     ) -> Result<RelocateOutcome> {
         // The epoch check and the append are one critical section: of two
         // completions planned at the same epoch, exactly one moves the block.
-        self.shard_for_stripe(stripe).commit_with(|s| {
-            let Some(rec) = s.stripe(stripe) else {
-                return Err(MetaError::UnknownStripe { stripe: stripe.0 });
-            };
+        self.commit_with(|s| {
+            let rec = s.stripe(stripe)?;
             if index >= rec.locations.len() {
                 return Err(index_out_of_range(rec, index));
             }
@@ -380,10 +341,12 @@ impl MetaRouter {
     /// Journals an in-flight repair directive. Returns `false` (writing
     /// nothing) when an identical record is already pending — recovery
     /// re-enqueues pending repairs, and re-journaling them must not grow
-    /// the WAL.
+    /// the WAL. A directive for an unregistered stripe is refused with
+    /// [`MetaError::UnknownStripe`], and nothing is written.
     pub fn record_repair(&self, record: RepairRecord) -> Result<bool> {
-        self.shard_for_stripe(record.stripe).commit_with(|s| {
-            let fresh = s.pending_repair(record.stripe, record.index) != Some(&record);
+        self.commit_with(|s| {
+            s.stripe(record.stripe)?;
+            let fresh = s.pending.get(&(record.stripe.0, record.index)) != Some(&record);
             Ok((fresh.then_some(Record::PutRepair(record)), fresh))
         })
     }
@@ -391,8 +354,8 @@ impl MetaRouter {
     /// Marks a pending repair resolved (completed, failed terminally, or
     /// rejected as stale). Returns whether a record was pending.
     pub fn resolve_repair(&self, stripe: StripeId, index: usize) -> Result<bool> {
-        self.shard_for_stripe(stripe).commit_with(|s| {
-            let pending = s.pending_repair(stripe, index).is_some();
+        self.commit_with(|s| {
+            let pending = s.pending.contains_key(&(stripe.0, index));
             let record = pending.then_some(Record::ResolveRepair { stripe, index });
             Ok((record, pending))
         })
@@ -400,12 +363,161 @@ impl MetaRouter {
 
     /// Every pending repair directive, sorted by `(stripe, block index)`.
     pub fn pending_repairs(&self) -> Vec<RepairRecord> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            shard.with(|s| out.extend(s.pending_repairs().cloned()));
-        }
+        let mut out: Vec<RepairRecord> = self.state.lock().pending.values().cloned().collect();
         out.sort_unstable_by_key(|r| (r.stripe.0, r.index));
         out
+    }
+}
+
+impl State {
+    /// Loads `snapshot.bin` and replays `wal.log` from a durable `root`,
+    /// then opens the WAL for appending with any torn tail cut off.
+    /// Returns whether a torn tail was dropped.
+    fn recover(&mut self, root: &Path, snapshot_every: usize) -> Result<bool> {
+        let snapshot_path = root.join("snapshot.bin");
+        if snapshot_path.exists() {
+            let bytes = std::fs::read(&snapshot_path)?;
+            if bytes.len() < SNAPSHOT_MAGIC.len() || &bytes[..4] != SNAPSHOT_MAGIC {
+                return Err(MetaError::Corrupt {
+                    path: snapshot_path,
+                    reason: "bad snapshot magic".to_string(),
+                });
+            }
+            // Snapshots are written to a temp file and renamed into place,
+            // so a decodable prefix is the whole snapshot.
+            for record in decode_log(&bytes[4..]).records {
+                self.apply(&record);
+            }
+        }
+        let wal_path = root.join("wal.log");
+        let (mut valid_len, mut dropped_tail) = (0, false);
+        if wal_path.exists() {
+            let decoded = decode_log(&std::fs::read(&wal_path)?);
+            for record in &decoded.records {
+                self.apply(record);
+            }
+            valid_len = decoded.valid_len;
+            dropped_tail = decoded.dropped_tail;
+        }
+        let mut file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(false)
+            .open(&wal_path)?;
+        // Drop the torn tail (if any) so appended records never sit behind
+        // undecodable bytes.
+        file.set_len(valid_len)?;
+        file.seek(SeekFrom::Start(valid_len))?;
+        self.wal = Some(Wal {
+            root: root.to_path_buf(),
+            file,
+            appended_since_snapshot: 0,
+            snapshot_every: snapshot_every.max(1),
+        });
+        Ok(dropped_tail)
+    }
+
+    fn stripe(&self, id: StripeId) -> Result<&StripeRecord> {
+        self.stripes
+            .get(&id.0)
+            .ok_or(MetaError::UnknownStripe { stripe: id.0 })
+    }
+
+    fn append(&mut self, record: &Record) -> Result<()> {
+        if let Some(wal) = &mut self.wal {
+            wal.file.write_all(&record.encode_frame())?;
+            wal.appended_since_snapshot += 1;
+        }
+        Ok(())
+    }
+
+    fn maybe_snapshot(&mut self) -> Result<()> {
+        let due = self
+            .wal
+            .as_ref()
+            .is_some_and(|w| w.appended_since_snapshot >= w.snapshot_every);
+        if due {
+            self.snapshot()?;
+        }
+        Ok(())
+    }
+
+    /// Applies one record to the in-memory maps. Records carry absolute
+    /// values, so applying is idempotent.
+    fn apply(&mut self, record: &Record) {
+        match record {
+            Record::PutObject(o) => {
+                self.objects.insert(o.name.clone(), o.clone());
+            }
+            Record::DeleteObject { name } => {
+                self.objects.remove(name);
+            }
+            Record::PutStripe(s) => {
+                self.stripes.insert(s.id.0, s.clone());
+            }
+            Record::ForgetStripe { stripe } => {
+                self.stripes.remove(&stripe.0);
+            }
+            Record::Relocate {
+                stripe,
+                index,
+                node,
+                epoch,
+            } => {
+                if let Some(s) = self.stripes.get_mut(&stripe.0) {
+                    if *index < s.locations.len() {
+                        s.locations[*index] = *node;
+                    }
+                    s.epoch = *epoch;
+                }
+            }
+            Record::PutRepair(r) => {
+                self.pending.insert((r.stripe.0, r.index), r.clone());
+            }
+            Record::ResolveRepair { stripe, index } => {
+                self.pending.remove(&(stripe.0, *index));
+            }
+        }
+    }
+
+    /// Serializes the full state to `snapshot.tmp`, renames it into place
+    /// and truncates the WAL.
+    fn snapshot(&mut self) -> Result<()> {
+        let Some(wal) = &mut self.wal else {
+            return Ok(());
+        };
+        let mut buf = Vec::with_capacity(4 + 64 * (self.objects.len() + self.stripes.len()));
+        buf.extend_from_slice(SNAPSHOT_MAGIC);
+        // Deterministic order keeps snapshots byte-comparable across runs
+        // of the same state (handy for tests; replay does not need it).
+        let mut names: Vec<&String> = self.objects.keys().collect();
+        names.sort();
+        for name in names {
+            buf.extend_from_slice(&Record::PutObject(self.objects[name].clone()).encode_frame());
+        }
+        let mut ids: Vec<u64> = self.stripes.keys().copied().collect();
+        ids.sort_unstable();
+        for id in ids {
+            buf.extend_from_slice(&Record::PutStripe(self.stripes[&id].clone()).encode_frame());
+        }
+        let mut keys: Vec<(u64, usize)> = self.pending.keys().copied().collect();
+        keys.sort_unstable();
+        for key in keys {
+            buf.extend_from_slice(&Record::PutRepair(self.pending[&key].clone()).encode_frame());
+        }
+        let tmp = wal.root.join("snapshot.tmp");
+        let final_path = wal.root.join("snapshot.bin");
+        let mut tmp_file = File::create(&tmp)?;
+        tmp_file.write_all(&buf)?;
+        tmp_file.sync_all()?;
+        drop(tmp_file);
+        std::fs::rename(&tmp, &final_path)?;
+        // A crash here replays the old WAL over the new snapshot: safe,
+        // because records are idempotent upserts.
+        wal.file.set_len(0)?;
+        wal.file.seek(SeekFrom::Start(0))?;
+        wal.appended_since_snapshot = 0;
+        Ok(())
     }
 }
 
@@ -417,40 +529,6 @@ fn index_out_of_range(record: &StripeRecord, index: usize) -> MetaError {
             record.locations.len()
         ),
     }
-}
-
-fn write_manifest(path: &Path, shards: usize, vnodes: u32) -> Result<()> {
-    let mut body = Vec::with_capacity(12);
-    body.extend_from_slice(&(shards as u64).to_le_bytes());
-    body.extend_from_slice(&vnodes.to_le_bytes());
-    let mut bytes = Vec::with_capacity(4 + body.len() + 4);
-    bytes.extend_from_slice(MANIFEST_MAGIC);
-    bytes.extend_from_slice(&body);
-    bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-    std::fs::write(path, bytes)?;
-    Ok(())
-}
-
-fn read_manifest(path: &Path) -> Result<(usize, u32)> {
-    let bytes = std::fs::read(path)?;
-    let corrupt = |reason: &str| MetaError::Corrupt {
-        path: path.to_path_buf(),
-        reason: reason.to_string(),
-    };
-    if bytes.len() != 20 || &bytes[..4] != MANIFEST_MAGIC {
-        return Err(corrupt("bad manifest magic or length"));
-    }
-    let body = &bytes[4..16];
-    let stored = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-    if crc32(body) != stored {
-        return Err(corrupt("manifest CRC mismatch"));
-    }
-    let shards = u64::from_le_bytes(body[..8].try_into().unwrap());
-    let vnodes = u32::from_le_bytes(body[8..12].try_into().unwrap());
-    if shards == 0 || shards > 4096 || vnodes == 0 {
-        return Err(corrupt("manifest shard/vnode count out of range"));
-    }
-    Ok((shards as usize, vnodes))
 }
 
 #[cfg(test)]
@@ -469,24 +547,20 @@ mod tests {
 
     #[test]
     fn routing_is_deterministic_and_spread() {
-        let router = MetaRouter::open(MetaConfig::ephemeral().with_shards(8)).unwrap();
+        let router = MetaRouter::open(MetaConfig::ephemeral()).unwrap();
         for i in 0..64u64 {
             router
-                .register_stripe(StripeId(i), nodes(&[1, 2, 3]))
+                .register_stripe(StripeId(i), nodes(&[i, i + 1, i + 2]))
                 .unwrap();
         }
         assert_eq!(router.stripe_count(), 64);
-        // Every key resolves, and repeated lookups agree.
+        // Every key resolves to its own record, and repeated lookups agree.
         for i in 0..64u64 {
-            assert_eq!(router.stripe(StripeId(i)).unwrap().id, StripeId(i));
+            let record = router.stripe(StripeId(i)).unwrap();
+            assert_eq!(record.id, StripeId(i));
+            assert_eq!(record.locations, nodes(&[i, i + 1, i + 2]));
+            assert_eq!(router.stripe(StripeId(i)), Some(record));
         }
-        // With 8 shards and 64 keys the ring should use more than one shard.
-        let per_shard: Vec<usize> = router
-            .shards
-            .iter()
-            .map(|s| s.with(|st| st.stripe_count()))
-            .collect();
-        assert!(per_shard.iter().filter(|&&c| c > 0).count() > 1);
     }
 
     #[test]
@@ -568,7 +642,7 @@ mod tests {
     #[test]
     fn durable_reopen_recovers_everything_byte_exactly() {
         let root = temp_root("reopen");
-        let config = MetaConfig::new(MetaBackend::durable(&root)).with_shards(4);
+        let config = MetaConfig::new(MetaBackend::durable(&root));
         let mut expected_stripes = Vec::new();
         {
             let router = MetaRouter::open(config.clone()).unwrap();
@@ -591,16 +665,12 @@ mod tests {
                     index: 1,
                     requestor: 99,
                     priority: 2,
-                    epoch: 1,
                 })
                 .unwrap();
             router.for_each_stripe(|s| expected_stripes.push(s.clone()));
             expected_stripes.sort_by_key(|s| s.id.0);
         }
-        // Reopen with a *different* shard count: the manifest must win.
-        let reopened =
-            MetaRouter::open(MetaConfig::new(MetaBackend::durable(&root)).with_shards(16)).unwrap();
-        assert_eq!(reopened.shard_count(), 4);
+        let reopened = MetaRouter::open(config).unwrap();
         let mut actual = Vec::new();
         reopened.for_each_stripe(|s| actual.push(s.clone()));
         actual.sort_by_key(|s| s.id.0);
@@ -609,9 +679,16 @@ mod tests {
         assert_eq!(reopened.epoch_of(StripeId(3)).unwrap(), 1);
         let pending = reopened.pending_repairs();
         assert_eq!(pending.len(), 1);
-        assert_eq!(pending[0].epoch, 1);
+        assert_eq!(pending[0].requestor, 99);
         // Fresh ids resume past everything recovered.
         assert!(reopened.allocate_stripe_id().0 >= 40);
+        // The root holds the one journal and nothing else.
+        let mut files: Vec<String> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["wal.log"]);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -627,7 +704,6 @@ mod tests {
             index: 2,
             requestor: 5,
             priority: 0,
-            epoch: 0,
         };
         assert!(router.record_repair(rec.clone()).unwrap());
         assert!(!router.record_repair(rec.clone()).unwrap());
@@ -639,11 +715,29 @@ mod tests {
     }
 
     #[test]
+    fn record_repair_refuses_an_unknown_stripe() {
+        let root = temp_root("unknown-repair");
+        let router = MetaRouter::open(MetaConfig::new(MetaBackend::durable(&root))).unwrap();
+        let rec = RepairRecord {
+            stripe: StripeId(4),
+            index: 0,
+            requestor: 1,
+            priority: 0,
+        };
+        assert!(matches!(
+            router.record_repair(rec),
+            Err(MetaError::UnknownStripe { stripe: 4 })
+        ));
+        assert!(router.pending_repairs().is_empty());
+        let wal = std::fs::metadata(root.join("wal.log")).unwrap();
+        assert_eq!(wal.len(), 0, "a refused directive wrote a record");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn snapshots_truncate_the_wal_and_survive_reopen() {
         let root = temp_root("snap");
-        let config = MetaConfig::new(MetaBackend::durable(&root))
-            .with_shards(2)
-            .with_snapshot_every(8);
+        let config = MetaConfig::new(MetaBackend::durable(&root)).with_snapshot_every(8);
         {
             let router = MetaRouter::open(config.clone()).unwrap();
             for i in 0..100u64 {
@@ -652,11 +746,15 @@ mod tests {
                     .unwrap();
             }
             router.snapshot_now().unwrap();
-            for i in 0..2 {
-                let wal = shard_dir(&root, i).join("wal.log");
-                assert_eq!(std::fs::metadata(wal).unwrap().len(), 0);
-            }
+            let wal = root.join("wal.log");
+            assert_eq!(std::fs::metadata(wal).unwrap().len(), 0);
         }
+        let mut files: Vec<String> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["snapshot.bin", "wal.log"]);
         let reopened = MetaRouter::open(config).unwrap();
         assert_eq!(reopened.stripe_count(), 100);
         assert_eq!(reopened.dropped_tail_records(), 0);

@@ -250,7 +250,6 @@ impl Record {
                 put_u32(&mut buf, r.index as u32);
                 put_u64(&mut buf, r.requestor as u64);
                 buf.push(r.priority);
-                put_u64(&mut buf, r.epoch);
             }
             Record::ResolveRepair { stripe, index } => {
                 buf.push(TAG_RESOLVE_REPAIR);
@@ -302,7 +301,6 @@ impl Record {
                 index: r.u32()? as usize,
                 requestor: r.u64()? as NodeId,
                 priority: r.u8()?,
-                epoch: r.u64()?,
             }),
             TAG_RESOLVE_REPAIR => Record::ResolveRepair {
                 stripe: StripeId(r.u64()?),
@@ -405,7 +403,6 @@ mod tests {
                 index: 2,
                 requestor: 8,
                 priority: 1,
-                epoch: 4,
             }),
             Record::ResolveRepair {
                 stripe: StripeId(7),

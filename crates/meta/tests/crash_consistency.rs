@@ -1,35 +1,30 @@
 //! Crash-consistency torture tests for the durable metadata plane.
 //!
 //! Each case drives a randomized operation script against a durable
-//! [`MetaRouter`], closes it, then mutilates one shard's WAL — truncating it
-//! at an arbitrary byte offset, or flipping a bit in its tail — and reopens.
-//! The recovered namespace must be a *prefix* of the committed history:
+//! [`MetaRouter`], recording the whole namespace after every mutation, closes
+//! it, then mutilates the WAL — truncating it at an arbitrary byte offset, or
+//! flipping a byte anywhere in it — and reopens. The recovered namespace must
+//! be an exact *global prefix* of the committed history:
 //!
 //! * reopening never fails and never panics — a torn or corrupt tail is
 //!   detected by the CRC framing and dropped whole;
-//! * no record is ever partially applied: every recovered stripe equals one
-//!   of the exact versions that stripe passed through, every recovered
-//!   object is exactly what was registered, every recovered pending repair
-//!   was journaled with exactly those fields;
+//! * the recovered namespace equals the namespace as it stood after some
+//!   mutation of the script: no record is partially applied, none is
+//!   invented, and no later record survives an earlier one that was lost;
 //! * recovery truncates the torn tail, so a second reopen is byte-exact and
 //!   reports nothing dropped;
 //! * with no mutilation at all, reopen is byte-exact, snapshots included.
 
-use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use ecc::stripe::StripeId;
-use ecpipe_meta::{
-    shard_dir, MetaBackend, MetaConfig, MetaRouter, ObjectRecord, RelocateOutcome, RepairRecord,
-    StripeRecord,
-};
+use ecpipe_meta::{MetaBackend, MetaConfig, MetaRouter, ObjectRecord, RepairRecord, StripeRecord};
 use proptest::prelude::*;
 
 const NODES: usize = 8;
 const N: usize = 4;
-const SHARDS: usize = 4;
 
 fn fresh_dir(tag: &str, case: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -43,95 +38,10 @@ fn fresh_dir(tag: &str, case: u64) -> PathBuf {
 fn config(root: &Path) -> MetaConfig {
     // A small snapshot cadence makes many cases exercise the
     // snapshot + WAL-suffix recovery path, not just pure WAL replay.
-    MetaConfig::new(MetaBackend::durable(root))
-        .with_shards(SHARDS)
-        .with_snapshot_every(8)
+    MetaConfig::new(MetaBackend::durable(root)).with_snapshot_every(8)
 }
 
-/// Every state the committed history passed through, per key. "Recovery is a
-/// prefix" means every recovered record must appear verbatim in here.
-#[derive(Default)]
-struct History {
-    /// Objects are registered at most once per name, so one version each.
-    objects: HashMap<String, ObjectRecord>,
-    /// Every placement version each stripe passed through, in order.
-    stripes: HashMap<u64, Vec<StripeRecord>>,
-    /// Every repair directive ever journaled.
-    journaled: Vec<RepairRecord>,
-}
-
-/// Applies a scripted operation decoded from one random word. Registrations
-/// and accepted relocations append the resulting version to the history.
-fn apply_op(meta: &MetaRouter, history: &mut History, word: u64, stripes: &mut Vec<StripeId>) {
-    let pick = |seed: u64, len: usize| (seed as usize) % len.max(1);
-    match word % 8 {
-        // Register a stripe (and an object naming it).
-        0 | 1 => {
-            let id = meta.allocate_stripe_id();
-            let locations: Vec<usize> = (0..N).map(|i| (i + word as usize) % NODES).collect();
-            let epoch = meta.register_stripe(id, locations.clone()).unwrap();
-            history.stripes.entry(id.0).or_default().push(StripeRecord {
-                id,
-                locations,
-                epoch,
-            });
-            stripes.push(id);
-            let name = format!("/torture/{}", id.0);
-            let record = ObjectRecord {
-                name: name.clone(),
-                size: (word % 100_000) as usize,
-                stripes: vec![id],
-            };
-            meta.register_object(record.clone()).unwrap();
-            history.objects.insert(name, record);
-        }
-        // Relocate a block of an existing stripe.
-        2..=4 => {
-            if stripes.is_empty() {
-                return;
-            }
-            let id = stripes[pick(word >> 8, stripes.len())];
-            let index = pick(word >> 24, N);
-            let node = pick(word >> 32, NODES);
-            match meta.relocate(id, index, node, None).unwrap() {
-                RelocateOutcome::Moved { .. } => {
-                    let versions = history.stripes.get_mut(&id.0).unwrap();
-                    let mut next = versions.last().unwrap().clone();
-                    next.locations[index] = node;
-                    next.epoch += 1;
-                    versions.push(next);
-                }
-                RelocateOutcome::Refused => {}
-            }
-        }
-        // Journal a repair directive at the stripe's current epoch.
-        5 | 6 => {
-            if stripes.is_empty() {
-                return;
-            }
-            let id = stripes[pick(word >> 8, stripes.len())];
-            let record = RepairRecord {
-                stripe: id,
-                index: pick(word >> 24, N),
-                requestor: pick(word >> 32, NODES),
-                priority: (word >> 40) as u8 % 3,
-                epoch: meta.epoch_of(id).unwrap(),
-            };
-            meta.record_repair(record.clone()).unwrap();
-            history.journaled.push(record);
-        }
-        // Resolve a (possibly absent) repair directive.
-        _ => {
-            if stripes.is_empty() {
-                return;
-            }
-            let id = stripes[pick(word >> 8, stripes.len())];
-            meta.resolve_repair(id, pick(word >> 24, N)).unwrap();
-        }
-    }
-}
-
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Namespace {
     objects: Vec<ObjectRecord>,
     stripes: Vec<StripeRecord>,
@@ -152,48 +62,84 @@ fn namespace(meta: &MetaRouter) -> Namespace {
     }
 }
 
-/// The prefix property: everything the recovered router serves must be an
-/// exact version from the committed history — nothing invented, nothing
-/// half-applied.
-fn assert_prefix_of_history(recovered: &Namespace, history: &History) {
-    for object in &recovered.objects {
-        assert_eq!(
-            Some(object),
-            history.objects.get(&object.name),
-            "recovered object must be exactly what was registered"
-        );
+/// Applies a scripted operation decoded from one random word, pushing the
+/// namespace onto `history` after every mutating call (a registration is
+/// two calls, so two records and two states).
+fn apply_op(
+    meta: &MetaRouter,
+    history: &mut Vec<Namespace>,
+    word: u64,
+    stripes: &mut Vec<StripeId>,
+) {
+    let pick = |seed: u64, len: usize| (seed as usize) % len.max(1);
+    match word % 8 {
+        // Register a stripe, then an object naming it.
+        0 | 1 => {
+            let id = meta.allocate_stripe_id();
+            let locations: Vec<usize> = (0..N).map(|i| (i + word as usize) % NODES).collect();
+            meta.register_stripe(id, locations).unwrap();
+            history.push(namespace(meta));
+            stripes.push(id);
+            meta.register_object(ObjectRecord {
+                name: format!("/torture/{}", id.0),
+                size: (word % 100_000) as usize,
+                stripes: vec![id],
+            })
+            .unwrap();
+        }
+        // Relocate a block of an existing stripe (possibly refused).
+        2..=4 => {
+            if stripes.is_empty() {
+                return;
+            }
+            let id = stripes[pick(word >> 8, stripes.len())];
+            meta.relocate(id, pick(word >> 24, N), pick(word >> 32, NODES), None)
+                .unwrap();
+        }
+        // Journal a repair directive (possibly a duplicate).
+        5 | 6 => {
+            if stripes.is_empty() {
+                return;
+            }
+            meta.record_repair(RepairRecord {
+                stripe: stripes[pick(word >> 8, stripes.len())],
+                index: pick(word >> 24, N),
+                requestor: pick(word >> 32, NODES),
+                priority: (word >> 40) as u8 % 3,
+            })
+            .unwrap();
+        }
+        // Resolve a (possibly absent) repair directive.
+        _ => {
+            if stripes.is_empty() {
+                return;
+            }
+            let id = stripes[pick(word >> 8, stripes.len())];
+            meta.resolve_repair(id, pick(word >> 24, N)).unwrap();
+        }
     }
-    for stripe in &recovered.stripes {
-        let versions = history
-            .stripes
-            .get(&stripe.id.0)
-            .expect("recovered stripe was never registered");
-        assert!(
-            versions.contains(stripe),
-            "recovered stripe {:?} matches no committed version of {:?}",
-            stripe,
-            stripe.id
-        );
-    }
-    for pending in &recovered.pending {
-        assert!(
-            history.journaled.contains(pending),
-            "recovered pending repair {pending:?} was never journaled"
-        );
-    }
+    history.push(namespace(meta));
 }
 
-/// Runs `ops` against a fresh durable router, closes it, and returns the
-/// final committed namespace plus the history of every version.
-fn run_script(root: &Path, ops: &[u64]) -> (Namespace, History) {
+/// The prefix property: the recovered router serves exactly the namespace
+/// as it stood after some mutation of the script (or before the first).
+fn assert_global_prefix(recovered: &Namespace, history: &[Namespace]) {
+    assert!(
+        history.contains(recovered),
+        "recovered namespace {recovered:?} is no prefix of the committed history"
+    );
+}
+
+/// Runs `ops` against a fresh durable router, closes it, and returns every
+/// namespace it passed through, starting with the empty one.
+fn run_script(root: &Path, ops: &[u64]) -> Vec<Namespace> {
     let meta = MetaRouter::open(config(root)).unwrap();
-    let mut history = History::default();
+    let mut history = vec![namespace(&meta)];
     let mut stripes = Vec::new();
     for &word in ops {
         apply_op(&meta, &mut history, word, &mut stripes);
     }
-    let full = namespace(&meta);
-    (full, history)
+    history
 }
 
 proptest! {
@@ -202,24 +148,23 @@ proptest! {
     #[test]
     fn truncated_wal_recovers_a_prefix_never_a_partial_record(
         ops in proptest::collection::vec(any::<u64>(), 24..64),
-        shard_pick in any::<u64>(),
         cut_pick in any::<u64>(),
     ) {
-        let root = fresh_dir("trunc", ops.iter().fold(0u64, |a, &b| a.wrapping_add(b)) ^ shard_pick);
-        let (full, history) = run_script(&root, &ops);
+        let root = fresh_dir("trunc", ops.iter().fold(0u64, |a, &b| a.wrapping_add(b)) ^ cut_pick);
+        let history = run_script(&root, &ops);
 
-        // Truncate one shard's WAL at an arbitrary byte offset — including
+        // Truncate the WAL at an arbitrary byte offset — including
         // mid-frame, mid-header and zero.
-        let wal = shard_dir(&root, (shard_pick as usize) % SHARDS).join("wal.log");
+        let wal = root.join("wal.log");
         let len = std::fs::metadata(&wal).unwrap().len();
         let cut = cut_pick % (len + 1);
         OpenOptions::new().write(true).open(&wal).unwrap().set_len(cut).unwrap();
 
         let reopened = MetaRouter::open(config(&root)).unwrap();
         let recovered = namespace(&reopened);
-        assert_prefix_of_history(&recovered, &history);
+        assert_global_prefix(&recovered, &history);
         if cut == len {
-            prop_assert_eq!(&recovered, &full, "a full-length cut loses nothing");
+            prop_assert_eq!(&recovered, history.last().unwrap(), "a full-length cut loses nothing");
         }
         let dropped = reopened.dropped_tail_records();
         drop(reopened);
@@ -236,19 +181,18 @@ proptest! {
     #[test]
     fn corrupted_wal_byte_is_caught_by_crc_and_dropped(
         ops in proptest::collection::vec(any::<u64>(), 24..64),
-        shard_pick in any::<u64>(),
         pos_pick in any::<u64>(),
         xor in 1..=255u8,
     ) {
         let root = fresh_dir("flip", ops.iter().fold(0u64, |a, &b| a.wrapping_add(b)) ^ pos_pick);
-        let (_full, history) = run_script(&root, &ops);
+        let history = run_script(&root, &ops);
 
-        let wal = shard_dir(&root, (shard_pick as usize) % SHARDS).join("wal.log");
+        let wal = root.join("wal.log");
         let len = std::fs::metadata(&wal).unwrap().len();
         if len > 0 {
             // Flip one byte anywhere in the log. Every frame from the
             // damaged one onward is dropped (decode stops at the first bad
-            // CRC) — the surviving prefix must still be pure history.
+            // CRC) — the surviving prefix must still be a committed state.
             let pos = pos_pick % len;
             let mut file = OpenOptions::new().read(true).write(true).open(&wal).unwrap();
             let mut byte = [0u8; 1];
@@ -260,7 +204,7 @@ proptest! {
         }
 
         let reopened = MetaRouter::open(config(&root)).unwrap();
-        assert_prefix_of_history(&namespace(&reopened), &history);
+        assert_global_prefix(&namespace(&reopened), &history);
         drop(reopened);
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -270,10 +214,10 @@ proptest! {
         ops in proptest::collection::vec(any::<u64>(), 24..64),
     ) {
         let root = fresh_dir("clean", ops.iter().fold(0u64, |a, &b| a.wrapping_add(b)));
-        let (full, _history) = run_script(&root, &ops);
+        let history = run_script(&root, &ops);
         let reopened = MetaRouter::open(config(&root)).unwrap();
         prop_assert_eq!(reopened.dropped_tail_records(), 0);
-        prop_assert_eq!(namespace(&reopened), full);
+        prop_assert_eq!(&namespace(&reopened), history.last().unwrap());
         drop(reopened);
         let _ = std::fs::remove_dir_all(&root);
     }

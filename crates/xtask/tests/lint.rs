@@ -90,13 +90,13 @@ fn planted_parking_lot_is_flagged() {
 
 #[test]
 fn planted_raw_sync_under_crates_meta_is_flagged() {
-    // The metadata plane is NOT on the exempt list: its shard and router
-    // locks must come from crates/sync like everyone else's, so a raw
-    // primitive planted under a crates/meta path must fail the lint.
+    // The metadata plane is NOT on the exempt list: its router lock must
+    // come from crates/sync like everyone else's, so a raw primitive
+    // planted under a crates/meta path must fail the lint.
     let fx = Fixture::new("raw-meta");
     fx.write(
-        "crates/meta/src/shard.rs",
-        "use std::sync::Mutex;\npub struct Shard { state: Mutex<u32> }\n",
+        "crates/meta/src/router.rs",
+        "use std::sync::Mutex;\npub struct MetaRouter { state: Mutex<u32> }\n",
     );
     let findings = fx.findings();
     assert!(

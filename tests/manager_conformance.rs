@@ -21,7 +21,7 @@ use repair_pipelining::ecpipe::manager::{
     ManagerConfig, NodeHealth, RepairManager, RepairPriority, RepairRequest,
 };
 use repair_pipelining::ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
-use repair_pipelining::ecpipe::{Cluster, Coordinator, EcPipeBuilder, StoreBackend};
+use repair_pipelining::ecpipe::{Cluster, Coordinator, EcPipe, EcPipeBuilder, StoreBackend};
 
 const BLOCK: usize = 64 * 1024;
 const SLICE: usize = 8 * 1024;
@@ -390,25 +390,24 @@ fn daemon_detects_and_recovers_a_silently_dead_node() {
     assert!(report.replans >= 1, "the tripping repair was re-planned");
 }
 
-/// Two repairs of one stripe that run at once both land: relocating one
-/// block bumps the stripe's epoch, and that must not make the other
-/// completion stale. Nodes 2 and 3 die together, so every stripe placed
-/// across both loses two blocks; their two repairs are promoted to the head
-/// of the queue side by side, where the 4 workers run them concurrently.
-/// `pool` decides the two requestors of such a stripe, and `same_requestor`
-/// says whether they coincide.
-fn case_overlapping_repairs_of_one_stripe(pool: Vec<usize>, same_requestor: bool) {
+/// The stripes with a block on each of two nodes, as `(stripe, index on
+/// the first, index on the second)`.
+type DoublyHit = Vec<(StripeId, usize, usize)>;
+
+/// A pipe of 14 nodes on throttled links, four workers and `pool` as the
+/// auto-recovery requestors, holding six objects of four stripes each. Nodes
+/// 2 and 3 are killed; the stripes that had a block on each are returned as
+/// `(stripe, index on 2, index on 3)`. Nothing is reported yet.
+fn overlap_setup(pool: &[usize], dead_after_misses: usize) -> (EcPipe, Vec<Vec<u8>>, DoublyHit) {
     let pipe = EcPipeBuilder::new()
         .code(6, 4)
         .block_size(BLOCK)
         .slice_size(SLICE)
         .store(StoreBackend::memory(NODES))
         .rate_limit(LINK_RATE)
-        // Only the two reports below declare nodes dead, never a repair's
-        // strikes, so they alone draw from the round-robin pool.
         .manager(ManagerConfig {
-            auto_requestors: pool.clone(),
-            dead_after_misses: usize::MAX,
+            auto_requestors: pool.to_vec(),
+            dead_after_misses,
             ..ManagerConfig::default().with_workers(4)
         })
         .build()
@@ -436,6 +435,54 @@ fn case_overlapping_repairs_of_one_stripe(pool: Vec<usize>, same_requestor: bool
     for node in [2, 3] {
         pipe.kill_node(node);
     }
+    (pipe, objects, doubly_hit)
+}
+
+/// Waits out every repair, then checks that the recovery left nothing
+/// behind: no repair failed, every stripe's blocks sit on distinct live
+/// nodes, and re-reading every object moves no repair traffic.
+fn overlap_check(pipe: EcPipe, objects: &[Vec<u8>]) {
+    pipe.wait_idle();
+    pipe.meta().for_each_stripe(|s| {
+        for (index, &node) in s.locations.iter().enumerate() {
+            assert!(
+                node != 2 && node != 3,
+                "block {index} of stripe {} still placed on dead node {node}",
+                s.id.0
+            );
+            assert_eq!(
+                s.locations.iter().filter(|&&n| n == node).count(),
+                1,
+                "stripe {} places two blocks on node {node}: {:?}",
+                s.id.0,
+                s.locations
+            );
+        }
+    });
+    let repaired = pipe.transport().total_bytes();
+    for (i, data) in objects.iter().enumerate() {
+        assert_eq!(pipe.get(&format!("/overlap/{i}")).unwrap(), *data);
+    }
+    assert_eq!(
+        pipe.transport().total_bytes(),
+        repaired,
+        "a re-read repaired a block the recovery left behind"
+    );
+    let report = pipe.shutdown();
+    assert_eq!(report.failed_repairs, 0, "{:?}", report.failures);
+}
+
+/// Two repairs of one stripe that run at once both land: relocating one
+/// block bumps the stripe's epoch, and that must not make the other
+/// completion stale. Nodes 2 and 3 die together, so every stripe placed
+/// across both loses two blocks; their two repairs are promoted to the head
+/// of the queue side by side, where the 4 workers run them concurrently.
+/// `pool` decides the two requestors of such a stripe, and `same_requestor`
+/// says whether they coincide.
+fn case_overlapping_repairs_of_one_stripe(pool: Vec<usize>, same_requestor: bool) {
+    // Only the two reports below declare nodes dead, never a repair's
+    // strikes, so they alone draw from the round-robin pool.
+    let (pipe, objects, doubly_hit) = overlap_setup(&pool, usize::MAX);
     assert!(pipe.report_node_failure(2) + pipe.report_node_failure(3) > 0);
     // Every repair is still journaled: none finishes within microseconds on
     // these throttled links.
@@ -455,21 +502,7 @@ fn case_overlapping_repairs_of_one_stripe(pool: Vec<usize>, same_requestor: bool
             let _ = pipe.manager().degraded_read(stripe, index, pool[0]);
         }
     }
-    pipe.wait_idle();
-
-    // Every lost block is back where the router places it: re-reading
-    // every object moves no repair traffic.
-    let repaired = pipe.transport().total_bytes();
-    for (i, data) in objects.iter().enumerate() {
-        assert_eq!(pipe.get(&format!("/overlap/{i}")).unwrap(), *data);
-    }
-    assert_eq!(
-        pipe.transport().total_bytes(),
-        repaired,
-        "a re-read repaired a block the recovery left behind"
-    );
-    let report = pipe.shutdown();
-    assert_eq!(report.failed_repairs, 0, "{:?}", report.failures);
+    overlap_check(pipe, &objects);
 }
 
 /// Round-robin over `[8, 9]` gives the two lost blocks of each doubly-hit
@@ -485,4 +518,26 @@ fn overlapping_repairs_of_one_stripe_land_with_different_requestors() {
 #[test]
 fn overlapping_repairs_of_one_stripe_land_with_the_same_requestor() {
     case_overlapping_repairs_of_one_stripe(vec![8, 9, 10], true);
+}
+
+/// Nodes 2 and 3 die together but are reported one after the other, with
+/// the default strike threshold: the repairs the first report queues plan
+/// helpers on node 3, miss its blocks and strike it, and the strike that
+/// declares it dead auto-enqueues its recovery from a worker — drawing
+/// requestors from the same round-robin counter as the operator's second
+/// report. The gaps between the reports span both orders: with none, the
+/// report tends to come first; with milliseconds, the strikes do.
+/// Whichever requestor each block gets, the recovery must end with every
+/// block placed on a live node holding none of its stripe and nothing left
+/// to repair.
+#[test]
+fn overlapping_repairs_of_one_stripe_survive_strikes_racing_the_second_report() {
+    for gap_us in [0, 250, 500, 1000, 5000] {
+        let dead_after_misses = ManagerConfig::default().dead_after_misses;
+        let (pipe, objects, _) = overlap_setup(&[8, 9, 10], dead_after_misses);
+        assert!(pipe.report_node_failure(2) > 0);
+        std::thread::sleep(std::time::Duration::from_micros(gap_us));
+        pipe.report_node_failure(3);
+        overlap_check(pipe, &objects);
+    }
 }

@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 use repair_pipelining::ecc::stripe::{BlockId, StripeId};
 use repair_pipelining::ecpipe::transport::Transport;
 use repair_pipelining::ecpipe::{
-    EcPipeBuilder, EcPipeError, MetaBackend, MetaConfig, MetaRouter, ObjectRecord, RepairPriority,
-    RepairRecord, RepairRequest, StoreBackend, StripeRecord,
+    EcPipeBuilder, EcPipeError, MetaBackend, MetaConfig, MetaError, MetaRouter, ObjectRecord,
+    RepairPriority, RepairRecord, RepairRequest, StoreBackend, StripeRecord,
 };
 
 const NODES: usize = 6;
@@ -35,7 +35,6 @@ fn builder(root: &Path) -> EcPipeBuilder {
         .slice_size(4 * 1024)
         .store(StoreBackend::file(root.join("store"), NODES))
         .meta(MetaBackend::durable(root.join("meta")))
-        .meta_shards(4)
         .workers(1)
 }
 
@@ -136,11 +135,10 @@ fn kill_and_restart_recovers_namespace_and_rejects_stale_directives() {
     drop(stripes);
 
     // --- Byte-exact reopen: a raw router over the same directory sees the
-    // identical namespace, including the shard count from the manifest. ---
+    // identical namespace. ---
     {
         let raw =
             MetaRouter::open(MetaConfig::new(MetaBackend::durable(root.join("meta")))).unwrap();
-        assert_eq!(raw.shard_count(), 4, "manifest shard count wins");
         assert_eq!(raw.dropped_tail_records(), 0, "clean crash: no torn tail");
         assert_eq!(namespace(&raw), expected);
     }
@@ -339,20 +337,20 @@ fn clean_restart_restores_reads_without_repairs() {
 #[test]
 fn metadata_io_errors_fail_put_and_delete_cleanly() {
     let root = fresh_dir("wal-error");
-    let pipe = builder(&root).meta_shards(1).build().unwrap();
+    let pipe = builder(&root).build().unwrap();
     let data = vec![5u8; 3 * BLOCK];
     pipe.put("/kept", &data).unwrap();
-    // Bring the single shard to one record short of its snapshot cadence,
-    // then pull its directory out from under it: the WAL handle stays
-    // writable, but the next commit is due a snapshot and cannot create
-    // the snapshot file.
+    // Bring the journal to one record short of its snapshot cadence, then
+    // pull its directory out from under it: the WAL handle stays writable,
+    // but the next commit is due a snapshot and cannot create the snapshot
+    // file.
     let meta = pipe.meta();
     let committed = 3; // "/kept": two stripes and the object record
     for i in committed..MetaConfig::DEFAULT_SNAPSHOT_EVERY - 1 {
         meta.register_stripe(StripeId(1_000_000 + i as u64), vec![0, 1, 2, 3])
             .unwrap();
     }
-    std::fs::remove_dir_all(root.join("meta").join("shard-000")).unwrap();
+    std::fs::remove_dir_all(root.join("meta")).unwrap();
 
     let stored = || -> usize {
         (0..NODES)
@@ -365,5 +363,39 @@ fn metadata_io_errors_fail_put_and_delete_cleanly() {
     assert_eq!(stored(), before, "the failed put leaked blocks");
     assert!(matches!(pipe.delete("/kept"), Err(EcPipeError::Io(_))));
     pipe.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A metadata root written by the sharded layout (a `manifest.bin` and one
+/// WAL per `shard-NNN` directory) is refused as corrupt, by the router and
+/// by the façade, rather than opened as an empty namespace beside the old
+/// data — and the refusal writes nothing into the root.
+#[test]
+fn sharded_metadata_root_is_refused() {
+    let root = fresh_dir("sharded-root");
+    let meta_root = root.join("meta");
+    std::fs::create_dir_all(meta_root.join("shard-000")).unwrap();
+    std::fs::write(meta_root.join("manifest.bin"), b"ECM\x02").unwrap();
+    std::fs::write(meta_root.join("shard-000").join("wal.log"), b"").unwrap();
+
+    match MetaRouter::open(MetaConfig::new(MetaBackend::durable(&meta_root))) {
+        Err(MetaError::Corrupt { path, .. }) => {
+            assert_eq!(path, meta_root.join("manifest.bin"));
+        }
+        other => panic!("expected a corrupt-metadata error, got {:?}", other.err()),
+    }
+    match builder(&root).build() {
+        Err(EcPipeError::Execution { reason }) => {
+            assert!(
+                reason.contains("corrupt metadata file") && reason.contains("manifest.bin"),
+                "{reason}"
+            );
+        }
+        other => panic!("expected a corrupt-metadata error, got {:?}", other.err()),
+    }
+    assert!(
+        !meta_root.join("wal.log").exists(),
+        "the refusal wrote a WAL"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
