@@ -29,21 +29,22 @@ pub enum EcPipeError {
     },
     /// The repair cannot be planned (e.g. too many failures).
     Planning(ecc::CodeError),
-    /// An I/O error from a file-backed block store.
+    /// An I/O error from a block store or the metadata journal.
     Io(std::io::Error),
-    /// A worker thread failed or a channel was closed unexpectedly.
+    /// An internal fault: a plan without helpers, a stalled walk, a
+    /// panicked repair or a metadata-plane failure.
     Execution {
         /// Human-readable explanation.
         reason: String,
     },
-    /// A watched repair abandoned its walk: the hop `src → dst` streamed
-    /// below half its nominal bandwidth
-    /// ([`ManagerConfig::link_watch`](crate::ManagerConfig::link_watch)).
-    LinkDegraded {
+    /// A repair's walk failed on the hop `src → dst`.
+    LinkFailed {
         /// The hop's sending node.
         src: simnet::NodeId,
         /// The hop's receiving node.
         dst: simnet::NodeId,
+        /// What went wrong on it.
+        cause: LinkFailure,
     },
     /// The request itself was invalid (e.g. requestor is a helper).
     InvalidRequest {
@@ -82,8 +83,8 @@ impl fmt::Display for EcPipeError {
             EcPipeError::Planning(e) => write!(f, "repair planning failed: {e}"),
             EcPipeError::Io(e) => write!(f, "block store I/O error: {e}"),
             EcPipeError::Execution { reason } => write!(f, "repair execution failed: {reason}"),
-            EcPipeError::LinkDegraded { src, dst } => {
-                write!(f, "link {src} → {dst} degraded below its nominal bandwidth")
+            EcPipeError::LinkFailed { src, dst, cause } => {
+                write!(f, "link {src} → {dst} failed: {cause}")
             }
             EcPipeError::InvalidRequest { reason } => write!(f, "invalid request: {reason}"),
             EcPipeError::ManagerShutdown => {
@@ -108,6 +109,10 @@ impl std::error::Error for EcPipeError {
         match self {
             EcPipeError::Planning(e) => Some(e),
             EcPipeError::Io(e) => Some(e),
+            EcPipeError::LinkFailed {
+                cause: LinkFailure::Io(e),
+                ..
+            } => Some(e),
             _ => None,
         }
     }
@@ -150,16 +155,38 @@ impl From<ecpipe_meta::MetaError> for EcPipeError {
     }
 }
 
-impl From<crate::transport::TransportError> for EcPipeError {
+/// Why a hop of a repair failed ([`EcPipeError::LinkFailed`]).
+#[derive(Debug)]
+#[non_exhaustive]
+pub enum LinkFailure {
+    /// Below half its nominal bandwidth, by the link watch
+    /// ([`ManagerConfig::link_watch`](crate::ManagerConfig::link_watch)).
+    Degraded,
+    /// A send found the receiver gone, or the stream ended early.
+    PeerGone,
+    /// A frame carried a slice index or length the plan did not expect.
+    Malformed,
+    /// A socket error.
+    Io(std::io::Error),
+}
+
+impl fmt::Display for LinkFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LinkFailure::Degraded => write!(f, "degraded below half its nominal bandwidth"),
+            LinkFailure::PeerGone => write!(f, "the peer end is gone"),
+            LinkFailure::Malformed => write!(f, "a frame the plan did not expect"),
+            LinkFailure::Io(e) => write!(f, "socket error: {e}"),
+        }
+    }
+}
+
+impl From<crate::transport::TransportError> for LinkFailure {
     fn from(e: crate::transport::TransportError) -> Self {
         use crate::transport::TransportError;
         match e {
-            // A vanished peer means a helper or requestor died mid-repair;
-            // the repair must fail loudly rather than silently truncate.
-            TransportError::Disconnected => EcPipeError::Execution {
-                reason: "peer end of a transport link is gone".to_string(),
-            },
-            TransportError::Io(e) => EcPipeError::Io(e),
+            TransportError::Disconnected => LinkFailure::PeerGone,
+            TransportError::Io(e) => LinkFailure::Io(e),
         }
     }
 }
@@ -181,6 +208,16 @@ mod tests {
 
         let io: EcPipeError = std::io::Error::other("disk gone").into();
         assert_eq!(io.source().unwrap().to_string(), "disk gone");
+
+        // A socket error names its hop, not a block store.
+        let link = EcPipeError::LinkFailed {
+            src: 2,
+            dst: 5,
+            cause: LinkFailure::Io(std::io::Error::other("reset")),
+        };
+        assert_eq!(link.source().unwrap().to_string(), "reset");
+        assert!(link.to_string().contains("2 → 5"), "{link}");
+        assert!(!link.to_string().contains("block store"), "{link}");
 
         // Leaf errors carry no source.
         let leaf = EcPipeError::UnknownStripe { stripe: 9 };

@@ -58,8 +58,8 @@
 //! links: between steps the walker samples their byte counters at most
 //! once per `WATCH_TICK`, and caps its pacing sleep at the next sample. A
 //! hop that has streamed for `WATCH_GRACE` below `DEGRADED_BELOW` × its
-//! nominal bandwidth ends the walk with [`EcPipeError::LinkDegraded`], and
-//! the manager re-plans around it.
+//! nominal bandwidth ends the walk with [`EcPipeError::LinkFailed`], as
+//! any failed hop does, and the manager re-plans around it.
 //!
 //! The walker is generic over the [`Transport`] trait: the same plans run
 //! over in-process channels
@@ -88,7 +88,7 @@ use crate::cluster::Cluster;
 use crate::coordinator::{MultiRepairDirective, RepairDirective};
 use crate::store::BlockReader;
 use crate::transport::{SliceMsg, SliceReceiver, SliceSender, Transport};
-use crate::{EcPipeError, Result};
+use crate::{EcPipeError, LinkFailure, Result};
 
 /// The number of slices a stage may run ahead of the stage (or requestor)
 /// it sends to: the credit window of every link of a plan.
@@ -128,7 +128,7 @@ pub fn execute_single<T: Transport + ?Sized>(
 }
 
 /// Walks `dag`, a plan for `directive`, under `watch` when one is given. A
-/// walk that fails — a degraded hop included — stores nothing: the caller
+/// walk that fails — on a failed hop too — stores nothing: the caller
 /// stores the block, and only on success.
 pub(crate) fn walk_single<T: Transport + ?Sized>(
     directive: &RepairDirective,
@@ -241,8 +241,8 @@ impl Watch {
             }
             let since = now.duration_since(*hop.first.get_or_insert(now));
             if since >= WATCH_GRACE && (moved as f64) < hop.floor * since.as_secs_f64() {
-                let (src, dst) = (hop.src, hop.dst);
-                return Err(EcPipeError::LinkDegraded { src, dst });
+                let (src, dst, cause) = (hop.src, hop.dst, LinkFailure::Degraded);
+                return Err(EcPipeError::LinkFailed { src, dst, cause });
             }
         }
         Ok(())
@@ -306,7 +306,7 @@ impl Walk<'_> {
                 .into_iter()
                 .map(|dst| {
                     let (tx, rx) = transport.link(stage.node, dst, PIPELINE_DEPTH);
-                    links.push(Link::new(tx, rx));
+                    links.push(Link::new((stage.node, dst), tx, rx));
                     links.len() - 1
                 })
                 .collect();
@@ -402,6 +402,8 @@ struct Link {
     /// writes no end-of-stream frame).
     rx: SliceReceiver,
     tx: SliceSender,
+    /// The hop, which a `LinkFailed` for whatever fails on the link names.
+    hop: (NodeId, NodeId),
     /// Frames sent and waiting in the sender's queue for its next flush.
     queued: usize,
     /// Frames written to the receiver's side, and frames received.
@@ -410,10 +412,11 @@ struct Link {
 }
 
 impl Link {
-    fn new(tx: SliceSender, rx: SliceReceiver) -> Self {
+    fn new(hop: (NodeId, NodeId), tx: SliceSender, rx: SliceReceiver) -> Self {
         Link {
             rx,
             tx,
+            hop,
             queued: 0,
             written: 0,
             received: 0,
@@ -431,9 +434,15 @@ impl Link {
         self.queued + self.written - self.received < PIPELINE_DEPTH
     }
 
+    /// The hop failed with `cause`.
+    fn failed(&self, cause: impl Into<LinkFailure>) -> EcPipeError {
+        let (src, dst, cause) = (self.hop.0, self.hop.1, cause.into());
+        EcPipeError::LinkFailed { src, dst, cause }
+    }
+
     /// Sends a frame, writing the queue once it holds a credit window.
     fn send(&mut self, msg: SliceMsg) -> Result<()> {
-        if self.tx.queue(msg)? {
+        if self.tx.queue(msg).map_err(|e| self.failed(e))? {
             self.written += 1;
         } else {
             self.queued += 1;
@@ -447,7 +456,7 @@ impl Link {
     /// Writes the frames queued so far.
     fn flush(&mut self) -> Result<()> {
         if self.queued > 0 {
-            self.tx.flush()?;
+            self.tx.flush().map_err(|e| self.failed(e))?;
             self.written += std::mem::take(&mut self.queued);
         }
         Ok(())
@@ -459,12 +468,10 @@ impl Link {
         let msg = self
             .rx
             .recv()
-            .ok_or_else(|| execution_error("a link ended before a slice sent on it arrived"))?;
+            .ok_or_else(|| self.failed(LinkFailure::PeerGone))?;
         self.received += 1;
-        let got = (msg.index, msg.data.len());
-        if got != (index, len) {
-            let reason = format!("expected (slice, bytes) ({index}, {len}), got {got:?}");
-            return Err(execution_error(reason));
+        if (msg.index, msg.data.len()) != (index, len) {
+            return Err(self.failed(LinkFailure::Malformed));
         }
         Ok(msg)
     }
@@ -1149,7 +1156,7 @@ mod tests {
             };
             let first = &dag.links()[0];
             assert!(
-                matches!(result, Err(EcPipeError::LinkDegraded { src, dst })
+                matches!(result, Err(EcPipeError::LinkFailed { src, dst, cause: LinkFailure::Degraded })
                     if (src, dst) == (first.src, first.dst)),
                 "shape {shape:?} must end at its first degraded hop"
             );
@@ -1374,9 +1381,10 @@ mod tests {
 
     /// A frame is folded only where the plan expects it. Slice 0 relabelled
     /// on a helper→helper hop, or on the hop into the requestor, fails the
-    /// repair and stores nothing — whether the label names another slice of
-    /// the block (which would leave a slice of stale pool bytes) or none
-    /// (which would index past the block).
+    /// repair as a malformed frame on that hop and stores nothing — whether
+    /// the label names another slice of the block (which would leave a
+    /// slice of stale pool bytes) or none (which would index past the
+    /// block).
     #[test]
     fn a_frame_the_plan_does_not_expect_fails_the_repair() {
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
@@ -1400,12 +1408,104 @@ mod tests {
                 let strategy = Scheme::RepairPipelining;
                 let result = execute_single(&directive, &cluster, &transport, strategy);
                 assert!(
-                    matches!(result, Err(EcPipeError::Execution { .. })),
-                    "slice 0 relabelled {index} on {hop:?}"
+                    matches!(result, Err(EcPipeError::LinkFailed { src, dst, cause: LinkFailure::Malformed })
+                        if (src, dst) == hop),
+                    "slice 0 relabelled {index} on {hop:?}: {result:?}"
                 );
                 assert!(!cluster.store(7).contains(ecc::stripe::BlockId::new(0, 1)));
             }
         }
+    }
+
+    /// A transport whose hop `hop` is severed (by the inner transport's
+    /// own `disconnect_pair`) just before its frame `after` is sent.
+    struct SeverTransport<T> {
+        inner: Arc<T>,
+        hop: (NodeId, NodeId),
+        after: usize,
+        sever: fn(&T, NodeId, NodeId) -> bool,
+    }
+
+    struct SeverTx<T> {
+        tx: SliceSender,
+        transport: Arc<T>,
+        hop: (NodeId, NodeId),
+        sent: AtomicUsize,
+        after: usize,
+        sever: fn(&T, NodeId, NodeId) -> bool,
+    }
+
+    impl<T: Send + Sync> SliceTx for SeverTx<T> {
+        fn queue(&self, msg: SliceMsg) -> std::result::Result<bool, TransportError> {
+            if self.sent.fetch_add(1, Ordering::SeqCst) == self.after {
+                assert!((self.sever)(&self.transport, self.hop.0, self.hop.1));
+            }
+            self.tx.send(msg).map(|()| true)
+        }
+    }
+
+    impl<T: Transport + 'static> Transport for SeverTransport<T> {
+        fn link(&self, src: NodeId, dst: NodeId, capacity: usize) -> (SliceSender, SliceReceiver) {
+            let (tx, rx) = self.inner.link(src, dst, capacity);
+            if (src, dst) != self.hop {
+                return (tx, rx);
+            }
+            let tx = SeverTx {
+                tx,
+                transport: self.inner.clone(),
+                hop: self.hop,
+                sent: AtomicUsize::new(0),
+                after: self.after,
+                sever: self.sever,
+            };
+            let stats = Arc::new(LinkStats::default());
+            (SliceSender::new(tx, stats, None, 0), rx)
+        }
+
+        fn stats(&self) -> &StatsRegistry {
+            self.inner.stats()
+        }
+    }
+
+    /// A hop severed mid-stream ends the walk with `LinkFailed` naming that
+    /// hop, whichever half of the link notices first, on both transports;
+    /// its message names the hop as `src → dst`, and nothing is stored.
+    #[test]
+    fn a_severed_hop_fails_the_walk_naming_it() {
+        fn case<T: Transport + 'static>(inner: T, sever: fn(&T, NodeId, NodeId) -> bool) {
+            let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
+            let inner = Arc::new(inner);
+            for into_requestor in [false, true] {
+                let (cluster, coordinator, _data, stripe) = setup(code.clone());
+                cluster.erase_block(stripe, 1);
+                let directive = coordinator
+                    .plan_single_repair(cluster.meta(), stripe, 1, 7)
+                    .unwrap();
+                let path = directive.helper_nodes();
+                let hop = match into_requestor {
+                    false => (path[1], path[2]),
+                    true => (path[path.len() - 1], 7),
+                };
+                let transport = SeverTransport {
+                    inner: inner.clone(),
+                    hop,
+                    after: 3,
+                    sever,
+                };
+                let strategy = Scheme::RepairPipelining;
+                let error = execute_single(&directive, &cluster, &transport, strategy)
+                    .expect_err("a severed hop must fail the walk");
+                assert!(
+                    matches!(error, EcPipeError::LinkFailed { src, dst, .. } if (src, dst) == hop),
+                    "{error:?} on {hop:?}"
+                );
+                let named = format!("{} → {}", hop.0, hop.1);
+                assert!(error.to_string().contains(&named), "{error}");
+                assert!(!cluster.store(7).contains(ecc::stripe::BlockId::new(0, 1)));
+            }
+        }
+        case(ChannelTransport::new(), ChannelTransport::disconnect_pair);
+        case(TcpTransport::new(), TcpTransport::disconnect_pair);
     }
 
     #[test]

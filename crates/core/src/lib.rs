@@ -106,7 +106,7 @@ pub use coordinator::{Coordinator, MultiRepairDirective, ObjectMeta, RepairDirec
 pub use ecpipe_meta::{
     MetaBackend, MetaConfig, MetaError, MetaRouter, ObjectRecord, RepairRecord, StripeRecord,
 };
-pub use error::EcPipeError;
+pub use error::{EcPipeError, LinkFailure};
 pub use facade::{chunk_stripe, stripe_count, EcPipe, EcPipeBuilder, ObjectBytes, TransportChoice};
 pub use integrity::{BlockChecksums, ChecksummedStore, DEFAULT_CHUNK_SIZE};
 pub use manager::{

@@ -61,6 +61,13 @@ lock_class!(
 );
 
 lock_class!(
+    /// [`ChannelTransport`](crate::transport::ChannelTransport) sever
+    /// flags, one per directed pair. Leaf: taken to open a link or sever a
+    /// pair, holding nothing.
+    pub TRANSPORT_SEVERS = ("transport.severs", rank = 51)
+);
+
+lock_class!(
     /// TCP transport listener table; held across a dial and the `accept`
     /// that pairs with it (no other lock is taken meanwhile).
     pub TCP_LISTENERS = ("tcp.listeners", rank = 52)

@@ -84,17 +84,17 @@ pub struct RepairOutcome {
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplanReason {
-    /// A helper's block vanished mid-flight; the node earned a liveness
-    /// strike and the repair was re-planned around it.
+    /// A helper's block was missing when the walk opened it; the node
+    /// earned a liveness strike and the repair was re-planned around it.
     HelperLost,
     /// A helper served a block that failed checksum verification; the block
     /// was excluded (no strike — the node itself is healthy) and an
     /// in-place corruption repair was queued.
     CorruptHelper,
-    /// The walk's link watch measured a path link below its degradation
-    /// threshold and ended the walk; the repair was re-planned with the
-    /// slow link's telemetry folded in.
-    LinkDegraded,
+    /// A hop of the walk failed, for any
+    /// [`LinkFailure`](crate::LinkFailure); the repair re-planned, avoiding
+    /// the hop's helper endpoint where it could (no strike).
+    LinkFailed,
     /// Topology-aware selection had too few candidates (or no feasible
     /// path) and fell back to flat LRU selection for this attempt. Not a
     /// re-execution: the attempt still ran, just without the topology.
@@ -106,7 +106,7 @@ impl fmt::Display for ReplanReason {
         let label = match self {
             ReplanReason::HelperLost => "helper lost",
             ReplanReason::CorruptHelper => "corrupt helper",
-            ReplanReason::LinkDegraded => "link degraded",
+            ReplanReason::LinkFailed => "link failed",
             ReplanReason::PlanningFallback => "planning fallback",
         };
         f.write_str(label)
@@ -124,7 +124,7 @@ pub struct ReplanEvent {
     /// What triggered the re-plan.
     pub reason: ReplanReason,
     /// The node held responsible — the sick helper, or the endpoint blamed
-    /// for a degraded link — when one is identifiable.
+    /// for a failed hop — when one is identifiable.
     pub node: Option<NodeId>,
 }
 
@@ -198,8 +198,8 @@ pub struct ManagerReport {
     pub corruption_wait: WaitStats,
     /// Queue-wait statistics for background repairs.
     pub background_wait: WaitStats,
-    /// Total re-plans across all repairs (helpers lost mid-flight, corrupt
-    /// helper blocks, degraded links).
+    /// Total re-plans across all repairs (helpers lost, corrupt helper
+    /// blocks, failed hops).
     pub replans: usize,
     /// Every re-plan and planning-fallback event, in occurrence order.
     pub replan_events: Vec<ReplanEvent>,
@@ -465,7 +465,7 @@ mod tests {
         assert_eq!(report.link_bytes[&(5, 9)], 3072);
         assert_eq!(report.replan_events.len(), 1);
         assert_eq!(report.replans_because(ReplanReason::HelperLost), 1);
-        assert_eq!(report.replans_because(ReplanReason::LinkDegraded), 0);
+        assert_eq!(report.replans_because(ReplanReason::LinkFailed), 0);
         assert!(report.wall_time > Duration::ZERO);
     }
 

@@ -17,10 +17,10 @@
 //!   coordinator's helper choice — made by its one planner under the
 //!   configured [`PathPolicy`] — so no node serves more than a configured
 //!   number of simultaneous repair roles;
-//! * a [liveness view](NodeHealth) fed by repair outcomes — a helper that
-//!   fails mid-flight earns strikes, a node crossing the threshold is
+//! * a [liveness view](NodeHealth) fed by repair outcomes — a helper whose
+//!   block is missing earns strikes, a node crossing the threshold is
 //!   declared dead and its remaining stripes are auto-enqueued — with
-//!   mid-flight re-planning around the lost block (§3.2 straggler
+//!   re-planning around a lost block or a failed hop (§3.2 straggler
 //!   handling);
 //! * a [scrubber](Scrubber) that walks the cluster's stores at a paced rate,
 //!   verifies block checksums (see [`ChecksummedStore`](crate::ChecksummedStore)),
@@ -116,8 +116,8 @@ pub struct ManagerConfig {
     /// admission gate blocks repairs that would exceed it. With one worker
     /// the cap never binds.
     pub per_node_inflight_cap: usize,
-    /// How many times one repair may be re-planned around a helper that died
-    /// mid-flight before giving up.
+    /// How many times one repair may be re-planned around a lost helper or
+    /// a failed hop before giving up.
     pub max_replans: usize,
     /// Consecutive block misses after which a node is declared dead (and its
     /// stripes auto-enqueued).
@@ -134,12 +134,13 @@ pub struct ManagerConfig {
     pub path_policy: PathPolicy,
     /// Runs every repair under the link watch: between steps, the walk
     /// samples the bytes each link of its plan has moved, and ends with
-    /// [`EcPipeError::LinkDegraded`](crate::EcPipeError::LinkDegraded) when
-    /// a link that has streamed for 150 ms runs below half its nominal
-    /// (topology) bandwidth. The repair then re-plans
-    /// ([`ReplanReason::LinkDegraded`]) with the slow link's measured
-    /// throughput already folded into the telemetry, so the new path routes
-    /// around it. Needs a cluster topology; off by default.
+    /// [`EcPipeError::LinkFailed`](crate::EcPipeError::LinkFailed) (cause
+    /// [`Degraded`](crate::LinkFailure::Degraded)) when a link that has
+    /// streamed for 150 ms runs below half its nominal (topology)
+    /// bandwidth. The repair then re-plans ([`ReplanReason::LinkFailed`])
+    /// with the slow link's measured throughput already folded into the
+    /// telemetry, so the new path routes around it. Needs a cluster
+    /// topology; off by default.
     pub link_watch: bool,
 }
 
@@ -182,7 +183,8 @@ struct DaemonShared<T> {
 
 /// The long-running repair daemon: owns the coordinator, cluster and
 /// transport, keeps a worker pool alive, and accepts repair requests and
-/// failure reports while running.
+/// failure reports while running. Dropped, it stops as
+/// [`crash_stop`](Self::crash_stop) does.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -361,26 +363,36 @@ impl<T: Transport + Send + Sync + 'static> RepairManager<T> {
     /// (their pending records survive) and repairs finishing after the
     /// crash are not resolved. Reopening the same metadata directory then
     /// exercises the real crash-recovery path: pending directives are
-    /// re-enqueued, stale ones rejected by their epoch. A crashed process
-    /// files no report.
+    /// re-enqueued, and one whose block is already intact where the router
+    /// places it is resolved instead of healed twice. A crashed process
+    /// files no report. Dropping the manager does the same.
     pub fn crash_stop(self) {
-        self.shared.engine.crash();
-        for worker in self.workers {
-            let _ = worker.join();
-        }
+        drop(self);
     }
 
     /// Graceful shutdown: stops accepting work, drains the queue, joins the
     /// workers and returns the run's report.
-    pub fn shutdown(self) -> ManagerReport {
+    pub fn shutdown(mut self) -> ManagerReport {
         self.shared.engine.queue.close();
-        for worker in self.workers {
+        for worker in std::mem::take(&mut self.workers) {
             let _ = worker.join();
         }
         self.shared.engine.metrics.report(
             self.started.elapsed(),
             metrics::link_bytes_since(&self.baseline, self.shared.transport.stats().snapshot()),
         )
+    }
+}
+
+impl<T: Transport + Send + Sync + 'static> Drop for RepairManager<T> {
+    /// Stops the workers as a crash would: without this, a manager dropped
+    /// without [`shutdown`](Self::shutdown) would leave them blocked on the
+    /// queue, holding the cluster, its blocks and the transport's sockets.
+    fn drop(&mut self) {
+        self.shared.engine.crash();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
     }
 }
 

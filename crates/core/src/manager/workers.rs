@@ -7,13 +7,14 @@
 //! link telemetry and the liveness view, pass the chosen nodes through the
 //! admission gate (per-node in-flight caps — the runtime enforcement of the
 //! paper's "no overloaded helper" scheduling), execute, and store the
-//! reconstructed block. A helper whose block vanishes mid-flight earns a
-//! liveness strike and the repair is re-planned with the survivors (§3.2
-//! straggler handling); with [`ManagerConfig::link_watch`] on, the walk
-//! watches its own links, and one it measures below its nominal bandwidth
-//! ([`EcPipeError::LinkDegraded`]) is handled the same way, minus the
-//! strike. A repair that panics is recorded as failed, and its worker goes
-//! on serving.
+//! reconstructed block. A helper whose block is gone when the walk opens it
+//! earns a liveness strike and the repair is re-planned with the survivors
+//! (§3.2 straggler handling). A hop that fails mid-walk
+//! ([`EcPipeError::LinkFailed`]: a sever, a vanished peer, a malformed
+//! frame, a socket error, or a hop the link watch measured below its
+//! nominal bandwidth) is re-planned around where a plan without its helper
+//! exists, with no strike. A repair that panics is recorded as failed, and
+//! its worker goes on serving.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
@@ -449,8 +450,8 @@ fn publish(
     }
 }
 
-/// Executes one request end to end, re-planning around helpers that die
-/// mid-flight (up to `config.max_replans` times). A stored block comes back
+/// Executes one request end to end, re-planning around lost helpers and
+/// failed hops (up to `config.max_replans` times). A stored block comes back
 /// as its [`RepairOutcome`] (the collector stamps `finished_seq`), the bytes
 /// reconstructed and every node that held a role; a repair given up on
 /// comes back as the [`FailedRepair`] the report keeps.
@@ -485,6 +486,9 @@ fn run_one<T: Transport + ?Sized>(
     requestors.sort_by_key(|&r| holds_other(&holders, request.failed, r));
     let mut requestor_idx = 0usize;
     let mut excluded: Vec<usize> = Vec::new();
+    // Blocks behind a failed hop: their nodes still hold them, so they are
+    // left out only while a plan without them exists.
+    let mut avoided: Vec<usize> = Vec::new();
     let mut replans = 0usize;
     loop {
         // A requestor declared dead (possibly after this request was
@@ -511,6 +515,7 @@ fn run_one<T: Transport + ?Sized>(
         // Plan fresh on each attempt, from the placement as it is now: after
         // a helper loss the helper set must shrink around the excluded block.
         let stripe = request.stripe;
+        let skipped = [&excluded[..], &avoided[..]].concat();
         let planned = engine
             .meta
             .stripe(stripe)
@@ -522,7 +527,7 @@ fn run_one<T: Transport + ?Sized>(
                     &record,
                     request.failed,
                     requestor,
-                    &excluded,
+                    &skipped,
                     &is_dead,
                     paths,
                 )?;
@@ -530,6 +535,10 @@ fn run_one<T: Transport + ?Sized>(
             });
         let (planned, planned_on) = match planned {
             Ok(p) => p,
+            Err(EcPipeError::Planning(_)) if !avoided.is_empty() => {
+                avoided.clear();
+                continue;
+            }
             Err(error @ EcPipeError::Planning(_)) => {
                 if requestor_idx + 1 < requestors.len() {
                     requestor_idx += 1;
@@ -564,7 +573,7 @@ fn run_one<T: Transport + ?Sized>(
             let watch = watched.map(|t| Watch::new(&dag, transport, t.topology()));
             exec::walk_single(&directive, &dag, cluster, transport, watch)
         };
-        match outcome {
+        let error = match outcome {
             Ok(block) => {
                 let bytes = block.len();
                 let id = BlockId {
@@ -591,99 +600,57 @@ fn run_one<T: Transport + ?Sized>(
                 };
                 return Ok((outcome, bytes, roles));
             }
-            Err(EcPipeError::BlockNotFound { block })
-                if block.stripe == request.stripe && replans < config.max_replans =>
-            {
-                // A helper lost its block between planning and execution:
-                // strike the node, exclude the block, re-plan with the
-                // survivors (§3.2 straggler handling, generalized).
-                replans += 1;
-                excluded.push(block.index);
-                if let Some(&(node, _, _)) =
-                    directive.path.iter().find(|e| e.1.index == block.index)
-                {
-                    engine.metrics.record_replan(ReplanEvent {
-                        stripe: request.stripe,
-                        failed: request.failed,
-                        reason: ReplanReason::HelperLost,
-                        node: Some(node),
-                    });
-                    strike(engine, node);
-                }
+            Err(error) => error,
+        };
+        if replans >= config.max_replans {
+            return Err(fail(error, replans));
+        }
+        // Re-plan, on record, with a lost or corrupt block excluded for good.
+        let (reason, node, excluding) = match error {
+            EcPipeError::BlockNotFound { block } if block.stripe == request.stripe => {
+                // A helper's block was gone when the walk opened it: strike
+                // the node, exclude the block, re-plan with the survivors
+                // (§3.2 straggler handling, generalized).
+                let node = directive.path.iter().find(|e| e.1.index == block.index);
+                let node = node.map(|&(node, _, _)| node);
+                node.into_iter().for_each(|node| strike(engine, node));
+                (ReplanReason::HelperLost, node, Some(block.index))
             }
-            Err(EcPipeError::CorruptBlock { block, .. })
-                if block.stripe == request.stripe && replans < config.max_replans =>
-            {
+            EcPipeError::CorruptBlock { block, .. } if block.stripe == request.stripe => {
                 // A helper read a slice whose checksums no longer match:
                 // bit-rot, not node death. The stream failed cleanly before
                 // any poisoned partial could reach the requestor; re-plan
                 // around the rotten block — without a liveness strike, the
                 // node itself is healthy — and queue an in-place
                 // corruption-class repair to scrub the rot out.
-                replans += 1;
-                excluded.push(block.index);
-                if let Ok(holder) = cluster.node_of(block.stripe, block.index) {
-                    engine.metrics.record_replan(ReplanEvent {
-                        stripe: request.stripe,
-                        failed: request.failed,
-                        reason: ReplanReason::CorruptHelper,
-                        node: Some(holder),
-                    });
+                let holder = cluster.node_of(block.stripe, block.index).ok();
+                if let Some(holder) = holder {
                     engine.submit_corruption(block, holder);
                 }
+                (ReplanReason::CorruptHelper, holder, Some(block.index))
             }
-            Err(EcPipeError::LinkDegraded { src, dst }) if replans < config.max_replans => {
-                // The link watch measured a path link below its degradation
-                // threshold and ended the walk. Blame the helper endpoint of
-                // the slow hop (the downstream helper, or the upstream one
-                // when the hop ends at the requestor) and exclude its block
-                // — *without* a liveness strike: the node is healthy, its
-                // link is slow. The failed attempt also pushed bytes through
-                // the slow link at the degraded rate, so the telemetry the
-                // re-plan observes has already collapsed for that pair and a
-                // weighted re-plan routes around it even when the blame
-                // heuristic picked the wrong endpoint.
+            EcPipeError::LinkFailed { src, dst, .. } => {
+                // A hop failed. Avoid its helper endpoint (the downstream
+                // helper, or the upstream one on the hop into the requestor)
+                // without a strike: the walk opened every helper block, so
+                // the node still holds it. After a slow hop the telemetry
+                // has collapsed for that pair, so a weighted re-plan routes
+                // around it whichever endpoint the blame picked.
                 let helpers = directive.helper_nodes();
                 let blamed = if helpers.contains(&dst) { dst } else { src };
-                replans += 1;
-                engine.metrics.record_replan(ReplanEvent {
-                    stripe: request.stripe,
-                    failed: request.failed,
-                    reason: ReplanReason::LinkDegraded,
-                    node: Some(blamed),
-                });
-                if let Some(&(_, block, _)) = directive.path.iter().find(|e| e.0 == blamed) {
-                    excluded.push(block.index);
-                }
+                let index = directive.path.iter().find(|e| e.0 == blamed);
+                avoided.extend(index.map(|&(_, block, _)| block.index));
+                (ReplanReason::LinkFailed, Some(blamed), None)
             }
-            Err(error @ EcPipeError::Execution { .. }) if replans < config.max_replans => {
-                // A helper died *mid-stream*: the pipeline reports only that
-                // a link ended early, so identify the culprits by re-checking
-                // which helper blocks are still present, then re-plan around
-                // them. If every block is still there the failure was not a
-                // vanished helper — give up with the original error.
-                let missing: Vec<(NodeId, usize)> = directive
-                    .path
-                    .iter()
-                    .filter(|&&(node, block, _)| !cluster.store(node).contains(block))
-                    .map(|&(node, block, _)| (node, block.index))
-                    .collect();
-                if missing.is_empty() {
-                    return Err(fail(error, replans));
-                }
-                replans += 1;
-                for (node, index) in missing {
-                    excluded.push(index);
-                    engine.metrics.record_replan(ReplanEvent {
-                        stripe: request.stripe,
-                        failed: request.failed,
-                        reason: ReplanReason::HelperLost,
-                        node: Some(node),
-                    });
-                    strike(engine, node);
-                }
-            }
-            Err(error) => return Err(fail(error, replans)),
-        }
+            error => return Err(fail(error, replans)),
+        };
+        replans += 1;
+        excluded.extend(excluding);
+        engine.metrics.record_replan(ReplanEvent {
+            stripe: request.stripe,
+            failed: request.failed,
+            reason,
+            node,
+        });
     }
 }

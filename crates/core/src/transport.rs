@@ -32,7 +32,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -628,10 +628,15 @@ pub trait Transport: Send + Sync {
 
 struct ChannelTx {
     inner: Sender<SliceMsg>,
+    /// Set once the link's pair is severed.
+    severed: Arc<AtomicBool>,
 }
 
 impl SliceTx for ChannelTx {
     fn queue(&self, msg: SliceMsg) -> Result<bool, TransportError> {
+        if self.severed.load(Ordering::Acquire) {
+            return Err(TransportError::Disconnected);
+        }
         self.inner
             .send(msg)
             .map(|()| true)
@@ -641,20 +646,34 @@ impl SliceTx for ChannelTx {
 
 struct ChannelRx {
     inner: Receiver<SliceMsg>,
+    severed: Arc<AtomicBool>,
 }
 
 impl SliceRx for ChannelRx {
     fn recv(&self) -> Option<SliceMsg> {
-        self.inner.recv().ok()
+        let msg = self.inner.recv().ok()?;
+        // A frame still in the channel when the pair was severed is lost,
+        // as one in a severed socket's buffers is.
+        (!self.severed.load(Ordering::Acquire)).then_some(msg)
     }
 }
 
 /// The in-process backend: each link is a bounded MPMC channel, optionally
 /// throttled by per-link or per-pair token buckets.
-#[derive(Default)]
 pub struct ChannelTransport {
     stats: StatsRegistry,
     shaper: Shaper,
+    /// Per directed pair, the flag its open links share, which
+    /// [`disconnect_pair`](Self::disconnect_pair) sets (`Release`; the
+    /// links' halves read it with `Acquire`) and retires.
+    /// Lock class: `transport.severs` ([`lock_order::TRANSPORT_SEVERS`]).
+    severs: Mutex<HashMap<(NodeId, NodeId), Arc<AtomicBool>>>,
+}
+
+impl Default for ChannelTransport {
+    fn default() -> Self {
+        ChannelTransport::shaped(Shaper::default())
+    }
 }
 
 impl ChannelTransport {
@@ -663,16 +682,21 @@ impl ChannelTransport {
         ChannelTransport::default()
     }
 
+    fn shaped(shaper: Shaper) -> Self {
+        ChannelTransport {
+            stats: StatsRegistry::default(),
+            shaper,
+            severs: Mutex::new(&lock_order::TRANSPORT_SEVERS, HashMap::new()),
+        }
+    }
+
     /// Creates a transport where every link is throttled to `bytes_per_sec`
     /// by a token bucket, simulating bandwidth-limited links without
     /// sockets. Useful for measuring scheduling effects (e.g. a full-node
     /// recovery by 4 workers versus one) where the repair is network-bound
     /// rather than CPU-bound.
     pub fn with_rate_limit(bytes_per_sec: u64) -> Self {
-        ChannelTransport {
-            stats: StatsRegistry::default(),
-            shaper: Shaper::flat(bytes_per_sec),
-        }
+        ChannelTransport::shaped(Shaper::flat(bytes_per_sec))
     }
 
     /// Creates a transport whose links are shaped per directed node pair by
@@ -680,10 +704,7 @@ impl ChannelTransport {
     /// heterogeneous cluster — slow NICs, constrained cross-rack links — is
     /// reproduced in process. All links over one pair share one bucket.
     pub fn with_topology(topology: Arc<Topology>) -> Self {
-        ChannelTransport {
-            stats: StatsRegistry::default(),
-            shaper: Shaper::topology(topology),
-        }
+        ChannelTransport::shaped(Shaper::topology(topology))
     }
 
     /// Re-rates one directed pair's shared bucket at runtime (topology-shaped
@@ -693,17 +714,36 @@ impl ChannelTransport {
     pub fn set_link_rate(&self, src: NodeId, dst: NodeId, bytes_per_sec: u64) -> bool {
         self.shaper.set_link_rate(src, dst, bytes_per_sec)
     }
+
+    /// Severs every open link of the directed pair, as
+    /// [`TcpTransport::disconnect_pair`] does: a send on one fails with
+    /// [`TransportError::Disconnected`] and a receive ends, frames still in
+    /// flight lost; the pair's next link works. Unlike a socket, a send or
+    /// receive already blocked on another thread is not woken. Returns
+    /// whether the pair had an open link to sever.
+    pub fn disconnect_pair(&self, src: NodeId, dst: NodeId) -> bool {
+        let Some(severed) = self.severs.lock().remove(&(src, dst)) else {
+            return false;
+        };
+        severed.store(true, Ordering::Release);
+        Arc::strong_count(&severed) > 1
+    }
 }
 
 impl Transport for ChannelTransport {
     fn link(&self, src: NodeId, dst: NodeId, capacity: usize) -> (SliceSender, SliceReceiver) {
         let stats = self.stats.register(src, dst);
         let (tx, rx) = bounded(capacity.max(1));
+        let severed = self.severs.lock().entry((src, dst)).or_default().clone();
         // In process, a frame is its payload: nothing else is charged.
         let bucket = self.shaper.bucket(src, dst);
+        let tx = ChannelTx {
+            inner: tx,
+            severed: severed.clone(),
+        };
         (
-            SliceSender::new(ChannelTx { inner: tx }, stats, bucket, 0),
-            SliceReceiver::new(ChannelRx { inner: rx }),
+            SliceSender::new(tx, stats, bucket, 0),
+            SliceReceiver::new(ChannelRx { inner: rx, severed }),
         )
     }
 
@@ -734,6 +774,17 @@ impl AnyTransport {
         match self {
             AnyTransport::Channel(t) => t.set_link_rate(src, dst, bytes_per_sec),
             AnyTransport::Tcp(t) => t.set_link_rate(src, dst, bytes_per_sec),
+        }
+    }
+
+    /// Severs every open link of the directed pair; see
+    /// [`ChannelTransport::disconnect_pair`] /
+    /// [`TcpTransport::disconnect_pair`]. Returns whether the pair had
+    /// something to sever.
+    pub fn disconnect_pair(&self, src: NodeId, dst: NodeId) -> bool {
+        match self {
+            AnyTransport::Channel(t) => t.disconnect_pair(src, dst),
+            AnyTransport::Tcp(t) => t.disconnect_pair(src, dst),
         }
     }
 }
@@ -821,6 +872,35 @@ mod tests {
         let (tx, rx) = transport.link(0, 1, 1);
         drop(tx);
         assert!(rx.recv().is_none());
+    }
+
+    #[test]
+    fn disconnect_pair_fails_open_links_and_spares_later_ones() {
+        let transport = ChannelTransport::new();
+        let (tx, rx) = transport.link(0, 1, 4);
+        tx.send(SliceMsg::new(0, Bytes::from_static(b"lost")))
+            .unwrap();
+        let (other_tx, other_rx) = transport.link(1, 0, 4);
+        assert!(transport.disconnect_pair(0, 1));
+        assert!(!transport.disconnect_pair(0, 1), "already severed");
+        // The open link's sender fails, and its receiver ends with the
+        // frame in flight lost.
+        assert!(matches!(
+            tx.send(SliceMsg::new(1, Bytes::from_static(b"x"))),
+            Err(TransportError::Disconnected)
+        ));
+        assert!(rx.recv().is_none(), "a severed link must end");
+        // The pair's next link works, and another pair was never touched.
+        let (tx2, rx2) = transport.link(0, 1, 4);
+        tx2.send(SliceMsg::new(9, Bytes::from_static(b"post")))
+            .unwrap();
+        assert_eq!(rx2.recv().unwrap().index, 9);
+        other_tx
+            .send(SliceMsg::new(2, Bytes::from_static(b"kept")))
+            .unwrap();
+        assert_eq!(other_rx.recv().unwrap().index, 2);
+        drop((tx, rx, tx2, rx2));
+        assert!(!transport.disconnect_pair(0, 1), "no open link left");
     }
 
     #[test]

@@ -10,18 +10,22 @@
 //! results byte-for-byte,
 //! degraded reads finish before queued background work, helpers that die
 //! mid-flight are re-planned around, and a silently dead node is detected
-//! and auto-recovered by the daemon.
+//! and auto-recovered by the daemon. The sever experiment runs on both:
+//! every link of a node recovery cut mid-flight, and nothing left missing.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use repair_pipelining::ecc::slice::SliceLayout;
 use repair_pipelining::ecc::stripe::{BlockId, StripeId};
 use repair_pipelining::ecc::{ErasureCode, ReedSolomon};
 use repair_pipelining::ecpipe::manager::{
-    ManagerConfig, NodeHealth, RepairManager, RepairPriority, RepairRequest,
+    ManagerConfig, NodeHealth, RepairManager, RepairPriority, RepairRequest, ReplanReason,
 };
 use repair_pipelining::ecpipe::transport::{ChannelTransport, TcpTransport, Transport};
-use repair_pipelining::ecpipe::{Cluster, Coordinator, EcPipe, EcPipeBuilder, StoreBackend};
+use repair_pipelining::ecpipe::{
+    Cluster, Coordinator, EcPipe, EcPipeBuilder, StoreBackend, TransportChoice,
+};
 
 const BLOCK: usize = 64 * 1024;
 const SLICE: usize = 8 * 1024;
@@ -540,4 +544,100 @@ fn overlapping_repairs_of_one_stripe_survive_strikes_racing_the_second_report() 
         pipe.report_node_failure(3);
         overlap_check(pipe, &objects);
     }
+}
+
+/// The sever experiment: RS(6,4) on 10 memory nodes, 256 KiB blocks in
+/// 32 KiB slices on 8 MiB/s links, two workers recovering onto nodes 6–9.
+/// Node 0 is killed and reported, and every pair of the cluster is severed
+/// `after` into the recovery. A walk that loses a hop ends with
+/// `LinkFailed` naming it, and its repair re-plans (§3.2): after
+/// `wait_idle` no repair has failed, every lost block is held by one live
+/// node — where the metadata places it, unless every pool node already
+/// holds a block of its stripe — and re-reading every object moves no
+/// byte. Returns how many re-plans a failed hop caused.
+fn case_severed_links(choice: TransportChoice, after: Duration) -> usize {
+    const NODES: usize = 10;
+    const BLOCK: usize = 256 * 1024;
+    const POOL: [usize; 4] = [6, 7, 8, 9];
+    let pipe = EcPipeBuilder::new()
+        .code(6, 4)
+        .block_size(BLOCK)
+        .slice_size(32 * 1024)
+        .store(StoreBackend::memory(NODES))
+        .transport(choice)
+        .rate_limit(8 * 1024 * 1024)
+        .manager(ManagerConfig {
+            auto_requestors: POOL.to_vec(),
+            ..ManagerConfig::default().with_workers(2)
+        })
+        .build()
+        .unwrap();
+    // Ten one-stripe objects over the ten nodes.
+    let objects: Vec<Vec<u8>> = (0..10u64)
+        .map(|o| {
+            (0..4 * BLOCK as u64)
+                .map(|b| ((b * 31 + o * 17 + 7) % 251) as u8)
+                .collect()
+        })
+        .collect();
+    for (i, data) in objects.iter().enumerate() {
+        pipe.put(&format!("/sever/{i}"), data).unwrap();
+    }
+    let lost = pipe.kill_node(0);
+    assert_eq!(pipe.report_node_failure(0), lost.len());
+    std::thread::sleep(after);
+    for src in 0..NODES {
+        for dst in (0..NODES).filter(|&dst| dst != src) {
+            pipe.transport().disconnect_pair(src, dst);
+        }
+    }
+    pipe.wait_idle();
+    for block in &lost {
+        let holders: Vec<usize> = (0..NODES)
+            .filter(|&n| pipe.cluster().store(n).contains(*block))
+            .collect();
+        let placement = pipe.meta().stripe(block.stripe).unwrap().locations;
+        match placement[block.index] {
+            // Unplaced: every pool node already holds a block of the
+            // stripe, so the copy stays on its requestor (see `publish`).
+            0 => assert!(
+                holders.len() == 1 && POOL.iter().all(|n| placement.contains(n)),
+                "block {block} held by {holders:?}, stripe placed on {placement:?}"
+            ),
+            placed => assert_eq!(holders, [placed], "block {block}"),
+        }
+    }
+    let repaired = pipe.transport().total_bytes();
+    for (i, data) in objects.iter().enumerate() {
+        assert_eq!(pipe.get(&format!("/sever/{i}")).unwrap(), *data);
+    }
+    assert_eq!(
+        pipe.transport().total_bytes(),
+        repaired,
+        "a re-read repaired a block the recovery left behind"
+    );
+    let report = pipe.shutdown();
+    assert_eq!(report.failed_repairs, 0, "{:?}", report.failures);
+    report.replans_because(ReplanReason::LinkFailed)
+}
+
+/// The sever experiment at 30, 100 and 300 ms. The recovery takes at
+/// least three rounds of 43 ms (a 256 KiB block at 8 MiB/s, plus the
+/// pipeline's fill), so the first two severs cut walks in flight; by
+/// 300 ms it is usually over.
+fn severed_links(choice: TransportChoice) {
+    for ms in [30, 100, 300] {
+        let replans = case_severed_links(choice, Duration::from_millis(ms));
+        assert!(ms == 300 || replans > 0, "a sever at {ms} ms cut no walk");
+    }
+}
+
+#[test]
+fn severed_links_replan_over_channels() {
+    severed_links(TransportChoice::Channel);
+}
+
+#[test]
+fn severed_links_replan_over_tcp() {
+    severed_links(TransportChoice::Tcp);
 }

@@ -7,7 +7,9 @@
 //! sockets ≤ 2 per concurrently open link per pair + one listener per node.
 //!
 //! A watched repair (`link_watch`) is no exception: the walk samples its own
-//! links, so a node recovery on a façade adds no thread to its workers.
+//! links, so a node recovery on a façade adds no thread to its workers. And
+//! a façade dropped without `shutdown` takes its workers and sockets with
+//! it.
 //!
 //! The one test lives in a binary of its own because it reads process-wide
 //! counters (`/proc/self/status`, `/proc/self/fd`) that tests running beside
@@ -50,6 +52,7 @@ fn two_hundred_repairs_leave_no_threads_and_a_bounded_number_of_sockets() {
     std::thread::spawn(move || {
         two_hundred_repairs();
         watched_node_recovery();
+        dropped_facades();
         let _ = done_tx.send(());
     });
     done_rx
@@ -92,6 +95,45 @@ fn watched_node_recovery() {
     );
     assert_eq!(pipe.get("/watched").unwrap(), data);
     assert_eq!(pipe.shutdown().failed_repairs, 0);
+}
+
+/// Three TCP façades, each built, used for a degraded read and dropped
+/// without `shutdown`: the threads and sockets are back at their count
+/// before the first. A manager that outlived its façade would keep its
+/// workers, blocked on the queue, and through them the transport.
+fn dropped_facades() {
+    const NODES: usize = 16;
+    let (threads_before, sockets_before) = (threads(), open_sockets());
+    for round in 0..3u64 {
+        let pipe = EcPipeBuilder::new()
+            .code(6, 4)
+            .block_size(BLOCK)
+            .slice_size(8 * 1024)
+            .store(StoreBackend::memory(NODES))
+            .transport(TransportChoice::Tcp)
+            .build()
+            .unwrap();
+        let data: Vec<u8> = (0..4 * BLOCK as u64)
+            .map(|i| ((i * 7 + round) % 251) as u8)
+            .collect();
+        pipe.put("/dropped", &data).unwrap();
+        let stripe = pipe.object_meta("/dropped").unwrap().stripes[0];
+        assert!(pipe.erase_block(stripe, 0));
+        assert_eq!(pipe.get("/dropped").unwrap(), data, "round {round}");
+        assert!(pipe.transport().total_bytes() > 0, "the read repaired");
+        drop(pipe);
+    }
+    // A joined thread can linger in the count for a moment.
+    let settled = Instant::now() + Duration::from_secs(2);
+    while threads() != threads_before && Instant::now() < settled {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(threads(), threads_before, "a dropped façade left threads");
+    assert_eq!(
+        open_sockets(),
+        sockets_before,
+        "a dropped façade left sockets"
+    );
 }
 
 fn two_hundred_repairs() {

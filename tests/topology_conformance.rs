@@ -352,7 +352,7 @@ fn degraded_link_triggers_a_replan_that_completes_byte_exact() {
     let report = pipe.shutdown();
     assert_eq!(report.blocks_repaired, 1);
     assert!(
-        report.replans_because(ReplanReason::LinkDegraded) >= 1,
+        report.replans_because(ReplanReason::LinkFailed) >= 1,
         "the watchdog must report the degraded link: {:?}",
         report.replan_events
     );
