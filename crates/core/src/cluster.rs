@@ -75,7 +75,7 @@ impl Cluster {
     }
 
     /// The metadata router this cluster resolves placements through: the
-    /// namespace of objects, stripe placements, epochs and pending repairs.
+    /// namespace of objects, stripe placements and pending repairs.
     pub fn meta(&self) -> &Arc<MetaRouter> {
         &self.meta
     }

@@ -14,11 +14,10 @@
 //! from it and turns it into a directive. What *is* the coordinator's own
 //! is the code, the slice layout and the helper-selection clock, kept
 //! behind a leaf lock so planning takes `&self` and concurrent repairs
-//! plan without queueing behind each other's metadata reads. Every
-//! placement carries a monotonic epoch, and directives record the epoch
-//! they were planned at. The epoch is the stripe's, so the manager rejects
-//! a completion as [`EcPipeError::StaleRepair`] only if the repaired block
-//! itself moved in the meantime.
+//! plan without queueing behind each other's metadata reads. A completed
+//! repair publishes its block through the router's one placement rule
+//! ([`MetaRouter::relocate`]): the block moves only from the node the plan
+//! found it on.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -56,10 +55,9 @@ pub struct RepairDirective {
     pub requestor: NodeId,
     /// Block/slice layout.
     pub layout: SliceLayout,
-    /// The stripe's placement epoch when the repair was planned. Any
-    /// relocation of a block of the stripe moves it, so a completion
-    /// pinned to it through [`MetaRouter::relocate`] is also rejected when
-    /// a *different* block of the stripe relocated in the meantime.
+    /// Always 0, and read by nothing: stripes carry no epoch. The field
+    /// stays until the last struct literal naming it, in the benchmark's
+    /// probes, is gone.
     pub epoch: u64,
 }
 
@@ -93,9 +91,6 @@ pub struct MultiRepairDirective {
     pub requestors: Vec<NodeId>,
     /// Block/slice layout.
     pub layout: SliceLayout,
-    /// The stripe's placement epoch when the repair was planned (see
-    /// [`RepairDirective::epoch`]).
-    pub epoch: u64,
 }
 
 impl MultiRepairDirective {
@@ -273,7 +268,7 @@ impl Coordinator {
                 path,
                 requestor,
                 layout: self.layout,
-                epoch: record.epoch,
+                epoch: 0,
             },
             bottleneck,
             fell_back,
@@ -322,7 +317,6 @@ impl Coordinator {
             path,
             requestors: ordered_requestors,
             layout: self.layout,
-            epoch: record.epoch,
         })
     }
 
@@ -364,7 +358,7 @@ fn candidates(
 mod tests {
     use super::*;
     use ecc::ReedSolomon;
-    use ecpipe_meta::MetaConfig;
+    use ecpipe_meta::{MetaBackend, MetaConfig, RelocateOutcome};
 
     const S1: StripeId = StripeId(1);
 
@@ -377,28 +371,36 @@ mod tests {
         (Coordinator::new(code, SliceLayout::new(4096, 1024)), meta)
     }
 
+    /// A completion whose block moved since planning gets `Elsewhere`, and
+    /// neither the placement nor the WAL changes; a completion planned
+    /// against the current placement moves the block.
     #[test]
     fn epochs_version_placements_and_reject_stale_completions() {
-        let (c, meta) = setup(6);
+        let root = std::env::temp_dir().join(format!("ecpipe-coord-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let meta = MetaRouter::open(MetaConfig::new(MetaBackend::durable(&root))).unwrap();
+        meta.register_stripe(S1, (0..6).collect()).unwrap();
+        let wal = || std::fs::read(root.join("wal.log")).unwrap();
+        let (c, _) = setup(6);
+        let planned_on = meta.node_of(S1, 2).unwrap();
         let d = c.plan_single_repair(&meta, S1, 2, 9).unwrap();
         assert_eq!(d.epoch, 0);
-        // The placement moves underneath the directive...
+        // The block moves underneath the directive...
         meta.relocate(S1, 2, 8, None).unwrap();
-        // ...so completing it at the planned epoch is rejected.
-        match meta.relocate(S1, 2, 9, Some(d.epoch)).map_err(Into::into) {
-            Err(EcPipeError::StaleRepair {
-                planned: 0,
-                current: 1,
-                ..
-            }) => {}
-            other => panic!("expected StaleRepair, got {other:?}"),
-        }
-        assert_eq!(meta.node_of(S1, 2).unwrap(), 8);
-        // A directive planned now carries the current epoch and completes.
-        let d = c.plan_single_repair(&meta, S1, 2, 9).unwrap();
-        assert_eq!(d.epoch, 1);
-        meta.relocate(S1, 2, 9, Some(d.epoch)).unwrap();
-        assert_eq!(meta.epoch_of(S1).unwrap(), 2);
+        let (placement, journal) = (meta.stripe(S1), wal());
+        // ...so its completion finds it elsewhere and writes nothing.
+        assert_eq!(
+            meta.relocate(S1, 2, 9, Some(planned_on)).unwrap(),
+            RelocateOutcome::Elsewhere { node: 8 }
+        );
+        assert_eq!((meta.stripe(S1), wal()), (placement, journal));
+        // A directive planned now completes.
+        let planned_on = meta.node_of(S1, 2).unwrap();
+        c.plan_single_repair(&meta, S1, 2, 9).unwrap();
+        let moved = meta.relocate(S1, 2, 9, Some(planned_on)).unwrap();
+        assert_eq!(moved, RelocateOutcome::Moved);
+        assert_eq!(meta.node_of(S1, 2).unwrap(), 9);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -461,7 +463,6 @@ mod tests {
         assert_eq!(d.plan.failed, vec![1, 5]);
         assert_eq!(d.requestors, vec![11, 10]);
         assert_eq!(d.path.len(), 4);
-        assert_eq!(d.epoch, 0);
     }
 
     #[test]

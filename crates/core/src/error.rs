@@ -54,19 +54,6 @@ pub enum EcPipeError {
     /// The repair manager is shut down (or shutting down) and no longer
     /// accepts work.
     ManagerShutdown,
-    /// A repair directive outlived its placement: the block it planned to
-    /// reconstruct was relocated (its stripe's epoch moved past the one the
-    /// directive was planned at), so completing it would double-heal.
-    StaleRepair {
-        /// The stripe the directive targeted.
-        stripe: u64,
-        /// The block index the directive targeted.
-        index: usize,
-        /// The placement epoch the directive was planned at.
-        planned: u64,
-        /// The stripe's current placement epoch.
-        current: u64,
-    },
 }
 
 impl fmt::Display for EcPipeError {
@@ -90,16 +77,6 @@ impl fmt::Display for EcPipeError {
             EcPipeError::ManagerShutdown => {
                 write!(f, "the repair manager is shut down and accepts no new work")
             }
-            EcPipeError::StaleRepair {
-                stripe,
-                index,
-                planned,
-                current,
-            } => write!(
-                f,
-                "stale repair for block {index} of stripe {stripe}: planned at \
-                 placement epoch {planned}, the stripe is now at epoch {current}"
-            ),
         }
     }
 }
@@ -135,17 +112,6 @@ impl From<ecpipe_meta::MetaError> for EcPipeError {
         use ecpipe_meta::MetaError;
         match e {
             MetaError::UnknownStripe { stripe } => EcPipeError::UnknownStripe { stripe },
-            MetaError::StaleEpoch {
-                stripe,
-                index,
-                expected,
-                actual,
-            } => EcPipeError::StaleRepair {
-                stripe,
-                index,
-                planned: expected,
-                current: actual,
-            },
             MetaError::InvalidRequest { reason } => EcPipeError::InvalidRequest { reason },
             MetaError::Io(e) => EcPipeError::Io(e),
             other => EcPipeError::Execution {

@@ -239,7 +239,7 @@ impl EcPipeBuilder {
     /// [`MetaBackend::Ephemeral`] (the default) keeps it in memory;
     /// [`MetaBackend::Durable`] writes one WAL and its snapshots under a
     /// root directory, and building over an existing directory *recovers*
-    /// the namespace — placements, epochs and still-pending repair
+    /// the namespace — placements and still-pending repair
     /// directives — before the runtime starts (pair it with a file-backed
     /// [`StoreBackend`] so the blocks survive too).
     pub fn meta(mut self, backend: MetaBackend) -> Self {
@@ -331,8 +331,7 @@ impl EcPipeBuilder {
         // where the router places it. A directive whose block is intact
         // there was completed before the crash (stored and relocated, but
         // never resolved) and is resolved here instead of healing the block
-        // twice. The stripe's epoch decides nothing: a relocation of
-        // another block of the stripe bumps it too.
+        // twice.
         let cluster = manager.cluster();
         for pending in meta.pending_repairs() {
             let block = ecc::stripe::BlockId {

@@ -4,7 +4,8 @@
 //! its behalf. The architecture mirrors the paper's Figure 7:
 //!
 //! * one [`MetaRouter`] per deployment (the `ecpipe-meta` crate) is the only
-//!   holder of object records, stripe → node placements and their epochs;
+//!   holder of object records and stripe → node placements, and moves a
+//!   block only from where its repair found it;
 //!   [`Cluster`], the set of node stores, resolves block indices through it;
 //! * a [`Coordinator`] plans against that router: it holds the erasure code
 //!   and the helper-selection clock, and one planner in it chooses every

@@ -55,7 +55,8 @@ pub struct RepairOutcome {
     pub stripe: StripeId,
     /// Index of the reconstructed block.
     pub failed: usize,
-    /// Node the block was reconstructed onto.
+    /// Node the block was reconstructed onto — or, when the block moved
+    /// while the repair ran, the node that holds it.
     pub requestor: NodeId,
     /// Priority class the repair ran under.
     pub priority: RepairPriority,

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use ecc::stripe::BlockId;
-use ecpipe_meta::{MetaError, MetaRouter, RelocateOutcome, RepairRecord};
+use ecpipe_meta::{MetaRouter, RelocateOutcome, RepairRecord};
 use ecpipe_sync::{Condvar, Mutex, OnceFlag};
 use simnet::NodeId;
 
@@ -195,8 +195,8 @@ impl EngineState {
     }
 
     /// Marks a repair's journal record resolved — it ran to an outcome
-    /// (success, terminal failure, or stale rejection) and must not be
-    /// re-enqueued by recovery. Skipped after a simulated crash.
+    /// (success or terminal failure) and must not be re-enqueued by
+    /// recovery. Skipped after a simulated crash.
     fn resolve_journal(&self, key: (u64, usize)) {
         if !self.crashed() {
             let _ = self
@@ -379,21 +379,21 @@ fn holds_other(locations: &[NodeId], index: usize, node: NodeId) -> bool {
 /// delivered to, and publishes the copy as the block's placement. Returns
 /// the node that holds the block.
 ///
-/// `planned_on` is where the block lived and `planned_epoch` the stripe's
-/// epoch when the repair was planned. The completion is stale only when
-/// *this* block moved since then: another repair of the stripe relocating a different
-/// block bumps the epoch too, so a lost epoch race is retried at the new
-/// epoch. A requestor that by now holds another block of the stripe is
+/// The block moves only from `planned_on`, where the repair found it
+/// ([`MetaRouter::relocate`]'s placement rule). If it moved while the
+/// repair ran, nothing is published: the copy is deleted unless the move
+/// put the block on this very node, and the block's current holder is
+/// returned. A node that by now holds another block of the stripe is
 /// refused by the router; the block then goes to the next live candidate
-/// holding none of the stripe, and the refused copy is deleted. With no
-/// such candidate (a cluster without a spare node) the copy stays where it
-/// is, unplaced, and reads find it by scanning the stores.
+/// holding none of the stripe — after the candidates, any live node of the
+/// cluster — and the refused copy is deleted. With no such node (a cluster
+/// without a spare) the copy stays where it is, unplaced, and reads find
+/// it by scanning the stores.
 fn publish(
     engine: &EngineState,
     cluster: &Cluster,
     block: BlockId,
     planned_on: NodeId,
-    planned_epoch: u64,
     candidates: &[NodeId],
     bytes: Bytes,
 ) -> Result<NodeId> {
@@ -401,52 +401,33 @@ fn publish(
     let mut tried = vec![node];
     cluster.store(node).put(block, bytes.clone())?;
     loop {
-        let record = engine
+        let moved = engine
             .meta
-            .stripe(block.stripe)
-            .ok_or(EcPipeError::UnknownStripe {
-                stripe: block.stripe.0,
-            })?;
-        let holder = record.node_of(block.index);
-        if holder != planned_on {
-            // The block itself moved while this repair ran: the copy just
-            // stored is redundant, unless the move put the block on this
-            // very node.
-            if holder != node {
-                let _ = cluster.store(node).delete(block);
+            .relocate(block.stripe, block.index, node, Some(planned_on))?;
+        match moved {
+            RelocateOutcome::Moved => return Ok(node),
+            RelocateOutcome::Elsewhere { node: holder } => {
+                if holder != node {
+                    let _ = cluster.store(node).delete(block);
+                }
+                return Ok(holder);
             }
-            return Err(MetaError::StaleEpoch {
-                stripe: block.stripe.0,
-                index: block.index,
-                expected: planned_epoch,
-                actual: record.epoch,
-            }
-            .into());
+            RelocateOutcome::Refused => {}
         }
-        match engine
-            .meta
-            .relocate(block.stripe, block.index, node, Some(record.epoch))
-        {
-            Ok(RelocateOutcome::Moved { .. }) => return Ok(node),
-            // Another block of the stripe moved between the read and the
-            // relocation: check this block again at the new epoch.
-            Err(MetaError::StaleEpoch { .. }) => continue,
-            Err(error) => return Err(error.into()),
-            Ok(RelocateOutcome::Refused) => {
-                let next = candidates.iter().copied().find(|&c| {
-                    !tried.contains(&c)
-                        && !engine.liveness.is_dead(c)
-                        && !holds_other(&record.locations, block.index, c)
-                });
-                let Some(next) = next else {
-                    return Ok(node);
-                };
-                cluster.store(next).put(block, bytes.clone())?;
-                let _ = cluster.store(node).delete(block);
-                tried.push(next);
-                node = next;
-            }
-        }
+        let holders = cluster.placement(block.stripe).unwrap_or_default();
+        let mut spares = candidates.iter().copied().chain(0..cluster.num_nodes());
+        let next = spares.find(|&c| {
+            !tried.contains(&c)
+                && !engine.liveness.is_dead(c)
+                && !holds_other(&holders, block.index, c)
+        });
+        let Some(next) = next else {
+            return Ok(node);
+        };
+        cluster.store(next).put(block, bytes.clone())?;
+        let _ = cluster.store(node).delete(block);
+        tried.push(next);
+        node = next;
     }
 }
 
@@ -581,8 +562,7 @@ fn run_one<T: Transport + ?Sized>(
                     index: request.failed,
                 };
                 let candidates = &requestors[requestor_idx..];
-                let epoch = directive.epoch;
-                let requestor = publish(engine, cluster, id, planned_on, epoch, candidates, block)
+                let requestor = publish(engine, cluster, id, planned_on, candidates, block)
                     .map_err(|error| fail(error, replans))?;
                 engine.liveness.record_success(&directive.helper_nodes());
                 let outcome = RepairOutcome {

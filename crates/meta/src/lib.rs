@@ -1,5 +1,4 @@
-//! The ECPipe metadata plane: a WAL-durable object/stripe namespace with
-//! epoch-versioned placements.
+//! The ECPipe metadata plane: a WAL-durable object/stripe namespace.
 //!
 //! This crate is the single owner of every object→stripe→placement fact of
 //! a deployment — the runtime's `Cluster`, repair planner and façade all
@@ -18,11 +17,12 @@
 //!   detected by its CRC and dropped whole — never partially applied — and
 //!   since there is one log, what survives is an exact prefix of the
 //!   committed history.
-//! * Every stripe placement carries a **monotonic epoch**: relocating a
-//!   block (which is how a repair completion publishes its result) bumps
-//!   it, and a caller may pass the epoch it planned against to have a stale
-//!   relocation rejected with [`MetaError::StaleEpoch`] instead of silently
-//!   double-healing a block that already moved.
+//! * One **placement rule**: a block moves only from where its mover found
+//!   it. [`MetaRouter::relocate`] with `from: Some(node)` checks that the
+//!   block still sits on `node` and moves it in the same critical section,
+//!   or reports where it is now ([`RelocateOutcome::Elsewhere`]) and writes
+//!   nothing — so a repair completion never double-heals a block that
+//!   already moved.
 //!
 //! Durability is opt-in per deployment: [`MetaBackend::Ephemeral`] keeps
 //! everything in memory (the historical behavior), while
@@ -117,17 +117,13 @@ pub struct ObjectRecord {
     pub stripes: Vec<StripeId>,
 }
 
-/// One stripe: where each of its `n` blocks lives, and the placement epoch.
+/// One stripe: where each of its `n` blocks lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StripeRecord {
     /// The stripe id (the routing key).
     pub id: StripeId,
     /// `locations[i]` is the node storing block `i`.
     pub locations: Vec<NodeId>,
-    /// Monotonic placement version: starts at 0 on registration, bumped by
-    /// every accepted relocation of any of the stripe's blocks (and by
-    /// re-registration).
-    pub epoch: u64,
 }
 
 impl StripeRecord {
@@ -161,26 +157,15 @@ pub enum MetaError {
         /// The raw stripe id.
         stripe: u64,
     },
-    /// A placement-versioned operation lost its race: the stripe's epoch
-    /// moved past the one the caller planned against.
-    StaleEpoch {
-        /// The raw stripe id.
-        stripe: u64,
-        /// The block index involved.
-        index: usize,
-        /// The epoch the caller planned against.
-        expected: u64,
-        /// The stripe's current epoch.
-        actual: u64,
-    },
     /// The request is malformed (out-of-range index, bad configuration).
     InvalidRequest {
         /// Why the request was rejected.
         reason: String,
     },
     /// A durable file failed structural validation (a bad snapshot magic,
-    /// or the marker of a sharded root this layout cannot read; a torn WAL
-    /// *tail* is not corruption — it is dropped silently and counted).
+    /// a record of a retired format, or the marker of a sharded root this
+    /// layout cannot read; a torn WAL *tail* is not corruption — it is
+    /// dropped silently and counted).
     Corrupt {
         /// The offending file.
         path: PathBuf,
@@ -195,16 +180,6 @@ impl std::fmt::Display for MetaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MetaError::UnknownStripe { stripe } => write!(f, "unknown stripe {stripe}"),
-            MetaError::StaleEpoch {
-                stripe,
-                index,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "stale epoch for block {index} of stripe {stripe}: \
-                 planned at {expected}, placement is at {actual}"
-            ),
             MetaError::InvalidRequest { reason } => write!(f, "invalid request: {reason}"),
             MetaError::Corrupt { path, reason } => {
                 write!(f, "corrupt metadata file {}: {reason}", path.display())

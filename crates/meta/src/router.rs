@@ -26,25 +26,28 @@ use crate::wal::{decode_log, Record};
 use crate::{MetaBackend, MetaConfig, MetaError, ObjectRecord, RepairRecord, Result, StripeRecord};
 
 /// Magic + version header of a snapshot file.
-const SNAPSHOT_MAGIC: &[u8; 4] = b"ECM\x01";
+/// Version 2 dropped the stripe epoch from its `PutStripe` records.
+const SNAPSHOT_MAGIC: &[u8; 4] = b"ECM\x02";
 
 /// The file that marks a root written by the sharded layout, which kept one
 /// WAL per shard directory. This layout cannot read such a root.
 const SHARDED_MARKER: &str = "manifest.bin";
 
-/// Outcome of a relocation request that passed its epoch check.
+/// Outcome of a [`MetaRouter::relocate`] request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RelocateOutcome {
-    /// The block moved (or was re-pinned to the same node); the placement
-    /// now carries this epoch.
-    Moved {
-        /// The stripe's new epoch.
-        epoch: u64,
-    },
+    /// The block now sits on the destination.
+    Moved,
     /// The destination already stores another block of the same stripe;
     /// moving would break the erasure code's one-block-per-node invariant.
     /// Nothing changed and no WAL record was written.
     Refused,
+    /// The block no longer sits where the caller found it: it is on `node`.
+    /// Nothing changed and no WAL record was written.
+    Elsewhere {
+        /// The node the block sits on now.
+        node: NodeId,
+    },
 }
 
 /// The WAL appender of a durable router.
@@ -110,8 +113,8 @@ impl MetaRouter {
     /// nothing) plus a value for the caller; the record is appended to the
     /// WAL (durable routers), applied, and the router snapshots when the
     /// cadence says so. A decision and the append it leads to must not be
-    /// separated by an unlock — two repairs completing against the same
-    /// epoch would otherwise both pass the stale check.
+    /// separated by an unlock — two movers of one block would otherwise
+    /// both find it where they left it.
     fn commit_with<R>(
         &self,
         decide: impl FnOnce(&State) -> Result<(Option<Record>, R)>,
@@ -205,21 +208,12 @@ impl MetaRouter {
         StripeId(self.next_stripe.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Registers a stripe's placement and returns its epoch: 0 for a new
-    /// stripe, previous + 1 when re-registering (a placement rewrite is a
-    /// placement change, so it versions like one).
-    pub fn register_stripe(&self, id: StripeId, locations: Vec<NodeId>) -> Result<u64> {
+    /// Registers (or rewrites) a stripe's placement.
+    pub fn register_stripe(&self, id: StripeId, locations: Vec<NodeId>) -> Result<()> {
         // Keep the allocator ahead of externally-chosen ids.
         self.next_stripe.fetch_max(id.0 + 1, Ordering::Relaxed);
-        self.commit_with(|s| {
-            let epoch = s.stripes.get(&id.0).map_or(0, |r| r.epoch + 1);
-            let record = Record::PutStripe(StripeRecord {
-                id,
-                locations,
-                epoch,
-            });
-            Ok((Some(record), epoch))
-        })
+        let record = Record::PutStripe(StripeRecord { id, locations });
+        self.commit_with(|_| Ok((Some(record), ())))
     }
 
     /// Looks up a stripe.
@@ -237,11 +231,6 @@ impl MetaRouter {
             .get(index)
             .copied()
             .ok_or_else(|| index_out_of_range(record, index))
-    }
-
-    /// The current placement epoch of a stripe.
-    pub fn epoch_of(&self, id: StripeId) -> Result<u64> {
-        self.state.lock().stripe(id).map(|r| r.epoch)
     }
 
     /// Forgets a stripe. Returns whether it existed.
@@ -281,56 +270,43 @@ impl MetaRouter {
         out
     }
 
-    /// Moves block `index` of `stripe` to `node`, bumping the epoch.
+    /// Moves block `index` of `stripe` to node `to` — the placement rule.
     ///
-    /// When `expected_epoch` is `Some(e)`, the move only happens if the
-    /// stripe is still at epoch `e` — the optimistic-concurrency check that
-    /// rejects a repair completion for a block that already relocated
-    /// ([`MetaError::StaleEpoch`]). Moving onto a node that already stores
-    /// a *different* block of the stripe is refused without an epoch bump
-    /// ([`RelocateOutcome::Refused`]); re-pinning to the same node is a
-    /// legitimate move (the repair rewrote the block in place) and bumps
-    /// the epoch like any other.
+    /// With `from: Some(node)` the block moves only while it still sits on
+    /// `node`, where the caller (a repair, at planning time) found it;
+    /// otherwise nothing changes and the answer is
+    /// [`RelocateOutcome::Elsewhere`] with its current node. With `None` it
+    /// moves unconditionally. Moving onto a node that already stores a
+    /// *different* block of the stripe is [`RelocateOutcome::Refused`].
+    /// Re-pinning a block to the node it is on is a move that writes
+    /// nothing.
     pub fn relocate(
         &self,
         stripe: StripeId,
         index: usize,
-        node: NodeId,
-        expected_epoch: Option<u64>,
+        to: NodeId,
+        from: Option<NodeId>,
     ) -> Result<RelocateOutcome> {
-        // The epoch check and the append are one critical section: of two
-        // completions planned at the same epoch, exactly one moves the block.
+        // The check and the append are one critical section: of two movers
+        // that found the block on the same node, exactly one moves it.
         self.commit_with(|s| {
             let rec = s.stripe(stripe)?;
-            if index >= rec.locations.len() {
-                return Err(index_out_of_range(rec, index));
-            }
-            if let Some(expected) = expected_epoch {
-                if rec.epoch != expected {
-                    return Err(MetaError::StaleEpoch {
-                        stripe: stripe.0,
-                        index,
-                        expected,
-                        actual: rec.epoch,
-                    });
-                }
-            }
-            let colocated = rec
+            let &on = rec
                 .locations
-                .iter()
-                .enumerate()
-                .any(|(i, &n)| i != index && n == node);
-            if colocated {
+                .get(index)
+                .ok_or_else(|| index_out_of_range(rec, index))?;
+            if from.is_some_and(|from| from != on) {
+                return Ok((None, RelocateOutcome::Elsewhere { node: on }));
+            }
+            if on != to && rec.locations.contains(&to) {
                 return Ok((None, RelocateOutcome::Refused));
             }
-            let epoch = rec.epoch + 1;
-            let record = Record::Relocate {
+            let record = (on != to).then_some(Record::Relocate {
                 stripe,
                 index,
-                node,
-                epoch,
-            };
-            Ok((Some(record), RelocateOutcome::Moved { epoch }))
+                node: to,
+            });
+            Ok((record, RelocateOutcome::Moved))
         })
     }
 
@@ -351,8 +327,8 @@ impl MetaRouter {
         })
     }
 
-    /// Marks a pending repair resolved (completed, failed terminally, or
-    /// rejected as stale). Returns whether a record was pending.
+    /// Marks a pending repair resolved (completed, or failed terminally).
+    /// Returns whether a record was pending.
     pub fn resolve_repair(&self, stripe: StripeId, index: usize) -> Result<bool> {
         self.commit_with(|s| {
             let pending = s.pending.contains_key(&(stripe.0, index));
@@ -385,14 +361,14 @@ impl State {
             }
             // Snapshots are written to a temp file and renamed into place,
             // so a decodable prefix is the whole snapshot.
-            for record in decode_log(&bytes[4..]).records {
+            for record in decode_log(&bytes[4..], &snapshot_path)?.records {
                 self.apply(&record);
             }
         }
         let wal_path = root.join("wal.log");
         let (mut valid_len, mut dropped_tail) = (0, false);
         if wal_path.exists() {
-            let decoded = decode_log(&std::fs::read(&wal_path)?);
+            let decoded = decode_log(&std::fs::read(&wal_path)?, &wal_path)?;
             for record in &decoded.records {
                 self.apply(record);
             }
@@ -462,13 +438,10 @@ impl State {
                 stripe,
                 index,
                 node,
-                epoch,
             } => {
-                if let Some(s) = self.stripes.get_mut(&stripe.0) {
-                    if *index < s.locations.len() {
-                        s.locations[*index] = *node;
-                    }
-                    s.epoch = *epoch;
+                let slot = self.stripes.get_mut(&stripe.0);
+                if let Some(slot) = slot.and_then(|s| s.locations.get_mut(*index)) {
+                    *slot = *node;
                 }
             }
             Record::PutRepair(r) => {
@@ -563,31 +536,34 @@ mod tests {
         }
     }
 
+    /// A block moves only from where its mover found it: a `from` that no
+    /// longer matches gives `Elsewhere`, co-location gives `Refused`, and
+    /// neither appends to the WAL.
     #[test]
     fn epochs_bump_and_stale_checks_fire() {
-        let router = MetaRouter::open(MetaConfig::ephemeral()).unwrap();
+        let root = temp_root("placement-rule");
+        let router = MetaRouter::open(MetaConfig::new(MetaBackend::durable(&root))).unwrap();
+        let wal_len = || std::fs::metadata(root.join("wal.log")).unwrap().len();
         let id = StripeId(7);
-        assert_eq!(router.register_stripe(id, nodes(&[0, 1, 2])).unwrap(), 0);
+        router.register_stripe(id, nodes(&[0, 1, 2])).unwrap();
         let moved = router.relocate(id, 0, 9, Some(0)).unwrap();
-        assert_eq!(moved, RelocateOutcome::Moved { epoch: 1 });
-        assert_eq!(router.epoch_of(id).unwrap(), 1);
-        // A second mover still planning against epoch 0 is stale.
-        match router.relocate(id, 0, 4, Some(0)) {
-            Err(MetaError::StaleEpoch {
-                expected: 0,
-                actual: 1,
-                ..
-            }) => {}
-            other => panic!("expected StaleEpoch, got {other:?}"),
-        }
-        // Co-location is refused without an epoch bump.
+        assert_eq!(moved, RelocateOutcome::Moved);
+        let before = wal_len();
+        // A second mover that found block 0 on node 0 learns where it is.
         assert_eq!(
-            router.relocate(id, 0, 2, None).unwrap(),
-            RelocateOutcome::Refused
+            router.relocate(id, 0, 4, Some(0)).unwrap(),
+            RelocateOutcome::Elsewhere { node: 9 }
         );
-        assert_eq!(router.epoch_of(id).unwrap(), 1);
-        // Re-registration is a placement rewrite: epoch keeps rising.
-        assert_eq!(router.register_stripe(id, nodes(&[5, 6, 7])).unwrap(), 2);
+        // Co-location is refused, conditionally or not.
+        for from in [Some(9), None] {
+            assert_eq!(
+                router.relocate(id, 0, 2, from).unwrap(),
+                RelocateOutcome::Refused
+            );
+        }
+        assert_eq!(router.stripe(id).unwrap().locations, nodes(&[9, 1, 2]));
+        assert_eq!(wal_len(), before, "a refused move appended");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -676,7 +652,7 @@ mod tests {
         actual.sort_by_key(|s| s.id.0);
         assert_eq!(actual, expected_stripes);
         assert_eq!(reopened.object("alpha").unwrap().size, 12345);
-        assert_eq!(reopened.epoch_of(StripeId(3)).unwrap(), 1);
+        assert_eq!(reopened.node_of(StripeId(3), 1).unwrap(), 99);
         let pending = reopened.pending_repairs();
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].requestor, 99);

@@ -19,15 +19,23 @@
 //!
 //! Payloads are a one-byte tag followed by little-endian fields; all
 //! integers are fixed width, strings and vectors are length-prefixed. Every
-//! record is an idempotent upsert carrying absolute values (e.g. a
-//! relocation stores the *new epoch*, not an increment), so replaying a
-//! record twice — possible when a crash lands between a snapshot rename and
-//! the WAL truncation — converges to the same state.
+//! record is an idempotent upsert carrying absolute values (a relocation
+//! stores the block's new node), so replaying a record twice — possible
+//! when a crash lands between a snapshot rename and the WAL truncation —
+//! converges to the same state.
+//!
+//! Format note: tags 3 and 5 are retired. They framed `PutStripe` and
+//! `Relocate` with a stripe epoch field, which the current records (tags 8
+//! and 9) no longer carry. A CRC-valid frame with a retired tag is a root of
+//! the old format, not a torn tail: [`decode_log`] refuses it rather than
+//! truncating the log there.
+
+use std::path::Path;
 
 use ecc::stripe::StripeId;
 use simnet::NodeId;
 
-use crate::{ObjectRecord, RepairRecord, StripeRecord};
+use crate::{MetaError, ObjectRecord, RepairRecord, Result, StripeRecord};
 
 /// Bytes of framing overhead per record (length prefix + CRC).
 pub const FRAME_HEADER: usize = 8;
@@ -76,14 +84,14 @@ pub enum Record {
         /// The object's name.
         name: String,
     },
-    /// Upsert a stripe with its full placement and absolute epoch.
+    /// Upsert a stripe with its full placement.
     PutStripe(StripeRecord),
     /// Drop a stripe's metadata.
     ForgetStripe {
         /// The stripe to forget.
         stripe: StripeId,
     },
-    /// Move one block of a stripe; `epoch` is the stripe's *new* epoch.
+    /// Move one block of a stripe.
     Relocate {
         /// The stripe whose block moved.
         stripe: StripeId,
@@ -91,9 +99,6 @@ pub enum Record {
         index: usize,
         /// The node now holding the block.
         node: NodeId,
-        /// The stripe's epoch after the move (absolute, for idempotent
-        /// replay).
-        epoch: u64,
     },
     /// Upsert an in-flight repair directive.
     PutRepair(RepairRecord),
@@ -108,11 +113,13 @@ pub enum Record {
 
 const TAG_PUT_OBJECT: u8 = 1;
 const TAG_DELETE_OBJECT: u8 = 2;
-const TAG_PUT_STRIPE: u8 = 3;
 const TAG_FORGET_STRIPE: u8 = 4;
-const TAG_RELOCATE: u8 = 5;
 const TAG_PUT_REPAIR: u8 = 6;
 const TAG_RESOLVE_REPAIR: u8 = 7;
+const TAG_PUT_STRIPE: u8 = 8;
+const TAG_RELOCATE: u8 = 9;
+/// `PutStripe` and `Relocate` as they were framed with a stripe epoch.
+const RETIRED_TAGS: [u8; 2] = [3, 5];
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -222,7 +229,6 @@ impl Record {
             Record::PutStripe(s) => {
                 buf.push(TAG_PUT_STRIPE);
                 put_u64(&mut buf, s.id.0);
-                put_u64(&mut buf, s.epoch);
                 put_u32(&mut buf, s.locations.len() as u32);
                 for &n in &s.locations {
                     put_u64(&mut buf, n as u64);
@@ -236,13 +242,11 @@ impl Record {
                 stripe,
                 index,
                 node,
-                epoch,
             } => {
                 buf.push(TAG_RELOCATE);
                 put_u64(&mut buf, stripe.0);
                 put_u32(&mut buf, *index as u32);
                 put_u64(&mut buf, *node as u64);
-                put_u64(&mut buf, *epoch);
             }
             Record::PutRepair(r) => {
                 buf.push(TAG_PUT_REPAIR);
@@ -277,16 +281,10 @@ impl Record {
                 })
             }
             TAG_DELETE_OBJECT => Record::DeleteObject { name: r.string()? },
-            TAG_PUT_STRIPE => {
-                let id = StripeId(r.u64()?);
-                let epoch = r.u64()?;
-                let locations = r.node_vec()?;
-                Record::PutStripe(StripeRecord {
-                    id,
-                    locations,
-                    epoch,
-                })
-            }
+            TAG_PUT_STRIPE => Record::PutStripe(StripeRecord {
+                id: StripeId(r.u64()?),
+                locations: r.node_vec()?,
+            }),
             TAG_FORGET_STRIPE => Record::ForgetStripe {
                 stripe: StripeId(r.u64()?),
             },
@@ -294,7 +292,6 @@ impl Record {
                 stripe: StripeId(r.u64()?),
                 index: r.u32()? as usize,
                 node: r.u64()? as NodeId,
-                epoch: r.u64()?,
             },
             TAG_PUT_REPAIR => Record::PutRepair(RepairRecord {
                 stripe: StripeId(r.u64()?),
@@ -335,21 +332,23 @@ pub struct DecodedLog {
     pub dropped_tail: bool,
 }
 
-/// Replays a log buffer: decodes records until the first incomplete frame,
-/// CRC mismatch or malformed payload, and reports where the valid prefix
-/// ends. A crash mid-append can only tear the *tail*, so everything before
-/// the first bad frame is trustworthy and everything after it is dropped.
-pub fn decode_log(bytes: &[u8]) -> DecodedLog {
+/// Replays a log buffer read from `path`: decodes records until the first
+/// incomplete frame, CRC mismatch or malformed payload, and reports where
+/// the valid prefix ends. A crash mid-append can only tear the *tail*, so
+/// everything before the first bad frame is trustworthy and everything
+/// after it is dropped. A CRC-valid frame with a retired tag is refused
+/// with [`MetaError::Corrupt`] naming `path`.
+pub fn decode_log(bytes: &[u8], path: &Path) -> Result<DecodedLog> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     loop {
         let remaining = bytes.len() - pos;
         if remaining == 0 {
-            return DecodedLog {
+            return Ok(DecodedLog {
                 records,
                 valid_len: pos as u64,
                 dropped_tail: false,
-            };
+            });
         }
         if remaining < FRAME_HEADER {
             break;
@@ -363,22 +362,36 @@ pub fn decode_log(bytes: &[u8]) -> DecodedLog {
         if crc32(payload) != crc {
             break;
         }
+        if let Some(tag) = payload.first().filter(|t| RETIRED_TAGS.contains(t)) {
+            return Err(MetaError::Corrupt {
+                path: path.to_path_buf(),
+                reason: format!(
+                    "record {} at byte {pos} has retired tag {tag}: the root was \
+                     written by an older layout that stored stripe epochs",
+                    records.len(),
+                ),
+            });
+        }
         let Some(record) = Record::decode_payload(payload) else {
             break;
         };
         records.push(record);
         pos += FRAME_HEADER + len;
     }
-    DecodedLog {
+    Ok(DecodedLog {
         records,
         valid_len: pos as u64,
         dropped_tail: true,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode(bytes: &[u8]) -> DecodedLog {
+        decode_log(bytes, Path::new("wal.log")).unwrap()
+    }
 
     fn sample_records() -> Vec<Record> {
         vec![
@@ -390,13 +403,11 @@ mod tests {
             Record::PutStripe(StripeRecord {
                 id: StripeId(7),
                 locations: vec![0, 1, 2, 3, 4, 5],
-                epoch: 3,
             }),
             Record::Relocate {
                 stripe: StripeId(7),
                 index: 2,
                 node: 9,
-                epoch: 4,
             },
             Record::PutRepair(RepairRecord {
                 stripe: StripeId(7),
@@ -424,7 +435,7 @@ mod tests {
         for r in &records {
             log.extend_from_slice(&r.encode_frame());
         }
-        let decoded = decode_log(&log);
+        let decoded = decode(&log);
         assert_eq!(decoded.records, records);
         assert_eq!(decoded.valid_len, log.len() as u64);
         assert!(!decoded.dropped_tail);
@@ -440,7 +451,7 @@ mod tests {
             boundaries.push(log.len());
         }
         for cut in 0..=log.len() {
-            let decoded = decode_log(&log[..cut]);
+            let decoded = decode(&log[..cut]);
             // The valid prefix ends exactly at the last whole frame.
             let expected = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
             assert_eq!(decoded.records.len(), expected, "cut at {cut}");
@@ -460,9 +471,35 @@ mod tests {
         let last_frame = records.last().unwrap().encode_frame();
         let flip = log.len() - last_frame.len() + FRAME_HEADER; // first payload byte
         log[flip] ^= 0xFF;
-        let decoded = decode_log(&log);
+        let decoded = decode(&log);
         assert_eq!(decoded.records[..], records[..records.len() - 1]);
         assert!(decoded.dropped_tail);
+    }
+
+    /// A zero-filled crash tail is torn; a CRC-valid old-format `Relocate`
+    /// (tag 5, with its epoch) is refused, not dropped.
+    #[test]
+    fn a_zero_tail_is_torn_but_a_retired_tag_is_refused() {
+        let mut log = sample_records()[0].encode_frame();
+        let valid = log.len();
+        log.extend_from_slice(&[0; 64]);
+        let decoded = decode(&log);
+        assert_eq!(decoded.records.len(), 1);
+        assert_eq!(decoded.valid_len as usize, valid);
+        assert!(decoded.dropped_tail);
+
+        let payload = [&[5u8][..], &[0; 28]].concat();
+        log.truncate(valid);
+        put_u32(&mut log, payload.len() as u32);
+        put_u32(&mut log, crc32(&payload));
+        log.extend_from_slice(&payload);
+        match decode_log(&log, Path::new("wal.log")) {
+            Err(MetaError::Corrupt { path, reason }) => {
+                assert_eq!(path, Path::new("wal.log"));
+                assert!(reason.contains("retired tag 5"), "{reason}");
+            }
+            other => panic!("expected a corrupt-metadata error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Kill the process mid-repair, restart, and watch the metadata plane put
 //! everything back: the WAL-durable namespace (`MetaBackend::durable`)
-//! recovers every object, placement and epoch byte-exactly, serves degraded
-//! reads immediately, and re-drives the repairs the dead process abandoned.
+//! recovers every object, placement and pending repair byte-exactly, serves
+//! degraded reads immediately, and re-drives the repairs the dead process
+//! abandoned.
 //!
 //! The run has two incarnations of the same cluster directory:
 //!

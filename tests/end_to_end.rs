@@ -121,17 +121,21 @@ fn full_node_recovery_end_to_end() {
     assert_eq!(manager.report_node_failure(failed_node), lost.len());
     manager.wait_idle();
 
+    // Every block is rebuilt where the metadata now places it: on a pool
+    // node, or — for stripes 10 and 11, which already hold a block on both
+    // — on another live node holding none of the stripe.
     for &block in &lost {
         let expected = &all_coded[block.stripe.0 as usize][block.index];
-        let found = [12usize, 13].iter().any(|&r| {
-            manager
-                .cluster()
-                .store(r)
-                .get(block)
-                .map(|b| b.as_ref() == expected.as_slice())
-                .unwrap_or(false)
-        });
-        assert!(found, "block {block} not correctly reconstructed");
+        let node = manager
+            .cluster()
+            .node_of(block.stripe, block.index)
+            .unwrap();
+        let stored = manager.cluster().store(node).get(block);
+        let found = node != failed_node && stored.is_ok_and(|b| b.as_ref() == expected.as_slice());
+        assert!(
+            found,
+            "block {block} not correctly reconstructed on node {node}"
+        );
     }
     let report = manager.shutdown();
     assert_eq!(report.blocks_repaired, lost.len());

@@ -9,8 +9,9 @@
 //! cases pin the scheduling semantics: a cap of 1 reproduces the one-worker
 //! results byte-for-byte,
 //! degraded reads finish before queued background work, helpers that die
-//! mid-flight are re-planned around, and a silently dead node is detected
-//! and auto-recovered by the daemon. The sever experiment runs on both:
+//! mid-flight are re-planned around, a repair whose block moves mid-walk
+//! is recorded where the block now is, and a silently dead node is
+//! detected and auto-recovered by the daemon. The sever experiment runs on both:
 //! every link of a node recovery cut mid-flight, and nothing left missing.
 
 use std::sync::Arc;
@@ -476,9 +477,9 @@ fn overlap_check(pipe: EcPipe, objects: &[Vec<u8>]) {
     assert_eq!(report.failed_repairs, 0, "{:?}", report.failures);
 }
 
-/// Two repairs of one stripe that run at once both land: relocating one
-/// block bumps the stripe's epoch, and that must not make the other
-/// completion stale. Nodes 2 and 3 die together, so every stripe placed
+/// Two repairs of one stripe that run at once both land: each block moves
+/// only from where its own repair found it, so relocating one block must
+/// not turn the other completion away. Nodes 2 and 3 die together, so every stripe placed
 /// across both loses two blocks; their two repairs are promoted to the head
 /// of the queue side by side, where the 4 workers run them concurrently.
 /// `pool` decides the two requestors of such a stripe, and `same_requestor`
@@ -546,15 +547,61 @@ fn overlapping_repairs_of_one_stripe_survive_strikes_racing_the_second_report() 
     }
 }
 
+/// A repair whose block moves while it runs publishes nothing: the block
+/// stays where the move put it, the repair's copy is deleted, and the
+/// repair is recorded at the block's holder, not as a failure.
+#[test]
+fn a_repair_whose_block_moved_mid_walk_is_recorded_at_its_holder() {
+    let pipe = EcPipeBuilder::new()
+        .code(6, 4)
+        .block_size(BLOCK)
+        .slice_size(SLICE)
+        .store(StoreBackend::memory(NODES))
+        .rate_limit(256 * 1024)
+        .workers(1)
+        .build()
+        .unwrap();
+    let data: Vec<u8> = (0..4 * BLOCK).map(|b| (b % 251) as u8).collect();
+    let stripe = pipe.put("/moved", &data).unwrap().stripes[0];
+    let placement = pipe.cluster().placement(stripe).unwrap();
+    let mut spares = (0..NODES).filter(|n| !placement.contains(n));
+    let (requestor, holder) = (spares.next().unwrap(), spares.next().unwrap());
+    let block = BlockId { stripe, index: 0 };
+    let bytes = pipe.cluster().read_block(stripe, 0).unwrap();
+    assert!(pipe.erase_block(stripe, 0));
+    let request = RepairRequest {
+        stripe,
+        failed: 0,
+        requestor,
+        priority: RepairPriority::Background,
+    };
+    pipe.manager().enqueue(request).unwrap();
+    // The walk has planned and started once slices move; a 64 KiB block
+    // at 256 KiB/s keeps it running for about a quarter of a second.
+    while pipe.transport().total_bytes() == 0 {
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    // An operator restores the block on another spare meanwhile.
+    pipe.cluster().store(holder).put(block, bytes).unwrap();
+    pipe.meta().relocate(stripe, 0, holder, None).unwrap();
+    pipe.wait_idle();
+    assert_eq!(pipe.cluster().node_of(stripe, 0).unwrap(), holder);
+    assert!(!pipe.cluster().store(requestor).contains(block));
+    let report = pipe.shutdown();
+    assert_eq!(report.failed_repairs, 0, "{:?}", report.failures);
+    let holders: Vec<usize> = report.outcomes.iter().map(|o| o.requestor).collect();
+    assert_eq!(holders, [holder]);
+}
+
 /// The sever experiment: RS(6,4) on 10 memory nodes, 256 KiB blocks in
 /// 32 KiB slices on 8 MiB/s links, two workers recovering onto nodes 6–9.
 /// Node 0 is killed and reported, and every pair of the cluster is severed
 /// `after` into the recovery. A walk that loses a hop ends with
 /// `LinkFailed` naming it, and its repair re-plans (§3.2): after
 /// `wait_idle` no repair has failed, every lost block is held by one live
-/// node — where the metadata places it, unless every pool node already
-/// holds a block of its stripe — and re-reading every object moves no
-/// byte. Returns how many re-plans a failed hop caused.
+/// node where the metadata places it — a node outside the pool when every
+/// pool node already holds a block of its stripe — and re-reading every
+/// object moves no byte. Returns how many re-plans a failed hop caused.
 fn case_severed_links(choice: TransportChoice, after: Duration) -> usize {
     const NODES: usize = 10;
     const BLOCK: usize = 256 * 1024;
@@ -597,15 +644,7 @@ fn case_severed_links(choice: TransportChoice, after: Duration) -> usize {
             .filter(|&n| pipe.cluster().store(n).contains(*block))
             .collect();
         let placement = pipe.meta().stripe(block.stripe).unwrap().locations;
-        match placement[block.index] {
-            // Unplaced: every pool node already holds a block of the
-            // stripe, so the copy stays on its requestor (see `publish`).
-            0 => assert!(
-                holders.len() == 1 && POOL.iter().all(|n| placement.contains(n)),
-                "block {block} held by {holders:?}, stripe placed on {placement:?}"
-            ),
-            placed => assert_eq!(holders, [placed], "block {block}"),
-        }
+        assert_eq!(holders, [placement[block.index]], "block {block}");
     }
     let repaired = pipe.transport().total_bytes();
     for (i, data) in objects.iter().enumerate() {

@@ -3,8 +3,8 @@
 //! A durable [`EcPipe`] is killed (`simulate_crash`, the in-process stand-in
 //! for `kill -9`) with one repair in flight and one still queued. A rebuilt
 //! handle over the same directories must recover every object, placement and
-//! epoch byte-exactly, re-drive the queued repair, and resolve the stale
-//! directive left behind by the repair that completed-but-never-resolved.
+//! pending repair byte-exactly, re-drive the queued repair, and resolve the
+//! stale directive left behind by the repair that completed-but-never-resolved.
 //! A directive is re-driven exactly when its block is still missing where
 //! the router places it: that check is what stands between a crash and
 //! double-healing, and what keeps a repair whose stripe moved under it.
@@ -122,13 +122,12 @@ fn kill_and_restart_recovers_namespace_and_rejects_stale_directives() {
 
     pipe.simulate_crash();
 
-    // The crash joined the in-flight repair: it stored + relocated (epoch
-    // bump persisted) but never resolved its journal record — the stale
+    // The crash joined the in-flight repair: it stored + relocated (the
+    // move persisted) but never resolved its journal record — the stale
     // directive. The queued repair was dropped unrun — still pending, and
     // still current.
-    assert_eq!(meta.epoch_of(s0.id).unwrap(), s0.epoch + 1);
     assert_eq!(meta.stripe(s0.id).unwrap().node_of(0), r0);
-    assert_eq!(meta.epoch_of(s1.id).unwrap(), s1.epoch);
+    assert_eq!(meta.stripe(s1.id).unwrap().node_of(0), s1.node_of(0));
     let expected = namespace(&meta);
     assert_eq!(expected.pending.len(), 2, "both directives journaled");
     drop(meta);
@@ -148,9 +147,8 @@ fn kill_and_restart_recovers_namespace_and_rejects_stale_directives() {
     let meta = pipe.meta();
 
     // The stale directive (s0: its block is intact at r0 already) was
-    // resolved, not double-healed: the placement and epoch are exactly what
-    // the crash left behind.
-    assert_eq!(meta.epoch_of(s0.id).unwrap(), s0.epoch + 1);
+    // resolved, not double-healed: the placement is exactly what the crash
+    // left behind.
     assert_eq!(meta.stripe(s0.id).unwrap().node_of(0), r0);
     assert!(
         !meta
@@ -162,7 +160,6 @@ fn kill_and_restart_recovers_namespace_and_rejects_stale_directives() {
 
     // The current directive (s1) was re-enqueued and completes.
     pipe.manager().wait_idle();
-    assert_eq!(meta.epoch_of(s1.id).unwrap(), s1.epoch + 1);
     assert_eq!(meta.stripe(s1.id).unwrap().node_of(0), r1);
     assert!(meta.pending_repairs().is_empty());
     drop(meta);
@@ -177,8 +174,8 @@ fn kill_and_restart_recovers_namespace_and_rejects_stale_directives() {
 
 /// A crash leaves two journaled repairs of one stripe: block 0's completed
 /// (stored and relocated, never resolved) and block 1's never ran. Block 0's
-/// relocation moved the stripe's epoch past the one block 1's directive was
-/// journaled at, but block 1 is still missing where the router places it:
+/// relocation changed the stripe's placement after block 1's directive was
+/// journaled, but block 1 is still missing where the router places it:
 /// a reopen must re-drive that repair, and resolve block 0's.
 #[test]
 fn reopen_redrives_a_repair_whose_stripe_moved() {
@@ -212,11 +209,10 @@ fn reopen_redrives_a_repair_whose_stripe_moved() {
         );
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    // ...and block 1's queues behind it, journaled at the same epoch.
+    // ...and block 1's queues behind it.
     pipe.manager().enqueue(repair(1, spares[1])).unwrap();
     pipe.simulate_crash();
     assert_eq!(meta.stripe(id).unwrap().node_of(0), spares[0]);
-    assert_eq!(meta.epoch_of(id).unwrap(), stripe.epoch + 1);
     assert_eq!(meta.pending_repairs().len(), 2, "both directives journaled");
     drop(meta);
 
@@ -398,4 +394,70 @@ fn sharded_metadata_root_is_refused() {
         "the refusal wrote a WAL"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// One framed record in the layout's WAL framing: length, CRC-32, payload.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&repair_pipelining::gf256::crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// A metadata root written by the layout that versioned placements with a
+/// stripe epoch is refused as corrupt, by the router and by the façade,
+/// naming the file of the old format — and the file is left byte for byte
+/// as it was, never truncated to the records this layout can read.
+#[test]
+fn epoch_format_metadata_root_is_refused() {
+    // Stripe 0 on nodes 0..4 at epoch 0, then block 1 moved to node 5 at
+    // epoch 1: the retired `PutStripe` (tag 3) and `Relocate` (tag 5).
+    let mut put_stripe = vec![3u8];
+    put_stripe.extend_from_slice(&0u64.to_le_bytes());
+    put_stripe.extend_from_slice(&0u64.to_le_bytes());
+    put_stripe.extend_from_slice(&4u32.to_le_bytes());
+    for node in 0..4u64 {
+        put_stripe.extend_from_slice(&node.to_le_bytes());
+    }
+    let mut relocate = vec![5u8];
+    relocate.extend_from_slice(&0u64.to_le_bytes());
+    relocate.extend_from_slice(&1u32.to_le_bytes());
+    relocate.extend_from_slice(&5u64.to_le_bytes());
+    relocate.extend_from_slice(&1u64.to_le_bytes());
+    // An object record, whose format did not change, comes first.
+    let mut put_object = vec![1u8];
+    put_object.extend_from_slice(&4u32.to_le_bytes());
+    put_object.extend_from_slice(b"/old");
+    put_object.extend_from_slice(&100u64.to_le_bytes());
+    put_object.extend_from_slice(&1u32.to_le_bytes());
+    put_object.extend_from_slice(&0u64.to_le_bytes());
+    let wal = [frame(&put_object), frame(&put_stripe), frame(&relocate)].concat();
+    let snapshot = [&b"ECM\x01"[..], &frame(&put_object), &frame(&put_stripe)].concat();
+
+    for (file, bytes) in [("wal.log", wal), ("snapshot.bin", snapshot)] {
+        let root = fresh_dir(&format!("epoch-root-{file}"));
+        let meta_root = root.join("meta");
+        std::fs::create_dir_all(&meta_root).unwrap();
+        let path = meta_root.join(file);
+        std::fs::write(&path, &bytes).unwrap();
+        match MetaRouter::open(MetaConfig::new(MetaBackend::durable(&meta_root))) {
+            Err(MetaError::Corrupt { path: named, .. }) => assert_eq!(named, path),
+            other => panic!(
+                "{file}: expected a corrupt-metadata error, got {:?}",
+                other.err()
+            ),
+        }
+        match builder(&root).build() {
+            Err(EcPipeError::Execution { reason }) => assert!(
+                reason.contains("corrupt metadata file") && reason.contains(file),
+                "{reason}"
+            ),
+            other => panic!(
+                "{file}: expected a corrupt-metadata error, got {:?}",
+                other.err()
+            ),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "{file} was rewritten");
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
