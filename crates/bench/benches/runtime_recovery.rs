@@ -7,7 +7,7 @@
 //! as recovery throughput rather than being hidden behind CPU time. The
 //! `bytes_per_sec` column of `BENCH_results.json` is the recovery rate.
 //! Each iteration builds a fresh cluster and daemon, since a recovery moves
-//! the lost blocks' placements onto the requestors.
+//! the lost blocks' placements onto the spares its stripes had.
 
 use std::sync::Arc;
 
@@ -25,7 +25,6 @@ const STRIPES: u64 = 24;
 const FAILED_NODE: usize = 2;
 /// The failed node holds one block of half the stripes.
 const LOST_BLOCKS: usize = 12;
-const REQUESTORS: [usize; 2] = [12, 13];
 const LINK_RATE: u64 = 4 * 1024 * 1024;
 
 fn setup() -> (Coordinator, Cluster) {
@@ -67,10 +66,6 @@ fn bench_backend<T: Transport + Send + Sync + 'static>(
         ),
     ];
     for (row, config) in configs {
-        let config = ManagerConfig {
-            auto_requestors: REQUESTORS.to_vec(),
-            ..config
-        };
         group.bench_function(BenchmarkId::new(row, label), |b| {
             b.iter(|| {
                 let (coordinator, cluster) = setup();

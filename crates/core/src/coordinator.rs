@@ -7,7 +7,8 @@
 //! greedy least-recently-selected scheduling of §3.3, or the rack-aware and
 //! weighted paths of §4.2 and §4.3 — and lets the erasure code pick its
 //! helpers from the whole ordered list, so a code that is not MDS (LRC)
-//! still repairs from its local group.
+//! still repairs from its local group. One other function,
+//! [`rebuild_targets`], chooses where every rebuilt block lands.
 //!
 //! It owns no metadata. Where a stripe's blocks live is a fact of the
 //! deployment's [`MetaRouter`] alone; planning reads one [`StripeRecord`]
@@ -335,6 +336,39 @@ impl Coordinator {
     }
 }
 
+/// Where block `failed` of `record` may be rebuilt, best first — the one
+/// rule for every repair's target (§3.3's requestors). Each node below
+/// `nodes` that `is_dead` does not report comes once: (1) the block's
+/// holder, so a block lost on a live node is rebuilt in place; (2) the
+/// nodes holding none of the stripe, rotated by the stripe id plus the
+/// block's rank among the stripe's blocks on dead nodes, which spreads a
+/// dead node's blocks and starts two lost blocks of one stripe at
+/// different spares; (3) the stripe's other nodes, where a copy stays
+/// unplaced. A node down but not yet reported can still be chosen.
+pub(crate) fn rebuild_targets(
+    record: &StripeRecord,
+    failed: usize,
+    nodes: usize,
+    is_dead: &dyn Fn(NodeId) -> bool,
+) -> impl Iterator<Item = NodeId> {
+    let holder = record.locations.get(failed).copied();
+    let (mut spares, others): (Vec<NodeId>, Vec<NodeId>) = (0..nodes)
+        .filter(|&n| Some(n) != holder && !is_dead(n))
+        .partition(|n| !record.locations.contains(n));
+    if !spares.is_empty() {
+        let rank = record
+            .locations
+            .iter()
+            .take(failed)
+            .filter(|&&n| is_dead(n))
+            .count();
+        let turn = record.id.0.wrapping_add(rank as u64) % spares.len() as u64;
+        spares.rotate_left(turn as usize);
+    }
+    let in_place = holder.filter(|&h| h < nodes && !is_dead(h));
+    in_place.into_iter().chain(spares).chain(others)
+}
+
 /// The blocks of `record` that may serve as helpers: not one being
 /// repaired, not an `excluded` one, not one on a dead node and not one a
 /// requestor holds.
@@ -401,6 +435,40 @@ mod tests {
         assert_eq!(moved, RelocateOutcome::Moved);
         assert_eq!(meta.node_of(S1, 2).unwrap(), 9);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The rebuild rule's order: the live holder, then the spares rotated
+    /// by stripe id and lost-block rank, then the stripe's other live
+    /// nodes. No dead node is ever yielded, and two lost blocks of one
+    /// stripe start at different spares when two exist.
+    #[test]
+    fn rebuild_targets_order_holder_then_spares_then_the_rest() {
+        // Stripe 1 on nodes 0..6: in a 10-node cluster, 6..10 are spares.
+        let (_, meta) = setup(6);
+        let record = meta.stripe(S1).unwrap();
+        let targets = |nodes, failed, dead: &[NodeId]| -> Vec<NodeId> {
+            rebuild_targets(&record, failed, nodes, &|n| dead.contains(&n)).collect()
+        };
+        assert_eq!(targets(10, 2, &[]), [2, 7, 8, 9, 6, 0, 1, 3, 4, 5]);
+        assert_eq!(targets(10, 2, &[2]), [7, 8, 9, 6, 0, 1, 3, 4, 5]);
+        // Without a spare, the stripe's other live nodes remain.
+        assert_eq!(targets(6, 2, &[2]), [0, 1, 3, 4, 5]);
+        for dead in [vec![2, 7], vec![0, 6, 9], vec![5, 1, 8, 3]] {
+            for failed in 0..6 {
+                let mut yielded = targets(10, failed, &dead);
+                assert!(yielded.iter().all(|n| !dead.contains(n)), "{yielded:?}");
+                yielded.sort_unstable();
+                yielded.dedup();
+                assert_eq!(yielded.len(), 10 - dead.len());
+            }
+        }
+        // Nodes 2 and 3 lose blocks 2 and 3; spares 8 and 9 are dead too.
+        let dead = [2, 3, 8, 9];
+        let (a, b) = (targets(10, 2, &dead)[0], targets(10, 3, &dead)[0]);
+        assert!(
+            a != b && [a, b].iter().all(|n| [6, 7].contains(n)),
+            "{a} {b}"
+        );
     }
 
     #[test]

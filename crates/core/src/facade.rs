@@ -61,7 +61,7 @@ use simnet::{NodeId, Topology};
 
 use crate::buf::BufPool;
 use crate::cluster::Cluster;
-use crate::coordinator::{Coordinator, ObjectMeta};
+use crate::coordinator::{rebuild_targets, Coordinator, ObjectMeta};
 use crate::manager::{
     ManagerConfig, ManagerReport, NodeHealth, PathPolicy, RepairManager, RepairPriority,
     RepairRequest, ScrubConfig, ScrubCycle, Scrubber,
@@ -214,10 +214,7 @@ impl EcPipeBuilder {
         self
     }
 
-    /// Replaces the repair-manager configuration wholesale. An empty
-    /// [`auto_requestors`](ManagerConfig::auto_requestors) pool is filled
-    /// with every node at build time, so node failures are recoverable
-    /// without extra wiring.
+    /// Replaces the repair-manager configuration wholesale.
     pub fn manager(mut self, config: ManagerConfig) -> Self {
         self.manager = config;
         self
@@ -302,11 +299,7 @@ impl EcPipeBuilder {
             }
             None => None,
         };
-        let mut config = self.manager;
-        // Node failures are recoverable without extra wiring.
-        if config.auto_requestors.is_empty() {
-            config.auto_requestors = (0..nodes).collect();
-        }
+        let config = self.manager;
         // A flat rate limit takes precedence over topology shaping: an
         // explicit `rate_limit` call is the stronger signal of intent.
         let transport = match (self.transport, self.rate_limit, &topology) {
@@ -718,13 +711,13 @@ impl EcPipe {
                     if attempt + 1 == Self::READ_ATTEMPTS {
                         return Err(EcPipeError::BlockNotFound { block });
                     }
-                    self.heal(stripe, index, false)?;
+                    self.heal(stripe, index)?;
                 }
                 Err(error @ EcPipeError::CorruptBlock { .. }) => {
                     if attempt + 1 == Self::READ_ATTEMPTS {
                         return Err(error);
                     }
-                    self.heal(stripe, index, true)?;
+                    self.heal(stripe, index)?;
                 }
                 Err(error) => return Err(error),
             }
@@ -738,23 +731,20 @@ impl EcPipe {
     /// queued request is promoted to the degraded class — a client is
     /// blocked on it now.
     ///
-    /// A corrupt block is healed in place — the node serving the rot gets
-    /// the reconstruction, overwriting the bad bytes and refreshing the
-    /// checksums. A missing block is rebuilt onto its recorded holder when
-    /// that node is live (an erased block on a healthy node), otherwise onto
-    /// a live node holding nothing of the stripe.
-    fn heal(&self, stripe: StripeId, index: usize, in_place: bool) -> Result<()> {
-        let holder = self.cluster().node_of(stripe, index)?;
-        let requestor = if in_place || self.manager.node_health(holder) != NodeHealth::Dead {
-            holder
-        } else {
-            let placement = self.cluster().placement(stripe).unwrap_or_default();
-            (0..self.cluster().num_nodes())
-                .find(|n| {
-                    self.manager.node_health(*n) != NodeHealth::Dead && !placement.contains(n)
-                })
-                .unwrap_or(holder)
-        };
+    /// The block goes to the coordinator's first rebuild target: in place
+    /// on its live holder (overwriting any rot and refreshing the
+    /// checksums), else a live node holding nothing of the stripe.
+    fn heal(&self, stripe: StripeId, index: usize) -> Result<()> {
+        let record = self
+            .cluster()
+            .meta()
+            .stripe(stripe)
+            .ok_or(EcPipeError::UnknownStripe { stripe: stripe.0 })?;
+        let is_dead = |node| self.manager.node_health(node) == NodeHealth::Dead;
+        let nodes = self.cluster().num_nodes();
+        let requestor = rebuild_targets(&record, index, nodes, &is_dead)
+            .next()
+            .unwrap_or(record.node_of(index));
         // A client is blocked on these bytes right now, so this is a
         // degraded read regardless of what broke the block (§3.2); the
         // scrubber's background sweeps use `Corruption` priority instead.

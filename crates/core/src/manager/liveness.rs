@@ -5,7 +5,9 @@
 //! observes helpers (§5). A helper whose block turns out to be missing
 //! mid-repair earns a *strike*; enough consecutive strikes and the node is
 //! declared dead, at which point the manager auto-enqueues background
-//! repairs for every stripe that still maps a block to it. A successful
+//! repairs for every stripe that still maps a block to it, each onto the
+//! coordinator's rebuild target. A node that is down but not yet declared
+//! can still be chosen as a target or planned as a helper. A successful
 //! repair clears the strikes of every helper that served it. Operators (or
 //! an external failure detector) can also declare a node dead directly.
 

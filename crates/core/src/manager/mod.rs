@@ -41,8 +41,8 @@
 //! baseline the concurrent configurations are measured against. Every plan,
 //! relocation and node-failure scan reads the cluster's
 //! [`MetaRouter`](ecpipe_meta::MetaRouter), and a repaired block takes over
-//! its placement there whenever some live node holds no other block of the
-//! stripe.
+//! its placement there on the coordinator's first rebuild target holding
+//! no other block of the stripe.
 
 mod liveness;
 mod metrics;
@@ -107,7 +107,8 @@ impl std::fmt::Display for PathPolicy {
     }
 }
 
-/// Tuning knobs for the repair manager.
+/// Tuning knobs for the repair manager. Where a rebuilt block lands is not
+/// one: the coordinator picks every repair's target by one rule.
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
     /// Worker threads executing repairs concurrently.
@@ -124,10 +125,6 @@ pub struct ManagerConfig {
     pub dead_after_misses: usize,
     /// Execution strategy for every repair.
     pub strategy: Scheme,
-    /// Requestor pool (round-robin) for repairs the manager enqueues on its
-    /// own when a node dies, and the fallback requestors of every repair.
-    /// Empty disables auto-enqueueing.
-    pub auto_requestors: Vec<NodeId>,
     /// How helpers are picked and ordered. The topology-aware policies need
     /// a topology on the cluster; without one (or with too few candidates)
     /// they degrade to [`PathPolicy::Lru`].
@@ -152,7 +149,6 @@ impl Default for ManagerConfig {
             max_replans: 2,
             dead_after_misses: 2,
             strategy: Scheme::RepairPipelining,
-            auto_requestors: Vec::new(),
             path_policy: PathPolicy::Lru,
             link_watch: false,
         }
@@ -201,10 +197,7 @@ struct DaemonShared<T> {
 /// for s in 0..4 {
 ///     cluster.write_stripe(coordinator.code(), s, &data).unwrap();
 /// }
-/// let config = ManagerConfig {
-///     auto_requestors: vec![8, 9],
-///     ..ManagerConfig::default()
-/// };
+/// let config = ManagerConfig::default();
 /// let manager = RepairManager::start(coordinator, cluster, ChannelTransport::new(), config);
 /// let queued = manager.report_node_failure(2);
 /// manager.wait_idle();
@@ -291,9 +284,10 @@ impl<T: Transport + Send + Sync + 'static> RepairManager<T> {
     }
 
     /// Declares a node dead and enqueues background recovery for every
-    /// stripe that still maps a block to it (requestors come from
-    /// `config.auto_requestors`, round-robin). Returns the number of repairs
-    /// queued.
+    /// stripe that still maps a block to it, each block onto a live node
+    /// holding none of its stripe, picked by stripe id and block from the
+    /// placement and the liveness view alone — the same whichever report or
+    /// strike comes first. Returns the number of repairs queued.
     pub fn report_node_failure(&self, node: NodeId) -> usize {
         self.shared.engine.liveness.mark_dead(node);
         self.shared.engine.enqueue_node_recovery(node)
@@ -442,32 +436,27 @@ mod tests {
             let (cluster, coordinator, _) = setup(12, 10);
             let lost = cluster.kill_node(3);
             assert!(!lost.is_empty());
-            let config = ManagerConfig {
-                auto_requestors: vec![8, 9],
-                ..config
-            };
             let manager =
                 RepairManager::start(coordinator, cluster, ChannelTransport::new(), config);
             assert_eq!(manager.report_node_failure(3), lost.len());
             manager.wait_idle();
             for &block in &lost {
-                let node = manager
-                    .cluster()
-                    .node_of(block.stripe, block.index)
-                    .unwrap();
+                let placement = manager.cluster().placement(block.stripe).unwrap();
+                let node = placement[block.index];
                 let found = node != 3 && manager.cluster().store(node).contains(block);
                 assert!(found, "block {block} missing on node {node}");
+                assert_eq!(placement.iter().filter(|&&n| n == node).count(), 1);
             }
             let report = manager.shutdown();
             assert_eq!(report.blocks_repaired, lost.len());
             assert_eq!(report.bytes_repaired, lost.len() * 2048);
             assert!(report.max_inflight() <= max_inflight);
-            // Repaired blocks land on the requestors, spread round-robin,
-            // except stripe 8's: it sits on nodes 8, 9 and 0..=3, so its
-            // block goes to a live node holding none of the stripe.
+            // Each stripe has four spares here; the rule rotates them by
+            // stripe id, so the 8 lost blocks spread over 5 nodes, at most
+            // 2 on any one.
             assert_eq!(report.per_requestor.values().sum::<usize>(), lost.len());
-            let off_pool = report.per_requestor.iter().filter(|(n, _)| **n < 8);
-            assert_eq!(off_pool.map(|(_, &count)| count).sum::<usize>(), 1);
+            assert_eq!(report.per_requestor.len(), 5, "{:?}", report.per_requestor);
+            assert!(report.per_requestor.values().all(|&count| count <= 2));
             assert!(report.network_bytes > 0);
             // Elapsed-time accounting: a wall time, one duration per stripe.
             assert_eq!(report.outcomes.len(), lost.len());
@@ -559,41 +548,32 @@ mod tests {
         assert_eq!(report.failures[0].stripe, StripeId(1));
     }
 
-    /// A reported node failure queues one repair per lost block onto the
-    /// live requestor pool, round-robin in stripe order: never onto the
-    /// failed node or another dead one, and nothing at all when no pool
-    /// node is alive.
+    /// A reported node failure under the default configuration queues one
+    /// repair per lost block, and each lands on a live node holding none of
+    /// its stripe: never on the failed node or another dead one.
     #[test]
     fn recover_node_validates_requestors() {
         // Four stripes on nodes 0..9; nodes 10..13 hold nothing.
-        let start = |auto_requestors: Vec<NodeId>| {
-            let (cluster, coordinator, _) = setup_on(4, crate::StoreBackend::memory(14));
-            cluster.kill_node(2);
-            let config = ManagerConfig {
-                auto_requestors,
-                ..ManagerConfig::default()
-            };
-            RepairManager::start(coordinator, cluster, ChannelTransport::new(), config)
-        };
-        let no_pool = start(Vec::new());
-        assert_eq!(no_pool.report_node_failure(2), 0);
-        assert_eq!(no_pool.shutdown().blocks_repaired, 0);
-
-        let all_dead = start(vec![2, 12]);
-        assert_eq!(all_dead.report_node_failure(12), 0);
-        assert_eq!(all_dead.report_node_failure(2), 0);
-        assert_eq!(all_dead.shutdown().blocks_repaired, 0);
-
-        // Stripes 0, 1 and 2 hold a block on node 2.
-        let manager = start(vec![2, 10, 11, 12]);
+        let (cluster, coordinator, data) = setup_on(4, crate::StoreBackend::memory(14));
+        let lost = cluster.kill_node(2);
+        let config = ManagerConfig::default();
+        let manager = RepairManager::start(coordinator, cluster, ChannelTransport::new(), config);
         assert_eq!(manager.report_node_failure(12), 0);
-        assert_eq!(manager.report_node_failure(2), 3);
+        // Stripes 0, 1 and 2 hold a block on node 2.
+        assert_eq!(manager.report_node_failure(2), lost.len());
+        assert_eq!(lost.len(), 3);
         manager.wait_idle();
-        let mut report = manager.shutdown();
-        assert_eq!(report.failed_repairs, 0);
-        report.outcomes.sort_by_key(|o| o.stripe.0);
-        let requestors: Vec<NodeId> = report.outcomes.iter().map(|o| o.requestor).collect();
-        assert_eq!(requestors, [10, 11, 10]);
+        for &block in &lost {
+            let placement = manager.cluster().placement(block.stripe).unwrap();
+            let node = placement[block.index];
+            assert!(node != 2 && node != 12, "block {block} on dead node {node}");
+            assert_eq!(placement.iter().filter(|&&n| n == node).count(), 1);
+            // Node 2 held data blocks only: 2, 1 and 0 of stripes 0, 1, 2.
+            let expected = bytes::Bytes::from(data[block.stripe.0 as usize][block.index].clone());
+            assert_eq!(manager.cluster().store(node).get(block).unwrap(), expected);
+        }
+        let report = manager.shutdown();
+        assert_eq!((report.blocks_repaired, report.failed_repairs), (3, 0));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! [`ChecksummedStore`](crate::ChecksummedStore), verifies every chunk),
 //! and enqueues each corrupt block as a
 //! [`RepairPriority::Corruption`](super::RepairPriority) repair addressed
-//! back to the node that served the rot — the reconstruction overwrites the
-//! bad copy in place and refreshes its checksums. After the cycle's repairs
+//! to the block's recorded holder — the reconstruction overwrites the bad
+//! copy in place and refreshes its checksums. After the cycle's repairs
 //! drain, every corrupt block is re-verified, and the whole cycle is folded
 //! into the [`ManagerReport`](super::ManagerReport) as a
 //! [`ScrubCycle`](super::ScrubCycle).
@@ -101,7 +101,7 @@ pub(crate) fn scrub_once(
                 Err(EcPipeError::CorruptBlock { .. }) => {
                     cycle.blocks_scanned += 1;
                     cycle.corrupt.push(block);
-                    if engine.submit_corruption(block, node) {
+                    if engine.submit_corruption(block) {
                         cycle.repairs_enqueued += 1;
                     }
                 }

@@ -18,17 +18,17 @@
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
 use ecc::stripe::BlockId;
-use ecpipe_meta::{MetaRouter, RelocateOutcome, RepairRecord};
+use ecpipe_meta::{MetaRouter, RelocateOutcome, RepairRecord, StripeRecord};
 use ecpipe_sync::{Condvar, Mutex, OnceFlag};
 use simnet::NodeId;
 
 use crate::cluster::Cluster;
+use crate::coordinator::rebuild_targets;
 use crate::exec::{self, Watch};
 use crate::lock_order;
 use crate::telemetry::LinkTelemetry;
@@ -130,9 +130,8 @@ pub(crate) struct EngineState {
     scheduled_changed: Condvar,
     /// Notified when `scheduled` becomes empty (`wait_idle`).
     idle: Condvar,
-    /// Round-robin requestor pool for auto-enqueued node recovery.
-    auto_requestors: Vec<NodeId>,
-    auto_rr: AtomicUsize,
+    /// The cluster's node count: the nodes a rebuilt block may land on.
+    nodes: usize,
     /// The cluster's metadata router: planning reads placements from it, a
     /// successful repair relocates the block in it, and accepted requests
     /// are journaled in it as pending repairs (resolved on completion), so
@@ -160,8 +159,7 @@ impl EngineState {
             scheduled: Mutex::new(&lock_order::ENGINE_SCHEDULED, HashSet::new()),
             scheduled_changed: Condvar::new(),
             idle: Condvar::new(),
-            auto_requestors: config.auto_requestors.clone(),
-            auto_rr: AtomicUsize::new(0),
+            nodes: cluster.num_nodes(),
             meta: cluster.meta().clone(),
             crashed: OnceFlag::new(),
         }
@@ -248,28 +246,29 @@ impl EngineState {
         let _scheduled = self.idle.wait_while(scheduled, |s| !s.is_empty());
     }
 
-    /// The next live requestor from the auto-recovery pool (round-robin).
-    fn next_auto_requestor(&self) -> Option<NodeId> {
-        for _ in 0..self.auto_requestors.len() {
-            let i = self.auto_rr.fetch_add(1, Ordering::Relaxed) % self.auto_requestors.len();
-            let candidate = self.auto_requestors[i];
-            if !self.liveness.is_dead(candidate) {
-                return Some(candidate);
-            }
-        }
-        None
+    /// The nodes block `failed` of `record` may be rebuilt on, best first,
+    /// under the current liveness view ([`rebuild_targets`]).
+    fn targets(&self, record: &StripeRecord, failed: usize) -> impl Iterator<Item = NodeId> {
+        rebuild_targets(record, failed, self.nodes, &|node| {
+            self.liveness.is_dead(node)
+        })
     }
 
-    /// Enqueues an in-place corruption repair: reconstruct `block` onto
-    /// `requestor` (normally the node serving the rotten copy, so the
-    /// repair overwrites it and refreshes its checksums) at
-    /// [`RepairPriority::Corruption`]. Returns whether the repair was newly
-    /// queued — `false` when it is already queued/in flight, the requestor
-    /// is dead, or the queue has closed.
-    pub(crate) fn submit_corruption(&self, block: BlockId, requestor: NodeId) -> bool {
-        if self.liveness.is_dead(requestor) {
+    /// Enqueues an in-place corruption repair at
+    /// [`RepairPriority::Corruption`]: `block` is rebuilt onto its holder,
+    /// the rule's first target while that node is live, overwriting the rot
+    /// and refreshing its checksums. Returns whether the repair was newly
+    /// queued — `false` when it is already queued/in flight, the holder is
+    /// dead (node recovery rebuilds the block), or the queue has closed.
+    pub(crate) fn submit_corruption(&self, block: BlockId) -> bool {
+        let Some(record) = self.meta.stripe(block.stripe) else {
             return false;
-        }
+        };
+        let holder = record.locations.get(block.index).copied();
+        let first = self.targets(&record, block.index).next();
+        let Some(requestor) = first.filter(|&node| Some(node) == holder) else {
+            return false;
+        };
         matches!(
             self.submit(RepairRequest {
                 stripe: block.stripe,
@@ -282,16 +281,16 @@ impl EngineState {
     }
 
     /// Enqueues a background repair for every stripe still mapping a block
-    /// to `node` (called when a node is declared dead). Returns how many
-    /// repairs were queued.
+    /// to `node` (called when a node is declared dead), each onto the rule's
+    /// first target. Returns how many repairs were queued.
     pub(crate) fn enqueue_node_recovery(&self, node: NodeId) -> usize {
-        if self.auto_requestors.is_empty() {
-            return 0;
-        }
         let mut queued = 0;
         for (stripe, failed) in self.meta.stripes_on_node(node) {
-            let Some(requestor) = self.next_auto_requestor() else {
-                break;
+            let Some(record) = self.meta.stripe(stripe) else {
+                continue;
+            };
+            let Some(requestor) = self.targets(&record, failed).next() else {
+                continue;
             };
             let ok = self.submit(RepairRequest {
                 stripe,
@@ -375,18 +374,18 @@ fn holds_other(locations: &[NodeId], index: usize, node: NodeId) -> bool {
         .any(|(i, &n)| i != index && n == node)
 }
 
-/// Stores a repaired block on `candidates[0]`, the requestor the walk
-/// delivered to, and publishes the copy as the block's placement. Returns
-/// the node that holds the block.
+/// Stores a repaired block on `node`, the requestor the walk delivered to,
+/// and publishes the copy as the block's placement. Returns the node that
+/// holds the block.
 ///
 /// The block moves only from `planned_on`, where the repair found it
 /// ([`MetaRouter::relocate`]'s placement rule). If it moved while the
 /// repair ran, nothing is published: the copy is deleted unless the move
 /// put the block on this very node, and the block's current holder is
 /// returned. A node that by now holds another block of the stripe is
-/// refused by the router; the block then goes to the next live candidate
-/// holding none of the stripe — after the candidates, any live node of the
-/// cluster — and the refused copy is deleted. With no such node (a cluster
+/// refused by the router; the block then goes to the next of the rule's
+/// targets ([`rebuild_targets`]) not yet tried that holds none of the
+/// stripe, and the refused copy is deleted. With no such node (a cluster
 /// without a spare) the copy stays where it is, unplaced, and reads find
 /// it by scanning the stores.
 fn publish(
@@ -394,10 +393,9 @@ fn publish(
     cluster: &Cluster,
     block: BlockId,
     planned_on: NodeId,
-    candidates: &[NodeId],
+    mut node: NodeId,
     bytes: Bytes,
 ) -> Result<NodeId> {
-    let mut node = candidates[0];
     let mut tried = vec![node];
     cluster.store(node).put(block, bytes.clone())?;
     loop {
@@ -414,13 +412,12 @@ fn publish(
             }
             RelocateOutcome::Refused => {}
         }
-        let holders = cluster.placement(block.stripe).unwrap_or_default();
-        let mut spares = candidates.iter().copied().chain(0..cluster.num_nodes());
-        let next = spares.find(|&c| {
-            !tried.contains(&c)
-                && !engine.liveness.is_dead(c)
-                && !holds_other(&holders, block.index, c)
-        });
+        let Some(record) = engine.meta.stripe(block.stripe) else {
+            return Ok(node);
+        };
+        let next = engine
+            .targets(&record, block.index)
+            .find(|&c| !tried.contains(&c) && !holds_other(&record.locations, block.index, c));
         let Some(next) = next else {
             return Ok(node);
         };
@@ -449,44 +446,14 @@ fn run_one<T: Transport + ?Sized>(
     let started_seq = engine.metrics.begin_repair();
     let started = Instant::now();
     let fail = |error: EcPipeError, replans| failure(request, error.to_string(), replans);
-    // Requestor candidates: the requested node first, then the
-    // auto-recovery pool as fallbacks. A requestor that already holds
-    // blocks of the stripe (e.g. after earlier relocations) can shrink the
-    // candidate helper set below `k`, and the router refuses to place a
-    // second block of the stripe on it, which would leave the copy
-    // unplaceable and force a second repair on the next read. So nodes
-    // holding no *other* block of the stripe come first; the stable sort
-    // keeps the requested node first among equally suitable candidates.
-    let mut requestors: Vec<NodeId> = vec![request.requestor];
-    for &candidate in &engine.auto_requestors {
-        if !requestors.contains(&candidate) {
-            requestors.push(candidate);
-        }
-    }
-    let holders = cluster.placement(request.stripe).unwrap_or_default();
-    requestors.sort_by_key(|&r| holds_other(&holders, request.failed, r));
-    let mut requestor_idx = 0usize;
+    // Requestors whose plan failed for holding another block of the stripe.
+    let mut unplannable: Vec<NodeId> = Vec::new();
     let mut excluded: Vec<usize> = Vec::new();
     // Blocks behind a failed hop: their nodes still hold them, so they are
     // left out only while a plan without them exists.
     let mut avoided: Vec<usize> = Vec::new();
     let mut replans = 0usize;
     loop {
-        // A requestor declared dead (possibly after this request was
-        // enqueued) must not receive the block: storing onto a dead node
-        // would count the repair as done while the data is already lost.
-        while engine.liveness.is_dead(requestors[requestor_idx]) {
-            if requestor_idx + 1 < requestors.len() {
-                requestor_idx += 1;
-            } else {
-                let reason = format!(
-                    "every candidate requestor for block {} of stripe {} is dead",
-                    request.failed, request.stripe.0
-                );
-                return Err(fail(EcPipeError::InvalidRequest { reason }, replans));
-            }
-        }
-        let requestor = requestors[requestor_idx];
         // Fold the transport counters accumulated so far into the telemetry
         // before planning, so a weighted plan (and the link watch's re-plan
         // after a degraded link) sees the freshest throughput estimates.
@@ -496,40 +463,56 @@ fn run_one<T: Transport + ?Sized>(
         // Plan fresh on each attempt, from the placement as it is now: after
         // a helper loss the helper set must shrink around the excluded block.
         let stripe = request.stripe;
-        let skipped = [&excluded[..], &avoided[..]].concat();
-        let planned = engine
+        let record = engine
             .meta
             .stripe(stripe)
             .ok_or(EcPipeError::UnknownStripe { stripe: stripe.0 })
-            .and_then(|record| {
-                let is_dead = |node| engine.liveness.is_dead(node);
-                let paths = engine.telemetry.as_ref().map(|t| (config.path_policy, t));
-                let planned = coord.plan_repair(
-                    &record,
-                    request.failed,
-                    requestor,
-                    &skipped,
-                    &is_dead,
-                    paths,
-                )?;
-                Ok((planned, record.node_of(request.failed)))
-            });
-        let (planned, planned_on) = match planned {
+            .map_err(|error| fail(error, replans))?;
+        // The requested node while it is live and holds no other block of
+        // the stripe, else the rule's next target: a node declared dead
+        // since the request was queued must not receive the block.
+        let is_dead = |node| engine.liveness.is_dead(node);
+        let requested = Some(request.requestor)
+            .filter(|&r| !is_dead(r) && !holds_other(&record.locations, request.failed, r));
+        let requestor = requested
+            .into_iter()
+            .chain(engine.targets(&record, request.failed))
+            .find(|r| !unplannable.contains(r));
+        let Some(requestor) = requestor else {
+            let reason = format!(
+                "no live node can receive block {} of stripe {}",
+                request.failed, stripe.0
+            );
+            return Err(fail(EcPipeError::InvalidRequest { reason }, replans));
+        };
+        let skipped = [&excluded[..], &avoided[..]].concat();
+        let paths = engine.telemetry.as_ref().map(|t| (config.path_policy, t));
+        let planned = coord.plan_repair(
+            &record,
+            request.failed,
+            requestor,
+            &skipped,
+            &is_dead,
+            paths,
+        );
+        let planned = match planned {
             Ok(p) => p,
             Err(EcPipeError::Planning(_)) if !avoided.is_empty() => {
                 avoided.clear();
                 continue;
             }
-            Err(error @ EcPipeError::Planning(_)) => {
-                if requestor_idx + 1 < requestors.len() {
-                    requestor_idx += 1;
-                    replans += 1;
-                    continue;
-                }
-                return Err(fail(error, replans));
+            // A requestor holding another block of the stripe takes that
+            // block out of the helpers; another requestor may not.
+            Err(EcPipeError::Planning(_))
+                if holds_other(&record.locations, request.failed, requestor) =>
+            {
+                unplannable.push(requestor);
+                replans += 1;
+                continue;
             }
             Err(error) => return Err(fail(error, replans)),
         };
+        let planned_on = record.node_of(request.failed);
         if planned.fell_back {
             engine.metrics.record_replan(ReplanEvent {
                 stripe: request.stripe,
@@ -561,8 +544,7 @@ fn run_one<T: Transport + ?Sized>(
                     stripe: request.stripe,
                     index: request.failed,
                 };
-                let candidates = &requestors[requestor_idx..];
-                let requestor = publish(engine, cluster, id, planned_on, candidates, block)
+                let requestor = publish(engine, cluster, id, planned_on, requestor, block)
                     .map_err(|error| fail(error, replans))?;
                 engine.liveness.record_success(&directive.helper_nodes());
                 let outcome = RepairOutcome {
@@ -603,10 +585,8 @@ fn run_one<T: Transport + ?Sized>(
                 // around the rotten block — without a liveness strike, the
                 // node itself is healthy — and queue an in-place
                 // corruption-class repair to scrub the rot out.
+                engine.submit_corruption(block);
                 let holder = cluster.node_of(block.stripe, block.index).ok();
-                if let Some(holder) = holder {
-                    engine.submit_corruption(block, holder);
-                }
                 (ReplanReason::CorruptHelper, holder, Some(block.index))
             }
             EcPipeError::LinkFailed { src, dst, .. } => {

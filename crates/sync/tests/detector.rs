@@ -5,7 +5,7 @@
 //! builds the wrappers are passthroughs and the size test in
 //! `zero_cost.rs` takes over.
 
-use ecpipe_sync::{lock_class, Mutex, RwLock};
+use ecpipe_sync::{lock_class, Mutex};
 
 lock_class!(
     /// Low-rank test class.
@@ -31,6 +31,7 @@ lock_class!(
 #[cfg(any(debug_assertions, ecpipe_sync_check))]
 mod checked {
     use super::*;
+    use ecpipe_sync::RwLock;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn panic_message(f: impl FnOnce()) -> String {

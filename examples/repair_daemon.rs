@@ -202,10 +202,6 @@ fn main() {
     let recover = |config: ManagerConfig| {
         let (coordinator, cluster) = stripes_for_comparison();
         cluster.kill_node(failed_node);
-        let config = ManagerConfig {
-            auto_requestors: vec![12, 13],
-            ..config
-        };
         let transport = ChannelTransport::with_rate_limit(LINK_RATE);
         let manager = RepairManager::start(coordinator, cluster, transport, config);
         manager.report_node_failure(failed_node);
@@ -238,7 +234,8 @@ fn main() {
 }
 
 /// A 24-stripe cluster for the one-worker-vs-four replay, stripes
-/// confined to nodes 0..12 so nodes 12 and 13 can act as replacements.
+/// confined to nodes 0..12, so nodes 12 and 13 start as spares of every
+/// stripe.
 fn stripes_for_comparison() -> (Coordinator, Cluster) {
     let code = Arc::new(ReedSolomon::new(6, 4).expect("valid parameters"));
     let coordinator = Coordinator::new(code, SliceLayout::new(BLOCK, SLICE));

@@ -113,17 +113,13 @@ fn full_node_recovery_end_to_end() {
     let failed_node = 3;
     let lost = cluster.kill_node(failed_node);
     assert!(!lost.is_empty());
-    let config = ManagerConfig {
-        auto_requestors: vec![12, 13],
-        ..ManagerConfig::default().with_workers(1)
-    };
+    let config = ManagerConfig::default().with_workers(1);
     let manager = RepairManager::start(coordinator, cluster, ChannelTransport::new(), config);
     assert_eq!(manager.report_node_failure(failed_node), lost.len());
     manager.wait_idle();
 
-    // Every block is rebuilt where the metadata now places it: on a pool
-    // node, or — for stripes 10 and 11, which already hold a block on both
-    // — on another live node holding none of the stripe.
+    // Every block is rebuilt where the metadata now places it: on a live
+    // node that held none of its stripe.
     for &block in &lost {
         let expected = &all_coded[block.stripe.0 as usize][block.index];
         let node = manager

@@ -30,13 +30,12 @@ use repair_pipelining::ecpipe::{
 
 const BLOCK: usize = 64 * 1024;
 const SLICE: usize = 8 * 1024;
-/// Stripes live on nodes `0..12`; nodes 12 and 13 are replacement
-/// requestors holding no stripe blocks.
+/// Stripes live on nodes `0..12`; nodes 12 and 13 start as spares of
+/// every stripe.
 const STORAGE_NODES: usize = 12;
 const NODES: usize = 14;
 const STRIPES: u64 = 24;
 const FAILED_NODE: usize = 2;
-const REQUESTORS: [usize; 2] = [12, 13];
 /// Per-link bandwidth for the network-bound cases (§3.2's setting): low
 /// enough that link time, not CPU time, dominates each repair.
 const LINK_RATE: u64 = 4 * 1024 * 1024;
@@ -75,18 +74,24 @@ fn expected_block(originals: &[Vec<Vec<u8>>], block: BlockId) -> Vec<u8> {
     }
 }
 
-/// Recovers `FAILED_NODE` (already killed) on a fresh daemon with
-/// `REQUESTORS` as its requestor pool, and returns the daemon once idle.
+/// The bytes of `block` where the metadata places it, if that node has it.
+fn placed<T: Transport + Send + Sync + 'static>(
+    manager: &RepairManager<T>,
+    block: BlockId,
+) -> Option<Vec<u8>> {
+    let node = manager.cluster().node_of(block.stripe, block.index).ok()?;
+    let bytes = manager.cluster().store(node).get(block).ok()?;
+    Some(bytes.to_vec())
+}
+
+/// Recovers `FAILED_NODE` (already killed) on a fresh daemon and returns
+/// the daemon once idle.
 fn recover<T: Transport + Send + Sync + 'static>(
     coordinator: Coordinator,
     cluster: Cluster,
     transport: T,
     config: ManagerConfig,
 ) -> RepairManager<T> {
-    let config = ManagerConfig {
-        auto_requestors: REQUESTORS.to_vec(),
-        ..config
-    };
     let manager = RepairManager::start(coordinator, cluster, transport, config);
     manager.report_node_failure(FAILED_NODE);
     manager.wait_idle();
@@ -105,10 +110,12 @@ fn case_concurrent_recovery_byte_exact<T: Transport + Send + Sync + 'static>(tra
     let manager = recover(coordinator, cluster, transport, config);
     for &block in &lost {
         let expected = expected_block(&originals, block);
-        let found = REQUESTORS
-            .iter()
-            .any(|&r| matches!(manager.cluster().store(r).get(block), Ok(b) if b == expected));
-        assert!(found, "block {block} not reconstructed byte-exact");
+        let found = placed(&manager, block);
+        assert_eq!(
+            found,
+            Some(expected),
+            "block {block} not reconstructed byte-exact"
+        );
     }
     let report = manager.shutdown();
     assert_eq!(report.blocks_repaired, lost.len());
@@ -200,14 +207,12 @@ fn cap_one_reproduces_sequential_results() {
         .with_inflight_cap(1);
     let capped = recover(coordinator2, cluster2, ChannelTransport::new(), config);
 
-    // Same blocks, same requestor stores, same bytes.
+    // Same blocks, same target nodes, same bytes: the rebuild rule reads
+    // the placement and the liveness view, not the order repairs run in.
     let (cluster, cluster2) = (sequential.cluster(), capped.cluster());
     for block in lost {
-        let on = REQUESTORS
-            .iter()
-            .find(|&&r| cluster.store(r).contains(block))
-            .copied()
-            .expect("one-worker run stored the block");
+        let on = cluster.node_of(block.stripe, block.index).unwrap();
+        assert_eq!(cluster2.node_of(block.stripe, block.index).unwrap(), on);
         assert_eq!(
             cluster.store(on).get(block).unwrap(),
             cluster2.store(on).get(block).unwrap(),
@@ -292,16 +297,11 @@ fn degraded_reads_finish_before_queued_background_work() {
 fn daemon_degraded_read_preempts_backlog() {
     let (coordinator, cluster, _) = build_cluster();
     cluster.kill_node(FAILED_NODE);
-    let config = ManagerConfig {
-        workers: 1,
-        auto_requestors: vec![12, 13],
-        ..ManagerConfig::default()
-    };
     let manager = RepairManager::start(
         coordinator,
         cluster,
         ChannelTransport::with_rate_limit(LINK_RATE),
-        config,
+        ManagerConfig::default().with_workers(1),
     );
     let queued = manager.report_node_failure(FAILED_NODE);
     assert_eq!(queued, 12);
@@ -361,13 +361,12 @@ fn daemon_detects_and_recovers_a_silently_dead_node() {
     let lost = cluster.kill_node(silent);
     assert!(!lost.is_empty());
     // One worker keeps the scenario deterministic. Relocation matters here:
-    // once the degraded read rebuilds s1b0 onto a requestor, later repairs
-    // of stripe 1 must find the relocated copy instead of striking healthy
+    // once the degraded read rebuilds s1b0 onto node 12, later repairs of
+    // stripe 1 must find the relocated copy instead of striking healthy
     // node 1 for a block that legitimately moved.
     let config = ManagerConfig {
         workers: 1,
         dead_after_misses: 1,
-        auto_requestors: vec![12, 13],
         ..ManagerConfig::default()
     };
     let manager = RepairManager::start(coordinator, cluster, ChannelTransport::new(), config);
@@ -380,13 +379,15 @@ fn daemon_detects_and_recovers_a_silently_dead_node() {
     assert_eq!(manager.node_health(silent), NodeHealth::Dead);
     for &block in &lost {
         let expected = expected_block(&originals, block);
-        let found = REQUESTORS
-            .iter()
-            .any(|&r| matches!(manager.cluster().store(r).get(block), Ok(b) if b == expected));
-        assert!(found, "block {block} of the silent node not auto-recovered");
+        let found = placed(&manager, block);
+        assert_eq!(
+            found,
+            Some(expected),
+            "block {block} of the silent node not auto-recovered"
+        );
     }
     // No healthy node must have been declared dead along the way (the
-    // degraded-read block moved to a requestor; repairs of its stripe must
+    // degraded-read block moved to node 12; repairs of its stripe must
     // follow the relocation instead of striking the old holder).
     assert_eq!(manager.node_health(1), NodeHealth::Alive);
     let report = manager.shutdown();
@@ -399,11 +400,11 @@ fn daemon_detects_and_recovers_a_silently_dead_node() {
 /// the first, index on the second)`.
 type DoublyHit = Vec<(StripeId, usize, usize)>;
 
-/// A pipe of 14 nodes on throttled links, four workers and `pool` as the
-/// auto-recovery requestors, holding six objects of four stripes each. Nodes
-/// 2 and 3 are killed; the stripes that had a block on each are returned as
-/// `(stripe, index on 2, index on 3)`. Nothing is reported yet.
-fn overlap_setup(pool: &[usize], dead_after_misses: usize) -> (EcPipe, Vec<Vec<u8>>, DoublyHit) {
+/// A pipe of 14 nodes on throttled links and four workers, holding six
+/// objects of four stripes each. Nodes 2 and 3 are killed; the stripes that
+/// had a block on each are returned as `(stripe, index on 2, index on 3)`.
+/// Nothing is reported yet.
+fn overlap_setup(dead_after_misses: usize) -> (EcPipe, Vec<Vec<u8>>, DoublyHit) {
     let pipe = EcPipeBuilder::new()
         .code(6, 4)
         .block_size(BLOCK)
@@ -411,7 +412,6 @@ fn overlap_setup(pool: &[usize], dead_after_misses: usize) -> (EcPipe, Vec<Vec<u
         .store(StoreBackend::memory(NODES))
         .rate_limit(LINK_RATE)
         .manager(ManagerConfig {
-            auto_requestors: pool.to_vec(),
             dead_after_misses,
             ..ManagerConfig::default().with_workers(4)
         })
@@ -479,18 +479,31 @@ fn overlap_check(pipe: EcPipe, objects: &[Vec<u8>]) {
 
 /// Two repairs of one stripe that run at once both land: each block moves
 /// only from where its own repair found it, so relocating one block must
-/// not turn the other completion away. Nodes 2 and 3 die together, so every stripe placed
-/// across both loses two blocks; their two repairs are promoted to the head
-/// of the queue side by side, where the 4 workers run them concurrently.
-/// `pool` decides the two requestors of such a stripe, and `same_requestor`
-/// says whether they coincide.
-fn case_overlapping_repairs_of_one_stripe(pool: Vec<usize>, same_requestor: bool) {
+/// not turn the other completion away. Nodes 2 and 3 die together, so every
+/// stripe placed across both loses two blocks. Their two repairs are queued
+/// first, side by side, as degraded reads naming their targets: two spares
+/// of the stripe, the same one twice when `same_target`. The 4 workers run
+/// them concurrently; the two reports then queue the rest.
+fn case_overlapping_repairs_of_one_stripe(same_target: bool) {
     // Only the two reports below declare nodes dead, never a repair's
-    // strikes, so they alone draw from the round-robin pool.
-    let (pipe, objects, doubly_hit) = overlap_setup(&pool, usize::MAX);
+    // strikes.
+    let (pipe, objects, doubly_hit) = overlap_setup(usize::MAX);
+    for &(stripe, a, b) in &doubly_hit {
+        let locations = pipe.meta().stripe(stripe).unwrap().locations;
+        let mut spares = (0..NODES).filter(|n| !locations.contains(n));
+        let first = spares.next().unwrap();
+        let second = if same_target {
+            first
+        } else {
+            spares.next().unwrap()
+        };
+        assert!(pipe.manager().degraded_read(stripe, a, first).unwrap());
+        assert!(pipe.manager().degraded_read(stripe, b, second).unwrap());
+    }
     assert!(pipe.report_node_failure(2) + pipe.report_node_failure(3) > 0);
-    // Every repair is still journaled: none finishes within microseconds on
-    // these throttled links.
+    // Every repair is still journaled with the target it was given: none
+    // finishes within microseconds on these throttled links, and a report
+    // leaves an already queued block alone.
     let pending = pipe.meta().pending_repairs();
     let requestor = |stripe, index| {
         let record = pending
@@ -500,46 +513,40 @@ fn case_overlapping_repairs_of_one_stripe(pool: Vec<usize>, same_requestor: bool
     };
     for &(stripe, a, b) in &doubly_hit {
         let same = requestor(stripe, a) == requestor(stripe, b);
-        assert_eq!(same, same_requestor, "stripe {}", stripe.0);
-    }
-    for &(stripe, a, b) in &doubly_hit {
-        for index in [a, b] {
-            let _ = pipe.manager().degraded_read(stripe, index, pool[0]);
-        }
+        assert_eq!(same, same_target, "stripe {}", stripe.0);
     }
     overlap_check(pipe, &objects);
 }
 
-/// Round-robin over `[8, 9]` gives the two lost blocks of each doubly-hit
-/// stripe different requestors.
+/// The two lost blocks of each doubly-hit stripe go to different spares.
 #[test]
 fn overlapping_repairs_of_one_stripe_land_with_different_requestors() {
-    case_overlapping_repairs_of_one_stripe(vec![8, 9], false);
+    case_overlapping_repairs_of_one_stripe(false);
 }
 
-/// Round-robin over `[8, 9, 10]` gives both lost blocks of each doubly-hit
-/// stripe the same requestor: the second relocation is refused, and the
-/// block moves on to another pool node holding none of the stripe.
+/// Both lost blocks of each doubly-hit stripe go to the same spare: the
+/// second relocation is refused, and the block moves on to the rule's next
+/// target holding none of the stripe.
 #[test]
 fn overlapping_repairs_of_one_stripe_land_with_the_same_requestor() {
-    case_overlapping_repairs_of_one_stripe(vec![8, 9, 10], true);
+    case_overlapping_repairs_of_one_stripe(true);
 }
 
 /// Nodes 2 and 3 die together but are reported one after the other, with
 /// the default strike threshold: the repairs the first report queues plan
 /// helpers on node 3, miss its blocks and strike it, and the strike that
-/// declares it dead auto-enqueues its recovery from a worker — drawing
-/// requestors from the same round-robin counter as the operator's second
-/// report. The gaps between the reports span both orders: with none, the
-/// report tends to come first; with milliseconds, the strikes do.
-/// Whichever requestor each block gets, the recovery must end with every
-/// block placed on a live node holding none of its stripe and nothing left
-/// to repair.
+/// declares it dead auto-enqueues its recovery from a worker, racing the
+/// operator's second report. Both pick targets by the same rule from the
+/// same placement and liveness view, so the race decides only who queues a
+/// block first. The gaps between the reports span both orders: with none,
+/// the report tends to come first; with milliseconds, the strikes do. The
+/// recovery must end with every block placed on a live node holding none
+/// of its stripe and nothing left to repair.
 #[test]
 fn overlapping_repairs_of_one_stripe_survive_strikes_racing_the_second_report() {
     for gap_us in [0, 250, 500, 1000, 5000] {
         let dead_after_misses = ManagerConfig::default().dead_after_misses;
-        let (pipe, objects, _) = overlap_setup(&[8, 9, 10], dead_after_misses);
+        let (pipe, objects, _) = overlap_setup(dead_after_misses);
         assert!(pipe.report_node_failure(2) > 0);
         std::thread::sleep(std::time::Duration::from_micros(gap_us));
         pipe.report_node_failure(3);
@@ -594,18 +601,16 @@ fn a_repair_whose_block_moved_mid_walk_is_recorded_at_its_holder() {
 }
 
 /// The sever experiment: RS(6,4) on 10 memory nodes, 256 KiB blocks in
-/// 32 KiB slices on 8 MiB/s links, two workers recovering onto nodes 6–9.
+/// 32 KiB slices on 8 MiB/s links, two workers recovering onto the spares.
 /// Node 0 is killed and reported, and every pair of the cluster is severed
 /// `after` into the recovery. A walk that loses a hop ends with
 /// `LinkFailed` naming it, and its repair re-plans (§3.2): after
 /// `wait_idle` no repair has failed, every lost block is held by one live
-/// node where the metadata places it — a node outside the pool when every
-/// pool node already holds a block of its stripe — and re-reading every
-/// object moves no byte. Returns how many re-plans a failed hop caused.
+/// node where the metadata places it, and re-reading every object moves no
+/// byte. Returns how many re-plans a failed hop caused.
 fn case_severed_links(choice: TransportChoice, after: Duration) -> usize {
     const NODES: usize = 10;
     const BLOCK: usize = 256 * 1024;
-    const POOL: [usize; 4] = [6, 7, 8, 9];
     let pipe = EcPipeBuilder::new()
         .code(6, 4)
         .block_size(BLOCK)
@@ -613,10 +618,7 @@ fn case_severed_links(choice: TransportChoice, after: Duration) -> usize {
         .store(StoreBackend::memory(NODES))
         .transport(choice)
         .rate_limit(8 * 1024 * 1024)
-        .manager(ManagerConfig {
-            auto_requestors: POOL.to_vec(),
-            ..ManagerConfig::default().with_workers(2)
-        })
+        .workers(2)
         .build()
         .unwrap();
     // Ten one-stripe objects over the ten nodes.
