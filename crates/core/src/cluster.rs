@@ -11,7 +11,10 @@
 //!
 //! The cluster also owns the memory of its blocks: a [`BufPool`] that
 //! repairs take their output from and that `put`'s blocks are adopted into,
-//! so a dropped block's allocation is the next repair's.
+//! so a dropped block's allocation is the next repair's. And it owns one
+//! store-writer thread, which writes a stripe's data blocks while the
+//! caller encodes and writes its parity
+//! ([`write_stripe_blocks`](Cluster::write_stripe_blocks)).
 
 use std::sync::Arc;
 
@@ -25,6 +28,7 @@ use ecc::ErasureCode;
 
 use crate::buf::BufPool;
 use crate::store::{BlockStore, StoreBackend};
+use crate::writer::{BlockWrite, StoreWriter};
 use crate::{EcPipeError, Result};
 
 /// How many dropped blocks the cluster's pool keeps for the next repair.
@@ -40,8 +44,13 @@ use crate::{EcPipeError, Result};
 pub(crate) const RETAINED_BLOCKS: usize = 1;
 
 /// A cluster of storage nodes: the stores, the handle to the deployment's
-/// metadata router, the pool its blocks live in, and the network topology
-/// when one is modeled.
+/// metadata router, the pool its blocks live in, the network topology when
+/// one is modeled, and one store-writer thread.
+///
+/// The writer thread starts with the cluster and is joined when the cluster
+/// drops; it has no setting. It serves
+/// [`write_stripe_blocks`](Self::write_stripe_blocks) alone, so a cluster
+/// adds one thread to its process, busy only while a stripe is written.
 pub struct Cluster {
     stores: Vec<Arc<dyn BlockStore>>,
     /// The one owner of stripe → node placement for this deployment.
@@ -53,6 +62,8 @@ pub struct Cluster {
     /// repair planning consults it for rack-aware and weighted path
     /// selection.
     topology: Option<Arc<Topology>>,
+    /// Writes stripes' data blocks beside their `put`s.
+    writer: StoreWriter,
 }
 
 impl Cluster {
@@ -71,6 +82,7 @@ impl Cluster {
             meta,
             blocks: BufPool::with_max_retained(RETAINED_BLOCKS),
             topology: None,
+            writer: StoreWriter::start()?,
         })
     }
 
@@ -182,6 +194,20 @@ impl Cluster {
     /// [`EcPipe::put`](crate::EcPipe::put) write every stripe of an object
     /// before any of it becomes visible in the namespace.
     ///
+    /// Two threads write the stripe. The `k` data blocks are handed to the
+    /// cluster's store writer as one job, and the calling thread meanwhile
+    /// encodes the parity and writes the `n − k` parity blocks. Then the
+    /// caller takes back every data block the writer has not started — both
+    /// sides take the next block from one shared cursor — and waits only
+    /// for the one write the writer may be inside. So the call never waits
+    /// on queued work: a writer busy with another stripe costs it no more
+    /// than writing every block itself.
+    ///
+    /// Both sides have finished when this returns. If any write failed,
+    /// every block of the stripe is deleted and the error of the lowest
+    /// failing block index is returned; a store `put` that panics is an
+    /// [`EcPipeError::Execution`] failure of its block.
+    ///
     /// The data blocks are borrowed for the parity computation and cloned
     /// into the stores: a deep copy for `Vec<u8>` blocks, a reference count
     /// for [`Bytes`] ones, which is how `put` hands over blocks it has
@@ -198,9 +224,14 @@ impl Cluster {
     where
         B: AsRef<[u8]> + Clone + Into<Bytes>,
     {
-        if placement.len() != code.n() {
+        let (n, k) = (code.n(), code.k());
+        if placement.len() != n || data.len() != k {
             return Err(EcPipeError::InvalidRequest {
-                reason: "placement must assign a node to every coded block".to_string(),
+                reason: format!(
+                    "a stripe is {k} data blocks on {n} nodes, got {} blocks on {} nodes",
+                    data.len(),
+                    placement.len()
+                ),
             });
         }
         {
@@ -213,23 +244,42 @@ impl Cluster {
                 });
             }
         }
-        let borrowed: Vec<&[u8]> = data.iter().map(AsRef::as_ref).collect();
-        let parity = code.encode_parity(&borrowed)?;
-        let coded = data
-            .iter()
-            .map(|block| block.clone().into())
-            .chain(parity.into_iter().map(|p| self.blocks.adopt(p).freeze()));
         let id = StripeId(stripe_id);
-        for (index, block) in coded.enumerate() {
-            let node = placement[index];
-            if let Err(error) = self.stores[node].put(BlockId { stripe: id, index }, block) {
-                // Clean up the blocks already written for this stripe — a
-                // half-written, never-registered stripe would leak storage.
-                self.delete_blocks(id, &placement[..index]);
-                return Err(error);
+        let write = |index: usize, data: Bytes| BlockWrite {
+            store: self.stores[placement[index]].clone(),
+            block: BlockId { stripe: id, index },
+            data,
+        };
+        let handed = data
+            .iter()
+            .enumerate()
+            .map(|(index, block)| write(index, block.clone().into()))
+            .collect();
+        let (parity_failures, handed_failures) = self.writer.write_beside(handed, || {
+            let borrowed: Vec<&[u8]> = data.iter().map(AsRef::as_ref).collect();
+            let parity = code.encode_parity(&borrowed)?;
+            let failures: Vec<_> = parity
+                .into_iter()
+                .enumerate()
+                .filter_map(|(p, block)| {
+                    write(k + p, self.blocks.adopt(block).freeze()).run().err()
+                })
+                .collect();
+            Ok::<_, EcPipeError>(failures)
+        });
+        let failure = parity_failures.map(|mut failures| {
+            failures.extend(handed_failures);
+            failures.into_iter().min_by_key(|&(index, _)| index)
+        });
+        match failure {
+            Ok(None) => Ok(id),
+            Err(error) | Ok(Some((_, error))) => {
+                // Nothing is in flight any more: whatever landed goes, so a
+                // half-written, never-registered stripe leaks no storage.
+                self.delete_blocks(id, &placement);
+                Err(error)
             }
         }
-        Ok(id)
     }
 
     /// Deletes block `i` of `stripe` from node `placement[i]` — the undo of

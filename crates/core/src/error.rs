@@ -121,6 +121,15 @@ impl From<ecpipe_meta::MetaError> for EcPipeError {
     }
 }
 
+/// The message a panic was raised with, for an error that reports it.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload")
+}
+
 /// Why a hop of a repair failed ([`EcPipeError::LinkFailed`]).
 #[derive(Debug)]
 #[non_exhaustive]

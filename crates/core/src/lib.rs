@@ -100,6 +100,7 @@ pub mod manager;
 mod store;
 pub mod telemetry;
 pub mod transport;
+mod writer;
 
 pub use buf::{BufPool, PooledBuf};
 pub use cluster::Cluster;

@@ -105,6 +105,15 @@ lock_class!(
 );
 
 lock_class!(
+    /// The cluster's store writer: the stripes handed to it, their blocks
+    /// nobody has started, and which one it is writing. The writer waits
+    /// for work, and a `put` for the writer's write of its stripe, on its
+    /// two condvars. Leaf: taken for a hand-over, a claim or a result, with
+    /// nothing else held and no block dropped under it.
+    pub CLUSTER_WRITER = ("cluster.writer", rank = 66)
+);
+
+lock_class!(
     /// [`MemoryStore`](crate::MemoryStore) block map. Takes nothing but
     /// [`BUF_POOL`]: a block erased, deleted or overwritten under the write
     /// guard returns its allocation to the cluster's block pool right there.

@@ -29,6 +29,7 @@ use simnet::NodeId;
 
 use crate::cluster::Cluster;
 use crate::coordinator::rebuild_targets;
+use crate::error::panic_message;
 use crate::exec::{self, Watch};
 use crate::lock_order;
 use crate::telemetry::LinkTelemetry;
@@ -336,12 +337,7 @@ pub(crate) fn worker_loop<T: Transport + ?Sized>(
         // waiters are released and the worker keeps serving.
         let run = || run_one(engine, coord, cluster, transport, config, &job);
         let result = panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
-            let message = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                .unwrap_or("a non-string payload");
-            let error = format!("the repair panicked: {message}");
+            let error = format!("the repair panicked: {}", panic_message(&*payload));
             Err(failure(&job.request, error, 0))
         });
         match result {

@@ -2,14 +2,17 @@
 //! no threads of its own and holds one connection per link a pair ever had
 //! open at once, and the executor walks every stage of a repair on the
 //! calling thread, so a long run of repairs leaves the process where it
-//! started. The footprint formula: threads = the process's own + 0 per
-//! repair in flight (a manager adds its workers, so `workers` + a constant);
+//! started. The footprint formula: threads = the process's own + `workers`
+//! per manager + 1 store writer per cluster, and 0 per repair in flight;
 //! sockets ≤ 2 per concurrently open link per pair + one listener per node.
+//! The store writer is the one thread a cluster starts: it writes a put's
+//! data blocks while the put encodes parity, and is joined when the cluster
+//! drops.
 //!
 //! A watched repair (`link_watch`) is no exception: the walk samples its own
 //! links, so a node recovery on a façade adds no thread to its workers. And
-//! a façade dropped without `shutdown` takes its workers and sockets with
-//! it.
+//! a façade dropped without `shutdown` takes its workers, its store writer
+//! and its sockets with it, on memory and on checksummed file stores alike.
 //!
 //! The one test lives in a binary of its own because it reads process-wide
 //! counters (`/proc/self/status`, `/proc/self/fd`) that tests running beside
@@ -97,22 +100,37 @@ fn watched_node_recovery() {
     assert_eq!(pipe.shutdown().failed_repairs, 0);
 }
 
-/// Three TCP façades, each built, used for a degraded read and dropped
+/// Four TCP façades, each built, used for a degraded read and dropped
 /// without `shutdown`: the threads and sockets are back at their count
 /// before the first. A manager that outlived its façade would keep its
-/// workers, blocked on the queue, and through them the transport.
+/// workers, blocked on the queue, and through them the transport; a cluster
+/// that outlived it would keep its store writer. The last round puts onto
+/// checksummed file stores, where the writer has real block files to write.
 fn dropped_facades() {
     const NODES: usize = 16;
+    const WORKERS: usize = 2;
+    let files = std::env::temp_dir().join(format!("ecpipe-footprint-{}", std::process::id()));
     let (threads_before, sockets_before) = (threads(), open_sockets());
-    for round in 0..3u64 {
+    for round in 0..4u64 {
+        let store = match round {
+            3 => StoreBackend::file_checksummed(&files, NODES),
+            _ => StoreBackend::memory(NODES),
+        };
         let pipe = EcPipeBuilder::new()
             .code(6, 4)
             .block_size(BLOCK)
             .slice_size(8 * 1024)
-            .store(StoreBackend::memory(NODES))
+            .store(store)
             .transport(TransportChoice::Tcp)
+            .workers(WORKERS)
             .build()
             .unwrap();
+        let built = settled_threads(threads_before + WORKERS + 1);
+        assert_eq!(
+            built,
+            threads_before + WORKERS + 1,
+            "round {round}: the formula"
+        );
         let data: Vec<u8> = (0..4 * BLOCK as u64)
             .map(|i| ((i * 7 + round) % 251) as u8)
             .collect();
@@ -123,17 +141,24 @@ fn dropped_facades() {
         assert!(pipe.transport().total_bytes() > 0, "the read repaired");
         drop(pipe);
     }
-    // A joined thread can linger in the count for a moment.
-    let settled = Instant::now() + Duration::from_secs(2);
-    while threads() != threads_before && Instant::now() < settled {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    settled_threads(threads_before);
     assert_eq!(threads(), threads_before, "a dropped façade left threads");
     assert_eq!(
         open_sockets(),
         sockets_before,
         "a dropped façade left sockets"
     );
+    std::fs::remove_dir_all(&files).unwrap();
+}
+
+/// The thread count once it reaches `expected`, or after 2 s: a joined
+/// thread can linger in the count for a moment.
+fn settled_threads(expected: usize) -> usize {
+    let settled = Instant::now() + Duration::from_secs(2);
+    while threads() != expected && Instant::now() < settled {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    threads()
 }
 
 fn two_hundred_repairs() {
