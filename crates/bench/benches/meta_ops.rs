@@ -8,17 +8,20 @@
 //! additionally pins the iteration APIs that replaced the clone-the-world
 //! coordinator accessors: one pass over the stripe map, no per-stripe
 //! allocation beyond the matches themselves.
+//!
+//! `durable_fill` fills a fresh durable root from empty, WAL appends and
+//! snapshots included: with compaction by size the fill is linear, so the
+//! 1M row stays near ten times the 100k one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ecpipe::{MetaConfig, MetaRouter, ObjectRecord};
+use ecpipe::{MetaBackend, MetaConfig, MetaRouter, ObjectRecord};
 
 const NODES: usize = 12;
 const N: usize = 4;
 const SIZES: [usize; 3] = [10_000, 100_000, 1_000_000];
 
-/// A router prepopulated with `size` objects, one (4-location) stripe each.
-fn populated(size: usize) -> MetaRouter {
-    let meta = MetaRouter::open(MetaConfig::ephemeral()).expect("ephemeral router opens");
+/// Registers `size` objects into `meta`, one (4-location) stripe each.
+fn fill(meta: &MetaRouter, size: usize) {
     for i in 0..size {
         let id = meta.allocate_stripe_id();
         let locations: Vec<usize> = (0..N).map(|b| (i + b) % NODES).collect();
@@ -31,6 +34,12 @@ fn populated(size: usize) -> MetaRouter {
         })
         .expect("register object");
     }
+}
+
+/// An ephemeral router prepopulated with `size` objects.
+fn populated(size: usize) -> MetaRouter {
+    let meta = MetaRouter::open(MetaConfig::ephemeral()).expect("ephemeral router opens");
+    fill(&meta, size);
     meta
 }
 
@@ -98,6 +107,27 @@ fn bench_meta_ops(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("stripes_on_node", SIZES[2]), |b| {
         b.iter(|| meta.stripes_on_node(3).len());
     });
+
+    // A durable fill: each iteration opens a fresh root in the temp dir and
+    // registers `size` objects, so the row is the fill's wall time (one
+    // element per object) and includes every snapshot it takes. A 1M fill
+    // takes seconds, so these rows take 3 samples.
+    group.sample_size(3);
+    let root =
+        std::env::temp_dir().join(format!("ecpipe-bench-durable-fill-{}", std::process::id()));
+    for size in [100_000, 1_000_000] {
+        group.throughput(Throughput::Elements(size as u64));
+        group.bench_function(BenchmarkId::new("durable_fill", size), |b| {
+            b.iter(|| {
+                let _ = std::fs::remove_dir_all(&root);
+                let meta = MetaRouter::open(MetaConfig::new(MetaBackend::durable(&root)))
+                    .expect("durable router opens");
+                fill(&meta, size);
+                drop(meta);
+                std::fs::remove_dir_all(&root).expect("remove the fill's root");
+            });
+        });
+    }
 
     group.finish();
 }

@@ -9,11 +9,13 @@
 //!   Every operation is a hash-map probe, so per-op latency stays flat as
 //!   the namespace grows (the `meta_ops` bench registers a million objects
 //!   to pin this).
-//! * A durable router owns one **write-ahead log** plus a periodic
-//!   **snapshot** (length-prefixed, CRC-framed records — the same framing
-//!   idiom the TCP transport and the integrity layer's block trailers use),
-//!   so a killed process recovers every object, placement and in-flight
-//!   repair directive byte-exactly on reopen. A torn tail record is
+//! * A durable router owns one **write-ahead log** plus a **snapshot**,
+//!   rewritten whenever the log has grown as large as it (length-prefixed,
+//!   CRC-framed records — the same framing idiom the TCP transport and the
+//!   integrity layer's block trailers use), so a killed process recovers
+//!   every object, placement and in-flight repair directive byte-exactly
+//!   on reopen. Appends are not fsynced: the journal survives a process
+//!   kill, not a power loss. A torn tail record is
 //!   detected by its CRC and dropped whole — never partially applied — and
 //!   since there is one log, what survives is an exact prefix of the
 //!   committed history.
@@ -68,34 +70,17 @@ impl MetaBackend {
 pub struct MetaConfig {
     /// Storage backend.
     pub backend: MetaBackend,
-    /// The router rewrites its snapshot and truncates its WAL after this many
-    /// appended records. Replay after a crash between the snapshot rename
-    /// and the WAL truncation is safe because every record is an
-    /// idempotent upsert carrying absolute values.
-    pub snapshot_every: usize,
 }
 
 impl MetaConfig {
-    /// Default snapshot cadence, in WAL records.
-    pub const DEFAULT_SNAPSHOT_EVERY: usize = 4096;
-
-    /// A configuration with the default snapshot cadence.
+    /// A configuration for `backend`.
     pub fn new(backend: MetaBackend) -> Self {
-        MetaConfig {
-            backend,
-            snapshot_every: Self::DEFAULT_SNAPSHOT_EVERY,
-        }
+        MetaConfig { backend }
     }
 
     /// An ephemeral configuration (the default backend).
     pub fn ephemeral() -> Self {
         MetaConfig::new(MetaBackend::Ephemeral)
-    }
-
-    /// Sets the snapshot cadence (clamped to at least 1).
-    pub fn with_snapshot_every(mut self, records: usize) -> Self {
-        self.snapshot_every = records.max(1);
-        self
     }
 }
 

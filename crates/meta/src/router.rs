@@ -4,9 +4,9 @@
 //! and pending-repair maps, plus — for a durable root — the WAL appender
 //! and snapshots. Mutations go through `commit_with`: the record is
 //! appended to `wal.log` *first* (WAL-then-apply — an append failure leaves
-//! memory untouched), then applied to the maps; after
-//! [`snapshot_every`](crate::MetaConfig::snapshot_every) appends the router
-//! serializes its full state to `snapshot.tmp`, renames it over
+//! memory untouched), then applied to the maps; once the WAL has grown as
+//! large as the last snapshot (and at least [`SNAPSHOT_FLOOR`]), the
+//! router serializes its full state to `snapshot.tmp`, renames it over
 //! `snapshot.bin` (atomic on POSIX) and truncates the WAL. Reopen loads the
 //! snapshot, replays the WAL's valid prefix on top, and truncates any torn
 //! tail off the file before appending again.
@@ -50,12 +50,34 @@ pub enum RelocateOutcome {
     },
 }
 
+/// The fewest WAL bytes that make a snapshot due, however small the
+/// namespace: 1 MiB holds more than 4096 frames of a 14-block `PutStripe`
+/// (133 bytes each), so a small namespace is not rewritten more often than
+/// every 4096 such records.
+const SNAPSHOT_FLOOR: u64 = 1 << 20;
+
 /// The WAL appender of a durable router.
 struct Wal {
     root: PathBuf,
     file: File,
-    appended_since_snapshot: usize,
-    snapshot_every: usize,
+    /// Bytes in `wal.log`: every record since the last snapshot, counting
+    /// the ones a reopen found there.
+    len: u64,
+    /// Bytes in `snapshot.bin` (0 before the first snapshot).
+    snapshot_len: u64,
+}
+
+impl Wal {
+    /// The log-structured compaction rule: a snapshot is due once the WAL
+    /// holds as many bytes as the last snapshot, and at least
+    /// [`SNAPSHOT_FLOOR`]. A snapshot holds at most the previous one plus
+    /// what was appended since, so it writes at most twice the bytes
+    /// appended since the previous one: rewriting costs O(1) per record,
+    /// amortized, and the root holds at most twice the last snapshot plus
+    /// the floor.
+    fn snapshot_due(&self) -> bool {
+        self.len >= self.snapshot_len.max(SNAPSHOT_FLOOR)
+    }
 }
 
 /// Everything the router owns, behind its lock.
@@ -97,7 +119,7 @@ impl MetaRouter {
                 });
             }
             std::fs::create_dir_all(root)?;
-            dropped_tail = state.recover(root, config.snapshot_every)?;
+            dropped_tail = state.recover(root)?;
         }
         let next_stripe = state.stripes.keys().max().map_or(0, |m| m + 1);
         Ok(MetaRouter {
@@ -111,10 +133,10 @@ impl MetaRouter {
     /// A mutation in one critical section: `decide` inspects the state
     /// under the lock and returns the record to commit (`None` commits
     /// nothing) plus a value for the caller; the record is appended to the
-    /// WAL (durable routers), applied, and the router snapshots when the
-    /// cadence says so. A decision and the append it leads to must not be
-    /// separated by an unlock — two movers of one block would otherwise
-    /// both find it where they left it.
+    /// WAL (durable routers), applied, and the router snapshots when
+    /// [`Wal::snapshot_due`] says so. A decision and the append it leads to
+    /// must not be separated by an unlock — two movers of one block would
+    /// otherwise both find it where they left it.
     fn commit_with<R>(
         &self,
         decide: impl FnOnce(&State) -> Result<(Option<Record>, R)>,
@@ -349,8 +371,9 @@ impl State {
     /// Loads `snapshot.bin` and replays `wal.log` from a durable `root`,
     /// then opens the WAL for appending with any torn tail cut off.
     /// Returns whether a torn tail was dropped.
-    fn recover(&mut self, root: &Path, snapshot_every: usize) -> Result<bool> {
+    fn recover(&mut self, root: &Path) -> Result<bool> {
         let snapshot_path = root.join("snapshot.bin");
+        let mut snapshot_len = 0;
         if snapshot_path.exists() {
             let bytes = std::fs::read(&snapshot_path)?;
             if bytes.len() < SNAPSHOT_MAGIC.len() || &bytes[..4] != SNAPSHOT_MAGIC {
@@ -364,6 +387,7 @@ impl State {
             for record in decode_log(&bytes[4..], &snapshot_path)?.records {
                 self.apply(&record);
             }
+            snapshot_len = bytes.len() as u64;
         }
         let wal_path = root.join("wal.log");
         let (mut valid_len, mut dropped_tail) = (0, false);
@@ -387,8 +411,8 @@ impl State {
         self.wal = Some(Wal {
             root: root.to_path_buf(),
             file,
-            appended_since_snapshot: 0,
-            snapshot_every: snapshot_every.max(1),
+            len: valid_len,
+            snapshot_len,
         });
         Ok(dropped_tail)
     }
@@ -401,18 +425,15 @@ impl State {
 
     fn append(&mut self, record: &Record) -> Result<()> {
         if let Some(wal) = &mut self.wal {
-            wal.file.write_all(&record.encode_frame())?;
-            wal.appended_since_snapshot += 1;
+            let frame = record.encode_frame();
+            wal.file.write_all(&frame)?;
+            wal.len += frame.len() as u64;
         }
         Ok(())
     }
 
     fn maybe_snapshot(&mut self) -> Result<()> {
-        let due = self
-            .wal
-            .as_ref()
-            .is_some_and(|w| w.appended_since_snapshot >= w.snapshot_every);
-        if due {
+        if self.wal.as_ref().is_some_and(Wal::snapshot_due) {
             self.snapshot()?;
         }
         Ok(())
@@ -489,7 +510,8 @@ impl State {
         // because records are idempotent upserts.
         wal.file.set_len(0)?;
         wal.file.seek(SeekFrom::Start(0))?;
-        wal.appended_since_snapshot = 0;
+        wal.len = 0;
+        wal.snapshot_len = buf.len() as u64;
         Ok(())
     }
 }
@@ -710,30 +732,109 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// The compaction rule, observed from the files of a fill: after every
+    /// commit the WAL stays under the threshold, the snapshot grows
+    /// geometrically (so the fill rewrites O(1) bytes per record), a reopen
+    /// is exact, and a reopen over a WAL already past the threshold
+    /// snapshots on its first commit.
     #[test]
     fn snapshots_truncate_the_wal_and_survive_reopen() {
         let root = temp_root("snap");
-        let config = MetaConfig::new(MetaBackend::durable(&root)).with_snapshot_every(8);
+        let config = MetaConfig::new(MetaBackend::durable(&root));
+        let len = |file: &str| std::fs::metadata(root.join(file)).map_or(0, |m| m.len());
+        // 64-block stripes: 533-byte frames, so a fill of 12 floors' worth
+        // of records crosses several thresholds in a few thousand commits.
+        let stripe = |i: u64| StripeRecord {
+            id: StripeId(i),
+            locations: (0..64).map(|b| (i as usize + b) % 97).collect(),
+        };
+        let frame = Record::PutStripe(stripe(0)).encode_frame().len() as u64;
+        let count = 12 * SNAPSHOT_FLOOR / frame;
+        let mut expected: Vec<StripeRecord> = Vec::new();
+        let mut resizes = 0u32;
         {
             let router = MetaRouter::open(config.clone()).unwrap();
-            for i in 0..100u64 {
+            let mut snapshot = 0;
+            for i in 0..count {
+                let record = stripe(i);
                 router
-                    .register_stripe(StripeId(i), nodes(&[i, i + 1, i + 2]))
+                    .register_stripe(record.id, record.locations.clone())
                     .unwrap();
+                expected.push(record);
+                let now = len("snapshot.bin");
+                let wal = len("wal.log");
+                assert!(
+                    wal <= now.max(SNAPSHOT_FLOOR) + frame,
+                    "commit {i}: a {wal}-byte WAL over a {now}-byte snapshot"
+                );
+                if now != snapshot {
+                    resizes += 1;
+                    snapshot = now;
+                }
             }
-            router.snapshot_now().unwrap();
-            let wal = root.join("wal.log");
-            assert_eq!(std::fs::metadata(wal).unwrap().len(), 0);
+            assert!(len("wal.log") > 0, "the fill should end on a WAL suffix");
         }
+        let last = len("snapshot.bin");
+        let bound = last
+            .div_ceil(SNAPSHOT_FLOOR)
+            .next_power_of_two()
+            .trailing_zeros()
+            + 2;
+        assert!(
+            (3..=bound).contains(&resizes),
+            "{resizes} snapshot sizes for a {last}-byte snapshot (bound {bound})"
+        );
         let mut files: Vec<String> = std::fs::read_dir(&root)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         files.sort();
         assert_eq!(files, ["snapshot.bin", "wal.log"]);
-        let reopened = MetaRouter::open(config).unwrap();
-        assert_eq!(reopened.stripe_count(), 100);
+
+        let stripes = |router: &MetaRouter| {
+            let mut out = Vec::new();
+            router.for_each_stripe(|s| out.push(s.clone()));
+            out.sort_by_key(|s| s.id.0);
+            out
+        };
+        let reopened = MetaRouter::open(config.clone()).unwrap();
         assert_eq!(reopened.dropped_tail_records(), 0);
+        assert_eq!(stripes(&reopened), expected);
+        drop(reopened);
+
+        // Re-append records the WAL already holds until it reaches the
+        // threshold, as a crash between a snapshot's rename and the WAL
+        // truncation can leave it: replay is idempotent, and the bytes on
+        // disk count toward the next snapshot.
+        let threshold = last.max(SNAPSHOT_FLOOR);
+        let mut wal = OpenOptions::new()
+            .append(true)
+            .open(root.join("wal.log"))
+            .unwrap();
+        for record in expected.iter().cycle() {
+            if len("wal.log") >= threshold {
+                break;
+            }
+            wal.write_all(&Record::PutStripe(record.clone()).encode_frame())
+                .unwrap();
+        }
+        drop(wal);
+        let past = len("wal.log");
+        let reopened = MetaRouter::open(config).unwrap();
+        assert_eq!(reopened.dropped_tail_records(), 0);
+        assert_eq!(stripes(&reopened), expected);
+        assert_eq!(len("wal.log"), past, "reopening wrote to the WAL");
+        let record = stripe(count);
+        reopened
+            .register_stripe(record.id, record.locations.clone())
+            .unwrap();
+        assert_eq!(
+            len("wal.log"),
+            0,
+            "the first commit past the threshold did not snapshot"
+        );
+        assert!(len("snapshot.bin") > last);
+        drop(reopened);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

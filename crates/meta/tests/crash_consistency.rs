@@ -36,9 +36,7 @@ fn fresh_dir(tag: &str, case: u64) -> PathBuf {
 }
 
 fn config(root: &Path) -> MetaConfig {
-    // A small snapshot cadence makes many cases exercise the
-    // snapshot + WAL-suffix recovery path, not just pure WAL replay.
-    MetaConfig::new(MetaBackend::durable(root)).with_snapshot_every(8)
+    MetaConfig::new(MetaBackend::durable(root))
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -62,9 +60,21 @@ fn namespace(meta: &MetaRouter) -> Namespace {
     }
 }
 
-/// Applies a scripted operation decoded from one random word, pushing the
-/// namespace onto `history` after every mutating call (a registration is
-/// two calls, so two records and two states).
+/// Pushes the namespace onto `history` after a mutating call, and snapshots
+/// after every 8th one: a script of a few dozen records stays far below
+/// the size that makes a snapshot due, and the frequent snapshots make many
+/// cases exercise the snapshot + WAL-suffix recovery path, not just pure
+/// WAL replay.
+fn committed(meta: &MetaRouter, history: &mut Vec<Namespace>) {
+    history.push(namespace(meta));
+    if (history.len() - 1).is_multiple_of(8) {
+        meta.snapshot_now().unwrap();
+    }
+}
+
+/// Applies a scripted operation decoded from one random word, recording the
+/// namespace after every mutating call (a registration is two calls, so two
+/// records and two states).
 fn apply_op(
     meta: &MetaRouter,
     history: &mut Vec<Namespace>,
@@ -78,7 +88,7 @@ fn apply_op(
             let id = meta.allocate_stripe_id();
             let locations: Vec<usize> = (0..N).map(|i| (i + word as usize) % NODES).collect();
             meta.register_stripe(id, locations).unwrap();
-            history.push(namespace(meta));
+            committed(meta, history);
             stripes.push(id);
             meta.register_object(ObjectRecord {
                 name: format!("/torture/{}", id.0),
@@ -118,7 +128,7 @@ fn apply_op(
             meta.resolve_repair(id, pick(word >> 24, N)).unwrap();
         }
     }
-    history.push(namespace(meta));
+    committed(meta, history);
 }
 
 /// The prefix property: the recovered router serves exactly the namespace

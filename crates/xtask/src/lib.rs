@@ -48,8 +48,8 @@ use std::path::{Path, PathBuf};
 const EXEMPT_DIRS: &[&str] = &["crates/sync", "crates/shims", "crates/xtask"];
 
 /// Directories (workspace-relative) where `unsafe` is sanctioned: the
-/// runtime-dispatched SIMD kernels and the raw epoll/eventfd and socket
-/// syscall shim, neither of which has safe wrappers available offline.
+/// runtime-dispatched SIMD kernels and the raw socket syscall shim, neither
+/// of which has safe wrappers available offline.
 /// Files here still owe a `// SAFETY:` comment per `unsafe` occurrence.
 const UNSAFE_ALLOWED_DIRS: &[&str] = &["crates/gf256/src/simd", "crates/reactor/src/sys"];
 

@@ -1,9 +1,10 @@
 //! Repository hygiene: every repository path referenced from the top-level
 //! docs must exist (so README/ARCHITECTURE/PAPER cannot rot silently when
 //! files move), every workspace member must have a row in the architecture
-//! crate map, and no stray top-level directories may appear (a
-//! `examples_dbg/` once lingered untracked for several releases). CI runs
-//! this as its hygiene step.
+//! crate map, no stray top-level directories may appear (a
+//! `examples_dbg/` once lingered untracked for several releases), and the
+//! architecture document stays within its line cap. CI runs this as its
+//! hygiene step.
 
 use std::path::Path;
 
@@ -164,5 +165,19 @@ fn architecture_doc_is_linked_from_readme() {
     assert!(
         readme.contains("docs/ARCHITECTURE.md"),
         "README must link the architecture document"
+    );
+}
+
+/// `docs/ARCHITECTURE.md` stays within its line cap, so the document
+/// shrinks with the code: a change that adds a paragraph replaces one.
+#[test]
+fn architecture_doc_stays_within_its_line_cap() {
+    const MAX_LINES: usize = 650;
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let architecture = std::fs::read_to_string(root.join("docs/ARCHITECTURE.md")).unwrap();
+    let lines = architecture.lines().count();
+    assert!(
+        lines <= MAX_LINES,
+        "docs/ARCHITECTURE.md has {lines} lines; the cap is {MAX_LINES}"
     );
 }

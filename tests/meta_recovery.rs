@@ -336,15 +336,38 @@ fn metadata_io_errors_fail_put_and_delete_cleanly() {
     let pipe = builder(&root).build().unwrap();
     let data = vec![5u8; 3 * BLOCK];
     pipe.put("/kept", &data).unwrap();
-    // Bring the journal to one record short of its snapshot cadence, then
-    // pull its directory out from under it: the WAL handle stays writable,
-    // but the next commit is due a snapshot and cannot create the snapshot
-    // file.
+    // Bring the journal to one record short of a due snapshot, then pull
+    // its directory out from under it: the WAL handle stays writable, but
+    // the next commit is due a snapshot and cannot create the snapshot
+    // file. A snapshot is due once the WAL holds as many bytes as the last
+    // snapshot (and at least a fixed floor). The first snapshot, learned
+    // from the first truncation of `wal.log`, holds every record the WAL
+    // held, so it is past that floor and its size is the next threshold.
     let meta = pipe.meta();
-    let committed = 3; // "/kept": two stripes and the object record
-    for i in committed..MetaConfig::DEFAULT_SNAPSHOT_EVERY - 1 {
-        meta.register_stripe(StripeId(1_000_000 + i as u64), vec![0, 1, 2, 3])
+    let len = |file: &str| {
+        std::fs::metadata(root.join("meta").join(file))
+            .unwrap()
+            .len()
+    };
+    let mut next = 1_000_000u64;
+    let mut register = || {
+        meta.register_stripe(StripeId(next), vec![0, 1, 2, 3])
             .unwrap();
+        next += 1;
+    };
+    let mut wal = len("wal.log");
+    register();
+    let frame = len("wal.log") - wal; // the size of `put`'s stripe records too
+    loop {
+        wal = len("wal.log");
+        register();
+        if len("wal.log") < wal {
+            break;
+        }
+    }
+    let threshold = len("snapshot.bin");
+    while len("wal.log") + frame < threshold {
+        register();
     }
     std::fs::remove_dir_all(root.join("meta")).unwrap();
 
