@@ -14,7 +14,7 @@
 //! 1M row stays near ten times the 100k one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ecpipe::{MetaBackend, MetaConfig, MetaRouter, ObjectRecord};
+use ecpipe::{MetaBackend, MetaConfig, MetaRouter, StripeRecord};
 
 const NODES: usize = 12;
 const N: usize = 4;
@@ -25,14 +25,14 @@ fn fill(meta: &MetaRouter, size: usize) {
     for i in 0..size {
         let id = meta.allocate_stripe_id();
         let locations: Vec<usize> = (0..N).map(|b| (i + b) % NODES).collect();
-        meta.register_stripe(id, locations)
-            .expect("register stripe");
-        meta.register_object(ObjectRecord {
-            name: object_name(i),
-            size: 64 * 1024,
-            stripes: vec![id],
-        })
-        .expect("register object");
+        let inserted = meta
+            .insert_object(
+                &object_name(i),
+                64 * 1024,
+                vec![StripeRecord { id, locations }],
+            )
+            .expect("insert object");
+        assert!(inserted, "object names are unique");
     }
 }
 
@@ -54,8 +54,9 @@ fn bench_meta_ops(c: &mut Criterion) {
     for size in SIZES {
         let meta = populated(size);
 
-        // Register one new object (stripe + object record) into a namespace
-        // of `size`, then remove it so the size under test stays constant.
+        // Register one new object (one record: the object and its stripe)
+        // into a namespace of `size`, then remove it (one record) so the size
+        // under test stays constant.
         // The insertion keys cycle through a fixed 256-slot window for the
         // same reason the lookup keys below do: the flatness claim is about
         // the structural cost of an insert (lock, probe, WAL-less upsert)
@@ -68,17 +69,10 @@ fn bench_meta_ops(c: &mut Criterion) {
                 i = (i + 101) % 256;
                 let id = ids[i];
                 let locations: Vec<usize> = (0..N).map(|b| (i + b) % NODES).collect();
-                meta.register_stripe(id, locations)
-                    .expect("register stripe");
                 let name = object_name(size + i);
-                meta.register_object(ObjectRecord {
-                    name: name.clone(),
-                    size: 64 * 1024,
-                    stripes: vec![id],
-                })
-                .expect("register object");
+                meta.insert_object(&name, 64 * 1024, vec![StripeRecord { id, locations }])
+                    .expect("insert object");
                 meta.remove_object(&name).expect("remove object");
-                meta.forget_stripe(id).expect("forget stripe");
             });
         });
 

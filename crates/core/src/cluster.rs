@@ -282,24 +282,13 @@ impl Cluster {
         }
     }
 
-    /// Deletes block `i` of `stripe` from node `placement[i]` — the undo of
-    /// `write_stripe_blocks` for a stripe the router does not (or no longer) know.
+    /// Deletes block `i` of `stripe` from node `placement[i]`, best effort:
+    /// the undo of `write_stripe_blocks` for a stripe the router does not
+    /// know, and the erasure of a deleted object's blocks.
     pub(crate) fn delete_blocks(&self, stripe: StripeId, placement: &[NodeId]) {
         for (index, &node) in placement.iter().enumerate() {
             let _ = self.stores[node].delete(BlockId { stripe, index });
         }
-    }
-
-    /// Forgets a stripe's placement and deletes its blocks (e.g. when the
-    /// object owning the stripe is deleted). Returns whether the stripe was
-    /// known; when the router cannot record the removal, nothing is deleted.
-    pub fn delete_stripe(&self, stripe: StripeId) -> Result<bool> {
-        let Some(placement) = self.placement(stripe) else {
-            return Ok(false);
-        };
-        self.meta.forget_stripe(stripe)?;
-        self.delete_blocks(stripe, &placement);
-        Ok(true)
     }
 
     /// Erases one block of a stripe (simulating a lost or unavailable block).
@@ -446,8 +435,6 @@ mod tests {
         assert!(cluster.read_block(stripe, 1).is_err());
         assert!(cluster.node_of(StripeId(99), 0).is_err());
         assert!(cluster.node_of(stripe, 9).is_err());
-        assert!(cluster.delete_stripe(stripe).unwrap());
-        assert!(!cluster.delete_stripe(stripe).unwrap());
     }
 
     #[test]

@@ -55,7 +55,7 @@ use bytes::Bytes;
 use ecc::slice::SliceLayout;
 use ecc::stripe::StripeId;
 use ecc::{ErasureCode, ReedSolomon};
-use ecpipe_meta::{MetaBackend, MetaConfig, MetaRouter};
+use ecpipe_meta::{MetaBackend, MetaConfig, MetaRouter, StripeRecord};
 use repair::Scheme;
 use simnet::{NodeId, Topology};
 
@@ -539,24 +539,25 @@ impl EcPipe {
     /// Encodes `data` into one or more stripes, places the blocks across
     /// the nodes (skipping nodes known dead), and registers the object.
     ///
-    /// Every stripe is encoded and written before any of it is registered;
-    /// the namespace is touched only to reserve stripe ids and to publish
-    /// the finished placements and the object record, one short router
-    /// critical section per record — repairs keep planning and other
-    /// clients keep reading while a large object lands.
+    /// Every stripe is encoded and written before anything is registered;
+    /// the namespace is touched only to reserve stripe ids and, once, to
+    /// commit the object together with its stripes' placements as one
+    /// journal record — repairs keep planning and other clients keep
+    /// reading while a large object lands.
     ///
     /// Fails with [`EcPipeError::InvalidRequest`] if an object of this name
     /// already exists, and with the router's error if the metadata cannot
-    /// be recorded; either way no block of the attempt is left behind.
+    /// be recorded; either way the namespace is unchanged and no block of
+    /// the attempt is left behind.
     pub fn put(&self, name: &str, data: &[u8]) -> Result<ObjectMeta> {
         let mut written = Vec::new();
         let published = self.write_and_publish(name, data, &mut written);
         if published.is_err() {
-            // Roll back: unregistered stripes would leak storage forever
-            // (a stripe whose own write failed cleaned itself up).
-            for (stripe, placement) in &written {
-                let _ = self.cluster().meta().forget_stripe(*stripe);
-                self.cluster().delete_blocks(*stripe, placement);
+            // Roll back the blocks: no metadata names them, since the one
+            // commit failed or never ran (a stripe whose own write failed
+            // cleaned itself up).
+            for stripe in &written {
+                self.cluster().delete_blocks(stripe.id, &stripe.locations);
             }
         }
         published
@@ -569,7 +570,7 @@ impl EcPipe {
         &self,
         name: &str,
         data: &[u8],
-        written: &mut Vec<(StripeId, Vec<NodeId>)>,
+        written: &mut Vec<StripeRecord>,
     ) -> Result<ObjectMeta> {
         let (n, k) = (self.code.n(), self.code.k());
         let (cluster, meta) = (self.cluster(), self.cluster().meta());
@@ -590,28 +591,24 @@ impl EcPipe {
         let block_size = self.layout.block_size;
         // One stripe at a time, so peak memory stays at object + stripe.
         for s in 0..stripe_count(data.len(), k, block_size) {
-            let id = meta.allocate_stripe_id().0;
-            let placement: Vec<NodeId> = (0..n)
-                .map(|i| live[(id as usize + i) % live.len()])
+            let id = meta.allocate_stripe_id();
+            let locations: Vec<NodeId> = (0..n)
+                .map(|i| live[(id.0 as usize + i) % live.len()])
                 .collect();
             let blocks = chunk_stripe(data, k, block_size, s, cluster.block_pool());
-            let stripe = cluster.write_stripe_blocks(&self.code, id, &blocks, placement.clone())?;
-            written.push((stripe, placement));
+            cluster.write_stripe_blocks(&self.code, id.0, &blocks, locations.clone())?;
+            written.push(StripeRecord { id, locations });
         }
-        // Publish: the placements just computed, then the object record. A
-        // concurrent put of the same name loses at `insert_object`.
-        for (stripe, placement) in written.iter() {
-            meta.register_stripe(*stripe, placement.clone())?;
-        }
-        let record = ObjectMeta {
-            name: name.to_string(),
-            size: data.len(),
-            stripes: written.iter().map(|&(stripe, _)| stripe).collect(),
-        };
-        if !meta.insert_object(record.clone())? {
+        // Publish the object and the placements just computed in one
+        // commit. A concurrent put of the same name loses here.
+        if !meta.insert_object(name, data.len(), written.clone())? {
             return Err(exists());
         }
-        Ok(record)
+        Ok(ObjectMeta {
+            name: name.to_string(),
+            size: data.len(),
+            stripes: written.iter().map(|stripe| stripe.id).collect(),
+        })
     }
 
     /// Reads a whole object back, byte-exact, as views of its stored blocks
@@ -753,17 +750,20 @@ impl EcPipe {
         Ok(())
     }
 
-    /// Deletes an object: unregisters it, drops its stripes' metadata and
-    /// erases their blocks. Repairs already queued for those stripes fail
-    /// harmlessly (the stripe is gone) and show up in the shutdown report.
+    /// Deletes an object: one metadata commit removes the object and its
+    /// stripes, then their blocks are erased, best effort — a block left
+    /// behind is named by no metadata and never read again. If the commit
+    /// fails, nothing is deleted. Repairs already queued for those stripes
+    /// fail harmlessly (the stripe is gone) and show up in the shutdown
+    /// report.
     pub fn delete(&self, name: &str) -> Result<ObjectMeta> {
-        let record = self
+        let (record, stripes) = self
             .cluster()
             .meta()
             .remove_object(name)?
             .ok_or_else(|| no_such_object(name))?;
-        for &stripe in &record.stripes {
-            self.cluster().delete_stripe(stripe)?;
+        for stripe in &stripes {
+            self.cluster().delete_blocks(stripe.id, &stripe.locations);
         }
         Ok(record)
     }
@@ -948,11 +948,59 @@ mod tests {
         for &stripe in &meta.stripes {
             assert!(pipe.cluster().read_block(stripe, 0).is_err());
         }
+        let cluster = pipe.cluster();
+        assert!((0..cluster.num_nodes()).all(|n| cluster.store(n).list().is_empty()));
+        assert_eq!(cluster.meta().stripe_count(), 0);
         // The name and storage are reusable; stripe ids are not recycled.
         let again = pipe.put("/tmp", &data).unwrap();
         assert!(again.stripes.iter().all(|s| !meta.stripes.contains(s)));
         assert_eq!(pipe.get("/tmp").unwrap(), data);
         pipe.shutdown();
+    }
+
+    /// A put of several stripes and a delete each append one journal
+    /// record: the object travels with its stripes' placements.
+    #[test]
+    fn put_and_delete_each_journal_one_record() {
+        use ecpipe_meta::wal::{decode_log, Record};
+        let root = std::env::temp_dir().join(format!("ecpipe-one-record-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let pipe = EcPipeBuilder::new()
+            .block_size(4096)
+            .slice_size(1024)
+            .store(StoreBackend::memory(8))
+            .meta(MetaBackend::durable(&root))
+            .build()
+            .unwrap();
+        let wal = root.join("wal.log");
+        let records = || {
+            decode_log(&std::fs::read(&wal).unwrap(), &wal)
+                .unwrap()
+                .records
+        };
+        let k = pipe.code.k();
+        let meta = pipe.put("/three", &pattern(3 * k * 4096 - 10, 9)).unwrap();
+        assert_eq!(meta.stripes.len(), 3);
+        match &records()[..] {
+            [Record::PutObject { name, stripes, .. }] => {
+                assert_eq!(name, "/three");
+                let ids: Vec<StripeId> = stripes.iter().map(|s| s.id).collect();
+                assert_eq!(ids, meta.stripes);
+            }
+            other => panic!("expected one object record, got {other:?}"),
+        }
+        pipe.delete("/three").unwrap();
+        let records = records();
+        assert_eq!(records.len(), 2, "{records:?}");
+        assert_eq!(
+            records[1],
+            Record::DeleteObject {
+                name: "/three".to_string(),
+                stripes: meta.stripes,
+            }
+        );
+        pipe.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

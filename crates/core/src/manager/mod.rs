@@ -117,9 +117,6 @@ pub struct ManagerConfig {
     /// admission gate blocks repairs that would exceed it. With one worker
     /// the cap never binds.
     pub per_node_inflight_cap: usize,
-    /// How many times one repair may be re-planned around a lost helper or
-    /// a failed hop before giving up.
-    pub max_replans: usize,
     /// Consecutive block misses after which a node is declared dead (and its
     /// stripes auto-enqueued).
     pub dead_after_misses: usize,
@@ -146,7 +143,6 @@ impl Default for ManagerConfig {
         ManagerConfig {
             workers: 4,
             per_node_inflight_cap: 4,
-            max_replans: 2,
             dead_after_misses: 2,
             strategy: Scheme::RepairPipelining,
             path_policy: PathPolicy::Lru,

@@ -41,6 +41,10 @@ use super::metrics::{FailedRepair, MetricsCollector, RepairOutcome, ReplanEvent,
 use super::queue::{QueuedRepair, RepairQueue, RepairRequest};
 use super::ManagerConfig;
 
+/// How many times one repair may be re-planned around a lost helper or a
+/// failed hop before it is given up.
+const MAX_REPLANS: usize = 2;
+
 /// Per-node in-flight caps: a repair may only start once every node it
 /// involves (helpers and requestor) is below the cap, and it holds one slot
 /// on each for its whole execution. All-or-nothing acquisition under a
@@ -425,7 +429,7 @@ fn publish(
 }
 
 /// Executes one request end to end, re-planning around lost helpers and
-/// failed hops (up to `config.max_replans` times). A stored block comes back
+/// failed hops (up to [`MAX_REPLANS`] times). A stored block comes back
 /// as its [`RepairOutcome`] (the collector stamps `finished_seq`), the bytes
 /// reconstructed and every node that held a role; a repair given up on
 /// comes back as the [`FailedRepair`] the report keeps.
@@ -560,7 +564,7 @@ fn run_one<T: Transport + ?Sized>(
             }
             Err(error) => error,
         };
-        if replans >= config.max_replans {
+        if replans >= MAX_REPLANS {
             return Err(fail(error, replans));
         }
         // Re-plan, on record, with a lost or corrupt block excluded for good.

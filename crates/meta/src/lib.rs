@@ -18,7 +18,13 @@
 //!   kill, not a power loss. A torn tail record is
 //!   detected by its CRC and dropped whole — never partially applied — and
 //!   since there is one log, what survives is an exact prefix of the
-//!   committed history.
+//!   committed history. A commit that returns an error has changed
+//!   nothing, in memory or on disk.
+//! * One record per client mutation: [`MetaRouter::insert_object`]
+//!   journals an object together with its stripes' placements, and
+//!   [`MetaRouter::remove_object`] removes both, so an object and its
+//!   stripes appear and vanish together and no crash leaves a stripe that
+//!   no object names.
 //! * One **placement rule**: a block moves only from where its mover found
 //!   it. [`MetaRouter::relocate`] with `from: Some(node)` checks that the
 //!   block still sits on `node` and moves it in the same critical section,

@@ -2,16 +2,17 @@
 //!
 //! The router owns the whole namespace behind one lock: the object, stripe
 //! and pending-repair maps, plus — for a durable root — the WAL appender
-//! and snapshots. Mutations go through `commit_with`: the record is
-//! appended to `wal.log` *first* (WAL-then-apply — an append failure leaves
-//! memory untouched), then applied to the maps; once the WAL has grown as
-//! large as the last snapshot (and at least [`SNAPSHOT_FLOOR`]), the
-//! router serializes its full state to `snapshot.tmp`, renames it over
-//! `snapshot.bin` (atomic on POSIX) and truncates the WAL. Reopen loads the
+//! and snapshots. Mutations go through `commit_with`, which makes one
+//! record of each: once the WAL has grown as large as the last snapshot
+//! (and at least [`SNAPSHOT_FLOOR`]), the router first serializes its full
+//! state to `snapshot.tmp`, renames it over `snapshot.bin` (atomic on
+//! POSIX) and truncates the WAL; then it appends the record to `wal.log`,
+//! and only then applies it to the maps. A commit that returns an error
+//! has therefore changed nothing, in memory or on disk. Reopen loads the
 //! snapshot, replays the WAL's valid prefix on top, and truncates any torn
 //! tail off the file before appending again.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -25,9 +26,10 @@ use crate::lock_order;
 use crate::wal::{decode_log, Record};
 use crate::{MetaBackend, MetaConfig, MetaError, ObjectRecord, RepairRecord, Result, StripeRecord};
 
-/// Magic + version header of a snapshot file.
-/// Version 2 dropped the stripe epoch from its `PutStripe` records.
-const SNAPSHOT_MAGIC: &[u8; 4] = b"ECM\x02";
+/// Magic + version header of a snapshot file. Version 2 dropped the stripe
+/// epoch from its `PutStripe` records; version 3 writes each object with its
+/// stripes' placements in one `PutObject` record.
+const SNAPSHOT_MAGIC: &[u8; 4] = b"ECM\x03";
 
 /// The file that marks a root written by the sharded layout, which kept one
 /// WAL per shard directory. This layout cannot read such a root.
@@ -51,9 +53,9 @@ pub enum RelocateOutcome {
 }
 
 /// The fewest WAL bytes that make a snapshot due, however small the
-/// namespace: 1 MiB holds more than 4096 frames of a 14-block `PutStripe`
-/// (133 bytes each), so a small namespace is not rewritten more often than
-/// every 4096 such records.
+/// namespace: 1 MiB holds more than 4096 frames of a one-stripe, 14-block
+/// `PutObject` (about 170 bytes each), so a small namespace is not rewritten
+/// more often than every 4096 such records.
 const SNAPSHOT_FLOOR: u64 = 1 << 20;
 
 /// The WAL appender of a durable router.
@@ -132,10 +134,9 @@ impl MetaRouter {
 
     /// A mutation in one critical section: `decide` inspects the state
     /// under the lock and returns the record to commit (`None` commits
-    /// nothing) plus a value for the caller; the record is appended to the
-    /// WAL (durable routers), applied, and the router snapshots when
-    /// [`Wal::snapshot_due`] says so. A decision and the append it leads to
-    /// must not be separated by an unlock — two movers of one block would
+    /// nothing) plus a value for the caller, and [`State::commit`] journals
+    /// and applies the record. A decision and the append it leads to must
+    /// not be separated by an unlock — two movers of one block would
     /// otherwise both find it where they left it.
     fn commit_with<R>(
         &self,
@@ -144,9 +145,7 @@ impl MetaRouter {
         let mut state = self.state.lock();
         let (record, out) = decide(&state)?;
         if let Some(record) = record {
-            state.append(&record)?;
-            state.apply(&record);
-            state.maybe_snapshot()?;
+            state.commit(record)?;
         }
         Ok(out)
     }
@@ -171,20 +170,36 @@ impl MetaRouter {
     // Objects
     // ------------------------------------------------------------------
 
-    /// Registers (or overwrites) an object.
-    pub fn register_object(&self, record: ObjectRecord) -> Result<()> {
-        self.commit_with(|_| Ok((Some(Record::PutObject(record)), ())))
-    }
-
-    /// Registers an object unless one of that name already exists. Returns
-    /// whether it was registered: of two concurrent writers of one name,
-    /// exactly one gets `true`.
-    pub fn insert_object(&self, record: ObjectRecord) -> Result<bool> {
+    /// Registers an object of `size` bytes together with its stripes'
+    /// placements (in offset order), as one journal record, unless an
+    /// object of that name already exists. Returns whether it was
+    /// registered: of two concurrent writers of one name, exactly one gets
+    /// `true`. A stripe belongs to one object only: a stripe id that is
+    /// already registered is refused with [`MetaError::InvalidRequest`].
+    pub fn insert_object(
+        &self,
+        name: &str,
+        size: usize,
+        stripes: Vec<StripeRecord>,
+    ) -> Result<bool> {
+        if let Some(max) = stripes.iter().map(|s| s.id.0).max() {
+            self.next_stripe.fetch_max(max + 1, Ordering::Relaxed);
+        }
         self.commit_with(|s| {
-            Ok(match s.objects.get(&record.name) {
-                Some(_) => (None, false),
-                None => (Some(Record::PutObject(record)), true),
-            })
+            if s.objects.contains_key(name) {
+                return Ok((None, false));
+            }
+            if let Some(taken) = stripes.iter().find(|r| s.stripes.contains_key(&r.id.0)) {
+                return Err(MetaError::InvalidRequest {
+                    reason: format!("stripe {} is already registered", taken.id.0),
+                });
+            }
+            let record = Record::PutObject {
+                name: name.to_string(),
+                size,
+                stripes,
+            };
+            Ok((Some(record), true))
         })
     }
 
@@ -198,14 +213,23 @@ impl MetaRouter {
         self.state.lock().objects.contains_key(name)
     }
 
-    /// Removes an object, returning its record if it existed.
-    pub fn remove_object(&self, name: &str) -> Result<Option<ObjectRecord>> {
+    /// Removes an object and its stripes, as one journal record. Returns
+    /// the object and its stripes' placements if it existed.
+    pub fn remove_object(&self, name: &str) -> Result<Option<(ObjectRecord, Vec<StripeRecord>)>> {
         self.commit_with(|s| {
-            let existing = s.objects.get(name).cloned();
-            let record = existing.as_ref().map(|_| Record::DeleteObject {
+            let Some(object) = s.objects.get(name) else {
+                return Ok((None, None));
+            };
+            let stripes = object
+                .stripes
+                .iter()
+                .filter_map(|id| s.stripes.get(&id.0).cloned())
+                .collect();
+            let record = Record::DeleteObject {
                 name: name.to_string(),
-            });
-            Ok((record, existing))
+                stripes: object.stripes.clone(),
+            };
+            Ok((Some(record), Some((object.clone(), stripes))))
         })
     }
 
@@ -230,7 +254,8 @@ impl MetaRouter {
         StripeId(self.next_stripe.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Registers (or rewrites) a stripe's placement.
+    /// Registers (or rewrites) a stripe's placement. A stripe first
+    /// registered here belongs to no object, and no object can claim it.
     pub fn register_stripe(&self, id: StripeId, locations: Vec<NodeId>) -> Result<()> {
         // Keep the allocator ahead of externally-chosen ids.
         self.next_stripe.fetch_max(id.0 + 1, Ordering::Relaxed);
@@ -253,17 +278,6 @@ impl MetaRouter {
             .get(index)
             .copied()
             .ok_or_else(|| index_out_of_range(record, index))
-    }
-
-    /// Forgets a stripe. Returns whether it existed.
-    pub fn forget_stripe(&self, id: StripeId) -> Result<bool> {
-        self.commit_with(|s| {
-            let existed = s.stripes.contains_key(&id.0);
-            Ok((
-                existed.then_some(Record::ForgetStripe { stripe: id }),
-                existed,
-            ))
-        })
     }
 
     /// Visits every stripe (same locking contract as
@@ -376,7 +390,7 @@ impl State {
         let mut snapshot_len = 0;
         if snapshot_path.exists() {
             let bytes = std::fs::read(&snapshot_path)?;
-            if bytes.len() < SNAPSHOT_MAGIC.len() || &bytes[..4] != SNAPSHOT_MAGIC {
+            if !bytes.starts_with(SNAPSHOT_MAGIC) {
                 return Err(MetaError::Corrupt {
                     path: snapshot_path,
                     reason: "bad snapshot magic".to_string(),
@@ -385,7 +399,7 @@ impl State {
             // Snapshots are written to a temp file and renamed into place,
             // so a decodable prefix is the whole snapshot.
             for record in decode_log(&bytes[4..], &snapshot_path)?.records {
-                self.apply(&record);
+                self.apply(record);
             }
             snapshot_len = bytes.len() as u64;
         }
@@ -393,11 +407,11 @@ impl State {
         let (mut valid_len, mut dropped_tail) = (0, false);
         if wal_path.exists() {
             let decoded = decode_log(&std::fs::read(&wal_path)?, &wal_path)?;
-            for record in &decoded.records {
-                self.apply(record);
-            }
             valid_len = decoded.valid_len;
             dropped_tail = decoded.dropped_tail;
+            for record in decoded.records {
+                self.apply(record);
+            }
         }
         let mut file = OpenOptions::new()
             .create(true)
@@ -423,37 +437,57 @@ impl State {
             .ok_or(MetaError::UnknownStripe { stripe: id.0 })
     }
 
-    fn append(&mut self, record: &Record) -> Result<()> {
-        if let Some(wal) = &mut self.wal {
-            let frame = record.encode_frame();
-            wal.file.write_all(&frame)?;
-            wal.len += frame.len() as u64;
-        }
-        Ok(())
-    }
-
-    fn maybe_snapshot(&mut self) -> Result<()> {
+    /// Journals and applies one record. A due snapshot comes first, while
+    /// memory and disk still hold the state before the record, and the
+    /// record is applied only once it is in the WAL: whichever step fails,
+    /// the commit returns its error having changed nothing.
+    fn commit(&mut self, record: Record) -> Result<()> {
         if self.wal.as_ref().is_some_and(Wal::snapshot_due) {
             self.snapshot()?;
         }
+        if let Some(wal) = &mut self.wal {
+            let frame = record.encode_frame();
+            if let Err(error) = wal.file.write_all(&frame) {
+                // Cut a partly written frame back off, so that the next
+                // record does not land behind a torn one.
+                let _ = wal.file.set_len(wal.len);
+                let _ = wal.file.seek(SeekFrom::Start(wal.len));
+                return Err(error.into());
+            }
+            wal.len += frame.len() as u64;
+        }
+        self.apply(record);
         Ok(())
     }
 
     /// Applies one record to the in-memory maps. Records carry absolute
     /// values, so applying is idempotent.
-    fn apply(&mut self, record: &Record) {
+    fn apply(&mut self, record: Record) {
         match record {
-            Record::PutObject(o) => {
-                self.objects.insert(o.name.clone(), o.clone());
+            Record::PutObject {
+                name,
+                size,
+                stripes,
+            } => {
+                let ids = stripes.iter().map(|s| s.id).collect();
+                for stripe in stripes {
+                    self.stripes.insert(stripe.id.0, stripe);
+                }
+                let object = ObjectRecord {
+                    name: name.clone(),
+                    size,
+                    stripes: ids,
+                };
+                self.objects.insert(name, object);
             }
-            Record::DeleteObject { name } => {
-                self.objects.remove(name);
+            Record::DeleteObject { name, stripes } => {
+                self.objects.remove(&name);
+                for id in stripes {
+                    self.stripes.remove(&id.0);
+                }
             }
             Record::PutStripe(s) => {
-                self.stripes.insert(s.id.0, s.clone());
-            }
-            Record::ForgetStripe { stripe } => {
-                self.stripes.remove(&stripe.0);
+                self.stripes.insert(s.id.0, s);
             }
             Record::Relocate {
                 stripe,
@@ -461,15 +495,15 @@ impl State {
                 node,
             } => {
                 let slot = self.stripes.get_mut(&stripe.0);
-                if let Some(slot) = slot.and_then(|s| s.locations.get_mut(*index)) {
-                    *slot = *node;
+                if let Some(slot) = slot.and_then(|s| s.locations.get_mut(index)) {
+                    *slot = node;
                 }
             }
             Record::PutRepair(r) => {
-                self.pending.insert((r.stripe.0, r.index), r.clone());
+                self.pending.insert((r.stripe.0, r.index), r);
             }
             Record::ResolveRepair { stripe, index } => {
-                self.pending.remove(&(stripe.0, *index));
+                self.pending.remove(&(stripe.0, index));
             }
         }
     }
@@ -487,9 +521,33 @@ impl State {
         let mut names: Vec<&String> = self.objects.keys().collect();
         names.sort();
         for name in names {
-            buf.extend_from_slice(&Record::PutObject(self.objects[name].clone()).encode_frame());
+            let object = &self.objects[name];
+            // Every stripe an object names is registered: `insert_object`
+            // adds them with the object and refuses ids already taken, and
+            // only the object's own removal removes them.
+            let record = Record::PutObject {
+                name: name.clone(),
+                size: object.size,
+                stripes: object
+                    .stripes
+                    .iter()
+                    .map(|id| self.stripes[&id.0].clone())
+                    .collect(),
+            };
+            buf.extend_from_slice(&record.encode_frame());
         }
-        let mut ids: Vec<u64> = self.stripes.keys().copied().collect();
+        // Only the stripes no object names need a record of their own.
+        let owned: HashSet<u64> = self
+            .objects
+            .values()
+            .flat_map(|o| o.stripes.iter().map(|s| s.0))
+            .collect();
+        let mut ids: Vec<u64> = self
+            .stripes
+            .keys()
+            .copied()
+            .filter(|id| !owned.contains(id))
+            .collect();
         ids.sort_unstable();
         for id in ids {
             buf.extend_from_slice(&Record::PutStripe(self.stripes[&id].clone()).encode_frame());
@@ -507,7 +565,7 @@ impl State {
         drop(tmp_file);
         std::fs::rename(&tmp, &final_path)?;
         // A crash here replays the old WAL over the new snapshot: safe,
-        // because records are idempotent upserts.
+        // because every record is idempotent and carries absolute values.
         wal.file.set_len(0)?;
         wal.file.seek(SeekFrom::Start(0))?;
         wal.len = 0;
@@ -610,31 +668,49 @@ mod tests {
         assert!(router.node_of(s1, 4).is_err());
         assert!(router.relocate(StripeId(7), 0, 9, None).is_err());
         assert!(router.relocate(s1, 4, 9, None).is_err());
-        assert!(router.forget_stripe(s2).unwrap());
-        assert!(!router.forget_stripe(s2).unwrap());
-        assert_eq!(router.stripe_count(), 1);
+        // An object's stripes appear and vanish with it, and a stripe
+        // already registered cannot join an object.
+        let s4 = StripeRecord {
+            id: StripeId(4),
+            locations: nodes(&[4, 5, 6, 7]),
+        };
+        assert!(router.insert_object("/o", 1, vec![s4.clone()]).unwrap());
+        assert_eq!(router.stripes_on_node(4), vec![(s4.id, 0)]);
+        let taken = router.stripe(s2).unwrap();
+        assert!(matches!(
+            router.insert_object("/p", 1, vec![taken]),
+            Err(MetaError::InvalidRequest { .. })
+        ));
+        let (object, stripes) = router.remove_object("/o").unwrap().unwrap();
+        assert_eq!((object.stripes, stripes), (vec![s4.id], vec![s4]));
+        assert_eq!(router.stripe_count(), 2);
     }
 
     #[test]
     fn object_names_are_first_writer_wins() {
         let router = MetaRouter::open(MetaConfig::ephemeral()).unwrap();
+        let stripe = |id: u64| StripeRecord {
+            id: StripeId(id),
+            locations: nodes(&[id, id + 1, id + 2]),
+        };
         let a = ObjectRecord {
             name: "/a".into(),
             size: 123,
             stripes: vec![StripeId(1)],
         };
         assert!(!router.has_object("/a"));
-        assert!(router.insert_object(a.clone()).unwrap());
-        // A second writer of the name loses; the first record stands.
-        let late = ObjectRecord {
-            size: 9,
-            ..a.clone()
-        };
-        assert!(!router.insert_object(late).unwrap());
+        assert!(router.insert_object("/a", 123, vec![stripe(1)]).unwrap());
+        // A second writer of the name loses; the first record stands, and
+        // the loser's stripe is not registered.
+        assert!(!router.insert_object("/a", 9, vec![stripe(2)]).unwrap());
         assert_eq!(router.object("/a"), Some(a.clone()));
-        assert_eq!(router.remove_object("/a").unwrap(), Some(a));
+        assert_eq!(router.stripe_count(), 1);
+        assert_eq!(
+            router.remove_object("/a").unwrap(),
+            Some((a, vec![stripe(1)]))
+        );
         assert_eq!(router.remove_object("/a").unwrap(), None);
-        assert_eq!(router.object_count(), 0);
+        assert_eq!((router.object_count(), router.stripe_count()), (0, 0));
     }
 
     #[test]
@@ -650,12 +726,12 @@ mod tests {
                     .unwrap();
             }
             router.relocate(StripeId(3), 1, 99, None).unwrap();
+            let placements = [40, 41].map(|i| StripeRecord {
+                id: StripeId(i),
+                locations: nodes(&[i, i + 1, i + 2]),
+            });
             router
-                .register_object(ObjectRecord {
-                    name: "alpha".into(),
-                    size: 12345,
-                    stripes: vec![StripeId(0), StripeId(1)],
-                })
+                .insert_object("alpha", 12345, placements.to_vec())
                 .unwrap();
             router
                 .record_repair(RepairRecord {
@@ -673,13 +749,17 @@ mod tests {
         reopened.for_each_stripe(|s| actual.push(s.clone()));
         actual.sort_by_key(|s| s.id.0);
         assert_eq!(actual, expected_stripes);
-        assert_eq!(reopened.object("alpha").unwrap().size, 12345);
+        let alpha = reopened.object("alpha").unwrap();
+        assert_eq!(
+            (alpha.size, alpha.stripes),
+            (12345, vec![StripeId(40), StripeId(41)])
+        );
         assert_eq!(reopened.node_of(StripeId(3), 1).unwrap(), 99);
         let pending = reopened.pending_repairs();
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].requestor, 99);
         // Fresh ids resume past everything recovered.
-        assert!(reopened.allocate_stripe_id().0 >= 40);
+        assert!(reopened.allocate_stripe_id().0 >= 42);
         // The root holds the one journal and nothing else.
         let mut files: Vec<String> = std::fs::read_dir(&root)
             .unwrap()
@@ -733,10 +813,10 @@ mod tests {
     }
 
     /// The compaction rule, observed from the files of a fill: after every
-    /// commit the WAL stays under the threshold, the snapshot grows
-    /// geometrically (so the fill rewrites O(1) bytes per record), a reopen
-    /// is exact, and a reopen over a WAL already past the threshold
-    /// snapshots on its first commit.
+    /// commit the WAL stays under the threshold plus one record, the
+    /// snapshot grows geometrically (so the fill rewrites O(1) bytes per
+    /// record), a reopen is exact, and a reopen over a WAL already past the
+    /// threshold snapshots on its first commit, before appending it.
     #[test]
     fn snapshots_truncate_the_wal_and_survive_reopen() {
         let root = temp_root("snap");
@@ -830,11 +910,57 @@ mod tests {
             .unwrap();
         assert_eq!(
             len("wal.log"),
-            0,
+            frame,
             "the first commit past the threshold did not snapshot"
         );
         assert!(len("snapshot.bin") > last);
         drop(reopened);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A commit whose due snapshot cannot be written returns the error and
+    /// changes nothing, in memory or on disk; the next commit after the
+    /// obstacle is gone goes through.
+    #[test]
+    fn a_commit_that_fails_changes_nothing() {
+        let root = temp_root("failed-commit");
+        let config = MetaConfig::new(MetaBackend::durable(&root));
+        let wal_path = root.join("wal.log");
+        let router = MetaRouter::open(config.clone()).unwrap();
+        // Fill the WAL to the floor, so that the next commit is due a
+        // snapshot, and make the snapshot's temp file impossible to create.
+        let wide = |i: u64| (0..64).map(|b| (i as usize + b) % 97).collect::<Vec<_>>();
+        let mut next = 0;
+        while std::fs::metadata(&wal_path).unwrap().len() < SNAPSHOT_FLOOR {
+            router.register_stripe(StripeId(next), wide(next)).unwrap();
+            next += 1;
+        }
+        std::fs::create_dir(root.join("snapshot.tmp")).unwrap();
+        let wal = std::fs::read(&wal_path).unwrap();
+        let stripes = vec![StripeRecord {
+            id: StripeId(next),
+            locations: nodes(&[0, 1, 2, 3]),
+        }];
+        assert!(matches!(
+            router.insert_object("/a", 10, stripes.clone()),
+            Err(MetaError::Io(_))
+        ));
+        assert!(!router.has_object("/a"));
+        assert!(router.stripe(StripeId(next)).is_none());
+        assert_eq!(
+            std::fs::read(&wal_path).unwrap(),
+            wal,
+            "the failed commit wrote"
+        );
+        drop(router);
+
+        let reopened = MetaRouter::open(config).unwrap();
+        assert!(!reopened.has_object("/a"));
+        assert_eq!(reopened.stripe_count(), next as usize);
+        std::fs::remove_dir(root.join("snapshot.tmp")).unwrap();
+        assert!(reopened.insert_object("/a", 10, stripes).unwrap());
+        assert!(reopened.has_object("/a"));
+        assert!(root.join("snapshot.bin").exists());
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -19,23 +19,27 @@
 //!
 //! Payloads are a one-byte tag followed by little-endian fields; all
 //! integers are fixed width, strings and vectors are length-prefixed. Every
-//! record is an idempotent upsert carrying absolute values (a relocation
-//! stores the block's new node), so replaying a record twice — possible
-//! when a crash lands between a snapshot rename and the WAL truncation —
-//! converges to the same state.
+//! record is idempotent and carries absolute values (a relocation stores
+//! the block's new node, an object's removal names its stripes), so
+//! replaying a record twice — possible when a crash lands between a
+//! snapshot rename and the WAL truncation — converges to the same state.
 //!
-//! Format note: tags 3 and 5 are retired. They framed `PutStripe` and
-//! `Relocate` with a stripe epoch field, which the current records (tags 8
-//! and 9) no longer carry. A CRC-valid frame with a retired tag is a root of
-//! the old format, not a torn tail: [`decode_log`] refuses it rather than
-//! truncating the log there.
+//! Format note: tags 1 to 5 are retired. Tags 3 and 5 framed `PutStripe`
+//! and `Relocate` with a stripe epoch field, which the current records
+//! (tags 8 and 9) no longer carry. Tags 1, 2 and 4 framed an object record
+//! without its placements, its removal without its stripes', and the
+//! removal of one stripe: an object and its stripes now appear in one
+//! `PutObject` (tag 10) and vanish in one `DeleteObject` (tag 11). A
+//! CRC-valid frame with a retired tag is a root of an old format, not a
+//! torn tail: [`decode_log`] refuses it rather than truncating the log
+//! there.
 
 use std::path::Path;
 
 use ecc::stripe::StripeId;
 use simnet::NodeId;
 
-use crate::{MetaError, ObjectRecord, RepairRecord, Result, StripeRecord};
+use crate::{MetaError, RepairRecord, Result, StripeRecord};
 
 /// Bytes of framing overhead per record (length prefix + CRC).
 pub const FRAME_HEADER: usize = 8;
@@ -77,20 +81,24 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// One metadata mutation (or, in a snapshot, one fact of the full state).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
-    /// Upsert a named object.
-    PutObject(ObjectRecord),
-    /// Remove a named object.
+    /// Upsert a named object together with its stripes' placements.
+    PutObject {
+        /// The object's name.
+        name: String,
+        /// Original size in bytes.
+        size: usize,
+        /// The object's stripes, in offset order, with their placements.
+        stripes: Vec<StripeRecord>,
+    },
+    /// Remove a named object and its stripes.
     DeleteObject {
         /// The object's name.
         name: String,
+        /// The stripes the object named, removed with it.
+        stripes: Vec<StripeId>,
     },
     /// Upsert a stripe with its full placement.
     PutStripe(StripeRecord),
-    /// Drop a stripe's metadata.
-    ForgetStripe {
-        /// The stripe to forget.
-        stripe: StripeId,
-    },
     /// Move one block of a stripe.
     Relocate {
         /// The stripe whose block moved.
@@ -111,15 +119,16 @@ pub enum Record {
     },
 }
 
-const TAG_PUT_OBJECT: u8 = 1;
-const TAG_DELETE_OBJECT: u8 = 2;
-const TAG_FORGET_STRIPE: u8 = 4;
 const TAG_PUT_REPAIR: u8 = 6;
 const TAG_RESOLVE_REPAIR: u8 = 7;
 const TAG_PUT_STRIPE: u8 = 8;
 const TAG_RELOCATE: u8 = 9;
-/// `PutStripe` and `Relocate` as they were framed with a stripe epoch.
-const RETIRED_TAGS: [u8; 2] = [3, 5];
+const TAG_PUT_OBJECT: u8 = 10;
+const TAG_DELETE_OBJECT: u8 = 11;
+/// `PutObject` without placements (1), `DeleteObject` without stripes (2),
+/// `PutStripe` and `Relocate` with a stripe epoch (3, 5), and the
+/// single-stripe removal `ForgetStripe` (4).
+const RETIRED_TAGS: [u8; 5] = [1, 2, 3, 4, 5];
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -132,6 +141,14 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
+}
+
+fn put_stripe(buf: &mut Vec<u8>, s: &StripeRecord) {
+    put_u64(buf, s.id.0);
+    put_u32(buf, s.locations.len() as u32);
+    for &n in &s.locations {
+        put_u64(buf, n as u64);
+    }
 }
 
 /// A bounds-checked little-endian reader over a payload slice. Every
@@ -177,11 +194,22 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).ok()
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    fn stripe(&mut self) -> Option<StripeRecord> {
+        Some(StripeRecord {
+            id: StripeId(self.u64()?),
+            locations: self.node_vec()?,
+        })
+    }
+
     fn node_vec(&mut self) -> Option<Vec<NodeId>> {
         let len = self.u32()? as usize;
         // A length prefix beyond the remaining payload is malformed; the
         // division bounds the pre-allocation against garbage prefixes.
-        if len > self.bytes.len().saturating_sub(self.pos) / 8 {
+        if len > self.remaining() / 8 {
             return None;
         }
         let mut v = Vec::with_capacity(len);
@@ -193,7 +221,7 @@ impl<'a> Reader<'a> {
 
     fn stripe_vec(&mut self) -> Option<Vec<StripeId>> {
         let len = self.u32()? as usize;
-        if len > self.bytes.len().saturating_sub(self.pos) / 8 {
+        if len > self.remaining() / 8 {
             return None;
         }
         let mut v = Vec::with_capacity(len);
@@ -213,30 +241,30 @@ impl Record {
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(32);
         match self {
-            Record::PutObject(o) => {
+            Record::PutObject {
+                name,
+                size,
+                stripes,
+            } => {
                 buf.push(TAG_PUT_OBJECT);
-                put_str(&mut buf, &o.name);
-                put_u64(&mut buf, o.size as u64);
-                put_u32(&mut buf, o.stripes.len() as u32);
-                for s in &o.stripes {
+                put_str(&mut buf, name);
+                put_u64(&mut buf, *size as u64);
+                put_u32(&mut buf, stripes.len() as u32);
+                for s in stripes {
+                    put_stripe(&mut buf, s);
+                }
+            }
+            Record::DeleteObject { name, stripes } => {
+                buf.push(TAG_DELETE_OBJECT);
+                put_str(&mut buf, name);
+                put_u32(&mut buf, stripes.len() as u32);
+                for s in stripes {
                     put_u64(&mut buf, s.0);
                 }
             }
-            Record::DeleteObject { name } => {
-                buf.push(TAG_DELETE_OBJECT);
-                put_str(&mut buf, name);
-            }
             Record::PutStripe(s) => {
                 buf.push(TAG_PUT_STRIPE);
-                put_u64(&mut buf, s.id.0);
-                put_u32(&mut buf, s.locations.len() as u32);
-                for &n in &s.locations {
-                    put_u64(&mut buf, n as u64);
-                }
-            }
-            Record::ForgetStripe { stripe } => {
-                buf.push(TAG_FORGET_STRIPE);
-                put_u64(&mut buf, stripe.0);
+                put_stripe(&mut buf, s);
             }
             Record::Relocate {
                 stripe,
@@ -273,21 +301,27 @@ impl Record {
             TAG_PUT_OBJECT => {
                 let name = r.string()?;
                 let size = r.u64()? as usize;
-                let stripes = r.stripe_vec()?;
-                Record::PutObject(ObjectRecord {
+                let count = r.u32()? as usize;
+                // Each stripe takes at least 12 bytes (id + location count);
+                // the division bounds the pre-allocation against garbage.
+                if count > r.remaining() / 12 {
+                    return None;
+                }
+                let mut stripes = Vec::with_capacity(count);
+                for _ in 0..count {
+                    stripes.push(r.stripe()?);
+                }
+                Record::PutObject {
                     name,
                     size,
                     stripes,
-                })
+                }
             }
-            TAG_DELETE_OBJECT => Record::DeleteObject { name: r.string()? },
-            TAG_PUT_STRIPE => Record::PutStripe(StripeRecord {
-                id: StripeId(r.u64()?),
-                locations: r.node_vec()?,
-            }),
-            TAG_FORGET_STRIPE => Record::ForgetStripe {
-                stripe: StripeId(r.u64()?),
+            TAG_DELETE_OBJECT => Record::DeleteObject {
+                name: r.string()?,
+                stripes: r.stripe_vec()?,
             },
+            TAG_PUT_STRIPE => Record::PutStripe(r.stripe()?),
             TAG_RELOCATE => Record::Relocate {
                 stripe: StripeId(r.u64()?),
                 index: r.u32()? as usize,
@@ -367,7 +401,7 @@ pub fn decode_log(bytes: &[u8], path: &Path) -> Result<DecodedLog> {
                 path: path.to_path_buf(),
                 reason: format!(
                     "record {} at byte {pos} has retired tag {tag}: the root was \
-                     written by an older layout that stored stripe epochs",
+                     written by an older metadata format",
                     records.len(),
                 ),
             });
@@ -395,11 +429,20 @@ mod tests {
 
     fn sample_records() -> Vec<Record> {
         vec![
-            Record::PutObject(ObjectRecord {
+            Record::PutObject {
                 name: "/a/b".to_string(),
                 size: 12345,
-                stripes: vec![StripeId(1), StripeId(2)],
-            }),
+                stripes: vec![
+                    StripeRecord {
+                        id: StripeId(1),
+                        locations: vec![0, 1, 2],
+                    },
+                    StripeRecord {
+                        id: StripeId(2),
+                        locations: vec![3, 4, 5],
+                    },
+                ],
+            },
             Record::PutStripe(StripeRecord {
                 id: StripeId(7),
                 locations: vec![0, 1, 2, 3, 4, 5],
@@ -421,9 +464,7 @@ mod tests {
             },
             Record::DeleteObject {
                 name: "/a/b".to_string(),
-            },
-            Record::ForgetStripe {
-                stripe: StripeId(7),
+                stripes: vec![StripeId(1), StripeId(2)],
             },
         ]
     }
@@ -476,8 +517,8 @@ mod tests {
         assert!(decoded.dropped_tail);
     }
 
-    /// A zero-filled crash tail is torn; a CRC-valid old-format `Relocate`
-    /// (tag 5, with its epoch) is refused, not dropped.
+    /// A zero-filled crash tail is torn; a CRC-valid frame with any retired
+    /// tag (here followed by zeros) is refused, not dropped.
     #[test]
     fn a_zero_tail_is_torn_but_a_retired_tag_is_refused() {
         let mut log = sample_records()[0].encode_frame();
@@ -488,17 +529,19 @@ mod tests {
         assert_eq!(decoded.valid_len as usize, valid);
         assert!(decoded.dropped_tail);
 
-        let payload = [&[5u8][..], &[0; 28]].concat();
-        log.truncate(valid);
-        put_u32(&mut log, payload.len() as u32);
-        put_u32(&mut log, crc32(&payload));
-        log.extend_from_slice(&payload);
-        match decode_log(&log, Path::new("wal.log")) {
-            Err(MetaError::Corrupt { path, reason }) => {
-                assert_eq!(path, Path::new("wal.log"));
-                assert!(reason.contains("retired tag 5"), "{reason}");
+        for tag in RETIRED_TAGS {
+            let payload = [&[tag][..], &[0; 28]].concat();
+            log.truncate(valid);
+            put_u32(&mut log, payload.len() as u32);
+            put_u32(&mut log, crc32(&payload));
+            log.extend_from_slice(&payload);
+            match decode_log(&log, Path::new("wal.log")) {
+                Err(MetaError::Corrupt { path, reason }) => {
+                    assert_eq!(path, Path::new("wal.log"));
+                    assert!(reason.contains(&format!("retired tag {tag}")), "{reason}");
+                }
+                other => panic!("tag {tag}: expected a corrupt-metadata error, got {other:?}"),
             }
-            other => panic!("expected a corrupt-metadata error, got {other:?}"),
         }
     }
 

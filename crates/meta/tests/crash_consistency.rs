@@ -13,7 +13,9 @@
 //!   invented, and no later record survives an earlier one that was lost;
 //! * recovery truncates the torn tail, so a second reopen is byte-exact and
 //!   reports nothing dropped;
-//! * with no mutilation at all, reopen is byte-exact, snapshots included.
+//! * with no mutilation at all, reopen is byte-exact, snapshots included;
+//! * every stripe an object names exists after every reopen: an object and
+//!   its stripes are one record, so no cut separates them.
 
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -73,8 +75,7 @@ fn committed(meta: &MetaRouter, history: &mut Vec<Namespace>) {
 }
 
 /// Applies a scripted operation decoded from one random word, recording the
-/// namespace after every mutating call (a registration is two calls, so two
-/// records and two states).
+/// namespace after every mutating call.
 fn apply_op(
     meta: &MetaRouter,
     history: &mut Vec<Namespace>,
@@ -83,19 +84,16 @@ fn apply_op(
 ) {
     let pick = |seed: u64, len: usize| (seed as usize) % len.max(1);
     match word % 8 {
-        // Register a stripe, then an object naming it.
+        // Register an object with its stripe, in one call.
         0 | 1 => {
             let id = meta.allocate_stripe_id();
             let locations: Vec<usize> = (0..N).map(|i| (i + word as usize) % NODES).collect();
-            meta.register_stripe(id, locations).unwrap();
-            committed(meta, history);
+            let name = format!("/torture/{}", id.0);
+            let size = (word % 100_000) as usize;
+            assert!(meta
+                .insert_object(&name, size, vec![StripeRecord { id, locations }])
+                .unwrap());
             stripes.push(id);
-            meta.register_object(ObjectRecord {
-                name: format!("/torture/{}", id.0),
-                size: (word % 100_000) as usize,
-                stripes: vec![id],
-            })
-            .unwrap();
         }
         // Relocate a block of an existing stripe (possibly refused).
         2..=4 => {
@@ -119,25 +117,50 @@ fn apply_op(
             })
             .unwrap();
         }
-        // Resolve a (possibly absent) repair directive.
+        // Resolve a (possibly absent) repair directive, or delete an object
+        // with its stripe.
         _ => {
             if stripes.is_empty() {
                 return;
             }
-            let id = stripes[pick(word >> 8, stripes.len())];
-            meta.resolve_repair(id, pick(word >> 24, N)).unwrap();
+            let at = pick(word >> 8, stripes.len());
+            if (word >> 48) & 1 == 0 {
+                meta.resolve_repair(stripes[at], pick(word >> 24, N))
+                    .unwrap();
+            } else {
+                let id = stripes.swap_remove(at);
+                assert!(meta
+                    .remove_object(&format!("/torture/{}", id.0))
+                    .unwrap()
+                    .is_some());
+            }
         }
     }
     committed(meta, history);
 }
 
 /// The prefix property: the recovered router serves exactly the namespace
-/// as it stood after some mutation of the script (or before the first).
+/// as it stood after some mutation of the script (or before the first),
+/// and in it every stripe an object names exists.
 fn assert_global_prefix(recovered: &Namespace, history: &[Namespace]) {
     assert!(
         history.contains(recovered),
         "recovered namespace {recovered:?} is no prefix of the committed history"
     );
+    assert_objects_own_their_stripes(recovered);
+}
+
+fn assert_objects_own_their_stripes(ns: &Namespace) {
+    for object in &ns.objects {
+        for id in &object.stripes {
+            assert!(
+                ns.stripes.iter().any(|s| s.id == *id),
+                "object {} names stripe {} that does not exist",
+                object.name,
+                id.0
+            );
+        }
+    }
 }
 
 /// Runs `ops` against a fresh durable router, closes it, and returns every
@@ -183,6 +206,7 @@ proptest! {
         // is byte-exact and clean.
         let again = MetaRouter::open(config(&root)).unwrap();
         prop_assert_eq!(again.dropped_tail_records(), 0, "first recovery dropped {} and truncated", dropped);
+        assert_objects_own_their_stripes(&namespace(&again));
         prop_assert_eq!(namespace(&again), recovered);
         drop(again);
         let _ = std::fs::remove_dir_all(&root);
@@ -227,6 +251,7 @@ proptest! {
         let history = run_script(&root, &ops);
         let reopened = MetaRouter::open(config(&root)).unwrap();
         prop_assert_eq!(reopened.dropped_tail_records(), 0);
+        assert_objects_own_their_stripes(&namespace(&reopened));
         prop_assert_eq!(&namespace(&reopened), history.last().unwrap());
         drop(reopened);
         let _ = std::fs::remove_dir_all(&root);
